@@ -450,8 +450,11 @@ def _verify_identity_checks(checks, tol, fock_dim):
 
     nmax = min(6, max(2, fock_dim // 2))
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
-    dev = verify_identity_resolution(params, nmax=nmax)
-    _check(checks, "identity-twomode", dev, 1e-3, nmax=nmax)
+    report = verify_identity_resolution(params, nmax=nmax)
+    _check(
+        checks, "identity-twomode", report.identity_deviation, tol,
+        nmax=nmax, nodes=report.nodes,
+    )
 
 
 def _verify_holoh(checks, tol):
@@ -685,8 +688,11 @@ def _verify_table1(checks, errata, tol, fock_dim):
     x2 = np.kron(np.eye(n1), params.lam2 * (a + a.T) / np.sqrt(2.0))
 
     worst = 0.0
+    nodes = 0
     for name in ("q1", "q2"):
-        mat = table1_operators(params, name, nmax).entries
+        op = table1_operators(params, name, nmax)
+        mat = op.entries
+        nodes += op.report.nodes
         basis = np.stack([x1[sel].ravel(), x2[sel].ravel()], axis=1)
         fit, *_ = np.linalg.lstsq(basis, mat[sel].real.ravel(), rcond=None)
         adopted = np.array(rows[name]["adopted"])
@@ -709,7 +715,9 @@ def _verify_table1(checks, errata, tol, fock_dim):
                 "rival_deviation": dev_rival,
             }
         )
-    mat = table1_operators(params, "q1q2", nmax).entries
+    op = table1_operators(params, "q1q2", nmax)
+    mat = op.entries
+    nodes += op.report.nodes
     prod = x1 @ x2
     basis = np.stack([prod[sel].ravel(), np.eye(dim)[sel].ravel()], axis=1)
     fit, *_ = np.linalg.lstsq(basis, mat[sel].real.ravel(), rcond=None)
@@ -732,7 +740,7 @@ def _verify_table1(checks, errata, tol, fock_dim):
             "rival_deviation": float(abs(fit[1] - rival_c)),
         }
     )
-    _check(checks, "table1-rows", worst, 1e-3, nmax=nmax)
+    _check(checks, "table1-rows", worst, tol, nmax=nmax, nodes=nodes)
 
 
 def _verify_bogoliubov(checks, tol):
@@ -836,8 +844,10 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     if fn is None:
         raise ConfigError("choose a function to quantise (positional argument or 'function')")
     family_kind = cfg.get("family", "one-mode", cast=str)
-    # two-mode quadrature cost grows steeply with the basis size, so its
-    # default stays small; an explicit fock_dim always wins
+    # two-mode cost grows about as fock_dim^6 (order^4 nodes with order near
+    # 2 fock_dim, each filling (fock_dim + 1)^2 Fock cells) and fock_dim is
+    # capped by the engine's node budget, so the default stays small; an
+    # explicit fock_dim always wins
     default_dim = 8 if family_kind == "one-mode" else 4
     nmax = (
         args.fock_dim
@@ -896,6 +906,8 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
         "function": fn,
         "hermiticity_defect": op.quadrature_report.hermiticity_defect,
         "identity_deviation": op.quadrature_report.identity_deviation,
+        "convergence_witness": op.quadrature_report.convergence_witness,
+        "nodes": op.quadrature_report.nodes,
     }
     json_path = _write_json(args.out, f"quantise_{fn}_report.json", report)
     print(csv_path)

@@ -11,12 +11,20 @@ and the quantisation of position fields in a truncated Fock basis.
 Two independent numerical routes back the closed forms.  Fock coefficients of
 the states follow from a pair of exact ladder recurrences seeded by the
 vacuum amplitude (no quadrature, no matrix exponentials), which powers the
-identity-resolution and field-quantisation checks.  The unitary G itself is
-assembled column by column from exact per-mode recurrences for the squeeze
-and displacement factors plus a per-sector beam splitter, which powers the
-mode-mixing (Bogoliubov) residual check; matrix exponentials of truncated
-generators are avoided throughout because their columns are contaminated at
-any truncation reachable in practice.
+identity-resolution and field-quantisation checks.  Those integrate over 4D
+phase space: each Fock coefficient is the vacuum amplitude c00 times a
+polynomial of degree n + m, so every matrix entry of a field of polynomial
+degree d is the Gaussian |c00|^2 times a polynomial of degree <= 4 nmax + d.
+A tensor Gauss-Hermite rule on the principal axes of that Gaussian of order
+ceil((4 nmax + d + 1) / 2) integrates it exactly up to rounding; for fields
+that are not polynomial the order grows by 4 until the operator changes by
+at most 1e-6, and the last change is reported as the convergence witness.
+
+The unitary G itself is assembled column by column from exact per-mode
+recurrences for the squeeze and displacement factors plus a per-sector beam
+splitter, which powers the mode-mixing (Bogoliubov) residual check; matrix
+exponentials of truncated generators are avoided throughout because their
+columns are contaminated at any truncation reachable in practice.
 
 Sign conventions for the overlap exponent and the mixed-term coefficients
 were fixed against exact Gaussian-integral oracles, not taken on faith; see
@@ -41,6 +49,7 @@ from .errors import (
     TruncationTooSmall,
 )
 from .numerics import (
+    QuadratureReport,
     TruncatedOperator,
     gauss_hermite_rule,
     integrate_gaussian_quadratic,
@@ -52,6 +61,7 @@ __all__ = [
     "NonSepParams",
     "NonSepCoefficients",
     "OverlapReport",
+    "FieldOperator",
     "nonsep_coefficients",
     "nonsep_wavefunction",
     "fock_coefficients",
@@ -66,6 +76,13 @@ __all__ = [
 ]
 
 _NSIGMA = 8.5
+# the 38^2 x 32^2 Gauss-Legendre box the whitened rule replaced: no field is
+# allowed to cost more nodes than it did
+_NODE_BUDGET = 38**2 * 32**2
+_ORDER_STEP = 4
+_CONVERGED = 1e-6
+# the rule is exact for the polynomial Table 1 fields, so only rounding remains
+_TABLE1_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -409,49 +426,50 @@ def fock_coefficients(point: PhasePoint, params: NonSepParams, nmax: int) -> np.
     return _fock_batch(params, pts, nmax)[0]
 
 
-def _quantise_field(
-    params: NonSepParams,
-    field,
-    nmax: int,
-    qorder: int,
-    porder: int,
-    nsig: float,
-    chunk: int = 20000,
-):
-    """4D phase-space quadrature of f(q1, q2, p1, p2) against the family.
+def _vacuum_precision(params: NonSepParams) -> np.ndarray:
+    """Precision P of the vacuum weight, |c00(x)|^2 ~ exp(-x^T P x).
 
-    Returns the (nmax+1)^2-dimensional matrix of the quantised field in the
-    two-mode Fock basis together with the identity-resolution matrix from
-    the same grid (the engine's own convergence witness); measure
-    d2q d2p / (2 pi hbar)^2.  Boxes are sized from the Gaussian decay of the
-    vacuum amplitude plus the basis extent.
+    x = (q1, q2, p1, p2).  The coherent labels are alpha = Re x + i Im x, and
+    |c00|^2 = exp(-|alpha|^2 - Re(conj(alpha)^T T conj(alpha))) with T the
+    pair-correlation matrix, which expands to the real quadratic form below.
     """
     l1, l2, hbar = params.lam1, params.lam2, params.hbar
-    q, _, _, _ = _wavefunction_parts(
-        params, PhasePoint(0.0, 0.0, 0.0, 0.0)
+    re = np.zeros((2, 4))
+    im = np.zeros((2, 4))
+    re[0, 0], re[1, 1] = 1.0 / (l1 * np.sqrt(2.0)), 1.0 / (l2 * np.sqrt(2.0))
+    im[0, 2], im[1, 3] = l1 / (hbar * np.sqrt(2.0)), l2 / (hbar * np.sqrt(2.0))
+    t = _pair_matrix(params.tau1, params.tau2, params.phi)
+    tr, ti = t.real, t.imag
+    return (
+        re.T @ re + im.T @ im
+        + re.T @ tr @ re + re.T @ ti @ im + im.T @ ti @ re - im.T @ tr @ im
     )
-    mi = np.linalg.inv(q.real)
-    ext = np.sqrt(2.0 * nmax + 1.0)
-    wq1 = ext * l1 + nsig * np.sqrt(mi[0, 0])
-    wq2 = ext * l2 + nsig * np.sqrt(mi[1, 1])
-    k = _k_matrix(params.tau1, params.tau2, params.phi)
-    covp = np.linalg.inv(-2.0 * k[np.ix_([1, 3], [1, 3])])
-    wp1 = (ext + nsig * np.sqrt(covp[0, 0])) * hbar / l1
-    wp2 = (ext + nsig * np.sqrt(covp[1, 1])) * hbar / l2
-    rq1 = legendre_box_rule(-wq1, wq1, qorder)
-    rq2 = legendre_box_rule(-wq2, wq2, qorder)
-    rp1 = legendre_box_rule(-wp1, wp1, porder)
-    rp2 = legendre_box_rule(-wp2, wp2, porder)
-    g1, g2, g3, g4 = np.meshgrid(
-        rq1.nodes, rq2.nodes, rp1.nodes, rp2.nodes, indexing="ij"
-    )
-    weights = np.einsum(
-        "i,j,k,l->ijkl", rq1.weights, rq2.weights, rp1.weights, rp2.weights
-    ).ravel()
-    pts = np.stack([g1.ravel(), g2.ravel(), g3.ravel(), g4.ravel()], axis=1)
+
+
+def _whitened_rule(prec: np.ndarray, order: int):
+    """Tensor Gauss-Hermite nodes and weights for integrals over R^4.
+
+    The rule is laid out on the principal axes of ``prec``, scaled so that
+    exp(-x^T prec x) is the Hermite weight; the weights returned carry that
+    Gaussian back out (w e^{t^2} per axis), so that sum(w * g(x)) approximates
+    the plain integral of g and is exact when g is exp(-x^T prec x) times a
+    polynomial of degree <= 2 order - 1.
+    """
+    evals, evecs = np.linalg.eigh(prec)
+    rule = gauss_hermite_rule(order)
+    axes = np.meshgrid(*([rule.nodes] * 4), indexing="ij")
+    t = np.stack([a.ravel() for a in axes], axis=1)
+    pts = (t / np.sqrt(evals)) @ evecs.T
+    w1 = rule.weights * np.exp(rule.nodes**2)
+    weights = np.einsum("i,j,k,l->ijkl", w1, w1, w1, w1).ravel()
+    return pts, weights / np.sqrt(np.prod(evals))
+
+
+def _quantise_on_rule(params, field, nmax, pts, weights, chunk):
+    """Quantised field and identity on one rule, ``chunk`` nodes at a time."""
     fv = np.asarray(field(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]), dtype=float)
     if not np.all(np.isfinite(fv)):
-        raise GrowthViolation("field evaluates non-finite inside the quadrature box")
+        raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
     wf = weights * fv
     dim = (nmax + 1) ** 2
     acc = np.zeros((dim, dim), dtype=complex)
@@ -460,27 +478,64 @@ def _quantise_field(
         cc = _fock_batch(params, pts[s : s + chunk], nmax).reshape(-1, dim)
         acc += (cc * wf[s : s + chunk, None]).T @ cc.conj()
         ident += (cc * weights[s : s + chunk, None]).T @ cc.conj()
-    norm = (2.0 * np.pi * hbar) ** 2
+    norm = (2.0 * np.pi * params.hbar) ** 2
     return acc / norm, ident / norm
 
 
-def verify_identity_resolution(
-    params: NonSepParams,
-    nmax: int = 6,
-    qorder: int = 38,
-    porder: int = 32,
-    nsig: float = 8.0,
-) -> float:
-    """Max-entry deviation of the quantised constant field from the identity.
+def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: int = 20000):
+    """4D phase-space quadrature of f(q1, q2, p1, p2) against the family.
+
+    Every Fock coefficient is the vacuum amplitude c00 times a polynomial of
+    degree n + m in the phase point, so each matrix entry of a field of
+    polynomial degree ``degree`` integrates exp(-x^T P x) times a polynomial
+    of degree <= 4 nmax + degree.  A tensor Gauss-Hermite rule whitened by P
+    (Jaeckel 2005) of order k0 = ceil((4 nmax + degree + 1) / 2) is exact for
+    it up to rounding.  Orders k0, k0 + 4, ... are evaluated until the
+    max-entry change between two successive orders, the convergence witness,
+    is <= 1e-6 max(1, max|A|), or until the next order would take the
+    cumulative node count past the node budget; polynomial fields stop after
+    one comparison.
+
+    Returns the (nmax+1)^2-dimensional matrix of the quantised field in the
+    two-mode Fock basis at the finest order evaluated (measure
+    d2q d2p / (2 pi hbar)^2), the nodes of that order, shape (N, 4) ordered
+    (q1, q2, p1, p2), and a QuadratureReport whose identity deviation comes
+    from the identity resolution on those same nodes.
+    """
+    order = -(-(4 * nmax + degree + 1) // 2)
+    if order**4 + (order + _ORDER_STEP) ** 4 > _NODE_BUDGET:
+        raise ConfigError(
+            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
+            f"{order}, beyond the node budget of {_NODE_BUDGET}"
+        )
+    prec = _vacuum_precision(params)
+    nodes = 0
+    prev = None
+    while True:
+        pts, weights = _whitened_rule(prec, order)
+        mat, ident = _quantise_on_rule(params, field, nmax, pts, weights, chunk)
+        nodes += weights.size
+        if prev is not None:
+            witness = float(np.max(np.abs(mat - prev)))
+            converged = witness <= _CONVERGED * max(1.0, float(np.max(np.abs(mat))))
+            if converged or nodes + (order + _ORDER_STEP) ** 4 > _NODE_BUDGET:
+                break
+        prev = mat
+        order += _ORDER_STEP
+    return mat, pts, QuadratureReport.of(mat, ident, witness, nodes)
+
+
+def verify_identity_resolution(params: NonSepParams, nmax: int = 6) -> QuadratureReport:
+    """Quadrature report of the quantised constant field.
 
     The coherent family resolves the identity with measure (2 pi hbar)^2;
-    this quadrature check is the numerical witness for that measure power.
+    ``identity_deviation``, the max-entry deviation of the quantised f = 1
+    from the identity, is the numerical witness for that measure power.
     """
-    dim = (nmax + 1) ** 2
-    _, ident = _quantise_field(
-        params, lambda q1, q2, p1, p2: np.ones_like(q1), nmax, qorder, porder, nsig
+    _, _, report = _quantise_field(
+        params, lambda q1, q2, p1, p2: np.ones_like(q1), nmax, 0
     )
-    return float(np.max(np.abs(ident - np.eye(dim))))
+    return report
 
 
 def _position_matrices(params: NonSepParams, nmax: int):
@@ -534,35 +589,37 @@ def table1_coefficient_rows(params: NonSepParams) -> dict:
     }
 
 
+# field and its polynomial degree
 _TABLE1_FIELDS = {
-    "one": lambda q1, q2, p1, p2: np.ones_like(q1),
-    "q1": lambda q1, q2, p1, p2: q1,
-    "q2": lambda q1, q2, p1, p2: q2,
-    "q1q2": lambda q1, q2, p1, p2: q1 * q2,
+    "one": (lambda q1, q2, p1, p2: np.ones_like(q1), 0),
+    "q1": (lambda q1, q2, p1, p2: q1, 1),
+    "q2": (lambda q1, q2, p1, p2: q2, 1),
+    "q1q2": (lambda q1, q2, p1, p2: q1 * q2, 2),
 }
 
 
-def table1_operators(
-    params: NonSepParams,
-    f: str,
-    nmax: int,
-    qorder: int = 38,
-    porder: int = 32,
-    nsig: float = 8.5,
-    tol: float = 1e-3,
-) -> TruncatedOperator:
+@dataclass(frozen=True)
+class FieldOperator(TruncatedOperator):
+    """Quantised field in the truncated two-mode basis with its quadrature report."""
+
+    report: QuadratureReport
+
+
+def table1_operators(params: NonSepParams, f: str, nmax: int) -> FieldOperator:
     """Quantised operator of the field ``f`` in the truncated two-mode basis.
 
     Computed by direct 4D quadrature and asserted against the adopted closed
     form (identity, bare positions, position product plus a constant) on the
-    interior block; the quadrature value is returned as the ground truth.
+    interior block to 1e-10; the quadrature value is returned as the ground
+    truth, with the engine's report.
     """
     if f not in _TABLE1_FIELDS:
         raise ConfigError(f"unknown field name {f!r}; expected one of "
                           f"{sorted(_TABLE1_FIELDS)}")
     if nmax < 2:
         raise TruncationTooSmall("need nmax >= 2 for an interior block")
-    mat, _ = _quantise_field(params, _TABLE1_FIELDS[f], nmax, qorder, porder, nsig)
+    field, degree = _TABLE1_FIELDS[f]
+    mat, _, report = _quantise_field(params, field, nmax, degree)
     x1, x2 = _position_matrices(params, nmax)
     dim = (nmax + 1) ** 2
     if f == "one":
@@ -579,12 +636,12 @@ def table1_operators(
     keep = (flat // n1 <= nmax - 2) & (flat % n1 <= nmax - 2)
     sel = np.ix_(keep, keep)
     dev = float(np.max(np.abs(mat[sel] - closed[sel])))
-    if dev > tol:
+    if dev > _TABLE1_TOL:
         raise QuadratureNotConverged(
             f"quantised {f} deviates from the closed form by {dev:.2e} "
-            f"(tol {tol:.1e}); raise the quadrature orders"
+            f"(tol {_TABLE1_TOL:.1e})"
         )
-    return TruncatedOperator(dim, mat)
+    return FieldOperator(dim, mat, report)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .errors import (
 
 __all__ = [
     "QuadratureRule",
+    "QuadratureReport",
     "TruncatedOperator",
     "OdeProblem",
     "OdeSolution",
@@ -81,6 +82,35 @@ class QuadratureRule:
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
         """Apply the rule to a vectorised integrand."""
         return np.sum(self.weights * np.asarray(f(self.nodes)))
+
+
+@dataclass(frozen=True)
+class QuadratureReport:
+    """Convergence witnesses of a quantised operator, from its own quadrature.
+
+    ``identity_deviation`` is the max-entry error of quantising f = 1 on the
+    nodes actually used (a direct measure of grid adequacy for the family);
+    ``hermiticity_defect`` the largest anti-Hermitian entry, which must sit
+    at quadrature level for real f.  ``convergence_witness`` is the max-entry
+    change of the operator between the last two rule orders evaluated, or
+    None where a single caller-chosen rule was applied; ``nodes`` counts the
+    phase-space nodes evaluated over all orders.
+    """
+
+    identity_deviation: float
+    hermiticity_defect: float
+    convergence_witness: float | None
+    nodes: int
+
+    @classmethod
+    def of(cls, mat, ident, convergence_witness, nodes) -> "QuadratureReport":
+        """Report on ``mat`` with ``ident``, the quantised f = 1 on the same nodes."""
+        return cls(
+            identity_deviation=float(np.max(np.abs(ident - np.eye(ident.shape[0])))),
+            hermiticity_defect=float(np.max(np.abs(mat - mat.conj().T)) / 2.0),
+            convergence_witness=convergence_witness,
+            nodes=int(nodes),
+        )
 
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:

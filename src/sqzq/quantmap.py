@@ -29,7 +29,7 @@ from .errors import (
     TruncationTooSmall,
     UnsupportedMomentumDependence,
 )
-from .numerics import TruncatedOperator, gauss_hermite_rule
+from .numerics import QuadratureReport, TruncatedOperator, gauss_hermite_rule
 from .onemode import SqueezeParameter, _fock_rows, _plane_rule, _prefactor
 from .nonsepstates import NonSepParams, _quad_coefficients, _quantise_field
 from .sepstates import TwoModeParams
@@ -78,20 +78,6 @@ def _as_classical(f, arity: str) -> ClassicalFunction:
             )
         return f
     return ClassicalFunction(f, arity=arity)
-
-
-@dataclass(frozen=True)
-class QuadratureReport:
-    """Convergence witnesses taken from the same grid as the operator.
-
-    ``identity_deviation`` is the max-entry error of quantising f = 1 on the
-    grid actually used (a direct measure of grid adequacy for the family);
-    ``hermiticity_defect`` the largest anti-Hermitian entry, which must sit
-    at quadrature level for real f.
-    """
-
-    identity_deviation: float
-    hermiticity_defect: float
 
 
 @dataclass(frozen=True)
@@ -185,19 +171,13 @@ def _quantise_onemode(f: ClassicalFunction, param: SqueezeParameter, nmax: int, 
 
 
 def _quantise_twomode(f: ClassicalFunction, params: NonSepParams, nmax: int):
-    coords_seen = {}
-
-    def wrapped(q1, q2, p1, p2):
-        coords_seen["c"] = (q1, q2, p1, p2)
-        return f(q1, q2, p1, p2)
-
-    mat, ident = _quantise_field(params, wrapped, nmax, qorder=38, porder=32, nsig=8.5)
-    q1, q2, p1, p2 = coords_seen["c"]
-    r = np.max(np.abs(np.stack([q1, q2, p1, p2])), axis=0)
+    degree = f.degree if f.growth == "poly" else 0
+    mat, pts, report = _quantise_field(params, f, nmax, degree)
+    r = np.max(np.abs(pts), axis=1)
     edge = r > 0.9 * r.max()
     mid = (r > 0.4 * r.max()) & (r < 0.5 * r.max())
-    _spot_check_growth(f, (q1, q2, p1, p2), mid, edge)
-    return mat, ident
+    _spot_check_growth(f, pts.T, mid, edge)
+    return mat, report
 
 
 def _family(family):
@@ -221,11 +201,15 @@ def quantise(f, family, nmax: int, order: int = 140) -> QuantisedOperator:
     """Operator of f over the family, in the truncated number basis.
 
     One-mode families integrate on a scaled Gauss-Hermite tensor grid of the
-    given order in the coherent-label plane; two-mode families use the 4D
-    phase-space engine with its own calibrated orders (``order`` is ignored).
-    The report carries the identity deviation measured on the very same
-    grid, so a caller can tell quadrature error from genuine operator
-    structure.
+    given ``order`` in the coherent-label plane.  Two-mode families choose
+    their own orders, so ``order`` does not apply to them: a tensor
+    Gauss-Hermite rule whitened by the vacuum Gaussian starts at the order
+    that is exact for a field of polynomial degree ``f.degree`` (degree 0
+    for bounded growth) and is refined by 4 per axis until two orders agree
+    to 1e-6 or the node budget is spent.  The report carries the identity
+    deviation measured on the very same nodes, the node count and, for
+    two-mode families, the change between the last two orders, so a caller
+    can tell quadrature error from genuine operator structure.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -233,16 +217,11 @@ def quantise(f, family, nmax: int, order: int = 140) -> QuantisedOperator:
     cf = _as_classical(f, arity)
     if arity == "one-mode":
         mat, ident = _quantise_onemode(cf, fam, nmax, order)
-        dim = nmax + 1
+        report = QuadratureReport.of(mat, ident, None, order**2)
     else:
-        mat, ident = _quantise_twomode(cf, fam, nmax)
-        dim = (nmax + 1) ** 2
-    report = QuadratureReport(
-        identity_deviation=float(np.max(np.abs(ident - np.eye(dim)))),
-        hermiticity_defect=float(np.max(np.abs(mat - mat.conj().T)) / 2.0),
-    )
+        mat, report = _quantise_twomode(cf, fam, nmax)
     return QuantisedOperator(
-        basis=nmax, matrix=TruncatedOperator(dim, mat), family_tag=tag,
+        basis=nmax, matrix=TruncatedOperator(mat.shape[0], mat), family_tag=tag,
         quadrature_report=report,
     )
 

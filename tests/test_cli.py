@@ -240,6 +240,9 @@ def test_quantise_csv_is_hermitian(tmp_path):
     report = json.loads((tmp_path / "quantise_qp_report.json").read_text())
     assert report["identity_deviation"] < 1e-6
     assert report["hermiticity_defect"] < 1e-12
+    # one fixed rule of order 140 in the label plane: no order comparison
+    assert report["convergence_witness"] is None
+    assert report["nodes"] == 140**2
 
 
 def test_quantise_identity_matches_report(tmp_path):
@@ -258,7 +261,9 @@ def test_quantise_two_mode_linear_field(tmp_path):
     assert main(["quantise", "q1", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "quantise_q1_report.json").read_text())
     assert report["dimension"] == 25
-    assert report["identity_deviation"] < 1e-3
+    assert report["identity_deviation"] < 1e-10
+    assert report["convergence_witness"] < 1e-10
+    assert 0 < report["nodes"] <= 38**2 * 32**2
 
 
 def test_quantise_unknown_function_exits_2(tmp_path):
@@ -296,6 +301,14 @@ def test_verify_all_checks_present_and_within_tolerance(verify_report):
         assert check["deviation"] <= check["tolerance"], check["id"]
 
 
+def test_verify_two_mode_checks_use_the_run_tolerance(verify_report):
+    _, report = verify_report
+    for cid in ("identity-twomode", "table1-rows"):
+        check = next(c for c in report["checks"] if c["id"] == cid)
+        assert check["tolerance"] == report["tolerance"], cid
+        assert check["detail"]["nodes"] > 0, cid
+
+
 def test_verify_reports_errata(verify_report):
     _, report = verify_report
     ids = {e["id"] for e in report["errata"]}
@@ -307,16 +320,16 @@ def test_verify_reports_errata(verify_report):
     assert overlap["sign_flipped_deviation"] > 1e3 * overlap["adopted_deviation"]
     for name in ("q1", "q2"):
         row = next(e for e in report["errata"] if e["id"] == f"table1-{name}-row")
-        assert row["adopted_deviation"] < 1e-3
+        assert row["adopted_deviation"] < 1e-10
         assert row["rival_deviation"] > 10 * row["adopted_deviation"]
 
 
 def test_verify_table1_fit_recovers_bare_positions(verify_report):
     _, report = verify_report
     row = next(e for e in report["errata"] if e["id"] == "table1-q1-row")
-    assert_allclose(row["oracle_fit"], [1.0, 0.0], atol=1e-3)
+    assert_allclose(row["oracle_fit"], [1.0, 0.0], atol=1e-10)
     const = next(e for e in report["errata"] if e["id"] == "table1-q1q2-constant")
-    assert_allclose(const["oracle_fit"][0], 1.0, atol=1e-3)
+    assert_allclose(const["oracle_fit"][0], 1.0, atol=1e-10)
 
 
 def test_verify_deterministic_report(tmp_path, verify_report):

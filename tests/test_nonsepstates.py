@@ -34,6 +34,7 @@ from sqzq.nonsepstates import (
     table1_operators,
     verify_identity_resolution,
 )
+from sqzq.nonsepstates import _fock_batch, _vacuum_precision
 from sqzq.numerics import legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from sqzq.sepstates import Field, PhasePoint, TwoModeParams, portrait_hq, sep_wavefunction
@@ -440,7 +441,20 @@ def test_bogoliubov_truncation_guard():
 def test_identity_resolution_two_mode():
     # hbar != 1 so the measure power (2 pi hbar)^2 is actually discriminated
     p = NonSepParams.from_tau(0.4, 0.7j, np.pi / 6, 1.1, 0.9, hbar=0.8)
-    assert verify_identity_resolution(p, nmax=6) < 1e-3
+    assert verify_identity_resolution(p, nmax=6).identity_deviation < 1e-10
+
+
+def test_vacuum_precision_matches_fock_vacuum():
+    # hbar != 1 and complex tau so every block of the closed form is exercised
+    p = NonSepParams.from_tau(0.5 * np.exp(0.9j), 0.3j, 0.7, 1.3, 0.6, hbar=0.7)
+    prec = _vacuum_precision(p)
+    rng = np.random.default_rng(17)
+    x = rng.normal(scale=2.0, size=(50, 4))
+    c00 = _fock_batch(p, x, 0)[:, 0, 0]
+    origin = _fock_batch(p, np.zeros((1, 4)), 0)[0, 0, 0]
+    minus_log = -np.log(np.abs(c00 / origin) ** 2)
+    quad = np.einsum("ni,ij,nj->n", x, prec, x)
+    assert np.max(np.abs(quad - minus_log)) < 1e-12
 
 
 def test_table1_identity_row():
@@ -448,7 +462,7 @@ def test_table1_identity_row():
     n1 = 7
     keep = (np.arange(49) // n1 <= 4) & (np.arange(49) % n1 <= 4)
     sel = np.ix_(keep, keep)
-    assert np.max(np.abs(op.entries[sel] - np.eye(49)[sel])) < 1e-3
+    assert np.max(np.abs(op.entries[sel] - np.eye(49)[sel])) < 1e-10
 
 
 def _interior_fit(params, f, nmax=6):
@@ -472,7 +486,7 @@ def _interior_fit(params, f, nmax=6):
 def test_table1_linear_fields_quantise_to_bare_positions():
     for f, want in (("q1", (1.0, 0.0, 0.0)), ("q2", (0.0, 1.0, 0.0))):
         coef = _interior_fit(REF, f)
-        assert np.max(np.abs(coef - np.array(want))) < 1e-4
+        assert np.max(np.abs(coef - np.array(want))) < 1e-10
         rival = table1_coefficient_rows(REF)[f]["rival"]
         # the mixing-dressed rival row is refuted by the quadrature, not
         # merely outside tolerance
@@ -493,7 +507,7 @@ def test_table1_product_field_constant():
     sel = np.ix_(keep, keep)
     resid = op.entries[sel].real - x1x2[sel]
     off = resid - rows["q1q2"]["adopted"] * np.eye(49)[sel]
-    assert np.max(np.abs(off)) < 1e-3
+    assert np.max(np.abs(off)) < 1e-10
     assert abs(rows["q1q2"]["adopted"] - rows["q1q2"]["rival"]) > 0.05
 
 

@@ -10,11 +10,12 @@ independent route.
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
-from sqzq.nonsepstates import NonSepParams
+from sqzq.nonsepstates import NonSepParams, nonsep_coefficients
 from sqzq.numerics import TruncatedOperator
 from sqzq.onemode import SqueezeParameter
 from sqzq.quantmap import (
@@ -25,7 +26,7 @@ from sqzq.quantmap import (
     quantise,
     symmetrisation_constant,
 )
-from sqzq.sepstates import TwoModeParams
+from sqzq.sepstates import PhasePoint, TwoModeParams
 
 TAUS = (0.0, 0.5, 0.7j, 0.6 * np.exp(1.1j))
 
@@ -200,7 +201,7 @@ def test_two_mode_identity_and_position():
     op = quantise(
         ClassicalFunction(lambda q1, q2, p1, p2: q1, arity="two-mode"), params, 4
     )
-    assert op.quadrature_report.identity_deviation < 1e-3
+    assert op.quadrature_report.identity_deviation < 1e-12
     n1 = 5
     a = np.zeros((n1, n1))
     n = np.arange(n1 - 1)
@@ -208,7 +209,58 @@ def test_two_mode_identity_and_position():
     x1 = np.kron(0.8 * (a + a.T) / np.sqrt(2.0), np.eye(n1))
     keep = (np.arange(n1**2) // n1 <= 2) & (np.arange(n1**2) % n1 <= 2)
     sel = np.ix_(keep, keep)
-    assert np.max(np.abs(op.matrix.entries[sel] - x1[sel])) < 1e-3
+    assert np.max(np.abs(op.matrix.entries[sel] - x1[sel])) < 1e-12
+
+
+def test_two_mode_gaussian_field_matches_its_smoothing():
+    # position fields quantise to multiplication by their Gaussian smoothing
+    # with covariance (2 M)^-1, M = Re of the wavefunction quadratic form;
+    # for exp(-|x|^2 / 2) that smoothing is again a Gaussian, in closed form
+    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+    nmax = 4
+    f = ClassicalFunction(
+        lambda q1, q2, p1, p2: np.exp(-(q1 * q1 + q2 * q2) / 2.0),
+        arity="two-mode", growth="bounded",
+    )
+    op = quantise(f, params, nmax)
+    co = nonsep_coefficients(params, PhasePoint(0.0, 0.0, 0.0, 0.0))
+    l1, l2 = params.lam1, params.lam2
+    m = np.array([[2.0 * co.Delta1.real / l1**2, co.ell.real / (l1 * l2)],
+                  [co.ell.real / (l1 * l2), 2.0 * co.Delta2.real / l2**2]])
+    s = np.eye(2) + np.linalg.inv(2.0 * m)
+    si = np.linalg.inv(s)
+    u, w = hermgauss(60)
+    x1, x2 = l1 * u, l2 * u
+    g = np.exp(-0.5 * (si[0, 0] * x1[:, None] ** 2 + 2.0 * si[0, 1] * x1[:, None] * x2[None, :]
+                       + si[1, 1] * x2[None, :] ** 2)) / np.sqrt(np.linalg.det(s))
+    # phi_n(x) phi_m(x) carries exp(-u^2), so the Hermite weight is divided out
+    b1 = _hermite_basis(l1, x1, nmax) * np.sqrt(l1 * w * np.exp(u**2))
+    b2 = _hermite_basis(l2, x2, nmax) * np.sqrt(l2 * w * np.exp(u**2))
+    ref = np.einsum("ak,bk,cl,dl,kl->acbd", b1, b1, b2, b2, g).reshape(25, 25)
+    assert np.max(np.abs(op.matrix.entries - ref)) < 1e-6
+    rep = op.quadrature_report
+    assert rep.convergence_witness <= 1e-6
+    assert rep.identity_deviation < 1e-12
+
+
+def test_two_mode_box_indicator_stops_at_the_node_budget():
+    # a discontinuous field never converges geometrically: the engine must
+    # stop at its node budget and say so through the witness, not hang
+    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+    f = ClassicalFunction(
+        lambda q1, q2, p1, p2: ((np.abs(q1) < 1.0) & (np.abs(q2) < 1.0)).astype(float),
+        arity="two-mode", growth="bounded",
+    )
+    rep = quantise(f, params, 2).quadrature_report
+    assert rep.nodes <= 38**2 * 32**2
+    assert rep.convergence_witness > 1e-6
+    assert rep.identity_deviation < 1e-12
+
+
+def test_two_mode_basis_beyond_the_node_budget_is_refused():
+    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+    with pytest.raises(ConfigError):
+        quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1, arity="two-mode"), params, 14)
 
 
 # ---------------------------------------------------------------------------
