@@ -4,7 +4,6 @@ Configuration is a flat JSON object; command-line flags override file values.
 All outputs are byte-reproducible for a fixed config and package version:
 sampling grids are fixed, random draws are seeded from constants, numbers are
 written with 17 significant digits, and wall-clock timings go to stderr only.
-`SQZQ_THREADS` caps the thread pool used for per-point portrait grids.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +26,7 @@ from .sepstates import Field, PhasePoint, TwoModeParams, portrait_p2_h, portrait
 from .nonsepstates import (
     NonSepParams,
     bogoliubov_check,
+    nonsep_box_portrait,
     nonsep_coefficients,
     nonsep_overlap_closed,
     nonsep_overlap_sq,
@@ -97,27 +96,6 @@ class RunConfig:
         re = self.get(key, default=default)
         im = self.get(key + "_im", default=0.0)
         return complex(re, im)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SQZQ_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"SQZQ_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError("SQZQ_THREADS must be >= 1")
-    return n
-
-
-def _map_rows(fn, items, threads: int):
-    """Order-preserving map, threaded only when asked for."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x: float) -> str:
@@ -208,31 +186,17 @@ def _grid_axes(cfg: RunConfig, model: pdm.PdmModel):
 # portrait
 
 
-def _nonsep_grid_values(model, modes, phi, q1_axis, q2_axis, threads):
-    """Coupled-state smoothing of the box indicator on a position grid.
+def _nonsep_grid_values(model, modes, phi, pts):
+    """Coupled-state smoothing of the box indicator at the grid points ``pts``.
 
     At zero mixing with real squeezing the kernel factorises exactly, and the
-    values are the separable closed form; anything else integrates per point.
+    values are the separable closed form; anything else takes the
+    conditional-normal form of the coupled kernel.
     """
     real = modes.mode1.tau.imag == 0.0 and modes.mode2.tau.imag == 0.0
     if phi == 0.0 and real:
-        g1, g2 = np.meshgrid(q1_axis, q2_axis, indexing="ij")
-        return pdm.portrait_chi(model, modes, np.stack([g1, g2], axis=-1))
-    params = NonSepParams(modes, phi)
-    (a1, b1), (a2, b2) = model.box
-    chi = Field(
-        lambda q1, q2: 1.0 * ((q1 >= a1) & (q1 <= b1) & (q2 >= a2) & (q2 <= b2)),
-        growth="bounded",
-        support=model.box,
-    )
-
-    def row(q1):
-        return [
-            nonsep_portrait_hq(chi, PhasePoint(q1, q2, 0.0, 0.0), params)
-            for q2 in q2_axis
-        ]
-
-    return np.array(_map_rows(row, list(q1_axis), threads))
+        return pdm.portrait_chi(model, modes, pts)
+    return nonsep_box_portrait(model.box, pts, NonSepParams(modes, phi))
 
 
 def cmd_portrait(cfg: RunConfig, args) -> int:
@@ -259,14 +223,18 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     elif field == "veff":
         values = pdm.effective_potential(model, modes, pts)
     else:
-        phi = cfg.get("phi", 0.0)
-        values = _nonsep_grid_values(model, modes, phi, q1_axis, q2_axis, _thread_count())
+        values = _nonsep_grid_values(model, modes, cfg.get("phi", 0.0), pts)
 
-    lines = ["q1,q2,value"]
-    for i, q1 in enumerate(q1_axis):
-        for k, q2 in enumerate(q2_axis):
-            lines.append(",".join((_fmt(q1), _fmt(q2), _fmt(values[i, k]))))
-    path = _write_text(args.out, f"portrait_{field}.csv", "\n".join(lines) + "\n")
+    # each axis value is formatted once, not once per grid point, and each
+    # q1 row is joined into one string, so the grid never lives as one small
+    # string per point
+    q2_text = [_fmt(q2) for q2 in q2_axis]
+    rows = ["q1,q2,value"]
+    for q1, row in zip(q1_axis, values):
+        prefix = _fmt(q1) + ","
+        cells = zip(q2_text, row.tolist())
+        rows.append("\n".join([prefix + q2 + ",%.17g" % v for q2, v in cells]))
+    path = _write_text(args.out, f"portrait_{field}.csv", "\n".join(rows) + "\n")
     print(path)
     return 0
 
@@ -958,7 +926,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        _thread_count()
         cfg = RunConfig.load(args.config, {})
         code = args.func(cfg, args)
     except (ConfigError, OutsideBox) as exc:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -70,12 +71,17 @@ __all__ = [
     "nonsep_overlap_closed",
     "nonsep_overlap_report",
     "nonsep_portrait_hq",
+    "nonsep_box_portrait",
     "verify_identity_resolution",
     "table1_operators",
     "table1_coefficient_rows",
 ]
 
 _NSIGMA = 8.5
+# the rule order and block size of nonsep_box_portrait; a block of 2048
+# centres keeps its work arrays near 3 MB each
+_BOX_ORDER = 90
+_BOX_BLOCK = 2048
 # the 38^2 x 32^2 Gauss-Legendre box the whitened rule replaced: no field is
 # allowed to cost more nodes than it did
 _NODE_BUDGET = 38**2 * 32**2
@@ -695,6 +701,14 @@ def nonsep_overlap_report(
 # coupled position portrait
 
 
+def _portrait_precision(params: NonSepParams) -> np.ndarray:
+    """Precision matrix of the position portrait kernel, in (q1, q2)."""
+    d1, d2, ell = _quad_coefficients(params.tau1, params.tau2, params.phi)
+    l1, l2 = params.lam1, params.lam2
+    return np.array([[2.0 * d1.real / l1**2, ell.real / (l1 * l2)],
+                     [ell.real / (l1 * l2), 2.0 * d2.real / l2**2]])
+
+
 def nonsep_portrait_hq(
     h, point: PhasePoint, params: NonSepParams, order: int = 90
 ) -> float:
@@ -707,10 +721,7 @@ def nonsep_portrait_hq(
     else on Gauss-Hermite nodes along the kernel's principal axes.
     """
     field = as_field(h)
-    d1, d2, ell = _quad_coefficients(params.tau1, params.tau2, params.phi)
-    l1, l2 = params.lam1, params.lam2
-    m = np.array([[2.0 * d1.real / l1**2, ell.real / (l1 * l2)],
-                  [ell.real / (l1 * l2), 2.0 * d2.real / l2**2]])
+    m = _portrait_precision(params)
     centre = np.array([point.q1, point.q2])
     if field.support is None:
         w, vecs = np.linalg.eigh(m)
@@ -745,6 +756,50 @@ def nonsep_portrait_hq(
         -0.5 * (m[0, 0] * du1**2 + 2.0 * m[0, 1] * du1 * du2 + m[1, 1] * du2**2)
     ) * (np.sqrt(np.linalg.det(m)) / (2.0 * np.pi))
     return float(np.sum(wts * kern * field(u1, u2)))
+
+
+def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
+    """Lower symbol of the indicator of ``box`` = ((a1, b1), (a2, b2)) at many centres.
+
+    The same coupled-kernel smoothing as ``nonsep_portrait_hq`` of a
+    rectangle indicator, vectorised over ``centres`` (shape (..., 2); the
+    result has shape (...)).  With U ~ N(c, M^-1), the kernel's law, the
+    value is P(U in box) = int N(x1; c1, S11) P(a2 <= U2 <= b2 | U1 = x1) dx1,
+    where U2 | U1 = x1 is normal with mean c2 - (M12 / M22)(x1 - c1) and
+    variance 1 / M22, so the inner integral is a difference of normal
+    distribution functions (Genz 2004).  The outer integral runs over
+    [c1 - 8.5 sqrt(S11), c1 + 8.5 sqrt(S11)] clipped to [a1, b1], on one
+    two-panel Gauss-Legendre rule mapped to each centre's window.  Centres
+    are processed in blocks so memory stays bounded on large grids.
+    """
+    (a1, b1), (a2, b2) = box
+    m = _portrait_precision(params)
+    var1 = m[1, 1] / np.linalg.det(m)
+    half_window = _NSIGMA * np.sqrt(var1)
+    slope = -m[0, 1] / m[1, 1]
+    cond_sd = 1.0 / np.sqrt(m[1, 1])
+    ref = legendre_box_rule(-1.0, 1.0, _BOX_ORDER, 2)
+    centres = np.asarray(centres, dtype=float)
+    flat = centres.reshape(-1, 2)
+    out = np.empty(flat.shape[0])
+    for s in range(0, flat.shape[0], _BOX_BLOCK):
+        c1 = flat[s : s + _BOX_BLOCK, 0:1]
+        c2 = flat[s : s + _BOX_BLOCK, 1:2]
+        lo = np.maximum(a1, c1 - half_window)
+        hi = np.minimum(b1, c1 + half_window)
+        # an empty window (the kernel misses the box) contributes exactly 0
+        half = np.maximum(hi - lo, 0.0) / 2.0
+        dx = (lo + hi) / 2.0 + half * ref.nodes - c1
+        mu = c2 + slope * dx
+        za, zb = (a2 - mu) / cond_sd, (b2 - mu) / cond_sd
+        # reflect so both arguments sit where ndtr has full relative
+        # precision: P(za <= Z <= zb) = P(-zb <= Z <= -za)
+        flip = np.where(za + zb > 0.0, -1.0, 1.0)
+        inner = flip * (ndtr(flip * zb) - ndtr(flip * za))
+        dens = np.exp(-0.5 * dx * dx / var1)
+        out[s : s + _BOX_BLOCK] = (half * (ref.weights * dens * inner)).sum(axis=1)
+    out /= np.sqrt(2.0 * np.pi * var1)
+    return out.reshape(centres.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,14 +114,33 @@ class QuadratureReport:
         )
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# Reference rules per order, shared by every caller: read-only, so no caller
+# can change the rule another one receives.
+@lru_cache(maxsize=64)
+def _hermgauss(n: int):
+    return _read_only(*hermgauss(n))
+
+
+@lru_cache(maxsize=64)
+def _leggauss(order: int):
+    return _read_only(*leggauss(order))
+
+
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """Gauss-Hermite rule of order ``n`` (physicists' weight e^{-x^2}).
 
-    Exact for polynomials of degree <= 2n-1.
+    Exact for polynomials of degree <= 2n-1.  The nodes and weights are
+    shared between calls of the same order and are read-only.
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    nodes, weights = hermgauss(n)
+    nodes, weights = _hermgauss(n)
     return QuadratureRule(nodes, weights, "gauss_hermite")
 
 
@@ -130,7 +150,7 @@ def legendre_box_rule(a: float, b: float, order: int, panels: int = 1) -> Quadra
         raise ValueError("need b > a")
     if order < 1 or panels < 1:
         raise ValueError("order and panels must be >= 1")
-    x0, w0 = leggauss(order)
+    x0, w0 = _leggauss(order)
     edges = np.linspace(a, b, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0

@@ -411,10 +411,18 @@ def regularised_mass_gradient(model: PdmModel, params: TwoModeParams, q, j: int)
     return np.stack([grad_other, grad_own], axis=-1)
 
 
-def _veff_pieces(model: PdmModel, semi_params: TwoModeParams, q1, q2, kin: tuple[float, float]):
-    """All per-mode pieces needed by V_eff and its gradient."""
-    w1, s1 = _mode_scales(model, semi_params, 1)
-    w2, s2 = _mode_scales(model, semi_params, 2)
+def _both_scales(model: PdmModel, params: TwoModeParams):
+    """``_mode_scales`` of both modes, ((w1, s1), (w2, s2))."""
+    return _mode_scales(model, params, 1), _mode_scales(model, params, 2)
+
+
+def _veff_pieces(model: PdmModel, scales, q1, q2, kin: tuple[float, float]):
+    """All per-mode pieces needed by V_eff and its gradient.
+
+    ``scales`` is ``_both_scales`` of the smoothing family, which callers
+    that evaluate many times compute once.
+    """
+    (w1, s1), (w2, s2) = scales
     c1, g1, c1p, g1p = _mode_pieces(q1, w1, s1)
     c2, g2, c2p, g2p = _mode_pieces(q2, w2, s2)
     l1, l2 = model.lambda1, model.lambda2
@@ -452,7 +460,8 @@ def effective_potential(model: PdmModel, params: TwoModeParams, q):
     """
     _require_real_tau(params)
     q = _as_points(q)
-    veff = _veff_pieces(model, params, q[..., 0], q[..., 1], _kinetic_coeffs(params))[0]
+    scales = _both_scales(model, params)
+    veff = _veff_pieces(model, scales, q[..., 0], q[..., 1], _kinetic_coeffs(params))[0]
     out = np.asarray(veff)
     return out[()] if out.ndim == 0 else out
 
@@ -461,7 +470,8 @@ def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
     """Closed-form gradient of effective_potential, stacked along the last axis."""
     _require_real_tau(params)
     q = _as_points(q)
-    _, d1, d2, _ = _veff_pieces(model, params, q[..., 0], q[..., 1], _kinetic_coeffs(params))
+    scales = _both_scales(model, params)
+    _, d1, d2, _ = _veff_pieces(model, scales, q[..., 0], q[..., 1], _kinetic_coeffs(params))
     return np.stack([d1, d2], axis=-1)
 
 
@@ -525,11 +535,12 @@ def semiclassical_integrate(
     """
     model = semi.model
     kin = _kinetic_coeffs(semi.modes)
+    scales = _both_scales(model, semi.modes)
 
     def rhs(t, y):
         q1, q2, v1, v2 = y
         _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2) = _veff_pieces(
-            model, semi.modes, q1, q2, kin
+            model, scales, q1, q2, kin
         )
         acc1 = (
             0.5 * v1 * v1 / a1 * d1a1
@@ -572,7 +583,7 @@ def semiclassical_integrate(
     q = sol.y[:, 0:2]
     v = sol.y[:, 2:4]
     veff, _, _, (a1, a2, *_rest) = _veff_pieces(
-        model, semi.modes, q[:, 0], q[:, 1], kin
+        model, scales, q[:, 0], q[:, 1], kin
     )
     p = np.stack([v[:, 0] / a1, v[:, 1] / a2], axis=-1)
     energy = 0.5 * (v[:, 0] ** 2 / a1 + v[:, 1] ** 2 / a2) + veff

@@ -173,9 +173,15 @@ def _quantise_onemode(f: ClassicalFunction, param: SqueezeParameter, nmax: int, 
 def _quantise_twomode(f: ClassicalFunction, params: NonSepParams, nmax: int):
     degree = f.degree if f.growth == "poly" else 0
     mat, pts, report = _quantise_field(params, f, nmax, degree)
-    r = np.max(np.abs(pts), axis=1)
-    edge = r > 0.9 * r.max()
-    mid = (r > 0.4 * r.max()) & (r < 0.5 * r.max())
+    # Chebyshev radius of each coordinate relative to its own extent on the
+    # nodes: otherwise the widest coordinate sets the radius, and the mid ring
+    # already reaches the extremes of the narrow ones.  On a rule aligned with
+    # the coordinates r takes only the ratios of the Hermite nodes, which can
+    # skip [0.4, 0.5); the mid ring then reaches down to the next ratio.
+    extent = np.abs(pts)
+    r = np.max(extent / np.max(extent, axis=0), axis=1)
+    edge = r > 0.9
+    mid = (r >= min(0.4, r[r < 0.5].max())) & (r < 0.5)
     _spot_check_growth(f, pts.T, mid, edge)
     return mat, report
 

@@ -16,6 +16,8 @@ from numpy.testing import assert_allclose
 from sqzq import pdm
 from sqzq.cli import RunConfig, main
 from sqzq.errors import ConfigError
+from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
+from sqzq.sepstates import Field, PhasePoint
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -63,11 +65,6 @@ def test_unknown_preset_exits_2(tmp_path):
 def test_missing_required_field_exits_2(tmp_path):
     path = _write_cfg(tmp_path, {"kind": "classical"})
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
-
-
-def test_invalid_thread_env_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setenv("SQZQ_THREADS", "two")
-    assert main(["portrait", "chi", "--preset", "fig6a", "--out", str(tmp_path)]) == 2
 
 
 def test_help_shows_subcommands():
@@ -150,16 +147,38 @@ def test_nonsep_portrait_near_zero_mixing_matches_windows(tmp_path):
     assert_allclose(val, direct, atol=1e-6)
 
 
-def test_nonsep_portrait_threaded_bytes_identical(tmp_path, monkeypatch):
+def test_nonsep_portrait_deterministic_bytes(tmp_path):
     cfg = _write_cfg(tmp_path, {"q1_points": 5, "q2_points": 4, "phi": 0.8})
     blobs = []
-    for threads in ("1", "3"):
-        monkeypatch.setenv("SQZQ_THREADS", threads)
-        out = tmp_path / f"t{threads}"
+    for sub in ("a", "b"):
+        out = tmp_path / sub
         assert main(["portrait", "nonsep_hq", "--preset", "fig6a", "--config", cfg,
                      "--out", str(out)]) == 0
         blobs.append((out / "portrait_nonsep_hq.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_nonsep_portrait_full_grid_matches_per_point_smoothing(tmp_path):
+    # the default 201 x 201 grid on a correlated kernel (tau2 != tau1)
+    cfg = _write_cfg(tmp_path, {"phi": 0.5, "tau2": 0.3})
+    assert main(["portrait", "nonsep_hq", "--preset", "fig6a", "--config", cfg,
+                 "--out", str(tmp_path)]) == 0
+    q1, q2, val = _grid_csv(tmp_path / "portrait_nonsep_hq.csv")
+    assert val.size == 201 * 201
+    preset = pdm.PRESETS["fig6a"]
+    modes = preset.modes
+    params = NonSepParams.from_tau(modes.mode1.tau, 0.3, 0.5, modes.mode1.lam,
+                                   modes.mode2.lam, modes.hbar)
+    (a1, b1), (a2, b2) = preset.model.box
+    chi = Field(
+        lambda x1, x2: 1.0 * ((x1 >= a1) & (x1 <= b1) & (x2 >= a2) & (x2 <= b2)),
+        growth="bounded",
+        support=preset.model.box,
+    )
+    picks = np.random.default_rng(11).permutation(val.size)[:50]
+    want = [nonsep_portrait_hq(chi, PhasePoint(q1[i], q2[i], 0.0, 0.0), params)
+            for i in picks]
+    assert_allclose(val[picks], want, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

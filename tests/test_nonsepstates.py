@@ -18,12 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from sqzq.errors import ConfigError, TruncationTooSmall
 from sqzq.nonsepstates import (
     NonSepParams,
     bogoliubov_check,
     fock_coefficients,
+    nonsep_box_portrait,
     nonsep_coefficients,
     nonsep_overlap_closed,
     nonsep_overlap_report,
@@ -396,6 +399,69 @@ def test_portrait_missed_support_is_zero():
         support=((50.0, 51.0), (0.0, 1.0)),
     )
     assert nonsep_portrait_hq(chi, PhasePoint(0, 0, 0, 0), REF) == 0.0
+
+
+def _box_probability(centre, cov, box):
+    """P(U in box), U ~ N(centre, cov), integrating over u2 with U1 | U2 normal.
+
+    The opposite conditioning order to nonsep_box_portrait, on adaptive
+    quadrature instead of a fixed rule.
+    """
+    (a1, b1), (a2, b2) = box
+    c1, c2 = centre
+    s2 = np.sqrt(cov[1, 1])
+    slope = cov[0, 1] / cov[1, 1]
+    sd = np.sqrt(cov[0, 0] - cov[0, 1] ** 2 / cov[1, 1])
+
+    def integrand(u2):
+        mu = c1 + slope * (u2 - c2)
+        dens = np.exp(-0.5 * ((u2 - c2) / s2) ** 2) / (s2 * np.sqrt(2.0 * np.pi))
+        return dens * (ndtr((b1 - mu) / sd) - ndtr((a1 - mu) / sd))
+
+    lo, hi = max(a2, c2 - 12.0 * s2), min(b2, c2 + 12.0 * s2)
+    if not hi > lo:
+        return 0.0
+    points = [c2] if lo < c2 < hi else None
+    return quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200, points=points)[0]
+
+
+def _fig6a_coupled():
+    # fig6a squeezes both modes alike, which leaves the kernel separable at
+    # any phi; tau2 = 0.3 correlates it (correlation about 0.77)
+    return NonSepParams.from_tau(0.9, 0.3, 0.5, 0.5, 0.5)
+
+
+def test_box_portrait_matches_conditional_normal_oracle():
+    params = _fig6a_coupled()
+    cov = np.linalg.inv(_re_quadratic(params))
+    assert cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]) > 0.7
+    box = ((-2.0 / 3.0, 2.0 / 3.0), (-1.0, 1.0))
+    centres = np.array([
+        [0.0, 0.0], [0.3, -0.5],                                 # inside
+        [1.0, 0.0], [0.0, -1.4], [-1.2, 1.6], [0.9, -0.4],       # outside
+        [0.66, 0.99], [-0.68, -1.01], [0.7, -0.97], [-0.6, 1.05],  # near corners
+        [3.0, 0.0],                                              # kernel misses the box
+    ])
+    got = nonsep_box_portrait(box, centres, params)
+    want = np.array([_box_probability(c, cov, box) for c in centres])
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert got[-1] == 0.0
+
+
+def test_box_portrait_complex_tau_without_mixing_matches_separable():
+    tm = TwoModeParams.from_tau(0.3 + 0.4j, -0.2 + 0.5j, 1.2, 0.7)
+    params = NonSepParams(tm, 0.0)
+    box = ((-1.0, 0.5), (-0.4, 0.8))
+    chi = Field(
+        lambda q1, q2: 1.0 * ((q1 >= -1.0) & (q1 <= 0.5) & (q2 >= -0.4) & (q2 <= 0.8)),
+        growth="bounded",
+        support=box,
+    )
+    rng = np.random.default_rng(7)
+    centres = rng.uniform(-1.8, 1.6, size=(30, 2))
+    got = nonsep_box_portrait(box, centres, params)
+    want = [portrait_hq(chi, PhasePoint(c[0], c[1], 0.0, 0.0), tm) for c in centres]
+    assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,18 @@ def test_two_mode_box_indicator_stops_at_the_node_budget():
     assert rep.identity_deviation < 1e-12
 
 
+@pytest.mark.parametrize(
+    "g", [lambda q1: q1**6, lambda q1: np.exp(q1**2 / 4.0)], ids=["q1**6", "exp(q1**2/4)"]
+)
+def test_two_mode_growth_violation_is_spotted(g):
+    # the nodes reach much further in p1 than in q1, so a ring radius over
+    # the raw coordinates would leave q1 near its extreme on the mid ring too
+    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+    f = ClassicalFunction(lambda q1, q2, p1, p2: g(q1), arity="two-mode", growth="bounded")
+    with pytest.raises(GrowthViolation):
+        quantise(f, params, 4)
+
+
 def test_two_mode_basis_beyond_the_node_budget_is_refused():
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     with pytest.raises(ConfigError):
