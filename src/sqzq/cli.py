@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -98,8 +99,19 @@ class RunConfig:
         return complex(re, im)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+def _text(column) -> list:
+    """Each value of a numeric column with 17 significant digits."""
+    return ["%.17g" % v for v in np.asarray(column).tolist()]
+
+
+def _csv(header: str, blocks) -> str:
+    """CSV text: the header, then a line per row of each block of columns; a
+    list column holds ready-made cells, any other one numbers for ``_text``."""
+    lines = [header]
+    for columns in blocks:
+        cells = [c if isinstance(c, list) else _text(c) for c in columns]
+        lines.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(out_dir: str, name: str, text: str) -> str:
@@ -137,22 +149,27 @@ def _model_from(cfg: RunConfig, preset: pdm.Preset | None) -> pdm.PdmModel:
     )
 
 
+def _family_from(build, **values):
+    """State parameters from config values; a value they reject is a config error."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _modes_from(cfg: RunConfig, preset: pdm.Preset | None) -> TwoModeParams:
     base = preset.modes if preset is not None else None
-    if base is not None:
-        return TwoModeParams.from_tau(
-            tau1=cfg.get_complex("tau1", base.mode1.tau),
-            tau2=cfg.get_complex("tau2", base.mode2.tau),
-            lam1=cfg.get("lam1", base.mode1.lam),
-            lam2=cfg.get("lam2", base.mode2.lam),
-            hbar=cfg.get("hbar", base.hbar),
-        )
-    return TwoModeParams.from_tau(
-        tau1=cfg.get_complex("tau1"),
-        tau2=cfg.get_complex("tau2"),
-        lam1=cfg.get("lam1", 1.0),
-        lam2=cfg.get("lam2", 1.0),
-        hbar=cfg.get("hbar", 1.0),
+
+    def default(j: int, attr: str, fallback):
+        return fallback if base is None else getattr(base.mode(j), attr)
+
+    return _family_from(
+        TwoModeParams.from_tau,
+        tau1=cfg.get_complex("tau1", default(1, "tau", _REQUIRED)),
+        tau2=cfg.get_complex("tau2", default(2, "tau", _REQUIRED)),
+        lam1=cfg.get("lam1", default(1, "lam", 1.0)),
+        lam2=cfg.get("lam2", default(2, "lam", 1.0)),
+        hbar=cfg.get("hbar", default(1, "hbar", 1.0)),
     )
 
 
@@ -226,39 +243,17 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
         values = _nonsep_grid_values(model, modes, cfg.get("phi", 0.0), pts)
 
     # each axis value is formatted once, not once per grid point, and each
-    # q1 row is joined into one string, so the grid never lives as one small
-    # string per point
-    q2_text = [_fmt(q2) for q2 in q2_axis]
-    rows = ["q1,q2,value"]
-    for q1, row in zip(q1_axis, values):
-        prefix = _fmt(q1) + ","
-        cells = zip(q2_text, row.tolist())
-        rows.append("\n".join([prefix + q2 + ",%.17g" % v for q2, v in cells]))
-    path = _write_text(args.out, f"portrait_{field}.csv", "\n".join(rows) + "\n")
+    # q1 row is one block, so the grid never lives as one small string per
+    # point
+    q2_text = _text(q2_axis)
+    rows = (([q1] * len(q2_text), q2_text, row) for q1, row in zip(_text(q1_axis), values))
+    path = _write_text(args.out, f"portrait_{field}.csv", _csv("q1,q2,value", rows))
     print(path)
     return 0
 
 
 # ----------------------------------------------------------------------
 # simulate
-
-
-def _trajectory_csv(tr: pdm.Trajectory) -> str:
-    lines = ["t,q1,q2,p1,p2,E"]
-    for k in range(tr.t.shape[0]):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(tr.t[k]),
-                    _fmt(tr.q[k, 0]),
-                    _fmt(tr.q[k, 1]),
-                    _fmt(tr.p[k, 0]),
-                    _fmt(tr.p[k, 1]),
-                    _fmt(tr.energy[k]),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _recurrence_residual(preset: pdm.Preset, rel_tol, abs_tol) -> float:
@@ -306,6 +301,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     kwargs = {}
     if cfg.has("samples"):
         kwargs["samples"] = cfg.get("samples", cast=int)
+        if kwargs["samples"] < 2:
+            raise ConfigError("config field 'samples' must be >= 2")
     rel_tol = args.tol if args.tol is not None else cfg.get("rel_tol", None)
     if rel_tol is not None:
         kwargs["rel_tol"] = rel_tol
@@ -335,7 +332,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             preset, kwargs.get("rel_tol"), kwargs.get("abs_tol")
         )
 
-    csv_path = _write_text(args.out, f"{name}.csv", _trajectory_csv(tr))
+    columns = (tr.t, tr.q[:, 0], tr.q[:, 1], tr.p[:, 0], tr.p[:, 1], tr.energy)
+    csv_path = _write_text(args.out, f"{name}.csv", _csv("t,q1,q2,p1,p2,E", [columns]))
     json_path = _write_json(args.out, f"{name}_summary.json", summary)
     print(csv_path)
     print(json_path)
@@ -349,14 +347,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 # verify
 
 
-def _quad_window_1d(q, w, s):
-    val, _ = quad(lambda x: np.exp(-((x - q) ** 2) / (2 * s * s)), -w, w, limit=200)
-    return val / (s * np.sqrt(2 * np.pi))
-
-
-def _quad_square_1d(q, w, s):
+def _quad_moment_1d(q, w, s, power):
+    """int_{-w}^{w} x^power N(x; q, s^2) dx by adaptive quadrature."""
+    # x^power as a product of factors, so that x^2 is exactly x * x
     val, _ = quad(
-        lambda x: x * x * np.exp(-((x - q) ** 2) / (2 * s * s)), -w, w, limit=200
+        lambda x: math.prod([x] * power) * np.exp(-((x - q) ** 2) / (2 * s * s)),
+        -w, w, limit=200,
     )
     return val / (s * np.sqrt(2 * np.pi))
 
@@ -492,6 +488,19 @@ def _verify_sep_portraits(checks, tol):
     _check(checks, "portrait-p2h", max(dev_p2), tol, draws=6)
 
 
+def _kernel_precision(params: NonSepParams, pt: PhasePoint) -> np.ndarray:
+    """Portrait kernel precision from ``nonsep_coefficients``, built apart from
+    the portrait code so the checks stay independent of what they test."""
+    co = nonsep_coefficients(params, pt)
+    l1, l2 = params.lam1, params.lam2
+    return np.array(
+        [
+            [2 * co.Delta1.real / l1**2, co.ell.real / (l1 * l2)],
+            [co.ell.real / (l1 * l2), 2 * co.Delta2.real / l2**2],
+        ]
+    )
+
+
 def _verify_nonsep_norm(checks, tol):
     rng = np.random.default_rng(47)
     devs = []
@@ -504,14 +513,7 @@ def _verify_nonsep_norm(checks, tol):
             rng.uniform(0.7, 1.2),
         )
         pt = PhasePoint(*rng.uniform(-0.8, 0.8, size=4))
-        co = nonsep_coefficients(params, pt)
-        m = np.array(
-            [
-                [2 * co.Delta1.real / params.lam1**2, co.ell.real / (params.lam1 * params.lam2)],
-                [co.ell.real / (params.lam1 * params.lam2), 2 * co.Delta2.real / params.lam2**2],
-            ]
-        )
-        mi = np.linalg.inv(m)
+        mi = np.linalg.inv(_kernel_precision(params, pt))
         r1 = legendre_box_rule(
             pt.q1 - 9 * np.sqrt(mi[0, 0]), pt.q1 + 9 * np.sqrt(mi[0, 0]), 180, 2
         )
@@ -571,14 +573,7 @@ def _verify_nonsep_overlap(checks, errata, tol):
 def _verify_coupled_portrait(checks, errata, tol):
     params = NonSepParams.from_tau(0.35, -0.2, 0.9, 1.1, 0.8)
     pt = PhasePoint(0.3, 0.4, 0.2, -0.1)
-    co = nonsep_coefficients(params, pt)
-    m = np.array(
-        [
-            [2 * co.Delta1.real / params.lam1**2, co.ell.real / (params.lam1 * params.lam2)],
-            [co.ell.real / (params.lam1 * params.lam2), 2 * co.Delta2.real / params.lam2**2],
-        ]
-    )
-    cross = np.linalg.inv(m)[0, 1]
+    cross = np.linalg.inv(_kernel_precision(params, pt))[0, 1]
     devs = []
     one = nonsep_portrait_hq(lambda q1, q2: np.ones_like(q1), pt, params)
     devs.append(abs(one - 1.0))
@@ -730,13 +725,13 @@ def _verify_wall_portraits(checks, tol):
     dev_chi, dev_q2, dev_mass = [], [], []
     for k in range(8):
         q = rng.uniform(-1.3, 1.3, size=2)
-        win1 = _quad_window_1d(q[0], model.wall(1), smooth[0])
-        win2 = _quad_window_1d(q[1], model.wall(2), smooth[1])
+        win1 = _quad_moment_1d(q[0], model.wall(1), smooth[0], 0)
+        win2 = _quad_moment_1d(q[1], model.wall(2), smooth[1], 0)
         dev_chi.append(abs(pdm.portrait_chi(model, modes, q) - win1 * win2))
         j = 1 + (k % 2)
         own = q[j - 1]
         wins = {1: win1, 2: win2}
-        sq = _quad_square_1d(own, model.wall(j), smooth[j - 1])
+        sq = _quad_moment_1d(own, model.wall(j), smooth[j - 1], 2)
         dev_q2.append(
             abs(pdm.portrait_q2chi(model, modes, j, q) - sq * wins[3 - j])
             / max(sq * wins[3 - j], 1e-12)
@@ -822,6 +817,8 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
         if args.fock_dim is not None
         else cfg.get("fock_dim", default_dim, cast=int)
     )
+    if nmax < 0:
+        raise ConfigError("fock_dim must be >= 0")
     if family_kind == "one-mode":
         catalogue = {
             "one": lambda q, p: np.ones_like(q),
@@ -835,8 +832,9 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
             raise ConfigError(
                 f"unknown one-mode function {fn!r}; expected one of {', '.join(_ONEMODE_FUNCTIONS)}"
             )
-        family = SqueezeParameter.from_tau(
-            cfg.get_complex("tau", 0.0), lam=cfg.get("lam", 1.0), hbar=cfg.get("hbar", 1.0)
+        family = _family_from(
+            SqueezeParameter.from_tau,
+            tau=cfg.get_complex("tau", 0.0), lam=cfg.get("lam", 1.0), hbar=cfg.get("hbar", 1.0),
         )
     elif family_kind == "two-mode":
         catalogue = {
@@ -849,24 +847,24 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
             raise ConfigError(
                 f"unknown two-mode function {fn!r}; expected one of {', '.join(_TWOMODE_FUNCTIONS)}"
             )
-        family = NonSepParams.from_tau(
-            cfg.get_complex("tau1"),
-            cfg.get_complex("tau2"),
-            cfg.get("phi", 0.0),
-            cfg.get("lam1", 1.0),
-            cfg.get("lam2", 1.0),
-            cfg.get("hbar", 1.0),
+        family = _family_from(
+            NonSepParams.from_tau,
+            tau1=cfg.get_complex("tau1"),
+            tau2=cfg.get_complex("tau2"),
+            phi=cfg.get("phi", 0.0),
+            lam1=cfg.get("lam1", 1.0),
+            lam2=cfg.get("lam2", 1.0),
+            hbar=cfg.get("hbar", 1.0),
         )
     else:
         raise ConfigError("config field 'family' must be 'one-mode' or 'two-mode'")
 
     op = quantise(catalogue[fn], family, nmax=nmax)
     mat = op.matrix.entries
-    lines = ["row,col,re,im"]
-    for i in range(mat.shape[0]):
-        for k in range(mat.shape[1]):
-            lines.append(f"{i},{k},{_fmt(mat[i, k].real)},{_fmt(mat[i, k].imag)}")
-    csv_path = _write_text(args.out, f"quantise_{fn}.csv", "\n".join(lines) + "\n")
+    # integer indices print as integers under %.17g
+    row, col = np.indices(mat.shape)
+    columns = (row.ravel(), col.ravel(), mat.real.ravel(), mat.imag.ravel())
+    csv_path = _write_text(args.out, f"quantise_{fn}.csv", _csv("row,col,re,im", [columns]))
     report = {
         "basis": op.basis,
         "dimension": int(mat.shape[0]),

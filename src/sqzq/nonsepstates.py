@@ -26,6 +26,10 @@ splitter, which powers the mode-mixing (Bogoliubov) residual check; matrix
 exponentials of truncated generators are avoided throughout because their
 columns are contaminated at any truncation reachable in practice.
 
+Coupled portraits of general fields are ``numerics.gaussian_smooth`` under
+``_portrait_precision``; rectangle indicators keep the exact conditional-normal
+route ``nonsep_box_portrait`` (Genz 2004), vectorised over centres.
+
 Sign conventions for the overlap exponent and the mixed-term coefficients
 were fixed against exact Gaussian-integral oracles, not taken on faith; see
 ``table1_coefficient_rows`` and ``nonsep_overlap_report`` for the rival
@@ -50,13 +54,16 @@ from .errors import (
     TruncationTooSmall,
 )
 from .numerics import (
+    _NSIGMA,
+    _SMOOTH_ORDER,
     QuadratureReport,
     TruncatedOperator,
     gauss_hermite_rule,
+    gaussian_smooth,
     integrate_gaussian_quadratic,
     legendre_box_rule,
 )
-from .sepstates import PhasePoint, TwoModeParams, as_field
+from .sepstates import PhasePoint, TwoModeParams, _pad, as_field
 
 __all__ = [
     "NonSepParams",
@@ -77,10 +84,8 @@ __all__ = [
     "table1_coefficient_rows",
 ]
 
-_NSIGMA = 8.5
-# the rule order and block size of nonsep_box_portrait; a block of 2048
-# centres keeps its work arrays near 3 MB each
-_BOX_ORDER = 90
+# the block size of nonsep_box_portrait; a block of 2048 centres keeps its
+# work arrays near 3 MB each
 _BOX_BLOCK = 2048
 # the 38^2 x 32^2 Gauss-Legendre box the whitened rule replaced: no field is
 # allowed to cost more nodes than it did
@@ -709,53 +714,22 @@ def _portrait_precision(params: NonSepParams) -> np.ndarray:
                      [ell.real / (l1 * l2), 2.0 * d2.real / l2**2]])
 
 
-def nonsep_portrait_hq(
-    h, point: PhasePoint, params: NonSepParams, order: int = 90
-) -> float:
+def nonsep_portrait_hq(h, point: PhasePoint, params: NonSepParams) -> float:
     """Lower symbol of the quantised position field h(q1, q2).
 
     Bivariate Gaussian smoothing of h centred at (q1, q2) whose precision
     matrix is the real part of the wavefunction quadratic form; the mixing
     angle makes the kernel anisotropic whenever Re ell is nonzero.  Fields
     with declared support integrate on a clipped product rule, everything
-    else on Gauss-Hermite nodes along the kernel's principal axes.
+    else on Gauss-Hermite nodes along the kernel's principal axes (see
+    ``numerics.gaussian_smooth``).
     """
     field = as_field(h)
-    m = _portrait_precision(params)
-    centre = np.array([point.q1, point.q2])
-    if field.support is None:
-        w, vecs = np.linalg.eigh(m)
-        rule = gauss_hermite_rule(order)
-        t1, t2 = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-        pts = (
-            np.stack([t1.ravel() * np.sqrt(2.0 / w[0]),
-                      t2.ravel() * np.sqrt(2.0 / w[1])], axis=1)
-            @ vecs.T
-            + centre
+    return float(
+        gaussian_smooth(
+            field, [point.q1, point.q2], _portrait_precision(params), field.support, _pad(field)
         )
-        vals = field(pts[:, 0], pts[:, 1]).reshape(order, order)
-        wts = rule.weights[:, None] * rule.weights[None, :]
-        return float(np.sum(wts * vals) / np.pi)
-    mi = np.linalg.inv(m)
-    windows = []
-    for axis in range(2):
-        pad = _NSIGMA + (field.degree if field.growth == "poly" else 0)
-        half = pad * np.sqrt(mi[axis, axis])
-        lo, hi = centre[axis] - half, centre[axis] + half
-        a, bnd = field.support[axis]
-        lo, hi = max(lo, a), min(hi, bnd)
-        if not hi > lo:
-            return 0.0
-        windows.append((lo, hi))
-    r1 = legendre_box_rule(*windows[0], order, 2)
-    r2 = legendre_box_rule(*windows[1], order, 2)
-    u1, u2 = np.meshgrid(r1.nodes, r2.nodes, indexing="ij")
-    wts = r1.weights[:, None] * r2.weights[None, :]
-    du1, du2 = u1 - centre[0], u2 - centre[1]
-    kern = np.exp(
-        -0.5 * (m[0, 0] * du1**2 + 2.0 * m[0, 1] * du1 * du2 + m[1, 1] * du2**2)
-    ) * (np.sqrt(np.linalg.det(m)) / (2.0 * np.pi))
-    return float(np.sum(wts * kern * field(u1, u2)))
+    )
 
 
 def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
@@ -778,7 +752,7 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
     half_window = _NSIGMA * np.sqrt(var1)
     slope = -m[0, 1] / m[1, 1]
     cond_sd = 1.0 / np.sqrt(m[1, 1])
-    ref = legendre_box_rule(-1.0, 1.0, _BOX_ORDER, 2)
+    ref = legendre_box_rule(-1.0, 1.0, _SMOOTH_ORDER, 2)
     centres = np.asarray(centres, dtype=float)
     flat = centres.reshape(-1, 2)
     out = np.empty(flat.shape[0])

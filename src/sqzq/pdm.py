@@ -30,7 +30,7 @@ from scipy.special import erfc
 
 from .errors import ConfigError, NonFiniteState, OutsideBox
 from .numerics import OdeProblem, solve_ode
-from .sepstates import TwoModeParams
+from .sepstates import TwoModeParams, _mode_sigma
 
 __all__ = [
     "PdmModel",
@@ -138,8 +138,7 @@ class SemiclassicalModel:
 
     def smoothing(self, j: int) -> float:
         """Gaussian half-width lambda_j Delta_p_j of the wall shoulders."""
-        par = self.modes.mode(j)
-        return par.lam * np.sqrt(par.widths().delta_p_sq)
+        return _mode_sigma(self.modes, j)
 
     def kinetic_coeff(self, j: int) -> float:
         """hbar^2 / (2 lambda_j^2 Delta_p_j^2), the mass-portrait weight in V_eff."""
@@ -343,9 +342,7 @@ def _as_points(q) -> np.ndarray:
 
 def _mode_scales(model: PdmModel, params: TwoModeParams, j: int) -> tuple[float, float]:
     """(wall half-width, Gaussian smoothing width) of mode j."""
-    par = params.mode(j)
-    s = par.lam * np.sqrt(par.widths().delta_p_sq)
-    return model.wall(j), s
+    return model.wall(j), _mode_sigma(params, j)
 
 
 def portrait_chi(model: PdmModel, params: TwoModeParams, q):

@@ -29,9 +29,15 @@ from .errors import (
     TruncationTooSmall,
     UnsupportedMomentumDependence,
 )
-from .numerics import QuadratureReport, TruncatedOperator, gauss_hermite_rule
+from .numerics import (
+    _SMOOTH_ORDER,
+    QuadratureReport,
+    TruncatedOperator,
+    gauss_hermite_rule,
+    gaussian_smooth,
+)
 from .onemode import SqueezeParameter, _fock_rows, _plane_rule, _prefactor
-from .nonsepstates import NonSepParams, _quad_coefficients, _quantise_field
+from .nonsepstates import NonSepParams, _portrait_precision, _quantise_field
 from .sepstates import TwoModeParams
 
 __all__ = [
@@ -260,51 +266,36 @@ def _p_components(f: ClassicalFunction, q: np.ndarray, pscale: float):
     return f0, f1, f2
 
 
-def kernel_eval(f, family, x: float, xp: float | None = None, order: int = 80) -> KernelAction:
+def kernel_eval(f, family, x) -> KernelAction:
     """Diagonal kernel of the quantised f at position x.
 
-    The optional second position is accepted for interface symmetry but the
-    kernel of every admissible f is a distribution on x = x'; what is
+    The kernel of every admissible f is a distribution on x = x'; what is
     returned is its action on test functions (see KernelAction).  Momentum
     dependence beyond quadratic is refused; two-mode families support
-    position-only functions, evaluated at x = (x1, x2).
+    position-only functions, evaluated at x = (x1, x2), whose kernel is the
+    Gaussian smoothing of f at twice the portrait precision.
     """
     fam, arity, _ = _family(family)
     cf = _as_classical(f, arity)
-    rule = gauss_hermite_rule(order)
     if arity == "two-mode":
         x = np.asarray(x, dtype=float)
         if x.shape != (2,):
             raise ConfigError("two-mode kernel point must be a pair (x1, x2)")
-        d1, d2, ell = _quad_coefficients(fam.tau1, fam.tau2, fam.phi)
-        l1, l2 = fam.lam1, fam.lam2
-        m = 2.0 * np.array(
-            [
-                [2.0 * d1.real / l1**2, ell.real / (l1 * l2)],
-                [ell.real / (l1 * l2), 2.0 * d2.real / l2**2],
-            ]
-        )
-        w, vecs = np.linalg.eigh(m)
-        t1, t2 = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-        pts = (
-            np.stack(
-                [t1.ravel() * np.sqrt(2.0 / w[0]), t2.ravel() * np.sqrt(2.0 / w[1])],
-                axis=1,
-            )
-            @ vecs.T
-            + x
-        )
-        zero = np.zeros(pts.shape[0])
-        probe = np.asarray(cf(pts[:, 0], pts[:, 1], zero + 0.37, zero - 0.61), dtype=float)
-        base = np.asarray(cf(pts[:, 0], pts[:, 1], zero, zero), dtype=float)
-        if np.max(np.abs(probe - base)) > 1e-12 * (np.max(np.abs(base)) + 1.0):
-            raise UnsupportedMomentumDependence(
-                "two-mode kernels support position-only functions"
-            )
-        wts = (rule.weights[:, None] * rule.weights[None, :]).ravel()
-        a0 = complex(np.sum(wts * base) / np.pi)
-        return KernelAction(a0, 0.0, 0.0)
 
+        def position_part(q1, q2):
+            zero = np.zeros_like(q1)
+            probe = np.asarray(cf(q1, q2, zero + 0.37, zero - 0.61), dtype=float)
+            base = np.asarray(cf(q1, q2, zero, zero), dtype=float)
+            if np.max(np.abs(probe - base)) > 1e-12 * (np.max(np.abs(base)) + 1.0):
+                raise UnsupportedMomentumDependence(
+                    "two-mode kernels support position-only functions"
+                )
+            return base
+
+        a0 = gaussian_smooth(position_part, x, 2.0 * _portrait_precision(fam))
+        return KernelAction(complex(a0), 0.0, 0.0)
+
+    rule = gauss_hermite_rule(_SMOOTH_ORDER)
     lam, hbar, tau = fam.lam, fam.hbar, fam.tau
     q1 = fam.widths().sigma_q_sq / lam**2
     s = 1.0 / np.sqrt(2.0 * q1.real)

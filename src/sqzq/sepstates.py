@@ -7,7 +7,9 @@ smoothings in position plus polynomial corrections in the momenta.
 
 Portraits of momentum-weighted fields never need momentum quadrature: the
 momentum integrals are Gaussian and have been done once and for all, leaving
-position smoothings of h, q_j h and q_j^2 h.
+position smoothings of h, q_j h and q_j^2 h.  Each is ``numerics.gaussian_smooth``
+at precision diag(1/s_j^2), s_j = lam_j Delta_p_j (2/s_j^2 per mode for the
+kernel factors): the phi = 0 case of the coupled kernel in ``nonsepstates``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import gauss_hermite_rule, legendre_box_rule
+from .numerics import _NSIGMA, gaussian_smooth
 from .onemode import OneModePhasePoint, SqueezeParameter, wavefunction
 
 __all__ = [
@@ -32,10 +34,6 @@ __all__ = [
     "portrait_p2_h",
     "sep_kernel_hq",
 ]
-
-# Gaussian windows are cut at this many standard deviations; the discarded
-# tail is below exp(-36), invisible at every tolerance used downstream
-_NSIGMA = 8.5
 
 
 @dataclass(frozen=True)
@@ -148,23 +146,12 @@ def sep_wavefunction(point: PhasePoint, params: TwoModeParams, x) -> np.ndarray:
     )
 
 
-def _axis_window(centre: float, sigma: float, field: Field, axis: int):
-    """Quadrature window for one axis, clipped to the field's support.
-
-    Returns (lo, hi) or None when the Gaussian window misses the support
-    entirely (the portrait is then zero up to an exp(-36) tail).
-    """
-    pad = _NSIGMA + (field.degree if field.growth == "poly" else 0)
-    lo, hi = centre - pad * sigma, centre + pad * sigma
-    if field.support is not None:
-        a, b = field.support[axis]
-        lo, hi = max(lo, a), min(hi, b)
-        if not hi > lo:
-            return None
-    return lo, hi
+def _pad(field: Field) -> float:
+    """Half-width of a supported field's windows, in kernel standard deviations."""
+    return _NSIGMA + (field.degree if field.growth == "poly" else 0)
 
 
-def portrait_hq(h, point: PhasePoint, params: TwoModeParams, order: int = 90) -> float:
+def portrait_hq(h, point: PhasePoint, params: TwoModeParams) -> float:
     """Lower symbol of the quantised position field h(q1, q2).
 
     A two-dimensional Gaussian smoothing of h centred at (q1, q2) with
@@ -172,25 +159,10 @@ def portrait_hq(h, point: PhasePoint, params: TwoModeParams, order: int = 90) ->
     reproduced exactly (symmetric kernel, unit mass).
     """
     field = as_field(h)
-    s1, s2 = _mode_sigma(params, 1), _mode_sigma(params, 2)
-    if field.support is None:
-        rule = gauss_hermite_rule(order)
-        t1, t2 = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-        w = rule.weights[:, None] * rule.weights[None, :]
-        vals = field(point.q1 + np.sqrt(2.0) * s1 * t1, point.q2 + np.sqrt(2.0) * s2 * t2)
-        return float(np.sum(w * vals) / np.pi)
-    win1 = _axis_window(point.q1, s1, field, 0)
-    win2 = _axis_window(point.q2, s2, field, 1)
-    if win1 is None or win2 is None:
-        return 0.0
-    r1 = legendre_box_rule(*win1, order, 2)
-    r2 = legendre_box_rule(*win2, order, 2)
-    u1, u2 = np.meshgrid(r1.nodes, r2.nodes, indexing="ij")
-    w = r1.weights[:, None] * r2.weights[None, :]
-    gauss = np.exp(
-        -((u1 - point.q1) ** 2) / (2 * s1**2) - (u2 - point.q2) ** 2 / (2 * s2**2)
-    ) / (2 * np.pi * s1 * s2)
-    return float(np.sum(w * gauss * field(u1, u2)))
+    precision = np.diag([1.0 / _mode_sigma(params, 1) ** 2, 1.0 / _mode_sigma(params, 2) ** 2])
+    return float(
+        gaussian_smooth(field, [point.q1, point.q2], precision, field.support, _pad(field))
+    )
 
 
 def _axis_weighted(field: Field, j: int, power: int) -> Field:
@@ -204,7 +176,7 @@ def _axis_weighted(field: Field, j: int, power: int) -> Field:
     return Field(g, "poly", degree, field.support)
 
 
-def portrait_p_h(j: int, h, point: PhasePoint, params: TwoModeParams, order: int = 90) -> float:
+def portrait_p_h(j: int, h, point: PhasePoint, params: TwoModeParams) -> float:
     """Lower symbol of the quantised field p_j h(q1, q2).
 
     p_j A_h plus a correction proportional to gamma_j; for real tau_j the
@@ -214,16 +186,16 @@ def portrait_p_h(j: int, h, point: PhasePoint, params: TwoModeParams, order: int
     mode = params.mode(j)
     w = mode.widths()
     dd = w.delta_p_sq * mode.lam**2
-    a_h = portrait_hq(field, point, params, order)
+    a_h = portrait_hq(field, point, params)
     if w.gamma == 0.0:
         return point.p(j) * a_h
-    a_qh = portrait_hq(_axis_weighted(field, j, 1), point, params, order)
+    a_qh = portrait_hq(_axis_weighted(field, j, 1), point, params)
     return point.p(j) * a_h + (2.0 * params.hbar * w.gamma / dd) * (
         point.q(j) * a_h - a_qh
     )
 
 
-def portrait_p2_h(j: int, h, point: PhasePoint, params: TwoModeParams, order: int = 90) -> float:
+def portrait_p2_h(j: int, h, point: PhasePoint, params: TwoModeParams) -> float:
     """Lower symbol of the quantised field p_j^2 h(q1, q2).
 
     Three groups: the isotropic (p_j^2 + hbar^2/(delta_p^2 lam^2)) A_h term,
@@ -236,12 +208,12 @@ def portrait_p2_h(j: int, h, point: PhasePoint, params: TwoModeParams, order: in
     dd = w.delta_p_sq * mode.lam**2
     hbar = params.hbar
     pj, qj = point.p(j), point.q(j)
-    a_h = portrait_hq(field, point, params, order)
+    a_h = portrait_hq(field, point, params)
     base = (pj**2 + hbar**2 / dd) * a_h
     if w.gamma == 0.0:
         return base
-    a_qh = portrait_hq(_axis_weighted(field, j, 1), point, params, order)
-    a_q2h = portrait_hq(_axis_weighted(field, j, 2), point, params, order)
+    a_qh = portrait_hq(_axis_weighted(field, j, 1), point, params)
+    a_q2h = portrait_hq(_axis_weighted(field, j, 2), point, params)
     gamma_sq_group = (4.0 * hbar**2 * w.gamma**2 / dd**2) * (
         qj**2 * a_h - 2.0 * qj * a_qh + a_q2h
     )
@@ -263,37 +235,17 @@ class DiagonalKernel:
         return lambda x1, x2: self.factor(x1, x2) * psi(x1, x2)
 
 
-def _smooth_1d(h: Callable, support, mode: SqueezeParameter, order: int) -> Callable:
-    """Gaussian smoothing of a 1D field at the kernel width.
+def _smooth_1d(h: Callable, support, params: TwoModeParams, j: int) -> Callable:
+    """Gaussian smoothing of a 1D field at the kernel width of mode j.
 
-    The kernel width is half the portrait variance: amplitudes smooth once,
-    probabilities twice.  Returns a vectorised x -> E[h(x + std Z)].
+    The kernel variance is half the portrait variance: amplitudes smooth
+    once, probabilities twice.  Returns a vectorised x -> E[h(x + std Z)].
     """
-    var = mode.lam**2 / (2.0 * mode.widths().sigma_q_sq.real)
-    std = np.sqrt(var)
-    if support is None:
-        rule = gauss_hermite_rule(order)
-
-        def factor(x):
-            x = np.asarray(x, dtype=float)
-            nodes = x[..., None] + np.sqrt(2.0) * std * rule.nodes
-            return np.sum(rule.weights * h(nodes), axis=-1) / np.sqrt(np.pi)
-
-        return factor
-
-    a, b = support
+    precision = [[2.0 / _mode_sigma(params, j) ** 2]]
+    box = None if support is None else [support]
 
     def factor(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        for idx in np.ndindex(*x.shape):
-            lo = max(a, x[idx] - _NSIGMA * std)
-            hi = min(b, x[idx] + _NSIGMA * std)
-            if not hi > lo:
-                continue
-            rule = legendre_box_rule(lo, hi, order, 2)
-            g = np.exp(-((rule.nodes - x[idx]) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
-            out[idx] = np.sum(rule.weights * g * h(rule.nodes))
+        out = gaussian_smooth(h, np.asarray(x, dtype=float)[..., None], precision, box)
         return out if out.shape else float(out)
 
     return factor
@@ -305,7 +257,6 @@ def sep_kernel_hq(
     params: TwoModeParams,
     support1: tuple | None = None,
     support2: tuple | None = None,
-    order: int = 90,
 ) -> DiagonalKernel:
     """Kernel of the quantised product field h1(q1) h2(q2).
 
@@ -313,6 +264,6 @@ def sep_kernel_hq(
     returned object carries the smoothing factor F1(x1) F2(x2).  h ≡ 1 gives
     factor 1 (the identity), and affine h gives the affine function itself.
     """
-    f1 = _smooth_1d(h1, support1, params.mode1, order)
-    f2 = _smooth_1d(h2, support2, params.mode2, order)
+    f1 = _smooth_1d(h1, support1, params, 1)
+    f2 = _smooth_1d(h2, support2, params, 2)
     return DiagonalKernel(lambda x1, x2: f1(x1) * f2(x2))

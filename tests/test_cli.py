@@ -62,6 +62,22 @@ def test_unknown_preset_exits_2(tmp_path):
     assert main(["simulate", "--preset", "fig9z", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["simulate", "--preset", "fig6a"], {"lam1": -1}),
+        (["portrait", "chi", "--preset", "fig6a"], {"lam1": -1}),
+        (["simulate", "--preset", "fig3a"], {"samples": 1}),
+        (["quantise", "q", "--fock-dim", "-1"], {}),
+    ],
+    ids=["simulate-lam1", "portrait-lam1", "samples", "fock-dim"],
+)
+def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_required_field_exits_2(tmp_path):
     path = _write_cfg(tmp_path, {"kind": "classical"})
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import integrate as sint
 
 from sqzq.errors import NonConvergent, QuadratureNotConverged, StepSizeUnderflow
 from sqzq.numerics import (
@@ -17,6 +18,7 @@ from sqzq.numerics import (
     TruncatedOperator,
     erfc_real,
     gauss_hermite_rule,
+    gaussian_smooth,
     hermite_phys,
     integrate_gaussian_quadratic,
     legendre_box_rule,
@@ -154,6 +156,78 @@ def test_gaussian_quadratic_closed_form_vs_quadrature():
             refine=False,
         )
         assert abs(closed - num) / abs(closed) < 1e-8
+
+
+# a correlated kernel (correlation -0.55) for the gaussian_smooth checks
+SMOOTH_PREC = np.array([[2.3, 0.9], [0.9, 1.2]])
+
+
+def test_gaussian_smooth_free_matches_exact_moments():
+    # E[x^T A x + b^T x + c] = c^T A c + tr(A S) + b^T c + c0 with S = P^-1
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(2, 2))
+    a = a + a.T
+    b, c0 = rng.normal(size=2), rng.normal()
+    centres = rng.uniform(-3.0, 3.0, size=(40, 2))
+    got = gaussian_smooth(
+        lambda x, y: a[0, 0] * x * x + 2 * a[0, 1] * x * y + a[1, 1] * y * y + b[0] * x + b[1] * y + c0,
+        centres,
+        SMOOTH_PREC,
+    )
+    want = (
+        np.einsum("ni,ij,nj->n", centres, a, centres)
+        + np.trace(a @ np.linalg.inv(SMOOTH_PREC))
+        + centres @ b
+        + c0
+    )
+    assert got.shape == (40,)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_gaussian_smooth_support_matches_dblquad():
+    (a1, b1), (a2, b2) = box = ((-1.0, 0.8), (-0.6, 1.2))
+    det = np.linalg.det(SMOOTH_PREC)
+
+    def field(x, y):
+        return 1.0 + x * y
+
+    def oracle(c):
+        def dens(y, x):
+            du = np.array([x - c[0], y - c[1]])
+            return np.exp(-0.5 * du @ SMOOTH_PREC @ du) * np.sqrt(det) / (2 * np.pi) * field(x, y)
+
+        val, _ = sint.dblquad(dens, a1, b1, a2, b2, epsabs=1e-14, epsrel=1e-13)
+        return val
+
+    sd = np.sqrt(np.diag(np.linalg.inv(SMOOTH_PREC)))
+    inside = [(0.0, 0.3), (-0.5, 1.0)]
+    corners = [(a1 - 0.1, a2 - 0.1), (b1 + 0.2, b2), (a1, b2 + 0.3), (b1 - 0.05, a2 + 0.05)]
+    centres = np.array(inside + corners)
+    got = gaussian_smooth(field, centres, SMOOTH_PREC, box)
+    assert_allclose(got, [oracle(c) for c in centres], rtol=0, atol=1e-12)
+    # windows reach 8.5 marginal sd: a centre 8.4 sd off the box still sees
+    # it, and one whose window misses the box on either axis gives exactly 0
+    reach = np.array([(b1 + 8.4 * sd[0], 0.0), (0.0, a2 - 8.4 * sd[1])])
+    assert np.all(gaussian_smooth(field, reach, SMOOTH_PREC, box) > 0.0)
+    beyond = np.array([(b1 + 8.6 * sd[0], 0.0), (0.0, a2 - 8.6 * sd[1]), (30.0, -30.0)])
+    assert np.all(gaussian_smooth(field, beyond, SMOOTH_PREC, box) == 0.0)
+
+
+def test_gaussian_smooth_support_1d_matches_erfc():
+    var, (a, b) = 0.37, (-1.0, 0.5)
+    x = np.linspace(-4.0, 4.0, 81).reshape(9, 9, 1)
+    got = gaussian_smooth(lambda u: np.ones_like(u), x, [[1.0 / var]], [(a, b)])
+    s = np.sqrt(2.0 * var)
+    want = 0.5 * (erfc_real((a - x[..., 0]) / s) - erfc_real((b - x[..., 0]) / s))
+    assert got.shape == (9, 9)
+    assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_gaussian_smooth_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        gaussian_smooth(lambda x, y: x, np.zeros((3, 3)), SMOOTH_PREC)
+    with pytest.raises(ValueError):
+        gaussian_smooth(lambda x, y, z: x, np.zeros((2, 3)), np.eye(3))
 
 
 def test_gaussian_quadratic_rejects_indefinite():
