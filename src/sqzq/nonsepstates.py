@@ -574,9 +574,7 @@ def table1_coefficient_rows(params: NonSepParams) -> dict:
     d1, d2, ell = _quad_coefficients(params.tau1, params.tau2, params.phi)
     delta = 16.0 * d1.real * d2.real - 4.0 * ell.real**2
     l1, l2 = params.lam1, params.lam2
-    m = np.array([[2.0 * d1.real / l1**2, ell.real / (l1 * l2)],
-                  [ell.real / (l1 * l2), 2.0 * d2.real / l2**2]])
-    mi = np.linalg.inv(m)
+    mi = np.linalg.inv(_portrait_precision(params))
     return {
         "q1": {
             "adopted": (1.0, 0.0),

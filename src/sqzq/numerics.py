@@ -42,7 +42,6 @@ __all__ = [
     "legendre_box_rule",
     "gaussian_smooth",
     "quad_box",
-    "quad_complex_1d",
     "integrate_gaussian_quadratic",
     "matrix_exp",
     "solve_ode",
@@ -311,13 +310,6 @@ def quad_box(
     )
 
 
-def quad_complex_1d(f, a: float, b: float, rtol: float = 1e-11, atol: float = 1e-13) -> complex:
-    """Adaptive 1D quadrature of a complex-valued integrand on [a, b]."""
-    re, _ = _sint.quad(lambda x: np.real(f(x)), a, b, epsabs=atol, epsrel=rtol, limit=200)
-    im, _ = _sint.quad(lambda x: np.imag(f(x)), a, b, epsabs=atol, epsrel=rtol, limit=200)
-    return re + 1j * im
-
-
 def hermite_phys(n: int, z):
     """Physicists' Hermite polynomial H_n(z) for real or complex ``z``.
 
@@ -410,14 +402,6 @@ class TruncatedOperator:
         n = np.arange(dim - 1)
         m[n, n + 1] = np.sqrt(n + 1.0)
         return TruncatedOperator(dim, m)
-
-    @staticmethod
-    def creation(dim: int) -> "TruncatedOperator":
-        return TruncatedOperator.annihilation(dim).adjoint()
-
-    @staticmethod
-    def identity(dim: int) -> "TruncatedOperator":
-        return TruncatedOperator(dim, np.eye(dim, dtype=complex))
 
     @staticmethod
     def position(dim: int, lam: float = 1.0) -> "TruncatedOperator":

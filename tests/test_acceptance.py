@@ -1,9 +1,11 @@
 """Acceptance gate: one test per shipped guarantee, tolerances pinned.
 
 Each criterion is a single test function so the -v run shows one pass/fail
-line per guarantee.  Oracles are computed locally (trapezoid or Legendre
-quadrature, exact Gaussian moments, central differences) so that every
-closed form is checked against an independent route, not against itself.
+line per guarantee.  Every closed form is checked against an independent
+route, not against itself: trapezoid or Legendre quadrature, exact Gaussian
+moments, central differences.  The quadrature oracles are the ones ``sqzq
+verify`` uses, imported from ``sqzq.cli``; these tests run them on their own,
+wider draws (25 per family, where ``verify`` takes 4 to 10).
 """
 
 import math
@@ -14,7 +16,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sqzq import pdm
-from sqzq.numerics import TruncatedOperator, legendre_box_rule
+from sqzq.cli import (
+    _kernel_precision,
+    _mode_symbol_oracle,
+    _norm_oracle,
+    _overlap_oracle_1d,
+    _two_mode_positions,
+)
+from sqzq.numerics import TruncatedOperator
 from sqzq.onemode import (
     OneModePhasePoint,
     SqueezeParameter,
@@ -35,7 +44,6 @@ from sqzq.sepstates import (
 from sqzq.nonsepstates import (
     NonSepParams,
     bogoliubov_check,
-    nonsep_coefficients,
     nonsep_overlap_closed,
     nonsep_overlap_sq,
     nonsep_portrait_hq,
@@ -45,18 +53,6 @@ from sqzq.nonsepstates import (
 )
 from sqzq.nonsepstates import fock_coefficients as nonsep_fock_coefficients
 from sqzq.quantmap import dirac_correspondence_check, quantise, symmetrisation_constant
-
-
-def _kernel_matrix(params: NonSepParams, point: PhasePoint) -> np.ndarray:
-    """Precision matrix of the coupled position-smoothing kernel."""
-    co = nonsep_coefficients(params, point)
-    l1, l2 = params.lam1, params.lam2
-    return np.array(
-        [
-            [2.0 * co.Delta1.real / l1**2, co.ell.real / (l1 * l2)],
-            [co.ell.real / (l1 * l2), 2.0 * co.Delta2.real / l2**2],
-        ]
-    )
 
 
 def test_criterion_01_exact_solution_reproduction():
@@ -119,33 +115,6 @@ def test_criterion_04_canonical_quantisation():
     assert np.max(np.abs((got - want)[:6, :6])) < 1e-6
 
 
-def _overlap_oracle(pa, pb, par):
-    half = 8.0 + 14.0 * par.lam / np.sqrt(1.0 - abs(par.tau))
-    x = np.linspace(-half, half, 20001)
-    fa = wavefunction(pa, par, x)
-    fb = wavefunction(pb, par, x)
-    return float(abs(np.trapezoid(np.conj(fa) * fb, x)) ** 2)
-
-
-def _mode_symbol_oracle(par, q, p, hq, pweight, order=160):
-    w = par.widths()
-    lam, hbar = par.lam, par.hbar
-    sq = lam / np.sqrt(w.delta_q_sq)
-    sp = hbar / (lam * np.sqrt(w.delta_p_sq))
-    tilt = 2.0 * abs(w.gamma) * sq * hbar / (lam**2 * w.delta_p_sq)
-    rq = legendre_box_rule(q - 10 * sq - 2.0, q + 10 * sq + 2.0, order, 2)
-    rp = legendre_box_rule(p - 12 * sp - 10 * tilt, p + 12 * sp + 10 * tilt, order, 2)
-    qn, pn = np.meshgrid(rq.nodes, rp.nodes, indexing="ij")
-    wts = rq.weights[:, None] * rp.weights[None, :]
-    dq, dp = qn - q, pn - p
-    weight = np.exp(
-        -w.delta_q_sq * dq**2 / (2 * lam**2)
-        - lam**2 * w.delta_p_sq * dp**2 / (2 * hbar**2)
-        - 2.0 * w.gamma * dq * dp / hbar
-    )
-    return float(np.sum(wts * weight * hq(qn) * pn**pweight) / (2.0 * np.pi * hbar))
-
-
 def test_criterion_05_closed_forms_match_quadrature_oracles():
     # one-mode overlap against direct wavefunction integration
     rng = np.random.default_rng(5001)
@@ -157,7 +126,7 @@ def test_criterion_05_closed_forms_match_quadrature_oracles():
         pa = OneModePhasePoint(*rng.uniform(-1.2, 1.2, size=2))
         pb = OneModePhasePoint(*rng.uniform(-1.2, 1.2, size=2))
         closed = overlap_sq(pa, pb, par)
-        assert abs(closed - _overlap_oracle(pa, pb, par)) / closed < 1e-6
+        assert abs(closed - _overlap_oracle_1d(pa, pb, par)) / closed < 1e-6
 
     # separable momentum portraits against 2D phase-space quadrature
     rng = np.random.default_rng(5002)
@@ -199,15 +168,7 @@ def test_criterion_05_closed_forms_match_quadrature_oracles():
             rng.uniform(0.7, 1.2),
         )
         pt = PhasePoint(*rng.uniform(-0.8, 0.8, size=4))
-        mi = np.linalg.inv(_kernel_matrix(params, pt))
-        r1 = legendre_box_rule(pt.q1 - 9 * np.sqrt(mi[0, 0]),
-                               pt.q1 + 9 * np.sqrt(mi[0, 0]), 180, 2)
-        r2 = legendre_box_rule(pt.q2 - 9 * np.sqrt(mi[1, 1]),
-                               pt.q2 + 9 * np.sqrt(mi[1, 1]), 180, 2)
-        x1, x2 = np.meshgrid(r1.nodes, r2.nodes, indexing="ij")
-        wts = r1.weights[:, None] * r2.weights[None, :]
-        psi = nonsep_wavefunction(params, pt, np.stack([x1, x2], axis=-1))
-        assert abs(float(np.sum(wts * np.abs(psi) ** 2)) - 1.0) < 1e-6
+        assert abs(_norm_oracle(params, pt) - 1.0) < 1e-6
 
     # coupled portrait against exact Gaussian second moments
     rng = np.random.default_rng(5004)
@@ -222,7 +183,7 @@ def test_criterion_05_closed_forms_match_quadrature_oracles():
         pt = PhasePoint(*rng.uniform(-0.8, 0.8, size=4))
         a, b, c, d, e, f = rng.uniform(-1.0, 1.0, size=6)
         poly = lambda q1, q2: a * q1 * q1 + b * q2 * q2 + c * q1 * q2 + d * q1 + e * q2 + f
-        mi = np.linalg.inv(_kernel_matrix(params, pt))
+        mi = np.linalg.inv(_kernel_precision(params))
         want = poly(pt.q1, pt.q2) + a * mi[0, 0] + b * mi[1, 1] + c * mi[0, 1]
         got = nonsep_portrait_hq(poly, pt, params)
         assert abs(got - want) / max(abs(want), 1e-9) < 1e-6
@@ -261,16 +222,8 @@ def test_criterion_06_bogoliubov_residual():
 def test_criterion_07_table1_rows():
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     nmax = 4
-    n1 = nmax + 1
-    dim = n1 * n1
-    flat = np.arange(dim)
-    keep = (flat // n1 <= nmax - 2) & (flat % n1 <= nmax - 2)
-    sel = np.ix_(keep, keep)
-    ladder = np.zeros((n1, n1))
-    n = np.arange(n1 - 1)
-    ladder[n, n + 1] = np.sqrt(n + 1.0)
-    x1 = np.kron(params.lam1 * (ladder + ladder.T) / np.sqrt(2.0), np.eye(n1))
-    x2 = np.kron(np.eye(n1), params.lam2 * (ladder + ladder.T) / np.sqrt(2.0))
+    dim = (nmax + 1) ** 2
+    x1, x2, sel = _two_mode_positions(params, nmax)
 
     one = table1_operators(params, "one", nmax).entries
     assert np.max(np.abs((one - np.eye(dim))[sel])) < 1e-4

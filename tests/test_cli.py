@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sqzq import pdm
-from sqzq.cli import RunConfig, main
+from sqzq.cli import CHECKS, RunConfig, main
 from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
 from sqzq.sepstates import Field, PhasePoint
@@ -69,8 +69,21 @@ def test_unknown_preset_exits_2(tmp_path):
         (["portrait", "chi", "--preset", "fig6a"], {"lam1": -1}),
         (["simulate", "--preset", "fig3a"], {"samples": 1}),
         (["quantise", "q", "--fock-dim", "-1"], {}),
+        (["verify", "--fock-dim", "-1"], {}),
+        (["simulate", "--preset", "fig3a", "--tol", "0"], {}),
+        (["simulate", "--preset", "fig3a", "--tol", "-1"], {}),
+        (["simulate", "--preset", "fig3a", "--tol", "nan"], {}),
+        (["simulate", "--preset", "fig3a"], {"rel_tol": -1e-9}),
+        (["simulate", "--preset", "fig3a"], {"abs_tol": 0}),
+        (["verify", "--tol", "nan"], {}),
+        (["verify", "--tol", "-1"], {}),
+        (["verify"], {"tol": 0}),
     ],
-    ids=["simulate-lam1", "portrait-lam1", "samples", "fock-dim"],
+    ids=[
+        "simulate-lam1", "portrait-lam1", "samples", "fock-dim", "verify-fock-dim",
+        "simulate-tol-0", "simulate-tol-negative", "simulate-tol-nan", "rel-tol",
+        "abs-tol", "verify-tol-nan", "verify-tol-negative", "verify-tol-0",
+    ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
     cfg = _write_cfg(tmp_path, payload)
@@ -373,3 +386,26 @@ def test_verify_deterministic_report(tmp_path, verify_report):
     assert code == 0
     again = json.loads((tmp_path / "verify_report.json").read_text())
     assert again == report
+
+
+def test_verify_small_fock_dim_is_within_tolerance(tmp_path, capsys):
+    # below nmax 3 the Table 1 interior block is the vacuum alone and the fit
+    # is empty; fock_dim 4 used to report table1-rows at deviation 1.0
+    assert main(["verify", "--fock-dim", "4", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["all_within_tolerance"]
+    table1 = next(c for c in report["checks"] if c["id"] == "table1-rows")
+    assert table1["detail"]["nmax"] == 3
+    # one timing line per table entry on stderr, naming its checks
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("check ")]
+    assert len(lines) == len(CHECKS)
+    named = [cid for ln in lines for cid in ln[len("check "):].split(":")[0].split()]
+    assert named == [c["id"] for c in report["checks"]]
+    assert all(ln.endswith("s") for ln in lines)
+
+
+def test_verify_outside_tolerance_exits_3(tmp_path):
+    assert main(["verify", "--tol", "1e-30", "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert not report["all_within_tolerance"]
+    assert report["tolerance"] == 1e-30

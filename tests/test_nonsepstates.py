@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from sqzq.cli import _kernel_precision, _two_mode_positions
 from sqzq.errors import ConfigError, TruncationTooSmall
 from sqzq.nonsepstates import (
     NonSepParams,
@@ -43,18 +44,6 @@ from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefu
 from sqzq.sepstates import Field, PhasePoint, TwoModeParams, portrait_hq, sep_wavefunction
 
 REF = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
-
-
-def _re_quadratic(params):
-    """Real part of the wavefunction quadratic form, from public fields."""
-    co = nonsep_coefficients(params, PhasePoint(0.0, 0.0, 0.0, 0.0))
-    l1, l2 = params.lam1, params.lam2
-    return np.array(
-        [
-            [2.0 * co.Delta1.real / l1**2, co.ell.real / (l1 * l2)],
-            [co.ell.real / (l1 * l2), 2.0 * co.Delta2.real / l2**2],
-        ]
-    )
 
 
 def _draw_params(rng, rmax=0.75):
@@ -331,7 +320,7 @@ def test_portrait_affine_field_is_exact():
 
 
 def test_portrait_product_field_adds_cross_covariance():
-    minv = np.linalg.inv(_re_quadratic(REF))
+    minv = np.linalg.inv(_kernel_precision(REF))
     val = nonsep_portrait_hq(lambda q1, q2: q1 * q2, PhasePoint(0.3, 0.4, 0, 0), REF)
     assert_allclose(val, 0.3 * 0.4 + minv[0, 1], rtol=1e-10)
     assert abs(minv[0, 1]) > 1e-3  # the mixing angle makes this genuinely 2D
@@ -343,7 +332,7 @@ def test_portrait_indicator_matches_brute_quadrature():
         growth="bounded",
         support=((0.0, 1.0), (0.0, 1.0)),
     )
-    m = _re_quadratic(REF)
+    m = _kernel_precision(REF)
     pt = PhasePoint(0.3, 0.4, 0.0, 0.0)
     got = nonsep_portrait_hq(chi, pt, REF)
     r = legendre_box_rule(0.0, 1.0, 160, 4)
@@ -433,7 +422,7 @@ def _fig6a_coupled():
 
 def test_box_portrait_matches_conditional_normal_oracle():
     params = _fig6a_coupled()
-    cov = np.linalg.inv(_re_quadratic(params))
+    cov = np.linalg.inv(_kernel_precision(params))
     assert cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]) > 0.7
     box = ((-2.0 / 3.0, 2.0 / 3.0), (-1.0, 1.0))
     centres = np.array([
@@ -525,25 +514,16 @@ def test_vacuum_precision_matches_fock_vacuum():
 
 def test_table1_identity_row():
     op = table1_operators(REF, "one", 6)
-    n1 = 7
-    keep = (np.arange(49) // n1 <= 4) & (np.arange(49) % n1 <= 4)
-    sel = np.ix_(keep, keep)
+    _, _, sel = _two_mode_positions(REF, 6)
     assert np.max(np.abs(op.entries[sel] - np.eye(49)[sel])) < 1e-10
 
 
 def _interior_fit(params, f, nmax=6):
     """Least-squares row of the quantised field over (x1, x2, 1)."""
     op = table1_operators(params, f, nmax)
-    n1 = nmax + 1
-    a = np.zeros((n1, n1))
-    n = np.arange(n1 - 1)
-    a[n, n + 1] = np.sqrt(n + 1.0)
-    x1 = np.kron(params.lam1 * (a + a.T) / np.sqrt(2.0), np.eye(n1))
-    x2 = np.kron(np.eye(n1), params.lam2 * (a + a.T) / np.sqrt(2.0))
-    keep = (np.arange(n1**2) // n1 <= nmax - 2) & (np.arange(n1**2) % n1 <= nmax - 2)
-    sel = np.ix_(keep, keep)
+    x1, x2, sel = _two_mode_positions(params, nmax)
     basis = np.stack(
-        [x1[sel].ravel(), x2[sel].ravel(), np.eye(n1**2)[sel].ravel()], axis=1
+        [x1[sel].ravel(), x2[sel].ravel(), np.eye(len(x1))[sel].ravel()], axis=1
     )
     coef, *_ = np.linalg.lstsq(basis, op.entries[sel].real.ravel(), rcond=None)
     return coef
@@ -562,16 +542,10 @@ def test_table1_linear_fields_quantise_to_bare_positions():
 def test_table1_product_field_constant():
     op = table1_operators(REF, "q1q2", 6)
     rows = table1_coefficient_rows(REF)
-    minv = np.linalg.inv(_re_quadratic(REF))
+    minv = np.linalg.inv(_kernel_precision(REF))
     assert_allclose(rows["q1q2"]["adopted"], minv[0, 1] / 2.0, rtol=1e-12)
-    n1 = 7
-    a = np.zeros((n1, n1))
-    n = np.arange(n1 - 1)
-    a[n, n + 1] = np.sqrt(n + 1.0)
-    x1x2 = np.kron(REF.lam1 * (a + a.T) / np.sqrt(2.0), REF.lam2 * (a + a.T) / np.sqrt(2.0))
-    keep = (np.arange(49) // n1 <= 4) & (np.arange(49) % n1 <= 4)
-    sel = np.ix_(keep, keep)
-    resid = op.entries[sel].real - x1x2[sel]
+    x1, x2, sel = _two_mode_positions(REF, 6)
+    resid = op.entries[sel].real - (x1 @ x2)[sel]
     off = resid - rows["q1q2"]["adopted"] * np.eye(49)[sel]
     assert np.max(np.abs(off)) < 1e-10
     assert abs(rows["q1q2"]["adopted"] - rows["q1q2"]["rival"]) > 0.05

@@ -24,7 +24,6 @@ from sqzq.numerics import (
     legendre_box_rule,
     matrix_exp,
     quad_box,
-    quad_complex_1d,
     solve_ode,
 )
 
@@ -125,11 +124,6 @@ def test_quad_box_flags_nonconvergence():
             rtol=1e-13,
             max_doublings=3,
         )
-
-
-def test_quad_complex_1d():
-    val = quad_complex_1d(lambda x: np.exp(1j * x - x * x), -8.0, 8.0)
-    assert_allclose(val, np.sqrt(np.pi) * np.exp(-0.25), rtol=1e-11)
 
 
 def test_gaussian_quadratic_closed_form_vs_quadrature():

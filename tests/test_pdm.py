@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from sqzq.cli import _quad_moment_1d
 from sqzq.errors import ConfigError, NonFiniteState, OutsideBox
 from sqzq.pdm import (
     PRESETS,
@@ -49,17 +50,9 @@ def _smoothing(modes, j):
     return par.lam * np.sqrt(par.widths().delta_p_sq)
 
 
-def _quad_window(q, w, s):
-    # Gaussian(std s) smoothing of the box indicator, by brute quadrature
-    val, _ = quad(lambda x: np.exp(-((x - q) ** 2) / (2 * s * s)), -w, w, limit=200)
-    return val / (s * np.sqrt(2 * np.pi))
-
-
-def _quad_square(q, w, s):
-    val, _ = quad(
-        lambda x: x * x * np.exp(-((x - q) ** 2) / (2 * s * s)), -w, w, limit=200
-    )
-    return val / (s * np.sqrt(2 * np.pi))
+def _smoothed(q, model, modes, j, power=0):
+    # Gaussian smoothing of x^power on mode j's box, by brute quadrature
+    return _quad_moment_1d(q, model.wall(j), _smoothing(modes, j), power)
 
 
 def _quad_massnum(q, w, s, lam):
@@ -241,9 +234,7 @@ def test_portrait_chi_against_quadrature():
     model, modes = _fig6_pair()
     rng = np.random.default_rng(11)
     for q in rng.uniform(-1.2, 1.2, size=(6, 2)):
-        want = _quad_window(q[0], model.wall(1), _smoothing(modes, 1)) * _quad_window(
-            q[1], model.wall(2), _smoothing(modes, 2)
-        )
+        want = _smoothed(q[0], model, modes, 1) * _smoothed(q[1], model, modes, 2)
         assert_allclose(portrait_chi(model, modes, q), want, rtol=1e-8)
 
 
@@ -251,13 +242,9 @@ def test_portrait_q2chi_against_quadrature():
     model, modes = _fig6_pair()
     rng = np.random.default_rng(12)
     for q in rng.uniform(-1.2, 1.2, size=(6, 2)):
-        want1 = _quad_square(q[0], model.wall(1), _smoothing(modes, 1)) * _quad_window(
-            q[1], model.wall(2), _smoothing(modes, 2)
-        )
+        want1 = _smoothed(q[0], model, modes, 1, 2) * _smoothed(q[1], model, modes, 2)
         assert_allclose(portrait_q2chi(model, modes, 1, q), want1, rtol=1e-8)
-        want2 = _quad_square(q[1], model.wall(2), _smoothing(modes, 2)) * _quad_window(
-            q[0], model.wall(1), _smoothing(modes, 1)
-        )
+        want2 = _smoothed(q[1], model, modes, 2, 2) * _smoothed(q[0], model, modes, 1)
         assert_allclose(portrait_q2chi(model, modes, 2, q), want2, rtol=1e-8)
 
 
@@ -280,7 +267,7 @@ def test_portrait_q2chi_centre_symmetry():
     c0 = 0.5 * (_erfc(-w / (np.sqrt(2) * s)) - _erfc(w / (np.sqrt(2) * s)))
     expected1 = s * s * c0 - 2.0 * w * s / np.sqrt(2 * np.pi) * np.exp(-w * w / (2 * s * s))
     got = portrait_q2chi(model, modes, 1, np.array([0.0, 0.4]))
-    other = _quad_window(0.4, model.wall(2), _smoothing(modes, 2))
+    other = _smoothed(0.4, model, modes, 2)
     assert_allclose(got, expected1 * other, rtol=1e-8)
 
 
@@ -289,13 +276,9 @@ def test_portraits_accept_complex_tau():
     modes = TwoModeParams.from_tau(0.7j, 0.2 + 0.1j, lam1=0.5, lam2=0.6)
     rng = np.random.default_rng(13)
     for q in rng.uniform(-1.0, 1.0, size=(4, 2)):
-        want = _quad_window(q[0], model.wall(1), _smoothing(modes, 1)) * _quad_window(
-            q[1], model.wall(2), _smoothing(modes, 2)
-        )
+        want = _smoothed(q[0], model, modes, 1) * _smoothed(q[1], model, modes, 2)
         assert_allclose(portrait_chi(model, modes, q), want, rtol=1e-8)
-        want2 = _quad_square(q[0], model.wall(1), _smoothing(modes, 1)) * _quad_window(
-            q[1], model.wall(2), _smoothing(modes, 2)
-        )
+        want2 = _smoothed(q[0], model, modes, 1, 2) * _smoothed(q[1], model, modes, 2)
         assert_allclose(portrait_q2chi(model, modes, 1, q), want2, rtol=1e-8)
 
 
@@ -320,13 +303,13 @@ def test_regularised_mass_against_quadrature():
     want = (
         _quad_massnum(q[0], model.wall(1), _smoothing(modes, 1), model.lambda1)
         / model.m0
-        * _quad_window(q[1], model.wall(2), _smoothing(modes, 2))
+        * _smoothed(q[1], model, modes, 2)
     )
     assert_allclose(regularised_mass(model, modes, q, 1), want, rtol=1e-8)
     want2 = (
         _quad_massnum(q[1], model.wall(2), _smoothing(modes, 2), model.lambda2)
         / model.m0
-        * _quad_window(q[0], model.wall(1), _smoothing(modes, 1))
+        * _smoothed(q[0], model, modes, 1)
     )
     assert_allclose(regularised_mass(model, modes, q, 2), want2, rtol=1e-8)
 

@@ -14,8 +14,9 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from sqzq.cli import _kernel_precision, _two_mode_positions
 from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
-from sqzq.nonsepstates import NonSepParams, nonsep_coefficients
+from sqzq.nonsepstates import NonSepParams
 from sqzq.numerics import TruncatedOperator
 from sqzq.onemode import SqueezeParameter
 from sqzq.quantmap import (
@@ -26,7 +27,7 @@ from sqzq.quantmap import (
     quantise,
     symmetrisation_constant,
 )
-from sqzq.sepstates import PhasePoint, TwoModeParams
+from sqzq.sepstates import TwoModeParams
 
 TAUS = (0.0, 0.5, 0.7j, 0.6 * np.exp(1.1j))
 
@@ -202,13 +203,7 @@ def test_two_mode_identity_and_position():
         ClassicalFunction(lambda q1, q2, p1, p2: q1, arity="two-mode"), params, 4
     )
     assert op.quadrature_report.identity_deviation < 1e-12
-    n1 = 5
-    a = np.zeros((n1, n1))
-    n = np.arange(n1 - 1)
-    a[n, n + 1] = np.sqrt(n + 1.0)
-    x1 = np.kron(0.8 * (a + a.T) / np.sqrt(2.0), np.eye(n1))
-    keep = (np.arange(n1**2) // n1 <= 2) & (np.arange(n1**2) % n1 <= 2)
-    sel = np.ix_(keep, keep)
+    x1, _, sel = _two_mode_positions(params, 4)
     assert np.max(np.abs(op.matrix.entries[sel] - x1[sel])) < 1e-12
 
 
@@ -223,11 +218,8 @@ def test_two_mode_gaussian_field_matches_its_smoothing():
         arity="two-mode", growth="bounded",
     )
     op = quantise(f, params, nmax)
-    co = nonsep_coefficients(params, PhasePoint(0.0, 0.0, 0.0, 0.0))
     l1, l2 = params.lam1, params.lam2
-    m = np.array([[2.0 * co.Delta1.real / l1**2, co.ell.real / (l1 * l2)],
-                  [co.ell.real / (l1 * l2), 2.0 * co.Delta2.real / l2**2]])
-    s = np.eye(2) + np.linalg.inv(2.0 * m)
+    s = np.eye(2) + np.linalg.inv(2.0 * _kernel_precision(params))
     si = np.linalg.inv(s)
     u, w = hermgauss(60)
     x1, x2 = l1 * u, l2 * u
