@@ -37,7 +37,7 @@ from .nonsepstates import (
     table1_operators,
     verify_identity_resolution,
 )
-from .quantmap import quantise
+from .quantmap import ClassicalFunction, quantise
 from . import pdm
 
 __all__ = ["RunConfig", "main"]
@@ -675,6 +675,11 @@ def _table1(fock_dim):
         )
     op = table1_operators(params, "q1q2", nmax)
     nodes += op.report.nodes
+    # quantise takes the position route for this field, integrating the
+    # momenta exactly: it must give the projector integral's matrix
+    route = quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1 * q2, arity="two-mode"),
+                     params, nmax)
+    route_dev = float(np.max(np.abs(route.matrix.entries - op.entries)))
     prod = x1 @ x2
     basis = np.stack([prod[sel].ravel(), np.eye(len(prod))[sel].ravel()], axis=1)
     fit, *_ = np.linalg.lstsq(basis, op.entries[sel].real.ravel(), rcond=None)
@@ -697,7 +702,10 @@ def _table1(fock_dim):
             "rival_deviation": float(abs(fit[1] - rival_c)),
         }
     )
-    return [("table1-rows", worst, {"nmax": nmax, "nodes": nodes})], errata
+    return [
+        ("table1-rows", worst, {"nmax": nmax, "nodes": nodes}),
+        ("position-route", route_dev, {"nmax": nmax, "nodes": route.quadrature_report.nodes}),
+    ], errata
 
 
 def _bogoliubov(fock_dim):
@@ -825,10 +833,11 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     if fn is None:
         raise ConfigError("choose a function to quantise (positional argument or 'function')")
     family_kind = cfg.get("family", "one-mode", cast=str)
-    # two-mode cost grows about as fock_dim^6 (order^4 nodes with order near
-    # 2 fock_dim, each filling (fock_dim + 1)^2 Fock cells) and fock_dim is
-    # capped by the engine's node budget, so the default stays small; an
-    # explicit fock_dim always wins
+    # the two-mode catalogue holds position fields, which take the position
+    # route: about (2 fock_dim)^2 outer times (2 fock_dim + 1)^2 inner nodes,
+    # each filling about fock_dim^4 / 4 pair products; fock_dim is capped by
+    # the node budget (13 for the degree-2 q1q2).  The default stays small;
+    # an explicit fock_dim always wins
     nmax = _fock_dim(cfg, args, 8 if family_kind == "one-mode" else 4)
     if family_kind == "one-mode":
         catalogue = {
@@ -896,45 +905,56 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors: exit 2, one line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# the flags a subcommand may take beyond --config and --out
+_FLAGS = {
+    "preset": (["--preset"], {"help": "named parameter set, e.g. fig3a..fig6c"}),
+    "tol": (["--tol"], {"type": float, "help": "tolerance / relative step control"}),
+    "fock_dim": (["--fock-dim"], {"dest": "fock_dim", "type": int, "help": "Fock-basis size"}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqzq",
         description="squeezed-state quantisation toolkit: portraits, dynamics, checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, func, flags):
+        """A subcommand that takes only the flags it reads, so argparse
+        refuses the others instead of ignoring them."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file (flags override its values)")
-        p.add_argument("--preset", help="named parameter set, e.g. fig3a..fig6c")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, help="tolerance / relative step control")
-        p.add_argument("--fock-dim", dest="fock_dim", type=int, help="Fock-basis size")
+        for key in flags:
+            names, kwargs = _FLAGS[key]
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("portrait", help="write a smoothed-observable grid CSV")
+    p = command("portrait", "write a smoothed-observable grid CSV", cmd_portrait, ["preset"])
     p.add_argument("field", nargs="?", choices=_PORTRAIT_FIELDS, default=None)
-    common(p)
-    p.set_defaults(func=cmd_portrait)
-
-    p = sub.add_parser("simulate", help="integrate a trajectory and write CSV + summary")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run closed-form vs oracle checks, write JSON report")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("quantise", help="write a quantised operator matrix as CSV")
+    command("simulate", "integrate a trajectory and write CSV + summary", cmd_simulate,
+            ["preset", "tol"])
+    command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify,
+            ["tol", "fock_dim"])
+    p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise,
+                ["fock_dim"])
     p.add_argument("function", nargs="?", default=None)
-    common(p)
-    p.set_defaults(func=cmd_quantise)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
         cfg = RunConfig.load(args.config, {})
         code = args.func(cfg, args)
     except (ConfigError, OutsideBox) as exc:

@@ -19,6 +19,11 @@ A tensor Gauss-Hermite rule on the principal axes of that Gaussian of order
 ceil((4 nmax + d + 1) / 2) integrates it exactly up to rounding; for fields
 that are not polynomial the order grows by 4 until the operator changes by
 at most 1e-6, and the last change is reported as the convergence witness.
+Fields without momentum dependence have a cheaper route with the same loop,
+budget and report: they quantise to multiplication by their Gaussian
+smoothing, so the momenta integrate exactly and only a 2D outer rule in the
+positions is refined (``_quantise_position_field``).  The 4D engine stays the
+definition that the identity and Table 1 checks certify.
 
 The unitary G itself is assembled column by column from exact per-mode
 recurrences for the squeeze and displacement factors plus a per-sector beam
@@ -58,10 +63,10 @@ from .numerics import (
     _SMOOTH_ORDER,
     QuadratureReport,
     TruncatedOperator,
-    gauss_hermite_rule,
     gaussian_smooth,
     integrate_gaussian_quadratic,
     legendre_box_rule,
+    whitened_rule,
 )
 from .sepstates import PhasePoint, TwoModeParams, _pad, as_field
 
@@ -457,25 +462,6 @@ def _vacuum_precision(params: NonSepParams) -> np.ndarray:
     )
 
 
-def _whitened_rule(prec: np.ndarray, order: int):
-    """Tensor Gauss-Hermite nodes and weights for integrals over R^4.
-
-    The rule is laid out on the principal axes of ``prec``, scaled so that
-    exp(-x^T prec x) is the Hermite weight; the weights returned carry that
-    Gaussian back out (w e^{t^2} per axis), so that sum(w * g(x)) approximates
-    the plain integral of g and is exact when g is exp(-x^T prec x) times a
-    polynomial of degree <= 2 order - 1.
-    """
-    evals, evecs = np.linalg.eigh(prec)
-    rule = gauss_hermite_rule(order)
-    axes = np.meshgrid(*([rule.nodes] * 4), indexing="ij")
-    t = np.stack([a.ravel() for a in axes], axis=1)
-    pts = (t / np.sqrt(evals)) @ evecs.T
-    w1 = rule.weights * np.exp(rule.nodes**2)
-    weights = np.einsum("i,j,k,l->ijkl", w1, w1, w1, w1).ravel()
-    return pts, weights / np.sqrt(np.prod(evals))
-
-
 def _quantise_on_rule(params, field, nmax, pts, weights, chunk):
     """Quantised field and identity on one rule, ``chunk`` nodes at a time."""
     fv = np.asarray(field(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]), dtype=float)
@@ -493,6 +479,41 @@ def _quantise_on_rule(params, field, nmax, pts, weights, chunk):
     return acc / norm, ident / norm
 
 
+def _start_order(nmax: int, degree: int) -> int:
+    """Lowest Gauss-Hermite order exact for degree 4 nmax + degree."""
+    return -(-(4 * nmax + degree + 1) // 2)
+
+
+def _refine(nmax: int, degree: int, cost, evaluate):
+    """Orders k0, k0 + 4, ... of ``evaluate(order) -> (mat, ident, pts)``.
+
+    Stops once the max-entry change between two successive orders, the
+    convergence witness, is <= 1e-6 max(1, max|A|), or once the next order
+    would take the cumulative node count, summed over ``cost(order)``, past
+    the node budget; polynomial fields stop after one comparison.  A basis
+    whose first two orders alone exceed the budget is refused up front.
+    """
+    order = _start_order(nmax, degree)
+    if cost(order) + cost(order + _ORDER_STEP) > _NODE_BUDGET:
+        raise ConfigError(
+            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
+            f"{order}, beyond the node budget of {_NODE_BUDGET}"
+        )
+    nodes = 0
+    prev = None
+    while True:
+        mat, ident, pts = evaluate(order)
+        nodes += cost(order)
+        if prev is not None:
+            witness = float(np.max(np.abs(mat - prev)))
+            converged = witness <= _CONVERGED * max(1.0, float(np.max(np.abs(mat))))
+            if converged or nodes + cost(order + _ORDER_STEP) > _NODE_BUDGET:
+                break
+        prev = mat
+        order += _ORDER_STEP
+    return mat, pts, QuadratureReport.of(mat, ident, witness, nodes)
+
+
 def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: int = 20000):
     """4D phase-space quadrature of f(q1, q2, p1, p2) against the family.
 
@@ -500,12 +521,9 @@ def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: 
     degree n + m in the phase point, so each matrix entry of a field of
     polynomial degree ``degree`` integrates exp(-x^T P x) times a polynomial
     of degree <= 4 nmax + degree.  A tensor Gauss-Hermite rule whitened by P
-    (Jaeckel 2005) of order k0 = ceil((4 nmax + degree + 1) / 2) is exact for
-    it up to rounding.  Orders k0, k0 + 4, ... are evaluated until the
-    max-entry change between two successive orders, the convergence witness,
-    is <= 1e-6 max(1, max|A|), or until the next order would take the
-    cumulative node count past the node budget; polynomial fields stop after
-    one comparison.
+    (``numerics.whitened_rule``) of order k0 = ceil((4 nmax + degree + 1) / 2)
+    is exact for it up to rounding; orders k0, k0 + 4, ... are refined as
+    ``_refine`` describes, with order^4 nodes each.
 
     Returns the (nmax+1)^2-dimensional matrix of the quantised field in the
     two-mode Fock basis at the finest order evaluated (measure
@@ -513,27 +531,124 @@ def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: 
     (q1, q2, p1, p2), and a QuadratureReport whose identity deviation comes
     from the identity resolution on those same nodes.
     """
-    order = -(-(4 * nmax + degree + 1) // 2)
-    if order**4 + (order + _ORDER_STEP) ** 4 > _NODE_BUDGET:
-        raise ConfigError(
-            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
-            f"{order}, beyond the node budget of {_NODE_BUDGET}"
-        )
     prec = _vacuum_precision(params)
-    nodes = 0
-    prev = None
-    while True:
-        pts, weights = _whitened_rule(prec, order)
-        mat, ident = _quantise_on_rule(params, field, nmax, pts, weights, chunk)
-        nodes += weights.size
-        if prev is not None:
-            witness = float(np.max(np.abs(mat - prev)))
-            converged = witness <= _CONVERGED * max(1.0, float(np.max(np.abs(mat))))
-            if converged or nodes + (order + _ORDER_STEP) ** 4 > _NODE_BUDGET:
-                break
-        prev = mat
-        order += _ORDER_STEP
-    return mat, pts, QuadratureReport.of(mat, ident, witness, nodes)
+
+    def evaluate(order):
+        pts, weights = whitened_rule(prec, order)
+        return (*_quantise_on_rule(params, field, nmax, pts, weights, chunk), pts)
+
+    return _refine(nmax, degree, lambda order: order**4, evaluate)
+
+
+def _position_covariance(params: NonSepParams) -> np.ndarray:
+    """Covariance S = diag(lam^2 / 2) + (2 M)^-1 of q = Lambda u + y.
+
+    u ~ N(0, I / 2) carries the Hermite weight of the scaled positions
+    x_j = lam_j u_j and y ~ N(0, (2 M)^-1) the smoothing of a position field,
+    M = ``_portrait_precision``; S is the marginal covariance of q.
+    """
+    lam = np.array([params.lam1, params.lam2])
+    return np.diag(lam**2 / 2.0) + np.linalg.inv(2.0 * _portrait_precision(params))
+
+
+def _position_rule(params: NonSepParams, order: int):
+    """Outer rule of the position route: q nodes (order^2, 2) and weights
+    that carry the marginal density N(q; 0, S), so sum(w g(q)) ~ E[g(q)]."""
+    s = _position_covariance(params)
+    si = np.linalg.inv(s)
+    pts, weights = whitened_rule(si / 2.0, order)
+    dens = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, si, pts))
+    return pts, weights * dens / (2.0 * np.pi * np.sqrt(np.linalg.det(s)))
+
+
+def _hermite_factors(u: np.ndarray, nmax: int) -> np.ndarray:
+    """p_0(u) .. p_nmax(u), orthonormal under the weight e^{-u^2}, shape
+    (nmax + 1,) + u.shape; h_n(u) = p_n(u) e^{-u^2 / 2} are the Hermite
+    functions."""
+    p = np.empty((nmax + 1,) + u.shape)
+    p[0] = np.pi**-0.25
+    if nmax >= 1:
+        p[1] = np.sqrt(2.0) * u * p[0]
+    for n in range(2, nmax + 1):
+        p[n] = np.sqrt(2.0 / n) * u * p[n - 1] - np.sqrt((n - 1) / n) * p[n - 2]
+    return p
+
+
+def _pair_products(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Rows p[lo[k]] * p[hi[k]], shape (lo.size,) + p.shape[1:]."""
+    out = np.empty((lo.size,) + p.shape[1:])
+    for k in range(lo.size):
+        np.multiply(p[lo[k]], p[hi[k]], out=out[k])
+    return out
+
+
+def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int,
+                             chunk: int = 20000):
+    """Quantised position field f(q1, q2) as a multiplication operator.
+
+    A field without momentum dependence quantises to multiplication by its
+    Gaussian smoothing g = E[f(x + y)], y ~ N(0, (2 M)^-1), the Weyl form
+    A_f = Op_W(f * W0) of integral quantisation (Bergeron & Gazeau 2014).
+    With x_j = lam_j u_j the Fock states are Hermite functions of u, so
+
+        <n m|A_f|n' m'> = pi E[f(q) p_n p_n'(u1) p_m p_m'(u2)],
+
+    u ~ N(0, I / 2), q = Lambda u + y.  The expectation is taken as an outer
+    integral over q ~ N(0, S) (``_position_rule``, whitened by S) of the
+    inner one over u | q, normal with covariance C fixed and mean B q linear
+    in q.  The inner polynomial has degree 2 nmax per mode axis, i.e. total
+    degree 4 nmax on the principal axes of C, so the inner tensor rule has
+    order 2 nmax + 1 per axis and is exact; its conditional expectation is a
+    polynomial of degree <= 4 nmax in q, and the outer rule is refined from
+    k0 = ceil((4 nmax + degree + 1) / 2) as ``_refine`` describes.  f is
+    evaluated on the outer nodes only.  ``nodes`` counts joint (outer x inner)
+    nodes, which are processed in blocks no larger in bytes than the 4D
+    engine's ``chunk`` complex rows.
+
+    Returns the matrix, the outer nodes of the finest order, shape (N, 2),
+    and the QuadratureReport, as ``_quantise_field`` does.
+    """
+    s = _position_covariance(params)
+    half_lam = np.diag([params.lam1, params.lam2]) / 2.0
+    gain = half_lam @ np.linalg.inv(s)
+    cond = np.eye(2) / 2.0 - gain @ half_lam
+    ci = np.linalg.inv(cond)
+    offsets, weights = whitened_rule(ci / 2.0, 2 * nmax + 1)
+    # the density N(v; 0, C) times pi, the mass of the Hermite weight e^{-|u|^2}
+    inner = weights * np.exp(-0.5 * np.einsum("ni,ij,nj->n", offsets, ci, offsets))
+    inner /= 2.0 * np.sqrt(np.linalg.det(cond))
+    # the entry (n m, n' m') is the product of the mode factors p_n p_n'(u1)
+    # and p_m p_m'(u2), each symmetric in its pair: sums run over the pairs
+    # n <= n' of both modes and are spread over the entries at the end
+    n1 = nmax + 1
+    lo, hi = np.triu_indices(n1)
+    pair = np.zeros((n1, n1), dtype=int)
+    pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
+    spread = (pair[:, None, :, None], pair[None, :, None, :])
+    # whole outer nodes per block, each block no larger in bytes than the 4D
+    # engine's chunk of complex coefficients
+    block = max(1, 2 * chunk * n1**2 // (lo.size * inner.size))
+
+    def evaluate(order):
+        pts, wq = _position_rule(params, order)
+        fv = np.asarray(field(pts[:, 0], pts[:, 1]), dtype=float)
+        if not np.all(np.isfinite(fv)):
+            raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
+        fv = np.broadcast_to(fv, wq.shape)
+        acc = np.zeros((lo.size, lo.size))
+        ident = np.zeros((lo.size, lo.size))
+        for b in range(0, pts.shape[0], block):
+            mean = pts[b : b + block] @ gain.T
+            a1 = _pair_products(_hermite_factors((mean[:, :1] + offsets[:, 0]).ravel(), nmax), lo, hi)
+            a2 = _pair_products(_hermite_factors((mean[:, 1:] + offsets[:, 1]).ravel(), nmax), lo, hi)
+            a1 *= np.outer(wq[b : b + block], inner).ravel()
+            ident += a1 @ a2.T
+            a1 *= np.repeat(fv[b : b + block], inner.size)
+            acc += a1 @ a2.T
+        dim = n1 * n1
+        return acc[spread].reshape(dim, dim), ident[spread].reshape(dim, dim), pts
+
+    return _refine(nmax, degree, lambda order: order**2 * inner.size, evaluate)
 
 
 def verify_identity_resolution(params: NonSepParams, nmax: int = 6) -> QuadratureReport:

@@ -3,8 +3,10 @@
 Everything downstream (state construction, quantisation maps, portraits,
 dynamics) is built on the pieces collected here: physicists' Hermite
 polynomials, the complementary error function, closed-form and brute-force
-Gaussian quadrature, the one Gaussian-smoothing routine behind every portrait
-and position kernel (``gaussian_smooth``), truncated boson-operator algebra
+Gaussian quadrature, the tensor Gauss-Hermite rule whitened by a Gaussian
+(``whitened_rule``) behind the two-mode quantisation engines, the one
+Gaussian-smoothing routine behind every portrait and position kernel
+(``gaussian_smooth``), truncated boson-operator algebra
 with matrix exponentials, and an adaptive ODE driver.
 
 All functions are pure and thread-safe.
@@ -40,6 +42,7 @@ __all__ = [
     "erfc_real",
     "gauss_hermite_rule",
     "legendre_box_rule",
+    "whitened_rule",
     "gaussian_smooth",
     "quad_box",
     "integrate_gaussian_quadratic",
@@ -104,7 +107,8 @@ class QuadratureReport:
     at quadrature level for real f.  ``convergence_witness`` is the max-entry
     change of the operator between the last two rule orders evaluated, or
     None where a single caller-chosen rule was applied; ``nodes`` counts the
-    phase-space nodes evaluated over all orders.
+    nodes evaluated over all orders (on the two-mode position route, joint
+    outer x inner nodes).
     """
 
     identity_deviation: float
@@ -166,6 +170,30 @@ def legendre_box_rule(a: float, b: float, order: int, panels: int = 1) -> Quadra
     nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     weights = (half[:, None] * w0[None, :]).ravel()
     return QuadratureRule(nodes, weights, "adaptive_cartesian")
+
+
+def whitened_rule(prec, order: int):
+    """Tensor Gauss-Hermite nodes and weights for integrals over R^d.
+
+    The rule is laid out on the principal axes of the d x d matrix ``prec``,
+    scaled so that exp(-x^T prec x) is the Hermite weight (Jaeckel 2005); the
+    weights returned carry that Gaussian back out (w e^{t^2} per axis), so
+    that sum(w * g(x)) approximates the plain integral of g and is exact when
+    g is exp(-x^T prec x) times a polynomial of degree <= 2 order - 1 in each
+    principal coordinate.  Returns nodes (order^d, d), first axis slowest,
+    and weights (order^d,).
+    """
+    prec = np.asarray(prec, dtype=float)
+    d = prec.shape[0]
+    evals, evecs = np.linalg.eigh(prec)
+    rule = gauss_hermite_rule(order)
+    axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
+    t = np.stack([a.ravel() for a in axes], axis=1)
+    pts = (t / np.sqrt(evals)) @ evecs.T
+    w1 = rule.weights * np.exp(rule.nodes**2)
+    idx = "ijklmnop"[:d]
+    weights = np.einsum(",".join(idx) + "->" + idx, *([w1] * d)).ravel()
+    return pts, weights / np.sqrt(np.prod(evals))
 
 
 def _tensor(nodes, weights):

@@ -140,10 +140,6 @@ class SemiclassicalModel:
         """Gaussian half-width lambda_j Delta_p_j of the wall shoulders."""
         return _mode_sigma(self.modes, j)
 
-    def kinetic_coeff(self, j: int) -> float:
-        """hbar^2 / (2 lambda_j^2 Delta_p_j^2), the mass-portrait weight in V_eff."""
-        return self.hbar**2 / (2.0 * self.smoothing(j) ** 2)
-
 
 @dataclass(frozen=True)
 class InitialState:
@@ -175,6 +171,7 @@ class Trajectory:
     "escaped" or "singular-stop"; the last marks a run whose integrator
     stalled, with the samples truncated at the stall.  ``escape_time`` is the
     first sample time at which the escape criterion held, None otherwise.
+    ``n_rhs_evals`` counts the right-hand-side evaluations of the solver run.
     Momenta may overflow at exact wall touches where the classical mass
     diverges; positions and energies are finite throughout.
     """
@@ -185,6 +182,7 @@ class Trajectory:
     energy: np.ndarray
     classification: str
     escape_time: Optional[float] = None
+    n_rhs_evals: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -302,7 +300,7 @@ def classical_integrate(
     energy = np.sum(
         (0.5 * model.m0 * omega**2 + vbar * np.sin(theta) ** 2) / lam**2, axis=1
     )
-    return Trajectory(sol.t, q, p, energy, classification)
+    return Trajectory(sol.t, q, p, energy, classification, n_rhs_evals=sol.n_rhs_evals)
 
 
 # ----------------------------------------------------------------------
@@ -586,11 +584,11 @@ def semiclassical_integrate(
     energy = 0.5 * (v[:, 0] ** 2 / a1 + v[:, 1] ** 2 / a2) + veff
 
     if stalled:
-        return Trajectory(sol.t, q, p, energy, "singular-stop")
+        return Trajectory(sol.t, q, p, energy, "singular-stop", n_rhs_evals=sol.n_rhs_evals)
     escape_time = _classify_escape(semi, sol.t, q, veff, energy[0])
     if escape_time is None:
-        return Trajectory(sol.t, q, p, energy, "bounded")
-    return Trajectory(sol.t, q, p, energy, "escaped", escape_time)
+        return Trajectory(sol.t, q, p, energy, "bounded", n_rhs_evals=sol.n_rhs_evals)
+    return Trajectory(sol.t, q, p, energy, "escaped", escape_time, n_rhs_evals=sol.n_rhs_evals)
 
 
 def forbidden_region(

@@ -14,6 +14,16 @@ diagonal: position-only functions quantise to multiplication operators
 of polynomial degree <= 2 adds first and second derivative terms whose
 coefficients come from exact Gaussian moments, never from oscillatory
 numeric p-integrals.
+
+Two-mode families quantise by one of two routes, chosen by probing the
+function rather than trusting a declaration.  A function that does not move
+when the momenta are offset (``_position_values``) is quantised as the
+multiplication operator above, with the momenta integrated exactly: a 2D rule
+in the positions on which f is evaluated, times a fixed rule exact for the
+Fock polynomials (``nonsepstates._quantise_position_field``).  Every other
+function takes the 4D phase-space quadrature of the projector integral
+(``nonsepstates._quantise_field``), which also certifies the identity
+resolution and the Table 1 operators.
 """
 
 from __future__ import annotations
@@ -37,7 +47,14 @@ from .numerics import (
     gaussian_smooth,
 )
 from .onemode import SqueezeParameter, _fock_rows, _plane_rule, _prefactor
-from .nonsepstates import NonSepParams, _portrait_precision, _quantise_field
+from .nonsepstates import (
+    NonSepParams,
+    _portrait_precision,
+    _position_rule,
+    _quantise_field,
+    _quantise_position_field,
+    _start_order,
+)
 from .sepstates import TwoModeParams
 
 __all__ = [
@@ -176,9 +193,30 @@ def _quantise_onemode(f: ClassicalFunction, param: SqueezeParameter, nmax: int, 
     return mat, ident
 
 
+def _position_values(f: ClassicalFunction, q1, q2):
+    """f(q1, q2, 0, 0), or None when f moves under a momentum probe.
+
+    The probe compares f at zero momentum with f at the offset
+    (p1, p2) = (0.37, -0.61) on the given positions; a change beyond 1e-12
+    relative to the values means the field depends on momentum.  Nothing is
+    taken from a declaration.
+    """
+    zero = np.zeros_like(q1)
+    base = np.asarray(f(q1, q2, zero, zero), dtype=float)
+    probe = np.asarray(f(q1, q2, zero + 0.37, zero - 0.61), dtype=float)
+    if np.max(np.abs(probe - base)) > 1e-12 * (np.max(np.abs(base)) + 1.0):
+        return None
+    return base
+
+
 def _quantise_twomode(f: ClassicalFunction, params: NonSepParams, nmax: int):
     degree = f.degree if f.growth == "poly" else 0
-    mat, pts, report = _quantise_field(params, f, nmax, degree)
+    probe_nodes, _ = _position_rule(params, _start_order(nmax, degree))
+    if _position_values(f, *probe_nodes.T) is None:
+        mat, pts, report = _quantise_field(params, f, nmax, degree)
+    else:
+        position = lambda q1, q2: f(q1, q2, np.zeros_like(q1), np.zeros_like(q1))
+        mat, pts, report = _quantise_position_field(params, position, nmax, degree)
     # Chebyshev radius of each coordinate relative to its own extent on the
     # nodes: otherwise the widest coordinate sets the radius, and the mid ring
     # already reaches the extremes of the narrow ones.  On a rule aligned with
@@ -188,7 +226,9 @@ def _quantise_twomode(f: ClassicalFunction, params: NonSepParams, nmax: int):
     r = np.max(extent / np.max(extent, axis=0), axis=1)
     edge = r > 0.9
     mid = (r >= min(0.4, r[r < 0.5].max())) & (r < 0.5)
-    _spot_check_growth(f, pts.T, mid, edge)
+    # the position route's nodes carry no momenta: they are zero there
+    coords = np.vstack([pts.T, np.zeros((4 - pts.shape[1], pts.shape[0]))])
+    _spot_check_growth(f, coords, mid, edge)
     return mat, report
 
 
@@ -214,14 +254,19 @@ def quantise(f, family, nmax: int, order: int = 140) -> QuantisedOperator:
 
     One-mode families integrate on a scaled Gauss-Hermite tensor grid of the
     given ``order`` in the coherent-label plane.  Two-mode families choose
-    their own orders, so ``order`` does not apply to them: a tensor
-    Gauss-Hermite rule whitened by the vacuum Gaussian starts at the order
-    that is exact for a field of polynomial degree ``f.degree`` (degree 0
-    for bounded growth) and is refined by 4 per axis until two orders agree
-    to 1e-6 or the node budget is spent.  The report carries the identity
-    deviation measured on the very same nodes, the node count and, for
-    two-mode families, the change between the last two orders, so a caller
-    can tell quadrature error from genuine operator structure.
+    their own orders, so ``order`` does not apply to them.  The function is
+    probed at two momentum offsets on the first position nodes: if it does
+    not move, it is quantised as multiplication by its Gaussian smoothing,
+    on a 2D Gauss-Hermite rule in the positions whitened by their marginal
+    covariance, with an exact inner rule for the Fock polynomials; otherwise
+    on a 4D tensor Gauss-Hermite rule whitened by the vacuum Gaussian.
+    Either rule starts at the order that is exact for a field of polynomial
+    degree ``f.degree`` (degree 0 for bounded growth) and is refined by 4
+    per axis until two orders agree to 1e-6 or the node budget is spent.
+    The report carries the identity deviation measured on the very same
+    nodes, the node count (joint outer x inner nodes on the position route)
+    and, for two-mode families, the change between the last two orders, so
+    a caller can tell quadrature error from genuine operator structure.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
@@ -283,10 +328,8 @@ def kernel_eval(f, family, x) -> KernelAction:
             raise ConfigError("two-mode kernel point must be a pair (x1, x2)")
 
         def position_part(q1, q2):
-            zero = np.zeros_like(q1)
-            probe = np.asarray(cf(q1, q2, zero + 0.37, zero - 0.61), dtype=float)
-            base = np.asarray(cf(q1, q2, zero, zero), dtype=float)
-            if np.max(np.abs(probe - base)) > 1e-12 * (np.max(np.abs(base)) + 1.0):
+            base = _position_values(cf, q1, q2)
+            if base is None:
                 raise UnsupportedMomentumDependence(
                     "two-mode kernels support position-only functions"
                 )

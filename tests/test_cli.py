@@ -78,11 +78,19 @@ def test_unknown_preset_exits_2(tmp_path):
         (["verify", "--tol", "nan"], {}),
         (["verify", "--tol", "-1"], {}),
         (["verify"], {"tol": 0}),
+        (["portrait", "chi", "--preset", "fig6a", "--tol", "-5", "--fock-dim", "-3"], {}),
+        (["portrait", "chi", "--preset", "fig6a", "--tol", "1e-8"], {}),
+        (["simulate", "--preset", "fig3a", "--fock-dim", "-3"], {}),
+        (["verify", "--preset", "fig3a"], {}),
+        (["quantise", "q", "--tol", "1e-8"], {}),
+        (["quantise", "q", "--preset", "fig3a"], {}),
     ],
     ids=[
         "simulate-lam1", "portrait-lam1", "samples", "fock-dim", "verify-fock-dim",
         "simulate-tol-0", "simulate-tol-negative", "simulate-tol-nan", "rel-tol",
         "abs-tol", "verify-tol-nan", "verify-tol-negative", "verify-tol-0",
+        "portrait-unread-flags", "portrait-tol", "simulate-fock-dim", "verify-preset",
+        "quantise-tol", "quantise-preset",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
@@ -341,7 +349,7 @@ def test_verify_all_checks_present_and_within_tolerance(verify_report):
     assert ids == {
         "identity-onemode", "identity-twomode", "holoh", "overlap-onemode",
         "portrait-ph", "portrait-p2h", "nonsep-norm", "nonsep-overlap",
-        "coupled-portrait", "delta-factored", "table1-rows", "bogoliubov",
+        "coupled-portrait", "delta-factored", "table1-rows", "position-route", "bogoliubov",
         "chi-portrait", "q2chi-portrait", "mass-portrait", "veff-gradient",
     }
     assert report["all_within_tolerance"]
@@ -351,10 +359,16 @@ def test_verify_all_checks_present_and_within_tolerance(verify_report):
 
 def test_verify_two_mode_checks_use_the_run_tolerance(verify_report):
     _, report = verify_report
-    for cid in ("identity-twomode", "table1-rows"):
+    for cid in ("identity-twomode", "table1-rows", "position-route"):
         check = next(c for c in report["checks"] if c["id"] == cid)
         assert check["tolerance"] == report["tolerance"], cid
         assert check["detail"]["nodes"] > 0, cid
+
+
+def test_verify_position_route_matches_the_projector_integral(verify_report):
+    _, report = verify_report
+    check = next(c for c in report["checks"] if c["id"] == "position-route")
+    assert check["deviation"] < 1e-12
 
 
 def test_verify_reports_errata(verify_report):

@@ -25,6 +25,7 @@ from sqzq.numerics import (
     matrix_exp,
     quad_box,
     solve_ode,
+    whitened_rule,
 )
 
 # mpmath mp.dps=50 references
@@ -215,6 +216,23 @@ def test_gaussian_smooth_support_1d_matches_erfc():
     want = 0.5 * (erfc_real((a - x[..., 0]) / s) - erfc_real((b - x[..., 0]) / s))
     assert got.shape == (9, 9)
     assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_whitened_rule_integrates_gaussian_moments(d):
+    # with Sigma = P^-1 / 2 the weight exp(-x^T P x) has mass pi^(d/2) / sqrt(det P),
+    # second moments Sigma and fourth moments E[x_0^4] = 3 Sigma_00^2
+    rng = np.random.default_rng(40 + d)
+    a = rng.normal(size=(d, d))
+    prec = a @ a.T + 0.5 * np.eye(d)
+    pts, w = whitened_rule(prec, 3)
+    assert pts.shape == (3**d, d) and w.shape == (3**d,)
+    dens = w * np.exp(-np.einsum("ni,ij,nj->n", pts, prec, pts))
+    mass = np.pi ** (d / 2) / np.sqrt(np.linalg.det(prec))
+    sigma = np.linalg.inv(prec) / 2.0
+    assert_allclose(dens.sum(), mass, rtol=1e-13)
+    assert_allclose(np.einsum("n,ni,nj->ij", dens, pts, pts) / mass, sigma, rtol=0, atol=1e-13)
+    assert_allclose(np.sum(dens * pts[:, 0] ** 4) / mass, 3.0 * sigma[0, 0] ** 2, rtol=1e-12)
 
 
 def test_gaussian_smooth_rejects_mismatched_shapes():

@@ -502,3 +502,21 @@ def test_preset_catalogue():
 def test_run_preset_unknown_name():
     with pytest.raises(ConfigError):
         run_preset("fig9z")
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig6c"])
+def test_trajectory_reports_the_solver_rhs_count(monkeypatch, name):
+    import sqzq.pdm as pdm_module
+    from sqzq.numerics import solve_ode
+
+    counts = []
+
+    def recording(problem, **kwargs):
+        sol = solve_ode(problem, **kwargs)
+        counts.append(sol.n_rhs_evals)
+        return sol
+
+    monkeypatch.setattr(pdm_module, "solve_ode", recording)
+    tr = run_preset(name)
+    assert len(counts) == 1
+    assert tr.n_rhs_evals == counts[0] > 0

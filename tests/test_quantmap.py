@@ -15,8 +15,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from sqzq.cli import _kernel_precision, _two_mode_positions
+import sqzq.quantmap as quantmap_module
 from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
-from sqzq.nonsepstates import NonSepParams
+from sqzq.nonsepstates import NonSepParams, _quantise_field, _quantise_position_field
 from sqzq.numerics import TruncatedOperator
 from sqzq.onemode import SqueezeParameter
 from sqzq.quantmap import (
@@ -265,6 +266,78 @@ def test_two_mode_basis_beyond_the_node_budget_is_refused():
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     with pytest.raises(ConfigError):
         quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1, arity="two-mode"), params, 14)
+
+
+# complex labels, a mixing angle off the symmetric point and hbar != 1
+ROUTE_PARAMS = NonSepParams.from_tau(0.3 * np.exp(0.7j), 0.5 * np.exp(-0.4j), 0.9, 0.8, 1.15, 0.6)
+
+
+def _record_engines(monkeypatch):
+    """Names of the two-mode engines quantise calls, in call order."""
+    calls = []
+    for name in ("_quantise_field", "_quantise_position_field"):
+        engine = getattr(quantmap_module, name)
+
+        def recording(*args, _engine=engine, _name=name, **kwargs):
+            calls.append(_name)
+            return _engine(*args, **kwargs)
+
+        monkeypatch.setattr(quantmap_module, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "g,degree,growth,bound",
+    [
+        (lambda q1, q2: q1 * q2, 2, "poly", 1e-12),
+        (lambda q1, q2: q1 * q1 + q2, 2, "poly", 1e-12),
+        (lambda q1, q2: np.exp(-((q1 - 0.3) ** 2 + (q2 + 0.2) ** 2) / 4.0), 0, "bounded", 1e-8),
+    ],
+    ids=["q1q2", "q1**2+q2", "gaussian-bump"],
+)
+def test_position_route_matches_the_phase_space_engine(monkeypatch, g, degree, growth, bound):
+    # a position field quantises to multiplication by its smoothing; the
+    # route that integrates the momenta exactly must give the 4D projector
+    # integral's matrix
+    f = ClassicalFunction(lambda q1, q2, p1, p2: g(q1, q2), arity="two-mode",
+                          growth=growth, degree=degree)
+    calls = _record_engines(monkeypatch)
+    op = quantise(f, ROUTE_PARAMS, 2)
+    assert calls == ["_quantise_position_field"]
+    want, _, _ = _quantise_field(ROUTE_PARAMS, f, 2, degree)
+    assert np.max(np.abs(op.matrix.entries - want)) < bound
+    rep = op.quadrature_report
+    assert rep.identity_deviation < 1e-12
+    assert rep.convergence_witness <= 1e-6
+    # joint nodes: each outer node carries the (2 nmax + 1)^2 inner rule
+    assert rep.nodes % 25 == 0
+
+
+@pytest.mark.parametrize(
+    "g,degree",
+    [(lambda q1, q2, p1, p2: q1 + p1, 1),
+     (lambda q1, q2, p1, p2: q1 * q2 + 1e-3 * p1**2, 2)],
+    ids=["q1+p1", "q1q2+1e-3*p1**2"],
+)
+def test_momentum_fields_keep_the_phase_space_engine(monkeypatch, g, degree):
+    f = ClassicalFunction(g, arity="two-mode", degree=degree)
+    calls = _record_engines(monkeypatch)
+    op = quantise(f, ROUTE_PARAMS, 2)
+    assert calls == ["_quantise_field"]
+    want, _, report = _quantise_field(ROUTE_PARAMS, f, 2, degree)
+    assert np.array_equal(op.matrix.entries, want)
+    assert op.quadrature_report == report
+
+
+def test_position_route_blocks_give_the_same_operator():
+    # the joint nodes go in blocks of whole outer nodes; the block size must
+    # not change the operator beyond rounding
+    field = lambda q1, q2: np.cos(q1 - 0.5 * q2)
+    whole, pts, rep = _quantise_position_field(ROUTE_PARAMS, field, 3, 0)
+    small, pts_small, rep_small = _quantise_position_field(ROUTE_PARAMS, field, 3, 0, chunk=100)
+    assert np.max(np.abs(whole - small)) < 1e-14
+    assert np.array_equal(pts, pts_small) and rep.nodes == rep_small.nodes
+    assert pts.shape[1] == 2
 
 
 # ---------------------------------------------------------------------------
