@@ -905,13 +905,6 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
 # entry point
 
 
-class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are config errors: exit 2, one line."""
-
-    def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
-
-
 # the flags a subcommand may take beyond --config and --out
 _FLAGS = {
     "preset": (["--preset"], {"help": "named parameter set, e.g. fig3a..fig6c"}),
@@ -921,7 +914,7 @@ _FLAGS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="sqzq",
         description="squeezed-state quantisation toolkit: portraits, dynamics, checks",
     )
@@ -952,9 +945,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
         cfg = RunConfig.load(args.config, {})
         code = args.func(cfg, args)
     except (ConfigError, OutsideBox) as exc:

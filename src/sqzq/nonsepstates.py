@@ -484,6 +484,17 @@ def _start_order(nmax: int, degree: int) -> int:
     return -(-(4 * nmax + degree + 1) // 2)
 
 
+def _refuse_beyond_budget(nmax: int, degree: int, cost) -> int:
+    """The start order, unless its first two orders alone exceed the budget."""
+    order = _start_order(nmax, degree)
+    if cost(order) + cost(order + _ORDER_STEP) > _NODE_BUDGET:
+        raise ConfigError(
+            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
+            f"{order}, beyond the node budget of {_NODE_BUDGET}"
+        )
+    return order
+
+
 def _refine(nmax: int, degree: int, cost, evaluate):
     """Orders k0, k0 + 4, ... of ``evaluate(order) -> (mat, ident, pts)``.
 
@@ -493,12 +504,7 @@ def _refine(nmax: int, degree: int, cost, evaluate):
     the node budget; polynomial fields stop after one comparison.  A basis
     whose first two orders alone exceed the budget is refused up front.
     """
-    order = _start_order(nmax, degree)
-    if cost(order) + cost(order + _ORDER_STEP) > _NODE_BUDGET:
-        raise ConfigError(
-            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
-            f"{order}, beyond the node budget of {_NODE_BUDGET}"
-        )
+    order = _refuse_beyond_budget(nmax, degree, cost)
     nodes = 0
     prev = None
     while True:
@@ -648,7 +654,29 @@ def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int
         dim = n1 * n1
         return acc[spread].reshape(dim, dim), ident[spread].reshape(dim, dim), pts
 
-    return _refine(nmax, degree, lambda order: order**2 * inner.size, evaluate)
+    return _refine(nmax, degree, _position_cost(nmax), evaluate)
+
+
+def _position_cost(nmax: int):
+    """Joint nodes of the position route at an outer order: order^2 outer
+    nodes, each carrying the (2 nmax + 1)^2 inner rule."""
+    return lambda order: order**2 * (2 * nmax + 1) ** 2
+
+
+def _probe_nodes(params: NonSepParams, nmax: int, degree: int) -> np.ndarray:
+    """Nodes (N, 4) of the 4D engine's second rule, ordered (q1, q2, p1, p2).
+
+    A field is sent down the position route only if it does not move with
+    momentum on these nodes.  The 4D engine always evaluates its second
+    order, k0 + 4, to take its first convergence witness, and those nodes
+    reach further in momentum than the first order's (at nmax 0 that can be
+    a single node at the origin).  The position route never needs more
+    nodes than the 4D engine (its outer order is at least the inner order
+    2 nmax + 1), so a basis beyond its budget fits neither route and is
+    refused before any node is built.
+    """
+    order = _refuse_beyond_budget(nmax, degree, _position_cost(nmax)) + _ORDER_STEP
+    return whitened_rule(_vacuum_precision(params), order)[0]
 
 
 def verify_identity_resolution(params: NonSepParams, nmax: int = 6) -> QuadratureReport:

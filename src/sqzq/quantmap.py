@@ -17,11 +17,12 @@ numeric p-integrals.
 
 Two-mode families quantise by one of two routes, chosen by probing the
 function rather than trusting a declaration.  A function that does not move
-when the momenta are offset (``_position_values``) is quantised as the
-multiplication operator above, with the momenta integrated exactly: a 2D rule
-in the positions on which f is evaluated, times a fixed rule exact for the
-Fock polynomials (``nonsepstates._quantise_position_field``).  Every other
-function takes the 4D phase-space quadrature of the projector integral
+with momentum on the nodes of the 4D rule (``_position_values`` on
+``nonsepstates._probe_nodes``) is quantised as the multiplication operator
+above, with the momenta integrated exactly: a 2D rule in the positions on
+which f is evaluated, times a fixed rule exact for the Fock polynomials
+(``nonsepstates._quantise_position_field``).  Every other function takes the
+4D phase-space quadrature of the projector integral
 (``nonsepstates._quantise_field``), which also certifies the identity
 resolution and the Table 1 operators.
 """
@@ -50,10 +51,9 @@ from .onemode import SqueezeParameter, _fock_rows, _plane_rule, _prefactor
 from .nonsepstates import (
     NonSepParams,
     _portrait_precision,
-    _position_rule,
+    _probe_nodes,
     _quantise_field,
     _quantise_position_field,
-    _start_order,
 )
 from .sepstates import TwoModeParams
 
@@ -193,26 +193,28 @@ def _quantise_onemode(f: ClassicalFunction, param: SqueezeParameter, nmax: int, 
     return mat, ident
 
 
-def _position_values(f: ClassicalFunction, q1, q2):
-    """f(q1, q2, 0, 0), or None when f moves under a momentum probe.
+def _position_values(f: ClassicalFunction, q1, q2, p1, p2):
+    """f(q1, q2, 0, 0), or None when f moves with momentum.
 
-    The probe compares f at zero momentum with f at the offset
-    (p1, p2) = (0.37, -0.61) on the given positions; a change beyond 1e-12
-    relative to the values means the field depends on momentum.  Nothing is
-    taken from a declaration.
+    f at the given phase points is compared with f at the same positions and
+    zero momentum.  A change beyond 1e-12 relative to the values, or a value
+    that turns non-finite, means the field depends on momentum; points where
+    f is already non-finite at zero momentum are left to the callers'
+    finiteness checks.  Nothing is taken from a declaration.
     """
     zero = np.zeros_like(q1)
     base = np.asarray(f(q1, q2, zero, zero), dtype=float)
-    probe = np.asarray(f(q1, q2, zero + 0.37, zero - 0.61), dtype=float)
-    if np.max(np.abs(probe - base)) > 1e-12 * (np.max(np.abs(base)) + 1.0):
+    moved = np.asarray(f(q1, q2, p1, p2), dtype=float)
+    finite = np.isfinite(base)
+    tol = 1e-12 * (np.max(np.abs(base[finite]), initial=0.0) + 1.0)
+    if not np.all(np.abs(moved - base)[finite] <= tol):
         return None
     return base
 
 
 def _quantise_twomode(f: ClassicalFunction, params: NonSepParams, nmax: int):
     degree = f.degree if f.growth == "poly" else 0
-    probe_nodes, _ = _position_rule(params, _start_order(nmax, degree))
-    if _position_values(f, *probe_nodes.T) is None:
+    if _position_values(f, *_probe_nodes(params, nmax, degree).T) is None:
         mat, pts, report = _quantise_field(params, f, nmax, degree)
     else:
         position = lambda q1, q2: f(q1, q2, np.zeros_like(q1), np.zeros_like(q1))
@@ -255,11 +257,12 @@ def quantise(f, family, nmax: int, order: int = 140) -> QuantisedOperator:
     One-mode families integrate on a scaled Gauss-Hermite tensor grid of the
     given ``order`` in the coherent-label plane.  Two-mode families choose
     their own orders, so ``order`` does not apply to them.  The function is
-    probed at two momentum offsets on the first position nodes: if it does
-    not move, it is quantised as multiplication by its Gaussian smoothing,
-    on a 2D Gauss-Hermite rule in the positions whitened by their marginal
-    covariance, with an exact inner rule for the Fock polynomials; otherwise
-    on a 4D tensor Gauss-Hermite rule whitened by the vacuum Gaussian.
+    compared with its value at zero momentum on the nodes of the 4D rule's
+    second order: if it does not move there, it is quantised as
+    multiplication by its Gaussian smoothing, on a 2D Gauss-Hermite rule in
+    the positions whitened by their marginal covariance, with an exact inner
+    rule for the Fock polynomials; otherwise on a 4D tensor Gauss-Hermite
+    rule whitened by the vacuum Gaussian.
     Either rule starts at the order that is exact for a field of polynomial
     degree ``f.degree`` (degree 0 for bounded growth) and is refined by 4
     per axis until two orders agree to 1e-6 or the node budget is spent.
@@ -328,7 +331,7 @@ def kernel_eval(f, family, x) -> KernelAction:
             raise ConfigError("two-mode kernel point must be a pair (x1, x2)")
 
         def position_part(q1, q2):
-            base = _position_values(cf, q1, q2)
+            base = _position_values(cf, q1, q2, np.full_like(q1, 0.37), np.full_like(q1, -0.61))
             if base is None:
                 raise UnsupportedMomentumDependence(
                     "two-mode kernels support position-only functions"

@@ -78,25 +78,40 @@ def test_unknown_preset_exits_2(tmp_path):
         (["verify", "--tol", "nan"], {}),
         (["verify", "--tol", "-1"], {}),
         (["verify"], {"tol": 0}),
-        (["portrait", "chi", "--preset", "fig6a", "--tol", "-5", "--fock-dim", "-3"], {}),
-        (["portrait", "chi", "--preset", "fig6a", "--tol", "1e-8"], {}),
-        (["simulate", "--preset", "fig3a", "--fock-dim", "-3"], {}),
-        (["verify", "--preset", "fig3a"], {}),
-        (["quantise", "q", "--tol", "1e-8"], {}),
-        (["quantise", "q", "--preset", "fig3a"], {}),
     ],
     ids=[
         "simulate-lam1", "portrait-lam1", "samples", "fock-dim", "verify-fock-dim",
         "simulate-tol-0", "simulate-tol-negative", "simulate-tol-nan", "rel-tol",
         "abs-tol", "verify-tol-nan", "verify-tol-negative", "verify-tol-0",
-        "portrait-unread-flags", "portrait-tol", "simulate-fock-dim", "verify-preset",
-        "quantise-tol", "quantise-preset",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
     cfg = _write_cfg(tmp_path, payload)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["portrait", "chi", "--preset", "fig6a", "--tol", "-5", "--fock-dim", "-3"],
+        ["portrait", "chi", "--preset", "fig6a", "--tol", "1e-8"],
+        ["simulate", "--preset", "fig3a", "--fock-dim", "-3"],
+        ["verify", "--preset", "fig3a"],
+        ["quantise", "q", "--tol", "1e-8"],
+        ["quantise", "q", "--preset", "fig3a"],
+    ],
+    ids=[
+        "portrait-unread-flags", "portrait-tol", "simulate-fock-dim", "verify-preset",
+        "quantise-tol", "quantise-preset",
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
+    # argparse refuses them with its usage error instead of ignoring them
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_required_field_exits_2(tmp_path):

@@ -198,6 +198,30 @@ def test_non_finite_evaluator_is_spotted():
 # two-mode route
 
 
+# complex labels, a mixing angle off the symmetric point and hbar != 1
+ROUTE_PARAMS = NonSepParams.from_tau(0.3 * np.exp(0.7j), 0.5 * np.exp(-0.4j), 0.9, 0.8, 1.15, 0.6)
+
+
+def _record_engines(monkeypatch):
+    """Names of the two-mode engines quantise calls, in call order."""
+    calls = []
+    for name in ("_quantise_field", "_quantise_position_field"):
+        engine = getattr(quantmap_module, name)
+
+        def recording(*args, _engine=engine, _name=name, **kwargs):
+            calls.append(_name)
+            return _engine(*args, **kwargs)
+
+        monkeypatch.setattr(quantmap_module, name, recording)
+    return calls
+
+
+# a momentum dependence too weak to change a test's outcome but enough to keep
+# its field on the 4D engine, whose own checks the test then exercises
+def _tilted(g):
+    return lambda q1, q2, p1, p2: g(q1, q2) * (1.0 + 1e-3 * np.tanh(p1))
+
+
 def test_two_mode_identity_and_position():
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     op = quantise(
@@ -251,39 +275,30 @@ def test_two_mode_box_indicator_stops_at_the_node_budget():
 
 
 @pytest.mark.parametrize(
-    "g", [lambda q1: q1**6, lambda q1: np.exp(q1**2 / 4.0)], ids=["q1**6", "exp(q1**2/4)"]
+    "g,tilt",
+    [
+        pytest.param(lambda q1: q1**6, False, id="q1**6"),
+        pytest.param(lambda q1: np.exp(q1**2 / 4.0), False, id="exp(q1**2/4)"),
+        pytest.param(lambda q1: q1**6, True, id="q1**6-with-momentum"),
+        pytest.param(lambda q1: np.exp(q1**2 / 4.0), True, id="exp(q1**2/4)-with-momentum"),
+    ],
 )
-def test_two_mode_growth_violation_is_spotted(g):
-    # the nodes reach much further in p1 than in q1, so a ring radius over
+def test_two_mode_growth_violation_is_spotted(monkeypatch, g, tilt):
+    # the 4D nodes reach much further in p1 than in q1, so a ring radius over
     # the raw coordinates would leave q1 near its extreme on the mid ring too
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
-    f = ClassicalFunction(lambda q1, q2, p1, p2: g(q1), arity="two-mode", growth="bounded")
+    field = _tilted(lambda q1, q2: g(q1)) if tilt else lambda q1, q2, p1, p2: g(q1)
+    f = ClassicalFunction(field, arity="two-mode", growth="bounded")
+    calls = _record_engines(monkeypatch)
     with pytest.raises(GrowthViolation):
         quantise(f, params, 4)
+    assert calls == ["_quantise_field" if tilt else "_quantise_position_field"]
 
 
 def test_two_mode_basis_beyond_the_node_budget_is_refused():
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     with pytest.raises(ConfigError):
         quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1, arity="two-mode"), params, 14)
-
-
-# complex labels, a mixing angle off the symmetric point and hbar != 1
-ROUTE_PARAMS = NonSepParams.from_tau(0.3 * np.exp(0.7j), 0.5 * np.exp(-0.4j), 0.9, 0.8, 1.15, 0.6)
-
-
-def _record_engines(monkeypatch):
-    """Names of the two-mode engines quantise calls, in call order."""
-    calls = []
-    for name in ("_quantise_field", "_quantise_position_field"):
-        engine = getattr(quantmap_module, name)
-
-        def recording(*args, _engine=engine, _name=name, **kwargs):
-            calls.append(_name)
-            return _engine(*args, **kwargs)
-
-        monkeypatch.setattr(quantmap_module, name, recording)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -314,19 +329,59 @@ def test_position_route_matches_the_phase_space_engine(monkeypatch, g, degree, g
 
 
 @pytest.mark.parametrize(
-    "g,degree",
-    [(lambda q1, q2, p1, p2: q1 + p1, 1),
-     (lambda q1, q2, p1, p2: q1 * q2 + 1e-3 * p1**2, 2)],
-    ids=["q1+p1", "q1q2+1e-3*p1**2"],
+    "g,growth,degree,nmax",
+    [(lambda q1, q2, p1, p2: q1 + p1, "poly", 1, 2),
+     (lambda q1, q2, p1, p2: q1 * q2 + 1e-3 * p1**2, "poly", 2, 2),
+     # flat in momentum around p = 0: only a probe across the engine's
+     # momentum range sees them move
+     (lambda q1, q2, p1, p2: ((np.abs(q1) < 1.0) & (np.abs(p1) < 1.0)).astype(float),
+      "bounded", 0, 1),
+     (lambda q1, q2, p1, p2: np.maximum(np.abs(p1) - 1.0, 0.0), "poly", 1, 1)],
+    ids=["q1+p1", "q1q2+1e-3*p1**2", "phase-space-box", "p1-threshold"],
 )
-def test_momentum_fields_keep_the_phase_space_engine(monkeypatch, g, degree):
-    f = ClassicalFunction(g, arity="two-mode", degree=degree)
+def test_momentum_fields_keep_the_phase_space_engine(monkeypatch, g, growth, degree, nmax):
+    f = ClassicalFunction(g, arity="two-mode", growth=growth, degree=degree)
     calls = _record_engines(monkeypatch)
-    op = quantise(f, ROUTE_PARAMS, 2)
+    op = quantise(f, ROUTE_PARAMS, nmax)
     assert calls == ["_quantise_field"]
-    want, _, report = _quantise_field(ROUTE_PARAMS, f, 2, degree)
+    want, _, report = _quantise_field(ROUTE_PARAMS, f, nmax, degree if growth == "poly" else 0)
     assert np.array_equal(op.matrix.entries, want)
     assert op.quadrature_report == report
+
+
+def test_field_non_finite_under_momentum_keeps_the_phase_space_engine(monkeypatch):
+    # q1 wherever it is defined, but NaN at negative p2: turning non-finite
+    # is a change under the probe, and the 4D engine's finiteness check
+    # refuses the field instead of the position route quantising q1
+    f = ClassicalFunction(lambda q1, q2, p1, p2: q1 + np.sqrt(p2 - np.abs(p2)),
+                          arity="two-mode", degree=1)
+    calls = _record_engines(monkeypatch)
+    with np.errstate(invalid="ignore"), pytest.raises(GrowthViolation):
+        quantise(f, ROUTE_PARAMS, 2)
+    assert calls == ["_quantise_field"]
+
+
+def test_phase_space_engine_box_indicator_stops_at_the_node_budget(monkeypatch):
+    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+    box = lambda q1, q2: ((np.abs(q1) < 1.0) & (np.abs(q2) < 1.0)).astype(float)
+    f = ClassicalFunction(_tilted(box), arity="two-mode", growth="bounded")
+    calls = _record_engines(monkeypatch)
+    rep = quantise(f, params, 2).quadrature_report
+    assert calls == ["_quantise_field"]
+    assert rep.nodes <= 38**2 * 32**2
+    assert rep.convergence_witness > 1e-6
+    assert rep.identity_deviation < 1e-12
+
+
+def test_phase_space_engine_refuses_a_basis_beyond_its_budget(monkeypatch):
+    # nmax 13 at degree 2 fits the position route's budget, (28^2 + 32^2) 27^2
+    # joint nodes, but not the 4D engine's, 28^4 + 32^4
+    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+    f = ClassicalFunction(_tilted(lambda q1, q2: q1 * q2), arity="two-mode", degree=2)
+    calls = _record_engines(monkeypatch)
+    with pytest.raises(ConfigError, match="order 28"):
+        quantise(f, params, 13)
+    assert calls == ["_quantise_field"]
 
 
 def test_position_route_blocks_give_the_same_operator():
