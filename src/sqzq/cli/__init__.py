@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConfigError, OutsideBox, SqzqError
-from .numerics import TruncatedOperator, legendre_box_rule
-from .onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
-from .onemode import holomorphic_orthogonality_check
-from .sepstates import Field, PhasePoint, TwoModeParams, portrait_p2_h, portrait_p_h
-from .nonsepstates import (
+from ..errors import ConfigError, OutsideBox, SqzqError
+from ..numerics import TruncatedOperator, legendre_box_rule
+from ..onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
+from ..onemode import holomorphic_orthogonality_check
+from ..sepstates import Field, PhasePoint, TwoModeParams, portrait_p2_h, portrait_p_h
+from ..nonsepstates import (
     NonSepParams,
     bogoliubov_check,
     nonsep_box_portrait,
@@ -37,8 +37,8 @@ from .nonsepstates import (
     table1_operators,
     verify_identity_resolution,
 )
-from .quantmap import ClassicalFunction, quantise
-from . import pdm
+from ..quantmap import ClassicalFunction, quantise
+from .. import pdm
 
 __all__ = ["RunConfig", "main"]
 
@@ -839,6 +839,8 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     # the node budget (13 for the degree-2 q1q2).  The default stays small;
     # an explicit fock_dim always wins
     nmax = _fock_dim(cfg, args, 8 if family_kind == "one-mode" else 4)
+    if nmax < 1:
+        raise ConfigError("quantise needs fock_dim >= 1")
     if family_kind == "one-mode":
         catalogue = {
             "one": lambda q, p: np.ones_like(q),
@@ -959,6 +961,3 @@ def main(argv=None) -> int:
     print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -60,9 +60,13 @@ from .errors import (
 )
 from .numerics import (
     _NSIGMA,
+    _ORDER_STEP,
     _SMOOTH_ORDER,
     QuadratureReport,
     TruncatedOperator,
+    _quantise_on_rule,
+    _refine,
+    _refuse_beyond_budget,
     gaussian_smooth,
     integrate_gaussian_quadratic,
     legendre_box_rule,
@@ -92,11 +96,6 @@ __all__ = [
 # the block size of nonsep_box_portrait; a block of 2048 centres keeps its
 # work arrays near 3 MB each
 _BOX_BLOCK = 2048
-# the 38^2 x 32^2 Gauss-Legendre box the whitened rule replaced: no field is
-# allowed to cost more nodes than it did
-_NODE_BUDGET = 38**2 * 32**2
-_ORDER_STEP = 4
-_CONVERGED = 1e-6
 # the rule is exact for the polynomial Table 1 fields, so only rounding remains
 _TABLE1_TOL = 1e-10
 
@@ -462,64 +461,6 @@ def _vacuum_precision(params: NonSepParams) -> np.ndarray:
     )
 
 
-def _quantise_on_rule(params, field, nmax, pts, weights, chunk):
-    """Quantised field and identity on one rule, ``chunk`` nodes at a time."""
-    fv = np.asarray(field(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]), dtype=float)
-    if not np.all(np.isfinite(fv)):
-        raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
-    wf = weights * fv
-    dim = (nmax + 1) ** 2
-    acc = np.zeros((dim, dim), dtype=complex)
-    ident = np.zeros((dim, dim), dtype=complex)
-    for s in range(0, pts.shape[0], chunk):
-        cc = _fock_batch(params, pts[s : s + chunk], nmax).reshape(-1, dim)
-        acc += (cc * wf[s : s + chunk, None]).T @ cc.conj()
-        ident += (cc * weights[s : s + chunk, None]).T @ cc.conj()
-    norm = (2.0 * np.pi * params.hbar) ** 2
-    return acc / norm, ident / norm
-
-
-def _start_order(nmax: int, degree: int) -> int:
-    """Lowest Gauss-Hermite order exact for degree 4 nmax + degree."""
-    return -(-(4 * nmax + degree + 1) // 2)
-
-
-def _refuse_beyond_budget(nmax: int, degree: int, cost) -> int:
-    """The start order, unless its first two orders alone exceed the budget."""
-    order = _start_order(nmax, degree)
-    if cost(order) + cost(order + _ORDER_STEP) > _NODE_BUDGET:
-        raise ConfigError(
-            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
-            f"{order}, beyond the node budget of {_NODE_BUDGET}"
-        )
-    return order
-
-
-def _refine(nmax: int, degree: int, cost, evaluate):
-    """Orders k0, k0 + 4, ... of ``evaluate(order) -> (mat, ident, pts)``.
-
-    Stops once the max-entry change between two successive orders, the
-    convergence witness, is <= 1e-6 max(1, max|A|), or once the next order
-    would take the cumulative node count, summed over ``cost(order)``, past
-    the node budget; polynomial fields stop after one comparison.  A basis
-    whose first two orders alone exceed the budget is refused up front.
-    """
-    order = _refuse_beyond_budget(nmax, degree, cost)
-    nodes = 0
-    prev = None
-    while True:
-        mat, ident, pts = evaluate(order)
-        nodes += cost(order)
-        if prev is not None:
-            witness = float(np.max(np.abs(mat - prev)))
-            converged = witness <= _CONVERGED * max(1.0, float(np.max(np.abs(mat))))
-            if converged or nodes + cost(order + _ORDER_STEP) > _NODE_BUDGET:
-                break
-        prev = mat
-        order += _ORDER_STEP
-    return mat, pts, QuadratureReport.of(mat, ident, witness, nodes)
-
-
 def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: int = 20000):
     """4D phase-space quadrature of f(q1, q2, p1, p2) against the family.
 
@@ -529,7 +470,7 @@ def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: 
     of degree <= 4 nmax + degree.  A tensor Gauss-Hermite rule whitened by P
     (``numerics.whitened_rule``) of order k0 = ceil((4 nmax + degree + 1) / 2)
     is exact for it up to rounding; orders k0, k0 + 4, ... are refined as
-    ``_refine`` describes, with order^4 nodes each.
+    ``numerics._refine`` describes, with order^4 nodes each.
 
     Returns the (nmax+1)^2-dimensional matrix of the quantised field in the
     two-mode Fock basis at the finest order evaluated (measure
@@ -538,12 +479,15 @@ def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: 
     from the identity resolution on those same nodes.
     """
     prec = _vacuum_precision(params)
+    dim = (nmax + 1) ** 2
+    coefficients = lambda x: _fock_batch(params, x, nmax).reshape(-1, dim)
+    norm = (2.0 * np.pi * params.hbar) ** 2
 
     def evaluate(order):
         pts, weights = whitened_rule(prec, order)
-        return (*_quantise_on_rule(params, field, nmax, pts, weights, chunk), pts)
+        return (*_quantise_on_rule(coefficients, field, pts, weights, norm, chunk), pts)
 
-    return _refine(nmax, degree, lambda order: order**4, evaluate)
+    return _refine(2, nmax, degree, lambda order: order**4, evaluate)
 
 
 def _position_covariance(params: NonSepParams) -> np.ndarray:
@@ -606,7 +550,7 @@ def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int
     degree 4 nmax on the principal axes of C, so the inner tensor rule has
     order 2 nmax + 1 per axis and is exact; its conditional expectation is a
     polynomial of degree <= 4 nmax in q, and the outer rule is refined from
-    k0 = ceil((4 nmax + degree + 1) / 2) as ``_refine`` describes.  f is
+    k0 = ceil((4 nmax + degree + 1) / 2) as ``numerics._refine`` describes.  f is
     evaluated on the outer nodes only.  ``nodes`` counts joint (outer x inner)
     nodes, which are processed in blocks no larger in bytes than the 4D
     engine's ``chunk`` complex rows.
@@ -654,7 +598,7 @@ def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int
         dim = n1 * n1
         return acc[spread].reshape(dim, dim), ident[spread].reshape(dim, dim), pts
 
-    return _refine(nmax, degree, _position_cost(nmax), evaluate)
+    return _refine(2, nmax, degree, _position_cost(nmax), evaluate)
 
 
 def _position_cost(nmax: int):
@@ -675,7 +619,7 @@ def _probe_nodes(params: NonSepParams, nmax: int, degree: int) -> np.ndarray:
     2 nmax + 1), so a basis beyond its budget fits neither route and is
     refused before any node is built.
     """
-    order = _refuse_beyond_budget(nmax, degree, _position_cost(nmax)) + _ORDER_STEP
+    order = _refuse_beyond_budget(2, nmax, degree, _position_cost(nmax)) + _ORDER_STEP
     return whitened_rule(_vacuum_precision(params), order)[0]
 
 

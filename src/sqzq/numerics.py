@@ -4,9 +4,10 @@ Everything downstream (state construction, quantisation maps, portraits,
 dynamics) is built on the pieces collected here: physicists' Hermite
 polynomials, the complementary error function, closed-form and brute-force
 Gaussian quadrature, the tensor Gauss-Hermite rule whitened by a Gaussian
-(``whitened_rule``) behind the two-mode quantisation engines, the one
-Gaussian-smoothing routine behind every portrait and position kernel
-(``gaussian_smooth``), truncated boson-operator algebra
+(``whitened_rule``) with the order-refinement loop (``_refine``) and the
+chunked projector sum (``_quantise_on_rule``) that quantise fields of one
+and of two modes, the one Gaussian-smoothing routine behind every portrait
+and position kernel (``gaussian_smooth``), truncated boson-operator algebra
 with matrix exponentials, and an adaptive ODE driver.
 
 All functions are pure and thread-safe.
@@ -26,6 +27,8 @@ from scipy import special as _ssp
 from scipy.linalg import expm as _expm
 
 from .errors import (
+    ConfigError,
+    GrowthViolation,
     NonConvergent,
     NonFiniteState,
     QuadratureNotConverged,
@@ -50,8 +53,6 @@ __all__ = [
     "solve_ode",
 ]
 
-_QUAD_KINDS = ("gauss_hermite", "adaptive_cartesian")
-
 # Gaussian windows are cut at this many standard deviations; the discarded
 # tail is below exp(-36), invisible at every tolerance used downstream
 _NSIGMA = 8.5
@@ -59,6 +60,12 @@ _NSIGMA = 8.5
 # in nodes, which keeps each work array near 2 MB
 _SMOOTH_ORDER = 90
 _SMOOTH_BLOCK_NODES = 2**18
+# the 38^2 x 32^2 Gauss-Legendre box the whitened rule replaced: no field is
+# allowed to cost more nodes than it did
+_NODE_BUDGET = 38**2 * 32**2
+_ORDER_STEP = 4
+# the default stop of ``_refine``, relative to max(1, max|A|)
+_CONVERGED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,25 +77,18 @@ class QuadratureRule:
     nodes : ndarray
         Abscissae.
     weights : ndarray
-        Weights, same length as ``nodes``.
-    kind : str
-        ``"gauss_hermite"`` (weight e^{-x^2} built in) or
-        ``"adaptive_cartesian"`` (plain composite rule on a finite box).
+        Weights, same length as ``nodes``; a Gauss-Hermite rule's carry the
+        weight e^{-x^2} built in.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
         nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if self.kind not in _QUAD_KINDS:
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1D arrays of equal length")
-        if self.kind == "gauss_hermite" and np.any(weights <= 0):
-            raise ValueError("Gauss-Hermite weights must be positive")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -105,15 +105,14 @@ class QuadratureReport:
     nodes actually used (a direct measure of grid adequacy for the family);
     ``hermiticity_defect`` the largest anti-Hermitian entry, which must sit
     at quadrature level for real f.  ``convergence_witness`` is the max-entry
-    change of the operator between the last two rule orders evaluated, or
-    None where a single caller-chosen rule was applied; ``nodes`` counts the
-    nodes evaluated over all orders (on the two-mode position route, joint
-    outer x inner nodes).
+    change of the operator between the last two rule orders evaluated;
+    ``nodes`` counts the nodes evaluated over all orders (on the two-mode
+    position route, joint outer x inner nodes).
     """
 
     identity_deviation: float
     hermiticity_defect: float
-    convergence_witness: float | None
+    convergence_witness: float
     nodes: int
 
     @classmethod
@@ -154,7 +153,7 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError("order must be >= 1")
     nodes, weights = _hermgauss(n)
-    return QuadratureRule(nodes, weights, "gauss_hermite")
+    return QuadratureRule(nodes, weights)
 
 
 def legendre_box_rule(a: float, b: float, order: int, panels: int = 1) -> QuadratureRule:
@@ -169,7 +168,7 @@ def legendre_box_rule(a: float, b: float, order: int, panels: int = 1) -> Quadra
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     weights = (half[:, None] * w0[None, :]).ravel()
-    return QuadratureRule(nodes, weights, "adaptive_cartesian")
+    return QuadratureRule(nodes, weights)
 
 
 def whitened_rule(prec, order: int):
@@ -181,11 +180,16 @@ def whitened_rule(prec, order: int):
     that sum(w * g(x)) approximates the plain integral of g and is exact when
     g is exp(-x^T prec x) times a polynomial of degree <= 2 order - 1 in each
     principal coordinate.  Returns nodes (order^d, d), first axis slowest,
-    and weights (order^d,).
+    and weights (order^d,).  A ``prec`` that is not finite and positive
+    definite (its scales overflowed) raises NonConvergent.
     """
     prec = np.asarray(prec, dtype=float)
     d = prec.shape[0]
+    if not np.all(np.isfinite(prec)):
+        raise NonConvergent("the Gaussian weight's precision is not finite")
     evals, evecs = np.linalg.eigh(prec)
+    if not evals[0] > 0.0:
+        raise NonConvergent("the Gaussian weight's precision is not positive definite")
     rule = gauss_hermite_rule(order)
     axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
     t = np.stack([a.ravel() for a in axes], axis=1)
@@ -194,6 +198,66 @@ def whitened_rule(prec, order: int):
     idx = "ijklmnop"[:d]
     weights = np.einsum(",".join(idx) + "->" + idx, *([w1] * d)).ravel()
     return pts, weights / np.sqrt(np.prod(evals))
+
+
+def _refuse_beyond_budget(modes: int, nmax: int, degree: int, cost) -> int:
+    """The lowest Gauss-Hermite order exact for degree 2 modes nmax + degree,
+    unless it and the next order alone exceed the node budget."""
+    order = -(-(2 * modes * nmax + degree + 1) // 2)
+    if cost(order) + cost(order + _ORDER_STEP) > _NODE_BUDGET:
+        raise ConfigError(
+            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
+            f"{order}, beyond the node budget of {_NODE_BUDGET}"
+        )
+    return order
+
+
+def _refine(modes: int, nmax: int, degree: int, cost, evaluate, stop: float = _CONVERGED):
+    """Orders k0, k0 + 4, ... of ``evaluate(order) -> (mat, ident, pts)``.
+
+    A field of polynomial degree ``degree`` in a basis of ``modes`` modes up
+    to ``nmax`` quanta integrates a Gaussian times a polynomial of degree
+    <= 2 modes nmax + degree, exactly from order k0 = ceil((2 modes nmax +
+    degree + 1) / 2) on.  Stops once the max-entry change between two
+    successive orders, the convergence witness, is <= ``stop`` max(1,
+    max|A|), or once the next order would take the node count, summed over
+    ``cost(order)``, past the budget; polynomial fields stop after one
+    comparison.  A basis whose first two orders alone exceed the budget is
+    refused up front; a non-finite entry raises NonConvergent.
+    """
+    order = _refuse_beyond_budget(modes, nmax, degree, cost)
+    nodes = 0
+    prev = None
+    while True:
+        mat, ident, pts = evaluate(order)
+        nodes += cost(order)
+        if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(ident))):
+            raise NonConvergent(f"quadrature of order {order} gives non-finite entries")
+        if prev is not None:
+            witness = float(np.max(np.abs(mat - prev)))
+            converged = witness <= stop * max(1.0, float(np.max(np.abs(mat))))
+            if converged or nodes + cost(order + _ORDER_STEP) > _NODE_BUDGET:
+                break
+        prev = mat
+        order += _ORDER_STEP
+    return mat, pts, QuadratureReport.of(mat, ident, witness, nodes)
+
+
+def _quantise_on_rule(coefficients, field, pts, weights, norm: float, chunk: int = 20000):
+    """Quantised field and identity on one rule, ``chunk`` nodes at a time:
+    A_nm = sum_k w_k f(x_k) c_n(x_k) conj(c_m(x_k)) / norm, with the Fock
+    coefficients (P, dim) of the states at nodes x (P, d) from
+    ``coefficients(x)`` and the measure's norm (2 pi hbar)^modes."""
+    fv = np.asarray(field(*pts.T), dtype=float)
+    if not np.all(np.isfinite(fv)):
+        raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
+    wf = weights * fv
+    acc = ident = 0.0
+    for s in range(0, pts.shape[0], chunk):
+        cc = coefficients(pts[s : s + chunk])
+        acc = acc + (cc * wf[s : s + chunk, None]).T @ cc.conj()
+        ident = ident + (cc * weights[s : s + chunk, None]).T @ cc.conj()
+    return acc / norm, ident / norm
 
 
 def _tensor(nodes, weights):

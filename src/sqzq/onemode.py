@@ -12,13 +12,13 @@ conventions apart; densities and portraits cannot).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
-from .errors import DegenerateSqueezing, QuadratureNotConverged
-from .numerics import QuadratureRule, gauss_hermite_rule, hermite_phys
+from .errors import DegenerateSqueezing
+from .numerics import _quantise_on_rule, _refine, gauss_hermite_rule, hermite_phys, whitened_rule
 
 __all__ = [
     "SqueezeParameter",
@@ -30,12 +30,16 @@ __all__ = [
     "wavefunction",
     "fock_coefficients",
     "overlap_sq",
-    "verify_identity_resolution",
     "holomorphic_orthogonality_check",
 ]
 
 # widths diverge as |tau| -> 1; everything stops strictly short of the rim
 _TAU_RIM = 1.0 - 1e-7
+# the stop of the one-mode refinement loop, relative to max(1, max|A|): the
+# two-mode 1e-6 would let the adaptive orders, which differ from field to
+# field, break the linearity of the map at 5e-7; one-mode rules cost order^2
+# nodes, so they can afford to agree to rounding
+_CONVERGED = 1e-12
 
 
 def tau_from_xi(xi: complex) -> complex:
@@ -81,12 +85,17 @@ class SqueezeParameter:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.lam > 0 and self.hbar > 0):
-            raise ValueError("lam and hbar must be positive")
-        if abs(self.tau) > _TAU_RIM:
-            raise DegenerateSqueezing(
-                f"|tau| = {abs(self.tau):.9f} too close to 1; widths diverge"
-            )
+        # a scale whose square is 0 or inf leaves no finite width to work with
+        for name in ("lam", "hbar"):
+            value = getattr(self, name)
+            if not (value > 0 and 0.0 < value * value < np.inf):
+                raise ValueError(f"{name} must be positive, with a finite nonzero square")
+        # abs() of a complex raises OverflowError near the float range
+        t = math.hypot(self.tau.real, self.tau.imag)
+        if not t < 1.0:
+            raise ValueError(f"|tau| = {t:.9g} must be below 1")
+        if t > _TAU_RIM:
+            raise DegenerateSqueezing(f"|tau| = {t:.9f} too close to 1; widths diverge")
 
     @classmethod
     def from_xi(cls, xi: complex, lam: float = 1.0, hbar: float = 1.0) -> "SqueezeParameter":
@@ -95,8 +104,10 @@ class SqueezeParameter:
     @classmethod
     def from_tau(cls, tau: complex, lam: float = 1.0, hbar: float = 1.0) -> "SqueezeParameter":
         tau = complex(tau)
-        t = abs(tau)
-        xi = 0.0 + 0.0j if t == 0.0 else tau / t * np.arctanh(t)
+        t = math.hypot(tau.real, tau.imag)
+        # |tau| >= 1 has no xi; the constructor refuses it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = 0.0 + 0.0j if t == 0.0 else tau / t * np.arctanh(t)
         return cls(xi, tau, float(lam), float(hbar))
 
     def widths(self) -> OneModeWidths:
@@ -120,6 +131,11 @@ class OneModePhasePoint:
     def __post_init__(self):
         if not (np.isfinite(self.q) and np.isfinite(self.p)):
             raise ValueError("phase-space point must be finite")
+
+
+def _label_scales(param: SqueezeParameter) -> np.ndarray:
+    """The scales taking (q, p) to the (u, w) of ``_symplectic_matrix``."""
+    return np.array([1.0 / (param.lam * np.sqrt(2.0)), param.lam / (param.hbar * np.sqrt(2.0))])
 
 
 def _symplectic_matrix(tau: complex) -> np.ndarray:
@@ -222,6 +238,50 @@ def fock_coefficients(alpha: complex, param: SqueezeParameter, nmax: int) -> np.
     return _prefactor(a, tau) * g
 
 
+def _vacuum_precision(param: SqueezeParameter) -> np.ndarray:
+    """Precision P of the vacuum weight, |c0(x)|^2 ~ exp(-x^T P x), x = (q, p).
+
+    |c0|^2 = sqrt(1 - |tau|^2) exp(-|alpha|^2 + Re(alpha^2 conj(tau))) is a
+    quadratic form in (Re alpha, Im alpha) = S (u, w), S the symplectic
+    matrix; in (u, w) it is [[1 + Re tau, Im tau], [Im tau, 1 - Re tau]],
+    and (u, w) are (q, p) times ``_label_scales``.
+    """
+    tau = param.tau
+    d = _label_scales(param)
+    form = np.array([[1.0 + tau.real, tau.imag], [tau.imag, 1.0 - tau.real]])
+    return d[:, None] * form * d[None, :]
+
+
+def _quantise_field(param: SqueezeParameter, field, nmax: int, degree: int):
+    """Phase-space quadrature of f(q, p) against the family.
+
+    Every Fock coefficient is the vacuum amplitude c0 times a polynomial of
+    degree n in the phase point, so the entries integrate exp(-x^T P x)
+    times a polynomial, on Gauss-Hermite rules whitened by P
+    (``numerics.whitened_rule``) of order^2 nodes, refined as
+    ``numerics._refine`` describes until two orders agree to 1e-12.
+
+    Returns the matrix at the finest order (measure dq dp / (2 pi hbar)),
+    the nodes of that order, shape (N, 2) ordered (q, p), and the
+    QuadratureReport, as ``nonsepstates._quantise_field`` does.
+    """
+    prec = _vacuum_precision(param)
+    to_alpha = _symplectic_matrix(param.tau) * _label_scales(param)[None, :]
+
+    def coefficients(x):
+        a = x @ to_alpha.T
+        alpha = a[:, 0] + 1j * a[:, 1]
+        return (_fock_rows(alpha, param.tau, nmax) * _prefactor(alpha, param.tau)).T
+
+    norm = 2.0 * np.pi * param.hbar
+
+    def evaluate(order):
+        pts, weights = whitened_rule(prec, order)
+        return (*_quantise_on_rule(coefficients, field, pts, weights, norm), pts)
+
+    return _refine(1, nmax, degree, lambda order: order**2, evaluate, _CONVERGED)
+
+
 def overlap_sq(
     point_a: OneModePhasePoint, point_b: OneModePhasePoint, param: SqueezeParameter
 ) -> float:
@@ -240,51 +300,6 @@ def overlap_sq(
         - 2.0 * w.gamma * dq * dp / hbar
     )
     return float(np.exp(expo))
-
-
-def _plane_rule(param: SqueezeParameter, quad: QuadratureRule):
-    """1D nodes/weights for one axis of the alpha-plane integral.
-
-    Gauss-Hermite rules are rescaled by the coefficient-product decay length
-    (1-|tau|)^(-1/2) and their implicit weight is divided out; cartesian rules
-    are taken literally (the caller owns the box).
-    """
-    if quad.kind == "gauss_hermite":
-        scale = 1.0 / np.sqrt(1.0 - abs(param.tau))
-        nodes = quad.nodes * scale
-        weights = quad.weights * np.exp(quad.nodes**2) * scale
-        return nodes, weights
-    return quad.nodes, quad.weights
-
-
-def verify_identity_resolution(
-    param: SqueezeParameter, nmax: int, quad: QuadratureRule
-) -> float:
-    """Max deviation of the numeric resolution-of-identity matrix from I.
-
-    Integrates M_nm = (1/pi) integral c_n(alpha) conj(c_m(alpha)) d^2 alpha
-    over the plane with a tensor product of ``quad``; mathematically M = I
-    for every |tau| < 1, so the return value measures quadrature error alone.
-
-    Raises
-    ------
-    QuadratureNotConverged
-        if the deviation exceeds 0.05, i.e. the rule's order or box is
-        manifestly inadequate rather than merely imprecise.
-    """
-    nodes, weights = _plane_rule(param, quad)
-    re, im = np.meshgrid(nodes, nodes, indexing="ij")
-    alpha = (re + 1j * im).ravel()
-    w2 = (weights[:, None] * weights[None, :]).ravel()
-    g = _fock_rows(alpha, param.tau, nmax)
-    c = g * _prefactor(alpha, param.tau)[None, :]
-    m = (c * w2[None, :]) @ c.conj().T / np.pi
-    dev = float(np.max(np.abs(m - np.eye(nmax + 1))))
-    if dev > 0.05:
-        raise QuadratureNotConverged(
-            f"identity-resolution deviation {dev:.3g}; increase the rule's order or box"
-        )
-    return dev
 
 
 def holomorphic_orthogonality_check(
@@ -316,7 +331,7 @@ def holomorphic_orthogonality_check(
     z_plus = tnod / np.sqrt(a) + 1j * snod / np.sqrt(b)
     lhs = np.sum(wts * hermite_phys(n, z_plus) * hermite_phys(m, np.conj(z_plus))) / np.sqrt(a * b)
     if n == m:
-        rhs = np.pi / np.sqrt(a * b) * 2.0**n * float(factorial(n)) * ((a + b) / (a * b)) ** n
+        rhs = np.pi / np.sqrt(a * b) * 2.0**n * float(math.factorial(n)) * ((a + b) / (a * b)) ** n
     else:
         rhs = 0.0
     return complex(lhs), float(rhs)

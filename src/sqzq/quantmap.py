@@ -15,6 +15,14 @@ of polynomial degree <= 2 adds first and second derivative terms whose
 coefficients come from exact Gaussian moments, never from oscillatory
 numeric p-integrals.
 
+One engine integrates the projector integral for both arities: a tensor
+Gauss-Hermite rule whitened by the family's vacuum Gaussian, over the phase
+plane for one mode (``onemode._quantise_field``) and over 4D phase space for
+two (``nonsepstates._quantise_field``), each refined by the loop and summed
+by the chunked projector sum of ``numerics``.  The rule of the first order
+is exact for polynomial fields, and the change to the next order is the
+convergence witness.
+
 Two-mode families quantise by one of two routes, chosen by probing the
 function rather than trusting a declaration.  A function that does not move
 with momentum on the nodes of the 4D rule (``_position_values`` on
@@ -22,9 +30,8 @@ with momentum on the nodes of the 4D rule (``_position_values`` on
 above, with the momenta integrated exactly: a 2D rule in the positions on
 which f is evaluated, times a fixed rule exact for the Fock polynomials
 (``nonsepstates._quantise_position_field``).  Every other function takes the
-4D phase-space quadrature of the projector integral
-(``nonsepstates._quantise_field``), which also certifies the identity
-resolution and the Table 1 operators.
+4D engine, which also certifies the identity resolution and the Table 1
+operators.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     GrowthViolation,
-    TruncationTooSmall,
     UnsupportedMomentumDependence,
 )
 from .numerics import (
@@ -47,7 +53,8 @@ from .numerics import (
     gauss_hermite_rule,
     gaussian_smooth,
 )
-from .onemode import SqueezeParameter, _fock_rows, _plane_rule, _prefactor
+from .onemode import SqueezeParameter
+from .onemode import _quantise_field as _quantise_onemode_field
 from .nonsepstates import (
     NonSepParams,
     _portrait_precision,
@@ -141,9 +148,24 @@ class KernelAction:
         return self.a0
 
 
-def _spot_check_growth(f: ClassicalFunction, coords, mid_mask, edge_mask):
-    """Cheap falsification of the declared growth on the actual grid."""
-    vals = np.abs(np.asarray(f(*coords), dtype=float))
+def _spot_check_growth(f: ClassicalFunction, pts: np.ndarray):
+    """Cheap falsification of the declared growth on the nodes ``pts`` (N, d).
+
+    The Chebyshev radius of each node takes each coordinate relative to its
+    own extent on the nodes: otherwise the widest coordinate sets the radius,
+    and the mid ring already reaches the extremes of the narrow ones.  On a
+    rule aligned with the coordinates r takes only the ratios of the Hermite
+    nodes, which can skip [0.4, 0.5); the mid ring then reaches down to the
+    next ratio.  Coordinates the nodes do not carry (the momenta of the
+    two-mode position route) are zero.
+    """
+    extent = np.abs(pts)
+    r = np.max(extent / np.max(extent, axis=0), axis=1)
+    edge_mask = r > 0.9
+    mid_mask = (r >= min(0.4, r[r < 0.5].max())) & (r < 0.5)
+    width = 4 if f.arity == "two-mode" else 2
+    coords = np.vstack([pts.T, np.zeros((width - pts.shape[1], pts.shape[0]))])
+    vals = np.abs(np.broadcast_to(np.asarray(f(*coords), dtype=float), r.shape))
     if not np.all(np.isfinite(vals)):
         raise GrowthViolation("evaluator is non-finite inside the quadrature box")
     edge = vals[edge_mask].max() if edge_mask.any() else 0.0
@@ -157,40 +179,6 @@ def _spot_check_growth(f: ClassicalFunction, coords, mid_mask, edge_mask):
             f"declared growth {f.growth!r} is violated on the grid: "
             f"edge max {edge:.3g} vs mid max {mid:.3g}"
         )
-
-
-def _alpha_grid(param: SqueezeParameter, order: int):
-    """Tensor alpha-plane rule with weights carrying the 1/pi measure."""
-    nodes, weights = _plane_rule(param, gauss_hermite_rule(order))
-    re, im = np.meshgrid(nodes, nodes, indexing="ij")
-    alpha = (re + 1j * im).ravel()
-    w2 = (weights[:, None] * weights[None, :]).ravel() / np.pi
-    return alpha, w2
-
-
-def _qp_from_alpha_grid(alpha: np.ndarray, param: SqueezeParameter):
-    """Vectorised inverse of the phase-space -> coherent-label map."""
-    tau, lam, hbar = param.tau, param.lam, param.hbar
-    den = np.sqrt(1.0 - abs(tau) ** 2)
-    u, v = alpha.real, alpha.imag
-    q = lam * np.sqrt(2.0) * ((1.0 - tau.real) * u - tau.imag * v) / den
-    p = (hbar / lam) * np.sqrt(2.0) * (-tau.imag * u + (1.0 + tau.real) * v) / den
-    return q, p
-
-
-def _quantise_onemode(f: ClassicalFunction, param: SqueezeParameter, nmax: int, order: int):
-    alpha, w2 = _alpha_grid(param, order)
-    q, p = _qp_from_alpha_grid(alpha, param)
-    # Chebyshev radius so the rings contain axis extremes, not just corners
-    r = np.maximum(np.abs(alpha.real), np.abs(alpha.imag))
-    edge = r > 0.9 * r.max()
-    mid = (r > 0.4 * r.max()) & (r < 0.5 * r.max())
-    _spot_check_growth(f, (q, p), mid, edge)
-    c = _fock_rows(alpha, param.tau, nmax) * _prefactor(alpha, param.tau)[None, :]
-    fv = np.asarray(f(q, p), dtype=float)
-    mat = (c * (w2 * fv)[None, :]) @ c.conj().T
-    ident = (c * w2[None, :]) @ c.conj().T
-    return mat, ident
 
 
 def _position_values(f: ClassicalFunction, q1, q2, p1, p2):
@@ -212,28 +200,6 @@ def _position_values(f: ClassicalFunction, q1, q2, p1, p2):
     return base
 
 
-def _quantise_twomode(f: ClassicalFunction, params: NonSepParams, nmax: int):
-    degree = f.degree if f.growth == "poly" else 0
-    if _position_values(f, *_probe_nodes(params, nmax, degree).T) is None:
-        mat, pts, report = _quantise_field(params, f, nmax, degree)
-    else:
-        position = lambda q1, q2: f(q1, q2, np.zeros_like(q1), np.zeros_like(q1))
-        mat, pts, report = _quantise_position_field(params, position, nmax, degree)
-    # Chebyshev radius of each coordinate relative to its own extent on the
-    # nodes: otherwise the widest coordinate sets the radius, and the mid ring
-    # already reaches the extremes of the narrow ones.  On a rule aligned with
-    # the coordinates r takes only the ratios of the Hermite nodes, which can
-    # skip [0.4, 0.5); the mid ring then reaches down to the next ratio.
-    extent = np.abs(pts)
-    r = np.max(extent / np.max(extent, axis=0), axis=1)
-    edge = r > 0.9
-    mid = (r >= min(0.4, r[r < 0.5].max())) & (r < 0.5)
-    # the position route's nodes carry no momenta: they are zero there
-    coords = np.vstack([pts.T, np.zeros((4 - pts.shape[1], pts.shape[0]))])
-    _spot_check_growth(f, coords, mid, edge)
-    return mat, report
-
-
 def _family(family):
     if isinstance(family, SqueezeParameter):
         return family, "one-mode", (
@@ -251,35 +217,35 @@ def _family(family):
     raise ConfigError(f"unsupported state family {type(family).__name__}")
 
 
-def quantise(f, family, nmax: int, order: int = 140) -> QuantisedOperator:
+def quantise(f, family, nmax: int) -> QuantisedOperator:
     """Operator of f over the family, in the truncated number basis.
 
-    One-mode families integrate on a scaled Gauss-Hermite tensor grid of the
-    given ``order`` in the coherent-label plane.  Two-mode families choose
-    their own orders, so ``order`` does not apply to them.  The function is
-    compared with its value at zero momentum on the nodes of the 4D rule's
-    second order: if it does not move there, it is quantised as
-    multiplication by its Gaussian smoothing, on a 2D Gauss-Hermite rule in
-    the positions whitened by their marginal covariance, with an exact inner
-    rule for the Fock polynomials; otherwise on a 4D tensor Gauss-Hermite
-    rule whitened by the vacuum Gaussian.
-    Either rule starts at the order that is exact for a field of polynomial
-    degree ``f.degree`` (degree 0 for bounded growth) and is refined by 4
-    per axis until two orders agree to 1e-6 or the node budget is spent.
-    The report carries the identity deviation measured on the very same
-    nodes, the node count (joint outer x inner nodes on the position route)
-    and, for two-mode families, the change between the last two orders, so
-    a caller can tell quadrature error from genuine operator structure.
+    Both arities integrate the projector integral on a tensor Gauss-Hermite
+    rule whitened by the family's vacuum Gaussian, over the phase plane for
+    one mode and 4D phase space for two; a two-mode function that does not
+    move with momentum on the 4D rule's second order is quantised as
+    multiplication by its Gaussian smoothing instead (see the module notes).
+    Every rule starts at the order exact for polynomial degree ``f.degree``
+    (0 for bounded growth) and is refined by 4 per axis until two orders
+    agree, to 1e-12 for one mode and 1e-6 for two, or the node budget is
+    spent.  The report carries the identity deviation on the very same
+    nodes, the node count over all orders (joint outer x inner nodes on the
+    position route) and the change between the last two orders, so a caller
+    can tell quadrature error from genuine operator structure.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1: a truncated operator has dimension >= 2")
     fam, arity, tag = _family(family)
     cf = _as_classical(f, arity)
+    degree = cf.degree if cf.growth == "poly" else 0
     if arity == "one-mode":
-        mat, ident = _quantise_onemode(cf, fam, nmax, order)
-        report = QuadratureReport.of(mat, ident, None, order**2)
+        mat, pts, report = _quantise_onemode_field(fam, cf, nmax, degree)
+    elif _position_values(cf, *_probe_nodes(fam, nmax, degree).T) is None:
+        mat, pts, report = _quantise_field(fam, cf, nmax, degree)
     else:
-        mat, report = _quantise_twomode(cf, fam, nmax)
+        position = lambda q1, q2: cf(q1, q2, np.zeros_like(q1), np.zeros_like(q1))
+        mat, pts, report = _quantise_position_field(fam, position, nmax, degree)
+    _spot_check_growth(cf, pts)
     return QuantisedOperator(
         basis=nmax, matrix=TruncatedOperator(mat.shape[0], mat), family_tag=tag,
         quadrature_report=report,
@@ -364,12 +330,13 @@ def kernel_eval(f, family, x) -> KernelAction:
     return KernelAction(complex(a0), complex(a1), complex(a2))
 
 
-def dirac_correspondence_check(family, nmax: int, order: int = 140) -> float:
+def dirac_correspondence_check(family, nmax: int) -> float:
     """Max deviation of [A_q, A_p] from i hbar on the interior block.
 
     The two operators are built at twice the requested truncation so their
-    product is exact on the reported block; what remains is quadrature error
-    plus the family's genuine commutator content.
+    product is exact on the reported block.  ``quantise`` integrates both
+    exactly (their entries are polynomials against the vacuum Gaussian), so
+    what remains is rounding plus the family's genuine commutator content.
     """
     fam, arity, _ = _family(family)
     if arity != "one-mode":
@@ -380,8 +347,8 @@ def dirac_correspondence_check(family, nmax: int, order: int = 140) -> float:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     big = 2 * nmax + 2
-    aq = quantise(ClassicalFunction(lambda q, p: q), fam, big, order=order)
-    ap = quantise(ClassicalFunction(lambda q, p: p), fam, big, order=order)
+    aq = quantise(ClassicalFunction(lambda q, p: q), fam, big)
+    ap = quantise(ClassicalFunction(lambda q, p: p), fam, big)
     comm = aq.matrix.entries @ ap.matrix.entries - ap.matrix.entries @ aq.matrix.entries
     blk = comm[: nmax + 1, : nmax + 1]
     return float(np.max(np.abs(blk - 1j * fam.hbar * np.eye(nmax + 1))))

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sqzq import pdm
@@ -78,11 +80,26 @@ def test_unknown_preset_exits_2(tmp_path):
         (["verify", "--tol", "nan"], {}),
         (["verify", "--tol", "-1"], {}),
         (["verify"], {"tol": 0}),
+        (["quantise", "q"], {"tau": 1.5}),
+        (["quantise", "q"], {"tau": 1.0}),
+        (["quantise", "q"], {"tau": 0.6, "tau_im": 0.8}),
+        (["quantise", "q1"], {"family": "two-mode", "tau1": 1.2, "tau2": 0.3}),
+        (["quantise", "q1"], {"family": "two-mode", "tau1": 0.2, "tau2": -1.0}),
+        (["quantise", "q"], {"lam": 1e-300}),
+        (["quantise", "q"], {"lam": 1e200}),
+        (["quantise", "q"], {"hbar": 1e-300}),
+        (["quantise", "q"], {"hbar": 1e200}),
+        (["quantise", "q1"], {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-300}),
+        (["quantise", "q1"], {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam2": 1e200}),
+        (["quantise", "q", "--fock-dim", "0"], {}),
     ],
     ids=[
         "simulate-lam1", "portrait-lam1", "samples", "fock-dim", "verify-fock-dim",
         "simulate-tol-0", "simulate-tol-negative", "simulate-tol-nan", "rel-tol",
         "abs-tol", "verify-tol-nan", "verify-tol-negative", "verify-tol-0",
+        "tau-1.5", "tau-1", "tau-unit-circle", "two-mode-tau1-1.2", "two-mode-tau2-minus-1",
+        "lam-1e-300", "lam-1e200", "hbar-1e-300", "hbar-1e200",
+        "two-mode-lam1-1e-300", "two-mode-lam2-1e200", "quantise-fock-dim-0",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
@@ -132,6 +149,9 @@ def test_console_script_runs():
     assert out.returncode == 0
     for name in ("portrait", "simulate", "verify", "quantise"):
         assert name in out.stdout
+    # runpy warns when the module it is asked to run was already imported
+    # with the package
+    assert "RuntimeWarning" not in out.stderr
 
 
 # ----------------------------------------------------------------------
@@ -311,9 +331,11 @@ def test_quantise_csv_is_hermitian(tmp_path):
     report = json.loads((tmp_path / "quantise_qp_report.json").read_text())
     assert report["identity_deviation"] < 1e-6
     assert report["hermiticity_defect"] < 1e-12
-    # one fixed rule of order 140 in the label plane: no order comparison
-    assert report["convergence_witness"] is None
-    assert report["nodes"] == 140**2
+    # qp has degree 2: the rule of order k0 = ceil((2 * 6 + 2 + 1) / 2) is
+    # exact, and the next order k0 + 4 only confirms it
+    assert report["convergence_witness"] < 1e-12
+    k0 = 8
+    assert report["nodes"] == k0**2 + (k0 + 4) ** 2
 
 
 def test_quantise_identity_matches_report(tmp_path):
@@ -339,6 +361,64 @@ def test_quantise_two_mode_linear_field(tmp_path):
 
 def test_quantise_unknown_function_exits_2(tmp_path):
     assert main(["quantise", "q7", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"tau": 1.0 - 1e-9}, {"tau": 0.6, "tau_im": 0.8 - 1e-9},
+     {"family": "two-mode", "tau1": 1.0 - 1e-9, "tau2": 0.3, "phi": 0.5}],
+    ids=["below-1", "below-unit-circle", "two-mode-below-1"],
+)
+def test_quantise_tau_inside_the_rim_exits_3(tmp_path, capsys, payload):
+    # just inside |tau| = 1 the state exists but its widths diverge: a
+    # numerical failure, where |tau| >= 1 is a config error
+    fn = "q1" if "tau1" in payload else "q"
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(["quantise", fn, "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def _configs(ranges):
+    """Configs drawn inside ``ranges``, then with any subset of their keys set
+    to arbitrary floats (nan and inf included), so that the engines run as
+    well as the input checks."""
+    inside = st.fixed_dictionaries({k: st.floats(lo, hi) for k, (lo, hi) in ranges.items()})
+    wild = st.dictionaries(st.sampled_from(sorted(ranges)), st.floats())
+    return st.builds(lambda base, override: {**base, **override}, inside, wild)
+
+
+def _quantise_exits_cleanly(tmp_path_factory, fn, payload, fock_dim):
+    """A config error (2), a numerical failure (3) or a finite operator (0);
+    never an exception out of main."""
+    out = tmp_path_factory.mktemp("fuzz")
+    cfg = _write_cfg(out, payload)
+    code = main(["quantise", fn, "--config", cfg, "--fock-dim", str(fock_dim), "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        rows = np.loadtxt(out / f"quantise_{fn}.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    fn=st.sampled_from(["one", "q", "p", "q2", "p2", "qp"]),
+    values=_configs({"tau": (-0.7, 0.7), "tau_im": (-0.7, 0.7), "lam": (0.2, 5.0),
+                     "hbar": (0.2, 5.0)}),
+    fock_dim=st.integers(-2, 4),
+)
+def test_quantise_one_mode_fuzzed_config_exits_cleanly(tmp_path_factory, fn, values, fock_dim):
+    _quantise_exits_cleanly(tmp_path_factory, fn, dict(values, family="one-mode"), fock_dim)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    fn=st.sampled_from(["one", "q1", "q2", "q1q2"]),
+    values=_configs({"tau1": (-0.7, 0.7), "tau2": (-0.7, 0.7), "phi": (0.0, 6.0),
+                     "lam1": (0.2, 5.0), "lam2": (0.2, 5.0)}),
+    fock_dim=st.integers(-2, 2),
+)
+def test_quantise_two_mode_fuzzed_config_exits_cleanly(tmp_path_factory, fn, values, fock_dim):
+    _quantise_exits_cleanly(tmp_path_factory, fn, dict(values, family="two-mode"), fock_dim)
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sqzq.errors import DegenerateSqueezing, QuadratureNotConverged
+from sqzq.errors import DegenerateSqueezing
 from sqzq.numerics import (
     TruncatedOperator,
-    gauss_hermite_rule,
     hermite_phys,
     legendre_box_rule,
     matrix_exp,
@@ -30,10 +29,11 @@ from sqzq.onemode import (
     holomorphic_orthogonality_check,
     overlap_sq,
     qp_from_alpha,
+    _vacuum_precision,
     tau_from_xi,
-    verify_identity_resolution,
     wavefunction,
 )
+from sqzq.quantmap import quantise
 
 TANH_1 = 0.7615941559557648881195
 ATANH_HALF = 0.5493061443340548456976
@@ -82,6 +82,20 @@ def test_tau_from_xi():
     t = tau_from_xi(3.0 * np.exp(0.7j))
     assert abs(t) < 1.0
     assert_allclose(np.angle(t), 0.7, rtol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [1.0, -1.0, 1.5, 0.6 + 0.8j, 1e308 + 1e308j, complex("nan")])
+def test_tau_outside_the_unit_disc_is_refused(tau):
+    with pytest.raises(ValueError):
+        SqueezeParameter.from_tau(tau)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e200, 0.0, np.inf, np.nan])
+def test_scale_without_a_finite_nonzero_square_is_refused(scale):
+    with pytest.raises(ValueError):
+        SqueezeParameter.from_tau(0.2, lam=scale)
+    with pytest.raises(ValueError):
+        SqueezeParameter.from_tau(0.2, hbar=scale)
 
 
 def test_from_tau_backfills_xi():
@@ -307,28 +321,48 @@ def test_schroedinger_robertson_saturation():
     assert_allclose(mp, pt.p, atol=1e-9)
 
 
+def _identity_deviation(par, nmax):
+    op = quantise(lambda q, p: np.ones_like(q), par, nmax)
+    return op.quadrature_report.identity_deviation
+
+
 def test_identity_resolution_coherent():
-    par = SqueezeParameter.from_tau(0.0)
-    dev = verify_identity_resolution(par, 8, gauss_hermite_rule(70))
-    assert dev < 1e-6
+    assert _identity_deviation(SqueezeParameter.from_tau(0.0), 8) < 1e-6
 
 
 def test_identity_resolution_squeezed():
-    par = SqueezeParameter.from_tau(0.5)
-    dev = verify_identity_resolution(par, 8, gauss_hermite_rule(70))
-    assert dev < 1e-4
+    assert _identity_deviation(SqueezeParameter.from_tau(0.5), 8) < 1e-4
 
 
 def test_identity_resolution_cartesian_rule():
+    # an oracle independent of the engine: the label-plane integral
+    # (1/pi) int c_n conj(c_m) d^2 alpha of the closed-form coefficients on a
+    # Gauss-Legendre box
     par = SqueezeParameter.from_tau(0.3)
-    dev = verify_identity_resolution(par, 5, legendre_box_rule(-9.0, 9.0, 70, 2))
-    assert dev < 1e-6
+    rule = legendre_box_rule(-9.0, 9.0, 70, 2)
+    re, im = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    w = np.outer(rule.weights, rule.weights).ravel()
+    c = np.array([fock_coefficients(a, par, 5) for a in (re + 1j * im).ravel()])
+    plane = (c * w[:, None]).T @ c.conj() / np.pi
+    assert np.max(np.abs(plane - np.eye(6))) < 1e-6
+    engine = quantise(lambda q, p: np.ones_like(q), par, 5).matrix.entries
+    assert np.max(np.abs(engine - plane)) < 1e-6
 
 
-def test_identity_resolution_rejects_starved_rule():
-    par = SqueezeParameter.from_tau(0.5)
-    with pytest.raises(QuadratureNotConverged):
-        verify_identity_resolution(par, 8, gauss_hermite_rule(4))
+def test_vacuum_precision_matches_fock_vacuum():
+    # complex tau, lam != 1 and hbar != 1 so every entry of the closed form
+    # is exercised
+    par = SqueezeParameter.from_tau(0.5 * np.exp(0.9j), lam=1.3, hbar=0.7)
+    prec = _vacuum_precision(par)
+    rng = np.random.default_rng(17)
+    x = rng.normal(scale=2.0, size=(50, 2))
+    c0 = np.array([
+        fock_coefficients(alpha_from_qp(OneModePhasePoint(q, p), par), par, 0)[0] for q, p in x
+    ])
+    origin = fock_coefficients(0.0, par, 0)[0]
+    minus_log = -np.log(np.abs(c0 / origin) ** 2)
+    quad = np.einsum("ni,ij,nj->n", x, prec, x)
+    assert np.max(np.abs(quad - minus_log)) < 1e-12
 
 
 def test_holomorphic_orthogonality_diagonal():

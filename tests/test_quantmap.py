@@ -1,7 +1,7 @@
 """Quantisation-engine checks.
 
-The one-mode integrands are polynomials against a matched Gaussian, so the
-scaled Gauss-Hermite grid is exact up to rounding; the tests therefore pin
+The one-mode integrands are polynomials against the vacuum Gaussian, so the
+Gauss-Hermite rule whitened by it is exact up to rounding; the tests therefore pin
 tight tolerances for the canonical operators (identity, position, momentum,
 their commutator, the symmetrised product) and verify the kernel action
 against operators reconstructed from the Fock matrix, which is a fully
@@ -105,6 +105,32 @@ def test_symmetrisation_constant_values():
 def test_dirac_correspondence(tau, bound):
     par = SqueezeParameter.from_tau(tau)
     assert dirac_correspondence_check(par, 8) < bound
+
+
+@pytest.mark.parametrize("tau", [0.9, 0.9j])
+def test_strong_squeezing_is_exact(tau):
+    # the whitened rule follows the vacuum weight however elongated it is
+    par = SqueezeParameter.from_tau(tau, lam=0.9, hbar=1.2)
+    assert dirac_correspondence_check(par, 8) < 1e-10
+    q = quantise(lambda q, p: q, par, 8).matrix.entries
+    p = quantise(lambda q, p: p, par, 8).matrix.entries
+    assert np.max(np.abs(q - TruncatedOperator.position(9, 0.9).entries)) < 1e-10
+    assert np.max(np.abs(p - TruncatedOperator.momentum(9, 0.9, 1.2).entries)) < 1e-10
+
+
+@pytest.mark.parametrize("nmax", [1, 5, 8, 10, 12, 14, 18, 30, 48])
+def test_polynomial_fields_stop_after_two_orders(nmax):
+    # order k0 = ceil((2 nmax + degree + 1) / 2) is exact, so k0 + 4 only
+    # confirms it; this holds for the declared degree and for the default 2
+    par = SqueezeParameter.from_tau(0.6 * np.exp(1.1j), lam=0.9, hbar=1.2)
+    fields = [(lambda q, p: np.ones_like(q), 0), (lambda q, p: q, 1), (lambda q, p: p, 1),
+              (lambda q, p: q * q, 2), (lambda q, p: q * p, 2), (lambda q, p: p * p, 2)]
+    for f, degree in fields:
+        for declared in (degree, 2):
+            k0 = -(-(2 * nmax + declared + 1) // 2)
+            rep = quantise(ClassicalFunction(f, degree=declared), par, nmax).quadrature_report
+            assert rep.nodes == k0**2 + (k0 + 4) ** 2
+            assert rep.convergence_witness < 1e-11
 
 
 def test_dirac_correspondence_rejects_two_mode():
