@@ -106,12 +106,17 @@ def _text(column) -> list:
 
 def _csv(header: str, blocks) -> str:
     """CSV text: the header, then a line per row of each block of columns; a
-    list column holds ready-made cells, any other one numbers for ``_text``."""
-    lines = [header]
+    list column holds ready-made cells, any other one numbers written as
+    ``_text`` writes them.  Each block is one %-format of a row template
+    repeated once per row."""
+    parts = [header + "\n"]
     for columns in blocks:
-        cells = [c if isinstance(c, list) else _text(c) for c in columns]
-        lines.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(lines) + "\n"
+        row = ",".join("%s" if isinstance(c, list) else "%.17g" for c in columns) + "\n"
+        stacked = np.column_stack(
+            [np.array(c, dtype=object) if isinstance(c, list) else c for c in columns]
+        )
+        parts.append((row * len(stacked)) % tuple(stacked.ravel().tolist()))
+    return "".join(parts)
 
 
 def _write_text(out_dir: str, name: str, text: str) -> str:

@@ -618,12 +618,15 @@ def solve_ode(problem: OdeProblem, t_eval=None, raise_on_failure: bool = True) -
         events=list(problem.events) if problem.events else None,
         max_step=problem.max_step,
     )
+    # with t_eval and no accepted step, scipy leaves t and y as empty lists
+    t = np.asarray(sol.t, dtype=float)
+    y = np.asarray(sol.y, dtype=float).reshape(problem.dimension, t.size)
     if sol.status == -1:
         if not raise_on_failure:
-            keep = np.all(np.isfinite(sol.y), axis=0) if sol.y.size else np.zeros(0, bool)
+            keep = np.all(np.isfinite(y), axis=0)
             return OdeSolution(
-                t=sol.t[keep],
-                y=sol.y[:, keep].T,
+                t=t[keep],
+                y=y[:, keep].T,
                 status="failed",
                 interpolant=getattr(sol, "sol", None),
                 n_rhs_evals=sol.nfev,
@@ -631,16 +634,16 @@ def solve_ode(problem: OdeProblem, t_eval=None, raise_on_failure: bool = True) -
                 y_events=tuple(sol.y_events) if sol.y_events is not None else (),
                 message=str(sol.message),
             )
-        tail = sol.y[:, -1] if sol.y.size else problem.y0
+        tail = y[:, -1] if t.size else problem.y0
         if not np.all(np.isfinite(tail)):
             raise NonFiniteState(sol.message)
         raise StepSizeUnderflow(sol.message)
-    if not np.all(np.isfinite(sol.y)):
+    if not np.all(np.isfinite(y)):
         raise NonFiniteState("non-finite values in the solution samples")
     status = "finished" if sol.status == 0 else "event"
     return OdeSolution(
-        t=sol.t,
-        y=sol.y.T,
+        t=t,
+        y=y.T,
         status=status,
         interpolant=sol.sol,
         n_rhs_evals=sol.nfev,

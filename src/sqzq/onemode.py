@@ -90,6 +90,17 @@ class SqueezeParameter:
             value = getattr(self, name)
             if not (value > 0 and 0.0 < value * value < np.inf):
                 raise ValueError(f"{name} must be positive, with a finite nonzero square")
+        # the diagonal of the vacuum precision (``_vacuum_precision``) is
+        # these scales times 1 -+ Re tau, below 2; the quadrature needs it
+        # finite and nonzero
+        lam, hbar = self.lam, self.hbar
+        scales = (0.5 / (lam * lam), lam * lam / (2.0 * hbar * hbar))
+        if not all(0.0 < 2.0 * v < math.inf for v in scales):
+            raise ValueError(
+                f"lam = {lam:.6g} and hbar = {hbar:.6g} give the phase-space precision "
+                f"scales 1/(2 lam^2) = {scales[0]:.6g} and lam^2/(2 hbar^2) = "
+                f"{scales[1]:.6g}; both must be finite and nonzero"
+            )
         # abs() of a complex raises OverflowError near the float range
         t = math.hypot(self.tau.real, self.tau.imag)
         if not t < 1.0:

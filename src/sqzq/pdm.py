@@ -22,6 +22,7 @@ makes the equivalent (q, p) system needlessly stiff during an escape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -316,17 +317,25 @@ def classical_integrate(
 #   g'(q) = 2 q c(q) + (w^2 + 2 s^2) c'(q).
 
 
-def _mode_pieces(q, w: float, s: float):
-    """c, g, c', g' for one mode; q may be any float array."""
-    q = np.asarray(q, dtype=float)
-    rt2s = np.sqrt(2.0) * s
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def _mode_pieces(q, w: float, s: float, erfc=erfc, exp=np.exp):
+    """c, g, c', g' for one mode.
+
+    The one source of these formulas for both kinds of caller: q a float
+    array with the default scipy/numpy ``erfc`` and ``exp``, or q a Python
+    float with ``math.erfc`` and ``math.exp`` (the equations of motion).
+    """
+    rt2s = _SQRT2 * s
     za = (q + w) / rt2s
     zb = (q - w) / rt2s
-    ea = np.exp(-za * za)
-    eb = np.exp(-zb * zb)
+    ea = exp(-za * za)
+    eb = exp(-zb * zb)
     c = 0.5 * (erfc(zb) - erfc(za))
-    cp = (ea - eb) / (s * np.sqrt(2.0 * np.pi))
-    g = (q * q + s * s) * c + s / np.sqrt(2.0 * np.pi) * ((q - w) * ea - (q + w) * eb)
+    cp = (ea - eb) / (s * _SQRT2PI)
+    g = (q * q + s * s) * c + s / _SQRT2PI * ((q - w) * ea - (q + w) * eb)
     gp = 2.0 * q * c + (w * w + 2.0 * s * s) * cp
     return c, g, cp, gp
 
@@ -339,8 +348,10 @@ def _as_points(q) -> np.ndarray:
 
 
 def _mode_scales(model: PdmModel, params: TwoModeParams, j: int) -> tuple[float, float]:
-    """(wall half-width, Gaussian smoothing width) of mode j."""
-    return model.wall(j), _mode_sigma(params, j)
+    """(wall half-width, Gaussian smoothing width) of mode j, as Python floats:
+    an ``np.float64`` would turn every float operation of the equations of
+    motion into a slower numpy scalar one."""
+    return model.wall(j), float(_mode_sigma(params, j))
 
 
 def portrait_chi(model: PdmModel, params: TwoModeParams, q):
@@ -411,15 +422,18 @@ def _both_scales(model: PdmModel, params: TwoModeParams):
     return _mode_scales(model, params, 1), _mode_scales(model, params, 2)
 
 
-def _veff_pieces(model: PdmModel, scales, q1, q2, kin: tuple[float, float]):
+def _veff_pieces(
+    model: PdmModel, scales, q1, q2, kin: tuple[float, float], erfc=erfc, exp=np.exp
+):
     """All per-mode pieces needed by V_eff and its gradient.
 
     ``scales`` is ``_both_scales`` of the smoothing family, which callers
-    that evaluate many times compute once.
+    that evaluate many times compute once; ``erfc`` and ``exp`` go to
+    ``_mode_pieces`` (float arrays by default, Python floats with ``math``).
     """
     (w1, s1), (w2, s2) = scales
-    c1, g1, c1p, g1p = _mode_pieces(q1, w1, s1)
-    c2, g2, c2p, g2p = _mode_pieces(q2, w2, s2)
+    c1, g1, c1p, g1p = _mode_pieces(q1, w1, s1, erfc, exp)
+    c2, g2, c2p, g2p = _mode_pieces(q2, w2, s2, erfc, exp)
     l1, l2 = model.lambda1, model.lambda2
     m1 = (c1 - l1 * l1 * g1) / model.m0
     m2 = (c2 - l2 * l2 * g2) / model.m0
@@ -507,6 +521,41 @@ def _classify_escape(semi: SemiclassicalModel, t, q, veff, e0):
     return float(t[int(np.argmax(hit))])
 
 
+def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
+    """The (q, v) right-hand side rhs(t, y) of ``semiclassical_integrate``.
+
+    It runs ``_veff_pieces`` on Python floats with ``math.erfc`` and
+    ``math.exp``.  Where numpy would give inf or NaN, Python raises
+    ``ZeroDivisionError``: there the accelerations are NaN, so a start whose
+    portraits underflow fails the caller's finiteness check, and a step into
+    such a region fails the solver's error test, as with numpy values.
+    """
+
+    def rhs(t, y):
+        q1, q2, v1, v2 = y.tolist()
+        try:
+            _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2) = _veff_pieces(
+                model, scales, q1, q2, kin, math.erfc, math.exp
+            )
+            acc1 = (
+                0.5 * v1 * v1 / a1 * d1a1
+                - 0.5 * a1 / (a2 * a2) * d1a2 * v2 * v2
+                + v1 * v2 / a1 * d2a1
+                - a1 * d1v
+            )
+            acc2 = (
+                0.5 * v2 * v2 / a2 * d2a2
+                - 0.5 * a2 / (a1 * a1) * d2a1 * v1 * v1
+                + v1 * v2 / a2 * d1a2
+                - a2 * d2v
+            )
+        except ZeroDivisionError:
+            acc1 = acc2 = math.nan
+        return np.array([v1, v2, acc1, acc2])
+
+    return rhs
+
+
 def semiclassical_integrate(
     semi: SemiclassicalModel,
     init: InitialState,
@@ -524,6 +573,14 @@ def semiclassical_integrate(
     of energy conservation crossing the wall region.  All coefficients use
     the closed-form erfc expressions and their analytic derivatives.
 
+    The right-hand side evaluates those expressions on Python floats, with
+    ``math.erfc`` and ``math.exp`` passed to the same ``_veff_pieces`` that
+    the portraits and the sampled energies run on float arrays: about sixty
+    operations on Python floats cost far less than the same numpy operations
+    on 0-d values.  The instantiations differ only by the rounding of the
+    two erfc and exp implementations, so trajectories move in their last
+    digits against an all-numpy right-hand side.
+
     The initial point may lie anywhere; escape is detected by leaving the
     classical rectangle after the barrier has dropped below a hundredth of
     the conserved energy, or by straying beyond twice the larger half-width.
@@ -532,30 +589,11 @@ def semiclassical_integrate(
     kin = _kinetic_coeffs(semi.modes)
     scales = _both_scales(model, semi.modes)
 
-    def rhs(t, y):
-        q1, q2, v1, v2 = y
-        _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2) = _veff_pieces(
-            model, scales, q1, q2, kin
-        )
-        acc1 = (
-            0.5 * v1 * v1 / a1 * d1a1
-            - 0.5 * a1 / (a2 * a2) * d1a2 * v2 * v2
-            + v1 * v2 / a1 * d2a1
-            - a1 * d1v
-        )
-        acc2 = (
-            0.5 * v2 * v2 / a2 * d2a2
-            - 0.5 * a2 / (a1 * a1) * d2a1 * v1 * v1
-            + v1 * v2 / a2 * d1a2
-            - a2 * d2v
-        )
-        return np.array([v1, v2, acc1, acc2])
-
+    rhs = _equations_of_motion(model, scales, kin)
     y0 = np.array([init.q1, init.q2, init.v1, init.v2])
     # so far outside that every portrait underflows to zero, the equations
     # degenerate to 0/0; fail up front instead of stalling the integrator
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f0 = rhs(t_span[0], y0)
+    f0 = rhs(t_span[0], y0)
     if not np.all(np.isfinite(f0)):
         raise NonFiniteState(
             "equations of motion are not finite at the initial state; "

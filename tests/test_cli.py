@@ -8,6 +8,7 @@ for a fixed config, so several tests compare raw bytes across runs.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sqzq import pdm
-from sqzq.cli import CHECKS, RunConfig, main
+from sqzq.cli import CHECKS, RunConfig, _csv, main
 from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
 from sqzq.sepstates import Field, PhasePoint
@@ -92,6 +93,8 @@ def test_unknown_preset_exits_2(tmp_path):
         (["quantise", "q1"], {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-300}),
         (["quantise", "q1"], {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam2": 1e200}),
         (["quantise", "q", "--fock-dim", "0"], {}),
+        (["quantise", "q"], {"lam": 1e-155}),
+        (["quantise", "q"], {"lam": 1e150, "hbar": 1e-150}),
     ],
     ids=[
         "simulate-lam1", "portrait-lam1", "samples", "fock-dim", "verify-fock-dim",
@@ -100,11 +103,15 @@ def test_unknown_preset_exits_2(tmp_path):
         "tau-1.5", "tau-1", "tau-unit-circle", "two-mode-tau1-1.2", "two-mode-tau2-minus-1",
         "lam-1e-300", "lam-1e200", "hbar-1e-300", "hbar-1e200",
         "two-mode-lam1-1e-300", "two-mode-lam2-1e200", "quantise-fock-dim-0",
+        "lam-precision-overflow", "lam-over-hbar-precision-overflow",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
     cfg = _write_cfg(tmp_path, payload)
-    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    # refused before any arithmetic can overflow: a warning would be an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -152,6 +159,26 @@ def test_console_script_runs():
     # runpy warns when the module it is asked to run was already imported
     # with the package
     assert "RuntimeWarning" not in out.stderr
+
+
+def test_csv_row_template_writes_the_per_cell_bytes():
+    # every kind of float %.17g spells in its own way, an integer column as
+    # quantise writes its indices, and a block of ready-made cells as the
+    # portraits write their axes
+    odd = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.5e-310, 3.0, -7.0,
+                    1e300, 0.1, 2.0**53 + 2.0])
+    ints = np.arange(odd.size)
+    ready = ["%.17g" % v for v in (odd[::-1] * 3.0).tolist()]
+    text = _csv("a,b,c", [(ints, odd, odd[::-1]), (ready, odd, -odd)])
+
+    def per_cell(*columns):
+        cells = [c if isinstance(c, list) else ["%.17g" % v for v in c.tolist()]
+                 for c in columns]
+        return [",".join(row) for row in zip(*cells)]
+
+    lines = ["a,b,c"] + per_cell(ints, odd, odd[::-1]) + per_cell(ready, odd, -odd)
+    assert text == "\n".join(lines) + "\n"
+    assert "inf,-inf" in text and "nan" in text and "-0," in text and "\n3," in text
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +336,15 @@ def test_simulate_outside_box_exits_2(tmp_path):
 
 def test_simulate_degenerate_semiclassical_exits_3(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"q0_1": 50.0, "q0_2": 50.0})
+    assert main(["simulate", "--preset", "fig6a", "--config", cfg,
+                 "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_simulate_failure_before_the_first_sample_exits_3(tmp_path, capsys):
+    # a mass this small makes the first step fail; the solver then has no
+    # sample at all
+    cfg = _write_cfg(tmp_path, {"m0": 1e-300, "t1": 1.0, "samples": 50})
     assert main(["simulate", "--preset", "fig6a", "--config", cfg,
                  "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err

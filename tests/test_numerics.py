@@ -340,6 +340,22 @@ def test_solve_ode_blowup_partial_solution():
     assert_allclose(sol.y[k, 0], 1.0 / (1.0 - sol.t[k]), rtol=1e-7)
 
 
+def test_solve_ode_failure_before_the_first_sample():
+    # finite at t0 and NaN at every later stage: no step is accepted, and
+    # scipy hands back t and y as empty lists when t_eval is given
+    def rhs(t, y):
+        return -y if t == 0.0 else np.full_like(y, np.nan)
+
+    prob = OdeProblem(2, rhs, (0.0, 1.0), np.array([1.0, 0.5]))
+    sol = solve_ode(prob, t_eval=np.linspace(0.0, 1.0, 11), raise_on_failure=False)
+    assert sol.status == "failed"
+    assert sol.message
+    assert sol.t.shape == (0,)
+    assert sol.y.shape == (0, 2)
+    with pytest.raises(StepSizeUnderflow):
+        solve_ode(prob, t_eval=np.linspace(0.0, 1.0, 11))
+
+
 def test_ode_problem_validation():
     with pytest.raises(ValueError):
         OdeProblem(2, _harmonic, (1.0, 0.0), np.array([0.0, 1.0]))

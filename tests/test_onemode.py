@@ -98,6 +98,18 @@ def test_scale_without_a_finite_nonzero_square_is_refused(scale):
         SqueezeParameter.from_tau(0.2, hbar=scale)
 
 
+@pytest.mark.parametrize(
+    "lam,hbar,scale",
+    [(1e-155, 1.0, r"1/\(2 lam\^2\) = inf"), (1e150, 1e-150, r"lam\^2/\(2 hbar\^2\) = inf"),
+     (1e-150, 1e150, r"lam\^2/\(2 hbar\^2\) = 0;")],
+)
+def test_scales_whose_precision_leaves_the_float_range_are_refused(lam, hbar, scale):
+    # each scale has a finite nonzero square, but the vacuum precision does not
+    with pytest.raises(ValueError, match=scale):
+        SqueezeParameter.from_tau(0.2, lam=lam, hbar=hbar)
+    SqueezeParameter.from_tau(0.2, lam=1e100, hbar=1e-50)
+
+
 def test_from_tau_backfills_xi():
     par = SqueezeParameter.from_tau(0.5)
     assert_allclose(par.xi, ATANH_HALF, rtol=1e-15)

@@ -6,12 +6,15 @@ algebra under test.  Dynamics are checked against the exact free solution,
 analytic libration amplitudes, and conservation of the relevant energy.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import erfc
 
 from sqzq.cli import _quad_moment_1d
 from sqzq.errors import ConfigError, NonFiniteState, OutsideBox
@@ -36,6 +39,7 @@ from sqzq.pdm import (
     semiclassical_energy,
     semiclassical_integrate,
 )
+from sqzq.pdm import _both_scales, _equations_of_motion, _kinetic_coeffs, _veff_pieces
 from sqzq.sepstates import TwoModeParams
 
 
@@ -371,6 +375,79 @@ def test_gradients_match_central_differences():
                 ) / (2 * h)
                 den = max(np.max(np.abs(grad_m[k])), 1e-3)
                 assert abs(grad_m[k, d] - fd_m) / den < 1e-6
+
+
+def _pinning_axis(w, s):
+    # interior, both erfc shoulders at +-4 widths, and 1.5 to 2.5 walls out
+    shoulder = s * np.linspace(-4.0, 4.0, 9)
+    out = np.linspace(1.5 * w, 2.5 * w, 3)
+    return np.concatenate(
+        [np.linspace(-0.9 * w, 0.9 * w, 7), -w + shoulder, w + shoulder, -out, out]
+    )
+
+
+@pytest.mark.parametrize(
+    "model,modes",
+    [
+        _fig6_pair(),
+        (
+            PdmModel(m0=2.0, lambda1=0.8, lambda2=2.5, vbar1=3.0, vbar2=0.5),
+            TwoModeParams.from_tau(0.3, -0.4, lam1=1.2, lam2=0.7, hbar=0.6),
+        ),
+    ],
+    ids=["fig6", "other-scales"],
+)
+def test_float_and_array_formulas_agree(model, modes):
+    # the equations of motion run _veff_pieces on Python floats with math's
+    # erfc and exp; everything else runs it on arrays with scipy's and numpy's
+    scales = _both_scales(model, modes)
+    kin = _kinetic_coeffs(modes)
+    axes = [_pinning_axis(w, s) for w, s in scales]
+    g1, g2 = np.meshgrid(*axes, indexing="ij")
+    q1, q2 = g1.ravel(), g2.ravel()
+    assert q1.size >= 200
+    veff, d1, d2, masses = _veff_pieces(model, scales, q1, q2, kin)
+    arrays = np.array([veff, d1, d2, *masses])
+
+    def on_floats(erfc_f, exp_f):
+        rows = []
+        for a, b in zip(q1.tolist(), q2.tolist()):
+            veff, d1, d2, masses = _veff_pieces(model, scales, a, b, kin, erfc_f, exp_f)
+            rows.append([veff, d1, d2, *masses])
+        assert all(type(v) is float for row in rows for v in row)
+        return np.array(rows).T
+
+    # with the same erfc and exp, float and array arithmetic agree to the bit
+    # in all nine quantities: one source of formulas, two instantiations
+    same = on_floats(lambda x: float(erfc(x)), lambda x: float(np.exp(x)))
+    np.testing.assert_array_equal(same, arrays)
+
+    # so math's instantiation moves them only as far as math's functions
+    # differ from scipy's and numpy's on the arguments reached: exp by an ulp,
+    # erfc by tail rounding that grows like z^2 eps (3e-14 at z = 20).  The
+    # nine quantities themselves are not compared at 1e-14 relative: where the
+    # formulas subtract nearly equal terms (the window left of the box from
+    # two erfc values near 2, the mass c - Lambda^2 g at the walls) such a
+    # difference grows to 3e-11 relative
+    z = np.concatenate(
+        [(ax + sign * w) / (np.sqrt(2.0) * s) for ax, (w, s) in zip(axes, scales)
+         for sign in (1, -1)]
+    )
+    exps = [math.exp(v) for v in (-z * z).tolist()]
+    assert_allclose(exps, np.exp(-z * z), rtol=2.3e-16, atol=0)
+    assert_allclose([math.erfc(v) for v in z.tolist()], erfc(z), rtol=5e-14, atol=0)
+
+
+def test_float_equations_of_motion_turn_nan_where_the_portraits_underflow():
+    model, modes = _fig6_pair()
+    rhs = _equations_of_motion(model, _both_scales(model, modes), _kinetic_coeffs(modes))
+    inside = rhs(0.0, np.array([0.1, -0.2, 0.7, 0.4]))
+    assert np.all(np.isfinite(inside))
+    # every window underflows to 0 this far out, where Python floats raise
+    # ZeroDivisionError where numpy values give inf or NaN
+    far = rhs(0.0, np.array([50.0, 50.0, 1.0, 1.0]))
+    assert far.tolist()[:2] == [1.0, 1.0]
+    assert not np.any(np.isfinite(far[2:]))
 
 
 # ---------------------------------------------------------------- semiclassical
