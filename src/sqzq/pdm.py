@@ -18,6 +18,11 @@ finite potential barrier, and a sufficiently energetic state escapes.  The
 semiclassical equations of motion are integrated in (q, v) form: the
 canonical momentum p_j = v_j / A_j grows like exp(z^2) beyond the walls and
 makes the equivalent (q, p) system needlessly stiff during an escape.
+
+Every smoothed wall quantity (the windows chi_j and <q_j^2 chi_j>, the
+regularised inverse masses A_j, V_eff and their gradients) is read from one
+evaluator, ``_veff_pieces``: on float arrays for the portraits, energies and
+masks, on Python floats for the equations of motion.
 """
 
 from __future__ import annotations
@@ -53,7 +58,6 @@ __all__ = [
     "forbidden_region",
     "Preset",
     "PRESETS",
-    "run_preset",
 ]
 
 _CLASSIFICATIONS = ("bounded", "escaped", "singular-stop")
@@ -111,8 +115,7 @@ class PdmModel:
         lam = self.inverse_length(j)
         q = np.asarray(q, dtype=float)
         with np.errstate(divide="ignore"):
-            out = self.m0 / (1.0 - (lam * q) ** 2)
-        return out[()] if out.ndim == 0 else out
+            return _scalar_or_array(self.m0 / (1.0 - (lam * q) ** 2))
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,6 @@ class SemiclassicalModel:
     def hbar(self) -> float:
         return self.modes.hbar
 
-    def smoothing(self, j: int) -> float:
-        """Gaussian half-width lambda_j Delta_p_j of the wall shoulders."""
-        return _mode_sigma(self.modes, j)
-
 
 @dataclass(frozen=True)
 class InitialState:
@@ -154,14 +153,6 @@ class InitialState:
     def __post_init__(self):
         if not all(np.isfinite(v) for v in (self.q1, self.q2, self.v1, self.v2)):
             raise ValueError("initial state must be finite")
-
-    def q(self, j: int) -> float:
-        _require_mode(j)
-        return self.q1 if j == 1 else self.q2
-
-    def v(self, j: int) -> float:
-        _require_mode(j)
-        return self.v1 if j == 1 else self.v2
 
 
 @dataclass(frozen=True)
@@ -210,6 +201,12 @@ def _require_mode(j: int) -> None:
         raise ValueError("mode index must be 1 or 2")
 
 
+def _scalar_or_array(x):
+    """x as an array, or as a numpy scalar when it has no axes."""
+    out = np.asarray(x)
+    return out[()] if out.ndim == 0 else out
+
+
 # ----------------------------------------------------------------------
 # classical dynamics
 
@@ -227,8 +224,7 @@ def classical_exact(model: PdmModel, j: int, q0: float, v0: float, t):
         raise OutsideBox(f"|Lambda q0| = {abs(lam * q0):.6g} >= 1")
     t = np.asarray(t, dtype=float)
     phase = lam * v0 * t / np.sqrt(1.0 - (lam * q0) ** 2) + np.arcsin(lam * q0)
-    out = np.sin(phase) / lam
-    return out[()] if out.ndim == 0 else out
+    return _scalar_or_array(np.sin(phase) / lam)
 
 
 def classical_energy(model: PdmModel, q, v):
@@ -239,8 +235,7 @@ def classical_energy(model: PdmModel, q, v):
     for j, k in ((1, 0), (2, 1)):
         total = total + 0.5 * model.mass(j, q[..., k]) * v[..., k] ** 2
         total = total + model.strength(j) * q[..., k] ** 2
-    out = np.asarray(total)
-    return out[()] if out.ndim == 0 else out
+    return _scalar_or_array(total)
 
 
 def classical_integrate(
@@ -347,89 +342,27 @@ def _as_points(q) -> np.ndarray:
     return q
 
 
-def _mode_scales(model: PdmModel, params: TwoModeParams, j: int) -> tuple[float, float]:
-    """(wall half-width, Gaussian smoothing width) of mode j, as Python floats:
-    an ``np.float64`` would turn every float operation of the equations of
-    motion into a slower numpy scalar one."""
-    return model.wall(j), float(_mode_sigma(params, j))
-
-
-def portrait_chi(model: PdmModel, params: TwoModeParams, q):
-    """Smoothed box indicator, a product of per-mode erfc windows in (0, 1)."""
-    q = _as_points(q)
-    w1, s1 = _mode_scales(model, params, 1)
-    w2, s2 = _mode_scales(model, params, 2)
-    c1 = _mode_pieces(q[..., 0], w1, s1)[0]
-    c2 = _mode_pieces(q[..., 1], w2, s2)[0]
-    out = c1 * c2
-    return out[()] if out.ndim == 0 else out
-
-
-def portrait_q2chi(model: PdmModel, params: TwoModeParams, j: int, q):
-    """Smoothed q_j^2 restricted to the box.
-
-    In the infinite-box limit this reduces to q_j^2 + lambda_j^2 Delta_p_j^2,
-    the familiar smearing shift of the square.
-    """
-    _require_mode(j)
-    q = _as_points(q)
-    wj, sj = _mode_scales(model, params, j)
-    wo, so = _mode_scales(model, params, 3 - j)
-    g = _mode_pieces(q[..., j - 1], wj, sj)[1]
-    c_other = _mode_pieces(q[..., 2 - j], wo, so)[0]
-    out = g * c_other
-    return out[()] if out.ndim == 0 else out
-
-
-def regularised_mass(model: PdmModel, params: TwoModeParams, q, j: int):
-    """Smoothed inverse-mass factor A_j = (c_j - Lambda_j^2 g_j) c_other / m0.
-
-    Strictly positive everywhere: inside the box it tends to
-    (1 - Lambda_j^2 q_j^2)/m0, outside it decays like a Gaussian tail without
-    crossing zero, so the semiclassical flow has no mass singularity.
-    """
-    _require_mode(j)
-    q = _as_points(q)
-    wj, sj = _mode_scales(model, params, j)
-    wo, so = _mode_scales(model, params, 3 - j)
-    lam = model.inverse_length(j)
-    cj, gj, _, _ = _mode_pieces(q[..., j - 1], wj, sj)
-    c_other = _mode_pieces(q[..., 2 - j], wo, so)[0]
-    out = (cj - lam * lam * gj) / model.m0 * c_other
-    return out[()] if out.ndim == 0 else out
-
-
-def regularised_mass_gradient(model: PdmModel, params: TwoModeParams, q, j: int):
-    """Closed-form (d/dq1, d/dq2) of regularised_mass, stacked along the last axis."""
-    _require_mode(j)
-    q = _as_points(q)
-    wj, sj = _mode_scales(model, params, j)
-    wo, so = _mode_scales(model, params, 3 - j)
-    lam = model.inverse_length(j)
-    cj, gj, cjp, gjp = _mode_pieces(q[..., j - 1], wj, sj)
-    co, _, cop, _ = _mode_pieces(q[..., 2 - j], wo, so)
-    mj = (cj - lam * lam * gj) / model.m0
-    mjp = (cjp - lam * lam * gjp) / model.m0
-    grad_own = mjp * co
-    grad_other = mj * cop
-    if j == 1:
-        return np.stack([grad_own, grad_other], axis=-1)
-    return np.stack([grad_other, grad_own], axis=-1)
-
-
 def _both_scales(model: PdmModel, params: TwoModeParams):
-    """``_mode_scales`` of both modes, ((w1, s1), (w2, s2))."""
-    return _mode_scales(model, params, 1), _mode_scales(model, params, 2)
+    """((w1, s1), (w2, s2)): the wall half-width and Gaussian smoothing width
+    of each mode, as Python floats: an ``np.float64`` would turn every float
+    operation of the equations of motion into a slower numpy scalar one."""
+    return tuple((model.wall(j), float(_mode_sigma(params, j))) for j in (1, 2))
 
 
 def _veff_pieces(
     model: PdmModel, scales, q1, q2, kin: tuple[float, float], erfc=erfc, exp=np.exp
 ):
-    """All per-mode pieces needed by V_eff and its gradient.
+    """Every smoothed wall quantity at (q1, q2), from one evaluation of the
+    per-mode pieces: V_eff and its gradient (d1, d2), the inverse masses with
+    their gradients (A1, A2, d1A1, d2A1, d1A2, d2A2), and the windows
+    (c1, g1, c2, g2).
 
-    ``scales`` is ``_both_scales`` of the smoothing family, which callers
-    that evaluate many times compute once; ``erfc`` and ``exp`` go to
-    ``_mode_pieces`` (float arrays by default, Python floats with ``math``).
+    The only place where these are assembled.  ``scales`` is ``_both_scales``
+    of the smoothing family, which callers that evaluate many times compute
+    once; ``kin`` the kinetic coefficients, which only V_eff and its gradient
+    read; ``erfc`` and ``exp`` go to ``_mode_pieces`` (float arrays by
+    default, Python floats with ``math``).  q1 and q2 broadcast against each
+    other.
     """
     (w1, s1), (w2, s2) = scales
     c1, g1, c1p, g1p = _mode_pieces(q1, w1, s1, erfc, exp)
@@ -443,7 +376,50 @@ def _veff_pieces(
     veff = k1 * m1 * c2 + k2 * c1 * m2 + model.vbar1 * g1 * c2 + model.vbar2 * c1 * g2
     d1 = k1 * m1p * c2 + k2 * c1p * m2 + model.vbar1 * g1p * c2 + model.vbar2 * c1p * g2
     d2 = k1 * m1 * c2p + k2 * c1 * m2p + model.vbar1 * g1 * c2p + model.vbar2 * c1 * g2p
-    return veff, d1, d2, (m1 * c2, c1 * m2, m1p * c2, m1 * c2p, c1p * m2, c1 * m2p)
+    masses = (m1 * c2, c1 * m2, m1p * c2, m1 * c2p, c1p * m2, c1 * m2p)
+    return veff, d1, d2, masses, (c1, g1, c2, g2)
+
+
+def _pieces(model: PdmModel, params: TwoModeParams, q, kin=(0.0, 0.0)):
+    """``_veff_pieces`` at the points q of shape (..., 2)."""
+    q = _as_points(q)
+    return _veff_pieces(model, _both_scales(model, params), q[..., 0], q[..., 1], kin)
+
+
+def portrait_chi(model: PdmModel, params: TwoModeParams, q):
+    """Smoothed box indicator, a product of per-mode erfc windows in (0, 1)."""
+    c1, _, c2, _ = _pieces(model, params, q)[4]
+    return _scalar_or_array(c1 * c2)
+
+
+def portrait_q2chi(model: PdmModel, params: TwoModeParams, j: int, q):
+    """Smoothed q_j^2 restricted to the box.
+
+    In the infinite-box limit this reduces to q_j^2 + lambda_j^2 Delta_p_j^2,
+    the familiar smearing shift of the square.
+    """
+    _require_mode(j)
+    c1, g1, c2, g2 = _pieces(model, params, q)[4]
+    return _scalar_or_array(g1 * c2 if j == 1 else g2 * c1)
+
+
+def regularised_mass(model: PdmModel, params: TwoModeParams, q, j: int):
+    """Smoothed inverse-mass factor A_j = (c_j - Lambda_j^2 g_j) c_other / m0.
+
+    Strictly positive everywhere: inside the box it tends to
+    (1 - Lambda_j^2 q_j^2)/m0, outside it decays like a Gaussian tail without
+    crossing zero, so the semiclassical flow has no mass singularity.
+    """
+    _require_mode(j)
+    a1, a2 = _pieces(model, params, q)[3][:2]
+    return _scalar_or_array(a1 if j == 1 else a2)
+
+
+def regularised_mass_gradient(model: PdmModel, params: TwoModeParams, q, j: int):
+    """Closed-form (d/dq1, d/dq2) of regularised_mass, stacked along the last axis."""
+    _require_mode(j)
+    _, _, d1a1, d2a1, d1a2, d2a2 = _pieces(model, params, q)[3]
+    return np.stack([d1a1, d2a1] if j == 1 else [d1a2, d2a2], axis=-1)
 
 
 def _kinetic_coeffs(params: TwoModeParams) -> tuple[float, float]:
@@ -468,19 +444,13 @@ def effective_potential(model: PdmModel, params: TwoModeParams, q):
     turns the classical hard walls into an escapable barrier.
     """
     _require_real_tau(params)
-    q = _as_points(q)
-    scales = _both_scales(model, params)
-    veff = _veff_pieces(model, scales, q[..., 0], q[..., 1], _kinetic_coeffs(params))[0]
-    out = np.asarray(veff)
-    return out[()] if out.ndim == 0 else out
+    return _scalar_or_array(_pieces(model, params, q, _kinetic_coeffs(params))[0])
 
 
 def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
     """Closed-form gradient of effective_potential, stacked along the last axis."""
     _require_real_tau(params)
-    q = _as_points(q)
-    scales = _both_scales(model, params)
-    _, d1, d2, _ = _veff_pieces(model, scales, q[..., 0], q[..., 1], _kinetic_coeffs(params))
+    _, d1, d2, _, _ = _pieces(model, params, q, _kinetic_coeffs(params))
     return np.stack([d1, d2], axis=-1)
 
 
@@ -490,20 +460,14 @@ def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
 
 def semiclassical_energy(semi: SemiclassicalModel, q, p):
     """Conserved value p1^2 A_1/2 + p2^2 A_2/2 + V_eff at (q, p)."""
-    q = _as_points(q)
     p = _as_points(p)
-    a1 = regularised_mass(semi.model, semi.modes, q, 1)
-    a2 = regularised_mass(semi.model, semi.modes, q, 2)
-    veff = effective_potential(semi.model, semi.modes, q)
-    out = np.asarray(0.5 * (p[..., 0] ** 2 * a1 + p[..., 1] ** 2 * a2) + veff)
-    return out[()] if out.ndim == 0 else out
+    veff, _, _, (a1, a2, *_), _ = _pieces(semi.model, semi.modes, q, _kinetic_coeffs(semi.modes))
+    return _scalar_or_array(0.5 * (p[..., 0] ** 2 * a1 + p[..., 1] ** 2 * a2) + veff)
 
 
 def initial_momenta(semi: SemiclassicalModel, init: InitialState) -> np.ndarray:
     """Momenta conjugate to the initial velocities: p_j = v_j / A_j(q0)."""
-    q0 = np.array([init.q1, init.q2])
-    a1 = regularised_mass(semi.model, semi.modes, q0, 1)
-    a2 = regularised_mass(semi.model, semi.modes, q0, 2)
+    a1, a2 = _pieces(semi.model, semi.modes, [init.q1, init.q2])[3][:2]
     return np.array([init.v1 / a1, init.v2 / a2])
 
 
@@ -534,7 +498,7 @@ def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
     def rhs(t, y):
         q1, q2, v1, v2 = y.tolist()
         try:
-            _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2) = _veff_pieces(
+            _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2), _ = _veff_pieces(
                 model, scales, q1, q2, kin, math.erfc, math.exp
             )
             acc1 = (
@@ -615,9 +579,7 @@ def semiclassical_integrate(
 
     q = sol.y[:, 0:2]
     v = sol.y[:, 2:4]
-    veff, _, _, (a1, a2, *_rest) = _veff_pieces(
-        model, scales, q[:, 0], q[:, 1], kin
-    )
+    veff, _, _, (a1, a2, *_), _ = _veff_pieces(model, scales, q[:, 0], q[:, 1], kin)
     p = np.stack([v[:, 0] / a1, v[:, 1] / a2], axis=-1)
     energy = 0.5 * (v[:, 0] ** 2 / a1 + v[:, 1] ** 2 / a2) + veff
 
@@ -648,23 +610,11 @@ def forbidden_region(
         q2_axis = np.linspace(-1.5 * model.wall(2), 1.5 * model.wall(2), 201)
     q1_axis = np.asarray(q1_axis, dtype=float)
     q2_axis = np.asarray(q2_axis, dtype=float)
-
-    kin = _kinetic_coeffs(semi.modes)
-    w1, s1 = _mode_scales(model, semi.modes, 1)
-    w2, s2 = _mode_scales(model, semi.modes, 2)
-    c1, g1, _, _ = _mode_pieces(q1_axis, w1, s1)
-    c2, g2, _, _ = _mode_pieces(q2_axis, w2, s2)
-    m1 = (c1 - model.lambda1**2 * g1) / model.m0
-    m2 = (c2 - model.lambda2**2 * g2) / model.m0
-    veff = (
-        kin[0] * np.outer(m1, c2)
-        + kin[1] * np.outer(c1, m2)
-        + model.vbar1 * np.outer(g1, c2)
-        + model.vbar2 * np.outer(c1, g2)
-    )
-
-    p0 = initial_momenta(semi, init)
-    e0 = semiclassical_energy(semi, np.array([init.q1, init.q2]), p0)
+    veff = _veff_pieces(
+        model, _both_scales(model, semi.modes), q1_axis[:, None], q2_axis[None, :],
+        _kinetic_coeffs(semi.modes),
+    )[0]
+    e0 = semiclassical_energy(semi, [init.q1, init.q2], initial_momenta(semi, init))
     return veff >= e0
 
 
@@ -748,30 +698,3 @@ PRESETS = {
         "energetic launch along the weaker barrier: escapes the box",
     ),
 }
-
-
-def run_preset(
-    name: str,
-    *,
-    samples: Optional[int] = None,
-    rel_tol: Optional[float] = None,
-    abs_tol: Optional[float] = None,
-) -> Trajectory:
-    """Integrate a named preset and return its trajectory."""
-    try:
-        preset = PRESETS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
-    kwargs = {}
-    if samples is not None:
-        kwargs["samples"] = samples
-    if rel_tol is not None:
-        kwargs["rel_tol"] = rel_tol
-    if abs_tol is not None:
-        kwargs["abs_tol"] = abs_tol
-    if preset.kind == "classical":
-        return classical_integrate(preset.model, preset.init, preset.t_span, **kwargs)
-    semi = SemiclassicalModel(preset.model, preset.modes)
-    return semiclassical_integrate(semi, preset.init, preset.t_span, **kwargs)

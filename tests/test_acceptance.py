@@ -242,11 +242,11 @@ def test_criterion_07_table1_rows():
             assert printed_dev > 0.01, name
 
 
-def test_criterion_08_semiclassical_phenomenology():
+def test_criterion_08_semiclassical_phenomenology(run_preset):
     expected = {"fig6a": "bounded", "fig6b": "bounded", "fig6c": "escaped"}
     for name, classification in expected.items():
         start = time.perf_counter()
-        tr = pdm.run_preset(name)
+        tr = run_preset(name)
         elapsed = time.perf_counter() - start
         assert tr.classification == classification, name
         assert tr.energy_drift() < 1e-6, name

@@ -35,7 +35,6 @@ from sqzq.pdm import (
     portrait_q2chi,
     regularised_mass,
     regularised_mass_gradient,
-    run_preset,
     semiclassical_energy,
     semiclassical_integrate,
 )
@@ -104,7 +103,7 @@ def test_initial_state_validation():
     with pytest.raises(ValueError):
         InitialState(0.0, np.nan, 1.0, 1.0)
     s = InitialState(0.1, 0.2, 0.3, 0.4)
-    assert s.q(2) == 0.2 and s.v(1) == 0.3
+    assert (s.q1, s.q2, s.v1, s.v2) == (0.1, 0.2, 0.3, 0.4)
 
 
 def test_trajectory_validation():
@@ -191,7 +190,7 @@ def test_classical_constant_mass_limit():
 
 
 @pytest.mark.parametrize("name", ["fig4a", "fig4b", "fig4c"])
-def test_classical_presets_stay_inside(name):
+def test_classical_presets_stay_inside(name, run_preset):
     tr = run_preset(name)
     model = PRESETS[name].model
     scaled = np.abs(tr.q) * np.array([model.lambda1, model.lambda2])
@@ -199,7 +198,7 @@ def test_classical_presets_stay_inside(name):
     assert tr.energy_drift() < 1e-6
 
 
-def test_classical_libration_amplitude():
+def test_classical_libration_amplitude(run_preset):
     # energy partition fixes the turning point: sin^2(theta_max) = E Lambda^2 / vbar
     tr = run_preset("fig4c")
     model = PRESETS["fig4c"].model
@@ -208,7 +207,7 @@ def test_classical_libration_amplitude():
     assert np.max(np.abs(tr.q[:, 0])) == pytest.approx(expected, abs=1e-4)
 
 
-def test_classical_energy_identity():
+def test_classical_energy_identity(run_preset):
     tr = run_preset("fig4c")
     model = PRESETS["fig4c"].model
     mass = np.stack([model.mass(1, tr.q[:, 0]), model.mass(2, tr.q[:, 1])], axis=-1)
@@ -406,26 +405,26 @@ def test_float_and_array_formulas_agree(model, modes):
     g1, g2 = np.meshgrid(*axes, indexing="ij")
     q1, q2 = g1.ravel(), g2.ravel()
     assert q1.size >= 200
-    veff, d1, d2, masses = _veff_pieces(model, scales, q1, q2, kin)
-    arrays = np.array([veff, d1, d2, *masses])
+    veff, d1, d2, masses, windows = _veff_pieces(model, scales, q1, q2, kin)
+    arrays = np.array([veff, d1, d2, *masses, *windows])
 
     def on_floats(erfc_f, exp_f):
         rows = []
         for a, b in zip(q1.tolist(), q2.tolist()):
-            veff, d1, d2, masses = _veff_pieces(model, scales, a, b, kin, erfc_f, exp_f)
-            rows.append([veff, d1, d2, *masses])
+            veff, d1, d2, masses, windows = _veff_pieces(model, scales, a, b, kin, erfc_f, exp_f)
+            rows.append([veff, d1, d2, *masses, *windows])
         assert all(type(v) is float for row in rows for v in row)
         return np.array(rows).T
 
     # with the same erfc and exp, float and array arithmetic agree to the bit
-    # in all nine quantities: one source of formulas, two instantiations
+    # in all thirteen quantities: one source of formulas, two instantiations
     same = on_floats(lambda x: float(erfc(x)), lambda x: float(np.exp(x)))
     np.testing.assert_array_equal(same, arrays)
 
     # so math's instantiation moves them only as far as math's functions
     # differ from scipy's and numpy's on the arguments reached: exp by an ulp,
     # erfc by tail rounding that grows like z^2 eps (3e-14 at z = 20).  The
-    # nine quantities themselves are not compared at 1e-14 relative: where the
+    # thirteen quantities themselves are not compared at 1e-14 relative: where the
     # formulas subtract nearly equal terms (the window left of the box from
     # two erfc values near 2, the mass c - Lambda^2 g at the walls) such a
     # difference grows to 3e-11 relative
@@ -453,7 +452,7 @@ def test_float_equations_of_motion_turn_nan_where_the_portraits_underflow():
 # ---------------------------------------------------------------- semiclassical
 
 
-def test_semiclassical_bounded_runs():
+def test_semiclassical_bounded_runs(run_preset):
     model, modes = _fig6_pair()
     for name in ("fig6a", "fig6b"):
         tr = run_preset(name)
@@ -466,7 +465,7 @@ def test_semiclassical_bounded_runs():
     assert np.max(scaled) < 1.0
 
 
-def test_semiclassical_escape():
+def test_semiclassical_escape(run_preset):
     tr = run_preset("fig6c")
     assert tr.classification == "escaped"
     assert tr.escape_time is not None and tr.escape_time <= 15.0
@@ -547,7 +546,7 @@ def test_forbidden_region_corridor_structure():
     assert np.any(high[centre, :])
 
 
-def test_bounded_trajectory_avoids_forbidden_region():
+def test_bounded_trajectory_avoids_forbidden_region(run_preset):
     model, modes = _fig6_pair()
     tr = run_preset("fig6a")
     veff = effective_potential(model, modes, tr.q)
@@ -576,13 +575,8 @@ def test_preset_catalogue():
         assert (preset.modes is not None) == (preset.kind == "semiclassical")
 
 
-def test_run_preset_unknown_name():
-    with pytest.raises(ConfigError):
-        run_preset("fig9z")
-
-
 @pytest.mark.parametrize("name", ["fig3a", "fig6c"])
-def test_trajectory_reports_the_solver_rhs_count(monkeypatch, name):
+def test_trajectory_reports_the_solver_rhs_count(monkeypatch, name, run_preset):
     import sqzq.pdm as pdm_module
     from sqzq.numerics import solve_ode
 
