@@ -277,15 +277,10 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
 # simulate
 
 
-def _recurrence_residual(preset: pdm.Preset, rel_tol, abs_tol) -> float:
-    kwargs = {}
-    if rel_tol is not None:
-        kwargs["rel_tol"] = rel_tol
-    if abs_tol is not None:
-        kwargs["abs_tol"] = abs_tol
-    tr = pdm.classical_integrate(
-        preset.model, preset.init, (0.0, preset.closure_time), **kwargs
-    )
+def _recurrence_residual(model, init, t0: float, closure_time: float, tols) -> float:
+    """Largest change of (q, p) of the run's classical motion over one
+    closure time from t0, integrated at the run's tolerances ``tols``."""
+    tr = pdm.classical_integrate(model, init, (t0, t0 + closure_time), **tols)
     start = np.array([tr.q[0, 0], tr.q[0, 1], tr.p[0, 0], tr.p[0, 1]])
     end = np.array([tr.q[-1, 0], tr.q[-1, 1], tr.p[-1, 0], tr.p[-1, 1]])
     return float(np.max(np.abs(end - start)))
@@ -324,10 +319,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         kwargs["samples"] = cfg.get("samples", cast=int)
         if kwargs["samples"] < 2:
             raise ConfigError("config field 'samples' must be >= 2")
+    tols = {}
     for key, flag in (("rel_tol", args.tol), ("abs_tol", None)):
         tol = _tolerance(cfg, flag, key)
         if tol is not None:
-            kwargs[key] = tol
+            tols[key] = tol
+    kwargs.update(tols)
 
     if kind == "classical":
         tr = pdm.classical_integrate(model, init, t_span, **kwargs)
@@ -347,9 +344,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         "t0": float(tr.t[0]),
         "t1": float(tr.t[-1]),
     }
-    if preset is not None and preset.closure_time is not None:
+    if kind == "classical" and preset is not None and preset.closure_time is not None:
         summary["recurrence_residual"] = _recurrence_residual(
-            preset, kwargs.get("rel_tol"), kwargs.get("abs_tol")
+            model, init, t_span[0], preset.closure_time, tols
         )
 
     columns = (tr.t, tr.q[:, 0], tr.q[:, 1], tr.p[:, 0], tr.p[:, 1], tr.energy)

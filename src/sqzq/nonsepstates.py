@@ -62,6 +62,7 @@ from .numerics import (
     _NSIGMA,
     _ORDER_STEP,
     _SMOOTH_ORDER,
+    _TINY,
     QuadratureReport,
     TruncatedOperator,
     _quantise_on_rule,
@@ -507,8 +508,15 @@ def _position_rule(params: NonSepParams, order: int):
     s = _position_covariance(params)
     si = np.linalg.inv(s)
     pts, weights = whitened_rule(si / 2.0, order)
+    with np.errstate(over="ignore", under="ignore"):
+        det = np.linalg.det(s)
+    if not _TINY <= det < np.inf:
+        raise NonConvergent(
+            f"the position covariance at lam1 = {params.lam1:.3g}, lam2 = {params.lam2:.3g} "
+            f"has determinant {det:.3g}, outside the float range"
+        )
     dens = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, si, pts))
-    return pts, weights * dens / (2.0 * np.pi * np.sqrt(np.linalg.det(s)))
+    return pts, weights * dens / (2.0 * np.pi * np.sqrt(det))
 
 
 def _hermite_factors(u: np.ndarray, nmax: int) -> np.ndarray:

@@ -66,6 +66,8 @@ _NODE_BUDGET = 38**2 * 32**2
 _ORDER_STEP = 4
 # the default stop of ``_refine``, relative to max(1, max|A|)
 _CONVERGED = 1e-6
+# a Gaussian normaliser below this (subnormal) or infinite has lost its digits
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -181,7 +183,8 @@ def whitened_rule(prec, order: int):
     g is exp(-x^T prec x) times a polynomial of degree <= 2 order - 1 in each
     principal coordinate.  Returns nodes (order^d, d), first axis slowest,
     and weights (order^d,).  A ``prec`` that is not finite and positive
-    definite (its scales overflowed) raises NonConvergent.
+    definite (its scales overflowed), or whose determinant leaves the normal
+    float range although each eigenvalue is finite, raises NonConvergent.
     """
     prec = np.asarray(prec, dtype=float)
     d = prec.shape[0]
@@ -190,6 +193,13 @@ def whitened_rule(prec, order: int):
     evals, evecs = np.linalg.eigh(prec)
     if not evals[0] > 0.0:
         raise NonConvergent("the Gaussian weight's precision is not positive definite")
+    with np.errstate(over="ignore", under="ignore"):
+        det = np.prod(evals)
+    if not _TINY <= det < np.inf:
+        raise NonConvergent(
+            f"the Gaussian weight's precision has eigenvalues from {evals[0]:.3g} to "
+            f"{evals[-1]:.3g}; their product {det:.3g} is outside the float range"
+        )
     rule = gauss_hermite_rule(order)
     axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
     t = np.stack([a.ravel() for a in axes], axis=1)
@@ -197,7 +207,7 @@ def whitened_rule(prec, order: int):
     w1 = rule.weights * np.exp(rule.nodes**2)
     idx = "ijklmnop"[:d]
     weights = np.einsum(",".join(idx) + "->" + idx, *([w1] * d)).ravel()
-    return pts, weights / np.sqrt(np.prod(evals))
+    return pts, weights / np.sqrt(det)
 
 
 def _refuse_beyond_budget(modes: int, nmax: int, degree: int, cost) -> int:

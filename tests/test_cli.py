@@ -161,6 +161,21 @@ def test_console_script_runs():
     assert "RuntimeWarning" not in out.stderr
 
 
+def test_every_public_name_resolves():
+    # the benchmark's tracer looks up every name of every module's __all__
+    import importlib
+    import pkgutil
+
+    import sqzq
+
+    names = ["sqzq"] + [f"sqzq.{m.name}" for m in pkgutil.iter_modules(sqzq.__path__)]
+    assert "sqzq.pdm" in names and "sqzq.cli" in names
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert not missing, (name, missing)
+
+
 def test_csv_row_template_writes_the_per_cell_bytes():
     # every kind of float %.17g spells in its own way, an integer column as
     # quantise writes its indices, and a block of ready-made cells as the
@@ -316,6 +331,19 @@ def test_simulate_config_overrides_preset_state(tmp_path):
     assert_allclose(first[3], 0.5, rtol=1e-12)
 
 
+def test_simulate_recurrence_residual_describes_the_run(tmp_path):
+    # the plain preset closes after 2 pi; with a wider box and a slower
+    # first mode the run does not, and its residual must say so
+    assert main(["simulate", "--preset", "fig3a", "--out", str(tmp_path / "plain")]) == 0
+    plain = json.loads((tmp_path / "plain" / "fig3a_summary.json").read_text())
+    assert plain["recurrence_residual"] <= 1e-10
+    cfg = _write_cfg(tmp_path, {"lambda1": 1.3, "v0_1": 0.7})
+    assert main(["simulate", "--preset", "fig3a", "--config", cfg,
+                 "--out", str(tmp_path / "moved")]) == 0
+    moved = json.loads((tmp_path / "moved" / "fig3a_summary.json").read_text())
+    assert moved["recurrence_residual"] > 1e-3
+
+
 def test_simulate_explicit_classical_config(tmp_path):
     cfg = _write_cfg(tmp_path, {
         "kind": "classical", "name": "free", "m0": 1.0,
@@ -414,6 +442,29 @@ def test_quantise_tau_inside_the_rim_exits_3(tmp_path, capsys, payload):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"family": "one-mode", "tau": 0.3, "lam": 1e-10, "hbar": 1e-155},
+     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-78, "lam2": 1e-78},
+     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e80, "lam2": 1e80},
+     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-77, "lam2": 1e-77}],
+    ids=["one-mode-determinant-overflows", "two-mode-determinant-overflows",
+         "two-mode-determinant-underflows", "two-mode-covariance-subnormal"],
+)
+def test_quantise_unrepresentable_normaliser_exits_3(tmp_path, capsys, payload):
+    # each eigenvalue of the Gaussian weight's precision is finite, but their
+    # product (or the position covariance's) leaves the normal float range:
+    # the rule's weights would all be 0, or lose digits
+    cfg = _write_cfg(tmp_path, payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["quantise", "one", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "outside the float range" in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def _configs(ranges):
     """Configs drawn inside ``ranges``, then with any subset of their keys set
     to arbitrary floats (nan and inf included), so that the engines run as
@@ -424,8 +475,8 @@ def _configs(ranges):
 
 
 def _quantise_exits_cleanly(tmp_path_factory, fn, payload, fock_dim):
-    """A config error (2), a numerical failure (3) or a finite operator (0);
-    never an exception out of main."""
+    """A config error (2), a numerical failure (3) or a finite operator whose
+    identity resolves (0); never an exception out of main."""
     out = tmp_path_factory.mktemp("fuzz")
     cfg = _write_cfg(out, payload)
     code = main(["quantise", fn, "--config", cfg, "--fock-dim", str(fock_dim), "--out", str(out)])
@@ -433,6 +484,8 @@ def _quantise_exits_cleanly(tmp_path_factory, fn, payload, fock_dim):
     if code == 0:
         rows = np.loadtxt(out / f"quantise_{fn}.csv", delimiter=",", skiprows=1)
         assert np.all(np.isfinite(rows))
+        report = json.loads((out / f"quantise_{fn}_report.json").read_text())
+        assert report["identity_deviation"] <= 1e-6
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

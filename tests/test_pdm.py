@@ -562,6 +562,22 @@ def test_forbidden_region_default_grid():
     assert mask.dtype == bool
 
 
+@pytest.mark.parametrize("launch", ["fig6a", "fig6c"])
+def test_forbidden_region_is_the_potential_above_the_energy(launch):
+    # the mask broadcasts its axes through the same evaluator as the
+    # potential on a full grid, so the two agree exactly, boundary included
+    model, modes = _fig6_pair()
+    semi = SemiclassicalModel(model, modes)
+    init = PRESETS[launch].init
+    e0 = semiclassical_energy(semi, [init.q1, init.q2], initial_momenta(semi, init))
+    axes = [np.linspace(-1.5 * model.wall(j), 1.5 * model.wall(j), 201) for j in (1, 2)]
+    for given_axes in (axes, [None, None]):
+        mask = forbidden_region(semi, init, *given_axes)
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        np.testing.assert_array_equal(mask, effective_potential(model, modes, grid) >= e0)
+        assert 0 < mask.sum() < mask.size
+
+
 # ---------------------------------------------------------------- presets
 
 
