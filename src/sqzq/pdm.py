@@ -310,6 +310,10 @@ def classical_integrate(
 # with walls a = -w, b = +w, and derivatives
 #   c'(q) = (e^{-z_a^2} - e^{-z_b^2}) / (s sqrt(2 pi))
 #   g'(q) = 2 q c(q) + (w^2 + 2 s^2) c'(q).
+# c is even, and it is evaluated at |q|: left of the box erfc(z_b) and
+# erfc(z_a) are both near 2 and their difference would lose its digits,
+# right of it both are small and exact.  So c and g are exactly even, c' and
+# g' exactly odd.
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -328,7 +332,8 @@ def _mode_pieces(q, w: float, s: float, erfc=erfc, exp=np.exp):
     zb = (q - w) / rt2s
     ea = exp(-za * za)
     eb = exp(-zb * zb)
-    c = 0.5 * (erfc(zb) - erfc(za))
+    aq = abs(q)
+    c = 0.5 * (erfc((aq - w) / rt2s) - erfc((aq + w) / rt2s))
     cp = (ea - eb) / (s * _SQRT2PI)
     g = (q * q + s * s) * c + s / _SQRT2PI * ((q - w) * ea - (q + w) * eb)
     gp = 2.0 * q * c + (w * w + 2.0 * s * s) * cp

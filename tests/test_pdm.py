@@ -38,7 +38,13 @@ from sqzq.pdm import (
     semiclassical_energy,
     semiclassical_integrate,
 )
-from sqzq.pdm import _both_scales, _equations_of_motion, _kinetic_coeffs, _veff_pieces
+from sqzq.pdm import (
+    _both_scales,
+    _equations_of_motion,
+    _kinetic_coeffs,
+    _mode_pieces,
+    _veff_pieces,
+)
 from sqzq.sepstates import TwoModeParams
 
 
@@ -385,7 +391,7 @@ def _pinning_axis(w, s):
     )
 
 
-@pytest.mark.parametrize(
+_PIN_MODELS = pytest.mark.parametrize(
     "model,modes",
     [
         _fig6_pair(),
@@ -396,6 +402,9 @@ def _pinning_axis(w, s):
     ],
     ids=["fig6", "other-scales"],
 )
+
+
+@_PIN_MODELS
 def test_float_and_array_formulas_agree(model, modes):
     # the equations of motion run _veff_pieces on Python floats with math's
     # erfc and exp; everything else runs it on arrays with scipy's and numpy's
@@ -435,6 +444,26 @@ def test_float_and_array_formulas_agree(model, modes):
     exps = [math.exp(v) for v in (-z * z).tolist()]
     assert_allclose(exps, np.exp(-z * z), rtol=2.3e-16, atol=0)
     assert_allclose([math.erfc(v) for v in z.tolist()], erfc(z), rtol=5e-14, atol=0)
+
+
+@_PIN_MODELS
+@pytest.mark.parametrize("floats", [False, True], ids=["arrays", "math-floats"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_mode_pieces_are_mirror_symmetric(model, modes, floats, j):
+    # the windows c, g are even and their derivatives odd, to the bit, left
+    # of the box as well as right of it, out to three walls
+    w, s = _both_scales(model, modes)[j - 1]
+    q = np.concatenate([np.linspace(0.0, 3.0 * w, 301), w + s * np.linspace(-4.0, 4.0, 17)])
+    if floats:
+        def pieces(x):
+            return np.array([_mode_pieces(v, w, s, math.erfc, math.exp) for v in x.tolist()]).T
+    else:
+        def pieces(x):
+            return np.array(_mode_pieces(x, w, s))
+    right, left = pieces(q), pieces(-q)
+    parity = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
+    np.testing.assert_array_equal(left, parity * right)
+    assert np.all(right[0] > 0.0)
 
 
 def test_float_equations_of_motion_turn_nan_where_the_portraits_underflow():
