@@ -433,10 +433,9 @@ def test_float_and_array_formulas_agree(model, modes):
     # so math's instantiation moves them only as far as math's functions
     # differ from scipy's and numpy's on the arguments reached: exp by an ulp,
     # erfc by tail rounding that grows like z^2 eps (3e-14 at z = 20).  The
-    # thirteen quantities themselves are not compared at 1e-14 relative: where the
-    # formulas subtract nearly equal terms (the window left of the box from
-    # two erfc values near 2, the mass c - Lambda^2 g at the walls) such a
-    # difference grows to 3e-11 relative
+    # thirteen quantities themselves are not compared at 1e-14 relative: where
+    # the formulas subtract nearly equal terms (the mass c - Lambda^2 g at the
+    # walls) such a difference grows to 1.1e-12 relative
     z = np.concatenate(
         [(ax + sign * w) / (np.sqrt(2.0) * s) for ax, (w, s) in zip(axes, scales)
          for sign in (1, -1)]
