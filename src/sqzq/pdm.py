@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.special import erfc
@@ -320,23 +320,41 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _mode_pieces(q, w: float, s: float, erfc=erfc, exp=np.exp):
+class _ModeScale(NamedTuple):
+    """One mode's wall half-width w and smoothing width s, as Python floats,
+    with the constants of ``_mode_pieces``: each is the same single float
+    operation that it would otherwise repeat on every call."""
+
+    w: float
+    s: float
+    rt2s: float  # sqrt2 s
+    s_rt2pi: float  # s sqrt(2 pi)
+    s_over_rt2pi: float  # s / sqrt(2 pi)
+    ss: float  # s^2
+    w2_2s2: float  # w^2 + 2 s^2
+
+
+def _mode_scale(w: float, s: float) -> _ModeScale:
+    return _ModeScale(w, s, _SQRT2 * s, s * _SQRT2PI, s / _SQRT2PI, s * s, w * w + 2.0 * s * s)
+
+
+def _mode_pieces(q, m: _ModeScale, erfc=erfc, exp=np.exp):
     """c, g, c', g' for one mode.
 
     The one source of these formulas for both kinds of caller: q a float
     array with the default scipy/numpy ``erfc`` and ``exp``, or q a Python
     float with ``math.erfc`` and ``math.exp`` (the equations of motion).
     """
-    rt2s = _SQRT2 * s
+    w, rt2s = m.w, m.rt2s
     za = (q + w) / rt2s
     zb = (q - w) / rt2s
     ea = exp(-za * za)
     eb = exp(-zb * zb)
     aq = abs(q)
     c = 0.5 * (erfc((aq - w) / rt2s) - erfc((aq + w) / rt2s))
-    cp = (ea - eb) / (s * _SQRT2PI)
-    g = (q * q + s * s) * c + s / _SQRT2PI * ((q - w) * ea - (q + w) * eb)
-    gp = 2.0 * q * c + (w * w + 2.0 * s * s) * cp
+    cp = (ea - eb) / m.s_rt2pi
+    g = (q * q + m.ss) * c + m.s_over_rt2pi * ((q - w) * ea - (q + w) * eb)
+    gp = 2.0 * q * c + m.w2_2s2 * cp
     return c, g, cp, gp
 
 
@@ -348,10 +366,10 @@ def _as_points(q) -> np.ndarray:
 
 
 def _both_scales(model: PdmModel, params: TwoModeParams):
-    """((w1, s1), (w2, s2)): the wall half-width and Gaussian smoothing width
-    of each mode, as Python floats: an ``np.float64`` would turn every float
+    """The ``_ModeScale`` of each mode, from its wall half-width and Gaussian
+    smoothing width as Python floats: an ``np.float64`` would turn every float
     operation of the equations of motion into a slower numpy scalar one."""
-    return tuple((model.wall(j), float(_mode_sigma(params, j))) for j in (1, 2))
+    return tuple(_mode_scale(model.wall(j), float(_mode_sigma(params, j))) for j in (1, 2))
 
 
 def _veff_pieces(
@@ -369,9 +387,8 @@ def _veff_pieces(
     default, Python floats with ``math``).  q1 and q2 broadcast against each
     other.
     """
-    (w1, s1), (w2, s2) = scales
-    c1, g1, c1p, g1p = _mode_pieces(q1, w1, s1, erfc, exp)
-    c2, g2, c2p, g2p = _mode_pieces(q2, w2, s2, erfc, exp)
+    c1, g1, c1p, g1p = _mode_pieces(q1, scales[0], erfc, exp)
+    c2, g2, c2p, g2p = _mode_pieces(q2, scales[1], erfc, exp)
     l1, l2 = model.lambda1, model.lambda2
     m1 = (c1 - l1 * l1 * g1) / model.m0
     m2 = (c2 - l2 * l2 * g2) / model.m0

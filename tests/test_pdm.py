@@ -410,7 +410,7 @@ def test_float_and_array_formulas_agree(model, modes):
     # erfc and exp; everything else runs it on arrays with scipy's and numpy's
     scales = _both_scales(model, modes)
     kin = _kinetic_coeffs(modes)
-    axes = [_pinning_axis(w, s) for w, s in scales]
+    axes = [_pinning_axis(m.w, m.s) for m in scales]
     g1, g2 = np.meshgrid(*axes, indexing="ij")
     q1, q2 = g1.ravel(), g2.ravel()
     assert q1.size >= 200
@@ -437,7 +437,7 @@ def test_float_and_array_formulas_agree(model, modes):
     # the formulas subtract nearly equal terms (the mass c - Lambda^2 g at the
     # walls) such a difference grows to 1.1e-12 relative
     z = np.concatenate(
-        [(ax + sign * w) / (np.sqrt(2.0) * s) for ax, (w, s) in zip(axes, scales)
+        [(ax + sign * m.w) / (np.sqrt(2.0) * m.s) for ax, m in zip(axes, scales)
          for sign in (1, -1)]
     )
     exps = [math.exp(v) for v in (-z * z).tolist()]
@@ -451,14 +451,15 @@ def test_float_and_array_formulas_agree(model, modes):
 def test_mode_pieces_are_mirror_symmetric(model, modes, floats, j):
     # the windows c, g are even and their derivatives odd, to the bit, left
     # of the box as well as right of it, out to three walls
-    w, s = _both_scales(model, modes)[j - 1]
+    mode = _both_scales(model, modes)[j - 1]
+    w, s = mode.w, mode.s
     q = np.concatenate([np.linspace(0.0, 3.0 * w, 301), w + s * np.linspace(-4.0, 4.0, 17)])
     if floats:
         def pieces(x):
-            return np.array([_mode_pieces(v, w, s, math.erfc, math.exp) for v in x.tolist()]).T
+            return np.array([_mode_pieces(v, mode, math.erfc, math.exp) for v in x.tolist()]).T
     else:
         def pieces(x):
-            return np.array(_mode_pieces(x, w, s))
+            return np.array(_mode_pieces(x, mode))
     right, left = pieces(q), pieces(-q)
     parity = np.array([1.0, 1.0, -1.0, -1.0])[:, None]
     np.testing.assert_array_equal(left, parity * right)
