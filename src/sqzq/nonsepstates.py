@@ -25,11 +25,13 @@ smoothing, so the momenta integrate exactly and only a 2D outer rule in the
 positions is refined (``_quantise_position_field``).  The 4D engine stays the
 definition that the identity and Table 1 checks certify.
 
-The unitary G itself is assembled column by column from exact per-mode
-recurrences for the squeeze and displacement factors plus a per-sector beam
-splitter, which powers the mode-mixing (Bogoliubov) residual check; matrix
-exponentials of truncated generators are avoided throughout because their
-columns are contaminated at any truncation reachable in practice.
+The unitary G itself is assembled column by column from per-mode
+recurrences for the squeeze and displacement factors plus a beam splitter
+applied per photon-number sector, which powers the mode-mixing (Bogoliubov)
+residual check.  The beam splitter conserves n1 + n2, so below the box edge
+each sector's generator is exact and so is its exponential; exponentials of
+truncated one-mode generators are avoided because their columns are
+contaminated at any truncation reachable in practice.
 
 Coupled portraits of general fields are ``numerics.gaussian_smooth`` under
 ``_portrait_precision``; rectangle indicators keep the exact conditional-normal
@@ -46,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import ndtr
 
@@ -874,11 +875,13 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
 
 
 def _squeeze_columns(tau: complex, ncols: int, ambient: int) -> np.ndarray:
-    """Exact squeeze-operator columns <m|S|n>, n < ncols, m < ambient.
+    """Squeeze-operator columns <m|S|n>, n < ncols, m < ambient.
 
-    Column n follows from column n-1 by one ladder application.  The forward
-    recurrence amplifies rounding by roughly (|c|+|s|) sqrt(m/n) per column,
-    so it runs in extended precision and is cast down once at the end.
+    Column n follows from column n-1 by one ladder application.  That
+    application lowers as well as raises, so the box edge cuts it: column n
+    is exact on the rows m < ambient - n only.  The forward recurrence
+    amplifies rounding by roughly (|c|+|s|) sqrt(m/n) per column, so it runs
+    in extended precision and is cast down once at the end.
     """
     cols = np.zeros((ambient, ncols), np.clongdouble)
     v = np.zeros(ambient, np.clongdouble)
@@ -920,26 +923,23 @@ def _displacement_columns(alpha: complex, ncols: int, ambient: int) -> np.ndarra
     return cols.astype(complex)
 
 
-def _beam_splitter_sparse(phi: float, ambient: int) -> sp.csr_matrix:
-    """Beam-splitter unitary on the two-mode box, exact per photon-number sector."""
-    rows, colidx, vals = [], [], []
+def _beam_split(phi: float, cols: np.ndarray, ambient: int) -> np.ndarray:
+    """Beam splitter exp(phi (a1^dag a2 - a1 a2^dag)) applied to box columns.
+
+    The generator conserves N = n1 + n2, so it acts on each photon-number
+    sector separately: one tridiagonal block, one ``expm``, applied straight
+    to the rows |n1, N - n1> of the columns.  Sectors with N >= ambient are
+    cut by the box, and there the block is the exponential of the truncated
+    generator, exactly as for the whole truncated two-mode generator.
+    """
+    out = np.empty_like(cols)
     for tot in range(2 * ambient - 1):
         n1s = np.arange(max(0, tot - ambient + 1), min(tot, ambient - 1) + 1)
-        k = n1s.size
-        gen = np.zeros((k, k))
-        for i, n1 in enumerate(n1s[:-1]):
-            amp = phi * np.sqrt((n1 + 1.0) * (tot - n1))
-            gen[i + 1, i] = amp
-            gen[i, i + 1] = -amp
-        block = expm(gen)
+        amp = phi * np.sqrt((n1s[:-1] + 1.0) * (tot - n1s[:-1]))
+        gen = np.diag(amp, -1) - np.diag(amp, 1)
         idx = n1s * ambient + (tot - n1s)
-        ii, jj = np.nonzero(np.abs(block) > 1e-18)
-        rows.extend(idx[ii])
-        colidx.extend(idx[jj])
-        vals.extend(block[ii, jj])
-    return sp.csr_matrix(
-        (vals, (rows, colidx)), shape=(ambient**2, ambient**2), dtype=complex
-    )
+        out[idx] = expm(gen) @ cols[idx]
+    return out
 
 
 def _g_columns_for(
@@ -958,7 +958,7 @@ def _g_columns_for(
     cols = np.empty((ambient**2, len(pairs)), dtype=complex)
     for j, (n1, n2) in enumerate(pairs):
         cols[:, j] = np.kron(s1[:, n1], s2[:, n2])
-    cols = _beam_splitter_sparse(phi, ambient) @ cols
+    cols = _beam_split(phi, cols, ambient)
     d1 = _displacement_columns(a1, ambient, ambient)
     d2 = _displacement_columns(a2, ambient, ambient)
     out = np.einsum(
@@ -1017,15 +1017,20 @@ def _lower_mode(vecs: np.ndarray, dim: int, mode: int) -> np.ndarray:
 def bogoliubov_check(params: NonSepParams, nmax: int, dim: int = 40) -> float:
     """Residual of the mixed-ladder relations at truncation ``dim`` per mode.
 
-    Builds the exact projection of the full unitary onto the dim^2 box,
-    column by column (per-mode ladder recurrences for squeeze and
-    displacement factors, per-sector beam splitter), then measures how far
-    a_j G differs from G applied to the closed-form ladder mixture, over the
-    columns with n1 + n2 <= nmax and all rows the truncated lowering leaves
-    exact.  Left-multiplied form throughout: sandwiching with the truncated
-    adjoint would add squeezed-tail mass lost beyond the box (> 1e-6 even at
-    the vacuum column for moderate squeezing) and test the truncation rather
-    than the algebra.
+    Builds the projection of the full unitary onto the dim^2 box, column by
+    column, in an ambient box of dim + 60 per mode: per-mode ladder
+    recurrences for the squeeze and displacement factors, and between them
+    the beam splitter.  That conserves N = n1 + n2, so it is applied per
+    photon-number sector: one ``expm`` of the sector's tridiagonal generator,
+    multiplied straight into the rows |n1, N - n1> of the column block
+    (``_beam_split``); no box-sized matrix is formed.  Then it measures how
+    far a_j G differs from G applied to the closed-form ladder mixture, over
+    the columns with n1 + n2 <= nmax and all rows the truncated lowering
+    leaves exact.  For dim <= 61 those rows (N <= 2 dim - 2) lie below every
+    sector the ambient box cuts.  Left-multiplied form throughout:
+    sandwiching with the truncated adjoint would add squeezed-tail mass lost
+    beyond the box (> 1e-6 even at the vacuum column for moderate squeezing)
+    and test the truncation rather than the algebra.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")

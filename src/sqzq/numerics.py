@@ -2,13 +2,13 @@
 
 Everything downstream (state construction, quantisation maps, portraits,
 dynamics) is built on the pieces collected here: physicists' Hermite
-polynomials, the complementary error function, closed-form and brute-force
-Gaussian quadrature, the tensor Gauss-Hermite rule whitened by a Gaussian
+polynomials, closed-form Gaussian integrals, Gauss-Hermite and
+Gauss-Legendre rules, the tensor Gauss-Hermite rule whitened by a Gaussian
 (``whitened_rule``) with the order-refinement loop (``_refine``) and the
 chunked projector sum (``_quantise_on_rule``) that quantise fields of one
 and of two modes, the one Gaussian-smoothing routine behind every portrait
-and position kernel (``gaussian_smooth``), truncated boson-operator algebra
-with matrix exponentials, and an adaptive ODE driver.
+and position kernel (``gaussian_smooth``), truncated boson-operator algebra,
+and an adaptive ODE driver.
 
 All functions are pure and thread-safe.
 """
@@ -17,21 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate as _sint
-from scipy import special as _ssp
-from scipy.linalg import expm as _expm
 
 from .errors import (
     ConfigError,
     GrowthViolation,
     NonConvergent,
     NonFiniteState,
-    QuadratureNotConverged,
     StepSizeUnderflow,
 )
 
@@ -42,14 +39,11 @@ __all__ = [
     "OdeProblem",
     "OdeSolution",
     "hermite_phys",
-    "erfc_real",
     "gauss_hermite_rule",
     "legendre_box_rule",
     "whitened_rule",
     "gaussian_smooth",
-    "quad_box",
     "integrate_gaussian_quadratic",
-    "matrix_exp",
     "solve_ode",
 ]
 
@@ -336,82 +330,6 @@ def gaussian_smooth(f, centres, precision, support=None, pad: float = _NSIGMA) -
     return (out / scale).reshape(centres.shape[:-1])
 
 
-def _tensor_eval(f, rules: Sequence[QuadratureRule]) -> complex:
-    """Tensor-product quadrature sum over len(rules) dimensions.
-
-    ``f`` must accept ``d`` equally shaped flat arrays and return an array of
-    the same length.  The last two axes are evaluated vectorised; any leading
-    axes are looped, which keeps the memory footprint at order*panels squared.
-    """
-    d = len(rules)
-    if d == 1:
-        (r,) = rules
-        return np.sum(r.weights * np.asarray(f(r.nodes)))
-    if d == 2:
-        x1, x2 = np.meshgrid(rules[0].nodes, rules[1].nodes, indexing="ij")
-        w = rules[0].weights[:, None] * rules[1].weights[None, :]
-        vals = np.asarray(f(x1.ravel(), x2.ravel())).reshape(x1.shape)
-        return np.sum(w * vals)
-    # d >= 3: loop over the leading d-2 axes
-    inner = rules[-2:]
-    x1, x2 = np.meshgrid(inner[0].nodes, inner[1].nodes, indexing="ij")
-    w_in = (inner[0].weights[:, None] * inner[1].weights[None, :]).ravel()
-    x1f, x2f = x1.ravel(), x2.ravel()
-    npts = x1f.size
-    outer_nodes = [r.nodes for r in rules[:-2]]
-    outer_weights = [r.weights for r in rules[:-2]]
-    total = 0.0 + 0.0j
-    for idx in np.ndindex(*[len(n) for n in outer_nodes]):
-        w_out = 1.0
-        args = []
-        for k, i in enumerate(idx):
-            w_out *= outer_weights[k][i]
-            args.append(np.full(npts, outer_nodes[k][i]))
-        vals = np.asarray(f(*args, x1f, x2f))
-        total += w_out * np.sum(w_in * vals)
-    return total
-
-
-def quad_box(
-    f,
-    bounds: Sequence[tuple[float, float]],
-    order: int = 48,
-    panels: int = 1,
-    refine: bool = True,
-    rtol: float = 1e-9,
-    atol: float = 0.0,
-    max_doublings: int = 4,
-):
-    """Integrate a vectorised integrand over a d-dimensional box.
-
-    Iterated composite Gauss-Legendre rules; on ``refine`` the panel count is
-    doubled until two successive estimates agree to ``rtol``/``atol``.  The box
-    must already contain the integrand's support up to negligible tails (the
-    callers size it so the tail is below 1e-12 of the peak).
-
-    Raises
-    ------
-    QuadratureNotConverged
-        if doubling ``max_doublings`` times never reaches the tolerance.
-    """
-    bounds = [(float(a), float(b)) for a, b in bounds]
-    rules = [legendre_box_rule(a, b, order, panels) for a, b in bounds]
-    est = _tensor_eval(f, rules)
-    if not refine:
-        return est
-    p = panels
-    for _ in range(max_doublings):
-        p *= 2
-        rules = [legendre_box_rule(a, b, order, p) for a, b in bounds]
-        new = _tensor_eval(f, rules)
-        if abs(new - est) <= rtol * abs(new) + atol:
-            return new
-        est = new
-    raise QuadratureNotConverged(
-        f"box quadrature did not converge (last delta {abs(new - est):.3e})"
-    )
-
-
 def hermite_phys(n: int, z):
     """Physicists' Hermite polynomial H_n(z) for real or complex ``z``.
 
@@ -431,15 +349,6 @@ def hermite_phys(n: int, z):
     for k in range(1, n):
         h_prev, h = h, 2.0 * z * h - 2.0 * k * h_prev
     return h[0] if scalar else h
-
-
-def erfc_real(x):
-    """Complementary error function on the real line.
-
-    Relative accuracy is better than 1e-14 on |x| <= 10 (checked against a
-    50-digit reference in the test suite); erfc(-x) = 2 - erfc(x).
-    """
-    return _ssp.erfc(x)
 
 
 def integrate_gaussian_quadratic(A, b=None, c=0.0) -> complex:
@@ -511,12 +420,6 @@ class TruncatedOperator:
         a = TruncatedOperator.annihilation(dim).entries
         return TruncatedOperator(dim, lam * (a + a.conj().T) / np.sqrt(2.0))
 
-    @staticmethod
-    def momentum(dim: int, lam: float = 1.0, hbar: float = 1.0) -> "TruncatedOperator":
-        """p = (hbar/lam) (a - a^dag)/(i sqrt(2))."""
-        a = TruncatedOperator.annihilation(dim).entries
-        return TruncatedOperator(dim, hbar / lam * (a - a.conj().T) / (1j * np.sqrt(2.0)))
-
     def adjoint(self) -> "TruncatedOperator":
         return TruncatedOperator(self.dim, self.entries.conj().T)
 
@@ -527,22 +430,6 @@ class TruncatedOperator:
 
     def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
         return TruncatedOperator(self.dim, self.entries @ other.entries)
-
-
-def matrix_exp(M):
-    """Matrix exponential (scaling and squaring, Pade).
-
-    Accepts a TruncatedOperator or a plain square ndarray and returns the same
-    type.  For skew-Hermitian input the result is unitary to machine rounding;
-    truncation only affects the last rows/columns, hence interior-block
-    assertions downstream.
-    """
-    if isinstance(M, TruncatedOperator):
-        return TruncatedOperator(M.dim, _expm(M.entries))
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("need a square matrix")
-    return _expm(M)
 
 
 @dataclass(frozen=True)

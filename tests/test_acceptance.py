@@ -53,6 +53,7 @@ from sqzq.nonsepstates import (
 )
 from sqzq.nonsepstates import fock_coefficients as nonsep_fock_coefficients
 from sqzq.quantmap import dirac_correspondence_check, quantise, symmetrisation_constant
+from oracles import momentum
 
 
 def test_criterion_01_exact_solution_reproduction():
@@ -99,14 +100,14 @@ def test_criterion_04_canonical_quantisation():
         got_q = quantise(lambda q, p: q, par, nmax=8).matrix.entries
         got_p = quantise(lambda q, p: p, par, nmax=8).matrix.entries
         assert np.max(np.abs(got_q - TruncatedOperator.position(9, 0.9).entries)) < 1e-6
-        assert np.max(np.abs(got_p - TruncatedOperator.momentum(9, 0.9, 1.2).entries)) < 1e-6
+        assert np.max(np.abs(got_p - momentum(9, 0.9, 1.2).entries)) < 1e-6
         assert dirac_correspondence_check(par, nmax=6) < 1e-6
     # product field: no additive constant for real squeezing
     assert symmetrisation_constant(SqueezeParameter.from_tau(0.4)) == 0.0
     par = SqueezeParameter.from_tau(0.4)
     got = quantise(lambda q, p: q * p, par, nmax=10).matrix.entries
     x = TruncatedOperator.position(11).entries
-    p = TruncatedOperator.momentum(11).entries
+    p = momentum(11).entries
     assert np.max(np.abs((got - (x @ p + p @ x) / 2.0)[:6, :6])) < 1e-6
     # complex squeezing: quadrature matrix against the Fock-algebra oracle
     par = SqueezeParameter.from_tau(0.5j)

@@ -19,12 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import ndtr
 
 from sqzq.cli import _kernel_precision, _two_mode_positions
 from sqzq.errors import ConfigError, TruncationTooSmall
 from sqzq.nonsepstates import (
     NonSepParams,
+    _beam_split,
+    _displacement_columns,
+    _squeeze_columns,
     bogoliubov_check,
     fock_coefficients,
     nonsep_box_portrait,
@@ -38,6 +42,8 @@ from sqzq.nonsepstates import (
     table1_operators,
     verify_identity_resolution,
 )
+from sqzq.numerics import TruncatedOperator
+from oracles import beam_splitter_sector, displacement_elements, squeeze_elements
 from sqzq.nonsepstates import _fock_batch, _vacuum_precision
 from sqzq.numerics import legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
@@ -487,6 +493,62 @@ def test_bogoliubov_random_draw():
 def test_bogoliubov_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         bogoliubov_check(REF, 21, dim=40)
+
+
+@pytest.mark.parametrize("ambient", [6, 7, 8])
+@pytest.mark.parametrize("phi,bound", [(0.3, 1e-14), (1.15, 5e-13), (-2.0, 5e-13)])
+def test_beam_split_matches_the_dense_exponential_of_the_box_generator(ambient, phi, bound):
+    # exp of the whole truncated two-mode generator, edge sectors included.
+    # At large |phi| the difference is scipy's expm rounding on the small
+    # edge blocks, not the sector bookkeeping: against a 40-digit exponential
+    # at ambient 8, phi = 1.15, the dense result is off by 1.4e-15 and the
+    # per-sector blocks by 1.0e-13 (a 2 x 2 rotation by 8.05 rad)
+    a = TruncatedOperator.annihilation(ambient).entries
+    one = np.eye(ambient)
+    a1, a2 = np.kron(a, one), np.kron(one, a)
+    unitary = expm(phi * (a1.conj().T @ a2 - a1 @ a2.conj().T))
+    rng = np.random.default_rng(ambient)
+    cols = rng.normal(size=(ambient**2, 5)) + 1j * rng.normal(size=(ambient**2, 5))
+    got = _beam_split(phi, cols, ambient)
+    assert np.max(np.abs(got - unitary @ cols)) < bound
+
+
+def test_beam_split_full_sector_against_40_digit_oracle():
+    # N = 60 lies below the box edge (ambient 64), so its block is the whole
+    # spin-30 rotation; its columns are the unit vectors |n1, 60 - n1>
+    ambient, tot, phi = 64, 60, 1.15
+    n1 = np.arange(tot + 1)
+    cols = np.zeros((ambient**2, tot + 1))
+    idx = n1 * ambient + (tot - n1)
+    cols[idx, n1] = 1.0
+    got = _beam_split(phi, cols, ambient)
+    assert np.max(np.abs(got[idx] - beam_splitter_sector(phi, tot))) < 1e-14
+    assert np.count_nonzero(np.delete(got, idx, axis=0)) == 0
+
+
+# the squeeze labels and coherent amplitudes of the verify report's check
+_VERIFY_TAUS = tuple(np.tanh(0.7) * np.exp(1j * ang) for ang in (0.4, -1.1))
+_VERIFY_ALPHAS = (0.7 * np.exp(0.4j), 0.7 * np.exp(-1.8j))
+
+
+@pytest.mark.parametrize("tau", _VERIFY_TAUS)
+def test_squeeze_columns_against_40_digit_oracle(tau):
+    # verify's size: ambient 92, six columns.  Column n lowers column n - 1,
+    # which the box cuts at its last row, so its last n rows are not exact
+    ambient, ncols = 92, 6
+    got = _squeeze_columns(tau, ncols, ambient)
+    want = squeeze_elements(tau, ncols, ambient)
+    exact = np.arange(ambient)[:, None] < ambient - np.arange(ncols)[None, :]
+    assert np.max(np.abs(got - want)[exact]) < 1e-14
+
+
+@pytest.mark.parametrize("alpha", _VERIFY_ALPHAS)
+def test_displacement_columns_against_40_digit_oracle(alpha):
+    # all 92 x 92 elements at verify's size; the recurrence only raises, so
+    # every row is exact.  Run in float64 instead of long double it is off by
+    # 4e-12 here
+    got = _displacement_columns(alpha, 92, 92)
+    assert np.max(np.abs(got - displacement_elements(alpha, 92))) < 1e-14
 
 
 # ---------------------------------------------------------------------------

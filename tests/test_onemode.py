@@ -19,7 +19,6 @@ from sqzq.numerics import (
     TruncatedOperator,
     hermite_phys,
     legendre_box_rule,
-    matrix_exp,
 )
 from sqzq.onemode import (
     OneModePhasePoint,
@@ -34,6 +33,7 @@ from sqzq.onemode import (
     wavefunction,
 )
 from sqzq.quantmap import quantise
+from oracles import matrix_exp
 
 TANH_1 = 0.7615941559557648881195
 ATANH_HALF = 0.5493061443340548456976

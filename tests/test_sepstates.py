@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sqzq.numerics import erfc_real, legendre_box_rule
+from sqzq.numerics import legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, wavefunction
 from sqzq.sepstates import (
     DiagonalKernel,
@@ -22,6 +22,7 @@ from sqzq.sepstates import (
     sep_kernel_hq,
     sep_wavefunction,
 )
+from oracles import erfc_real
 
 
 def _ov_sq(mode, q, p, qp, pp):
