@@ -43,7 +43,7 @@ from sqzq.nonsepstates import (
     verify_identity_resolution,
 )
 from sqzq.numerics import TruncatedOperator
-from oracles import beam_splitter_sector, displacement_elements, squeeze_elements
+from .oracles import beam_splitter_sector, displacement_elements, squeeze_elements
 from sqzq.nonsepstates import _fock_batch, _vacuum_precision
 from sqzq.numerics import legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction

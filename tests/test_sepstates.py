@@ -22,7 +22,7 @@ from sqzq.sepstates import (
     sep_kernel_hq,
     sep_wavefunction,
 )
-from oracles import erfc_real
+from .oracles import erfc_real
 
 
 def _ov_sq(mode, q, p, qp, pp):
