@@ -53,6 +53,7 @@ from sqzq.nonsepstates import (
 )
 from sqzq.nonsepstates import fock_coefficients as nonsep_fock_coefficients
 from sqzq.quantmap import dirac_correspondence_check, quantise, symmetrisation_constant
+
 from .oracles import momentum
 
 

@@ -42,12 +42,12 @@ from sqzq.nonsepstates import (
     table1_operators,
     verify_identity_resolution,
 )
-from sqzq.numerics import TruncatedOperator
-from .oracles import beam_splitter_sector, displacement_elements, squeeze_elements
 from sqzq.nonsepstates import _fock_batch, _vacuum_precision
-from sqzq.numerics import legendre_box_rule
+from sqzq.numerics import TruncatedOperator, legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from sqzq.sepstates import Field, PhasePoint, TwoModeParams, portrait_hq, sep_wavefunction
+
+from .oracles import beam_splitter_sector, displacement_elements, squeeze_elements
 
 REF = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
 

@@ -24,6 +24,7 @@ from sqzq.numerics import (
     solve_ode,
     whitened_rule,
 )
+
 from .oracles import erfc_real, matrix_exp, momentum, quad_box
 
 # mpmath mp.dps=50 references

@@ -33,6 +33,7 @@ from sqzq.onemode import (
     wavefunction,
 )
 from sqzq.quantmap import quantise
+
 from .oracles import matrix_exp
 
 TANH_1 = 0.7615941559557648881195

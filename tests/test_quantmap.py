@@ -29,6 +29,7 @@ from sqzq.quantmap import (
     symmetrisation_constant,
 )
 from sqzq.sepstates import TwoModeParams
+
 from .oracles import momentum
 
 TAUS = (0.0, 0.5, 0.7j, 0.6 * np.exp(1.1j))

@@ -22,6 +22,7 @@ from sqzq.sepstates import (
     sep_kernel_hq,
     sep_wavefunction,
 )
+
 from .oracles import erfc_real
 
 
