@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from ..errors import ConfigError, OutsideBox, SqzqError
-from ..numerics import TruncatedOperator, legendre_box_rule
+from ..numerics import legendre_box_rule
 from ..onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from ..onemode import holomorphic_orthogonality_check
 from ..sepstates import Field, PhasePoint, TwoModeParams, portrait_p2_h, portrait_p_h
@@ -35,8 +35,8 @@ from ..nonsepstates import (
     nonsep_wavefunction,
     table1_coefficient_rows,
     table1_operators,
-    verify_identity_resolution,
 )
+from ..nonsepstates import _two_mode_positions
 from ..quantmap import ClassicalFunction, quantise
 from .. import pdm
 
@@ -366,9 +366,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 # CHECKS is the one table of closed-form-vs-oracle checks.  Each entry is a
 # function of the run's fock_dim that returns its outcomes, as (id,
 # deviation, detail) triples, and its errata records; cmd_verify compares
-# every deviation against the run's tolerance.  The oracles below are the
-# only copies in the repository: the acceptance tests import them and run
-# them on their own, wider draws.  The table stays in this module because the
+# every deviation against the run's tolerance.  An entry may read several
+# outcomes off one computation: ``_table1`` takes the two-mode identity
+# resolution, the Table 1 rows and the position route from one 4D projector
+# integral over the stacked fields.  The oracles below are the only copies
+# in the repository: the acceptance tests import them and run them on their
+# own, wider draws.  The table stays in this module because the
 # benchmark's trace wraps the engines it calls at their ``sqzq.cli``
 # bindings (``table1_operators``, ``quantise``).
 
@@ -445,32 +448,13 @@ def _norm_oracle(params: NonSepParams, pt: PhasePoint) -> float:
     return float(np.sum(wts * abs(psi) ** 2))
 
 
-def _two_mode_positions(params: NonSepParams, nmax: int):
-    """x1, x2 on the two-mode Fock basis |n1, n2>, n_j <= nmax, and the index
-    of the interior block n1, n2 <= nmax - 2, where truncation does not reach
-    the quantised quadratic fields."""
-    n1 = nmax + 1
-    eye = np.eye(n1)
-    x1 = np.kron(TruncatedOperator.position(n1, params.lam1).entries.real, eye)
-    x2 = np.kron(eye, TruncatedOperator.position(n1, params.lam2).entries.real)
-    keep = np.arange(n1) <= nmax - 2
-    inner = np.outer(keep, keep).ravel()
-    return x1, x2, np.ix_(inner, inner)
-
-
 def _identity(fock_dim):
     devs = []
     for tau in (0.0, 0.5, 0.7j):
         par = SqueezeParameter.from_tau(tau)
         op = quantise(lambda q, p: np.ones_like(q), par, nmax=7)
         devs.append(op.quadrature_report.identity_deviation)
-    nmax = min(6, max(2, fock_dim // 2))
-    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
-    report = verify_identity_resolution(params, nmax=nmax)
-    return [
-        ("identity-onemode", max(devs), {"taus": ["0", "0.5", "0.7j"]}),
-        ("identity-twomode", report.identity_deviation, {"nmax": nmax, "nodes": report.nodes}),
-    ], []
+    return [("identity-onemode", max(devs), {"taus": ["0", "0.5", "0.7j"]})], []
 
 
 def _holoh(fock_dim):
@@ -643,17 +627,18 @@ def _delta_factored(fock_dim):
 def _table1(fock_dim):
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     rows = table1_coefficient_rows(params)
-    # below nmax 3 the interior block is the vacuum alone, where x1 = x2 = 0
-    # and no fit is possible
-    nmax = min(4, max(3, fock_dim // 2))
+    # one projector integral gives the identity resolution and the three
+    # Table 1 operators; below nmax 3 the interior block is the vacuum alone,
+    # where x1 = x2 = 0 and no fit is possible
+    nmax = min(6, max(3, fock_dim // 2))
+    ops = table1_operators(params, nmax)
+    report = ops["q1q2"].report
     x1, x2, sel = _two_mode_positions(params, nmax)
 
     errata = []
     worst = 0.0
-    nodes = 0
     for name in ("q1", "q2"):
-        op = table1_operators(params, name, nmax)
-        nodes += op.report.nodes
+        op = ops[name]
         basis = np.stack([x1[sel].ravel(), x2[sel].ravel()], axis=1)
         fit, *_ = np.linalg.lstsq(basis, op.entries[sel].real.ravel(), rcond=None)
         adopted = np.array(rows[name]["adopted"])
@@ -675,8 +660,7 @@ def _table1(fock_dim):
                 "rival_deviation": float(np.max(np.abs(fit - rival))),
             }
         )
-    op = table1_operators(params, "q1q2", nmax)
-    nodes += op.report.nodes
+    op = ops["q1q2"]
     # quantise takes the position route for this field, integrating the
     # momenta exactly: it must give the projector integral's matrix
     route = quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1 * q2, arity="two-mode"),
@@ -705,7 +689,8 @@ def _table1(fock_dim):
         }
     )
     return [
-        ("table1-rows", worst, {"nmax": nmax, "nodes": nodes}),
+        ("identity-twomode", report.identity_deviation, {"nmax": nmax, "nodes": report.nodes}),
+        ("table1-rows", worst, {"nmax": nmax, "nodes": report.nodes}),
         ("position-route", route_dev, {"nmax": nmax, "nodes": route.quadrature_report.nodes}),
     ], errata
 

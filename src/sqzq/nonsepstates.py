@@ -11,19 +11,21 @@ and the quantisation of position fields in a truncated Fock basis.
 Two independent numerical routes back the closed forms.  Fock coefficients of
 the states follow from a pair of exact ladder recurrences seeded by the
 vacuum amplitude (no quadrature, no matrix exponentials), which powers the
-identity-resolution and field-quantisation checks.  Those integrate over 4D
-phase space: each Fock coefficient is the vacuum amplitude c00 times a
-polynomial of degree n + m, so every matrix entry of a field of polynomial
-degree d is the Gaussian |c00|^2 times a polynomial of degree <= 4 nmax + d.
-A tensor Gauss-Hermite rule on the principal axes of that Gaussian of order
-ceil((4 nmax + d + 1) / 2) integrates it exactly up to rounding; for fields
-that are not polynomial the order grows by 4 until the operator changes by
-at most 1e-6, and the last change is reported as the convergence witness.
+field quantisation over 4D phase space: each Fock coefficient is the vacuum
+amplitude c00 times a polynomial of degree n + m, so every matrix entry of a
+field of polynomial degree d is the Gaussian |c00|^2 times a polynomial of
+degree <= 4 nmax + d.  A tensor Gauss-Hermite rule on the principal axes of
+that Gaussian of order ceil((4 nmax + d + 1) / 2) integrates it exactly up
+to rounding; for fields that are not polynomial the order grows by 4 until
+the operator changes by at most 1e-6, and the last change is reported as the
+convergence witness.
 Fields without momentum dependence have a cheaper route with the same loop,
 budget and report: they quantise to multiplication by their Gaussian
 smoothing, so the momenta integrate exactly and only a 2D outer rule in the
 positions is refined (``_quantise_position_field``).  The 4D engine stays the
-definition that the identity and Table 1 checks certify.
+definition: one run of it on the stacked Table 1 fields q1, q2 and q1 q2
+(``table1_operators``) gives their three operators and, from the same nodes,
+the identity resolution, which certifies the measure (2 pi hbar)^2.
 
 The unitary G itself is assembled column by column from per-mode
 recurrences for the squeeze and displacement factors plus a beam splitter
@@ -90,7 +92,6 @@ __all__ = [
     "nonsep_overlap_report",
     "nonsep_portrait_hq",
     "nonsep_box_portrait",
-    "verify_identity_resolution",
     "table1_operators",
     "table1_coefficient_rows",
 ]
@@ -478,7 +479,9 @@ def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: 
     two-mode Fock basis at the finest order evaluated (measure
     d2q d2p / (2 pi hbar)^2), the nodes of that order, shape (N, 4) ordered
     (q1, q2, p1, p2), and a QuadratureReport whose identity deviation comes
-    from the identity resolution on those same nodes.
+    from the identity resolution on those same nodes.  A field returning a
+    stack (F, N) of fields, each of degree <= ``degree``, gives a stack of F
+    matrices from the one quadrature.
     """
     prec = _vacuum_precision(params)
     dim = (nmax + 1) ** 2
@@ -632,28 +635,17 @@ def _probe_nodes(params: NonSepParams, nmax: int, degree: int) -> np.ndarray:
     return whitened_rule(_vacuum_precision(params), order)[0]
 
 
-def verify_identity_resolution(params: NonSepParams, nmax: int = 6) -> QuadratureReport:
-    """Quadrature report of the quantised constant field.
-
-    The coherent family resolves the identity with measure (2 pi hbar)^2;
-    ``identity_deviation``, the max-entry deviation of the quantised f = 1
-    from the identity, is the numerical witness for that measure power.
-    """
-    _, _, report = _quantise_field(
-        params, lambda q1, q2, p1, p2: np.ones_like(q1), nmax, 0
-    )
-    return report
-
-
-def _position_matrices(params: NonSepParams, nmax: int):
+def _two_mode_positions(params: NonSepParams, nmax: int):
+    """x1, x2 on the two-mode Fock basis |n1, n2>, n_j <= nmax, and the index
+    of the interior block n1, n2 <= nmax - 2, where truncation does not reach
+    the quantised quadratic fields."""
     n1 = nmax + 1
-    a = np.zeros((n1, n1))
-    n = np.arange(n1 - 1)
-    a[n, n + 1] = np.sqrt(n + 1.0)
-    x1 = params.lam1 * (a + a.T) / np.sqrt(2.0)
-    x2 = params.lam2 * (a + a.T) / np.sqrt(2.0)
     eye = np.eye(n1)
-    return np.kron(x1, eye), np.kron(eye, x2)
+    x1 = np.kron(TruncatedOperator.position(n1, params.lam1).entries.real, eye)
+    x2 = np.kron(eye, TruncatedOperator.position(n1, params.lam2).entries.real)
+    keep = np.arange(n1) <= nmax - 2
+    inner = np.outer(keep, keep).ravel()
+    return x1, x2, np.ix_(inner, inner)
 
 
 def table1_coefficient_rows(params: NonSepParams) -> dict:
@@ -694,15 +686,6 @@ def table1_coefficient_rows(params: NonSepParams) -> dict:
     }
 
 
-# field and its polynomial degree
-_TABLE1_FIELDS = {
-    "one": (lambda q1, q2, p1, p2: np.ones_like(q1), 0),
-    "q1": (lambda q1, q2, p1, p2: q1, 1),
-    "q2": (lambda q1, q2, p1, p2: q2, 1),
-    "q1q2": (lambda q1, q2, p1, p2: q1 * q2, 2),
-}
-
-
 @dataclass(frozen=True)
 class FieldOperator(TruncatedOperator):
     """Quantised field in the truncated two-mode basis with its quadrature report."""
@@ -710,43 +693,35 @@ class FieldOperator(TruncatedOperator):
     report: QuadratureReport
 
 
-def table1_operators(params: NonSepParams, f: str, nmax: int) -> FieldOperator:
-    """Quantised operator of the field ``f`` in the truncated two-mode basis.
+def table1_operators(params: NonSepParams, nmax: int) -> dict:
+    """Quantised q1, q2 and q1 q2 in the truncated two-mode basis.
 
-    Computed by direct 4D quadrature and asserted against the adopted closed
-    form (identity, bare positions, position product plus a constant) on the
-    interior block to 1e-10; the quadrature value is returned as the ground
-    truth, with the engine's report.
+    One 4D quadrature of the stacked fields at degree 2, exact for all three
+    and for the identity, whose deviation is the shared report's
+    ``identity_deviation``.  Each operator is asserted against its adopted
+    closed form (bare positions, position product plus a constant) on the
+    interior block to 1e-10; the quadrature values are returned as the
+    ground truth, keyed "q1", "q2", "q1q2", each with the one report.
     """
-    if f not in _TABLE1_FIELDS:
-        raise ConfigError(f"unknown field name {f!r}; expected one of "
-                          f"{sorted(_TABLE1_FIELDS)}")
     if nmax < 2:
         raise TruncationTooSmall("need nmax >= 2 for an interior block")
-    field, degree = _TABLE1_FIELDS[f]
-    mat, _, report = _quantise_field(params, field, nmax, degree)
-    x1, x2 = _position_matrices(params, nmax)
-    dim = (nmax + 1) ** 2
-    if f == "one":
-        closed = np.eye(dim)
-    elif f == "q1":
-        closed = x1
-    elif f == "q2":
-        closed = x2
-    else:
-        closed = x1 @ x2 + table1_coefficient_rows(params)["q1q2"]["adopted"] * np.eye(dim)
-    # interior block: two shells of boundary per mode are discarded
-    n1 = nmax + 1
-    flat = np.arange(dim)
-    keep = (flat // n1 <= nmax - 2) & (flat % n1 <= nmax - 2)
-    sel = np.ix_(keep, keep)
-    dev = float(np.max(np.abs(mat[sel] - closed[sel])))
-    if dev > _TABLE1_TOL:
-        raise QuadratureNotConverged(
-            f"quantised {f} deviates from the closed form by {dev:.2e} "
-            f"(tol {_TABLE1_TOL:.1e})"
-        )
-    return FieldOperator(dim, mat, report)
+    mats, _, report = _quantise_field(
+        params, lambda q1, q2, p1, p2: np.stack([q1, q2, q1 * q2]), nmax, 2
+    )
+    x1, x2, sel = _two_mode_positions(params, nmax)
+    dim = len(x1)
+    constant = table1_coefficient_rows(params)["q1q2"]["adopted"]
+    closed = {"q1": x1, "q2": x2, "q1q2": x1 @ x2 + constant * np.eye(dim)}
+    ops = {}
+    for (f, want), mat in zip(closed.items(), mats):
+        dev = float(np.max(np.abs(mat[sel] - want[sel])))
+        if dev > _TABLE1_TOL:
+            raise QuadratureNotConverged(
+                f"quantised {f} deviates from the closed form by {dev:.2e} "
+                f"(tol {_TABLE1_TOL:.1e})"
+            )
+        ops[f] = FieldOperator(dim, mat, report)
+    return ops
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ class QuadratureReport:
     nodes actually used (a direct measure of grid adequacy for the family);
     ``hermiticity_defect`` the largest anti-Hermitian entry, which must sit
     at quadrature level for real f.  ``convergence_witness`` is the max-entry
-    change of the operator between the last two rule orders evaluated;
+    change of the operator between the last two rule orders evaluated; for a
+    stack of operators, one per field, both are the largest over the stack;
     ``nodes`` counts the nodes evaluated over all orders (on the two-mode
     position route, joint outer x inner nodes).
     """
@@ -113,10 +114,11 @@ class QuadratureReport:
 
     @classmethod
     def of(cls, mat, ident, convergence_witness, nodes) -> "QuadratureReport":
-        """Report on ``mat`` with ``ident``, the quantised f = 1 on the same nodes."""
+        """Report on ``mat``, one operator or a stack of them, with ``ident``,
+        the quantised f = 1 on the same nodes."""
         return cls(
             identity_deviation=float(np.max(np.abs(ident - np.eye(ident.shape[0])))),
-            hermiticity_defect=float(np.max(np.abs(mat - mat.conj().T)) / 2.0),
+            hermiticity_defect=float(np.max(np.abs(mat - mat.conj().swapaxes(-1, -2))) / 2.0),
             convergence_witness=convergence_witness,
             nodes=int(nodes),
         )
@@ -251,17 +253,20 @@ def _quantise_on_rule(coefficients, field, pts, weights, norm: float, chunk: int
     """Quantised field and identity on one rule, ``chunk`` nodes at a time:
     A_nm = sum_k w_k f(x_k) c_n(x_k) conj(c_m(x_k)) / norm, with the Fock
     coefficients (P, dim) of the states at nodes x (P, d) from
-    ``coefficients(x)`` and the measure's norm (2 pi hbar)^modes."""
+    ``coefficients(x)`` and the measure's norm (2 pi hbar)^modes.  A field
+    returning a stack (F, P) of F fields gives a stack (F, dim, dim) of
+    operators from the one evaluation of the coefficients."""
     fv = np.asarray(field(*pts.T), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
-    wf = weights * fv
+    wf = (weights * fv).reshape(-1, weights.size)
     acc = ident = 0.0
     for s in range(0, pts.shape[0], chunk):
         cc = coefficients(pts[s : s + chunk])
-        acc = acc + (cc * wf[s : s + chunk, None]).T @ cc.conj()
+        # one field at a time, so a stack's work arrays stay one field's size
+        acc = acc + np.stack([(cc * w[s : s + chunk, None]).T @ cc.conj() for w in wf])
         ident = ident + (cc * weights[s : s + chunk, None]).T @ cc.conj()
-    return acc / norm, ident / norm
+    return acc.reshape(fv.shape[:-1] + acc.shape[1:]) / norm, ident / norm
 
 
 def _tensor(nodes, weights):
@@ -275,20 +280,15 @@ def _tensor(nodes, weights):
     return points, w.reshape(*w.shape[:-2], n * n)
 
 
-@lru_cache(maxsize=4)
-def _hermite_tensor(d: int):
-    """The order-90 Gauss-Hermite tensor rule in d dimensions, shared read-only."""
-    return _read_only(*_tensor(*(np.tile(a, (d, 1)) for a in _hermgauss(_SMOOTH_ORDER))))
-
-
 def gaussian_smooth(f, centres, precision, support=None, pad: float = _NSIGMA) -> np.ndarray:
     """Gaussian smoothing E[f(U)] with U ~ N(c, precision^-1) at every centre c.
 
     ``centres`` has shape (..., d) with d = 1 or 2, ``precision`` is d x d,
     and the result has shape (...); ``f`` takes d equally shaped arrays.
-    Without ``support`` the rule is a tensor Gauss-Hermite rule of order 90
-    along the eigenvectors of ``precision``, exact for polynomial f of degree
-    <= 179.  ``support`` = ((a1, b1), ...) declares the box outside which f
+    Without ``support`` the rule is ``whitened_rule`` of order 90 for the
+    Gaussian itself, exact for polynomial f of degree <= 179, and a
+    ``precision`` that is not positive definite raises NonConvergent.
+    ``support`` = ((a1, b1), ...) declares the box outside which f
     vanishes: each axis then integrates over the centre's window c +- pad
     sigma (sigma the marginal standard deviation) clipped to (a, b), on a
     two-panel order-90 Gauss-Legendre rule, and a window that misses the
@@ -302,16 +302,16 @@ def gaussian_smooth(f, centres, precision, support=None, pad: float = _NSIGMA) -
     flat = centres.reshape(-1, d).T
     out = np.empty(flat.shape[1])
     if support is None:
-        evals, evecs = np.linalg.eigh(prec)
-        t, weights = _hermite_tensor(d)
-        offsets = evecs @ (t * np.sqrt(2.0 / evals)[:, None])
-        per_centre, scale = weights.size, np.pi ** (d / 2)
+        # the rule whitened by exp(-y^T prec y / 2), times that Gaussian
+        y, w = whitened_rule(prec / 2.0, _SMOOTH_ORDER)
+        offsets, weights = y.T, w * np.exp(-0.5 * np.sum((y @ prec) * y, axis=1))
+        per_centre = weights.size
     else:
         box = np.asarray(support, dtype=float).reshape(d, 2)
         reach = pad * np.sqrt(np.diag(np.linalg.inv(prec)))
         ref = legendre_box_rule(-1.0, 1.0, _SMOOTH_ORDER, 2)
         per_centre = ref.nodes.size**d
-        scale = (2.0 * np.pi) ** (d / 2) / np.sqrt(np.linalg.det(prec))
+    scale = (2.0 * np.pi) ** (d / 2) / np.sqrt(np.linalg.det(prec))
     block = max(1, _SMOOTH_BLOCK_NODES // per_centre)
     for s in range(0, flat.shape[1], block):
         c = flat[:, s : s + block, None]

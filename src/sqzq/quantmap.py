@@ -30,8 +30,9 @@ with momentum on the nodes of the 4D rule (``_position_values`` on
 above, with the momenta integrated exactly: a 2D rule in the positions on
 which f is evaluated, times a fixed rule exact for the Fock polynomials
 (``nonsepstates._quantise_position_field``).  Every other function takes the
-4D engine, which also certifies the identity resolution and the Table 1
-operators.
+4D engine, whose one run on the stacked Table 1 fields
+(``nonsepstates.table1_operators``) gives their operators and certifies the
+identity resolution on the same nodes.
 """
 
 from __future__ import annotations

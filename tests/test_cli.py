@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sqzq import pdm
+from sqzq import nonsepstates, pdm, quantmap
 from sqzq.cli import CHECKS, RunConfig, _csv, main
 from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
@@ -515,11 +515,37 @@ def test_quantise_two_mode_fuzzed_config_exits_cleanly(tmp_path_factory, fn, val
 
 
 @pytest.fixture(scope="module")
-def verify_report(tmp_path_factory):
+def verify_run(tmp_path_factory):
+    """The default verify run: exit code, report and its 4D engine runs."""
     out = tmp_path_factory.mktemp("verify")
-    code = main(["verify", "--out", str(out)])
+    engine = nonsepstates._quantise_field
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[2:])
+        return engine(*args, **kwargs)
+
+    # quantmap binds the engine by name, so both bindings are counted
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nonsepstates, "_quantise_field", counted)
+        mp.setattr(quantmap, "_quantise_field", counted)
+        code = main(["verify", "--out", str(out)])
     report = json.loads((out / "verify_report.json").read_text())
-    return code, report
+    return code, report, runs
+
+
+@pytest.fixture(scope="module")
+def verify_report(verify_run):
+    return verify_run[:2]
+
+
+def test_verify_runs_the_4d_engine_once(verify_run):
+    # the two-mode identity, the Table 1 rows and the position route's
+    # reference all come from one stacked projector integral
+    _, report, runs = verify_run
+    assert len(runs) == 1
+    nodes = {c["detail"]["nodes"] for c in report["checks"] if c["id"] in ("identity-twomode", "table1-rows")}
+    assert nodes == {48416}
 
 
 def test_verify_exits_zero(verify_report):

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import ndtr
 
-from sqzq.cli import _kernel_precision, _two_mode_positions
+from sqzq.cli import _kernel_precision
 from sqzq.errors import ConfigError, TruncationTooSmall
 from sqzq.nonsepstates import (
     NonSepParams,
@@ -40,10 +40,9 @@ from sqzq.nonsepstates import (
     nonsep_wavefunction,
     table1_coefficient_rows,
     table1_operators,
-    verify_identity_resolution,
 )
-from sqzq.nonsepstates import _fock_batch, _vacuum_precision
-from sqzq.numerics import TruncatedOperator, legendre_box_rule
+from sqzq.nonsepstates import _fock_batch, _two_mode_positions, _vacuum_precision
+from sqzq.numerics import TruncatedOperator, _quantise_on_rule, legendre_box_rule, whitened_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from sqzq.sepstates import Field, PhasePoint, TwoModeParams, portrait_hq, sep_wavefunction
 
@@ -555,10 +554,45 @@ def test_displacement_columns_against_40_digit_oracle(alpha):
 # quantisation engine
 
 
+@pytest.fixture(scope="module")
+def ref_table1():
+    """The Table 1 operators of REF at nmax 6, from their one shared quadrature."""
+    return table1_operators(REF, 6)
+
+
+def _engine_on_rule(field, nmax=4, order=10):
+    """The chunked projector sum of ``field`` for REF on one whitened rule."""
+    pts, weights = whitened_rule(_vacuum_precision(REF), order)
+    dim = (nmax + 1) ** 2
+    coefficients = lambda x: _fock_batch(REF, x, nmax).reshape(-1, dim)
+    norm = (2.0 * np.pi * REF.hbar) ** 2
+    return _quantise_on_rule(coefficients, field, pts, weights, norm, chunk=4096)
+
+
+_ENGINE_FIELDS = {
+    "q1": lambda q1, q2, p1, p2: q1,
+    "q2": lambda q1, q2, p1, p2: q2,
+    "q1q2": lambda q1, q2, p1, p2: q1 * q2,
+}
+
+
+@pytest.mark.parametrize("names", [("q1q2",), ("q1", "q2", "q1q2")])
+def test_engine_stack_equals_one_run_per_field(names):
+    # each field's projector sum is the single-field arithmetic, so the
+    # stack must match it bit for bit
+    fields = [_ENGINE_FIELDS[n] for n in names]
+    stack, ident = _engine_on_rule(lambda *x: np.stack([f(*x) for f in fields]))
+    assert stack.shape[0] == len(fields)
+    for mat, f in zip(stack, fields):
+        single, single_ident = _engine_on_rule(f)
+        assert np.array_equal(mat, single)
+        assert np.array_equal(ident, single_ident)
+
+
 def test_identity_resolution_two_mode():
     # hbar != 1 so the measure power (2 pi hbar)^2 is actually discriminated
     p = NonSepParams.from_tau(0.4, 0.7j, np.pi / 6, 1.1, 0.9, hbar=0.8)
-    assert verify_identity_resolution(p, nmax=6).identity_deviation < 1e-10
+    assert table1_operators(p, 6)["q1"].report.identity_deviation < 1e-10
 
 
 def test_vacuum_precision_matches_fock_vacuum():
@@ -574,16 +608,16 @@ def test_vacuum_precision_matches_fock_vacuum():
     assert np.max(np.abs(quad - minus_log)) < 1e-12
 
 
-def test_table1_identity_row():
-    op = table1_operators(REF, "one", 6)
-    _, _, sel = _two_mode_positions(REF, 6)
-    assert np.max(np.abs(op.entries[sel] - np.eye(49)[sel])) < 1e-10
+def test_table1_identity_row(ref_table1):
+    # the identity resolution on the fields' own nodes, over the full matrix
+    report = ref_table1["q1"].report
+    assert report.identity_deviation < 1e-10
+    assert ref_table1["q2"].report is report and ref_table1["q1q2"].report is report
 
 
-def _interior_fit(params, f, nmax=6):
-    """Least-squares row of the quantised field over (x1, x2, 1)."""
-    op = table1_operators(params, f, nmax)
-    x1, x2, sel = _two_mode_positions(params, nmax)
+def _interior_fit(op, nmax=6):
+    """Least-squares row of a quantised field of REF over (x1, x2, 1)."""
+    x1, x2, sel = _two_mode_positions(REF, nmax)
     basis = np.stack(
         [x1[sel].ravel(), x2[sel].ravel(), np.eye(len(x1))[sel].ravel()], axis=1
     )
@@ -591,9 +625,9 @@ def _interior_fit(params, f, nmax=6):
     return coef
 
 
-def test_table1_linear_fields_quantise_to_bare_positions():
+def test_table1_linear_fields_quantise_to_bare_positions(ref_table1):
     for f, want in (("q1", (1.0, 0.0, 0.0)), ("q2", (0.0, 1.0, 0.0))):
-        coef = _interior_fit(REF, f)
+        coef = _interior_fit(ref_table1[f])
         assert np.max(np.abs(coef - np.array(want))) < 1e-10
         rival = table1_coefficient_rows(REF)[f]["rival"]
         # the mixing-dressed rival row is refuted by the quadrature, not
@@ -601,8 +635,8 @@ def test_table1_linear_fields_quantise_to_bare_positions():
         assert np.max(np.abs(coef[:2] - np.array(rival))) > 0.1
 
 
-def test_table1_product_field_constant():
-    op = table1_operators(REF, "q1q2", 6)
+def test_table1_product_field_constant(ref_table1):
+    op = ref_table1["q1q2"]
     rows = table1_coefficient_rows(REF)
     minv = np.linalg.inv(_kernel_precision(REF))
     assert_allclose(rows["q1q2"]["adopted"], minv[0, 1] / 2.0, rtol=1e-12)
@@ -613,8 +647,6 @@ def test_table1_product_field_constant():
     assert abs(rows["q1q2"]["adopted"] - rows["q1q2"]["rival"]) > 0.05
 
 
-def test_table1_rejects_unknown_field_and_tiny_truncation():
-    with pytest.raises(ConfigError):
-        table1_operators(REF, "q3", 6)
+def test_table1_rejects_tiny_truncation():
     with pytest.raises(TruncationTooSmall):
-        table1_operators(REF, "q1", 1)
+        table1_operators(REF, 1)

@@ -15,6 +15,7 @@ from scipy import integrate as sint
 from sqzq.errors import NonConvergent, QuadratureNotConverged, StepSizeUnderflow
 from sqzq.numerics import (
     OdeProblem,
+    QuadratureReport,
     TruncatedOperator,
     gauss_hermite_rule,
     gaussian_smooth,
@@ -176,6 +177,22 @@ def test_gaussian_smooth_free_matches_exact_moments():
     )
     assert got.shape == (40,)
     assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_gaussian_smooth_free_1d_matches_the_closed_form():
+    # E[cos U] = cos(c) exp(-var / 2) for U ~ N(c, var)
+    var = 0.37
+    x = np.linspace(-4.0, 4.0, 17)[:, None]
+    got = gaussian_smooth(np.cos, x, [[1.0 / var]])
+    assert_allclose(got, np.cos(x[:, 0]) * np.exp(-var / 2.0), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("prec", [[[1.0, 2.0], [2.0, 1.0]], [[-0.5]]], ids=["indefinite", "negative"])
+def test_gaussian_smooth_free_refuses_a_precision_that_is_not_positive_definite(prec):
+    # the rule is whitened_rule's, which refuses such a weight instead of
+    # laying nodes at NaN
+    with pytest.raises(NonConvergent):
+        gaussian_smooth(lambda *u: np.ones_like(u[0]), np.zeros(len(prec)), prec)
 
 
 def test_gaussian_smooth_support_matches_dblquad():
@@ -360,3 +377,12 @@ def test_ode_problem_validation():
         OdeProblem(2, _harmonic, (1.0, 0.0), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         OdeProblem(3, _harmonic, (0.0, 1.0), np.array([0.0, 1.0]))
+
+
+def test_report_hermiticity_defect_is_the_largest_over_a_stack():
+    rng = np.random.default_rng(3)
+    mats = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    mats[1] *= 4.0
+    one = [QuadratureReport.of(m, np.eye(5), 0.0, 1).hermiticity_defect for m in mats]
+    stacked = QuadratureReport.of(mats, np.eye(5), 0.0, 1)
+    assert stacked.hermiticity_defect == max(one) == one[1]

@@ -14,10 +14,15 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from sqzq.cli import _kernel_precision, _two_mode_positions
+from sqzq.cli import _kernel_precision
 import sqzq.quantmap as quantmap_module
 from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
-from sqzq.nonsepstates import NonSepParams, _quantise_field, _quantise_position_field
+from sqzq.nonsepstates import (
+    NonSepParams,
+    _quantise_field,
+    _quantise_position_field,
+    _two_mode_positions,
+)
 from sqzq.numerics import TruncatedOperator
 from sqzq.onemode import SqueezeParameter
 from sqzq.quantmap import (
