@@ -33,7 +33,8 @@ class DegenerateSqueezing(SqzqError):
 
 
 class StepSizeUnderflow(SqzqError):
-    """ODE integrator collapsed its step size (stiff or singular region)."""
+    """ODE integrator stopped: its step fell below the minimum step (stiff or
+    singular region) or it ran out of its step budget."""
 
 
 class NonFiniteState(SqzqError):

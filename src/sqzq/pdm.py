@@ -163,7 +163,8 @@ class Trajectory:
     "escaped" or "singular-stop"; the last marks a run whose integrator
     stalled, with the samples truncated at the stall.  ``escape_time`` is the
     first sample time at which the escape criterion held, None otherwise.
-    ``n_rhs_evals`` counts the right-hand-side evaluations of the solver run.
+    ``n_rhs_evals`` counts the right-hand-side evaluations of the solver run,
+    and ``n_accepted`` and ``n_rejected`` its accepted and rejected steps.
     Momenta may overflow at exact wall touches where the classical mass
     diverges; positions and energies are finite throughout.
     """
@@ -175,6 +176,8 @@ class Trajectory:
     classification: str
     escape_time: Optional[float] = None
     n_rhs_evals: int = 0
+    n_accepted: int = 0
+    n_rejected: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -194,6 +197,11 @@ class Trajectory:
         """Largest |E(t) - E(0)| relative to |E(0)|."""
         e0 = self.energy[0]
         return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-300))
+
+
+def _step_counts(sol) -> dict:
+    """The solver run's RHS evaluations and steps, as Trajectory fields."""
+    return {"n_rhs_evals": sol.n_rhs_evals, "n_accepted": sol.n_accepted, "n_rejected": sol.n_rejected}
 
 
 def _require_mode(j: int) -> None:
@@ -263,11 +271,20 @@ def classical_integrate(
         raise OutsideBox("initial position must lie strictly inside the box")
 
     theta0 = np.arcsin(lam * q0)
-    omega0 = lam * v0 / np.cos(theta0)
-    coeff = vbar / model.m0
+    with np.errstate(over="ignore"):
+        omega0 = lam * v0 / np.cos(theta0)
+    if not np.all(np.isfinite(omega0)):
+        raise NonFiniteState("the initial angular velocities Lambda_j v0_j / cos theta_j overflow")
+    # Python floats: numpy scalars would make every RHS call several times slower
+    k1 = float(model.vbar1) / float(model.m0)
+    k2 = float(model.vbar2) / float(model.m0)
 
     def rhs(t, y):
-        return np.array([y[2], y[3], -coeff[0] * np.sin(2.0 * y[0]), -coeff[1] * np.sin(2.0 * y[1])])
+        th1, th2, w1, w2 = y
+        try:
+            return w1, w2, -k1 * math.sin(2.0 * th1), -k2 * math.sin(2.0 * th2)
+        except ValueError:  # an infinite angle, which fails the solver's error test
+            return w1, w2, math.nan, math.nan
 
     problem = OdeProblem(
         dimension=4,
@@ -281,8 +298,9 @@ def classical_integrate(
     sol = solve_ode(problem, t_eval=t_eval, raise_on_failure=False)
     classification = "bounded"
     if sol.status == "failed":
-        # cannot happen for the smooth pendulum system with finite input,
-        # but a stalled run is still reported rather than silently patched
+        # the pendulum is smooth, but a coefficient vbar/m0 or a velocity so
+        # large that the step falls below the solver's minimum or runs out of
+        # its budget stops the run; the partial samples are kept
         if sol.t.size < 2:
             raise NonFiniteState(sol.message or "integration produced no usable samples")
         classification = "singular-stop"
@@ -293,10 +311,16 @@ def classical_integrate(
     with np.errstate(divide="ignore", over="ignore"):
         p = model.m0 * omega / (lam * np.cos(theta))
     # per-mode pendulum invariant, identical to p^2/2m + vbar q^2
-    energy = np.sum(
-        (0.5 * model.m0 * omega**2 + vbar * np.sin(theta) ** 2) / lam**2, axis=1
-    )
-    return Trajectory(sol.t, q, p, energy, classification, n_rhs_evals=sol.n_rhs_evals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = np.sum(
+            (0.5 * model.m0 * omega**2 + vbar * np.sin(theta) ** 2) / lam**2, axis=1
+        )
+    if not np.all(np.isfinite(energy)):
+        # an angular velocity near the float range (the steps run on without
+        # resolving any oscillation) overflows the invariant, and a Lambda
+        # below about 1e-154 underflows its Lambda^2
+        raise NonFiniteState("the energy of the sampled states is not finite")
+    return Trajectory(sol.t, q, p, energy, classification, **_step_counts(sol))
 
 
 # ----------------------------------------------------------------------
@@ -518,7 +542,7 @@ def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
     """
 
     def rhs(t, y):
-        q1, q2, v1, v2 = y.tolist()
+        q1, q2, v1, v2 = y
         try:
             _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2), _ = _veff_pieces(
                 model, scales, q1, q2, kin, math.erfc, math.exp
@@ -537,7 +561,7 @@ def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
             )
         except ZeroDivisionError:
             acc1 = acc2 = math.nan
-        return np.array([v1, v2, acc1, acc2])
+        return v1, v2, acc1, acc2
 
     return rhs
 
@@ -559,13 +583,17 @@ def semiclassical_integrate(
     of energy conservation crossing the wall region.  All coefficients use
     the closed-form erfc expressions and their analytic derivatives.
 
-    The right-hand side evaluates those expressions on Python floats, with
-    ``math.erfc`` and ``math.exp`` passed to the same ``_veff_pieces`` that
-    the portraits and the sampled energies run on float arrays: about sixty
-    operations on Python floats cost far less than the same numpy operations
-    on 0-d values.  The instantiations differ only by the rounding of the
-    two erfc and exp implementations, so trajectories move in their last
-    digits against an all-numpy right-hand side.
+    The right-hand side takes the state as four Python floats and returns
+    the derivative as a tuple of four, the contract of ``solve_ode``, whose
+    DOP853 stages are Python-float combinations too.  It evaluates the
+    closed forms with ``math.erfc`` and ``math.exp`` passed to the same
+    ``_veff_pieces`` that the portraits and the sampled energies run on
+    float arrays: about sixty operations on Python floats cost far less than
+    the same numpy operations on 0-d values, and no array is built per stage.
+    The instantiations differ only by the rounding of the two erfc and exp
+    implementations, so trajectories move in their last digits against an
+    all-numpy right-hand side.  A run that the solver's minimum step or step
+    budget stops is classified "singular-stop" and keeps its samples.
 
     The initial point may lie anywhere; escape is detected by leaving the
     classical rectangle after the barrier has dropped below a hundredth of
@@ -576,11 +604,10 @@ def semiclassical_integrate(
     scales = _both_scales(model, semi.modes)
 
     rhs = _equations_of_motion(model, scales, kin)
-    y0 = np.array([init.q1, init.q2, init.v1, init.v2])
+    y0 = [float(v) for v in (init.q1, init.q2, init.v1, init.v2)]
     # so far outside that every portrait underflows to zero, the equations
     # degenerate to 0/0; fail up front instead of stalling the integrator
-    f0 = rhs(t_span[0], y0)
-    if not np.all(np.isfinite(f0)):
+    if not all(map(math.isfinite, rhs(t_span[0], y0))):
         raise NonFiniteState(
             "equations of motion are not finite at the initial state; "
             "the portraits underflow this far outside the box"
@@ -605,12 +632,13 @@ def semiclassical_integrate(
     p = np.stack([v[:, 0] / a1, v[:, 1] / a2], axis=-1)
     energy = 0.5 * (v[:, 0] ** 2 / a1 + v[:, 1] ** 2 / a2) + veff
 
+    counts = _step_counts(sol)
     if stalled:
-        return Trajectory(sol.t, q, p, energy, "singular-stop", n_rhs_evals=sol.n_rhs_evals)
+        return Trajectory(sol.t, q, p, energy, "singular-stop", **counts)
     escape_time = _classify_escape(semi, sol.t, q, veff, energy[0])
     if escape_time is None:
-        return Trajectory(sol.t, q, p, energy, "bounded", n_rhs_evals=sol.n_rhs_evals)
-    return Trajectory(sol.t, q, p, energy, "escaped", escape_time, n_rhs_evals=sol.n_rhs_evals)
+        return Trajectory(sol.t, q, p, energy, "bounded", **counts)
+    return Trajectory(sol.t, q, p, energy, "escaped", escape_time, **counts)
 
 
 def forbidden_region(

@@ -2,8 +2,8 @@
 
 Nothing in the package calls these.  The first group is brute-force
 numerics the package itself no longer needs: iterated Gauss-Legendre box
-quadrature, dense matrix exponentials, the real erfc and the truncated
-momentum matrix.  The second group is 40-digit ``mpmath`` matrix elements
+quadrature, dense matrix exponentials, the real erfc, the truncated
+momentum matrix and scipy's DOP853 run of an ODE problem.  The second group is 40-digit ``mpmath`` matrix elements
 of the squeeze, displacement and beam-splitter operators, built from
 expansions that share no step with the recurrences and exponentials they
 check.
@@ -17,6 +17,7 @@ from typing import Sequence
 import mpmath as mp
 import numpy as np
 from scipy import special
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from sqzq.errors import QuadratureNotConverged
@@ -121,6 +122,22 @@ def momentum(dim: int, lam: float = 1.0, hbar: float = 1.0) -> TruncatedOperator
 
 # ---------------------------------------------------------------------------
 # 40-digit operator matrix elements
+
+
+def dop853_reference(problem, t_eval=None):
+    """scipy's ``solve_ivp(method="DOP853", dense_output=True)`` on an
+    ``OdeProblem``, the run that ``numerics.solve_ode`` mirrors step for step
+    up to rounding; ``sol.ts`` holds its accepted step ends."""
+    return solve_ivp(
+        lambda t, y: np.asarray(problem.rhs(t, y.tolist()), dtype=float),
+        problem.t_span,
+        problem.y0,
+        method="DOP853",
+        rtol=problem.rel_tol,
+        atol=problem.abs_tol,
+        dense_output=True,
+        t_eval=t_eval,
+    )
 
 
 def beam_splitter_sector(phi, tot: int) -> np.ndarray:

@@ -5,9 +5,13 @@ covers the installed console script.  Output files must be byte-reproducible
 for a fixed config, so several tests compare raw bytes across runs.
 """
 
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -376,6 +380,50 @@ def test_simulate_failure_before_the_first_sample_exits_3(tmp_path, capsys):
     assert main(["simulate", "--preset", "fig6a", "--config", cfg,
                  "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, payload", [
+    # accelerations near 1e300: the steps shrink without end
+    ("fig6a", {"vbar1": 1e300}),
+    # a pendulum coefficient vbar/m0 near 1e300: about 1e150 oscillations
+    ("fig4a", {"m0": 1e-300, "t1": 1.0}),
+])
+def test_simulate_unresolvable_run_stops_at_the_minimum_step(tmp_path, capsys, preset, payload):
+    cfg = _write_cfg(tmp_path, payload)
+    start = time.perf_counter()
+    assert main(["simulate", "--preset", preset, "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "minimum step" in err
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["classical", "semiclassical"]),
+    scales=st.fixed_dictionaries(
+        {k: _log_uniform(1e-300, 1e300) for k in ("m0", "vbar1", "vbar2", "lambda1", "lambda2")}
+    ),
+    state=st.fixed_dictionaries({
+        "q0_1": st.floats(-10.0, 10.0), "q0_2": st.floats(-10.0, 10.0),
+        "v0_1": st.floats(-1e6, 1e6), "v0_2": st.floats(-1e6, 1e6),
+        "t1": st.floats(1e-3, 2.0),
+    }),
+)
+def test_simulate_fuzzed_config_exits_cleanly(tmp_path_factory, kind, scales, state):
+    """A config error (2), a numerical failure (3) or a finished run (0),
+    never an exception out of main: the minimum step and the step budget
+    bound every run."""
+    out = tmp_path_factory.mktemp("fuzz")
+    cfg = _write_cfg(out, {"kind": kind, **scales, **state})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--preset", "fig6a", "--config", cfg, "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 # ----------------------------------------------------------------------

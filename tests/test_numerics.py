@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate as sint
 
+from sqzq import numerics
 from sqzq.errors import NonConvergent, QuadratureNotConverged, StepSizeUnderflow
 from sqzq.numerics import (
     OdeProblem,
@@ -299,7 +300,7 @@ def test_matrix_exp_displacement_unitary_interior():
 
 
 def _harmonic(t, y):
-    return np.array([y[1], -y[0]])
+    return y[1], -y[0]
 
 
 def test_solve_ode_harmonic_quarter_period():
@@ -310,7 +311,7 @@ def test_solve_ode_harmonic_quarter_period():
 
 
 def test_solve_ode_free_particle():
-    prob = OdeProblem(2, lambda t, y: np.array([y[1], 0.0]), (0.0, 3.0), np.array([0.0, 2.0]))
+    prob = OdeProblem(2, lambda t, y: (y[1], 0.0), (0.0, 3.0), np.array([0.0, 2.0]))
     sol = solve_ode(prob)
     assert abs(sol.y[-1, 0] - 6.0) < 1e-10
 
@@ -322,20 +323,12 @@ def test_solve_ode_energy_drift_100_periods():
     assert np.max(np.abs(energy - 1.0)) < 1e-6
 
 
-def test_solve_ode_terminal_event():
-    def cross(t, y):
-        return y[0] - 0.5
-
-    cross.terminal = True
-    cross.direction = 1.0
-    prob = OdeProblem(2, _harmonic, (0.0, 10.0), np.array([0.0, 1.0]), events=(cross,))
-    sol = solve_ode(prob)
-    assert sol.status == "event"
-    assert_allclose(sol.t_events[0][0], np.pi / 6, rtol=1e-9)
+def _square(t, y):
+    return (y[0] * y[0],)
 
 
 def test_solve_ode_blowup_raises():
-    prob = OdeProblem(1, lambda t, y: y**2, (0.0, 2.0), np.array([1.0]))
+    prob = OdeProblem(1, _square, (0.0, 2.0), np.array([1.0]))
     with pytest.raises(StepSizeUnderflow):
         solve_ode(prob)
 
@@ -343,7 +336,7 @@ def test_solve_ode_blowup_raises():
 def test_solve_ode_blowup_partial_solution():
     # y' = y^2 from y(0)=1 blows up at t=1; opting out of the exception
     # must hand back the finite samples reached before the stall.
-    prob = OdeProblem(1, lambda t, y: y**2, (0.0, 2.0), np.array([1.0]))
+    prob = OdeProblem(1, _square, (0.0, 2.0), np.array([1.0]))
     sol = solve_ode(prob, raise_on_failure=False)
     assert sol.status == "failed"
     assert sol.message
@@ -358,9 +351,9 @@ def test_solve_ode_blowup_partial_solution():
 
 def test_solve_ode_failure_before_the_first_sample():
     # finite at t0 and NaN at every later stage: no step is accepted, and
-    # scipy hands back t and y as empty lists when t_eval is given
+    # with t_eval given no sample is returned
     def rhs(t, y):
-        return -y if t == 0.0 else np.full_like(y, np.nan)
+        return [-v for v in y] if t == 0.0 else [np.nan] * len(y)
 
     prob = OdeProblem(2, rhs, (0.0, 1.0), np.array([1.0, 0.5]))
     sol = solve_ode(prob, t_eval=np.linspace(0.0, 1.0, 11), raise_on_failure=False)
@@ -368,8 +361,50 @@ def test_solve_ode_failure_before_the_first_sample():
     assert sol.message
     assert sol.t.shape == (0,)
     assert sol.y.shape == (0, 2)
+    assert sol.n_accepted == 0 and _rhs_count_holds(sol)
     with pytest.raises(StepSizeUnderflow):
         solve_ode(prob, t_eval=np.linspace(0.0, 1.0, 11))
+
+
+def _rhs_count_holds(sol):
+    return sol.n_rhs_evals == 2 + 15 * sol.n_accepted + 12 * sol.n_rejected
+
+
+def test_solve_ode_samples_are_the_step_ends_without_t_eval():
+    prob = OdeProblem(2, _harmonic, (0.0, 2.0), np.array([0.0, 1.0]))
+    sol = solve_ode(prob)
+    assert sol.t[0] == 0.0 and sol.t[-1] == 2.0
+    assert sol.t.size == sol.n_accepted + 1
+    assert _rhs_count_holds(sol)
+    # the dense output passes through every step end, and its 7th-order
+    # interpolant holds the tolerance between them
+    assert_allclose(sol.interpolant(sol.t).T, sol.y, rtol=0, atol=1e-15)
+    mid = 0.5 * (sol.t[1:] + sol.t[:-1])
+    assert sol.interpolant(mid).shape == (2, mid.size)
+    assert_allclose(sol.interpolant(mid)[0], np.sin(mid), rtol=0, atol=1e-8)
+
+
+def test_solve_ode_stops_at_the_minimum_step():
+    sol = solve_ode(OdeProblem(1, _square, (0.0, 2.0), np.array([1.0])), raise_on_failure=False)
+    assert "minimum step" in sol.message
+    assert sol.n_rejected > 0
+    assert _rhs_count_holds(sol)
+
+
+def test_solve_ode_stops_at_the_step_budget(monkeypatch):
+    # the budget is a module constant; a small one stops a smooth run early
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 20)
+    prob = OdeProblem(2, _harmonic, (0.0, 200 * np.pi), np.array([1.0, 0.0]))
+    sol = solve_ode(prob, t_eval=np.linspace(0.0, 200 * np.pi, 1001), raise_on_failure=False)
+    assert sol.status == "failed"
+    assert "step budget of 20 steps" in sol.message
+    assert sol.n_accepted + sol.n_rejected == 20
+    assert _rhs_count_holds(sol)
+    # the partial samples end at the last accepted step and stay accurate
+    assert 2 <= sol.t.size < 1001
+    assert_allclose(sol.y[:, 0], np.cos(sol.t), rtol=0, atol=1e-8)
+    with pytest.raises(StepSizeUnderflow, match="step budget"):
+        solve_ode(prob)
 
 
 def test_ode_problem_validation():
@@ -377,6 +412,8 @@ def test_ode_problem_validation():
         OdeProblem(2, _harmonic, (1.0, 0.0), np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         OdeProblem(3, _harmonic, (0.0, 1.0), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        OdeProblem(2, _harmonic, (0.0, 1.0), np.array([np.inf, 1.0]))
 
 
 def test_report_hermiticity_defect_is_the_largest_over_a_stack():

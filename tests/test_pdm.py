@@ -16,8 +16,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import erfc
 
+import sqzq.pdm as pdm_module
 from sqzq.cli import _quad_moment_1d
 from sqzq.errors import ConfigError, NonFiniteState, OutsideBox
+from sqzq.numerics import OdeSolution, solve_ode
 from sqzq.pdm import (
     PRESETS,
     InitialState,
@@ -46,6 +48,8 @@ from sqzq.pdm import (
     _veff_pieces,
 )
 from sqzq.sepstates import TwoModeParams
+
+from .oracles import dop853_reference
 
 
 def _fig6_pair():
@@ -219,6 +223,19 @@ def test_classical_energy_identity(run_preset):
     mass = np.stack([model.mass(1, tr.q[:, 0]), model.mass(2, tr.q[:, 1])], axis=-1)
     v = tr.p / mass
     assert_allclose(classical_energy(model, tr.q, v), tr.energy, rtol=1e-9)
+
+
+@pytest.mark.parametrize("v0, t1", [(1e300, 35.0), (1e306, 1e3), (1e307, 35.0)])
+def test_classical_integrate_with_an_unresolvable_velocity_raises(v0, t1):
+    # 1e300 runs to t1 in growing steps with an infinite energy, 1e306 drives
+    # a stage angle to inf (where math.sin raises), 1e307 stops at the
+    # minimum step; none may pass for a finite trajectory
+    model = PRESETS["fig4a"].model
+    with pytest.raises(NonFiniteState):
+        classical_integrate(model, InitialState(0.0, 0.0, v0, 2.0), (0.0, t1))
+    # an initial angular velocity that overflows fails before the solver
+    with pytest.raises(NonFiniteState, match="overflow"):
+        classical_integrate(model, InitialState(0.0, 0.0, 1e308, 2.0), (0.0, 35.0))
 
 
 def test_classical_integrate_outside_box_raises():
@@ -469,12 +486,13 @@ def test_mode_pieces_are_mirror_symmetric(model, modes, floats, j):
 def test_float_equations_of_motion_turn_nan_where_the_portraits_underflow():
     model, modes = _fig6_pair()
     rhs = _equations_of_motion(model, _both_scales(model, modes), _kinetic_coeffs(modes))
-    inside = rhs(0.0, np.array([0.1, -0.2, 0.7, 0.4]))
+    inside = rhs(0.0, [0.1, -0.2, 0.7, 0.4])
+    assert all(type(v) is float for v in inside)
     assert np.all(np.isfinite(inside))
     # every window underflows to 0 this far out, where Python floats raise
     # ZeroDivisionError where numpy values give inf or NaN
-    far = rhs(0.0, np.array([50.0, 50.0, 1.0, 1.0]))
-    assert far.tolist()[:2] == [1.0, 1.0]
+    far = rhs(0.0, [50.0, 50.0, 1.0, 1.0])
+    assert list(far[:2]) == [1.0, 1.0]
     assert not np.any(np.isfinite(far[2:]))
 
 
@@ -622,9 +640,6 @@ def test_preset_catalogue():
 
 @pytest.mark.parametrize("name", ["fig3a", "fig6c"])
 def test_trajectory_reports_the_solver_rhs_count(monkeypatch, name, run_preset):
-    import sqzq.pdm as pdm_module
-    from sqzq.numerics import solve_ode
-
     counts = []
 
     def recording(problem, **kwargs):
@@ -636,3 +651,60 @@ def test_trajectory_reports_the_solver_rhs_count(monkeypatch, name, run_preset):
     tr = run_preset(name)
     assert len(counts) == 1
     assert tr.n_rhs_evals == counts[0] > 0
+
+
+# ---------------------------------------------------------------- the scipy oracle
+
+
+def _preset_runs(monkeypatch, name, run_preset):
+    """The preset's trajectory and its solver run, and the same from scipy's
+    DOP853 oracle on the same ODE problem and samples."""
+    runs = []
+
+    def recording(problem, t_eval=None, **kwargs):
+        runs.append((problem, t_eval, solve_ode(problem, t_eval=t_eval, **kwargs)))
+        return runs[-1][2]
+
+    def oracle(problem, t_eval=None, raise_on_failure=True):
+        ref = dop853_reference(problem, t_eval)
+        assert ref.status == 0
+        runs.append(ref)
+        return OdeSolution(ref.t, ref.y.T, "finished", ref.sol, ref.nfev)
+
+    monkeypatch.setattr(pdm_module, "solve_ode", recording)
+    tr = run_preset(name)
+    monkeypatch.setattr(pdm_module, "solve_ode", oracle)
+    ref_tr = run_preset(name)
+    (problem, t_eval, sol), ref = runs
+    return tr, sol, ref_tr, ref, problem
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_trajectories_match_the_scipy_dop853_oracle(monkeypatch, name, run_preset):
+    tr, sol, ref_tr, ref, _ = _preset_runs(monkeypatch, name, run_preset)
+    assert sol.status == "finished"
+    np.testing.assert_array_equal(sol.t, ref.t)
+    assert np.max(np.abs(sol.y - ref.y.T)) <= 1e-10
+    assert tr.classification == ref_tr.classification
+    assert tr.energy_drift() <= 1.1 * ref_tr.energy_drift()
+    # twelve stages per step, three more for the dense output of an accepted
+    # one, and f(t0) with the first-step probe: a hidden extra call or a
+    # dropped dense stage breaks the count
+    assert tr.n_rhs_evals == 2 + 15 * tr.n_accepted + 12 * tr.n_rejected
+    assert (tr.n_rhs_evals, tr.n_accepted, tr.n_rejected) == (
+        sol.n_rhs_evals, sol.n_accepted, sol.n_rejected,
+    )
+
+
+def test_fig6a_steps_match_the_scipy_dop853_oracle(monkeypatch, run_preset):
+    _, _, _, _, problem = _preset_runs(monkeypatch, "fig6a", run_preset)
+    ref = dop853_reference(problem)
+    steps = solve_ode(problem)
+    assert steps.n_rhs_evals == ref.nfev == 4742
+    assert (steps.n_accepted, steps.n_rejected) == (312, 5)
+    # without t_eval the samples are the step ends; they agree to 7.2e-8, not
+    # to rounding: each step size follows the error norm to the power -1/8,
+    # and the norm's E5 sums cancel to ~1e-5 relative, so any summation order
+    # other than numpy's moves every later step end
+    assert steps.t.shape == ref.sol.ts.shape
+    assert np.max(np.abs(steps.t - ref.sol.ts)) <= 1e-6
