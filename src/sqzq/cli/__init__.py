@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from ..errors import ConfigError, OutsideBox, SqzqError
+from ..errors import ConfigError, NonFiniteState, OutsideBox, SqzqError
 from ..numerics import legendre_box_rule
 from ..onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from ..onemode import holomorphic_orthogonality_check
@@ -215,7 +215,12 @@ def _grid_axes(cfg: RunConfig, model: pdm.PdmModel):
             raise ConfigError(f"config field 'q{j}_max' must exceed 'q{j}_min'")
         if n < 2:
             raise ConfigError(f"config field 'q{j}_points' must be >= 2")
-        return np.linspace(lo, hi, n)
+        # a span near the float range overflows inside linspace
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.linspace(lo, hi, n)
+        if not np.all(np.isfinite(points)):
+            raise ConfigError(f"the grid span q{j}_max - q{j}_min must be finite")
+        return points
 
     return axis(1), axis(2)
 
@@ -262,6 +267,8 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
         values = pdm.effective_potential(model, modes, pts)
     else:
         values = _nonsep_grid_values(model, modes, cfg.get("phi", 0.0), pts)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteState(f"the {field} portrait is not finite on the grid")
 
     # each axis value is formatted once, not once per grid point, and each
     # q1 row is one block, so the grid never lives as one small string per
@@ -357,7 +364,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     print(f"classification: {tr.classification}")
     # a stalled integrator still writes its partial samples, but the run
     # counts as a numerical failure
-    return 3 if tr.classification == "singular-stop" else 0
+    if tr.classification == "singular-stop":
+        print(f"numerical failure: {tr.message}", file=sys.stderr)
+        return 3
+    return 0
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ __all__ = [
     "NonConvergent",
     "QuadratureNotConverged",
     "DegenerateSqueezing",
-    "StepSizeUnderflow",
     "NonFiniteState",
     "TruncationTooSmall",
     "GrowthViolation",
@@ -32,13 +31,8 @@ class DegenerateSqueezing(SqzqError):
     """|tau| too close to 1: Gaussian widths blow up and formulas degenerate."""
 
 
-class StepSizeUnderflow(SqzqError):
-    """ODE integrator stopped: its step fell below the minimum step (stiff or
-    singular region) or it ran out of its step budget."""
-
-
 class NonFiniteState(SqzqError):
-    """ODE state left the finite floating-point range."""
+    """A state or an output value left the finite floating-point range."""
 
 
 class TruncationTooSmall(SqzqError):

@@ -41,7 +41,7 @@ route ``nonsep_box_portrait`` (Genz 2004), vectorised over centres.
 
 Sign conventions for the overlap exponent and the mixed-term coefficients
 were fixed against exact Gaussian-integral oracles, not taken on faith; see
-``table1_coefficient_rows`` and ``nonsep_overlap_report`` for the rival
+``table1_coefficient_rows`` and ``nonsep_overlap_closed`` for the rival
 closed forms kept around for comparison.
 """
 
@@ -81,7 +81,6 @@ from .sepstates import PhasePoint, TwoModeParams, _pad, as_field
 __all__ = [
     "NonSepParams",
     "NonSepCoefficients",
-    "OverlapReport",
     "FieldOperator",
     "nonsep_coefficients",
     "nonsep_wavefunction",
@@ -89,7 +88,6 @@ __all__ = [
     "bogoliubov_check",
     "nonsep_overlap_sq",
     "nonsep_overlap_closed",
-    "nonsep_overlap_report",
     "nonsep_portrait_hq",
     "nonsep_box_portrait",
     "table1_operators",
@@ -178,18 +176,6 @@ class NonSepCoefficients:
     C1: float
     C2: float
     C12: float
-
-
-@dataclass(frozen=True)
-class OverlapReport:
-    """Overlap-squared by exact Gaussian integration vs the closed form."""
-
-    oracle: float
-    closed_form: float
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.oracle - self.closed_form)
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +720,8 @@ def nonsep_overlap_sq(
     """Squared overlap of the states at two phase points, exactly.
 
     Direct Gaussian integration of the two wavefunctions; this closed-form
-    integral is the primary route, with the coefficient-table expression
-    available through :func:`nonsep_overlap_report` for comparison.
+    integral is the primary route, with the displacement-difference
+    expression :func:`nonsep_overlap_closed` for comparison.
     """
     qa, va, na, pha = _wavefunction_parts(params, point_a)
     qb, vb, nb, phb = _wavefunction_parts(params, point_b)
@@ -760,15 +746,6 @@ def nonsep_overlap_closed(
         ]
     )
     return float(np.exp(r @ k @ r))
-
-
-def nonsep_overlap_report(
-    point_a: PhasePoint, point_b: PhasePoint, params: NonSepParams
-) -> OverlapReport:
-    return OverlapReport(
-        oracle=nonsep_overlap_sq(point_a, point_b, params),
-        closed_form=nonsep_overlap_closed(point_a, point_b, params),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -833,13 +810,18 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
         # an empty window (the kernel misses the box) contributes exactly 0
         half = np.maximum(hi - lo, 0.0) / 2.0
         dx = (lo + hi) / 2.0 + half * ref.nodes - c1
-        mu = c2 + slope * dx
-        za, zb = (a2 - mu) / cond_sd, (b2 - mu) / cond_sd
-        # reflect so both arguments sit where ndtr has full relative
-        # precision: P(za <= Z <= zb) = P(-zb <= Z <= -za)
-        flip = np.where(za + zb > 0.0, -1.0, 1.0)
-        inner = flip * (ndtr(flip * zb) - ndtr(flip * za))
-        dens = np.exp(-0.5 * dx * dx / var1)
+        # a centre or a wall near the float range overflows slope dx, dx^2 or
+        # the standardised bounds to +-inf, where ndtr and exp give the right
+        # 0 or 1; za + zb is then inf - inf only when both bounds are
+        # infinite, and either reflection gives 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = c2 + slope * dx
+            za, zb = (a2 - mu) / cond_sd, (b2 - mu) / cond_sd
+            # reflect so both arguments sit where ndtr has full relative
+            # precision: P(za <= Z <= zb) = P(-zb <= Z <= -za)
+            flip = np.where(za + zb > 0.0, -1.0, 1.0)
+            inner = flip * (ndtr(flip * zb) - ndtr(flip * za))
+            dens = np.exp(-0.5 * dx * dx / var1)
         out[s : s + _BOX_BLOCK] = (half * (ref.weights * dens * inner)).sum(axis=1)
     out /= np.sqrt(2.0 * np.pi * var1)
     return out.reshape(centres.shape[:-1])

@@ -27,13 +27,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 
-from .errors import (
-    ConfigError,
-    GrowthViolation,
-    NonConvergent,
-    NonFiniteState,
-    StepSizeUnderflow,
-)
+from .errors import ConfigError, GrowthViolation, NonConvergent, NonFiniteState
 
 __all__ = [
     "QuadratureRule",
@@ -465,14 +459,13 @@ _MAX_STEPS = 50_000
 class OdeProblem:
     """Initial-value problem passed to :func:`solve_ode`.
 
-    ``rhs(t, y)`` takes the time and the state as a sequence of ``dimension``
+    ``rhs(t, y)`` takes the time and the state as a sequence of len(y0)
     Python floats and returns dy/dt as a sequence of as many floats (a tuple
-    or a list; a numpy array works, but slowly).  ``y0`` must be finite.
-    Default tolerances leave the energy-drift acceptance checks an order of
-    magnitude of headroom below 1e-6.
+    or a list; a numpy array works, but slowly).  ``y0`` must be a finite 1D
+    array.  Default tolerances leave the energy-drift acceptance checks an
+    order of magnitude of headroom below 1e-6.
     """
 
-    dimension: int
     rhs: Callable
     t_span: tuple[float, float]
     y0: np.ndarray
@@ -481,8 +474,8 @@ class OdeProblem:
 
     def __post_init__(self):
         y0 = np.asarray(self.y0, dtype=float)
-        if y0.shape != (self.dimension,):
-            raise ValueError("y0 must have shape (dimension,)")
+        if y0.ndim != 1:
+            raise ValueError("y0 must be a 1D array")
         if not np.all(np.isfinite(y0)):
             raise ValueError("y0 must be finite")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
@@ -497,20 +490,16 @@ class OdeProblem:
 class OdeSolution:
     """Result of :func:`solve_ode`.
 
-    ``y`` has shape (len(t), dimension).  ``status`` is "finished" when t1 was
-    reached and "failed" when a limit stopped the run and the caller asked for
-    the partial solution instead of an exception; ``message`` then names the
-    limit.  ``interpolant`` is the dense output t -> y(t), of shape
-    (dimension,) at a scalar t and (dimension, len(t)) at an array; on a
-    failed run it covers only the integrated range, and without any accepted
-    step it is None.  Every run satisfies
+    ``y`` has shape (len(t), len(y0)).  ``status`` is "finished" when t1 was
+    reached and "failed" when a limit stopped the run; ``message`` then names
+    the limit, and ``t`` and ``y`` hold the finite samples up to the last
+    accepted step.  Every run satisfies
     ``n_rhs_evals == 2 + 15 n_accepted + 12 n_rejected``.
     """
 
     t: np.ndarray
     y: np.ndarray
     status: str
-    interpolant: Callable | None
     n_rhs_evals: int
     n_accepted: int = 0
     n_rejected: int = 0
@@ -541,10 +530,10 @@ def _initial_step(rhs, t0, y0, f0, span, rel_tol, abs_tol) -> float:
 
 
 def _dense_values(steps, ends, times) -> np.ndarray:
-    """The dense output at ``times``, of shape (len(times), dimension).
+    """The dense output at ``times``, of shape (len(times), len(y0)).
 
     ``steps`` holds one row per accepted step: t_old, h, y_old and the seven
-    coefficients F_0..F_6 of its interpolant; ``ends`` the steps' end times.
+    coefficients F_0..F_6 of its dense polynomial; ``ends`` the steps' end times.
     A time in (t_old, end] takes that step, as in scipy (the first step also
     takes t_old itself), and the polynomial is summed in scipy's order.
     """
@@ -572,7 +561,7 @@ def _add_stages(rhs, t, y, h, K, stages) -> None:
         K.append(rhs(t + c * h, _combine(y, h, a, zip(*K))))
 
 
-def solve_ode(problem: OdeProblem, t_eval=None, raise_on_failure: bool = True) -> OdeSolution:
+def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
     """Integrate an OdeProblem with the embedded DOP853 pair.
 
     The 8th-order pair conserves quadratic invariants of smooth Hamiltonian
@@ -599,22 +588,20 @@ def solve_ode(problem: OdeProblem, t_eval=None, raise_on_failure: bool = True) -
       the run;
     * a budget of 50 000 steps, accepted and rejected together.
 
-    A run stopped by either ends with status "failed" and a message naming
-    the limit.  With ``raise_on_failure=False`` it returns the samples up to
-    the last accepted step (non-finite rows dropped), so callers can classify
-    the truncated trajectory.
+    A run stopped by either, or by a right-hand side that is not finite at
+    t0, returns status "failed", a message naming the cause, and the samples
+    up to the last accepted step with non-finite rows dropped, so callers can
+    classify the truncated trajectory.
 
     Raises
     ------
     NonFiniteState
-        if the state leaves the finite range.
-    StepSizeUnderflow
-        if a limit stops the run and ``raise_on_failure`` is set.
+        if a run that reached t1 has non-finite samples.
     """
     rhs = problem.rhs
     rtol, atol = problem.rel_tol, problem.abs_tol
     t0, t1 = (float(v) for v in problem.t_span)
-    n = problem.dimension
+    n = problem.y0.size
     min_step = 10.0 * float(np.spacing(max(abs(t0), abs(t1))))
 
     t = t0
@@ -695,22 +682,10 @@ def solve_ode(problem: OdeProblem, t_eval=None, raise_on_failure: bool = True) -
         t_eval = np.asarray(t_eval, dtype=float)
         ts = t_eval[: np.searchsorted(t_eval, t, side="right")] if steps else t_eval[:0]
         ys = _dense_values(table, ends, ts) if ts.size else np.empty((0, n))
-    interpolant = None
-    if steps:
-
-        def interpolant(times):
-            times = np.asarray(times, dtype=float)
-            return _dense_values(table, ends, times.reshape(-1)).T.reshape((n,) + times.shape)
-
     counts = {"n_rhs_evals": n_evals, "n_accepted": n_accepted, "n_rejected": n_rejected}
     if message:
-        if not raise_on_failure:
-            keep = np.all(np.isfinite(ys), axis=1)
-            return OdeSolution(ts[keep], ys[keep], "failed", interpolant, message=message, **counts)
-        tail = ys[-1] if ts.size else problem.y0
-        if not np.all(np.isfinite(tail)):
-            raise NonFiniteState(message)
-        raise StepSizeUnderflow(message)
+        keep = np.all(np.isfinite(ys), axis=1)
+        return OdeSolution(ts[keep], ys[keep], "failed", message=message, **counts)
     if not np.all(np.isfinite(ys)):
         raise NonFiniteState("non-finite values in the solution samples")
-    return OdeSolution(ts, ys, "finished", interpolant, **counts)
+    return OdeSolution(ts, ys, "finished", **counts)

@@ -91,6 +91,8 @@ class PdmModel:
             raise ConfigError("m0 must be positive")
         if not (self.lambda1 > 0 and self.lambda2 > 0):
             raise ConfigError("inverse lengths lambda1, lambda2 must be positive")
+        if not all(math.isfinite(1.0 / float(lam)) for lam in (self.lambda1, self.lambda2)):
+            raise ConfigError("inverse lengths lambda1, lambda2 must give finite walls 1/lambda")
         if self.vbar1 < 0 or self.vbar2 < 0:
             raise ConfigError("oscillator strengths vbar1, vbar2 must be nonnegative")
 
@@ -164,7 +166,8 @@ class Trajectory:
     stalled, with the samples truncated at the stall.  ``escape_time`` is the
     first sample time at which the escape criterion held, None otherwise.
     ``n_rhs_evals`` counts the right-hand-side evaluations of the solver run,
-    and ``n_accepted`` and ``n_rejected`` its accepted and rejected steps.
+    ``n_accepted`` and ``n_rejected`` its accepted and rejected steps, and
+    ``message`` names the solver limit that stopped a singular-stop run.
     Momenta may overflow at exact wall touches where the classical mass
     diverges; positions and energies are finite throughout.
     """
@@ -178,6 +181,7 @@ class Trajectory:
     n_rhs_evals: int = 0
     n_accepted: int = 0
     n_rejected: int = 0
+    message: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -199,9 +203,28 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-300))
 
 
-def _step_counts(sol) -> dict:
-    """The solver run's RHS evaluations and steps, as Trajectory fields."""
-    return {"n_rhs_evals": sol.n_rhs_evals, "n_accepted": sol.n_accepted, "n_rejected": sol.n_rejected}
+def _solve(rhs, y0, t_span, samples: int, rel_tol: float, abs_tol: float):
+    """The solver run of both integrators, sampled at linspace(t0, t1, samples).
+
+    A run that the solver's minimum step or step budget stops has status
+    "failed" and keeps its samples; with fewer than two left it raises
+    NonFiniteState with the solver's message.
+    """
+    problem = OdeProblem(rhs, t_span, y0, rel_tol, abs_tol)
+    sol = solve_ode(problem, t_eval=np.linspace(t_span[0], t_span[1], samples))
+    if sol.status == "failed" and sol.t.size < 2:
+        raise NonFiniteState(sol.message)
+    return sol
+
+
+def _solver_fields(sol) -> dict:
+    """The solver run's RHS evaluations, steps and message, as Trajectory fields."""
+    return {
+        "n_rhs_evals": sol.n_rhs_evals,
+        "n_accepted": sol.n_accepted,
+        "n_rejected": sol.n_rejected,
+        "message": sol.message,
+    }
 
 
 def _require_mode(j: int) -> None:
@@ -286,41 +309,30 @@ def classical_integrate(
         except ValueError:  # an infinite angle, which fails the solver's error test
             return w1, w2, math.nan, math.nan
 
-    problem = OdeProblem(
-        dimension=4,
-        rhs=rhs,
-        t_span=t_span,
-        y0=np.array([theta0[0], theta0[1], omega0[0], omega0[1]]),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-    t_eval = np.linspace(t_span[0], t_span[1], samples)
-    sol = solve_ode(problem, t_eval=t_eval, raise_on_failure=False)
-    classification = "bounded"
-    if sol.status == "failed":
-        # the pendulum is smooth, but a coefficient vbar/m0 or a velocity so
-        # large that the step falls below the solver's minimum or runs out of
-        # its budget stops the run; the partial samples are kept
-        if sol.t.size < 2:
-            raise NonFiniteState(sol.message or "integration produced no usable samples")
-        classification = "singular-stop"
+    y0 = np.array([theta0[0], theta0[1], omega0[0], omega0[1]])
+    sol = _solve(rhs, y0, t_span, samples, rel_tol, abs_tol)
+    # the pendulum is smooth, but a coefficient vbar/m0 or a velocity so large
+    # that the step falls below the solver's minimum or runs out of its budget
+    # stops the run
+    classification = "singular-stop" if sol.status == "failed" else "bounded"
 
     theta = sol.y[:, 0:2]
     omega = sol.y[:, 2:4]
     q = np.sin(theta) / lam
     with np.errstate(divide="ignore", over="ignore"):
         p = model.m0 * omega / (lam * np.cos(theta))
-    # per-mode pendulum invariant, identical to p^2/2m + vbar q^2
+    # per-mode pendulum invariant, identical to p^2/2m + vbar q^2; each factor
+    # is divided by Lambda before squaring, since Lambda^2 underflows for
+    # Lambda below about 1e-154 where the energy itself is finite
     with np.errstate(over="ignore", invalid="ignore"):
         energy = np.sum(
-            (0.5 * model.m0 * omega**2 + vbar * np.sin(theta) ** 2) / lam**2, axis=1
+            0.5 * model.m0 * (omega / lam) ** 2 + vbar * (np.sin(theta) / lam) ** 2, axis=1
         )
     if not np.all(np.isfinite(energy)):
         # an angular velocity near the float range (the steps run on without
-        # resolving any oscillation) overflows the invariant, and a Lambda
-        # below about 1e-154 underflows its Lambda^2
+        # resolving any oscillation) overflows the invariant
         raise NonFiniteState("the energy of the sampled states is not finite")
-    return Trajectory(sol.t, q, p, energy, classification, **_step_counts(sol))
+    return Trajectory(sol.t, q, p, energy, classification, **_solver_fields(sol))
 
 
 # ----------------------------------------------------------------------
@@ -427,9 +439,17 @@ def _veff_pieces(
 
 
 def _pieces(model: PdmModel, params: TwoModeParams, q, kin=(0.0, 0.0)):
-    """``_veff_pieces`` at the points q of shape (..., 2)."""
+    """``_veff_pieces`` at the points q of shape (..., 2).
+
+    Far outside a wall exp(-z^2) is the right 0 reached through an
+    overflowing z^2; at points or scales so extreme that a piece itself
+    leaves the float range (q^2 or Lambda^2 overflowing, m0 subnormal) it
+    turns inf or NaN, which the portrait command refuses to write.  Neither
+    is reported as a floating-point warning.
+    """
     q = _as_points(q)
-    return _veff_pieces(model, _both_scales(model, params), q[..., 0], q[..., 1], kin)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _veff_pieces(model, _both_scales(model, params), q[..., 0], q[..., 1], kin)
 
 
 def portrait_chi(model: PdmModel, params: TwoModeParams, q):
@@ -612,19 +632,7 @@ def semiclassical_integrate(
             "equations of motion are not finite at the initial state; "
             "the portraits underflow this far outside the box"
         )
-    problem = OdeProblem(
-        dimension=4,
-        rhs=rhs,
-        t_span=t_span,
-        y0=y0,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-    t_eval = np.linspace(t_span[0], t_span[1], samples)
-    sol = solve_ode(problem, t_eval=t_eval, raise_on_failure=False)
-    stalled = sol.status == "failed"
-    if stalled and sol.t.size < 2:
-        raise NonFiniteState(sol.message or "integration produced no usable samples")
+    sol = _solve(rhs, y0, t_span, samples, rel_tol, abs_tol)
 
     q = sol.y[:, 0:2]
     v = sol.y[:, 2:4]
@@ -632,13 +640,13 @@ def semiclassical_integrate(
     p = np.stack([v[:, 0] / a1, v[:, 1] / a2], axis=-1)
     energy = 0.5 * (v[:, 0] ** 2 / a1 + v[:, 1] ** 2 / a2) + veff
 
-    counts = _step_counts(sol)
-    if stalled:
-        return Trajectory(sol.t, q, p, energy, "singular-stop", **counts)
+    fields = _solver_fields(sol)
+    if sol.status == "failed":
+        return Trajectory(sol.t, q, p, energy, "singular-stop", **fields)
     escape_time = _classify_escape(semi, sol.t, q, veff, energy[0])
     if escape_time is None:
-        return Trajectory(sol.t, q, p, energy, "bounded", **counts)
-    return Trajectory(sol.t, q, p, energy, "escaped", escape_time, **counts)
+        return Trajectory(sol.t, q, p, energy, "bounded", **fields)
+    return Trajectory(sol.t, q, p, energy, "escaped", escape_time, **fields)
 
 
 def forbidden_region(

@@ -8,8 +8,9 @@ smoothings in position plus polynomial corrections in the momenta.
 Portraits of momentum-weighted fields never need momentum quadrature: the
 momentum integrals are Gaussian and have been done once and for all, leaving
 position smoothings of h, q_j h and q_j^2 h.  Each is ``numerics.gaussian_smooth``
-at precision diag(1/s_j^2), s_j = lam_j Delta_p_j (2/s_j^2 per mode for the
-kernel factors): the phi = 0 case of the coupled kernel in ``nonsepstates``.
+at precision diag(1/s_j^2), s_j = lam_j Delta_p_j: the phi = 0 case of the
+coupled kernel in ``nonsepstates``.  The position kernel of a quantised field
+is ``quantmap.kernel_eval``, which smooths at twice that precision.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ __all__ = [
     "TwoModeParams",
     "PhasePoint",
     "Field",
-    "DiagonalKernel",
     "as_field",
     "sep_wavefunction",
     "portrait_hq",
     "portrait_p_h",
     "portrait_p2_h",
-    "sep_kernel_hq",
 ]
 
 
@@ -219,51 +218,3 @@ def portrait_p2_h(j: int, h, point: PhasePoint, params: TwoModeParams) -> float:
     )
     gamma_group = (4.0 * hbar * w.gamma / dd) * pj * (qj * a_h - a_qh)
     return base + gamma_sq_group + gamma_group
-
-
-@dataclass(frozen=True)
-class DiagonalKernel:
-    """Position-diagonal integral kernel delta(x - x') * factor(x).
-
-    The delta is symbolic; ``factor`` is the finite multiplicative part.
-    Applying the operator to a wavefunction is pointwise multiplication.
-    """
-
-    factor: Callable
-
-    def apply(self, psi: Callable) -> Callable:
-        return lambda x1, x2: self.factor(x1, x2) * psi(x1, x2)
-
-
-def _smooth_1d(h: Callable, support, params: TwoModeParams, j: int) -> Callable:
-    """Gaussian smoothing of a 1D field at the kernel width of mode j.
-
-    The kernel variance is half the portrait variance: amplitudes smooth
-    once, probabilities twice.  Returns a vectorised x -> E[h(x + std Z)].
-    """
-    precision = [[2.0 / _mode_sigma(params, j) ** 2]]
-    box = None if support is None else [support]
-
-    def factor(x):
-        out = gaussian_smooth(h, np.asarray(x, dtype=float)[..., None], precision, box)
-        return out if out.shape else float(out)
-
-    return factor
-
-
-def sep_kernel_hq(
-    h1: Callable,
-    h2: Callable,
-    params: TwoModeParams,
-    support1: tuple | None = None,
-    support2: tuple | None = None,
-) -> DiagonalKernel:
-    """Kernel of the quantised product field h1(q1) h2(q2).
-
-    Position-only fields quantise to position-diagonal operators; the
-    returned object carries the smoothing factor F1(x1) F2(x2).  h ≡ 1 gives
-    factor 1 (the identity), and affine h gives the affine function itself.
-    """
-    f1 = _smooth_1d(h1, support1, params, 1)
-    f2 = _smooth_1d(h2, support2, params, 2)
-    return DiagonalKernel(lambda x1, x2: f1(x1) * f2(x2))

@@ -16,11 +16,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sqzq import nonsepstates, pdm, quantmap
+from sqzq import nonsepstates, numerics, pdm, quantmap
 from sqzq.cli import CHECKS, RunConfig, _csv, main
 from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
@@ -397,6 +397,30 @@ def test_simulate_unresolvable_run_stops_at_the_minimum_step(tmp_path, capsys, p
     assert "numerical failure" in err and "minimum step" in err
 
 
+def test_simulate_stopped_run_prints_the_solver_message(tmp_path, capsys, monkeypatch):
+    # a small step budget stops fig4a after some samples: the partial
+    # trajectory is written, and stderr says which limit stopped it
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 200)
+    assert main(["simulate", "--preset", "fig4a", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: step budget of 200 steps exhausted at t = " in err
+    summary = json.loads((tmp_path / "fig4a_summary.json").read_text())
+    assert summary["classification"] == "singular-stop" and 2 <= summary["samples"] < 2001
+
+
+def test_simulate_classical_energy_with_a_tiny_inverse_length(tmp_path):
+    # Lambda1^2 underflows to 0, but the energy 1/2 m0 (omega/Lambda)^2 +
+    # vbar (sin theta/Lambda)^2 of each mode is finite
+    cfg = _write_cfg(tmp_path, {
+        "kind": "classical", "lambda1": 5.28e-216, "lambda2": 2.0e75, "m0": 1e50,
+        "vbar1": 10.0, "vbar2": 7.3e116, "q0_1": 3.16, "q0_2": -1.9e-106,
+        "v0_1": -8.06e5, "v0_2": 6.2, "t1": 1.62,
+    })
+    assert main(["simulate", "--preset", "fig6a", "--config", cfg, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "fig6a_summary.json").read_text())
+    assert summary["initial_energy"] == 3.2481800001922004e61
+
+
 def _log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
@@ -424,6 +448,54 @@ def test_simulate_fuzzed_config_exits_cleanly(tmp_path_factory, kind, scales, st
         code = main(["simulate", "--preset", "fig6a", "--config", cfg, "--out", str(out)])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def _configs(ranges):
+    """Configs drawn inside ``ranges``, then with any subset of their keys set
+    to arbitrary floats (nan and inf included), so that the engines run as
+    well as the input checks."""
+    inside = st.fixed_dictionaries({k: st.floats(lo, hi) for k, (lo, hi) in ranges.items()})
+    wild = st.dictionaries(st.sampled_from(sorted(ranges)), st.floats())
+    return st.builds(lambda base, override: {**base, **override}, inside, wild)
+
+
+_PORTRAIT_RANGES = {
+    "m0": (0.1, 10.0), "lambda1": (0.1, 10.0), "lambda2": (0.1, 10.0),
+    "vbar1": (0.0, 100.0), "vbar2": (0.0, 100.0),
+    "tau1": (-0.9, 0.9), "tau2": (-0.9, 0.9), "lam1": (0.1, 5.0), "lam2": (0.1, 5.0),
+    "hbar": (0.1, 5.0), "phi": (0.0, 6.0),
+    "q1_min": (-5.0, 0.0), "q1_max": (0.0, 5.0), "q2_min": (-5.0, 0.0), "q2_max": (0.0, 5.0),
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from(["chi", "mass1", "mass2", "q2chi1", "q2chi2", "veff", "nonsep_hq"]),
+    values=_configs(_PORTRAIT_RANGES),
+    points=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+    preset=st.booleans(),
+)
+# a wall 1/lambda2 that overflows, and a grid span that does: both wrote NaN
+@example("mass1", {"m0": 1, "lambda1": 1, "lambda2": 2.2250738585e-313, "tau1": 0, "tau2": 0},
+         (3, 3), False)
+@example("mass2", {"m0": 1, "lambda1": 1, "lambda2": 1, "tau1": 0, "tau2": 0,
+                   "q2_min": -1e308, "q2_max": 1e308}, (3, 3), False)
+# an inverse mass that overflows (exit 3), and walls so wide that exp(-z^2)
+# reaches its 0 through an overflowing z^2 (exit 0)
+@example("mass1", {"m0": 2.2e-313}, (2, 2), True)
+@example("chi", {"lambda2": 2e-259}, (3, 3), True)
+@example("nonsep_hq", {"phi": 0.5, "q1_min": -1e308}, (3, 3), True)
+@example("nonsep_hq", {"phi": 0.28, "q2_max": 1.7976931348623157e308}, (5, 3), True)
+def test_portrait_fuzzed_config_exits_cleanly(tmp_path_factory, field, values, points, preset):
+    """A config error (2), a numerical failure (3) or a finite grid (0),
+    never an exception out of main."""
+    out = tmp_path_factory.mktemp("fuzz")
+    cfg = _write_cfg(out, {**values, "q1_points": points[0], "q2_points": points[1]})
+    argv = ["portrait", field, "--config", cfg, "--out", str(out)]
+    code = main(argv + (["--preset", "fig6a"] if preset else []))
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert np.all(np.isfinite(_grid_csv(out / f"portrait_{field}.csv")[2]))
 
 
 # ----------------------------------------------------------------------
@@ -511,15 +583,6 @@ def test_quantise_unrepresentable_normaliser_exits_3(tmp_path, capsys, payload):
     assert "numerical failure" in err and "outside the float range" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-def _configs(ranges):
-    """Configs drawn inside ``ranges``, then with any subset of their keys set
-    to arbitrary floats (nan and inf included), so that the engines run as
-    well as the input checks."""
-    inside = st.fixed_dictionaries({k: st.floats(lo, hi) for k, (lo, hi) in ranges.items()})
-    wild = st.dictionaries(st.sampled_from(sorted(ranges)), st.floats())
-    return st.builds(lambda base, override: {**base, **override}, inside, wild)
 
 
 def _quantise_exits_cleanly(tmp_path_factory, fn, payload, fock_dim):

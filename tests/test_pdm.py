@@ -665,11 +665,11 @@ def _preset_runs(monkeypatch, name, run_preset):
         runs.append((problem, t_eval, solve_ode(problem, t_eval=t_eval, **kwargs)))
         return runs[-1][2]
 
-    def oracle(problem, t_eval=None, raise_on_failure=True):
+    def oracle(problem, t_eval=None):
         ref = dop853_reference(problem, t_eval)
         assert ref.status == 0
         runs.append(ref)
-        return OdeSolution(ref.t, ref.y.T, "finished", ref.sol, ref.nfev)
+        return OdeSolution(ref.t, ref.y.T, "finished", ref.nfev)
 
     monkeypatch.setattr(pdm_module, "solve_ode", recording)
     tr = run_preset(name)

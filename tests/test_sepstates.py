@@ -11,15 +11,14 @@ from numpy.testing import assert_allclose
 
 from sqzq.numerics import legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, wavefunction
+from sqzq.quantmap import kernel_eval
 from sqzq.sepstates import (
-    DiagonalKernel,
     Field,
     PhasePoint,
     TwoModeParams,
     portrait_hq,
     portrait_p2_h,
     portrait_p_h,
-    sep_kernel_hq,
     sep_wavefunction,
 )
 
@@ -245,30 +244,23 @@ def test_generating_function_route():
     assert_allclose(portrait_p2_h(1, h, pt, params), d2, atol=2e-4)
 
 
+def _kernel_factor(h, params, x1, x2):
+    """The position kernel of the quantised field h(q1, q2) at (x1, x2)."""
+    return kernel_eval(lambda q1, q2, p1, p2: h(q1, q2), params, np.array([x1, x2])).smoothing_factor
+
+
 def test_kernel_identity_and_affine():
     params = TwoModeParams.from_tau(0.35 + 0.2j, -0.6, lam1=0.8, lam2=1.2)
-    one = lambda q: 1.0 + 0 * q
-    k = sep_kernel_hq(one, one, params)
     x = np.linspace(-2, 2, 5)
-    assert_allclose(k.factor(x, x), np.ones(5), rtol=1e-13)
-    k2 = sep_kernel_hq(lambda q: q, one, params)
-    assert_allclose(k2.factor(x, x), x, atol=1e-13)
-
-
-def test_kernel_indicator_coherent():
-    params = TwoModeParams.from_tau(0.0, 0.0, lam1=0.9, lam2=1.0)
-    chi = lambda q: 1.0 * (np.abs(q) < 1.0)
-    k = sep_kernel_hq(chi, lambda q: 1.0 + 0 * q, params, support1=(-1.0, 1.0))
-    std = params.mode1.lam / np.sqrt(2.0)  # kernel width, half the portrait variance
-    x = np.array([-1.5, -0.3, 0.0, 0.8, 2.0])
-    ref = 0.5 * (erfc_real((x - 1) / (np.sqrt(2) * std)) - erfc_real((x + 1) / (np.sqrt(2) * std)))
-    assert_allclose(k.factor(x, np.zeros(5)), ref, atol=1e-12)
+    one = [_kernel_factor(lambda q1, q2: 1.0 + 0 * q1, params, v, v) for v in x]
+    assert_allclose(one, np.ones(5), rtol=1e-13)
+    affine = [_kernel_factor(lambda q1, q2: q1 + 0 * q2, params, v, v) for v in x]
+    assert_allclose(affine, x, atol=1e-13)
 
 
 def test_kernel_matches_1d_quadrature():
     params = TwoModeParams.from_tau(0.4 - 0.35j, 0.1, lam1=1.1, lam2=0.9)
     h = lambda q: np.exp(-0.6 * (q - 0.4) ** 2)
-    k = sep_kernel_hq(h, lambda q: 1.0 + 0 * q, params)
     mode = params.mode1
     var = mode.lam**2 / (2 * mode.widths().sigma_q_sq.real)
     for x in (-0.7, 0.0, 1.3):
@@ -279,11 +271,4 @@ def test_kernel_matches_1d_quadrature():
             * np.exp(-((rule.nodes - x) ** 2) / (2 * var))
             / np.sqrt(2 * np.pi * var)
         )
-        assert_allclose(k.factor(np.array(x), np.array(0.0)), ref, atol=1e-10)
-
-
-def test_diagonal_kernel_apply():
-    k = DiagonalKernel(lambda x1, x2: x1 + x2)
-    psi = lambda x1, x2: np.exp(-(x1**2) - x2**2)
-    out = k.apply(psi)
-    assert out(1.0, 2.0) == 3.0 * psi(1.0, 2.0)
+        assert_allclose(_kernel_factor(lambda q1, q2: h(q1), params, x, 0.0), ref, atol=1e-10)
