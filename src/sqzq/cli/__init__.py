@@ -232,12 +232,11 @@ def _grid_axes(cfg: RunConfig, model: pdm.PdmModel):
 def _nonsep_grid_values(model, modes, phi, pts):
     """Coupled-state smoothing of the box indicator at the grid points ``pts``.
 
-    At zero mixing with real squeezing the kernel factorises exactly, and the
-    values are the separable closed form; anything else takes the
-    conditional-normal form of the coupled kernel.
+    At zero mixing the kernel factorises exactly, whatever the squeezing
+    phases, and the values are the separable closed form; any other angle
+    takes the conditional-normal form of the coupled kernel.
     """
-    real = modes.mode1.tau.imag == 0.0 and modes.mode2.tau.imag == 0.0
-    if phi == 0.0 and real:
+    if phi == 0.0:
         return pdm.portrait_chi(model, modes, pts)
     return nonsep_box_portrait(model.box, pts, NonSepParams(modes, phi))
 

@@ -625,13 +625,6 @@ def semiclassical_integrate(
 
     rhs = _equations_of_motion(model, scales, kin)
     y0 = [float(v) for v in (init.q1, init.q2, init.v1, init.v2)]
-    # so far outside that every portrait underflows to zero, the equations
-    # degenerate to 0/0; fail up front instead of stalling the integrator
-    if not all(map(math.isfinite, rhs(t_span[0], y0))):
-        raise NonFiniteState(
-            "equations of motion are not finite at the initial state; "
-            "the portraits underflow this far outside the box"
-        )
     sol = _solve(rhs, y0, t_span, samples, rel_tol, abs_tol)
 
     q = sol.y[:, 0:2]

@@ -243,15 +243,21 @@ def test_portrait_requires_field(tmp_path):
 
 
 def test_nonsep_portrait_collapses_to_windows(tmp_path):
-    # zero mixing with real squeezing factorises exactly, so the coupled
-    # field must reproduce the separable file byte for byte
-    cfg = _write_cfg(tmp_path, {"q1_points": 7, "q2_points": 7})
-    for field in ("nonsep_hq", "chi"):
-        assert main(["portrait", field, "--preset", "fig6a", "--config", cfg,
-                     "--out", str(tmp_path)]) == 0
-    a = (tmp_path / "portrait_nonsep_hq.csv").read_text()
-    b = (tmp_path / "portrait_chi.csv").read_text()
-    assert a == b
+    # zero mixing factorises exactly, for real and for complex squeezing, so
+    # the coupled field must reproduce the separable file byte for byte
+    for sub, payload in (
+        ("real", {}),
+        ("complex", {"tau1": 0.5, "tau1_im": 0.3, "tau2": -0.2, "tau2_im": 0.4}),
+    ):
+        out = tmp_path / sub
+        out.mkdir()
+        cfg = _write_cfg(out, {"q1_points": 7, "q2_points": 7, **payload})
+        for field in ("nonsep_hq", "chi"):
+            assert main(["portrait", field, "--preset", "fig6a", "--config", cfg,
+                         "--out", str(out)]) == 0
+        a = (out / "portrait_nonsep_hq.csv").read_text()
+        b = (out / "portrait_chi.csv").read_text()
+        assert a == b
 
 
 def test_nonsep_portrait_near_zero_mixing_matches_windows(tmp_path):
@@ -370,7 +376,9 @@ def test_simulate_degenerate_semiclassical_exits_3(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, {"q0_1": 50.0, "q0_2": 50.0})
     assert main(["simulate", "--preset", "fig6a", "--config", cfg,
                  "--out", str(tmp_path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "not finite at t0" in err
 
 
 def test_simulate_failure_before_the_first_sample_exits_3(tmp_path, capsys):
@@ -452,10 +460,21 @@ def test_simulate_fuzzed_config_exits_cleanly(tmp_path_factory, kind, scales, st
 
 def _configs(ranges):
     """Configs drawn inside ``ranges``, then with any subset of their keys set
-    to arbitrary floats (nan and inf included), so that the engines run as
-    well as the input checks."""
+    to arbitrary floats (nan and inf included) or to floats of any decimal
+    scale, subnormal to near the float maximum, on the key's side of zero, so
+    that the engines run as well as the input checks."""
     inside = st.fixed_dictionaries({k: st.floats(lo, hi) for k, (lo, hi) in ranges.items()})
-    wild = st.dictionaries(st.sampled_from(sorted(ranges)), st.floats())
+
+    def scaled(lo, hi):
+        signs = [s for s, ok in ((1.0, hi > 0.0), (-1.0, lo < 0.0)) if ok]
+        return st.builds(
+            lambda sign, m, e: sign * m * 10.0**e,
+            st.sampled_from(signs), st.floats(1.0, 9.99), st.integers(-320, 307),
+        )
+
+    wild = st.fixed_dictionaries(
+        {}, optional={k: st.floats() | scaled(lo, hi) for k, (lo, hi) in ranges.items()}
+    )
     return st.builds(lambda base, override: {**base, **override}, inside, wild)
 
 

@@ -469,7 +469,10 @@ def test_bogoliubov_strong_squeezing_within_budget():
     t0 = time.time()
     res = bogoliubov_check(p, 12)
     assert time.time() - t0 < 10.0
-    assert res < 1e-6
+    # the residual is 2.6e-10; 1e-8 also catches dropping the cut sectors of
+    # the beam splitter, which the displacement carries into the checked rows
+    # and which move it to 1.3e-7
+    assert res < 1e-8
 
 
 def test_bogoliubov_no_mixing_single_mode_squeezing():
@@ -508,7 +511,7 @@ def test_beam_split_matches_the_dense_exponential_of_the_box_generator(ambient, 
     unitary = expm(phi * (a1.conj().T @ a2 - a1 @ a2.conj().T))
     rng = np.random.default_rng(ambient)
     cols = rng.normal(size=(ambient**2, 5)) + 1j * rng.normal(size=(ambient**2, 5))
-    got = _beam_split(phi, cols, ambient)
+    got = _beam_split(phi, cols.reshape(ambient, ambient, 5)).reshape(ambient**2, 5)
     assert np.max(np.abs(got - unitary @ cols)) < bound
 
 
@@ -517,12 +520,12 @@ def test_beam_split_full_sector_against_40_digit_oracle():
     # spin-30 rotation; its columns are the unit vectors |n1, 60 - n1>
     ambient, tot, phi = 64, 60, 1.15
     n1 = np.arange(tot + 1)
-    cols = np.zeros((ambient**2, tot + 1))
-    idx = n1 * ambient + (tot - n1)
-    cols[idx, n1] = 1.0
-    got = _beam_split(phi, cols, ambient)
-    assert np.max(np.abs(got[idx] - beam_splitter_sector(phi, tot))) < 1e-14
-    assert np.count_nonzero(np.delete(got, idx, axis=0)) == 0
+    cols = np.zeros((ambient, ambient, tot + 1))
+    cols[n1, tot - n1, n1] = 1.0
+    got = _beam_split(phi, cols)
+    assert np.max(np.abs(got[n1, tot - n1] - beam_splitter_sector(phi, tot))) < 1e-14
+    got[n1, tot - n1] = 0.0
+    assert np.count_nonzero(got) == 0
 
 
 # the squeeze labels and coherent amplitudes of the verify report's check

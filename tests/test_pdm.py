@@ -555,7 +555,7 @@ def test_semiclassical_reduces_to_classical():
 def test_semiclassical_rejects_degenerate_start():
     model, modes = _fig6_pair()
     semi = SemiclassicalModel(model, modes)
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(NonFiniteState, match="not finite at t0"):
         semiclassical_integrate(semi, InitialState(50.0, 50.0, 1.0, 1.0), (0.0, 1.0))
 
 
