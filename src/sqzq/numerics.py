@@ -16,10 +16,10 @@ All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -434,7 +434,7 @@ class TruncatedOperator:
 # Appl. Math. 7:67, 1981) with its 7th-order dense output, following
 # Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5 and II.6, and scipy's
 # step controller.  The tableau is scipy's, as Python floats; row s of _A
-# holds the s coefficients of stage s.
+# holds the s coefficients of stage s (0..11 a step, 12 f_new, 13..15 dense).
 
 _A = [row[:s].tolist() for s, row in enumerate(_dop853.A)]
 _C = _dop853.C.tolist()
@@ -442,11 +442,6 @@ _B = _dop853.B.tolist()
 _E3 = _dop853.E3.tolist()
 _E5 = _dop853.E5.tolist()
 _D = _dop853.D.tolist()
-_N_STAGES = _dop853.N_STAGES
-# the stages of one step after the first, and the three extra stages of the
-# dense output, as (a_s, c_s)
-_STEP_STAGES = list(zip(_A[1:_N_STAGES], _C[1:_N_STAGES]))
-_DENSE_STAGES = list(zip(_A[_N_STAGES + 1 :], _C[_N_STAGES + 1 :]))
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -459,11 +454,12 @@ _MAX_STEPS = 50_000
 class OdeProblem:
     """Initial-value problem passed to :func:`solve_ode`.
 
-    ``rhs(t, y)`` takes the time and the state as a sequence of len(y0)
-    Python floats and returns dy/dt as a sequence of as many floats (a tuple
-    or a list; a numpy array works, but slowly).  ``y0`` must be a finite 1D
-    array.  Default tolerances leave the energy-drift acceptance checks an
-    order of magnitude of headroom below 1e-6.
+    ``rhs(t, y)`` takes the time and the state as a list of len(y0) Python
+    floats and returns dy/dt as a sequence of exactly len(y0) floats (a tuple
+    or a list; a numpy array works, but slowly), else :func:`solve_ode` raises
+    ValueError.  Their sums run in a fixed order, so a run's bits do not depend
+    on the Python version.  ``y0`` must be a finite 1D array.  Default
+    tolerances leave the energy-drift checks a decade of headroom below 1e-6.
     """
 
     rhs: Callable
@@ -493,8 +489,8 @@ class OdeSolution:
     ``y`` has shape (len(t), len(y0)).  ``status`` is "finished" when t1 was
     reached and "failed" when a limit stopped the run; ``message`` then names
     the limit, and ``t`` and ``y`` hold the finite samples up to the last
-    accepted step.  Every run satisfies
-    ``n_rhs_evals == 2 + 15 n_accepted + 12 n_rejected``.
+    accepted step.  ``h_min`` is the smallest accepted step (inf if none).
+    Every run satisfies ``n_rhs_evals == 2 + 15 n_accepted + 12 n_rejected``.
     """
 
     t: np.ndarray
@@ -504,6 +500,7 @@ class OdeSolution:
     n_accepted: int = 0
     n_rejected: int = 0
     message: str = ""
+    h_min: float = math.inf
 
 
 def _rms(values) -> float:
@@ -548,17 +545,52 @@ def _dense_values(steps, ends, times) -> np.ndarray:
     return y + row[:, 2 : 2 + n]
 
 
-def _combine(y, h, a, cols) -> list:
-    """y + h sum_i a_i K_i, one state component (and one column of stage
-    values) at a time."""
-    return [v + h * sum(map(mul, a, col)) for v, col in zip(y, cols)]
+def _sum_code(coeffs, i: int) -> str:
+    """The source of sum_s coeffs[s] K_s for component i: from 0.0, left to
+    right, zero coefficients kept (0 * inf is NaN)."""
+    return "(0.0" + "".join(f" + {a!r} * k{s}_{i}" for s, a in enumerate(coeffs)) + ")"
 
 
-def _add_stages(rhs, t, y, h, K, stages) -> None:
-    """Append to the stage list K the stages (a_s, c_s), each evaluated at
-    the combination of the stages before it."""
-    for a, c in stages:
-        K.append(rhs(t + c * h, _combine(y, h, a, zip(*K))))
+@lru_cache(maxsize=16)
+def _dop853_kernels(n: int):
+    """One DOP853 step's float arithmetic on n-component states as straight-line
+    code: tableau literals, every value a local (``k{s}_{i}``: component i of K_s).
+    ``attempt`` evaluates K_1..K_11, y_new, f_new and the E5/E3 error sums, ``dense``
+    the dense stages and the step's row; tracebacks show ``<dop853 n=N>``."""
+    ix = range(n)
+    names = lambda prefix: "".join(f"{prefix}{i}, " for i in ix)
+    squares = lambda e: "0.0" + "".join(f" + {e}{i} * {e}{i}" for i in ix)
+    stages = "".join(names(f"k{s}_") for s in range(1, 12))
+    unpack = f"    {names('y')}= y\n    {names('k0_')}= f\n"
+    unpack_new = f"    {names('k12_')}= f_new\n"
+
+    def stage(s):  # K_s at the combination of K_0..K_s-1
+        args = "".join(f"        y{i} + h * {_sum_code(_A[s], i)},\n" for i in ix)
+        return f"    {names(f'k{s}_')}= rhs(t + {_C[s]!r} * h, [\n{args}    ])\n"
+
+    row = [f"y{i}" for i in ix] + [f"d{i}" for i in ix] + [f"h * k0_{i} - d{i}" for i in ix]
+    row += [f"2.0 * d{i} - h * (k12_{i} + k0_{i})" for i in ix]
+    row += [f"h * {_sum_code(d, i)}" for d in _D for i in ix]
+    src = (
+        "def attempt(rhs, t, t_new, y, f, h, atol, rtol):\n" + unpack
+        + "".join(stage(s) for s in range(1, 12))
+        + "".join(f"    yn{i} = y{i} + h * {_sum_code(_B, i)}\n" for i in ix)
+        + f"    y_new = [{names('yn')}]\n    f_new = rhs(t_new, y_new)\n" + unpack_new
+        + "".join(
+            f"    s{i} = atol + max(abs(y{i}), abs(yn{i})) * rtol\n"
+            f"    e5_{i} = {_sum_code(_E5, i)} / s{i}\n"
+            f"    e3_{i} = {_sum_code(_E3, i)} / s{i}\n" for i in ix)
+        + f"    return y_new, f_new, {squares('e5_')}, {squares('e3_')}, ({stages})\n\n"
+        + "def dense(rhs, t, y, f, h, y_new, f_new, stages):\n" + unpack
+        + f"    {names('yn')}= y_new\n" + unpack_new + f"    {stages}= stages\n"
+        + "".join(stage(s) for s in range(13, 16))
+        + "".join(f"    d{i} = yn{i} - y{i}\n" for i in ix)
+        + "    return [t, h,\n" + "".join(f"        {v},\n" for v in row) + "    ]\n"
+    )
+    name = f"<dop853 n={n}>"
+    linecache.cache[name] = (len(src), None, src.splitlines(True), name)
+    exec(compile(src, name, "exec"), scope := {})
+    return scope["attempt"], scope["dense"]
 
 
 def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
@@ -577,9 +609,12 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
     samples agree to 3e-12 or better.  Each step runs its twelve stages on
     Python floats, one ``rhs(t, y)`` call per stage (see :class:`OdeProblem`),
     and each accepted step three more for the 7th-order dense output, whose
-    coefficients are kept.  The samples at ``t_eval`` are
-    evaluated from them in one pass at the end; without ``t_eval`` they are
-    the step ends.
+    coefficients are kept.  That arithmetic is code generated per state size
+    (``_dop853_kernels``) that adds each tableau sum from 0.0 left to right,
+    as CPython 3.11's ``sum`` did; 3.12's ``sum`` compensates, so a loop over
+    ``sum`` gives version-dependent bits, and this code does not.  The
+    samples at ``t_eval`` are evaluated from them in one pass at the end;
+    without ``t_eval`` they are the step ends.
 
     Two limits bound every run:
 
@@ -607,6 +642,9 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
     t = t0
     y = problem.y0.tolist()
     f = rhs(t, y)
+    if len(f) != n:
+        raise ValueError(f"rhs returned {len(f)} components for a state of {n}")
+    attempt, dense = _dop853_kernels(n)
     h_abs = _initial_step(rhs, t, y, f, t1 - t, rtol, atol)
     n_evals = 2
     steps = []  # per accepted step: t_old, h, y_old, F_0..F_6
@@ -630,18 +668,8 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = abs(h)
-            K = [f]
-            _add_stages(rhs, t, y, h, K, _STEP_STAGES)
-            y_new = _combine(y, h, _B, zip(*K))
-            f_new = rhs(t_new, y_new)
+            y_new, f_new, e5, e3, stages = attempt(rhs, t, t_new, y, f, h, atol, rtol)
             n_evals += 12
-            K.append(f_new)
-            cols = list(zip(*K))
-            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-            err5 = [sum(map(mul, _E5, col)) / s for col, s in zip(cols, scale)]
-            err3 = [sum(map(mul, _E3, col)) / s for col, s in zip(cols, scale)]
-            e5 = sum(e * e for e in err5)
-            e3 = sum(e * e for e in err3)
             # zero whenever e5 is, as in scipy, and never a division by zero
             error_norm = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
             if error_norm < 1:
@@ -659,16 +687,8 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
             n_rejected += 1
         if message:
             break
-        _add_stages(rhs, t, y, h, K, _DENSE_STAGES)
+        steps.append(dense(rhs, t, y, f, h, y_new, f_new, stages))
         n_evals += 3
-        cols = list(zip(*K))
-        dy = [b - a for a, b in zip(y, y_new)]
-        row = [t, h, *y, *dy]
-        row += [h * fo - d for fo, d in zip(f, dy)]
-        row += [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)]
-        for d_row in _D:
-            row += [h * sum(map(mul, d_row, col)) for col in cols]
-        steps.append(row)
         ends.append(t_new)
         y_ends.append(y_new)
         t, y, f = t_new, y_new, f_new
@@ -682,7 +702,8 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
         t_eval = np.asarray(t_eval, dtype=float)
         ts = t_eval[: np.searchsorted(t_eval, t, side="right")] if steps else t_eval[:0]
         ys = _dense_values(table, ends, ts) if ts.size else np.empty((0, n))
-    counts = {"n_rhs_evals": n_evals, "n_accepted": n_accepted, "n_rejected": n_rejected}
+    h_min = float(table[:, 1].min()) if steps else math.inf
+    counts = dict(n_rhs_evals=n_evals, n_accepted=n_accepted, n_rejected=n_rejected, h_min=h_min)
     if message:
         keep = np.all(np.isfinite(ys), axis=1)
         return OdeSolution(ts[keep], ys[keep], "failed", message=message, **counts)

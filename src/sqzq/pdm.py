@@ -166,8 +166,8 @@ class Trajectory:
     stalled, with the samples truncated at the stall.  ``escape_time`` is the
     first sample time at which the escape criterion held, None otherwise.
     ``n_rhs_evals`` counts the right-hand-side evaluations of the solver run,
-    ``n_accepted`` and ``n_rejected`` its accepted and rejected steps, and
-    ``message`` names the solver limit that stopped a singular-stop run.
+    ``n_accepted``, ``n_rejected`` and ``h_min`` its step counts and smallest
+    step, and ``message`` the solver limit that stopped a singular-stop run.
     Momenta may overflow at exact wall touches where the classical mass
     diverges; positions and energies are finite throughout.
     """
@@ -182,6 +182,7 @@ class Trajectory:
     n_accepted: int = 0
     n_rejected: int = 0
     message: str = ""
+    h_min: float = math.inf
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -218,12 +219,13 @@ def _solve(rhs, y0, t_span, samples: int, rel_tol: float, abs_tol: float):
 
 
 def _solver_fields(sol) -> dict:
-    """The solver run's RHS evaluations, steps and message, as Trajectory fields."""
+    """The solver run's counts, smallest step and message, as Trajectory fields."""
     return {
         "n_rhs_evals": sol.n_rhs_evals,
         "n_accepted": sol.n_accepted,
         "n_rejected": sol.n_rejected,
         "message": sol.message,
+        "h_min": sol.h_min,
     }
 
 
@@ -452,9 +454,16 @@ def _pieces(model: PdmModel, params: TwoModeParams, q, kin=(0.0, 0.0)):
         return _veff_pieces(model, _both_scales(model, params), q[..., 0], q[..., 1], kin)
 
 
+def _windows(model: PdmModel, params: TwoModeParams, q):
+    """``_mode_pieces`` of each mode at the points q, as quiet as ``_pieces``."""
+    q, scales = _as_points(q), _both_scales(model, params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return [_mode_pieces(q[..., j], scales[j]) for j in (0, 1)]
+
+
 def portrait_chi(model: PdmModel, params: TwoModeParams, q):
     """Smoothed box indicator, a product of per-mode erfc windows in (0, 1)."""
-    c1, _, c2, _ = _pieces(model, params, q)[4]
+    (c1, *_), (c2, *_) = _windows(model, params, q)
     return _scalar_or_array(c1 * c2)
 
 
@@ -465,7 +474,7 @@ def portrait_q2chi(model: PdmModel, params: TwoModeParams, j: int, q):
     the familiar smearing shift of the square.
     """
     _require_mode(j)
-    c1, g1, c2, g2 = _pieces(model, params, q)[4]
+    (c1, g1, *_), (c2, g2, *_) = _windows(model, params, q)
     return _scalar_or_array(g1 * c2 if j == 1 else g2 * c1)
 
 

@@ -3,7 +3,9 @@
 Nothing in the package calls these.  The first group is brute-force
 numerics the package itself no longer needs: iterated Gauss-Legendre box
 quadrature, dense matrix exponentials, the real erfc, the truncated
-momentum matrix and scipy's DOP853 run of an ODE problem.  The second group is 40-digit ``mpmath`` matrix elements
+momentum matrix, scipy's DOP853 run of an ODE problem and the generic
+DOP853 loop that ``numerics.solve_ode`` replaced by generated code.  The
+second group is 40-digit ``mpmath`` matrix elements
 of the squeeze, displacement and beam-splitter operators, built from
 expansions that share no step with the recurrences and exponentials they
 check.
@@ -12,16 +14,26 @@ check.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add, mul
 from typing import Sequence
 
 import mpmath as mp
 import numpy as np
 from scipy import special
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.linalg import expm
 
-from sqzq.errors import QuadratureNotConverged
-from sqzq.numerics import QuadratureRule, TruncatedOperator, legendre_box_rule
+from sqzq.errors import NonFiniteState, QuadratureNotConverged
+from sqzq.numerics import (
+    OdeSolution,
+    QuadratureRule,
+    TruncatedOperator,
+    _dense_values,
+    _initial_step,
+    legendre_box_rule,
+)
 
 
 def _tensor_eval(f, rules: Sequence[QuadratureRule]) -> complex:
@@ -121,7 +133,7 @@ def momentum(dim: int, lam: float = 1.0, hbar: float = 1.0) -> TruncatedOperator
 
 
 # ---------------------------------------------------------------------------
-# 40-digit operator matrix elements
+# ODE solvers
 
 
 def dop853_reference(problem, t_eval=None):
@@ -138,6 +150,127 @@ def dop853_reference(problem, t_eval=None):
         dense_output=True,
         t_eval=t_eval,
     )
+
+
+def _sum(terms) -> float:
+    """Left to right from 0.0: ``sum`` as CPython 3.11 adds floats (3.12's
+    ``sum`` compensates, and would make the bits depend on the version)."""
+    return reduce(add, terms, 0.0)
+
+
+def _combine(y, h, a, cols) -> list:
+    """y + h sum_i a_i K_i, one state component (and one column of stage
+    values) at a time."""
+    return [v + h * _sum(map(mul, a, col)) for v, col in zip(y, cols)]
+
+
+def _add_stages(rhs, t, y, h, K, stages) -> None:
+    """Append to the stage list K the stages (a_s, c_s), each evaluated at
+    the combination of the stages before it."""
+    for a, c in stages:
+        K.append(rhs(t + c * h, _combine(y, h, a, zip(*K))))
+
+
+def dop853_generic(problem, t_eval=None, max_steps: int = 50_000) -> OdeSolution:
+    """``numerics.solve_ode`` with its stage arithmetic written generically:
+    the same controller and limits, with every tableau sum taken over the
+    stage list in a loop instead of the generated straight-line code.  It
+    does the same float operations in the same order, so the two agree to
+    the bit."""
+    A = [row[:s].tolist() for s, row in enumerate(_dop853.A)]
+    C, B, E3, E5, D = (v.tolist() for v in (_dop853.C, _dop853.B, _dop853.E3, _dop853.E5, _dop853.D))
+    step_stages = list(zip(A[1:12], C[1:12]))
+    dense_stages = list(zip(A[13:], C[13:]))
+    rhs = problem.rhs
+    rtol, atol = problem.rel_tol, problem.abs_tol
+    t0, t1 = (float(v) for v in problem.t_span)
+    n = problem.y0.size
+    min_step = 10.0 * float(np.spacing(max(abs(t0), abs(t1))))
+
+    t = t0
+    y = problem.y0.tolist()
+    f = rhs(t, y)
+    h_abs = _initial_step(rhs, t, y, f, t1 - t, rtol, atol)
+    n_evals = 2
+    steps, ends, y_ends = [], [], []
+    n_accepted = n_rejected = 0
+    h_min = math.inf
+    message = ""
+    if not all(map(math.isfinite, f)):
+        message = f"the right-hand side is not finite at t0 = {t!r}"
+    while t < t1 and not message:
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                message = f"step size fell below the minimum step {min_step:.3g} at t = {t!r}"
+                break
+            if n_accepted + n_rejected >= max_steps:
+                message = f"step budget of {max_steps} steps exhausted at t = {t!r}"
+                break
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            _add_stages(rhs, t, y, h, K, step_stages)
+            y_new = _combine(y, h, B, zip(*K))
+            f_new = rhs(t_new, y_new)
+            n_evals += 12
+            K.append(f_new)
+            cols = list(zip(*K))
+            scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+            err5 = [_sum(map(mul, E5, col)) / s for col, s in zip(cols, scale)]
+            err3 = [_sum(map(mul, E3, col)) / s for col, s in zip(cols, scale)]
+            e5 = _sum(e * e for e in err5)
+            e3 = _sum(e * e for e in err3)
+            error_norm = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 else 0.0
+            if error_norm < 1:
+                factor = 10.0 if error_norm == 0 else min(10.0, 0.9 * error_norm ** (-1.0 / 8.0))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                n_accepted += 1
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** (-1.0 / 8.0))
+            rejected = True
+            n_rejected += 1
+        if message:
+            break
+        _add_stages(rhs, t, y, h, K, dense_stages)
+        n_evals += 3
+        cols = list(zip(*K))
+        dy = [b - a for a, b in zip(y, y_new)]
+        row = [t, h, *y, *dy]
+        row += [h * fo - d for fo, d in zip(f, dy)]
+        row += [2.0 * d - h * (fn + fo) for d, fn, fo in zip(dy, f_new, f)]
+        for d_row in D:
+            row += [h * _sum(map(mul, d_row, col)) for col in cols]
+        steps.append(row)
+        ends.append(t_new)
+        y_ends.append(y_new)
+        h_min = min(h_min, h)
+        t, y, f = t_new, y_new, f_new
+
+    table = np.array(steps, dtype=float).reshape(len(steps), 2 + 8 * n)
+    ends = np.array(ends, dtype=float)
+    if t_eval is None:
+        ts = np.concatenate([[t0], ends])
+        ys = np.array([problem.y0.tolist(), *y_ends], dtype=float)
+    else:
+        t_eval = np.asarray(t_eval, dtype=float)
+        ts = t_eval[: np.searchsorted(t_eval, t, side="right")] if steps else t_eval[:0]
+        ys = _dense_values(table, ends, ts) if ts.size else np.empty((0, n))
+    counts = {"n_rhs_evals": n_evals, "n_accepted": n_accepted, "n_rejected": n_rejected, "h_min": h_min}
+    if message:
+        keep = np.all(np.isfinite(ys), axis=1)
+        return OdeSolution(ts[keep], ys[keep], "failed", message=message, **counts)
+    if not np.all(np.isfinite(ys)):
+        raise NonFiniteState("non-finite values in the solution samples")
+    return OdeSolution(ts, ys, "finished", **counts)
+
+
+# ---------------------------------------------------------------------------
+# 40-digit operator matrix elements
 
 
 def beam_splitter_sector(phi, tot: int) -> np.ndarray:

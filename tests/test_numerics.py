@@ -5,6 +5,9 @@ literals so the suite never trusts the code under test to generate its own
 expectations.
 """
 
+import math
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from sqzq.numerics import (
     whitened_rule,
 )
 
-from .oracles import erfc_real, matrix_exp, momentum, quad_box
+from .oracles import dop853_generic, erfc_real, matrix_exp, momentum, quad_box
 
 # mpmath mp.dps=50 references
 ERFC_TABLE = [
@@ -400,6 +403,103 @@ def test_solve_ode_stops_at_the_step_budget(monkeypatch):
     ends = solve_ode(prob)
     assert ends.status == "failed" and "step budget" in ends.message
     assert ends.t.size == ends.n_accepted + 1
+
+
+def _relaxation(t, y):
+    # a fast transient onto a slow forcing: the first steps are rejected
+    return (-200.0 * (y[0] - math.cos(t)),)
+
+
+def _hamiltonian_chain(t, y):
+    # two coupled anharmonic oscillators, (q1, q2, p1, p2)
+    q1, q2, p1, p2 = y
+    return p1, p2, -q1 - 2.0 * q1 * q2, -q2 - q1 * q1 + q2 * q2
+
+
+def _lorenz96(t, y):
+    n = len(y)
+    return [(y[(i + 1) % n] - y[i - 2]) * y[i - 1] - y[i] + 8.0 for i in range(n)]
+
+
+def _spike():
+    # infinite at the first stage of the first step and nowhere else; tanh
+    # turns the infinite states that follow into finite slopes but keeps NaN,
+    # so a stage that dropped a 0.0 * inf = NaN term would accept that step
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (math.inf if len(calls) == 3 else -math.tanh(y[0]),)
+
+    return OdeProblem(rhs, (0.0, 1.0), np.array([1.0]))
+
+
+# n = 1, 2, 4 and 7; the blow-up run stops at the minimum step with its stages
+# below 1e28, so only the spike run reaches a non-finite stage value
+_KERNEL_CASES = {
+    "blowup": lambda: OdeProblem(_square, (0.0, 2.0), np.array([1.0])),
+    "spike": _spike,
+    "rejects": lambda: OdeProblem(_relaxation, (0.0, 3.0), np.array([2.0])),
+    "harmonic": lambda: OdeProblem(_harmonic, (0.0, 20.0), np.array([0.0, 1.0])),
+    "chain": lambda: OdeProblem(_hamiltonian_chain, (0.0, 30.0), np.array([0.1, -0.2, 0.3, 0.15])),
+    "lorenz96": lambda: OdeProblem(
+        _lorenz96, (0.0, 2.0), np.array([8.01, 8.0, 7.9, 8.2, 8.0, 7.5, 8.0]), 1e-8, 1e-10
+    ),
+}
+
+
+@pytest.mark.parametrize("with_t_eval", [False, True], ids=["step-ends", "t_eval"])
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_solve_ode_matches_the_generic_loop_to_the_bit(case, with_t_eval):
+    # the generated kernel does the generic loop's float operations in its
+    # order, zero tableau entries included
+    prob = _KERNEL_CASES[case]()
+    t_eval = np.linspace(*prob.t_span, 57) if with_t_eval else None
+    sol, ref = solve_ode(prob, t_eval=t_eval), dop853_generic(_KERNEL_CASES[case](), t_eval=t_eval)
+    for name in ("t", "y"):
+        got, want = getattr(sol, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    for name in ("n_rhs_evals", "n_accepted", "n_rejected", "status", "message", "h_min"):
+        assert getattr(sol, name) == getattr(ref, name), name
+    if case in ("rejects", "spike"):
+        assert sol.n_rejected > 0
+    if case == "blowup":
+        assert sol.status == "failed"
+
+
+def test_solve_ode_records_the_smallest_accepted_step():
+    for case in ("blowup", "rejects"):
+        prob = _KERNEL_CASES[case]()
+        sol = solve_ode(prob)
+        assert sol.h_min == np.min(np.diff(sol.t))
+        assert sol.h_min >= 10.0 * np.spacing(max(abs(v) for v in prob.t_span))
+    # with t_eval the samples are not the step ends, the smallest step still is
+    prob = OdeProblem(_harmonic, (0.0, 2.0), np.array([0.0, 1.0]))
+    assert solve_ode(prob, t_eval=[2.0]).h_min == solve_ode(prob).h_min
+
+
+def test_solve_ode_rejects_a_rhs_of_the_wrong_length():
+    prob = OdeProblem(lambda t, y: (y[1], -y[0], 0.0), (0.0, 1.0), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="rhs returned 3 components for a state of 2"):
+        solve_ode(prob)
+
+
+def test_kernel_tracebacks_show_the_generated_source():
+    calls = []
+
+    def rhs(t, y):
+        # the first two calls are t0 and the first-step guess, the third the
+        # first stage inside the kernel
+        calls.append(t)
+        if len(calls) == 3:
+            raise RuntimeError("stage failed")
+        return y[1], -y[0]
+
+    with pytest.raises(RuntimeError) as info:
+        solve_ode(OdeProblem(rhs, (0.0, 1.0), np.array([0.0, 1.0])))
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<dop853 n=2>", line ' in text
+    assert "k1_0, k1_1, = rhs(t + " in text
 
 
 def test_ode_problem_validation():

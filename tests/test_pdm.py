@@ -691,9 +691,10 @@ def test_trajectories_match_the_scipy_dop853_oracle(monkeypatch, name, run_prese
     # one, and f(t0) with the first-step probe: a hidden extra call or a
     # dropped dense stage breaks the count
     assert tr.n_rhs_evals == 2 + 15 * tr.n_accepted + 12 * tr.n_rejected
-    assert (tr.n_rhs_evals, tr.n_accepted, tr.n_rejected) == (
-        sol.n_rhs_evals, sol.n_accepted, sol.n_rejected,
+    assert (tr.n_rhs_evals, tr.n_accepted, tr.n_rejected, tr.h_min) == (
+        sol.n_rhs_evals, sol.n_accepted, sol.n_rejected, sol.h_min,
     )
+    assert 0 < tr.h_min < np.inf
 
 
 def test_fig6a_steps_match_the_scipy_dop853_oracle(monkeypatch, run_preset):
