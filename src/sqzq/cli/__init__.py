@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..errors import ConfigError, NonFiniteState, OutsideBox, SqzqError
 from ..numerics import legendre_box_rule
@@ -387,10 +386,15 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _quad_moment_1d(q, w, s, power):
     """int_{-w}^{w} x^power N(x; q, s^2) dx by adaptive quadrature."""
-    # x^power as a product of factors, so that x^2 is exactly x * x
+    # only verify needs scipy.integrate; importing it here keeps it out of
+    # every other command's start-up
+    from scipy.integrate import quad
+
+    # x^power as a product of factors, so that x^2 is exactly x * x; quad
+    # refuses a relative tolerance below 50 eps when epsabs is 0
     val, _ = quad(
         lambda x: math.prod([x] * power) * np.exp(-((x - q) ** 2) / (2 * s * s)),
-        -w, w, limit=200,
+        -w, w, epsabs=0.0, epsrel=2e-14, limit=200,
     )
     return val / (s * np.sqrt(2 * np.pi))
 
@@ -756,17 +760,20 @@ def _veff_gradient(fock_dim):
     rng = np.random.default_rng(71)
     pts = rng.uniform(-1.5, 1.5, size=(40, 2))
     grad = pdm.effective_potential_gradient(model, modes, pts)
-    h = 1e-6
-    worst = 0.0
-    for k, base in enumerate(pts):
-        for d in range(2):
-            step = np.zeros(2)
-            step[d] = h
-            fd = (
-                pdm.effective_potential(model, modes, base + step)
-                - pdm.effective_potential(model, modes, base - step)
-            ) / (2 * h)
-            worst = max(worst, abs(grad[k, d] - fd) / max(np.max(np.abs(grad[k])), 1.0))
+    # the 8th-order central stencil on offsets 1..4 h; h = 2e-3 balances its
+    # h^8 truncation against the eps / h rounding of the differences (1e-2
+    # leaves 7e-9 of truncation on this V_eff's walls)
+    h = 2e-3
+    weights = np.array([4 / 5, -1 / 5, 4 / 105, -1 / 280])
+    offsets = h * np.arange(1.0, 5.0)[:, None, None]
+    fd = np.empty_like(grad)
+    for d in range(2):
+        step = offsets * np.eye(2)[d]
+        plus = pdm.effective_potential(model, modes, pts + step)
+        minus = pdm.effective_potential(model, modes, pts - step)
+        fd[:, d] = weights @ (plus - minus) / h
+    scale = np.maximum(np.max(np.abs(grad), axis=1, keepdims=True), 1.0)
+    worst = float(np.max(np.abs(grad - fd) / scale))
     return [("veff-gradient", worst, {"points": 40})], []
 
 

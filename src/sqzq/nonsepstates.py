@@ -53,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import ndtr
 
 from .errors import (
@@ -893,6 +892,10 @@ def _beam_split(phi: float, cols: np.ndarray) -> np.ndarray:
     cut by the box, and there the block is the exponential of the truncated
     generator, exactly as for the whole truncated two-mode generator.
     """
+    # only verify's Bogoliubov check needs scipy.linalg; importing it here
+    # keeps it out of every other command's start-up
+    from scipy.linalg import expm
+
     ambient = cols.shape[0]
     out = np.empty_like(cols)
     for tot in range(2 * ambient - 1):

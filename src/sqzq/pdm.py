@@ -19,10 +19,12 @@ semiclassical equations of motion are integrated in (q, v) form: the
 canonical momentum p_j = v_j / A_j grows like exp(z^2) beyond the walls and
 makes the equivalent (q, p) system needlessly stiff during an escape.
 
-Every smoothed wall quantity (the windows chi_j and <q_j^2 chi_j>, the
-regularised inverse masses A_j, V_eff and their gradients) is read from one
-evaluator, ``_veff_pieces``: on float arrays for the portraits, energies and
-masks, on Python floats for the equations of motion.
+Every smoothed wall quantity comes from one per-mode evaluator,
+``_mode_pieces`` (the windows chi_j and <q_j^2 chi_j> and their
+derivatives), and the regularised inverse masses A_j, V_eff and their
+gradients are assembled from it in one place, ``_veff_pieces``: on float
+arrays for the portraits, energies and masks, on Python floats for the
+equations of motion.
 """
 
 from __future__ import annotations
@@ -414,9 +416,9 @@ def _veff_pieces(
     model: PdmModel, scales, q1, q2, kin: tuple[float, float], erfc=erfc, exp=np.exp
 ):
     """Every smoothed wall quantity at (q1, q2), from one evaluation of the
-    per-mode pieces: V_eff and its gradient (d1, d2), the inverse masses with
-    their gradients (A1, A2, d1A1, d2A1, d1A2, d2A2), and the windows
-    (c1, g1, c2, g2).
+    per-mode pieces: V_eff and its gradient (d1, d2) and the inverse masses
+    with their gradients (A1, A2, d1A1, d2A1, d1A2, d2A2).  The windows alone
+    come from ``_windows``.
 
     The only place where these are assembled.  ``scales`` is ``_both_scales``
     of the smoothing family, which callers that evaluate many times compute
@@ -437,7 +439,7 @@ def _veff_pieces(
     d1 = k1 * m1p * c2 + k2 * c1p * m2 + model.vbar1 * g1p * c2 + model.vbar2 * c1p * g2
     d2 = k1 * m1 * c2p + k2 * c1 * m2p + model.vbar1 * g1 * c2p + model.vbar2 * c1 * g2p
     masses = (m1 * c2, c1 * m2, m1p * c2, m1 * c2p, c1p * m2, c1 * m2p)
-    return veff, d1, d2, masses, (c1, g1, c2, g2)
+    return veff, d1, d2, masses
 
 
 def _pieces(model: PdmModel, params: TwoModeParams, q, kin=(0.0, 0.0)):
@@ -525,7 +527,7 @@ def effective_potential(model: PdmModel, params: TwoModeParams, q):
 def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
     """Closed-form gradient of effective_potential, stacked along the last axis."""
     _require_real_tau(params)
-    _, d1, d2, _, _ = _pieces(model, params, q, _kinetic_coeffs(params))
+    _, d1, d2, _ = _pieces(model, params, q, _kinetic_coeffs(params))
     return np.stack([d1, d2], axis=-1)
 
 
@@ -536,7 +538,7 @@ def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
 def semiclassical_energy(semi: SemiclassicalModel, q, p):
     """Conserved value p1^2 A_1/2 + p2^2 A_2/2 + V_eff at (q, p)."""
     p = _as_points(p)
-    veff, _, _, (a1, a2, *_), _ = _pieces(semi.model, semi.modes, q, _kinetic_coeffs(semi.modes))
+    veff, _, _, (a1, a2, *_) = _pieces(semi.model, semi.modes, q, _kinetic_coeffs(semi.modes))
     return _scalar_or_array(0.5 * (p[..., 0] ** 2 * a1 + p[..., 1] ** 2 * a2) + veff)
 
 
@@ -573,7 +575,7 @@ def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
     def rhs(t, y):
         q1, q2, v1, v2 = y
         try:
-            _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2), _ = _veff_pieces(
+            _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2) = _veff_pieces(
                 model, scales, q1, q2, kin, math.erfc, math.exp
             )
             acc1 = (
@@ -638,7 +640,7 @@ def semiclassical_integrate(
 
     q = sol.y[:, 0:2]
     v = sol.y[:, 2:4]
-    veff, _, _, (a1, a2, *_), _ = _veff_pieces(model, scales, q[:, 0], q[:, 1], kin)
+    veff, _, _, (a1, a2, *_) = _veff_pieces(model, scales, q[:, 0], q[:, 1], kin)
     p = np.stack([v[:, 0] / a1, v[:, 1] / a2], axis=-1)
     energy = 0.5 * (v[:, 0] ** 2 / a1 + v[:, 1] ** 2 / a2) + veff
 

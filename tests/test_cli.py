@@ -165,6 +165,42 @@ def test_console_script_runs():
     assert "RuntimeWarning" not in out.stderr
 
 
+_COLD_START = """
+import json, sys
+from sqzq import cli
+
+def loaded():
+    return [m for m in ("scipy.integrate", "scipy.linalg") if m in sys.modules]
+
+out, cfg = sys.argv[1:]
+steps = [("import", 0, loaded())]
+for argv in (
+    ["simulate", "--preset", "fig3a"],
+    ["portrait", "chi", "--preset", "fig6a"],
+    ["quantise", "q1q2", "--config", cfg],
+    ["verify", "--fock-dim", "4"],
+):
+    code = cli.main(argv + ["--out", out])
+    steps.append((argv[0], code, loaded()))
+print(json.dumps(steps))
+"""
+
+
+def test_only_verify_imports_scipy_integrate_and_linalg(tmp_path):
+    # a fresh interpreter: the test session itself has both loaded
+    cfg = _write_cfg(tmp_path, {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "phi": 0.5})
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path), cfg], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    steps = json.loads(out.stdout.splitlines()[-1])
+    assert [step[0] for step in steps] == ["import", "simulate", "portrait", "quantise", "verify"]
+    for name, code, loaded in steps[:-1]:
+        assert (name, code, loaded) == (name, 0, [])
+    # verify's quad oracle and Bogoliubov check import them at first use
+    assert steps[-1] == ["verify", 0, ["scipy.integrate", "scipy.linalg"]]
+
+
 def test_every_public_name_resolves():
     # the benchmark's tracer looks up every name of every module's __all__
     import importlib

@@ -5,6 +5,7 @@ literals so the suite never trusts the code under test to generate its own
 expectations.
 """
 
+import linecache
 import math
 import traceback
 
@@ -484,7 +485,24 @@ def test_solve_ode_rejects_a_rhs_of_the_wrong_length():
         solve_ode(prob)
 
 
+def test_dop853_tableau_literals_are_scipys():
+    # the program writes the tableau out so that importing it loads no
+    # scipy.integrate; every entry must still be scipy's float
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert numerics._A == [row[:s].tolist() for s, row in enumerate(ref.A)]
+    assert numerics._C == ref.C.tolist()
+    assert numerics._B == ref.B.tolist()
+    assert numerics._E3 == ref.E3.tolist()
+    assert numerics._E5 == ref.E5.tolist()
+    assert numerics._D == ref.D.tolist()
+
+
 def test_kernel_tracebacks_show_the_generated_source():
+    # linecache keeps no copy of the source: clearing it between the solves
+    # that build the kernel and that raise through it must not lose the lines
+    solve_ode(OdeProblem(_harmonic, (0.0, 1.0), np.array([0.0, 1.0])))
+    linecache.clearcache()
     calls = []
 
     def rhs(t, y):
@@ -498,7 +516,7 @@ def test_kernel_tracebacks_show_the_generated_source():
     with pytest.raises(RuntimeError) as info:
         solve_ode(OdeProblem(rhs, (0.0, 1.0), np.array([0.0, 1.0])))
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<dop853 n=2>", line ' in text
+    assert 'File "dop853 kernel n=2", line ' in text
     assert "k1_0, k1_1, = rhs(t + " in text
 
 

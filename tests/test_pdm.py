@@ -431,14 +431,16 @@ def test_float_and_array_formulas_agree(model, modes):
     g1, g2 = np.meshgrid(*axes, indexing="ij")
     q1, q2 = g1.ravel(), g2.ravel()
     assert q1.size >= 200
-    veff, d1, d2, masses, windows = _veff_pieces(model, scales, q1, q2, kin)
-    arrays = np.array([veff, d1, d2, *masses, *windows])
+
+    def quantities(a, b, erfc_f, exp_f):
+        veff, d1, d2, masses = _veff_pieces(model, scales, a, b, kin, erfc_f, exp_f)
+        windows = [_mode_pieces(x, m, erfc_f, exp_f)[:2] for x, m in zip((a, b), scales)]
+        return [veff, d1, d2, *masses, *windows[0], *windows[1]]
+
+    arrays = np.array(quantities(q1, q2, erfc, np.exp))
 
     def on_floats(erfc_f, exp_f):
-        rows = []
-        for a, b in zip(q1.tolist(), q2.tolist()):
-            veff, d1, d2, masses, windows = _veff_pieces(model, scales, a, b, kin, erfc_f, exp_f)
-            rows.append([veff, d1, d2, *masses, *windows])
+        rows = [quantities(a, b, erfc_f, exp_f) for a, b in zip(q1.tolist(), q2.tolist())]
         assert all(type(v) is float for row in rows for v in row)
         return np.array(rows).T
 

@@ -91,6 +91,16 @@ def test_momentum_field_gives_momentum_operator(tau):
     assert np.max(np.abs(op.matrix.entries - want)) < 1e-6
 
 
+def test_wide_scales_quantise_without_overflow():
+    # the rule's weights carry hbar and q^2 carries lam^2; at lam = 1e103 and
+    # hbar = 1.5e101 their products used to overflow before the division by
+    # 2 pi hbar, and the operator is lam^2 times the one at unit scales
+    q2 = lambda q, p: q * q
+    unit = quantise(q2, SqueezeParameter.from_tau(0.3, lam=1.0, hbar=1.0), 4)
+    wide = quantise(q2, SqueezeParameter.from_tau(0.3, lam=1e103, hbar=1.5e101), 4)
+    assert_allclose(wide.matrix.entries / 1e206, unit.matrix.entries, rtol=0, atol=1e-12)
+
+
 def test_product_field_symmetrises_with_constant():
     par = SqueezeParameter.from_tau(0.5j)
     op = quantise(lambda q, p: q * p, par, 10)
