@@ -33,10 +33,10 @@ per-mode recurrences for the squeeze and displacement factors plus a beam
 splitter applied per photon-number sector.  On that grid a_j G is g shifted
 along row axis j and G F_j is g shifted along the column axes, so the
 residual is read off with slices.  The beam splitter conserves n1 + n2, so
-below the box edge each sector's generator is exact and so is its
-exponential; exponentials of truncated one-mode generators are avoided
-because their columns are contaminated at any truncation reachable in
-practice.
+below the box edge each sector's generator is exact and its exponential is
+an exact spectral rotation; exponentials of truncated one-mode generators
+are avoided because their columns are contaminated at any truncation
+reachable in practice.
 
 Coupled portraits of general fields are ``numerics.gaussian_smooth`` under
 ``_portrait_precision``; rectangle indicators keep the exact conditional-normal
@@ -883,26 +883,31 @@ def _displacement_columns(alpha: complex, ncols: int, ambient: int) -> np.ndarra
 
 
 def _beam_split(phi: float, cols: np.ndarray) -> np.ndarray:
-    """Beam splitter exp(phi (a1^dag a2 - a1 a2^dag)) applied to box columns.
+    """Beam splitter exp(phi (a1^dag a2 - a1 a2^dag)) on box columns, as complex.
 
     ``cols[n1, n2, k]`` holds column k on the ambient box n1, n2 < ambient.
-    The generator conserves N = n1 + n2, so it acts on each photon-number
-    sector separately: one tridiagonal block, one ``expm``, applied straight
-    to the rows |n1, N - n1> of the columns.  Sectors with N >= ambient are
-    cut by the box, and there the block is the exponential of the truncated
-    generator, exactly as for the whole truncated two-mode generator.
+    On the rows |n1, N - n1> of a photon-number sector the generator is
+    -i phi D J D*: D = diag(i^n1), and J = V diag(lam) V^T, twice J_x of spin
+    N/2, has off-diagonals sqrt((n1 + 1)(N - n1)) (Feng, Wang, Yang & Jin,
+    Phys. Rev. E 92:043307, 2015).  So the block is D V exp(-i phi lam) V^T D*
+    with lam = -N, 2 - N, ..., N exactly in a full sector (N < ambient); one
+    the box cuts keeps the exponential of its truncated block, eigh's spectrum.
     """
-    # only verify's Bogoliubov check needs scipy.linalg; importing it here
-    # keeps it out of every other command's start-up
-    from scipy.linalg import expm
-
     ambient = cols.shape[0]
-    out = np.empty_like(cols)
+    out = np.empty(cols.shape, complex)
     for tot in range(2 * ambient - 1):
         n1s = np.arange(max(0, tot - ambient + 1), min(tot, ambient - 1) + 1)
-        amp = phi * np.sqrt((n1s[:-1] + 1.0) * (tot - n1s[:-1]))
-        gen = np.diag(amp, -1) - np.diag(amp, 1)
-        out[n1s, tot - n1s] = expm(gen) @ cols[n1s, tot - n1s]
+        amp = np.sqrt((n1s[:-1] + 1.0) * (tot - n1s[:-1]))
+        lam, vec = np.linalg.eigh(np.diag(amp, -1) + np.diag(amp, 1))
+        if tot < ambient:
+            lam = np.arange(-tot, tot + 1.0, 2.0)
+        d = 1j ** (n1s % 4)  # exact, where 1j ** n1 drifts off the axes
+        # long double: phi * lam is exact for integer lam (float64: 6e-14 off at 730 rad)
+        phase = np.exp(-1j * np.longdouble(phi) * lam).astype(complex)
+        # V is real: multiply real and imaginary parts as one real matrix
+        x = (d.conj()[:, None] * cols[n1s, tot - n1s]).view(float)
+        rot = phase[:, None] * (vec.T @ x).view(complex)
+        out[n1s, tot - n1s] = d[:, None] * (vec @ rot.view(float)).view(complex)
     return out
 
 

@@ -8,7 +8,7 @@ DOP853 loop that ``numerics.solve_ode`` replaced by generated code.  The
 second group is 40-digit ``mpmath`` matrix elements
 of the squeeze, displacement and beam-splitter operators, built from
 expansions that share no step with the recurrences and exponentials they
-check.
+check, and 40-digit Gaussian moments on a box.
 """
 
 from __future__ import annotations
@@ -340,3 +340,13 @@ def displacement_elements(alpha, ambient: int) -> np.ndarray:
                 out[lo + d, lo] = complex(amp * a**d)
                 out[lo, lo + d] = complex(amp * (-mp.conj(a)) ** d)
     return out
+
+
+def box_moment(q, w, s, power: int) -> float:
+    """int_{-w}^{w} x^power N(x; q, s^2) dx by 40-digit tanh-sinh quadrature,
+    split at q and at q +- 4, 8 and 12 s where those fall inside the box."""
+    with mp.workdps(40):
+        q, w, s = mp.mpf(q), mp.mpf(w), mp.mpf(s)
+        cuts = [q + k * s for k in range(-12, 13, 4) if -w < q + k * s < w]
+        val = mp.quad(lambda x: x**power * mp.exp(-((x - q) ** 2) / (2 * s * s)), [-w, *cuts, w])
+        return float(val / (s * mp.sqrt(2 * mp.pi)))

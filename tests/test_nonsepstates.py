@@ -498,13 +498,12 @@ def test_bogoliubov_truncation_guard():
 
 
 @pytest.mark.parametrize("ambient", [6, 7, 8])
-@pytest.mark.parametrize("phi,bound", [(0.3, 1e-14), (1.15, 5e-13), (-2.0, 5e-13)])
+@pytest.mark.parametrize("phi,bound", [(0.3, 1e-14), (1.15, 5e-14), (-2.0, 5e-14)])
 def test_beam_split_matches_the_dense_exponential_of_the_box_generator(ambient, phi, bound):
     # exp of the whole truncated two-mode generator, edge sectors included.
-    # At large |phi| the difference is scipy's expm rounding on the small
-    # edge blocks, not the sector bookkeeping: against a 40-digit exponential
-    # at ambient 8, phi = 1.15, the dense result is off by 1.4e-15 and the
-    # per-sector blocks by 1.0e-13 (a 2 x 2 rotation by 8.05 rad)
+    # Against a 40-digit exponential, the dense expm is off by up to 5.6e-15
+    # and the per-sector rotations by up to 2.1e-14 (ambient 8, phi = -2),
+    # where the cut sectors' spectra are LAPACK's
     a = TruncatedOperator.annihilation(ambient).entries
     one = np.eye(ambient)
     a1, a2 = np.kron(a, one), np.kron(one, a)
@@ -515,10 +514,11 @@ def test_beam_split_matches_the_dense_exponential_of_the_box_generator(ambient, 
     assert np.max(np.abs(got - unitary @ cols)) < bound
 
 
-def test_beam_split_full_sector_against_40_digit_oracle():
-    # N = 60 lies below the box edge (ambient 64), so its block is the whole
-    # spin-30 rotation; its columns are the unit vectors |n1, 60 - n1>
-    ambient, tot, phi = 64, 60, 1.15
+@pytest.mark.parametrize("ambient,tot,phi", [(64, 60, 1.15), (32, 30, 4.0)])
+def test_beam_split_full_sector_against_40_digit_oracle(ambient, tot, phi):
+    # a sector below the box edge is the whole spin-tot/2 rotation; its
+    # columns are the unit vectors |n1, tot - n1>.  At phi = 4 a Pade
+    # exponential of the N = 30 block is 1.7e-13 off
     n1 = np.arange(tot + 1)
     cols = np.zeros((ambient, ambient, tot + 1))
     cols[n1, tot - n1, n1] = 1.0

@@ -49,7 +49,7 @@ from sqzq.pdm import (
 )
 from sqzq.sepstates import TwoModeParams
 
-from .oracles import dop853_reference
+from .oracles import box_moment, dop853_reference
 
 
 def _fig6_pair():
@@ -272,6 +272,21 @@ def test_portrait_q2chi_against_quadrature():
         assert_allclose(portrait_q2chi(model, modes, 1, q), want1, rtol=1e-8)
         want2 = _smoothed(q[1], model, modes, 2, 2) * _smoothed(q[0], model, modes, 1)
         assert_allclose(portrait_q2chi(model, modes, 2, q), want2, rtol=1e-8)
+
+
+def test_wall_moment_oracle_matches_40_digit_moments():
+    # the fixed rule behind verify's wall-portrait checks: at verify's 8
+    # draws, at centres on and beyond each wall, within 1e-14 relative of
+    # the moment wherever it exceeds 1e-12
+    model, modes = _fig6_pair()
+    draws = np.random.default_rng(61).uniform(-1.3, 1.3, size=(8, 2))
+    for j in (1, 2):
+        w, s = model.wall(j), _smoothing(modes, j)
+        for q in [*draws[:, j - 1], -w, w, w + 0.3, -w - 1.0, w + 11 * s, w + 20 * s]:
+            for power in (0, 2):
+                want = box_moment(q, w, s, power)
+                got = _quad_moment_1d(q, w, s, power)
+                assert abs(got - want) <= 1e-14 * max(want, 1e-12), (q, j, power)
 
 
 def test_portrait_q2chi_infinite_box_limit():
