@@ -16,9 +16,9 @@ amplitude c00 times a polynomial of degree n + m, so every matrix entry of a
 field of polynomial degree d is the Gaussian |c00|^2 times a polynomial of
 degree <= 4 nmax + d.  A tensor Gauss-Hermite rule on the principal axes of
 that Gaussian of order ceil((4 nmax + d + 1) / 2) integrates it exactly up
-to rounding; for fields that are not polynomial the order grows by 4 until
-the operator changes by at most 1e-6, and the last change is reported as the
-convergence witness.
+to rounding, which the order one above confirms; for fields that are not
+polynomial the order grows by 4 until the operator changes by at most 1e-6,
+and the last change is reported as the convergence witness.
 Fields without momentum dependence have a cheaper route with the same loop,
 budget and report: they quantise to multiplication by their Gaussian
 smoothing, so the momenta integrate exactly and only a 2D outer rule in the
@@ -452,7 +452,7 @@ def _vacuum_precision(params: NonSepParams) -> np.ndarray:
     )
 
 
-def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: int = 20000):
+def _quantise_field(params: NonSepParams, field, nmax: int, degree: int | None, chunk: int = 20000):
     """4D phase-space quadrature of f(q1, q2, p1, p2) against the family.
 
     Every Fock coefficient is the vacuum amplitude c00 times a polynomial of
@@ -460,8 +460,8 @@ def _quantise_field(params: NonSepParams, field, nmax: int, degree: int, chunk: 
     polynomial degree ``degree`` integrates exp(-x^T P x) times a polynomial
     of degree <= 4 nmax + degree.  A tensor Gauss-Hermite rule whitened by P
     (``numerics.whitened_rule``) of order k0 = ceil((4 nmax + degree + 1) / 2)
-    is exact for it up to rounding; orders k0, k0 + 4, ... are refined as
-    ``numerics._refine`` describes, with order^4 nodes each.
+    is exact for it up to rounding; orders k0, k0 + 1, k0 + 5, ... (k0, k0 +
+    4, ... if bounded) are refined as ``numerics._refine`` describes.
 
     Returns the (nmax+1)^2-dimensional matrix of the quantised field in the
     two-mode Fock basis at the finest order evaluated (measure
@@ -532,7 +532,7 @@ def _pair_products(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int,
+def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int | None,
                              chunk: int = 20000):
     """Quantised position field f(q1, q2) as a multiplication operator.
 
@@ -607,17 +607,17 @@ def _position_cost(nmax: int):
     return lambda order: order**2 * (2 * nmax + 1) ** 2
 
 
-def _probe_nodes(params: NonSepParams, nmax: int, degree: int) -> np.ndarray:
-    """Nodes (N, 4) of the 4D engine's second rule, ordered (q1, q2, p1, p2).
+def _probe_nodes(params: NonSepParams, nmax: int, degree: int | None) -> np.ndarray:
+    """Nodes (N, 4) of the 4D engine's rule k0 + 4, ordered (q1, q2, p1, p2).
 
     A field is sent down the position route only if it does not move with
-    momentum on these nodes.  The 4D engine always evaluates its second
-    order, k0 + 4, to take its first convergence witness, and those nodes
-    reach further in momentum than the first order's (at nmax 0 that can be
-    a single node at the origin).  The position route never needs more
-    nodes than the 4D engine (its outer order is at least the inner order
-    2 nmax + 1), so a basis beyond its budget fits neither route and is
-    refused before any node is built.
+    momentum on these nodes.  Order k0 + 4 is the 4D engine's second order
+    for a bounded field and its third for a polynomial one the declaration
+    does not fit; it reaches further in momentum than k0 or k0 + 1 (at nmax
+    0, k0 can be a single node at the origin).  The position route never
+    needs more nodes than the 4D engine (its outer order is at least the
+    inner order 2 nmax + 1), so a basis beyond its budget fits neither route
+    and is refused before any node is built.
     """
     order = _refuse_beyond_budget(2, nmax, degree, _position_cost(nmax)) + _ORDER_STEP
     return whitened_rule(_vacuum_precision(params), order)[0]

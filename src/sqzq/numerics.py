@@ -55,8 +55,9 @@ _SMOOTH_BLOCK_NODES = 2**18
 # allowed to cost more nodes than it did
 _NODE_BUDGET = 38**2 * 32**2
 _ORDER_STEP = 4
-# the default stop of ``_refine``, relative to max(1, max|A|)
+# ``_refine``'s default stop and its polynomial check, relative to max(1, max|A|)
 _CONVERGED = 1e-6
+_EXACT = 1e-12
 # a Gaussian normaliser below this (subnormal) or infinite has lost its digits
 _TINY = np.finfo(float).tiny
 
@@ -203,9 +204,10 @@ def whitened_rule(prec, order: int):
     return pts, weights / np.sqrt(det)
 
 
-def _refuse_beyond_budget(modes: int, nmax: int, degree: int, cost) -> int:
-    """The lowest Gauss-Hermite order exact for degree 2 modes nmax + degree,
-    unless it and the next order alone exceed the node budget."""
+def _refuse_beyond_budget(modes: int, nmax: int, degree: int | None, cost) -> int:
+    """The lowest Gauss-Hermite order exact for degree 2 modes nmax + degree
+    (None: 0), unless it and the order 4 above alone exceed the node budget."""
+    degree = degree or 0
     order = -(-(2 * modes * nmax + degree + 1) // 2)
     if cost(order) + cost(order + _ORDER_STEP) > _NODE_BUDGET:
         raise ConfigError(
@@ -215,20 +217,23 @@ def _refuse_beyond_budget(modes: int, nmax: int, degree: int, cost) -> int:
     return order
 
 
-def _refine(modes: int, nmax: int, degree: int, cost, evaluate, stop: float = _CONVERGED):
-    """Orders k0, k0 + 4, ... of ``evaluate(order) -> (mat, ident, pts)``.
+def _refine(modes: int, nmax: int, degree: int | None, cost, evaluate, stop: float = _CONVERGED):
+    """Orders k0, k0 + 1, k0 + 5, ... of ``evaluate(order) -> (mat, ident, pts)``,
+    or k0, k0 + 4, ... for a bounded field (``degree`` None).
 
     A field of polynomial degree ``degree`` in a basis of ``modes`` modes up
     to ``nmax`` quanta integrates a Gaussian times a polynomial of degree
     <= 2 modes nmax + degree, exactly from order k0 = ceil((2 modes nmax +
-    degree + 1) / 2) on.  Stops once the max-entry change between two
-    successive orders, the convergence witness, is <= ``stop`` max(1,
-    max|A|), or once the next order would take the node count, summed over
-    ``cost(order)``, past the budget; polynomial fields stop after one
-    comparison.  A basis whose first two orders alone exceed the budget is
-    refused up front; a non-finite entry raises NonConvergent.
+    degree + 1) / 2) on, so k0 + 1 only checks the declaration and must agree
+    with k0 to rounding, ``_EXACT`` max(1, max|A|).  Otherwise the loop stops
+    once the max-entry change between two successive orders, the convergence
+    witness, is <= ``stop`` max(1, max|A|), or once the next order would take
+    the node count, summed over ``cost(order)``, past the budget.  A basis
+    whose orders k0 and k0 + 4 alone exceed the budget is refused up front; a
+    non-finite entry raises NonConvergent.
     """
     order = _refuse_beyond_budget(modes, nmax, degree, cost)
+    step, tol = (_ORDER_STEP, stop) if degree is None else (1, _EXACT)
     nodes = 0
     prev = None
     while True:
@@ -238,11 +243,12 @@ def _refine(modes: int, nmax: int, degree: int, cost, evaluate, stop: float = _C
             raise NonConvergent(f"quadrature of order {order} gives non-finite entries")
         if prev is not None:
             witness = float(np.max(np.abs(mat - prev)))
-            converged = witness <= stop * max(1.0, float(np.max(np.abs(mat))))
-            if converged or nodes + cost(order + _ORDER_STEP) > _NODE_BUDGET:
+            converged = witness <= tol * max(1.0, float(np.max(np.abs(mat))))
+            step, tol = _ORDER_STEP, stop
+            if converged or nodes + cost(order + step) > _NODE_BUDGET:
                 break
         prev = mat
-        order += _ORDER_STEP
+        order += step
     return mat, pts, QuadratureReport.of(mat, ident, witness, nodes)
 
 
@@ -265,9 +271,10 @@ def _quantise_on_rule(coefficients, field, pts, weights, norm: float, chunk: int
     acc = ident = 0.0
     for s in range(0, pts.shape[0], chunk):
         cc = coefficients(pts[s : s + chunk])
+        conj = cc.conj()
         # one field at a time, so a stack's work arrays stay one field's size
-        acc = acc + np.stack([(cc * w[s : s + chunk, None]).T @ cc.conj() for w in wf])
-        ident = ident + (cc * weights[s : s + chunk, None]).T @ cc.conj()
+        acc = acc + np.stack([(cc * w[s : s + chunk, None]).T @ conj for w in wf])
+        ident = ident + (cc * weights[s : s + chunk, None]).T @ conj
     return acc.reshape(fv.shape[:-1] + acc.shape[1:]) / norm, ident / norm
 
 

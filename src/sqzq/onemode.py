@@ -263,7 +263,7 @@ def _vacuum_precision(param: SqueezeParameter) -> np.ndarray:
     return d[:, None] * form * d[None, :]
 
 
-def _quantise_field(param: SqueezeParameter, field, nmax: int, degree: int):
+def _quantise_field(param: SqueezeParameter, field, nmax: int, degree: int | None):
     """Phase-space quadrature of f(q, p) against the family.
 
     Every Fock coefficient is the vacuum amplitude c0 times a polynomial of

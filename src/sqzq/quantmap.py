@@ -157,13 +157,16 @@ def _spot_check_growth(f: ClassicalFunction, pts: np.ndarray):
     and the mid ring already reaches the extremes of the narrow ones.  On a
     rule aligned with the coordinates r takes only the ratios of the Hermite
     nodes, which can skip [0.4, 0.5); the mid ring then reaches down to the
-    next ratio.  Coordinates the nodes do not carry (the momenta of the
-    two-mode position route) are zero.
+    next ratio, or up to it where the origin, which says nothing of growth,
+    is the only node below (order 3).  Coordinates the nodes do not carry
+    (the momenta of the two-mode position route) are zero.
     """
     extent = np.abs(pts)
     r = np.max(extent / np.max(extent, axis=0), axis=1)
     edge_mask = r > 0.9
-    mid_mask = (r >= min(0.4, r[r < 0.5].max())) & (r < 0.5)
+    off = r[r > 0]
+    low = min(0.4, off[off < 0.5].max()) if np.any(off < 0.5) else off.min()
+    mid_mask = ((r >= low) & (r < 0.5)) | (r == low)
     width = 4 if f.arity == "two-mode" else 2
     coords = np.vstack([pts.T, np.zeros((width - pts.shape[1], pts.shape[0]))])
     vals = np.abs(np.broadcast_to(np.asarray(f(*coords), dtype=float), r.shape))
@@ -224,21 +227,22 @@ def quantise(f, family, nmax: int) -> QuantisedOperator:
     Both arities integrate the projector integral on a tensor Gauss-Hermite
     rule whitened by the family's vacuum Gaussian, over the phase plane for
     one mode and 4D phase space for two; a two-mode function that does not
-    move with momentum on the 4D rule's second order is quantised as
+    move with momentum on the 4D rule of order k0 + 4 is quantised as
     multiplication by its Gaussian smoothing instead (see the module notes).
-    Every rule starts at the order exact for polynomial degree ``f.degree``
-    (0 for bounded growth) and is refined by 4 per axis until two orders
-    agree, to 1e-12 for one mode and 1e-6 for two, or the node budget is
-    spent.  The report carries the identity deviation on the very same
-    nodes, the node count over all orders (joint outer x inner nodes on the
-    position route) and the change between the last two orders, so a caller
-    can tell quadrature error from genuine operator structure.
+    Every rule starts at the order k0 exact for polynomial degree ``f.degree``
+    (0 for bounded growth); a polynomial's k0 + 1 must agree with it to
+    rounding, else (and for bounded growth) orders grow by 4 per axis until
+    two agree, to 1e-12 for one mode and 1e-6 for two, or the budget is spent.
+    The report carries the identity deviation on the very same nodes, the
+    node count over all orders (joint outer x inner nodes on the position
+    route) and the change between the last two orders, so a caller can tell
+    quadrature error from genuine operator structure.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1: a truncated operator has dimension >= 2")
     fam, arity, tag = _family(family)
     cf = _as_classical(f, arity)
-    degree = cf.degree if cf.growth == "poly" else 0
+    degree = cf.degree if cf.growth == "poly" else None
     if arity == "one-mode":
         mat, pts, report = _quantise_onemode_field(fam, cf, nmax, degree)
     elif _position_values(cf, *_probe_nodes(fam, nmax, degree).T) is None:

@@ -34,6 +34,8 @@ from sqzq.numerics import (
     _initial_step,
     legendre_box_rule,
 )
+from sqzq.nonsepstates import _wavefunction_parts
+from sqzq.onemode import alpha_from_qp
 
 
 def _tensor_eval(f, rules: Sequence[QuadratureRule]) -> complex:
@@ -350,3 +352,56 @@ def box_moment(q, w, s, power: int) -> float:
         cuts = [q + k * s for k in range(-12, 13, 4) if -w < q + k * s < w]
         val = mp.quad(lambda x: x**power * mp.exp(-((x - q) ** 2) / (2 * s * s)), [-w, *cuts, w])
         return float(val / (s * mp.sqrt(2 * mp.pi)))
+
+
+def overlap_integral(pa, pb, par) -> float:
+    """|<pa|pb>|^2 at 40 digits: psi = c exp(-u x^2 + v x) written out as
+    ``onemode.wavefunction`` is, and int conj(psi_a) psi_b dx as the Gaussian
+    integral sqrt(pi / A) exp(B^2 / 4A), A = 2 Re u, B = conj(v_a) + v_b."""
+    with mp.workdps(40):
+        tau, lam = mp.mpc(par.tau), mp.mpf(par.lam)
+        t2, omt = abs(tau) ** 2, 1 - tau
+
+        def parts(point):
+            a = mp.mpc(complex(alpha_from_qp(point, par)))
+            pref = (1 - t2) ** mp.mpf(0.25) / (mp.pi ** mp.mpf(0.25) * mp.sqrt(lam) * mp.sqrt(omt))
+            phase = mp.exp(-abs(a) ** 2 / 2 - a**2 * (1 - mp.conj(tau)) / (2 * omt))
+            return pref * phase, mp.sqrt(2 * (1 - t2)) * a / (omt * lam)
+
+        (ca, va), (cb, vb) = parts(pa), parts(pb)
+        big_a = 2 * mp.re((1 + tau) / (2 * omt * lam**2))
+        big_b = mp.conj(va) + vb
+        val = mp.conj(ca) * cb * mp.sqrt(mp.pi / big_a) * mp.exp(big_b**2 / (4 * big_a))
+        return float(abs(val) ** 2)
+
+
+def mode_symbol_moment(par, q, p, c, s, k: int) -> float:
+    """The integral ``cli._mode_symbol_oracle`` takes with hq(x) =
+    exp(-(x - c)^2 / s), as an exact Gaussian moment at 40 digits: over the
+    plane, int exp(-z^T M z / 2 + h^T z + e) p'^k dz / (2 pi hbar)."""
+    w = par.widths()
+    with mp.workdps(40):
+        # lam^2 and hbar^2 are squared in float, as the oracle squares them
+        l2, h2, hbar = mp.mpf(par.lam**2), mp.mpf(par.hbar**2), mp.mpf(par.hbar)
+        dq, dp, g = mp.mpf(w.delta_q_sq), mp.mpf(w.delta_p_sq), mp.mpf(w.gamma)
+        q, p, c, s = (mp.mpf(v) for v in (q, p, c, s))
+        b, d = 2 * g / hbar, l2 * dp / h2
+        m = mp.matrix([[dq / l2 + 2 / s, b], [b, d]])
+        h = mp.matrix([dq * q / l2 + b * p + 2 * c / s, d * p + b * q])
+        e = -dq * q**2 / (2 * l2) - d * p**2 / 2 - b * q * p - c**2 / s
+        mi = m**-1
+        mean = mi * h
+        mass = 2 * mp.pi / mp.sqrt(mp.det(m)) * mp.exp((h.T * mi * h)[0] / 2 + e)
+        moment = (1, mean[1], mean[1] ** 2 + mi[1, 1])[k]
+        return float(mass * moment / (2 * mp.pi * hbar))
+
+
+def nonsep_norm(params, point) -> float:
+    """int |psi|^2 over the plane at 40 digits for the wavefunction
+    phase * nreal * exp(-x^T Q x / 2 + v^T x) of ``_wavefunction_parts``:
+    the Gaussian integral of exp(-x^T Re(Q) x + 2 Re(v)^T x)."""
+    q, v, nreal, phase = _wavefunction_parts(params, point)
+    with mp.workdps(40):
+        a, b = mp.matrix(q.real.tolist()), mp.matrix((2 * v.real).tolist())
+        val = mp.pi / mp.sqrt(mp.det(a)) * mp.exp((b.T * a**-1 * b)[0] / 4)
+        return float(val * mp.mpf(nreal) ** 2 * abs(mp.mpc(phase)) ** 2)

@@ -20,11 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sqzq import nonsepstates, numerics, pdm, quantmap
+from sqzq import cli, nonsepstates, numerics, pdm, quantmap
 from sqzq.cli import CHECKS, RunConfig, _csv, main
 from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
 from sqzq.sepstates import Field, PhasePoint
+
+from .oracles import mode_symbol_moment, nonsep_norm, overlap_integral
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -569,10 +571,10 @@ def test_quantise_csv_is_hermitian(tmp_path):
     assert report["identity_deviation"] < 1e-6
     assert report["hermiticity_defect"] < 1e-12
     # qp has degree 2: the rule of order k0 = ceil((2 * 6 + 2 + 1) / 2) is
-    # exact, and the next order k0 + 4 only confirms it
+    # exact, and the next order k0 + 1 only confirms it
     assert report["convergence_witness"] < 1e-12
     k0 = 8
-    assert report["nodes"] == k0**2 + (k0 + 4) ** 2
+    assert report["nodes"] == k0**2 + (k0 + 1) ** 2
 
 
 def test_quantise_identity_matches_report(tmp_path):
@@ -705,11 +707,12 @@ def verify_report(verify_run):
 
 def test_verify_runs_the_4d_engine_once(verify_run):
     # the two-mode identity, the Table 1 rows and the position route's
-    # reference all come from one stacked projector integral
+    # reference all come from one stacked projector integral, at orders
+    # k0 = ceil((4 * 4 + 2 + 1) / 2) = 10 and k0 + 1 at nmax 4: 10^4 + 11^4
     _, report, runs = verify_run
     assert len(runs) == 1
     nodes = {c["detail"]["nodes"] for c in report["checks"] if c["id"] in ("identity-twomode", "table1-rows")}
-    assert nodes == {48416}
+    assert nodes == {24641}
 
 
 def test_verify_exits_zero(verify_report):
@@ -766,6 +769,42 @@ def test_verify_table1_fit_recovers_bare_positions(verify_report):
     assert_allclose(row["oracle_fit"], [1.0, 0.0], atol=1e-10)
     const = next(e for e in report["errata"] if e["id"] == "table1-q1q2-constant")
     assert_allclose(const["oracle_fit"][0], 1.0, atol=1e-10)
+
+
+def _oracle_calls(monkeypatch, check, oracle):
+    """The argument tuples of every call ``check`` makes to ``oracle``."""
+    calls, inner = [], getattr(cli, oracle)
+    monkeypatch.setattr(cli, oracle, lambda *args: calls.append(args) or inner(*args))
+    getattr(cli, check)(8)
+    monkeypatch.undo()
+    return calls
+
+
+def test_overlap_oracle_matches_40_digit_integrals(monkeypatch):
+    # the 2 001-point trapezoid at verify's own draws
+    calls = _oracle_calls(monkeypatch, "_overlap_onemode", "_overlap_oracle_1d")
+    assert len(calls) == 25
+    for pa, pb, par in calls:
+        want = overlap_integral(pa, pb, par)
+        assert abs(cli._overlap_oracle_1d(pa, pb, par) - want) <= 1e-14 * want
+
+
+def test_mode_symbol_oracle_matches_40_digit_moments(monkeypatch):
+    # three panels of 64 Legendre nodes per axis, at verify's own draws
+    # (k = 0, 1, 2); hq(x) = exp(-(x - c)^2 / s) carries c and s as defaults
+    calls = _oracle_calls(monkeypatch, "_sep_portraits", "_mode_symbol_oracle")
+    assert sorted({args[4] for args in calls}) == [0, 1, 2]
+    for par, q, p, hq, k in calls:
+        want = mode_symbol_moment(par, q, p, *hq.__defaults__, k)
+        assert abs(cli._mode_symbol_oracle(par, q, p, hq, k) - want) <= 1e-14 * abs(want)
+
+
+def test_norm_oracle_matches_40_digit_gaussian_integrals(monkeypatch):
+    calls = _oracle_calls(monkeypatch, "_nonsep_norm", "_norm_oracle")
+    assert len(calls) == 4
+    for params, pt in calls:
+        want = nonsep_norm(params, pt)
+        assert abs(cli._norm_oracle(params, pt) - want) <= 1e-14 * want
 
 
 def test_verify_deterministic_report(tmp_path, verify_report):

@@ -137,7 +137,7 @@ def test_strong_squeezing_is_exact(tau):
 
 @pytest.mark.parametrize("nmax", [1, 5, 8, 10, 12, 14, 18, 30, 48])
 def test_polynomial_fields_stop_after_two_orders(nmax):
-    # order k0 = ceil((2 nmax + degree + 1) / 2) is exact, so k0 + 4 only
+    # order k0 = ceil((2 nmax + degree + 1) / 2) is exact, so k0 + 1 only
     # confirms it; this holds for the declared degree and for the default 2
     par = SqueezeParameter.from_tau(0.6 * np.exp(1.1j), lam=0.9, hbar=1.2)
     fields = [(lambda q, p: np.ones_like(q), 0), (lambda q, p: q, 1), (lambda q, p: p, 1),
@@ -146,8 +146,42 @@ def test_polynomial_fields_stop_after_two_orders(nmax):
         for declared in (degree, 2):
             k0 = -(-(2 * nmax + declared + 1) // 2)
             rep = quantise(ClassicalFunction(f, degree=declared), par, nmax).quadrature_report
-            assert rep.nodes == k0**2 + (k0 + 4) ** 2
+            assert rep.nodes == k0**2 + (k0 + 1) ** 2
             assert rep.convergence_witness < 1e-11
+
+
+@pytest.mark.parametrize(
+    "f,arity,declared,right,nmax,route",
+    [(lambda q, p: np.exp(-(q**2)) + 0.2 * q * p, "one-mode", 2, ("bounded", 2), 8, "one-mode"),
+     (lambda q, p: q**3, "one-mode", 1, ("poly", 3), 8, "one-mode"),
+     (lambda q1, q2, p1, p2: np.exp(-(q1**2 + q2**2) / 100.0), "two-mode", 2, ("bounded", 2), 2,
+      "_quantise_position_field"),
+     (lambda q1, q2, p1, p2: q1 * q2**2, "two-mode", 1, ("poly", 3), 2, "_quantise_position_field"),
+     (lambda q1, q2, p1, p2: q1 * p1**2, "two-mode", 1, ("poly", 3), 2, "_quantise_field")],
+    ids=["exp(-q**2)+0.2qp", "q**3-as-degree-1", "position-gaussian", "q1*q2**2-as-degree-1",
+         "q1*p1**2-as-degree-1"],
+)
+def test_wrong_polynomial_declarations_refine_past_k0_plus_one(monkeypatch, f, arity, declared,
+                                                               right, nmax, route):
+    # a non-polynomial field under the default declaration, or a polynomial
+    # two degrees above its declared one, is not exact at k0, so k0 and k0 + 1
+    # disagree beyond rounding and the loop goes on in steps of 4; the result
+    # agrees with the correctly declared run within the engine's stop.  The
+    # wide position Gaussian's k0 and k0 + 1 agree to 7e-8, inside the
+    # two-mode stop: only the rounding-level first check sends it on
+    family = SqueezeParameter.from_tau(0.3j, lam=0.8, hbar=1.1) if arity == "one-mode" else ROUTE_PARAMS
+    modes, stop = (1, 1e-12) if arity == "one-mode" else (2, 1e-6)
+    cost = {"one-mode": lambda k: k**2, "_quantise_field": lambda k: k**4,
+            "_quantise_position_field": lambda k: k**2 * (2 * nmax + 1) ** 2}[route]
+    calls = _record_engines(monkeypatch)
+    wrong = quantise(ClassicalFunction(f, arity=arity, degree=declared), family, nmax)
+    assert calls == ([] if arity == "one-mode" else [route])
+    k0 = -(-(2 * modes * nmax + declared + 1) // 2)
+    assert wrong.quadrature_report.nodes > cost(k0) + cost(k0 + 1)
+    growth, degree = right
+    want = quantise(ClassicalFunction(f, arity=arity, growth=growth, degree=degree), family, nmax)
+    a = wrong.matrix.entries
+    assert np.max(np.abs(a - want.matrix.entries)) <= stop * max(1.0, np.max(np.abs(a)))
 
 
 def test_dirac_correspondence_rejects_two_mode():
@@ -387,7 +421,8 @@ def test_momentum_fields_keep_the_phase_space_engine(monkeypatch, g, growth, deg
     calls = _record_engines(monkeypatch)
     op = quantise(f, ROUTE_PARAMS, nmax)
     assert calls == ["_quantise_field"]
-    want, _, report = _quantise_field(ROUTE_PARAMS, f, nmax, degree if growth == "poly" else 0)
+    # the same declaration as quantise passes: None for a bounded field
+    want, _, report = _quantise_field(ROUTE_PARAMS, f, nmax, degree if growth == "poly" else None)
     assert np.array_equal(op.matrix.entries, want)
     assert op.quadrature_report == report
 
