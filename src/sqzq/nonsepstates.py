@@ -40,7 +40,8 @@ reachable in practice.
 
 Coupled portraits of general fields are ``numerics.gaussian_smooth`` under
 ``_portrait_precision``; rectangle indicators keep the exact conditional-normal
-route ``nonsep_box_portrait`` (Genz 2004), vectorised over centres.
+route ``nonsep_box_portrait`` (Genz 2004), vectorised over centres, on the
+support branch's window (``numerics._clipped_window``): no rule is sized here.
 
 Sign conventions for the overlap exponent and the mixed-term coefficients
 were fixed against exact Gaussian-integral oracles, not taken on faith; see
@@ -66,16 +67,15 @@ from .errors import (
 from .numerics import (
     _NSIGMA,
     _ORDER_STEP,
-    _SMOOTH_ORDER,
     _TINY,
     QuadratureReport,
     TruncatedOperator,
+    _clipped_window,
     _quantise_on_rule,
     _refine,
     _refuse_beyond_budget,
     gaussian_smooth,
     integrate_gaussian_quadratic,
-    legendre_box_rule,
     whitened_rule,
 )
 from .sepstates import PhasePoint, TwoModeParams, _pad, as_field
@@ -790,9 +790,10 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
     where U2 | U1 = x1 is normal with mean c2 - (M12 / M22)(x1 - c1) and
     variance 1 / M22, so the inner integral is a difference of normal
     distribution functions (Genz 2004).  The outer integral runs over
-    [c1 - 8.5 sqrt(S11), c1 + 8.5 sqrt(S11)] clipped to [a1, b1], on one
-    two-panel Gauss-Legendre rule mapped to each centre's window.  Centres
-    are processed in blocks so memory stays bounded on large grids.
+    [c1 - 8.5 sqrt(S11), c1 + 8.5 sqrt(S11)] clipped to [a1, b1], on the
+    support branch's window of ``gaussian_smooth`` (3 x 60 Legendre nodes),
+    and an empty window gives exactly 0.  Centres are processed in blocks so
+    memory stays bounded on large grids.
     """
     (a1, b1), (a2, b2) = box
     m = _portrait_precision(params)
@@ -800,18 +801,14 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
     half_window = _NSIGMA * np.sqrt(var1)
     slope = -m[0, 1] / m[1, 1]
     cond_sd = 1.0 / np.sqrt(m[1, 1])
-    ref = legendre_box_rule(-1.0, 1.0, _SMOOTH_ORDER, 2)
     centres = np.asarray(centres, dtype=float)
     flat = centres.reshape(-1, 2)
     out = np.empty(flat.shape[0])
     for s in range(0, flat.shape[0], _BOX_BLOCK):
         c1 = flat[s : s + _BOX_BLOCK, 0:1]
         c2 = flat[s : s + _BOX_BLOCK, 1:2]
-        lo = np.maximum(a1, c1 - half_window)
-        hi = np.minimum(b1, c1 + half_window)
-        # an empty window (the kernel misses the box) contributes exactly 0
-        half = np.maximum(hi - lo, 0.0) / 2.0
-        dx = (lo + hi) / 2.0 + half * ref.nodes - c1
+        x1, w1, _ = _clipped_window(c1[:, 0], half_window, a1, b1)
+        dx = x1 - c1
         # a centre or a wall near the float range overflows slope dx, dx^2 or
         # the standardised bounds to +-inf, where ndtr and exp give the right
         # 0 or 1; za + zb is then inf - inf only when both bounds are
@@ -824,7 +821,7 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
             flip = np.where(za + zb > 0.0, -1.0, 1.0)
             inner = flip * (ndtr(flip * zb) - ndtr(flip * za))
             dens = np.exp(-0.5 * dx * dx / var1)
-        out[s : s + _BOX_BLOCK] = (half * (ref.weights * dens * inner)).sum(axis=1)
+        out[s : s + _BOX_BLOCK] = (w1 * dens * inner).sum(axis=1)
     out /= np.sqrt(2.0 * np.pi * var1)
     return out.reshape(centres.shape[:-1])
 

@@ -7,9 +7,10 @@ Gauss-Legendre rules, the tensor Gauss-Hermite rule whitened by a Gaussian
 (``whitened_rule``) with the order-refinement loop (``_refine``) and the
 chunked projector sum (``_quantise_on_rule``) that quantise fields of one
 and of two modes, the one Gaussian-smoothing routine behind every portrait
-and position kernel (``gaussian_smooth``), truncated boson-operator algebra,
-and the adaptive DOP853 ODE driver (``solve_ode``), which runs its stages on
-Python floats.
+and position kernel (``gaussian_smooth``: a stack of fields in one pass, on
+an order-120 Hermite rule or a supported field's clipped 3 x 60 Legendre
+window), truncated boson-operator algebra, and the adaptive DOP853 ODE
+driver (``solve_ode``), which runs its stages on Python floats.
 
 All functions are pure and thread-safe.
 """
@@ -47,9 +48,13 @@ __all__ = [
 # Gaussian windows are cut at this many standard deviations; the discarded
 # tail is below exp(-36), invisible at every tolerance used downstream
 _NSIGMA = 8.5
-# the rule order of gaussian_smooth (per axis, per panel) and its block size
-# in nodes, which keeps each work array near 2 MB
-_SMOOTH_ORDER = 90
+# gaussian_smooth's Gauss-Hermite order per axis (a field exp(-(x - c)^2 / s),
+# s a third of the kernel's variance, is 5e-12 off at order 90 and 3e-15 at 120),
+# its clipped window's Legendre layout (numpy's weights are 1e-12 off near panel
+# ends; three panels put the centre mid-panel) and its block size in nodes,
+# which keeps each work array near 2 MB
+_SMOOTH_ORDER = 120
+_WINDOW_ORDER, _WINDOW_PANELS = 60, 3
 _SMOOTH_BLOCK_NODES = 2**18
 # the 38^2 x 32^2 Gauss-Legendre box the whitened rule replaced: no field is
 # allowed to cost more nodes than it did
@@ -289,19 +294,33 @@ def _tensor(nodes, weights):
     return points, w.reshape(*w.shape[:-2], n * n)
 
 
+def _clipped_window(c, reach, a, b):
+    """Nodes and weights (..., 180) of three 60-node Gauss-Legendre panels on each
+    window c +- reach clipped to [a, b] (the four broadcast together), and
+    whether it is non-empty; an empty window gets zero weights."""
+    lo, hi = np.maximum(a, c - reach), np.minimum(b, c + reach)
+    ref = legendre_box_rule(-1.0, 1.0, _WINDOW_ORDER, _WINDOW_PANELS)
+    half = np.maximum(hi - lo, 0.0)[..., None] / 2.0
+    return (lo + hi)[..., None] / 2.0 + half * ref.nodes, half * ref.weights, hi > lo
+
+
 def gaussian_smooth(f, centres, precision, support=None, pad: float = _NSIGMA) -> np.ndarray:
     """Gaussian smoothing E[f(U)] with U ~ N(c, precision^-1) at every centre c.
 
     ``centres`` has shape (..., d) with d = 1 or 2, ``precision`` is d x d,
-    and the result has shape (...); ``f`` takes d equally shaped arrays.
-    Without ``support`` the rule is ``whitened_rule`` of order 90 for the
-    Gaussian itself, exact for polynomial f of degree <= 179, and a
+    and ``f`` takes d equally shaped arrays.  A field returning one value per
+    node gives a result of shape (...); one returning a stack (F, ...) of F
+    fields gives (F, ...), from one rule and one evaluation of ``f``, equal
+    bit for bit to F separate calls.  Without ``support`` the rule is
+    ``whitened_rule`` of order 120 for the Gaussian itself, exact for
+    polynomial f of degree <= 239 and at rounding for exp(-(x - c)^2 / s)
+    with s down to a third of the kernel's variance (order 90: 5e-12); a
     ``precision`` that is not positive definite raises NonConvergent.
     ``support`` = ((a1, b1), ...) declares the box outside which f
     vanishes: each axis then integrates over the centre's window c +- pad
-    sigma (sigma the marginal standard deviation) clipped to (a, b), on a
-    two-panel order-90 Gauss-Legendre rule, and a window that misses the
-    support gives exactly 0.  Centres go in blocks of at most 2^18 nodes.
+    sigma (sigma the marginal standard deviation) clipped to (a, b), on three
+    panels of 60 Gauss-Legendre nodes, and a window that misses the support
+    gives exactly 0.  Centres go in blocks of at most 2^18 nodes.
     """
     prec = np.atleast_2d(np.asarray(precision, dtype=float))
     d = prec.shape[0]
@@ -309,7 +328,6 @@ def gaussian_smooth(f, centres, precision, support=None, pad: float = _NSIGMA) -
     if d not in (1, 2) or prec.shape != (d, d) or centres.shape[-1:] != (d,):
         raise ValueError("need a 1x1 or 2x2 precision and centres of shape (..., d)")
     flat = centres.reshape(-1, d).T
-    out = np.empty(flat.shape[1])
     if support is None:
         # the rule whitened by exp(-y^T prec y / 2), times that Gaussian
         y, w = whitened_rule(prec / 2.0, _SMOOTH_ORDER)
@@ -317,26 +335,26 @@ def gaussian_smooth(f, centres, precision, support=None, pad: float = _NSIGMA) -
         per_centre = weights.size
     else:
         box = np.asarray(support, dtype=float).reshape(d, 2)
-        reach = pad * np.sqrt(np.diag(np.linalg.inv(prec)))
-        ref = legendre_box_rule(-1.0, 1.0, _SMOOTH_ORDER, 2)
-        per_centre = ref.nodes.size**d
+        reach = pad * np.sqrt(np.diag(np.linalg.inv(prec)))[:, None]
+        per_centre = (_WINDOW_ORDER * _WINDOW_PANELS) ** d
     scale = (2.0 * np.pi) ** (d / 2) / np.sqrt(np.linalg.det(prec))
     block = max(1, _SMOOTH_BLOCK_NODES // per_centre)
-    for s in range(0, flat.shape[1], block):
+    parts = []
+    # one block at least, so that no centres still give an empty (F, 0) stack
+    for s in range(0, max(flat.shape[1], 1), block):
         c = flat[:, s : s + block, None]
         if support is None:
             u, w, seen = c + offsets[:, None, :], weights, True
         else:
-            lo = np.maximum(box[:, :1], c[..., 0] - reach[:, None])
-            hi = np.minimum(box[:, 1:], c[..., 0] + reach[:, None])
-            half = np.maximum(hi - lo, 0.0)[..., None] / 2.0
-            u, w = _tensor((lo + hi)[..., None] / 2.0 + half * ref.nodes, half * ref.weights)
+            nodes, w, seen = _clipped_window(c[..., 0], reach, box[:, :1], box[:, 1:])
+            u, w = _tensor(nodes, w)
             du = u - c
             w = w * np.exp(-0.5 * np.sum(np.tensordot(prec, du, 1) * du, axis=0))
-            seen = np.all(hi > lo, axis=0)
+            seen = np.all(seen, axis=0)
         # a window that misses the support contributes exactly 0
-        out[s : s + block] = np.where(seen, np.sum(w * f(*u), axis=-1), 0.0)
-    return (out / scale).reshape(centres.shape[:-1])
+        parts.append(np.where(seen, np.sum(w * f(*u), axis=-1), 0.0))
+    out = np.concatenate(parts, axis=-1) / scale
+    return out.reshape(out.shape[:-1] + centres.shape[:-1])
 
 
 def hermite_phys(n: int, z):

@@ -47,13 +47,7 @@ from .errors import (
     GrowthViolation,
     UnsupportedMomentumDependence,
 )
-from .numerics import (
-    _SMOOTH_ORDER,
-    QuadratureReport,
-    TruncatedOperator,
-    gauss_hermite_rule,
-    gaussian_smooth,
-)
+from .numerics import QuadratureReport, TruncatedOperator, gaussian_smooth
 from .onemode import SqueezeParameter
 from .onemode import _quantise_field as _quantise_onemode_field
 from .nonsepstates import (
@@ -292,7 +286,10 @@ def kernel_eval(f, family, x) -> KernelAction:
     returned is its action on test functions (see KernelAction).  Momentum
     dependence beyond quadratic is refused; two-mode families support
     position-only functions, evaluated at x = (x1, x2), whose kernel is the
-    Gaussian smoothing of f at twice the portrait precision.
+    Gaussian smoothing of f at twice the portrait precision.  For one mode,
+    f = f0 + f1 p + f2 p^2, and the coefficients take f0, f1, f1 d, f2, f2 d,
+    f2 d^2 (d = q - x) from one stacked ``numerics.gaussian_smooth`` pass at
+    precision 2 Re(Q1), Q1 = sigma_q^2 / lam^2.
     """
     fam, arity, _ = _family(family)
     cf = _as_classical(f, arity)
@@ -312,26 +309,19 @@ def kernel_eval(f, family, x) -> KernelAction:
         a0 = gaussian_smooth(position_part, x, 2.0 * _portrait_precision(fam))
         return KernelAction(complex(a0), 0.0, 0.0)
 
-    rule = gauss_hermite_rule(_SMOOTH_ORDER)
-    lam, hbar, tau = fam.lam, fam.hbar, fam.tau
+    lam, hbar, x = fam.lam, fam.hbar, float(x)
     q1 = fam.widths().sigma_q_sq / lam**2
-    s = 1.0 / np.sqrt(2.0 * q1.real)
-    qn = float(x) + np.sqrt(2.0) * s * rule.nodes
-    zn = np.sqrt(2.0) * rule.nodes
-    wts = rule.weights / np.sqrt(np.pi)
-    f0, f1, f2 = _p_components(cf, qn, pscale=hbar / lam)
+
+    def parts(q):
+        f0, f1, f2 = _p_components(cf, q, pscale=hbar / lam)
+        d = q - x
+        return np.stack(np.broadcast_arrays(f0, f1, f1 * d, f2, f2 * d, f2 * d * d))
+
+    e0, e1, e1d, e2, e2d, e2dd = gaussian_smooth(parts, [x], [[2.0 * q1.real]])
     q1c = np.conj(q1)
-    e = lambda vals: complex(np.sum(wts * vals))
-    a0 = e(f0)
-    a1 = 0.0 + 0.0j
-    a2 = 0.0 + 0.0j
-    if np.max(np.abs(f1)) > 0.0:
-        a1 += -1j * hbar * e(f1)
-        a0 += -1j * hbar * q1c * e(f1 * s * zn)
-    if np.max(np.abs(f2)) > 0.0:
-        a2 += -(hbar**2) * e(f2)
-        a1 += -2.0 * hbar**2 * q1c * e(f2 * s * zn)
-        a0 += -(hbar**2) * e(f2 * (q1c**2 * (s * zn) ** 2 - q1c))
+    a0 = e0 - 1j * hbar * q1c * e1d - hbar**2 * (q1c**2 * e2dd - q1c * e2)
+    a1 = -1j * hbar * e1 - 2.0 * hbar**2 * q1c * e2d
+    a2 = -(hbar**2) * e2
     return KernelAction(complex(a0), complex(a1), complex(a2))
 
 

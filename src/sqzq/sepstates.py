@@ -7,10 +7,11 @@ smoothings in position plus polynomial corrections in the momenta.
 
 Portraits of momentum-weighted fields never need momentum quadrature: the
 momentum integrals are Gaussian and have been done once and for all, leaving
-position smoothings of h, q_j h and q_j^2 h.  Each is ``numerics.gaussian_smooth``
-at precision diag(1/s_j^2), s_j = lam_j Delta_p_j: the phi = 0 case of the
-coupled kernel in ``nonsepstates``.  The position kernel of a quantised field
-is ``quantmap.kernel_eval``, which smooths at twice that precision.
+position smoothings of h and its centred moments (q_j - q_j0) h, (q_j - q_j0)^2 h,
+all three one stacked ``numerics.gaussian_smooth`` pass at precision
+diag(1/s_j^2), s_j = lam_j Delta_p_j: the phi = 0 case of the coupled kernel
+in ``nonsepstates``.  The position kernel of a quantised field is
+``quantmap.kernel_eval``, which smooths at twice that precision.
 """
 
 from __future__ import annotations
@@ -164,57 +165,48 @@ def portrait_hq(h, point: PhasePoint, params: TwoModeParams) -> float:
     )
 
 
-def _axis_weighted(field: Field, j: int, power: int) -> Field:
-    """Field q_j^power * h, preserving metadata."""
-    f = field.func
-    if j == 1:
-        g = lambda q1, q2: q1**power * f(q1, q2)
-    else:
-        g = lambda q1, q2: q2**power * f(q1, q2)
-    degree = field.degree + power if field.growth == "poly" else power
-    return Field(g, "poly", degree, field.support)
+def _centred_moments(j: int, field: Field, point: PhasePoint, params: TwoModeParams):
+    """Portraits of h, (q_j - q_j0) h and (q_j - q_j0)^2 h, centred on the
+    point's q_j0, from one stacked smoothing; a supported field's window is
+    that of its degree plus 2."""
+
+    def stack(q1, q2):
+        h = field(q1, q2)
+        dq = (q1 if j == 1 else q2) - point.q(j)
+        return np.stack(np.broadcast_arrays(h, dq * h, dq * dq * h))
+
+    precision = np.diag([1.0 / _mode_sigma(params, 1) ** 2, 1.0 / _mode_sigma(params, 2) ** 2])
+    return gaussian_smooth(stack, [point.q1, point.q2], precision, field.support, _pad(field) + 2)
 
 
 def portrait_p_h(j: int, h, point: PhasePoint, params: TwoModeParams) -> float:
     """Lower symbol of the quantised field p_j h(q1, q2).
 
-    p_j A_h plus a correction proportional to gamma_j; for real tau_j the
-    correction vanishes and the portrait is exactly p_j times the h portrait.
+    p_j A_h minus 2 hbar gamma_j / (lam_j^2 delta_p_sq_j) times the centred
+    first moment A_{(q_j - q_j0) h}, both from one smoothing pass; for real
+    tau_j the correction vanishes and the portrait is p_j times A_h.
     """
-    field = as_field(h)
     mode = params.mode(j)
     w = mode.widths()
     dd = w.delta_p_sq * mode.lam**2
-    a_h = portrait_hq(field, point, params)
-    if w.gamma == 0.0:
-        return point.p(j) * a_h
-    a_qh = portrait_hq(_axis_weighted(field, j, 1), point, params)
-    return point.p(j) * a_h + (2.0 * params.hbar * w.gamma / dd) * (
-        point.q(j) * a_h - a_qh
-    )
+    a_h, m1, _ = _centred_moments(j, as_field(h), point, params)
+    return float(point.p(j) * a_h - (2.0 * params.hbar * w.gamma / dd) * m1)
 
 
 def portrait_p2_h(j: int, h, point: PhasePoint, params: TwoModeParams) -> float:
     """Lower symbol of the quantised field p_j^2 h(q1, q2).
 
     Three groups: the isotropic (p_j^2 + hbar^2/(delta_p^2 lam^2)) A_h term,
-    a gamma^2 group quadratic in the centred first moments, and a gamma group
-    linear in p_j.  Both gamma groups vanish for real tau_j.
+    a gamma^2 group in the centred second moment A_{(q_j - q_j0)^2 h}, and a
+    gamma group in p_j times the centred first moment, all three moments
+    from one smoothing pass.  Both gamma groups vanish for real tau_j.
     """
-    field = as_field(h)
     mode = params.mode(j)
     w = mode.widths()
     dd = w.delta_p_sq * mode.lam**2
-    hbar = params.hbar
-    pj, qj = point.p(j), point.q(j)
-    a_h = portrait_hq(field, point, params)
+    hbar, pj = params.hbar, point.p(j)
+    a_h, m1, m2 = _centred_moments(j, as_field(h), point, params)
     base = (pj**2 + hbar**2 / dd) * a_h
-    if w.gamma == 0.0:
-        return base
-    a_qh = portrait_hq(_axis_weighted(field, j, 1), point, params)
-    a_q2h = portrait_hq(_axis_weighted(field, j, 2), point, params)
-    gamma_sq_group = (4.0 * hbar**2 * w.gamma**2 / dd**2) * (
-        qj**2 * a_h - 2.0 * qj * a_qh + a_q2h
-    )
-    gamma_group = (4.0 * hbar * w.gamma / dd) * pj * (qj * a_h - a_qh)
-    return base + gamma_sq_group + gamma_group
+    gamma_sq_group = (4.0 * hbar**2 * w.gamma**2 / dd**2) * m2
+    gamma_group = -(4.0 * hbar * w.gamma / dd) * pj * m1
+    return float(base + gamma_sq_group + gamma_group)

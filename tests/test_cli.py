@@ -799,6 +799,25 @@ def test_mode_symbol_oracle_matches_40_digit_moments(monkeypatch):
         assert abs(cli._mode_symbol_oracle(par, q, p, hq, k) - want) <= 1e-14 * abs(want)
 
 
+def test_sep_portraits_match_40_digit_moments(monkeypatch):
+    # verify's own draws: the portrait is the owning mode's moment k = 1 or 2
+    # times the other mode's k = 0; an order-90 smoothing rule reads 4.9e-12 here
+    calls, values = [], []
+    inner = cli._mode_symbol_oracle
+    monkeypatch.setattr(cli, "_mode_symbol_oracle", lambda *a: calls.append(a) or inner(*a))
+    for name in ("portrait_p_h", "portrait_p2_h"):
+        closed = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, f=closed: values.append(f(*a)) or values[-1])
+    cli._sep_portraits(8)
+    monkeypatch.undo()
+    assert len(calls) == 18 and len(values) == 12
+    exact = [mode_symbol_moment(par, q, p, *hq.__defaults__, k) for par, q, p, hq, k in calls]
+    for draw in range(6):
+        rest, own1, own2 = exact[3 * draw : 3 * draw + 3]
+        for got, own in zip(values[2 * draw : 2 * draw + 2], (own1, own2)):
+            assert abs(got - own * rest) <= 1e-14 * abs(own * rest)
+
+
 def test_norm_oracle_matches_40_digit_gaussian_integrals(monkeypatch):
     calls = _oracle_calls(monkeypatch, "_nonsep_norm", "_norm_oracle")
     assert len(calls) == 4
@@ -829,6 +848,13 @@ def test_verify_small_fock_dim_is_within_tolerance(tmp_path, capsys):
     named = [cid for ln in lines for cid in ln[len("check "):].split(":")[0].split()]
     assert named == [c["id"] for c in report["checks"]]
     assert all(ln.endswith("s") for ln in lines)
+
+
+@pytest.mark.parametrize("fock_dim", [4, 8, 12])
+def test_verify_holds_1e_12(tmp_path, fock_dim):
+    # the worst check is veff-gradient, about 1e-13; the portraits read
+    # 4.9e-12 on an order-90 smoothing rule
+    assert main(["verify", "--tol", "1e-12", "--fock-dim", str(fock_dim), "--out", str(tmp_path)]) == 0
 
 
 def test_verify_outside_tolerance_exits_3(tmp_path):

@@ -239,6 +239,44 @@ def test_gaussian_smooth_support_1d_matches_erfc():
     assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("support", [None, ((-1.0, 0.8), (-0.6, 1.2))], ids=["free", "support"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_gaussian_smooth_stack_equals_the_per_field_calls(d, support):
+    # 30 centres span two blocks on both branches in 2D
+    prec = SMOOTH_PREC[:d, :d]
+    box = None if support is None else support[:d]
+    fields = [
+        lambda *u: np.ones_like(u[0]),
+        lambda *u: np.cos(u[0]) * u[-1],
+        lambda *u: np.exp(-((u[-1] - 0.2) ** 2) / 0.3),
+    ]
+    centres = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5, 6, d))
+    stack = lambda *u: np.stack([f(*u) for f in fields])
+    got = gaussian_smooth(stack, centres, prec, box)
+    assert got.shape == (3, 5, 6)
+    for g, f in zip(got, fields):
+        assert np.array_equal(g, gaussian_smooth(f, centres, prec, box))
+    assert gaussian_smooth(stack, centres[:0], prec, box).shape == (3, 0, 6)
+
+
+def test_gaussian_smooth_support_keeps_the_mass_of_a_constant():
+    # windows far inside the box, so E[1] = 1 up to numpy's Legendre weights,
+    # which are 1e-12 off near a panel's ends; two panels, which put the
+    # Gaussian's peak on their junction, read 2.1e-14 (1D) and 4.2e-14 (2D)
+    rng = np.random.default_rng(5)
+    worst1 = worst2 = 0.0
+    for _ in range(200):
+        c = rng.uniform(-3.0, 3.0, size=2)
+        var = rng.uniform(0.05, 4.0)
+        one = gaussian_smooth(lambda x: np.ones_like(x), c[:1], [[1.0 / var]], [(-50, 50)])
+        worst1 = max(worst1, abs(one - 1.0))
+        a = rng.normal(size=(2, 2))
+        prec = a @ a.T + rng.uniform(0.1, 2.0) * np.eye(2)
+        one = gaussian_smooth(lambda x, y: np.ones_like(x), c, prec, ((-50, 50), (-50, 50)))
+        worst2 = max(worst2, abs(one - 1.0))
+    assert worst1 <= 1e-14 and worst2 <= 2e-14
+
+
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_whitened_rule_integrates_gaussian_moments(d):
     # with Sigma = P^-1 / 2 the weight exp(-x^T P x) has mass pi^(d/2) / sqrt(det P),
