@@ -838,11 +838,11 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     if fn is None:
         raise ConfigError("choose a function to quantise (positional argument or 'function')")
     family_kind = cfg.get("family", "one-mode", cast=str)
-    # the two-mode catalogue holds position fields, which take the position
-    # route: about (2 fock_dim)^2 outer times (2 fock_dim + 1)^2 inner nodes,
-    # each filling about fock_dim^4 / 4 pair products; fock_dim is capped by
-    # the node budget (13 for the degree-2 q1q2).  The default stays small;
-    # an explicit fock_dim always wins
+    # the two-mode catalogue holds polynomial position fields, which take the
+    # position route's direct sum: two orders of about (2 fock_dim)^2 outer
+    # times (2 fock_dim + 1)^2 inner nodes, each filling about fock_dim^4 / 4
+    # pair products; fock_dim is capped by the node budget (13 for the
+    # degree-2 q1q2).  The default stays small; an explicit fock_dim always wins
     nmax = _fock_dim(cfg, args, 8 if family_kind == "one-mode" else 4)
     if nmax < 1:
         raise ConfigError("quantise needs fock_dim >= 1")

@@ -22,7 +22,12 @@ and the last change is reported as the convergence witness.
 Fields without momentum dependence have a cheaper route with the same loop,
 budget and report: they quantise to multiplication by their Gaussian
 smoothing, so the momenta integrate exactly and only a 2D outer rule in the
-positions is refined (``_quantise_position_field``).  The 4D engine stays the
+positions is refined (``_quantise_position_field``).  Its Fock part is a
+polynomial of degree <= 4 nmax in the outer coordinates; a declared
+polynomial sums it directly at its two exact orders, while a bounded field
+tabulates it once on a (4 nmax + 1)^2 grid and refines only the field, each
+order a first-form barycentric transfer onto the grid, until the operator
+changes by at most 1e-13.  The 4D engine stays the
 definition: one run of it on the stacked Table 1 fields q1, q2 and q1 q2
 (``table1_operators``) gives their three operators and, from the same nodes,
 the identity resolution, which certifies the measure (2 pi hbar)^2.
@@ -51,7 +56,7 @@ closed forms kept around for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -74,6 +79,7 @@ from .numerics import (
     _quantise_on_rule,
     _refine,
     _refuse_beyond_budget,
+    gauss_hermite_rule,
     gaussian_smooth,
     integrate_gaussian_quadratic,
     whitened_rule,
@@ -101,6 +107,15 @@ __all__ = [
 _BOX_BLOCK = 2048
 # the rule is exact for the polynomial Table 1 fields, so only rounding remains
 _TABLE1_TOL = 1e-10
+# the position route's Fock table sits on Gauss-Hermite nodes scaled by this
+# factor (the identity at nmax 13 reads 7e-13 unscaled, 2e-15 at 0.8), and a
+# bounded position field refines until its witness is at rounding
+_TABLE_SCALE = 0.8
+_POSITION_STOP = 1e-13
+# outer nodes per block of the table's batched matmul: 32, or fewer where a
+# block's (pairs, nodes x inner) work array would pass 5 MB (8 at nmax 13);
+# larger blocks are slower at every nmax measured
+_TABLE_BLOCK, _TABLE_BLOCK_BYTES = 32, 5 * 2**20
 
 
 @dataclass(frozen=True)
@@ -532,6 +547,25 @@ def _pair_products(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lagrange_basis(tau: np.ndarray):
+    """s -> the values (s.size, tau.size) of the Lagrange basis on the nodes ``tau``.
+
+    The first (modified Lagrange) barycentric form l(s) w_j / (s - tau_j),
+    with l(s) the node polynomial and w_j = 1 / prod_{k != j} (tau_j - tau_k),
+    is stable even where s lies outside the nodes' hull (Higham 2004); the
+    second ("true") form is not.  The factor s - tau_j is left out of the
+    product rather than divided out, so s on a node needs no special case.
+    """
+    others = ~np.eye(tau.size, dtype=bool)
+
+    def omit_own(s):
+        diff = s[:, None] - tau[None, :]
+        return np.prod(np.where(others, diff[:, None, :], 1.0), axis=-1)
+
+    bary = 1.0 / np.diag(omit_own(tau))
+    return lambda s: omit_own(s) * bary
+
+
 def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int | None,
                              chunk: int = 20000):
     """Quantised position field f(q1, q2) as a multiplication operator.
@@ -548,12 +582,28 @@ def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int
     inner one over u | q, normal with covariance C fixed and mean B q linear
     in q.  The inner polynomial has degree 2 nmax per mode axis, i.e. total
     degree 4 nmax on the principal axes of C, so the inner tensor rule has
-    order 2 nmax + 1 per axis and is exact; its conditional expectation is a
-    polynomial of degree <= 4 nmax in q, and the outer rule is refined from
-    k0 = ceil((4 nmax + degree + 1) / 2) as ``numerics._refine`` describes.  f is
-    evaluated on the outer nodes only.  ``nodes`` counts joint (outer x inner)
-    nodes, which are processed in blocks no larger in bytes than the 4D
-    engine's ``chunk`` complex rows.
+    order 2 nmax + 1 per axis and is exact; its conditional expectation, the
+    Fock part P(q) (a pair x pair matrix), is a polynomial of degree <= 4 nmax
+    in q, and the outer rule is refined from k0 = ceil((4 nmax + degree + 1)
+    / 2) as ``numerics._refine`` describes.  f is evaluated on the outer
+    nodes only.  Joint (outer x inner) nodes go in blocks of whole outer
+    nodes, no larger in bytes than the 4D engine's ``chunk`` complex rows.
+
+    A field of declared polynomial degree sums the joint nodes of each order
+    directly: orders k0 and k0 + 1, exact if the declaration holds, then the
+    usual stop of 1e-6; ``nodes`` counts joint nodes.  A bounded field
+    (``degree`` None) refines only the field.  P is a polynomial of degree
+    <= 4 nmax in the outer rule's whitened coordinates t, so it is tabulated
+    once, in blocks of one batched matmul, on the tensor grid of the
+    kt = 4 nmax + 1 Gauss-Hermite nodes scaled by 0.8, which sets it exactly.
+    An order-K rule then costs K^2 field values, a transfer matrix L (K x kt)
+    onto the grid per axis (``_lagrange_basis``, the first barycentric form),
+    G = L^T (W o F) L and one contraction of G with the table; the identity
+    takes the same path with F = 1.  The loop stops at rounding, a witness of
+    1e-13 max(1, max|A|); each order counts its K^2 field values against the
+    node budget, and ``nodes`` is the table's joint nodes plus the field
+    values.  Either way a basis is refused on the joint nodes of orders k0
+    and k0 + 4, before any outer node is built.
 
     Returns the matrix, the outer nodes of the finest order, shape (N, 2),
     and the QuadratureReport, as ``_quantise_field`` does.
@@ -575,30 +625,69 @@ def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int
     pair = np.zeros((n1, n1), dtype=int)
     pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
     spread = (pair[:, None, :, None], pair[None, :, None, :])
+    entries = lambda sums: sums.reshape(lo.size, lo.size)[spread].reshape(n1 * n1, n1 * n1)
     # whole outer nodes per block, each block no larger in bytes than the 4D
     # engine's chunk of complex coefficients
     block = max(1, 2 * chunk * n1**2 // (lo.size * inner.size))
 
-    def evaluate(order):
-        pts, wq = _position_rule(params, order)
-        fv = np.asarray(field(pts[:, 0], pts[:, 1]), dtype=float)
-        if not np.all(np.isfinite(fv)):
-            raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
-        fv = np.broadcast_to(fv, wq.shape)
-        acc = np.zeros((lo.size, lo.size))
-        ident = np.zeros((lo.size, lo.size))
+    def fock_blocks(pts, block):
+        """Mode factors (pairs, nodes x inner) of each block of outer nodes."""
         for b in range(0, pts.shape[0], block):
             mean = pts[b : b + block] @ gain.T
             a1 = _pair_products(_hermite_factors((mean[:, :1] + offsets[:, 0]).ravel(), nmax), lo, hi)
             a2 = _pair_products(_hermite_factors((mean[:, 1:] + offsets[:, 1]).ravel(), nmax), lo, hi)
-            a1 *= np.outer(wq[b : b + block], inner).ravel()
-            ident += a1 @ a2.T
-            a1 *= np.repeat(fv[b : b + block], inner.size)
-            acc += a1 @ a2.T
-        dim = n1 * n1
-        return acc[spread].reshape(dim, dim), ident[spread].reshape(dim, dim), pts
+            yield slice(b, b + block), a1, a2
 
-    return _refine(2, nmax, degree, _position_cost(nmax), evaluate)
+    def field_values(pts, shape):
+        fv = np.asarray(field(pts[:, 0], pts[:, 1]), dtype=float)
+        if not np.all(np.isfinite(fv)):
+            raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
+        return np.broadcast_to(fv, shape)
+
+    if degree is not None:
+
+        def evaluate(order):
+            pts, wq = _position_rule(params, order)
+            fv = field_values(pts, wq.shape)
+            acc = np.zeros((lo.size, lo.size))
+            ident = np.zeros((lo.size, lo.size))
+            for sl, a1, a2 in fock_blocks(pts, block):
+                a1 *= np.outer(wq[sl], inner).ravel()
+                ident += a1 @ a2.T
+                a1 *= np.repeat(fv[sl], inner.size)
+                acc += a1 @ a2.T
+            return entries(acc), entries(ident), pts
+
+        return _refine(2, nmax, degree, _position_cost(nmax), evaluate)
+
+    _refuse_beyond_budget(2, nmax, None, _position_cost(nmax))
+    # the outer rules in their whitened coordinates t, on the principal axes
+    # of S: the weights w_a w_b / pi carry N(q; 0, S) exactly, with no
+    # e^{t^2} e^{-t^2} rounding
+    prec = np.linalg.inv(s) / 2.0
+    kt = 4 * nmax + 1
+    grid = _TABLE_SCALE * whitened_rule(prec, kt)[0]
+    lagrange = _lagrange_basis(_TABLE_SCALE * gauss_hermite_rule(kt).nodes)
+    table = np.empty((grid.shape[0], lo.size, lo.size))
+    table_block = min(block, _TABLE_BLOCK, _TABLE_BLOCK_BYTES // (8 * lo.size * inner.size))
+    for sl, a1, a2 in fock_blocks(grid, max(1, table_block)):
+        nodes = a1.shape[1] // inner.size
+        a1 = a1.reshape(lo.size, nodes, inner.size) * inner
+        a2 = a2.reshape(lo.size, nodes, inner.size)
+        np.matmul(a1.transpose(1, 0, 2), a2.transpose(1, 2, 0), out=table[sl])
+    table = table.reshape(grid.shape[0], -1)
+
+    def transfer(order):
+        pts = whitened_rule(prec, order)[0]
+        rule = gauss_hermite_rule(order)
+        w = np.outer(rule.weights, rule.weights) / np.pi
+        wf = np.stack([w, w * field_values(pts, w.size).reshape(order, order)])
+        lag = lagrange(rule.nodes)
+        ident, acc = (lag.T @ wf @ lag).reshape(2, -1) @ table
+        return entries(acc), entries(ident), pts
+
+    mat, pts, report = _refine(2, nmax, None, lambda order: order**2, transfer, _POSITION_STOP)
+    return mat, pts, replace(report, nodes=report.nodes + grid.shape[0] * inner.size)
 
 
 def _position_cost(nmax: int):

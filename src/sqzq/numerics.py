@@ -107,7 +107,8 @@ class QuadratureReport:
     change of the operator between the last two rule orders evaluated; for a
     stack of operators, one per field, both are the largest over the stack;
     ``nodes`` counts the nodes evaluated over all orders (on the two-mode
-    position route, joint outer x inner nodes).
+    position route, joint outer x inner nodes; for a bounded field there,
+    the Fock table's joint nodes plus the field values of every order).
     """
 
     identity_deviation: float

@@ -226,11 +226,15 @@ def quantise(f, family, nmax: int) -> QuantisedOperator:
     Every rule starts at the order k0 exact for polynomial degree ``f.degree``
     (0 for bounded growth); a polynomial's k0 + 1 must agree with it to
     rounding, else (and for bounded growth) orders grow by 4 per axis until
-    two agree, to 1e-12 for one mode and 1e-6 for two, or the budget is spent.
-    The report carries the identity deviation on the very same nodes, the
-    node count over all orders (joint outer x inner nodes on the position
-    route) and the change between the last two orders, so a caller can tell
-    quadrature error from genuine operator structure.
+    two agree, to 1e-12 for one mode, 1e-13 for a bounded two-mode position
+    field and 1e-6 for any other two-mode field, or the budget is spent.  A
+    bounded field on the position route refines only the field against a
+    Fock table built once (see ``nonsepstates._quantise_position_field``).  The report carries the
+    identity deviation on the very same nodes, the node count over all orders
+    and the change between the last two orders, so a caller can tell
+    quadrature error from genuine operator structure.  On the position route
+    the count is of joint outer x inner nodes, and for a bounded field of the
+    table's joint nodes plus the field values of every order.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1: a truncated operator has dimension >= 2")

@@ -8,7 +8,7 @@ smoothings in position plus polynomial corrections in the momenta.
 Portraits of momentum-weighted fields never need momentum quadrature: the
 momentum integrals are Gaussian and have been done once and for all, leaving
 position smoothings of h and its centred moments (q_j - q_j0) h, (q_j - q_j0)^2 h,
-all three one stacked ``numerics.gaussian_smooth`` pass at precision
+those a portrait needs in one stacked ``numerics.gaussian_smooth`` pass at precision
 diag(1/s_j^2), s_j = lam_j Delta_p_j: the phi = 0 case of the coupled kernel
 in ``nonsepstates``.  The position kernel of a quantised field is
 ``quantmap.kernel_eval``, which smooths at twice that precision.
@@ -165,15 +165,20 @@ def portrait_hq(h, point: PhasePoint, params: TwoModeParams) -> float:
     )
 
 
-def _centred_moments(j: int, field: Field, point: PhasePoint, params: TwoModeParams):
-    """Portraits of h, (q_j - q_j0) h and (q_j - q_j0)^2 h, centred on the
-    point's q_j0, from one stacked smoothing; a supported field's window is
-    that of its degree plus 2."""
+def _centred_moments(j: int, field: Field, point: PhasePoint, params: TwoModeParams,
+                     second: bool = True):
+    """Portraits of h, (q_j - q_j0) h and, if ``second``, (q_j - q_j0)^2 h,
+    centred on the point's q_j0, from one stacked smoothing; a supported
+    field's window is that of its degree plus 2 either way, so h and the first
+    moment are the same bit for bit with or without the second."""
 
     def stack(q1, q2):
         h = field(q1, q2)
         dq = (q1 if j == 1 else q2) - point.q(j)
-        return np.stack(np.broadcast_arrays(h, dq * h, dq * dq * h))
+        moments = [h, dq * h]
+        if second:
+            moments.append(dq * dq * h)
+        return np.stack(np.broadcast_arrays(*moments))
 
     precision = np.diag([1.0 / _mode_sigma(params, 1) ** 2, 1.0 / _mode_sigma(params, 2) ** 2])
     return gaussian_smooth(stack, [point.q1, point.q2], precision, field.support, _pad(field) + 2)
@@ -189,7 +194,7 @@ def portrait_p_h(j: int, h, point: PhasePoint, params: TwoModeParams) -> float:
     mode = params.mode(j)
     w = mode.widths()
     dd = w.delta_p_sq * mode.lam**2
-    a_h, m1, _ = _centred_moments(j, as_field(h), point, params)
+    a_h, m1 = _centred_moments(j, as_field(h), point, params, second=False)
     return float(point.p(j) * a_h - (2.0 * params.hbar * w.gamma / dd) * m1)
 
 

@@ -4,7 +4,9 @@ Nothing in the package calls these.  The first group is brute-force
 numerics the package itself no longer needs: iterated Gauss-Legendre box
 quadrature, dense matrix exponentials, the real erfc, the truncated
 momentum matrix, scipy's DOP853 run of an ODE problem and the generic
-DOP853 loop that ``numerics.solve_ode`` replaced by generated code.  The
+DOP853 loop that ``numerics.solve_ode`` replaced by generated code.  It also holds
+the two-mode multiplication matrix of a Gaussian field's smoothing by one
+Gauss-Hermite rule exact for it.  The
 second group is 40-digit ``mpmath`` matrix elements
 of the squeeze, displacement and beam-splitter operators, built from
 expansions that share no step with the recurrences and exponentials they
@@ -405,3 +407,28 @@ def nonsep_norm(params, point) -> float:
         a, b = mp.matrix(q.real.tolist()), mp.matrix((2 * v.real).tolist())
         val = mp.pi / mp.sqrt(mp.det(a)) * mp.exp((b.T * a**-1 * b)[0] / 4)
         return float(val * mp.mpf(nreal) ** 2 * abs(mp.mpc(phase)) ** 2)
+
+
+def gaussian_multiplication(cov, lam1: float, lam2: float, nmax: int) -> np.ndarray:
+    """<n1 n2| g |m1 m2> for g the smoothing of exp(-(q1^2 + q2^2) / 2) by
+    N(0, ``cov``), the flat index n1 (nmax + 1) + n2, mode 1 outermost.
+
+    g(x) = det(S)^-1/2 exp(-x^T S^-1 x / 2) with S = I + cov, so with
+    x_j = lam_j u_j each entry is int p_n1 p_m1(u1) p_n2 p_m2(u2) e^{-u^T A u} du,
+    A = I + Lambda S^-1 Lambda / 2: one Gaussian times a polynomial of degree
+    <= 4 nmax, which the tensor Gauss-Hermite rule of order 2 nmax + 1 on the
+    principal axes of A integrates exactly.  p_n are scipy's Hermite
+    polynomials, normalised under e^{-u^2}.
+    """
+    s = np.eye(2) + np.asarray(cov, dtype=float)
+    lam = np.diag([lam1, lam2])
+    evals, evecs = np.linalg.eigh(np.eye(2) + lam @ np.linalg.inv(s) @ lam / 2.0)
+    t, w = np.polynomial.hermite.hermgauss(2 * nmax + 1)
+    grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    u = (grid / np.sqrt(evals)) @ evecs.T
+    weights = np.outer(w, w).ravel() / np.sqrt(np.prod(evals) * np.linalg.det(s))
+    n = np.arange(nmax + 1)[:, None]
+    norm = np.sqrt(2.0**n * special.factorial(n) * np.sqrt(np.pi))
+    p1, p2 = (special.eval_hermite(n, u[:, j]) / norm for j in (0, 1))
+    a = np.einsum("ak,bk,ck,dk,k->acbd", p1, p1, p2, p2, weights)
+    return a.reshape((nmax + 1) ** 2, (nmax + 1) ** 2)

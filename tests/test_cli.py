@@ -6,6 +6,7 @@ for a fixed config, so several tests compare raw bytes across runs.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -850,11 +851,28 @@ def test_verify_small_fock_dim_is_within_tolerance(tmp_path, capsys):
     assert all(ln.endswith("s") for ln in lines)
 
 
+def test_polynomial_position_fields_keep_their_direct_sum(tmp_path):
+    # a declared polynomial takes the position route's exact direct orders,
+    # not the Fock table of bounded fields: the q1q2 operator keeps the bits
+    # it had before the table
+    cfg = _write_cfg(tmp_path, {"family": "two-mode", "tau1": 0.2, "tau2": 0.6,
+                                "phi": math.pi / 4, "lam1": 0.8, "lam2": 1.15})
+    assert main(["quantise", "q1q2", "--config", cfg, "--fock-dim", "4", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "quantise_q1q2.csv").read_bytes()).hexdigest()
+    assert digest == "5187970030fcaa8ea54a481566a762b57aad6476ab669e583fd74ad0358d4b39"
+
+
 @pytest.mark.parametrize("fock_dim", [4, 8, 12])
 def test_verify_holds_1e_12(tmp_path, fock_dim):
     # the worst check is veff-gradient, about 1e-13; the portraits read
     # 4.9e-12 on an order-90 smoothing rule
     assert main(["verify", "--tol", "1e-12", "--fock-dim", str(fock_dim), "--out", str(tmp_path)]) == 0
+    # the degree-2 route check sums the joint nodes of the direct orders
+    # k0 = 2 nmax + 2 and k0 + 1, never the bounded fields' table
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    route = next(c for c in report["checks"] if c["id"] == "position-route")
+    n = route["detail"]["nmax"]
+    assert route["detail"]["nodes"] == ((2 * n + 2) ** 2 + (2 * n + 3) ** 2) * (2 * n + 1) ** 2
 
 
 def test_verify_outside_tolerance_exits_3(tmp_path):

@@ -19,11 +19,13 @@ import sqzq.quantmap as quantmap_module
 from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
 from sqzq.nonsepstates import (
     NonSepParams,
+    _portrait_precision,
+    _position_cost,
     _quantise_field,
     _quantise_position_field,
     _two_mode_positions,
 )
-from sqzq.numerics import TruncatedOperator
+from sqzq.numerics import TruncatedOperator, _refuse_beyond_budget
 from sqzq.onemode import SqueezeParameter
 from sqzq.quantmap import (
     ClassicalFunction,
@@ -35,7 +37,7 @@ from sqzq.quantmap import (
 )
 from sqzq.sepstates import TwoModeParams
 
-from .oracles import momentum
+from .oracles import gaussian_multiplication, momentum
 
 TAUS = (0.0, 0.5, 0.7j, 0.6 * np.exp(1.1j))
 
@@ -401,8 +403,13 @@ def test_position_route_matches_the_phase_space_engine(monkeypatch, g, degree, g
     rep = op.quadrature_report
     assert rep.identity_deviation < 1e-12
     assert rep.convergence_witness <= 1e-6
-    # joint nodes: each outer node carries the (2 nmax + 1)^2 inner rule
-    assert rep.nodes % 25 == 0
+    if growth == "poly":
+        # joint nodes: each outer node carries the (2 nmax + 1)^2 inner rule
+        assert rep.nodes % 25 == 0
+    else:
+        # the table's 9^2 joint nodes of 25 each, then K^2 field values at
+        # each order K = 5, 9, ... up to the last
+        assert rep.nodes - 9**2 * 25 in np.cumsum(np.arange(5, 400, 4) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -471,6 +478,63 @@ def test_position_route_blocks_give_the_same_operator():
     assert np.max(np.abs(whole - small)) < 1e-14
     assert np.array_equal(pts, pts_small) and rep.nodes == rep_small.nodes
     assert pts.shape[1] == 2
+
+
+def test_position_route_table_blocks_give_the_same_operator():
+    # a bounded field's table is built in blocks of whole outer nodes too
+    field = lambda q1, q2: np.cos(q1 - 0.5 * q2)
+    whole, pts, rep = _quantise_position_field(ROUTE_PARAMS, field, 3, None)
+    small, pts_small, rep_small = _quantise_position_field(ROUTE_PARAMS, field, 3, None, chunk=100)
+    assert np.max(np.abs(whole - small)) < 1e-14
+    assert np.array_equal(pts, pts_small) and rep == rep_small
+
+
+BENCH_PARAMS = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+GAUSSIAN = ClassicalFunction(lambda q1, q2, p1, p2: np.exp(-(q1 * q1 + q2 * q2) / 2.0),
+                             arity="two-mode", growth="bounded")
+
+
+@pytest.mark.parametrize("nmax,bound", [(4, 1e-14), (8, 5e-15)])
+def test_bounded_position_field_reaches_rounding(monkeypatch, nmax, bound):
+    # the Fock table is exact and only the field is refined, so a smooth
+    # bounded field stops at rounding; the oracle integrates the Gaussian
+    # smoothing's matrix exactly.  On the same grid the second ("true")
+    # barycentric transfer reads 4e-14 on the identity at nmax 4 and 4e-10
+    # at nmax 8
+    calls = _record_engines(monkeypatch)
+    op = quantise(GAUSSIAN, BENCH_PARAMS, nmax)
+    assert calls == ["_quantise_position_field"]
+    cov = np.linalg.inv(2.0 * _portrait_precision(BENCH_PARAMS))
+    want = gaussian_multiplication(cov, BENCH_PARAMS.lam1, BENCH_PARAMS.lam2, nmax)
+    assert np.max(np.abs(op.matrix.entries - want)) <= bound
+    rep = op.quadrature_report
+    assert rep.identity_deviation <= bound
+    assert rep.convergence_witness <= 1e-13
+
+
+def test_bounded_declaration_of_a_polynomial_matches_its_direct_orders(monkeypatch):
+    # q1 q2 declared bounded goes through the table, declared of degree 2
+    # through the direct exact orders k0 and k0 + 1
+    calls = _record_engines(monkeypatch)
+    ops = [quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1 * q2, arity="two-mode", **kw),
+                    BENCH_PARAMS, 4) for kw in ({"growth": "bounded"}, {"degree": 2})]
+    assert calls == ["_quantise_position_field"] * 2
+    assert np.max(np.abs(ops[0].matrix.entries - ops[1].matrix.entries)) <= 1e-13
+    # the 17^2 table's joint nodes of 81 each and K^2 field values at orders
+    # K = 9, 13, ...; the direct orders 10 and 11 count joint nodes
+    assert ops[0].quadrature_report.nodes - 17**2 * 81 in np.cumsum(np.arange(9, 400, 4) ** 2)
+    assert ops[1].quadrature_report.nodes == (10**2 + 11**2) * 81
+
+
+@pytest.mark.parametrize("degree,k0", [(None, 27), (2, 28)])
+def test_position_route_refuses_the_bases_it_refused_before(degree, k0):
+    # a bounded basis is refused on the joint nodes of orders k0 and k0 + 4,
+    # as a declared one is, before its table is built: nmax 13 fits, 14 not
+    assert _refuse_beyond_budget(2, 13, degree, _position_cost(13)) == k0
+    with pytest.raises(ConfigError, match="beyond the node budget"):
+        _refuse_beyond_budget(2, 14, degree, _position_cost(14))
+    with pytest.raises(ConfigError, match="beyond the node budget"):
+        _quantise_position_field(BENCH_PARAMS, lambda q1, q2: np.exp(-q1 * q1), 14, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from sqzq.sepstates import (
     Field,
     PhasePoint,
     TwoModeParams,
+    _centred_moments,
+    as_field,
     portrait_hq,
     portrait_p2_h,
     portrait_p_h,
@@ -162,6 +164,24 @@ def test_portrait_p_real_tau_factorises():
     pt = PhasePoint(0.2, 0.9, 1.3, -0.5)
     h = lambda q1, q2: np.exp(-((q1 - 0.3) ** 2) - 0.5 * q2**2)
     assert portrait_p_h(1, h, pt, params) == pt.p1 * portrait_hq(h, pt, params)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [lambda q1, q2: np.exp(-((q1 - 0.3) ** 2) - 0.5 * q2**2),
+     Field(lambda q1, q2: q1 * q2 + 0.5, support=((-1.0, 2.0), (-0.5, 1.5)), degree=2)],
+    ids=["free", "supported"],
+)
+def test_portrait_p_h_smooths_two_moments_bit_for_bit(h):
+    # portrait_p_h drops the second centred moment from its stacked pass;
+    # the stack equals per-field smoothings bit for bit, so h and the first
+    # moment, and with them every portrait byte, do not move
+    params = TwoModeParams.from_tau(0.4 + 0.3j, -0.2 + 0.5j)
+    pt = PhasePoint(0.3, -0.8, 1.7, -2.2)
+    for j in (1, 2):
+        three = _centred_moments(j, as_field(h), pt, params)
+        two = _centred_moments(j, as_field(h), pt, params, second=False)
+        assert two.shape == (2,) and np.array_equal(two, three[:2])
 
 
 def test_portrait_p_oracle_imaginary_tau():
