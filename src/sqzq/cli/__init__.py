@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import ConfigError, NonFiniteState, OutsideBox, SqzqError
 from ..numerics import legendre_box_rule
 from ..onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
+from ..onemode import _coefficients as _mode_coefficients
 from ..onemode import holomorphic_orthogonality_check
 from ..sepstates import Field, PhasePoint, TwoModeParams, portrait_p2_h, portrait_p_h
 from ..nonsepstates import (
@@ -35,7 +36,7 @@ from ..nonsepstates import (
     table1_coefficient_rows,
     table1_operators,
 )
-from ..nonsepstates import _two_mode_positions
+from ..nonsepstates import _fock_batch, _rotate, _rotated_frame, _two_mode_positions
 from ..quantmap import ClassicalFunction, quantise
 from .. import pdm
 
@@ -376,12 +377,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 # deviation, detail) triples, and its errata records; cmd_verify compares
 # every deviation against the run's tolerance.  An entry may read several
 # outcomes off one computation: ``_table1`` takes the two-mode identity
-# resolution, the Table 1 rows and the position route from one 4D projector
-# integral over the stacked fields.  The oracles below are the only copies
-# in the repository: the acceptance tests import them and run them on their
-# own, wider draws.  The table stays in this module because the
-# benchmark's trace wraps the engines it calls at their ``sqzq.cli``
-# bindings (``table1_operators``, ``quantise``).
+# resolution and the Table 1 rows from one 4D projector integral over the
+# stacked fields, and holds ``quantise``'s matrix of q1 q2 against it.  The
+# oracles below are the only copies in the repository: the acceptance tests
+# import them and run them on their own, wider draws.  The table stays in
+# this module because the benchmark's trace wraps the engines it calls at
+# their ``sqzq.cli`` bindings (``table1_operators``, ``quantise``).
 
 
 def _quad_moment_1d(q, w, s, power):
@@ -676,8 +677,9 @@ def _table1(fock_dim):
             }
         )
     op = ops["q1q2"]
-    # quantise takes the position route for this field, integrating the
-    # momenta exactly: it must give the projector integral's matrix
+    # quantise integrates this position field's momenta exactly, through the
+    # rotation of a separable product: it must give the projector integral's
+    # matrix
     route = quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1 * q2, arity="two-mode"),
                      params, nmax)
     route_dev = float(np.max(np.abs(route.matrix.entries - op.entries)))
@@ -708,6 +710,29 @@ def _table1(fock_dim):
         ("table1-rows", worst, {"nmax": nmax, "nodes": report.nodes}),
         ("position-route", route_dev, {"nmax": nmax, "nodes": route.quadrature_report.nodes}),
     ], errata
+
+
+def _bs_rotation(fock_dim):
+    # the identity the two-mode engine rests on: the state at x is, up to a
+    # phase, U applied to the product of the phi = 0 one-mode states at the
+    # rotated point x', so the two projectors c c^H agree.  Both families
+    # are drawn around their vacuum's spread, 200 seeded points each
+    nmax, points = 4, 200
+    worst = 0.0
+    for params in (NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15),
+                   NonSepParams.from_tau(0.3 - 0.4j, -0.5 + 0.2j, 2.7, 0.7, 1.3, 0.8)):
+        rng = np.random.default_rng(91)
+        l1, l2, hbar = params.lam1, params.lam2, params.hbar
+        xr = rng.normal(size=(points, 4)) * [l1, l2, hbar / l1, hbar / l2]
+        to_q, to_p, sectors = _rotated_frame(params, nmax)
+        x = np.hstack([xr[:, :2] @ to_q.T, xr[:, 2:] @ to_p.T])
+        c = _fock_batch(params, x, nmax).reshape(points, -1)
+        c1, c2 = (_mode_coefficients(params.modes.mode(j), xr[:, [j - 1, j + 1]], 2 * nmax)
+                  for j in (1, 2))
+        u = _rotate(sectors, (c1[:, :, None] * c2[:, None, :]).reshape(points, -1).T).T
+        dev = np.max(np.abs(c[:, :, None] * c.conj()[:, None, :] - u[:, :, None] * u.conj()[:, None, :]))
+        worst = max(worst, float(dev))
+    return [("bs-rotation", worst, {"nmax": nmax, "points": 2 * points})], []
 
 
 def _bogoliubov(fock_dim):
@@ -786,6 +811,7 @@ CHECKS = (
     _coupled_portrait,
     _delta_factored,
     _table1,
+    _bs_rotation,
     _bogoliubov,
     _wall_portraits,
     _veff_gradient,
@@ -838,11 +864,12 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     if fn is None:
         raise ConfigError("choose a function to quantise (positional argument or 'function')")
     family_kind = cfg.get("family", "one-mode", cast=str)
-    # the two-mode catalogue holds polynomial position fields, which take the
-    # position route's direct sum: two orders of about (2 fock_dim)^2 outer
-    # times (2 fock_dim + 1)^2 inner nodes, each filling about fock_dim^4 / 4
-    # pair products; fock_dim is capped by the node budget (13 for the
-    # degree-2 q1q2).  The default stays small; an explicit fock_dim always wins
+    # the two-mode catalogue holds polynomial position fields: two orders,
+    # each a pair of per-mode tables on (2 fock_dim + 1)^2 box states and a
+    # product of about 2 fock_dim (2 fock_dim + 1)^4 terms.  fock_dim is capped
+    # by the node budget on the 4D points, (2 fock_dim)^2 (2 fock_dim + 1)^2 an
+    # order (13 for the degree-2 q1q2).  The default stays small; an explicit
+    # fock_dim always wins
     nmax = _fock_dim(cfg, args, 8 if family_kind == "one-mode" else 4)
     if nmax < 1:
         raise ConfigError("quantise needs fock_dim >= 1")

@@ -10,27 +10,30 @@ and the quantisation of position fields in a truncated Fock basis.
 
 Two independent numerical routes back the closed forms.  Fock coefficients of
 the states follow from a pair of exact ladder recurrences seeded by the
-vacuum amplitude (no quadrature, no matrix exponentials), which powers the
+vacuum amplitude (no quadrature, no matrix exponentials), which define the
 field quantisation over 4D phase space: each Fock coefficient is the vacuum
 amplitude c00 times a polynomial of degree n + m, so every matrix entry of a
 field of polynomial degree d is the Gaussian |c00|^2 times a polynomial of
-degree <= 4 nmax + d.  A tensor Gauss-Hermite rule on the principal axes of
-that Gaussian of order ceil((4 nmax + d + 1) / 2) integrates it exactly up
-to rounding, which the order one above confirms; for fields that are not
-polynomial the order grows by 4 until the operator changes by at most 1e-6,
-and the last change is reported as the convergence witness.
-Fields without momentum dependence have a cheaper route with the same loop,
-budget and report: they quantise to multiplication by their Gaussian
-smoothing, so the momenta integrate exactly and only a 2D outer rule in the
-positions is refined (``_quantise_position_field``).  Its Fock part is a
-polynomial of degree <= 4 nmax in the outer coordinates; a declared
-polynomial sums it directly at its two exact orders, while a bounded field
-tabulates it once on a (4 nmax + 1)^2 grid and refines only the field, each
-order a first-form barycentric transfer onto the grid, until the operator
-changes by at most 1e-13.  The 4D engine stays the
-definition: one run of it on the stacked Table 1 fields q1, q2 and q1 q2
-(``table1_operators``) gives their three operators and, from the same nodes,
-the identity resolution, which certifies the measure (2 pi hbar)^2.
+degree <= 4 nmax + d, which a tensor Gauss-Hermite rule on the principal
+axes of that Gaussian of order ceil((4 nmax + d + 1) / 2) integrates exactly
+(``_quantise_field``).  One run of that definition on the stacked Table 1
+fields q1, q2 and q1 q2 (``table1_operators``) gives their three operators
+and, from the same nodes, the identity resolution, which certifies the
+measure (2 pi hbar)^2.
+
+Every other field is quantised the way the family is built
+(``_quantise_rotated``): the beam splitter only rotates the coherent labels,
+so in the rotated frame the family is a product of two one-mode families,
+and A_phi[f] = U A_0[f o x] U^H with U the beam splitter on a box of
+2 nmax + 1 quanta per mode.  A_0 sum-factorises mode by mode, so each order
+costs one pair of per-mode projector tables and two matrix products.  A
+field that does not move with momentum has each mode's momentum integrated
+exactly, and is evaluated on position pairs alone; a bounded one refines to
+rounding (1e-13), every other field to 1e-6, and the order one above a
+polynomial's first exact order confirms it.  The ``bs-rotation`` check of
+``sqzq verify`` holds the identity this rests on against the ladder
+recurrences, and its ``position-route`` check holds the result against the
+4D definition.
 
 The mode-mixing (Bogoliubov) residual check holds the unitary G as one
 array g[r1, r2, n1, n2] on a grid of rows and columns, assembled from
@@ -56,7 +59,7 @@ closed forms kept around for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -70,9 +73,9 @@ from .errors import (
     TruncationTooSmall,
 )
 from .numerics import (
+    _CONVERGED,
     _NSIGMA,
     _ORDER_STEP,
-    _TINY,
     QuadratureReport,
     TruncatedOperator,
     _clipped_window,
@@ -84,6 +87,8 @@ from .numerics import (
     integrate_gaussian_quadratic,
     whitened_rule,
 )
+from .onemode import _coefficients as _mode_coefficients
+from .onemode import _vacuum_precision as _mode_precision
 from .sepstates import PhasePoint, TwoModeParams, _pad, as_field
 
 __all__ = [
@@ -107,15 +112,8 @@ __all__ = [
 _BOX_BLOCK = 2048
 # the rule is exact for the polynomial Table 1 fields, so only rounding remains
 _TABLE1_TOL = 1e-10
-# the position route's Fock table sits on Gauss-Hermite nodes scaled by this
-# factor (the identity at nmax 13 reads 7e-13 unscaled, 2e-15 at 0.8), and a
-# bounded position field refines until its witness is at rounding
-_TABLE_SCALE = 0.8
+# a bounded position field refines until its witness is at rounding
 _POSITION_STOP = 1e-13
-# outer nodes per block of the table's batched matmul: 32, or fewer where a
-# block's (pairs, nodes x inner) work array would pass 5 MB (8 at nmax 13);
-# larger blocks are slower at every nmax measured
-_TABLE_BLOCK, _TABLE_BLOCK_BYTES = 32, 5 * 2**20
 
 
 @dataclass(frozen=True)
@@ -467,13 +465,15 @@ def _vacuum_precision(params: NonSepParams) -> np.ndarray:
     )
 
 
-def _quantise_field(params: NonSepParams, field, nmax: int, degree: int | None, chunk: int = 20000):
+def _quantise_field(params: NonSepParams, field, nmax: int, degree: int | None):
     """4D phase-space quadrature of f(q1, q2, p1, p2) against the family.
 
-    Every Fock coefficient is the vacuum amplitude c00 times a polynomial of
-    degree n + m in the phase point, so each matrix entry of a field of
-    polynomial degree ``degree`` integrates exp(-x^T P x) times a polynomial
-    of degree <= 4 nmax + degree.  A tensor Gauss-Hermite rule whitened by P
+    The definition the rotated engine (``_quantise_rotated``) is checked
+    against, and what ``table1_operators`` runs.  Every Fock coefficient is
+    the vacuum amplitude c00 times a polynomial of degree n + m in the phase
+    point, so each matrix entry of a field of polynomial degree ``degree``
+    integrates exp(-x^T P x) times a polynomial of degree <= 4 nmax +
+    degree.  A tensor Gauss-Hermite rule whitened by P
     (``numerics.whitened_rule``) of order k0 = ceil((4 nmax + degree + 1) / 2)
     is exact for it up to rounding; orders k0, k0 + 1, k0 + 5, ... (k0, k0 +
     4, ... if bounded) are refined as ``numerics._refine`` describes.
@@ -493,223 +493,189 @@ def _quantise_field(params: NonSepParams, field, nmax: int, degree: int | None, 
 
     def evaluate(order):
         pts, weights = whitened_rule(prec, order)
-        return (*_quantise_on_rule(coefficients, field, pts, weights, norm, chunk), pts)
+        return (*_quantise_on_rule(coefficients, field, pts, weights, norm), pts)
 
     return _refine(2, nmax, degree, lambda order: order**4, evaluate)
 
 
-def _position_covariance(params: NonSepParams) -> np.ndarray:
-    """Covariance S = diag(lam^2 / 2) + (2 M)^-1 of q = Lambda u + y.
+def _position_values(f, q1, q2, p1, p2):
+    """f(q1, q2, 0, 0), or None when f moves with momentum.
 
-    u ~ N(0, I / 2) carries the Hermite weight of the scaled positions
-    x_j = lam_j u_j and y ~ N(0, (2 M)^-1) the smoothing of a position field,
-    M = ``_portrait_precision``; S is the marginal covariance of q.
+    f at the given phase points is compared with f at the same positions and
+    zero momentum.  A change beyond 1e-12 relative to the values, or a value
+    that turns non-finite, means the field depends on momentum; points where
+    f is already non-finite at zero momentum are left to the callers'
+    finiteness checks.  Nothing is taken from a declaration.
+    """
+    zero = np.zeros_like(q1)
+    base = np.asarray(f(q1, q2, zero, zero), dtype=float)
+    moved = np.asarray(f(q1, q2, p1, p2), dtype=float)
+    finite = np.isfinite(base)
+    tol = 1e-12 * (np.max(np.abs(base[finite]), initial=0.0) + 1.0)
+    if not np.all(np.abs(moved - base)[finite] <= tol):
+        return None
+    return base
+
+
+def _rotated_frame(params: NonSepParams, nmax: int):
+    """The frame in which the family is a separable product.
+
+    A beam splitter rotates the mode operators (Campos, Saleh & Teich,
+    Phys. Rev. A 40:1371, 1989), so the state at x = (q1, q2, p1, p2) is, up
+    to a phase, U applied to the product of the phi = 0 states at x', whose
+    coherent labels are beta = R(phi) alpha: beta1 = cos phi alpha1 - sin phi
+    alpha2, beta2 = sin phi alpha1 + cos phi alpha2.  With alpha_j = q_j /
+    (lam_j sqrt 2) + i lam_j p_j / (hbar sqrt 2) that is q = Lam R^T Lam^-1 q'
+    and p = Lam^-1 R^T Lam p', a map of unit Jacobian that takes positions to
+    positions.  U is ``_beam_split(phi, .)`` on the box n_j <= 2 nmax, whose
+    sectors N <= 2 nmax are all full; only its rows on the basis n_j <= nmax
+    are needed, and each reaches its own sector alone.
+
+    Returns the matrices taking q' to q and p' to p, and per sector N <=
+    2 nmax the basis indices of its rows, the box indices of its columns
+    and the block of U they span.
     """
     lam = np.array([params.lam1, params.lam2])
-    return np.diag(lam**2 / 2.0) + np.linalg.inv(2.0 * _portrait_precision(params))
+    c, s = np.cos(params.phi), np.sin(params.phi)
+    back = np.array([[c, s], [-s, c]])
+    box = 2 * nmax + 1
+    u = _beam_split(params.phi, np.eye(box * box).reshape(box, box, -1))
+    u = u[: nmax + 1, : nmax + 1].reshape(-1, box * box)
+    sectors = []
+    for tot in range(box):
+        n1 = np.arange(max(0, tot - nmax), min(tot, nmax) + 1)
+        k1 = np.arange(tot + 1)
+        rows, cols = n1 * (nmax + 1) + tot - n1, k1 * box + tot - k1
+        sectors.append((rows, cols, u[np.ix_(rows, cols)]))
+    return lam[:, None] * back / lam, back * lam / lam[:, None], sectors
 
 
-def _position_rule(params: NonSepParams, order: int):
-    """Outer rule of the position route: q nodes (order^2, 2) and weights
-    that carry the marginal density N(q; 0, S), so sum(w g(q)) ~ E[g(q)]."""
-    s = _position_covariance(params)
-    si = np.linalg.inv(s)
-    pts, weights = whitened_rule(si / 2.0, order)
-    with np.errstate(over="ignore", under="ignore"):
-        det = np.linalg.det(s)
-    if not _TINY <= det < np.inf:
-        raise NonConvergent(
-            f"the position covariance at lam1 = {params.lam1:.3g}, lam2 = {params.lam2:.3g} "
-            f"has determinant {det:.3g}, outside the float range"
-        )
-    dens = np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, si, pts))
-    return pts, weights * dens / (2.0 * np.pi * np.sqrt(det))
-
-
-def _hermite_factors(u: np.ndarray, nmax: int) -> np.ndarray:
-    """p_0(u) .. p_nmax(u), orthonormal under the weight e^{-u^2}, shape
-    (nmax + 1,) + u.shape; h_n(u) = p_n(u) e^{-u^2 / 2} are the Hermite
-    functions."""
-    p = np.empty((nmax + 1,) + u.shape)
-    p[0] = np.pi**-0.25
-    if nmax >= 1:
-        p[1] = np.sqrt(2.0) * u * p[0]
-    for n in range(2, nmax + 1):
-        p[n] = np.sqrt(2.0 / n) * u * p[n - 1] - np.sqrt((n - 1) / n) * p[n - 2]
-    return p
-
-
-def _pair_products(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Rows p[lo[k]] * p[hi[k]], shape (lo.size,) + p.shape[1:]."""
-    out = np.empty((lo.size,) + p.shape[1:])
-    for k in range(lo.size):
-        np.multiply(p[lo[k]], p[hi[k]], out=out[k])
+def _rotate(sectors, a: np.ndarray) -> np.ndarray:
+    """U a on the basis, for a stack a (..., box^2, n) whose rows are box
+    states, a block of U per sector (``_rotated_frame``)."""
+    dim = sum(rows.size for rows, _, _ in sectors)
+    out = np.empty(a.shape[:-2] + (dim, a.shape[-1]), complex)
+    for rows, cols, block in sectors:
+        out[..., rows, :] = block @ a[..., cols, :]
     return out
 
 
-def _lagrange_basis(tau: np.ndarray):
-    """s -> the values (s.size, tau.size) of the Lagrange basis on the nodes ``tau``.
+def _joint(m: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m (2, 2) applied to every pair of the per-mode values a and b, a
+    slowest: shape (2, a.size b.size)."""
+    return (m[:, 0, None, None] * a[:, None] + m[:, 1, None, None] * b).reshape(2, -1)
 
-    The first (modified Lagrange) barycentric form l(s) w_j / (s - tau_j),
-    with l(s) the node polynomial and w_j = 1 / prod_{k != j} (tau_j - tau_k),
-    is stable even where s lies outside the nodes' hull (Higham 2004); the
-    second ("true") form is not.  The factor s - tau_j is left out of the
-    product rather than divided out, so s on a node needs no special case.
+
+def _mode_tables(mode, pts: np.ndarray, weights: np.ndarray, box: int, group: int) -> np.ndarray:
+    """Weighted projectors T(k) = sum_i w_ki c c^H / (2 pi hbar), shape (K, box, box),
+    of one mode's phi = 0 states at the phase points ``pts`` (K group, 2), summed
+    over each run of ``group`` points; c are the one-mode family's coefficients."""
+    c = _mode_coefficients(mode, pts, box - 1).reshape(-1, group, box)
+    cw = c * (weights / (2.0 * np.pi * mode.hbar)).reshape(-1, group, 1)
+    return cw.transpose(0, 2, 1) @ c.conj()
+
+
+def _quantise_rotated(params: NonSepParams, field, nmax: int, degree: int | None):
+    """Quantised f(q1, q2, p1, p2), through the rotation of a separable product.
+
+    The family is built as a beam splitter between two one-mode squeezers, so
+    A_phi[f] = U A_0[f o x] U^H (``_rotated_frame``): the phase of each
+    state cancels in its projector, and x' -> x has unit Jacobian.  A_0 is
+    the phi = 0 operator on the (2 nmax + 1)^2 box, and it sum-factorises
+    mode by mode (Orszag, J. Comput. Phys. 37:70, 1980):
+
+        A_0 = sum_a T_1(a) kron [sum_b f(x(a, b)) T_2(b)],
+
+    T_j the weighted projectors of mode j's one-mode family on its rule
+    (``_mode_tables``).  The box coefficients have degree <= 2 nmax in the
+    mode's own coordinates, so per-mode rules of order k0 = ceil((4 nmax +
+    degree + 1) / 2) per axis are exact for a field of polynomial degree
+    ``degree``, and the orders are refined as ``numerics._refine`` describes.
+
+    f is evaluated with and without momentum on the product of the per-mode
+    phase-plane rules of order k0 + 4, which reach further in momentum than
+    k0 or k0 + 1, and ``_position_values`` decides.  A position field has
+    each mode's momentum integrated exactly into T_j, a fixed inner rule of
+    order 2 nmax + 1 on each of K position nodes, so f is evaluated on K^2
+    position pairs, and a bounded one refines to 1e-13.  Any other field is
+    evaluated on the K^4 points of the per-mode phase-plane rules, whitened
+    by each mode's vacuum Gaussian, and stops at 1e-6.  ``nodes`` counts
+    these field values, and the node budget caps them.  A basis is refused
+    before any node is built when a position field's orders k0 and k0 + 4
+    alone would pass the budget in 4D points (``_position_cost``).
+
+    Returns the matrix, the nodes of the finest order mapped back to x, shape
+    (N, 2) ordered (q1, q2) for a position field and (N, 4) ordered (q1, q2,
+    p1, p2) otherwise, and the QuadratureReport, as ``_quantise_field`` does.
     """
-    others = ~np.eye(tau.size, dtype=bool)
+    modes = (params.modes.mode1, params.modes.mode2)
+    precs = [_mode_precision(mode) for mode in modes]
+    to_q, to_p, sectors = _rotated_frame(params, nmax)
+    box = 2 * nmax + 1
 
-    def omit_own(s):
-        diff = s[:, None] - tau[None, :]
-        return np.prod(np.where(others, diff[:, None, :], 1.0), axis=-1)
+    def points(y1, y2):
+        """Coordinates q1, q2, p1, p2 of the K1 K2 4D points, mode 1 slowest, of
+        per-mode points y_j (K_j, 2)."""
+        return [*_joint(to_q, y1[:, 0], y2[:, 0]), *_joint(to_p, y1[:, 1], y2[:, 1])]
 
-    bary = 1.0 / np.diag(omit_own(tau))
-    return lambda s: omit_own(s) * bary
-
-
-def _quantise_position_field(params: NonSepParams, field, nmax: int, degree: int | None,
-                             chunk: int = 20000):
-    """Quantised position field f(q1, q2) as a multiplication operator.
-
-    A field without momentum dependence quantises to multiplication by its
-    Gaussian smoothing g = E[f(x + y)], y ~ N(0, (2 M)^-1), the Weyl form
-    A_f = Op_W(f * W0) of integral quantisation (Bergeron & Gazeau 2014).
-    With x_j = lam_j u_j the Fock states are Hermite functions of u, so
-
-        <n m|A_f|n' m'> = pi E[f(q) p_n p_n'(u1) p_m p_m'(u2)],
-
-    u ~ N(0, I / 2), q = Lambda u + y.  The expectation is taken as an outer
-    integral over q ~ N(0, S) (``_position_rule``, whitened by S) of the
-    inner one over u | q, normal with covariance C fixed and mean B q linear
-    in q.  The inner polynomial has degree 2 nmax per mode axis, i.e. total
-    degree 4 nmax on the principal axes of C, so the inner tensor rule has
-    order 2 nmax + 1 per axis and is exact; its conditional expectation, the
-    Fock part P(q) (a pair x pair matrix), is a polynomial of degree <= 4 nmax
-    in q, and the outer rule is refined from k0 = ceil((4 nmax + degree + 1)
-    / 2) as ``numerics._refine`` describes.  f is evaluated on the outer
-    nodes only.  Joint (outer x inner) nodes go in blocks of whole outer
-    nodes, no larger in bytes than the 4D engine's ``chunk`` complex rows.
-
-    A field of declared polynomial degree sums the joint nodes of each order
-    directly: orders k0 and k0 + 1, exact if the declaration holds, then the
-    usual stop of 1e-6; ``nodes`` counts joint nodes.  A bounded field
-    (``degree`` None) refines only the field.  P is a polynomial of degree
-    <= 4 nmax in the outer rule's whitened coordinates t, so it is tabulated
-    once, in blocks of one batched matmul, on the tensor grid of the
-    kt = 4 nmax + 1 Gauss-Hermite nodes scaled by 0.8, which sets it exactly.
-    An order-K rule then costs K^2 field values, a transfer matrix L (K x kt)
-    onto the grid per axis (``_lagrange_basis``, the first barycentric form),
-    G = L^T (W o F) L and one contraction of G with the table; the identity
-    takes the same path with F = 1.  The loop stops at rounding, a witness of
-    1e-13 max(1, max|A|); each order counts its K^2 field values against the
-    node budget, and ``nodes`` is the table's joint nodes plus the field
-    values.  Either way a basis is refused on the joint nodes of orders k0
-    and k0 + 4, before any outer node is built.
-
-    Returns the matrix, the outer nodes of the finest order, shape (N, 2),
-    and the QuadratureReport, as ``_quantise_field`` does.
-    """
-    s = _position_covariance(params)
-    half_lam = np.diag([params.lam1, params.lam2]) / 2.0
-    gain = half_lam @ np.linalg.inv(s)
-    cond = np.eye(2) / 2.0 - gain @ half_lam
-    ci = np.linalg.inv(cond)
-    offsets, weights = whitened_rule(ci / 2.0, 2 * nmax + 1)
-    # the density N(v; 0, C) times pi, the mass of the Hermite weight e^{-|u|^2}
-    inner = weights * np.exp(-0.5 * np.einsum("ni,ij,nj->n", offsets, ci, offsets))
-    inner /= 2.0 * np.sqrt(np.linalg.det(cond))
-    # the entry (n m, n' m') is the product of the mode factors p_n p_n'(u1)
-    # and p_m p_m'(u2), each symmetric in its pair: sums run over the pairs
-    # n <= n' of both modes and are spread over the entries at the end
-    n1 = nmax + 1
-    lo, hi = np.triu_indices(n1)
-    pair = np.zeros((n1, n1), dtype=int)
-    pair[lo, hi] = pair[hi, lo] = np.arange(lo.size)
-    spread = (pair[:, None, :, None], pair[None, :, None, :])
-    entries = lambda sums: sums.reshape(lo.size, lo.size)[spread].reshape(n1 * n1, n1 * n1)
-    # whole outer nodes per block, each block no larger in bytes than the 4D
-    # engine's chunk of complex coefficients
-    block = max(1, 2 * chunk * n1**2 // (lo.size * inner.size))
-
-    def fock_blocks(pts, block):
-        """Mode factors (pairs, nodes x inner) of each block of outer nodes."""
-        for b in range(0, pts.shape[0], block):
-            mean = pts[b : b + block] @ gain.T
-            a1 = _pair_products(_hermite_factors((mean[:, :1] + offsets[:, 0]).ravel(), nmax), lo, hi)
-            a2 = _pair_products(_hermite_factors((mean[:, 1:] + offsets[:, 1]).ravel(), nmax), lo, hi)
-            yield slice(b, b + block), a1, a2
-
-    def field_values(pts, shape):
-        fv = np.asarray(field(pts[:, 0], pts[:, 1]), dtype=float)
+    def product(t1, t2, fv):
+        """U A_0 U^H and the identity, from f's values fv at the K1 K2 joint points."""
+        fv = np.asarray(fv, dtype=float)
         if not np.all(np.isfinite(fv)):
             raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
-        return np.broadcast_to(fv, shape)
+        fv = np.broadcast_to(fv, (len(t1) * len(t2),)).reshape(len(t1), len(t2))
+        # f is real: one real product on the real and imaginary parts of T_2
+        inner = (fv @ t2.reshape(len(t2), -1).view(float)).view(complex)
+        # A_0 and the identity (sum T_1) kron (sum T_2), entries (i1, i2, j1, j2)
+        both = np.empty((2, box, box, box, box), complex)
+        both[0] = (t1.reshape(len(t1), -1).T @ inner).reshape(box, box, box, box).transpose(0, 2, 1, 3)
+        np.multiply(t1.sum(axis=0)[:, None, :, None], t2.sum(axis=0)[None, :, None, :], out=both[1])
+        # U a U^H = (U (U a)^H)^H
+        half = _rotate(sectors, both.reshape(2, box * box, box * box)).conj().swapaxes(-1, -2)
+        return _rotate(sectors, half).conj().swapaxes(-1, -2)
 
-    if degree is not None:
+    order = _refuse_beyond_budget(2, nmax, degree, _position_cost(nmax)) + _ORDER_STEP
+    probe = points(*(whitened_rule(prec, order)[0] for prec in precs))
+    if _position_values(field, *probe) is None:
 
         def evaluate(order):
-            pts, wq = _position_rule(params, order)
-            fv = field_values(pts, wq.shape)
-            acc = np.zeros((lo.size, lo.size))
-            ident = np.zeros((lo.size, lo.size))
-            for sl, a1, a2 in fock_blocks(pts, block):
-                a1 *= np.outer(wq[sl], inner).ravel()
-                ident += a1 @ a2.T
-                a1 *= np.repeat(fv[sl], inner.size)
-                acc += a1 @ a2.T
-            return entries(acc), entries(ident), pts
+            rules = [whitened_rule(prec, order) for prec in precs]
+            t1, t2 = (_mode_tables(mode, *rule, box, 1) for mode, rule in zip(modes, rules))
+            x = points(rules[0][0], rules[1][0])
+            return (*product(t1, t2, field(*x)), np.stack(x, axis=1))
 
-        return _refine(2, nmax, degree, _position_cost(nmax), evaluate)
+        return _refine(2, nmax, degree, lambda order: order**4, evaluate)
 
-    _refuse_beyond_budget(2, nmax, None, _position_cost(nmax))
-    # the outer rules in their whitened coordinates t, on the principal axes
-    # of S: the weights w_a w_b / pi carry N(q; 0, S) exactly, with no
-    # e^{t^2} e^{-t^2} rounding
-    prec = np.linalg.inv(s) / 2.0
-    kt = 4 * nmax + 1
-    grid = _TABLE_SCALE * whitened_rule(prec, kt)[0]
-    lagrange = _lagrange_basis(_TABLE_SCALE * gauss_hermite_rule(kt).nodes)
-    table = np.empty((grid.shape[0], lo.size, lo.size))
-    table_block = min(block, _TABLE_BLOCK, _TABLE_BLOCK_BYTES // (8 * lo.size * inner.size))
-    for sl, a1, a2 in fock_blocks(grid, max(1, table_block)):
-        nodes = a1.shape[1] // inner.size
-        a1 = a1.reshape(lo.size, nodes, inner.size) * inner
-        a2 = a2.reshape(lo.size, nodes, inner.size)
-        np.matmul(a1.transpose(1, 0, 2), a2.transpose(1, 2, 0), out=table[sl])
-    table = table.reshape(grid.shape[0], -1)
+    # a mode's weight exp(-x^T P x), P = [[a, b], [b, d]], is the marginal of
+    # its position, of precision a - b^2 / d, times that of p | q, of
+    # precision d and mean -(b / d) q: the inner rule in p is fixed, and exact
+    # for the box coefficients' degree 2 nmax
+    slopes = [prec[0, 1] / prec[1, 1] for prec in precs]
+    inner = [whitened_rule(prec[1:, 1:], box) for prec in precs]
 
-    def transfer(order):
-        pts = whitened_rule(prec, order)[0]
-        rule = gauss_hermite_rule(order)
-        w = np.outer(rule.weights, rule.weights) / np.pi
-        wf = np.stack([w, w * field_values(pts, w.size).reshape(order, order)])
-        lag = lagrange(rule.nodes)
-        ident, acc = (lag.T @ wf @ lag).reshape(2, -1) @ table
-        return entries(acc), entries(ident), pts
+    def evaluate(order):
+        outer, tables = [], []
+        for mode, prec, slope, (p, wp) in zip(modes, precs, slopes, inner):
+            # the 1D form of whitened_rule, whose eigendecomposition it skips
+            rule, scale = gauss_hermite_rule(order), np.sqrt(prec[0, 0] - slope * prec[0, 1])
+            q = rule.nodes / scale
+            wq = rule.weights * np.exp(rule.nodes**2) / scale
+            pts = np.stack([np.repeat(q, box), (p[:, 0] - slope * q[:, None]).ravel()], axis=1)
+            tables.append(_mode_tables(mode, pts, np.outer(wq, wp).ravel(), box, box))
+            outer.append(q)
+        q = _joint(to_q, *outer)
+        zero = np.zeros(q.shape[1])
+        return (*product(*tables, field(*q, zero, zero)), q.T)
 
-    mat, pts, report = _refine(2, nmax, None, lambda order: order**2, transfer, _POSITION_STOP)
-    return mat, pts, replace(report, nodes=report.nodes + grid.shape[0] * inner.size)
+    stop = _POSITION_STOP if degree is None else _CONVERGED
+    return _refine(2, nmax, degree, lambda order: order**2, evaluate, stop)
 
 
 def _position_cost(nmax: int):
-    """Joint nodes of the position route at an outer order: order^2 outer
-    nodes, each carrying the (2 nmax + 1)^2 inner rule."""
+    """The 4D points of a position field's product rule at an order, which
+    bound the basis: order^2 outer pairs, each carrying the (2 nmax + 1)^2
+    inner momenta."""
     return lambda order: order**2 * (2 * nmax + 1) ** 2
-
-
-def _probe_nodes(params: NonSepParams, nmax: int, degree: int | None) -> np.ndarray:
-    """Nodes (N, 4) of the 4D engine's rule k0 + 4, ordered (q1, q2, p1, p2).
-
-    A field is sent down the position route only if it does not move with
-    momentum on these nodes.  Order k0 + 4 is the 4D engine's second order
-    for a bounded field and its third for a polynomial one the declaration
-    does not fit; it reaches further in momentum than k0 or k0 + 1 (at nmax
-    0, k0 can be a single node at the origin).  The position route never
-    needs more nodes than the 4D engine (its outer order is at least the
-    inner order 2 nmax + 1), so a basis beyond its budget fits neither route
-    and is refused before any node is built.
-    """
-    order = _refuse_beyond_budget(2, nmax, degree, _position_cost(nmax)) + _ORDER_STEP
-    return whitened_rule(_vacuum_precision(params), order)[0]
 
 
 def _two_mode_positions(params: NonSepParams, nmax: int):

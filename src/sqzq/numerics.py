@@ -4,9 +4,10 @@ Everything downstream (state construction, quantisation maps, portraits,
 dynamics) is built on the pieces collected here: physicists' Hermite
 polynomials, closed-form Gaussian integrals, Gauss-Hermite and
 Gauss-Legendre rules, the tensor Gauss-Hermite rule whitened by a Gaussian
-(``whitened_rule``) with the order-refinement loop (``_refine``) and the
-chunked projector sum (``_quantise_on_rule``) that quantise fields of one
-and of two modes, the one Gaussian-smoothing routine behind every portrait
+(``whitened_rule``) with the order-refinement loop (``_refine``) that
+quantises fields of one and of two modes, the chunked projector sum
+(``_quantise_on_rule``) of one mode and of the 4D definition of two, the
+one Gaussian-smoothing routine behind every portrait
 and position kernel (``gaussian_smooth``: a stack of fields in one pass, on
 an order-120 Hermite rule or a supported field's clipped 3 x 60 Legendre
 window), truncated boson-operator algebra, and the adaptive DOP853 ODE
@@ -106,9 +107,9 @@ class QuadratureReport:
     at quadrature level for real f.  ``convergence_witness`` is the max-entry
     change of the operator between the last two rule orders evaluated; for a
     stack of operators, one per field, both are the largest over the stack;
-    ``nodes`` counts the nodes evaluated over all orders (on the two-mode
-    position route, joint outer x inner nodes; for a bounded field there,
-    the Fock table's joint nodes plus the field values of every order).
+    ``nodes`` counts the field values over all orders, the points at which
+    the field was evaluated (a two-mode position field is evaluated on
+    position pairs only, its momenta integrated exactly).
     """
 
     identity_deviation: float

@@ -263,6 +263,15 @@ def _vacuum_precision(param: SqueezeParameter) -> np.ndarray:
     return d[:, None] * form * d[None, :]
 
 
+def _coefficients(param: SqueezeParameter, x: np.ndarray, nmax: int) -> np.ndarray:
+    """Fock coefficients (P, nmax + 1) of the states at the phase points x (P, 2),
+    ordered (q, p): the rows of ``_fock_rows`` times ``_prefactor``."""
+    to_alpha = _symplectic_matrix(param.tau) * _label_scales(param)[None, :]
+    a = x @ to_alpha.T
+    alpha = a[:, 0] + 1j * a[:, 1]
+    return (_fock_rows(alpha, param.tau, nmax) * _prefactor(alpha, param.tau)).T
+
+
 def _quantise_field(param: SqueezeParameter, field, nmax: int, degree: int | None):
     """Phase-space quadrature of f(q, p) against the family.
 
@@ -277,13 +286,7 @@ def _quantise_field(param: SqueezeParameter, field, nmax: int, degree: int | Non
     QuadratureReport, as ``nonsepstates._quantise_field`` does.
     """
     prec = _vacuum_precision(param)
-    to_alpha = _symplectic_matrix(param.tau) * _label_scales(param)[None, :]
-
-    def coefficients(x):
-        a = x @ to_alpha.T
-        alpha = a[:, 0] + 1j * a[:, 1]
-        return (_fock_rows(alpha, param.tau, nmax) * _prefactor(alpha, param.tau)).T
-
+    coefficients = lambda x: _coefficients(param, x, nmax)
     norm = 2.0 * np.pi * param.hbar
 
     def evaluate(order):

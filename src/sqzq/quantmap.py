@@ -15,24 +15,24 @@ of polynomial degree <= 2 adds first and second derivative terms whose
 coefficients come from exact Gaussian moments, never from oscillatory
 numeric p-integrals.
 
-One engine integrates the projector integral for both arities: a tensor
-Gauss-Hermite rule whitened by the family's vacuum Gaussian, over the phase
-plane for one mode (``onemode._quantise_field``) and over 4D phase space for
-two (``nonsepstates._quantise_field``), each refined by the loop and summed
-by the chunked projector sum of ``numerics``.  The rule of the first order
-is exact for polynomial fields, and the change to the next order is the
-convergence witness.
-
-Two-mode families quantise by one of two routes, chosen by probing the
-function rather than trusting a declaration.  A function that does not move
-with momentum on the nodes of the 4D rule (``_position_values`` on
-``nonsepstates._probe_nodes``) is quantised as the multiplication operator
-above, with the momenta integrated exactly: a 2D rule in the positions on
-which f is evaluated, times a fixed rule exact for the Fock polynomials
-(``nonsepstates._quantise_position_field``).  Every other function takes the
-4D engine, whose one run on the stacked Table 1 fields
-(``nonsepstates.table1_operators``) gives their operators and certifies the
-identity resolution on the same nodes.
+One mode integrates the projector integral on a tensor Gauss-Hermite rule
+over the phase plane, whitened by the family's vacuum Gaussian
+(``onemode._quantise_field``), summed by the chunked projector sum of
+``numerics``.  Two modes have one engine too, built the way the family is:
+a beam splitter between two one-mode squeezers only rotates the coherent
+labels, so the operator is the beam splitter's rotation of a separable
+product, which sum-factorises into per-mode tables of the one-mode family's
+own projectors (``nonsepstates._quantise_rotated``).  It probes the function
+rather than trusting a declaration: a function that does not move with
+momentum on the product of the per-mode rules (``_position_values``) has
+each mode's momentum integrated exactly, and is evaluated on position pairs
+alone; every other function is evaluated on the product of the per-mode
+phase-plane rules.  Each rule's first order is exact for polynomial fields,
+and the change to the next order is the convergence witness.  The direct 4D
+quadrature (``nonsepstates._quantise_field``) stays as the definition that
+``sqzq verify`` holds the engine against; its one run on the stacked Table 1
+fields (``nonsepstates.table1_operators``) gives their operators and
+certifies the identity resolution on the same nodes.
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ from .onemode import _quantise_field as _quantise_onemode_field
 from .nonsepstates import (
     NonSepParams,
     _portrait_precision,
-    _probe_nodes,
-    _quantise_field,
-    _quantise_position_field,
+    _position_values,
+    _quantise_rotated,
 )
 from .sepstates import TwoModeParams
 
@@ -153,7 +152,7 @@ def _spot_check_growth(f: ClassicalFunction, pts: np.ndarray):
     nodes, which can skip [0.4, 0.5); the mid ring then reaches down to the
     next ratio, or up to it where the origin, which says nothing of growth,
     is the only node below (order 3).  Coordinates the nodes do not carry
-    (the momenta of the two-mode position route) are zero.
+    (a two-mode position field's momenta) are zero.
     """
     extent = np.abs(pts)
     r = np.max(extent / np.max(extent, axis=0), axis=1)
@@ -179,25 +178,6 @@ def _spot_check_growth(f: ClassicalFunction, pts: np.ndarray):
         )
 
 
-def _position_values(f: ClassicalFunction, q1, q2, p1, p2):
-    """f(q1, q2, 0, 0), or None when f moves with momentum.
-
-    f at the given phase points is compared with f at the same positions and
-    zero momentum.  A change beyond 1e-12 relative to the values, or a value
-    that turns non-finite, means the field depends on momentum; points where
-    f is already non-finite at zero momentum are left to the callers'
-    finiteness checks.  Nothing is taken from a declaration.
-    """
-    zero = np.zeros_like(q1)
-    base = np.asarray(f(q1, q2, zero, zero), dtype=float)
-    moved = np.asarray(f(q1, q2, p1, p2), dtype=float)
-    finite = np.isfinite(base)
-    tol = 1e-12 * (np.max(np.abs(base[finite]), initial=0.0) + 1.0)
-    if not np.all(np.abs(moved - base)[finite] <= tol):
-        return None
-    return base
-
-
 def _family(family):
     if isinstance(family, SqueezeParameter):
         return family, "one-mode", (
@@ -218,36 +198,31 @@ def _family(family):
 def quantise(f, family, nmax: int) -> QuantisedOperator:
     """Operator of f over the family, in the truncated number basis.
 
-    Both arities integrate the projector integral on a tensor Gauss-Hermite
-    rule whitened by the family's vacuum Gaussian, over the phase plane for
-    one mode and 4D phase space for two; a two-mode function that does not
-    move with momentum on the 4D rule of order k0 + 4 is quantised as
-    multiplication by its Gaussian smoothing instead (see the module notes).
-    Every rule starts at the order k0 exact for polynomial degree ``f.degree``
-    (0 for bounded growth); a polynomial's k0 + 1 must agree with it to
-    rounding, else (and for bounded growth) orders grow by 4 per axis until
-    two agree, to 1e-12 for one mode, 1e-13 for a bounded two-mode position
-    field and 1e-6 for any other two-mode field, or the budget is spent.  A
-    bounded field on the position route refines only the field against a
-    Fock table built once (see ``nonsepstates._quantise_position_field``).  The report carries the
-    identity deviation on the very same nodes, the node count over all orders
-    and the change between the last two orders, so a caller can tell
-    quadrature error from genuine operator structure.  On the position route
-    the count is of joint outer x inner nodes, and for a bounded field of the
-    table's joint nodes plus the field values of every order.
+    One mode integrates the projector integral on a tensor Gauss-Hermite
+    rule over the phase plane, whitened by the family's vacuum Gaussian.  Two
+    modes integrate it in the frame where the family is a separable product,
+    on per-mode rules, and rotate the result back through the beam splitter;
+    a two-mode function that does not move with momentum on the product of
+    the per-mode rules of order k0 + 4 has each mode's momentum integrated
+    exactly (see the module notes).  Every rule starts at the order k0 exact
+    for polynomial degree ``f.degree`` (0 for bounded growth); a polynomial's
+    k0 + 1 must agree with it to rounding, else (and for bounded growth)
+    orders grow by 4 per axis until two agree, to 1e-12 for one mode, 1e-13
+    for a bounded two-mode position field and 1e-6 for any other two-mode
+    field, or the budget is spent.  The report carries the identity deviation
+    on the very same nodes, the change between the last two orders, so a
+    caller can tell quadrature error from genuine operator structure, and
+    ``nodes``: the field values of all orders, K^2 an order on the phase
+    plane, K^4 on two modes' phase planes and K^2 on a two-mode position
+    field's position pairs.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1: a truncated operator has dimension >= 2")
     fam, arity, tag = _family(family)
     cf = _as_classical(f, arity)
     degree = cf.degree if cf.growth == "poly" else None
-    if arity == "one-mode":
-        mat, pts, report = _quantise_onemode_field(fam, cf, nmax, degree)
-    elif _position_values(cf, *_probe_nodes(fam, nmax, degree).T) is None:
-        mat, pts, report = _quantise_field(fam, cf, nmax, degree)
-    else:
-        position = lambda q1, q2: cf(q1, q2, np.zeros_like(q1), np.zeros_like(q1))
-        mat, pts, report = _quantise_position_field(fam, position, nmax, degree)
+    engine = _quantise_onemode_field if arity == "one-mode" else _quantise_rotated
+    mat, pts, report = engine(fam, cf, nmax, degree)
     _spot_check_growth(cf, pts)
     return QuantisedOperator(
         basis=nmax, matrix=TruncatedOperator(mat.shape[0], mat), family_tag=tag,

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sqzq import cli, nonsepstates, numerics, pdm, quantmap
+from sqzq import cli, nonsepstates, numerics, pdm
 from sqzq.cli import CHECKS, RunConfig, _csv, main
 from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
@@ -620,17 +620,13 @@ def test_quantise_tau_inside_the_rim_exits_3(tmp_path, capsys, payload):
 
 @pytest.mark.parametrize(
     "payload",
-    [{"family": "one-mode", "tau": 0.3, "lam": 1e-10, "hbar": 1e-155},
-     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-78, "lam2": 1e-78},
-     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e80, "lam2": 1e80},
-     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-77, "lam2": 1e-77}],
-    ids=["one-mode-determinant-overflows", "two-mode-determinant-overflows",
-         "two-mode-determinant-underflows", "two-mode-covariance-subnormal"],
+    [{"family": "one-mode", "tau": 0.3, "lam": 1e-10, "hbar": 1e-155}],
+    ids=["one-mode-determinant-overflows"],
 )
 def test_quantise_unrepresentable_normaliser_exits_3(tmp_path, capsys, payload):
     # each eigenvalue of the Gaussian weight's precision is finite, but their
-    # product (or the position covariance's) leaves the normal float range:
-    # the rule's weights would all be 0, or lose digits
+    # product leaves the normal float range: the rule's weights would all be
+    # 0, or lose digits
     cfg = _write_cfg(tmp_path, payload)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -639,6 +635,33 @@ def test_quantise_unrepresentable_normaliser_exits_3(tmp_path, capsys, payload):
     assert "numerical failure" in err and "outside the float range" in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-78, "lam2": 1e-78},
+     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e80, "lam2": 1e80},
+     {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "lam1": 1e-77, "lam2": 1e-77}],
+    ids=["two-mode-lam-1e-78", "two-mode-lam-1e80", "two-mode-lam-1e-77"],
+)
+def test_quantise_extreme_two_mode_scales_resolve_the_identity(tmp_path, capsys, payload):
+    # the two-mode rules are per mode, each whitened by its own 2 x 2 vacuum
+    # precision, whose determinant (1 - |tau|^2) / (4 hbar^2) does not see
+    # lam: no product of the two modes' scales is formed, so these scales
+    # quantise the identity to rounding
+    cfg = _write_cfg(tmp_path, payload)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["quantise", "one", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = np.loadtxt(tmp_path / "quantise_one.csv", delimiter=",", skiprows=1)
+    dim = int(rows[:, 0].max()) + 1
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[rows[:, 0].astype(int), rows[:, 1].astype(int)] = rows[:, 2] + 1j * rows[:, 3]
+    assert np.max(np.abs(mat - np.eye(dim))) <= 1e-14
+    report = json.loads((tmp_path / "quantise_one_report.json").read_text())
+    assert report["identity_deviation"] <= 1e-14
 
 
 def _quantise_exits_cleanly(tmp_path_factory, fn, payload, fock_dim):
@@ -692,10 +715,9 @@ def verify_run(tmp_path_factory):
         runs.append(args[2:])
         return engine(*args, **kwargs)
 
-    # quantmap binds the engine by name, so both bindings are counted
+    # only table1_operators runs the 4D definition; quantise does not bind it
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nonsepstates, "_quantise_field", counted)
-        mp.setattr(quantmap, "_quantise_field", counted)
         code = main(["verify", "--out", str(out)])
     report = json.loads((out / "verify_report.json").read_text())
     return code, report, runs
@@ -707,7 +729,7 @@ def verify_report(verify_run):
 
 
 def test_verify_runs_the_4d_engine_once(verify_run):
-    # the two-mode identity, the Table 1 rows and the position route's
+    # the two-mode identity, the Table 1 rows and the position-route check's
     # reference all come from one stacked projector integral, at orders
     # k0 = ceil((4 * 4 + 2 + 1) / 2) = 10 and k0 + 1 at nmax 4: 10^4 + 11^4
     _, report, runs = verify_run
@@ -727,7 +749,8 @@ def test_verify_all_checks_present_and_within_tolerance(verify_report):
     assert ids == {
         "identity-onemode", "identity-twomode", "holoh", "overlap-onemode",
         "portrait-ph", "portrait-p2h", "nonsep-norm", "nonsep-overlap",
-        "coupled-portrait", "delta-factored", "table1-rows", "position-route", "bogoliubov",
+        "coupled-portrait", "delta-factored", "table1-rows", "position-route", "bs-rotation",
+        "bogoliubov",
         "chi-portrait", "q2chi-portrait", "mass-portrait", "veff-gradient",
     }
     assert report["all_within_tolerance"]
@@ -747,6 +770,15 @@ def test_verify_position_route_matches_the_projector_integral(verify_report):
     _, report = verify_report
     check = next(c for c in report["checks"] if c["id"] == "position-route")
     assert check["deviation"] < 1e-12
+
+
+def test_verify_bs_rotation_holds_the_projectors_to_rounding(verify_report):
+    # U (c1 x c2)(x') against the ladder recurrence's c(x), projector by
+    # projector, at both families' 200 points
+    _, report = verify_report
+    check = next(c for c in report["checks"] if c["id"] == "bs-rotation")
+    assert check["deviation"] <= 1e-13
+    assert check["detail"] == {"nmax": 4, "points": 400}
 
 
 def test_verify_reports_errata(verify_report):
@@ -852,14 +884,14 @@ def test_verify_small_fock_dim_is_within_tolerance(tmp_path, capsys):
 
 
 def test_polynomial_position_fields_keep_their_direct_sum(tmp_path):
-    # a declared polynomial takes the position route's exact direct orders,
-    # not the Fock table of bounded fields: the q1q2 operator keeps the bits
-    # it had before the table
+    # a declared polynomial stops at its exact orders k0 and k0 + 1, whose
+    # bits these are; they pin the sum's order of operations, so a change to
+    # it shows here even when it moves the operator only at rounding
     cfg = _write_cfg(tmp_path, {"family": "two-mode", "tau1": 0.2, "tau2": 0.6,
                                 "phi": math.pi / 4, "lam1": 0.8, "lam2": 1.15})
     assert main(["quantise", "q1q2", "--config", cfg, "--fock-dim", "4", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "quantise_q1q2.csv").read_bytes()).hexdigest()
-    assert digest == "5187970030fcaa8ea54a481566a762b57aad6476ab669e583fd74ad0358d4b39"
+    assert digest == "72eb59f05eacbbd323de85f3f509846f35481ea49b0a1d3eb9c5219aeb8ba288"
 
 
 @pytest.mark.parametrize("fock_dim", [4, 8, 12])
@@ -867,12 +899,12 @@ def test_verify_holds_1e_12(tmp_path, fock_dim):
     # the worst check is veff-gradient, about 1e-13; the portraits read
     # 4.9e-12 on an order-90 smoothing rule
     assert main(["verify", "--tol", "1e-12", "--fock-dim", str(fock_dim), "--out", str(tmp_path)]) == 0
-    # the degree-2 route check sums the joint nodes of the direct orders
-    # k0 = 2 nmax + 2 and k0 + 1, never the bounded fields' table
+    # the degree-2 route check evaluates q1 q2 on the outer position pairs of
+    # the exact orders k0 = 2 nmax + 2 and k0 + 1 alone
     report = json.loads((tmp_path / "verify_report.json").read_text())
     route = next(c for c in report["checks"] if c["id"] == "position-route")
     n = route["detail"]["nmax"]
-    assert route["detail"]["nodes"] == ((2 * n + 2) ** 2 + (2 * n + 3) ** 2) * (2 * n + 1) ** 2
+    assert route["detail"]["nodes"] == (2 * n + 2) ** 2 + (2 * n + 3) ** 2
 
 
 def test_verify_outside_tolerance_exits_3(tmp_path):

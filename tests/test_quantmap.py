@@ -10,19 +10,21 @@ independent route.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from sqzq.cli import _kernel_precision
-import sqzq.quantmap as quantmap_module
+import sqzq.nonsepstates as nonsepstates_module
 from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
 from sqzq.nonsepstates import (
     NonSepParams,
     _portrait_precision,
     _position_cost,
     _quantise_field,
-    _quantise_position_field,
+    _quantise_rotated,
     _two_mode_positions,
 )
 from sqzq.numerics import TruncatedOperator, _refuse_beyond_budget
@@ -157,9 +159,9 @@ def test_polynomial_fields_stop_after_two_orders(nmax):
     [(lambda q, p: np.exp(-(q**2)) + 0.2 * q * p, "one-mode", 2, ("bounded", 2), 8, "one-mode"),
      (lambda q, p: q**3, "one-mode", 1, ("poly", 3), 8, "one-mode"),
      (lambda q1, q2, p1, p2: np.exp(-(q1**2 + q2**2) / 100.0), "two-mode", 2, ("bounded", 2), 2,
-      "_quantise_position_field"),
-     (lambda q1, q2, p1, p2: q1 * q2**2, "two-mode", 1, ("poly", 3), 2, "_quantise_position_field"),
-     (lambda q1, q2, p1, p2: q1 * p1**2, "two-mode", 1, ("poly", 3), 2, "_quantise_field")],
+      "position"),
+     (lambda q1, q2, p1, p2: q1 * q2**2, "two-mode", 1, ("poly", 3), 2, "position"),
+     (lambda q1, q2, p1, p2: q1 * p1**2, "two-mode", 1, ("poly", 3), 2, "phase-space")],
     ids=["exp(-q**2)+0.2qp", "q**3-as-degree-1", "position-gaussian", "q1*q2**2-as-degree-1",
          "q1*p1**2-as-degree-1"],
 )
@@ -173,9 +175,11 @@ def test_wrong_polynomial_declarations_refine_past_k0_plus_one(monkeypatch, f, a
     # two-mode stop: only the rounding-level first check sends it on
     family = SqueezeParameter.from_tau(0.3j, lam=0.8, hbar=1.1) if arity == "one-mode" else ROUTE_PARAMS
     modes, stop = (1, 1e-12) if arity == "one-mode" else (2, 1e-6)
-    cost = {"one-mode": lambda k: k**2, "_quantise_field": lambda k: k**4,
-            "_quantise_position_field": lambda k: k**2 * (2 * nmax + 1) ** 2}[route]
-    calls = _record_engines(monkeypatch)
+    # the field values of an order: K^2 on the plane, K^4 on the per-mode
+    # phase-plane rules, K^2 outer position pairs on a position field's
+    cost = {"one-mode": lambda k: k**2, "phase-space": lambda k: k**4,
+            "position": lambda k: k**2}[route]
+    calls = _record_paths(monkeypatch)
     wrong = quantise(ClassicalFunction(f, arity=arity, degree=declared), family, nmax)
     assert calls == ([] if arity == "one-mode" else [route])
     k0 = -(-(2 * modes * nmax + declared + 1) // 2)
@@ -281,22 +285,25 @@ def test_non_finite_evaluator_is_spotted():
 ROUTE_PARAMS = NonSepParams.from_tau(0.3 * np.exp(0.7j), 0.5 * np.exp(-0.4j), 0.9, 0.8, 1.15, 0.6)
 
 
-def _record_engines(monkeypatch):
-    """Names of the two-mode engines quantise calls, in call order."""
+def _record_paths(monkeypatch):
+    """The rules each two-mode quantisation refines, in call order, read off
+    the field values an order costs: "phase-space" on the per-mode
+    phase-plane rules (K^4), "position" with the momenta integrated into the
+    mode tables (K^2).  Recorded before the first order, so a basis refused
+    on its path's budget is recorded too."""
     calls = []
-    for name in ("_quantise_field", "_quantise_position_field"):
-        engine = getattr(quantmap_module, name)
+    refine = nonsepstates_module._refine
 
-        def recording(*args, _engine=engine, _name=name, **kwargs):
-            calls.append(_name)
-            return _engine(*args, **kwargs)
+    def recording(modes, nmax, degree, cost, *args):
+        calls.append("phase-space" if cost(2) == 16 else "position")
+        return refine(modes, nmax, degree, cost, *args)
 
-        monkeypatch.setattr(quantmap_module, name, recording)
+    monkeypatch.setattr(nonsepstates_module, "_refine", recording)
     return calls
 
 
 # a momentum dependence too weak to change a test's outcome but enough to keep
-# its field on the 4D engine, whose own checks the test then exercises
+# its field on the phase-space rules, whose own checks the test then exercises
 def _tilted(g):
     return lambda q1, q2, p1, p2: g(q1, q2) * (1.0 + 1e-3 * np.tanh(p1))
 
@@ -368,10 +375,10 @@ def test_two_mode_growth_violation_is_spotted(monkeypatch, g, tilt):
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     field = _tilted(lambda q1, q2: g(q1)) if tilt else lambda q1, q2, p1, p2: g(q1)
     f = ClassicalFunction(field, arity="two-mode", growth="bounded")
-    calls = _record_engines(monkeypatch)
+    calls = _record_paths(monkeypatch)
     with pytest.raises(GrowthViolation):
         quantise(f, params, 4)
-    assert calls == ["_quantise_field" if tilt else "_quantise_position_field"]
+    assert calls == ["phase-space" if tilt else "position"]
 
 
 def test_two_mode_basis_beyond_the_node_budget_is_refused():
@@ -391,25 +398,24 @@ def test_two_mode_basis_beyond_the_node_budget_is_refused():
 )
 def test_position_route_matches_the_phase_space_engine(monkeypatch, g, degree, growth, bound):
     # a position field quantises to multiplication by its smoothing; the
-    # route that integrates the momenta exactly must give the 4D projector
+    # rules that integrate the momenta exactly must give the 4D projector
     # integral's matrix
     f = ClassicalFunction(lambda q1, q2, p1, p2: g(q1, q2), arity="two-mode",
                           growth=growth, degree=degree)
-    calls = _record_engines(monkeypatch)
+    calls = _record_paths(monkeypatch)
     op = quantise(f, ROUTE_PARAMS, 2)
-    assert calls == ["_quantise_position_field"]
+    assert calls == ["position"]
     want, _, _ = _quantise_field(ROUTE_PARAMS, f, 2, degree)
     assert np.max(np.abs(op.matrix.entries - want)) < bound
     rep = op.quadrature_report
     assert rep.identity_deviation < 1e-12
     assert rep.convergence_witness <= 1e-6
     if growth == "poly":
-        # joint nodes: each outer node carries the (2 nmax + 1)^2 inner rule
-        assert rep.nodes % 25 == 0
+        # K^2 outer position pairs at the exact orders k0 = 6 and k0 + 1
+        assert rep.nodes == 6**2 + 7**2
     else:
-        # the table's 9^2 joint nodes of 25 each, then K^2 field values at
-        # each order K = 5, 9, ... up to the last
-        assert rep.nodes - 9**2 * 25 in np.cumsum(np.arange(5, 400, 4) ** 2)
+        # K^2 outer position pairs at each order K = 5, 9, ... up to the last
+        assert rep.nodes in np.cumsum(np.arange(5, 400, 4) ** 2)
 
 
 @pytest.mark.parametrize(
@@ -425,68 +431,73 @@ def test_position_route_matches_the_phase_space_engine(monkeypatch, g, degree, g
 )
 def test_momentum_fields_keep_the_phase_space_engine(monkeypatch, g, growth, degree, nmax):
     f = ClassicalFunction(g, arity="two-mode", growth=growth, degree=degree)
-    calls = _record_engines(monkeypatch)
+    calls = _record_paths(monkeypatch)
     op = quantise(f, ROUTE_PARAMS, nmax)
-    assert calls == ["_quantise_field"]
-    # the same declaration as quantise passes: None for a bounded field
+    assert calls == ["phase-space"]
+    # the same declaration as quantise passes: None for a bounded field.  The
+    # two rules differ, so each result is taken within its own last change
+    # of the limit they share
     want, _, report = _quantise_field(ROUTE_PARAMS, f, nmax, degree if growth == "poly" else None)
-    assert np.array_equal(op.matrix.entries, want)
-    assert op.quadrature_report == report
+    rep = op.quadrature_report
+    gap = np.max(np.abs(op.matrix.entries - want))
+    assert gap <= rep.convergence_witness + report.convergence_witness
+    # the same refinement: the orders agree, and so do the field values
+    assert rep.nodes == report.nodes
 
 
 def test_field_non_finite_under_momentum_keeps_the_phase_space_engine(monkeypatch):
     # q1 wherever it is defined, but NaN at negative p2: turning non-finite
-    # is a change under the probe, and the 4D engine's finiteness check
-    # refuses the field instead of the position route quantising q1
+    # is a change under the probe, and the phase-space rules' finiteness
+    # check refuses the field instead of the position rules quantising q1
     f = ClassicalFunction(lambda q1, q2, p1, p2: q1 + np.sqrt(p2 - np.abs(p2)),
                           arity="two-mode", degree=1)
-    calls = _record_engines(monkeypatch)
+    calls = _record_paths(monkeypatch)
     with np.errstate(invalid="ignore"), pytest.raises(GrowthViolation):
         quantise(f, ROUTE_PARAMS, 2)
-    assert calls == ["_quantise_field"]
+    assert calls == ["phase-space"]
 
 
 def test_phase_space_engine_box_indicator_stops_at_the_node_budget(monkeypatch):
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     box = lambda q1, q2: ((np.abs(q1) < 1.0) & (np.abs(q2) < 1.0)).astype(float)
     f = ClassicalFunction(_tilted(box), arity="two-mode", growth="bounded")
-    calls = _record_engines(monkeypatch)
+    calls = _record_paths(monkeypatch)
     rep = quantise(f, params, 2).quadrature_report
-    assert calls == ["_quantise_field"]
+    assert calls == ["phase-space"]
     assert rep.nodes <= 38**2 * 32**2
     assert rep.convergence_witness > 1e-6
     assert rep.identity_deviation < 1e-12
 
 
 def test_phase_space_engine_refuses_a_basis_beyond_its_budget(monkeypatch):
-    # nmax 13 at degree 2 fits the position route's budget, (28^2 + 32^2) 27^2
-    # joint nodes, but not the 4D engine's, 28^4 + 32^4
+    # nmax 13 at degree 2 fits a position field's guard, (28^2 + 32^2) 27^2
+    # 4D points, but not the per-mode phase-plane rules' budget, 28^4 + 32^4
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     f = ClassicalFunction(_tilted(lambda q1, q2: q1 * q2), arity="two-mode", degree=2)
-    calls = _record_engines(monkeypatch)
+    calls = _record_paths(monkeypatch)
     with pytest.raises(ConfigError, match="order 28"):
         quantise(f, params, 13)
-    assert calls == ["_quantise_field"]
+    assert calls == ["phase-space"]
 
 
-def test_position_route_blocks_give_the_same_operator():
-    # the joint nodes go in blocks of whole outer nodes; the block size must
-    # not change the operator beyond rounding
-    field = lambda q1, q2: np.cos(q1 - 0.5 * q2)
-    whole, pts, rep = _quantise_position_field(ROUTE_PARAMS, field, 3, 0)
-    small, pts_small, rep_small = _quantise_position_field(ROUTE_PARAMS, field, 3, 0, chunk=100)
-    assert np.max(np.abs(whole - small)) < 1e-14
-    assert np.array_equal(pts, pts_small) and rep.nodes == rep_small.nodes
-    assert pts.shape[1] == 2
-
-
-def test_position_route_table_blocks_give_the_same_operator():
-    # a bounded field's table is built in blocks of whole outer nodes too
-    field = lambda q1, q2: np.cos(q1 - 0.5 * q2)
-    whole, pts, rep = _quantise_position_field(ROUTE_PARAMS, field, 3, None)
-    small, pts_small, rep_small = _quantise_position_field(ROUTE_PARAMS, field, 3, None, chunk=100)
-    assert np.max(np.abs(whole - small)) < 1e-14
-    assert np.array_equal(pts, pts_small) and rep == rep_small
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    r=st.tuples(st.floats(0.0, 0.7), st.floats(0.0, 0.7)),
+    arg=st.tuples(st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+    phi=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+    scales=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    nmax=st.integers(2, 3),
+)
+def test_rotated_engine_matches_the_4d_definition(r, arg, phi, scales, nmax):
+    # the rotation of the separable product against the direct 4D projector
+    # integral, on a position polynomial and on a momentum polynomial; both
+    # are exact at their first order, so only rounding separates them
+    params = NonSepParams.from_tau(r[0] * np.exp(1j * arg[0]), r[1] * np.exp(1j * arg[1]),
+                                   phi, *scales)
+    for g in (lambda q1, q2, p1, p2: q1 * q1 * q2, lambda q1, q2, p1, p2: q1 * p2**2 + p1):
+        got, _, _ = _quantise_rotated(params, g, nmax, 3)
+        want, _, _ = _quantise_field(params, g, nmax, 3)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 BENCH_PARAMS = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
@@ -496,14 +507,12 @@ GAUSSIAN = ClassicalFunction(lambda q1, q2, p1, p2: np.exp(-(q1 * q1 + q2 * q2) 
 
 @pytest.mark.parametrize("nmax,bound", [(4, 1e-14), (8, 5e-15)])
 def test_bounded_position_field_reaches_rounding(monkeypatch, nmax, bound):
-    # the Fock table is exact and only the field is refined, so a smooth
-    # bounded field stops at rounding; the oracle integrates the Gaussian
-    # smoothing's matrix exactly.  On the same grid the second ("true")
-    # barycentric transfer reads 4e-14 on the identity at nmax 4 and 4e-10
-    # at nmax 8
-    calls = _record_engines(monkeypatch)
+    # the mode tables integrate the momenta exactly, so a smooth bounded
+    # position field stops at rounding; the oracle integrates the Gaussian
+    # smoothing's matrix exactly
+    calls = _record_paths(monkeypatch)
     op = quantise(GAUSSIAN, BENCH_PARAMS, nmax)
-    assert calls == ["_quantise_position_field"]
+    assert calls == ["position"]
     cov = np.linalg.inv(2.0 * _portrait_precision(BENCH_PARAMS))
     want = gaussian_multiplication(cov, BENCH_PARAMS.lam1, BENCH_PARAMS.lam2, nmax)
     assert np.max(np.abs(op.matrix.entries - want)) <= bound
@@ -513,28 +522,28 @@ def test_bounded_position_field_reaches_rounding(monkeypatch, nmax, bound):
 
 
 def test_bounded_declaration_of_a_polynomial_matches_its_direct_orders(monkeypatch):
-    # q1 q2 declared bounded goes through the table, declared of degree 2
-    # through the direct exact orders k0 and k0 + 1
-    calls = _record_engines(monkeypatch)
+    # q1 q2 declared bounded refines in steps of 4 to rounding, declared of
+    # degree 2 it stops at the exact orders k0 and k0 + 1
+    calls = _record_paths(monkeypatch)
     ops = [quantise(ClassicalFunction(lambda q1, q2, p1, p2: q1 * q2, arity="two-mode", **kw),
                     BENCH_PARAMS, 4) for kw in ({"growth": "bounded"}, {"degree": 2})]
-    assert calls == ["_quantise_position_field"] * 2
+    assert calls == ["position"] * 2
     assert np.max(np.abs(ops[0].matrix.entries - ops[1].matrix.entries)) <= 1e-13
-    # the 17^2 table's joint nodes of 81 each and K^2 field values at orders
-    # K = 9, 13, ...; the direct orders 10 and 11 count joint nodes
-    assert ops[0].quadrature_report.nodes - 17**2 * 81 in np.cumsum(np.arange(9, 400, 4) ** 2)
-    assert ops[1].quadrature_report.nodes == (10**2 + 11**2) * 81
+    # K^2 outer position pairs at orders K = 9, 13, ..., and at 10 and 11
+    assert ops[0].quadrature_report.nodes in np.cumsum(np.arange(9, 400, 4) ** 2)
+    assert ops[1].quadrature_report.nodes == 10**2 + 11**2
 
 
 @pytest.mark.parametrize("degree,k0", [(None, 27), (2, 28)])
 def test_position_route_refuses_the_bases_it_refused_before(degree, k0):
-    # a bounded basis is refused on the joint nodes of orders k0 and k0 + 4,
-    # as a declared one is, before its table is built: nmax 13 fits, 14 not
+    # a basis is refused on the 4D points of a position field's orders k0
+    # and k0 + 4, bounded or declared, before any node is built: nmax 13
+    # fits, 14 not
     assert _refuse_beyond_budget(2, 13, degree, _position_cost(13)) == k0
     with pytest.raises(ConfigError, match="beyond the node budget"):
         _refuse_beyond_budget(2, 14, degree, _position_cost(14))
     with pytest.raises(ConfigError, match="beyond the node budget"):
-        _quantise_position_field(BENCH_PARAMS, lambda q1, q2: np.exp(-q1 * q1), 14, degree)
+        _quantise_rotated(BENCH_PARAMS, lambda q1, q2, p1, p2: np.exp(-q1 * q1), 14, degree)
 
 
 # ---------------------------------------------------------------------------
