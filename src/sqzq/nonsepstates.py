@@ -8,32 +8,26 @@ Gaussian algebra over the quadratic coefficients (Delta1, Delta2, ell): the
 normalisation, the overlap of two such states, the position portrait kernel,
 and the quantisation of position fields in a truncated Fock basis.
 
-Two independent numerical routes back the closed forms.  Fock coefficients of
-the states follow from a pair of exact ladder recurrences seeded by the
-vacuum amplitude (no quadrature, no matrix exponentials), which define the
-field quantisation over 4D phase space: each Fock coefficient is the vacuum
-amplitude c00 times a polynomial of degree n + m, so every matrix entry of a
-field of polynomial degree d is the Gaussian |c00|^2 times a polynomial of
-degree <= 4 nmax + d, which a tensor Gauss-Hermite rule on the principal
-axes of that Gaussian of order ceil((4 nmax + d + 1) / 2) integrates exactly
-(``_quantise_field``).  One run of that definition on the stacked Table 1
-fields q1, q2 and q1 q2 (``table1_operators``) gives their three operators
-and, from the same nodes, the identity resolution, which certifies the
-measure (2 pi hbar)^2.
+Fock coefficients of the states follow from a pair of exact ladder
+recurrences seeded by the vacuum amplitude (``_fock_batch``: no quadrature,
+no matrix exponentials).
 
-Every other field is quantised the way the family is built
-(``_quantise_rotated``): the beam splitter only rotates the coherent labels,
-so in the rotated frame the family is a product of two one-mode families,
-and A_phi[f] = U A_0[f o x] U^H with U the beam splitter on a box of
-2 nmax + 1 quanta per mode.  A_0 sum-factorises mode by mode, so each order
-costs one pair of per-mode projector tables and two matrix products.  A
-field that does not move with momentum has each mode's momentum integrated
-exactly, and is evaluated on position pairs alone; a bounded one refines to
-rounding (1e-13), every other field to 1e-6, and the order one above a
-polynomial's first exact order confirms it.  The ``bs-rotation`` check of
-``sqzq verify`` holds the identity this rests on against the ladder
-recurrences, and its ``position-route`` check holds the result against the
-4D definition.
+Fields are quantised the way the family is built (``_quantise_rotated``):
+the beam splitter only rotates the coherent labels, so in the rotated frame
+the family is a product of two one-mode families, and A_phi[f] = U A_0[f o x]
+U^H with U the beam splitter on a box of 2 nmax + 1 quanta per mode.  A_0
+sum-factorises mode by mode, so each order costs one pair of per-mode
+projector tables and two matrix products.  A field that does not move with
+momentum has each mode's momentum integrated exactly, and is evaluated on
+position pairs alone; a bounded one refines to rounding (1e-13), every other
+field to 1e-6, and the order one above a polynomial's first exact order
+confirms it.  The Table 1 fields q1, q2 and q1 q2 (``table1_operators``) are
+three runs of this engine, held against their exact operators on the whole
+truncated basis, X1 x 1, 1 x X2 and X1 x X2 plus a constant; each run's
+identity resolution certifies the measure (2 pi hbar)^2.  The ``bs-rotation``
+check of ``sqzq verify`` holds the identity the engine rests on against the
+ladder recurrences, and its ``table1-closed-form`` check holds the Table 1
+operators against those exact forms.
 
 The mode-mixing (Bogoliubov) residual check holds the unitary G as one
 array g[r1, r2, n1, n2] on a grid of rows and columns, assembled from
@@ -79,7 +73,6 @@ from .numerics import (
     QuadratureReport,
     TruncatedOperator,
     _clipped_window,
-    _quantise_on_rule,
     _refine,
     _refuse_beyond_budget,
     gauss_hermite_rule,
@@ -445,59 +438,6 @@ def fock_coefficients(point: PhasePoint, params: NonSepParams, nmax: int) -> np.
     return _fock_batch(params, pts, nmax)[0]
 
 
-def _vacuum_precision(params: NonSepParams) -> np.ndarray:
-    """Precision P of the vacuum weight, |c00(x)|^2 ~ exp(-x^T P x).
-
-    x = (q1, q2, p1, p2).  The coherent labels are alpha = Re x + i Im x, and
-    |c00|^2 = exp(-|alpha|^2 - Re(conj(alpha)^T T conj(alpha))) with T the
-    pair-correlation matrix, which expands to the real quadratic form below.
-    """
-    l1, l2, hbar = params.lam1, params.lam2, params.hbar
-    re = np.zeros((2, 4))
-    im = np.zeros((2, 4))
-    re[0, 0], re[1, 1] = 1.0 / (l1 * np.sqrt(2.0)), 1.0 / (l2 * np.sqrt(2.0))
-    im[0, 2], im[1, 3] = l1 / (hbar * np.sqrt(2.0)), l2 / (hbar * np.sqrt(2.0))
-    t = _pair_matrix(params.tau1, params.tau2, params.phi)
-    tr, ti = t.real, t.imag
-    return (
-        re.T @ re + im.T @ im
-        + re.T @ tr @ re + re.T @ ti @ im + im.T @ ti @ re - im.T @ tr @ im
-    )
-
-
-def _quantise_field(params: NonSepParams, field, nmax: int, degree: int | None):
-    """4D phase-space quadrature of f(q1, q2, p1, p2) against the family.
-
-    The definition the rotated engine (``_quantise_rotated``) is checked
-    against, and what ``table1_operators`` runs.  Every Fock coefficient is
-    the vacuum amplitude c00 times a polynomial of degree n + m in the phase
-    point, so each matrix entry of a field of polynomial degree ``degree``
-    integrates exp(-x^T P x) times a polynomial of degree <= 4 nmax +
-    degree.  A tensor Gauss-Hermite rule whitened by P
-    (``numerics.whitened_rule``) of order k0 = ceil((4 nmax + degree + 1) / 2)
-    is exact for it up to rounding; orders k0, k0 + 1, k0 + 5, ... (k0, k0 +
-    4, ... if bounded) are refined as ``numerics._refine`` describes.
-
-    Returns the (nmax+1)^2-dimensional matrix of the quantised field in the
-    two-mode Fock basis at the finest order evaluated (measure
-    d2q d2p / (2 pi hbar)^2), the nodes of that order, shape (N, 4) ordered
-    (q1, q2, p1, p2), and a QuadratureReport whose identity deviation comes
-    from the identity resolution on those same nodes.  A field returning a
-    stack (F, N) of fields, each of degree <= ``degree``, gives a stack of F
-    matrices from the one quadrature.
-    """
-    prec = _vacuum_precision(params)
-    dim = (nmax + 1) ** 2
-    coefficients = lambda x: _fock_batch(params, x, nmax).reshape(-1, dim)
-    norm = (2.0 * np.pi * params.hbar) ** 2
-
-    def evaluate(order):
-        pts, weights = whitened_rule(prec, order)
-        return (*_quantise_on_rule(coefficients, field, pts, weights, norm), pts)
-
-    return _refine(2, nmax, degree, lambda order: order**4, evaluate)
-
-
 def _position_values(f, q1, q2, p1, p2):
     """f(q1, q2, 0, 0), or None when f moves with momentum.
 
@@ -527,9 +467,9 @@ def _rotated_frame(params: NonSepParams, nmax: int):
     alpha2, beta2 = sin phi alpha1 + cos phi alpha2.  With alpha_j = q_j /
     (lam_j sqrt 2) + i lam_j p_j / (hbar sqrt 2) that is q = Lam R^T Lam^-1 q'
     and p = Lam^-1 R^T Lam p', a map of unit Jacobian that takes positions to
-    positions.  U is ``_beam_split(phi, .)`` on the box n_j <= 2 nmax, whose
-    sectors N <= 2 nmax are all full; only its rows on the basis n_j <= nmax
-    are needed, and each reaches its own sector alone.
+    positions.  U is the beam splitter on the box n_j <= 2 nmax, whose
+    sectors N <= 2 nmax are all full (``_sector_factors``); only its rows on
+    the basis n_j <= nmax are needed, and each reaches its own sector alone.
 
     Returns the matrices taking q' to q and p' to p, and per sector N <=
     2 nmax the basis indices of its rows, the box indices of its columns
@@ -539,14 +479,17 @@ def _rotated_frame(params: NonSepParams, nmax: int):
     c, s = np.cos(params.phi), np.sin(params.phi)
     back = np.array([[c, s], [-s, c]])
     box = 2 * nmax + 1
-    u = _beam_split(params.phi, np.eye(box * box).reshape(box, box, -1))
-    u = u[: nmax + 1, : nmax + 1].reshape(-1, box * box)
     sectors = []
     for tot in range(box):
-        n1 = np.arange(max(0, tot - nmax), min(tot, nmax) + 1)
         k1 = np.arange(tot + 1)
+        n1 = k1[max(0, tot - nmax) : min(tot, nmax) + 1]
         rows, cols = n1 * (nmax + 1) + tot - n1, k1 * box + tot - k1
-        sectors.append((rows, cols, u[np.ix_(rows, cols)]))
+        d, vec, phase = _sector_factors(params.phi, tot, k1, True)
+        # the block's rows n1 alone; V is real, so each part of the phase
+        # takes one real product
+        left = vec[n1]
+        block = (left * phase.real) @ vec.T + 1j * ((left * phase.imag) @ vec.T)
+        sectors.append((rows, cols, d[n1, None] * block * d.conj()))
     return lam[:, None] * back / lam, back * lam / lam[:, None], sectors
 
 
@@ -604,9 +547,12 @@ def _quantise_rotated(params: NonSepParams, field, nmax: int, degree: int | None
     before any node is built when a position field's orders k0 and k0 + 4
     alone would pass the budget in 4D points (``_position_cost``).
 
-    Returns the matrix, the nodes of the finest order mapped back to x, shape
-    (N, 2) ordered (q1, q2) for a position field and (N, 4) ordered (q1, q2,
-    p1, p2) otherwise, and the QuadratureReport, as ``_quantise_field`` does.
+    Returns the (nmax + 1)^2-dimensional matrix of the quantised field in the
+    two-mode Fock basis at the finest order evaluated (measure
+    d2q d2p / (2 pi hbar)^2), the nodes of that order mapped back to x,
+    shape (N, 2) ordered (q1, q2) for a position field and (N, 4) ordered
+    (q1, q2, p1, p2) otherwise, and a QuadratureReport whose identity
+    deviation comes from the identity resolution on the same rules.
     """
     modes = (params.modes.mode1, params.modes.mode2)
     precs = [_mode_precision(mode) for mode in modes]
@@ -736,34 +682,48 @@ class FieldOperator(TruncatedOperator):
     report: QuadratureReport
 
 
+def _table1_closed_forms(params: NonSepParams, nmax: int) -> dict:
+    """The exact operators of q1, q2 and q1 q2 on the whole basis n_j <= nmax.
+
+    A position field quantises to multiplication by its Gaussian smoothing:
+    q1 and q2 to X1 x 1 and 1 x X2, and q1 q2 to X1 x X2 plus the adopted
+    constant of ``table1_coefficient_rows`` times the identity.  The matrix
+    on the basis truncates that operator, and truncating a tensor product of
+    one-mode operators truncates each factor, so every entry is exact.
+    """
+    x1, x2, _ = _two_mode_positions(params, nmax)
+    constant = table1_coefficient_rows(params)["q1q2"]["adopted"]
+    return {"q1": x1, "q2": x2, "q1q2": x1 @ x2 + constant * np.eye(len(x1))}
+
+
 def table1_operators(params: NonSepParams, nmax: int) -> dict:
     """Quantised q1, q2 and q1 q2 in the truncated two-mode basis.
 
-    One 4D quadrature of the stacked fields at degree 2, exact for all three
-    and for the identity, whose deviation is the shared report's
-    ``identity_deviation``.  Each operator is asserted against its adopted
-    closed form (bare positions, position product plus a constant) on the
-    interior block to 1e-10; the quadrature values are returned as the
-    ground truth, keyed "q1", "q2", "q1q2", each with the one report.
+    One run of the two-mode engine (``_quantise_rotated``) per field, at
+    degree 2, exact for all three and for the identity, whose deviation is
+    each run's report's ``identity_deviation``.  Each operator is asserted
+    against its closed form (``_table1_closed_forms``) on the whole matrix
+    to 1e-10; the quadrature values are returned as the ground truth, keyed
+    "q1", "q2", "q1q2", each with its own run's report.
     """
     if nmax < 2:
         raise TruncationTooSmall("need nmax >= 2 for an interior block")
-    mats, _, report = _quantise_field(
-        params, lambda q1, q2, p1, p2: np.stack([q1, q2, q1 * q2]), nmax, 2
-    )
-    x1, x2, sel = _two_mode_positions(params, nmax)
-    dim = len(x1)
-    constant = table1_coefficient_rows(params)["q1q2"]["adopted"]
-    closed = {"q1": x1, "q2": x2, "q1q2": x1 @ x2 + constant * np.eye(dim)}
+    closed = _table1_closed_forms(params, nmax)
+    fields = {
+        "q1": lambda q1, q2, p1, p2: q1,
+        "q2": lambda q1, q2, p1, p2: q2,
+        "q1q2": lambda q1, q2, p1, p2: q1 * q2,
+    }
     ops = {}
-    for (f, want), mat in zip(closed.items(), mats):
-        dev = float(np.max(np.abs(mat[sel] - want[sel])))
+    for f, field in fields.items():
+        mat, _, report = _quantise_rotated(params, field, nmax, 2)
+        dev = float(np.max(np.abs(mat - closed[f])))
         if dev > _TABLE1_TOL:
             raise QuadratureNotConverged(
                 f"quantised {f} deviates from the closed form by {dev:.2e} "
                 f"(tol {_TABLE1_TOL:.1e})"
             )
-        ops[f] = FieldOperator(dim, mat, report)
+        ops[f] = FieldOperator(len(mat), mat, report)
     return ops
 
 
@@ -934,28 +894,40 @@ def _displacement_columns(alpha: complex, ncols: int, ambient: int) -> np.ndarra
     return cols.astype(complex)
 
 
+def _sector_factors(phi: float, tot: int, n1s: np.ndarray, full: bool):
+    """Factors D, V and exp(-i phi lam) of the beam splitter's block
+    D V exp(-i phi lam) V^T D* on the rows and columns |n1, tot - n1>, n1 in
+    ``n1s``, of one photon-number sector.
+
+    There the generator of exp(phi (a1^dag a2 - a1 a2^dag)) is -i phi D J D*:
+    D = diag(i^n1), and J = V diag(lam) V^T, twice J_x of spin tot/2, has
+    off-diagonals sqrt((n1 + 1)(tot - n1)) (Feng, Wang, Yang & Jin, Phys.
+    Rev. E 92:043307, 2015).  lam = -tot, 2 - tot, ..., tot exactly in a
+    ``full`` sector; one a box cuts keeps the exponential of its truncated
+    block, eigh's spectrum.  D and the phases are returned as vectors.
+    """
+    amp = np.sqrt((n1s[:-1] + 1.0) * (tot - n1s[:-1]))
+    lam, vec = np.linalg.eigh(np.diag(amp, -1) + np.diag(amp, 1))
+    if full:
+        lam = np.arange(-tot, tot + 1.0, 2.0)
+    d = 1j ** (n1s % 4)  # exact, where 1j ** n1 drifts off the axes
+    # long double: phi * lam is exact for integer lam (float64: 6e-14 off at 730 rad)
+    return d, vec, np.exp(-1j * np.longdouble(phi) * lam).astype(complex)
+
+
 def _beam_split(phi: float, cols: np.ndarray) -> np.ndarray:
     """Beam splitter exp(phi (a1^dag a2 - a1 a2^dag)) on box columns, as complex.
 
-    ``cols[n1, n2, k]`` holds column k on the ambient box n1, n2 < ambient.
-    On the rows |n1, N - n1> of a photon-number sector the generator is
-    -i phi D J D*: D = diag(i^n1), and J = V diag(lam) V^T, twice J_x of spin
-    N/2, has off-diagonals sqrt((n1 + 1)(N - n1)) (Feng, Wang, Yang & Jin,
-    Phys. Rev. E 92:043307, 2015).  So the block is D V exp(-i phi lam) V^T D*
-    with lam = -N, 2 - N, ..., N exactly in a full sector (N < ambient); one
-    the box cuts keeps the exponential of its truncated block, eigh's spectrum.
+    ``cols[n1, n2, k]`` holds column k on the ambient box n1, n2 < ambient,
+    rotated sector by sector (``_sector_factors``); the sectors N < ambient
+    are full.  The factors are applied in turn, which is cheaper than
+    forming the block when the columns are few.
     """
     ambient = cols.shape[0]
     out = np.empty(cols.shape, complex)
     for tot in range(2 * ambient - 1):
         n1s = np.arange(max(0, tot - ambient + 1), min(tot, ambient - 1) + 1)
-        amp = np.sqrt((n1s[:-1] + 1.0) * (tot - n1s[:-1]))
-        lam, vec = np.linalg.eigh(np.diag(amp, -1) + np.diag(amp, 1))
-        if tot < ambient:
-            lam = np.arange(-tot, tot + 1.0, 2.0)
-        d = 1j ** (n1s % 4)  # exact, where 1j ** n1 drifts off the axes
-        # long double: phi * lam is exact for integer lam (float64: 6e-14 off at 730 rad)
-        phase = np.exp(-1j * np.longdouble(phi) * lam).astype(complex)
+        d, vec, phase = _sector_factors(phi, tot, n1s, tot < ambient)
         # V is real: multiply real and imaginary parts as one real matrix
         x = (d.conj()[:, None] * cols[n1s, tot - n1s]).view(float)
         rot = phase[:, None] * (vec.T @ x).view(complex)

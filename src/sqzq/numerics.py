@@ -5,13 +5,12 @@ dynamics) is built on the pieces collected here: physicists' Hermite
 polynomials, closed-form Gaussian integrals, Gauss-Hermite and
 Gauss-Legendre rules, the tensor Gauss-Hermite rule whitened by a Gaussian
 (``whitened_rule``) with the order-refinement loop (``_refine``) that
-quantises fields of one and of two modes, the chunked projector sum
-(``_quantise_on_rule``) of one mode and of the 4D definition of two, the
-one Gaussian-smoothing routine behind every portrait
-and position kernel (``gaussian_smooth``: a stack of fields in one pass, on
-an order-120 Hermite rule or a supported field's clipped 3 x 60 Legendre
-window), truncated boson-operator algebra, and the adaptive DOP853 ODE
-driver (``solve_ode``), which runs its stages on Python floats.
+quantises fields of one and of two modes, the one-mode chunked projector
+sum (``_quantise_on_rule``), the one Gaussian-smoothing routine behind every
+portrait and position kernel (``gaussian_smooth``: a stack of fields in one
+pass, on an order-120 Hermite rule or a supported field's clipped 3 x 60
+Legendre window), truncated boson-operator algebra, and the adaptive DOP853
+ODE driver (``solve_ode``), which runs its stages on Python floats.
 
 All functions are pure and thread-safe.
 """
@@ -263,9 +262,7 @@ def _quantise_on_rule(coefficients, field, pts, weights, norm: float, chunk: int
     """Quantised field and identity on one rule, ``chunk`` nodes at a time:
     A_nm = sum_k w_k f(x_k) c_n(x_k) conj(c_m(x_k)) / norm, with the Fock
     coefficients (P, dim) of the states at nodes x (P, d) from
-    ``coefficients(x)`` and the measure's norm (2 pi hbar)^modes.  A field
-    returning a stack (F, P) of F fields gives a stack (F, dim, dim) of
-    operators from the one evaluation of the coefficients."""
+    ``coefficients(x)`` and the measure's norm (2 pi hbar)^modes."""
     fv = np.asarray(field(*pts.T), dtype=float)
     if not np.all(np.isfinite(fv)):
         raise GrowthViolation("field evaluates non-finite on the quadrature nodes")
@@ -274,15 +271,14 @@ def _quantise_on_rule(coefficients, field, pts, weights, norm: float, chunk: int
     # unscaled weights (about hbar) times q^2 (about lam^2) could overflow
     scale = math.ldexp(1.0, -math.frexp(norm)[1])
     weights, norm = weights * scale, norm * scale
-    wf = (weights * fv).reshape(-1, weights.size)
+    wf = weights * fv
     acc = ident = 0.0
     for s in range(0, pts.shape[0], chunk):
         cc = coefficients(pts[s : s + chunk])
         conj = cc.conj()
-        # one field at a time, so a stack's work arrays stay one field's size
-        acc = acc + np.stack([(cc * w[s : s + chunk, None]).T @ conj for w in wf])
+        acc = acc + (cc * wf[s : s + chunk, None]).T @ conj
         ident = ident + (cc * weights[s : s + chunk, None]).T @ conj
-    return acc.reshape(fv.shape[:-1] + acc.shape[1:]) / norm, ident / norm
+    return acc / norm, ident / norm
 
 
 def _tensor(nodes, weights):

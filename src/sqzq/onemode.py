@@ -283,7 +283,7 @@ def _quantise_field(param: SqueezeParameter, field, nmax: int, degree: int | Non
 
     Returns the matrix at the finest order (measure dq dp / (2 pi hbar)),
     the nodes of that order, shape (N, 2) ordered (q, p), and the
-    QuadratureReport, as ``nonsepstates._quantise_field`` does.
+    QuadratureReport, as ``nonsepstates._quantise_rotated`` does.
     """
     prec = _vacuum_precision(param)
     coefficients = lambda x: _coefficients(param, x, nmax)

@@ -28,11 +28,10 @@ momentum on the product of the per-mode rules (``_position_values``) has
 each mode's momentum integrated exactly, and is evaluated on position pairs
 alone; every other function is evaluated on the product of the per-mode
 phase-plane rules.  Each rule's first order is exact for polynomial fields,
-and the change to the next order is the convergence witness.  The direct 4D
-quadrature (``nonsepstates._quantise_field``) stays as the definition that
-``sqzq verify`` holds the engine against; its one run on the stacked Table 1
-fields (``nonsepstates.table1_operators``) gives their operators and
-certifies the identity resolution on the same nodes.
+and the change to the next order is the convergence witness.  The Table 1
+fields q1, q2 and q1 q2 (``nonsepstates.table1_operators``) run on the same
+engine, and ``sqzq verify`` holds their operators against the exact ones on
+the whole truncated basis.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ quadrature, dense matrix exponentials, the real erfc, the truncated
 momentum matrix, scipy's DOP853 run of an ODE problem and the generic
 DOP853 loop that ``numerics.solve_ode`` replaced by generated code.  It also holds
 the two-mode multiplication matrix of a Gaussian field's smoothing by one
-Gauss-Hermite rule exact for it.  The
+Gauss-Hermite rule exact for it, and the direct 4D phase-space quadrature of
+a two-mode field (``quantise_4d``), the definition the package's rotated
+engine is held against.  The
 second group is 40-digit ``mpmath`` matrix elements
 of the squeeze, displacement and beam-splitter operators, built from
 expansions that share no step with the recurrences and exponentials they
@@ -34,9 +36,12 @@ from sqzq.numerics import (
     TruncatedOperator,
     _dense_values,
     _initial_step,
+    _quantise_on_rule,
+    _refine,
     legendre_box_rule,
+    whitened_rule,
 )
-from sqzq.nonsepstates import _wavefunction_parts
+from sqzq.nonsepstates import _fock_batch, _pair_matrix, _wavefunction_parts
 from sqzq.onemode import alpha_from_qp
 
 
@@ -432,3 +437,48 @@ def gaussian_multiplication(cov, lam1: float, lam2: float, nmax: int) -> np.ndar
     p1, p2 = (special.eval_hermite(n, u[:, j]) / norm for j in (0, 1))
     a = np.einsum("ak,bk,ck,dk,k->acbd", p1, p1, p2, p2, weights)
     return a.reshape((nmax + 1) ** 2, (nmax + 1) ** 2)
+
+
+def twomode_vacuum_precision(params) -> np.ndarray:
+    """Precision P of the two-mode vacuum weight, |c00(x)|^2 ~ exp(-x^T P x).
+
+    x = (q1, q2, p1, p2).  The coherent labels are alpha = Re x + i Im x, and
+    |c00|^2 = exp(-|alpha|^2 - Re(conj(alpha)^T T conj(alpha))) with T the
+    pair-correlation matrix, which expands to the real quadratic form below.
+    """
+    l1, l2, hbar = params.lam1, params.lam2, params.hbar
+    re = np.zeros((2, 4))
+    im = np.zeros((2, 4))
+    re[0, 0], re[1, 1] = 1.0 / (l1 * np.sqrt(2.0)), 1.0 / (l2 * np.sqrt(2.0))
+    im[0, 2], im[1, 3] = l1 / (hbar * np.sqrt(2.0)), l2 / (hbar * np.sqrt(2.0))
+    t = _pair_matrix(params.tau1, params.tau2, params.phi)
+    tr, ti = t.real, t.imag
+    return (
+        re.T @ re + im.T @ im
+        + re.T @ tr @ re + re.T @ ti @ im + im.T @ ti @ re - im.T @ tr @ im
+    )
+
+
+def quantise_4d(params, field, nmax: int, degree):
+    """4D phase-space quadrature of f(q1, q2, p1, p2) against the two-mode family.
+
+    Every Fock coefficient of ``_fock_batch`` is the vacuum amplitude c00
+    times a polynomial of degree n + m in the phase point, so each matrix
+    entry of a field of polynomial degree ``degree`` integrates exp(-x^T P x)
+    times a polynomial of degree <= 4 nmax + degree.  A tensor Gauss-Hermite
+    rule whitened by P of order k0 = ceil((4 nmax + degree + 1) / 2) is exact
+    for it up to rounding; the orders are refined as ``numerics._refine``
+    describes (``degree`` None: bounded).  Returns the (nmax + 1)^2 matrix
+    at the finest order (measure d2q d2p / (2 pi hbar)^2), its nodes, shape
+    (N, 4) ordered (q1, q2, p1, p2), and the QuadratureReport.
+    """
+    prec = twomode_vacuum_precision(params)
+    dim = (nmax + 1) ** 2
+    coefficients = lambda x: _fock_batch(params, x, nmax).reshape(-1, dim)
+    norm = (2.0 * np.pi * params.hbar) ** 2
+
+    def evaluate(order):
+        pts, weights = whitened_rule(prec, order)
+        return (*_quantise_on_rule(coefficients, field, pts, weights, norm), pts)
+
+    return _refine(2, nmax, degree, lambda order: order**4, evaluate)

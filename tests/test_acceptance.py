@@ -226,7 +226,7 @@ def test_criterion_07_table1_rows():
     nmax = 4
     x1, x2, sel = _two_mode_positions(params, nmax)
 
-    # one quadrature gives the identity resolution and all three fields; its
+    # each field's engine run gives its identity resolution too; its
     # identity deviation covers the full matrix, not only the interior block
     ops = table1_operators(params, nmax)
     assert ops["q1"].report.identity_deviation < 1e-4

@@ -706,21 +706,30 @@ def test_quantise_two_mode_fuzzed_config_exits_cleanly(tmp_path_factory, fn, val
 
 @pytest.fixture(scope="module")
 def verify_run(tmp_path_factory):
-    """The default verify run: exit code, report and its 4D engine runs."""
+    """The default verify run: exit code, report, the two-mode engine runs
+    of table1_operators and the dimension of every whitened rule built."""
     out = tmp_path_factory.mktemp("verify")
-    engine = nonsepstates._quantise_field
-    runs = []
+    engine = nonsepstates._quantise_rotated
+    rule = numerics.whitened_rule
+    runs, dims = [], []
 
     def counted(*args, **kwargs):
         runs.append(args[2:])
         return engine(*args, **kwargs)
 
-    # only table1_operators runs the 4D definition; quantise does not bind it
+    def recorded(prec, order):
+        dims.append(np.shape(prec)[0])
+        return rule(prec, order)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nonsepstates, "_quantise_field", counted)
+        mp.setattr(nonsepstates, "_quantise_rotated", counted)
+        # every module's binding, so that a rule built anywhere is seen
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("sqzq") and getattr(module, "whitened_rule", None) is rule:
+                mp.setattr(module, "whitened_rule", recorded)
         code = main(["verify", "--out", str(out)])
     report = json.loads((out / "verify_report.json").read_text())
-    return code, report, runs
+    return code, report, runs, dims
 
 
 @pytest.fixture(scope="module")
@@ -728,14 +737,16 @@ def verify_report(verify_run):
     return verify_run[:2]
 
 
-def test_verify_runs_the_4d_engine_once(verify_run):
-    # the two-mode identity, the Table 1 rows and the position-route check's
-    # reference all come from one stacked projector integral, at orders
-    # k0 = ceil((4 * 4 + 2 + 1) / 2) = 10 and k0 + 1 at nmax 4: 10^4 + 11^4
-    _, report, runs = verify_run
-    assert len(runs) == 1
-    nodes = {c["detail"]["nodes"] for c in report["checks"] if c["id"] in ("identity-twomode", "table1-rows")}
-    assert nodes == {24641}
+def test_verify_runs_table1_on_the_rotated_engine(verify_run):
+    # no 4D rule is built: Table 1 is three runs of the two-mode engine, one
+    # per field at nmax 4 and degree 2, each on the position pairs of the
+    # orders k0 = ceil((4 * 4 + 2 + 1) / 2) = 10 and k0 + 1: 10^2 + 11^2
+    _, report, runs, dims = verify_run
+    assert 4 not in dims and dims
+    assert runs == [(4, 2)] * 3
+    two_mode = ("identity-twomode", "table1-rows", "table1-closed-form")
+    nodes = {c["detail"]["nodes"] for c in report["checks"] if c["id"] in two_mode}
+    assert nodes == {221}
 
 
 def test_verify_exits_zero(verify_report):
@@ -749,7 +760,7 @@ def test_verify_all_checks_present_and_within_tolerance(verify_report):
     assert ids == {
         "identity-onemode", "identity-twomode", "holoh", "overlap-onemode",
         "portrait-ph", "portrait-p2h", "nonsep-norm", "nonsep-overlap",
-        "coupled-portrait", "delta-factored", "table1-rows", "position-route", "bs-rotation",
+        "coupled-portrait", "delta-factored", "table1-rows", "table1-closed-form", "bs-rotation",
         "bogoliubov",
         "chi-portrait", "q2chi-portrait", "mass-portrait", "veff-gradient",
     }
@@ -760,16 +771,18 @@ def test_verify_all_checks_present_and_within_tolerance(verify_report):
 
 def test_verify_two_mode_checks_use_the_run_tolerance(verify_report):
     _, report = verify_report
-    for cid in ("identity-twomode", "table1-rows", "position-route"):
+    for cid in ("identity-twomode", "table1-rows", "table1-closed-form"):
         check = next(c for c in report["checks"] if c["id"] == cid)
         assert check["tolerance"] == report["tolerance"], cid
         assert check["detail"]["nodes"] > 0, cid
 
 
-def test_verify_position_route_matches_the_projector_integral(verify_report):
+def test_verify_table1_closed_form_holds_the_full_matrix(verify_report):
+    # the engine's q1, q2 and q1 q2 against X1 x 1, 1 x X2 and X1 x X2 + c 1
+    # on every entry of the truncated basis
     _, report = verify_report
-    check = next(c for c in report["checks"] if c["id"] == "position-route")
-    assert check["deviation"] < 1e-12
+    check = next(c for c in report["checks"] if c["id"] == "table1-closed-form")
+    assert check["deviation"] <= 1e-14
 
 
 def test_verify_bs_rotation_holds_the_projectors_to_rounding(verify_report):
@@ -891,7 +904,7 @@ def test_polynomial_position_fields_keep_their_direct_sum(tmp_path):
                                 "phi": math.pi / 4, "lam1": 0.8, "lam2": 1.15})
     assert main(["quantise", "q1q2", "--config", cfg, "--fock-dim", "4", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "quantise_q1q2.csv").read_bytes()).hexdigest()
-    assert digest == "72eb59f05eacbbd323de85f3f509846f35481ea49b0a1d3eb9c5219aeb8ba288"
+    assert digest == "26aa208cf7a3c3d61a534cdbcf8883f1229ab8c489b04346dbd6379339f02121"
 
 
 @pytest.mark.parametrize("fock_dim", [4, 8, 12])
@@ -899,12 +912,16 @@ def test_verify_holds_1e_12(tmp_path, fock_dim):
     # the worst check is veff-gradient, about 1e-13; the portraits read
     # 4.9e-12 on an order-90 smoothing rule
     assert main(["verify", "--tol", "1e-12", "--fock-dim", str(fock_dim), "--out", str(tmp_path)]) == 0
-    # the degree-2 route check evaluates q1 q2 on the outer position pairs of
-    # the exact orders k0 = 2 nmax + 2 and k0 + 1 alone
     report = json.loads((tmp_path / "verify_report.json").read_text())
-    route = next(c for c in report["checks"] if c["id"] == "position-route")
-    n = route["detail"]["nmax"]
-    assert route["detail"]["nodes"] == (2 * n + 2) ** 2 + (2 * n + 3) ** 2
+    checks = {c["id"]: c for c in report["checks"]}
+    # each degree-2 Table 1 field is evaluated on the outer position pairs of
+    # the exact orders k0 = 2 nmax + 2 and k0 + 1 alone
+    closed = checks["table1-closed-form"]
+    n = closed["detail"]["nmax"]
+    assert closed["detail"]["nodes"] == (2 * n + 2) ** 2 + (2 * n + 3) ** 2
+    assert closed["deviation"] <= 1e-14
+    assert checks["identity-twomode"]["deviation"] <= 1e-14
+    assert checks["bs-rotation"]["deviation"] <= 1e-13
 
 
 def test_verify_outside_tolerance_exits_3(tmp_path):

@@ -40,12 +40,17 @@ from sqzq.nonsepstates import (
     table1_coefficient_rows,
     table1_operators,
 )
-from sqzq.nonsepstates import _fock_batch, _two_mode_positions, _vacuum_precision
-from sqzq.numerics import TruncatedOperator, _quantise_on_rule, legendre_box_rule, whitened_rule
+from sqzq.nonsepstates import _fock_batch, _two_mode_positions
+from sqzq.numerics import TruncatedOperator, legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from sqzq.sepstates import Field, PhasePoint, TwoModeParams, portrait_hq, sep_wavefunction
 
-from .oracles import beam_splitter_sector, displacement_elements, squeeze_elements
+from .oracles import (
+    beam_splitter_sector,
+    displacement_elements,
+    squeeze_elements,
+    twomode_vacuum_precision,
+)
 
 REF = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
 
@@ -559,37 +564,8 @@ def test_displacement_columns_against_40_digit_oracle(alpha):
 
 @pytest.fixture(scope="module")
 def ref_table1():
-    """The Table 1 operators of REF at nmax 6, from their one shared quadrature."""
+    """The Table 1 operators of REF at nmax 6, one engine run each."""
     return table1_operators(REF, 6)
-
-
-def _engine_on_rule(field, nmax=4, order=10):
-    """The chunked projector sum of ``field`` for REF on one whitened rule."""
-    pts, weights = whitened_rule(_vacuum_precision(REF), order)
-    dim = (nmax + 1) ** 2
-    coefficients = lambda x: _fock_batch(REF, x, nmax).reshape(-1, dim)
-    norm = (2.0 * np.pi * REF.hbar) ** 2
-    return _quantise_on_rule(coefficients, field, pts, weights, norm, chunk=4096)
-
-
-_ENGINE_FIELDS = {
-    "q1": lambda q1, q2, p1, p2: q1,
-    "q2": lambda q1, q2, p1, p2: q2,
-    "q1q2": lambda q1, q2, p1, p2: q1 * q2,
-}
-
-
-@pytest.mark.parametrize("names", [("q1q2",), ("q1", "q2", "q1q2")])
-def test_engine_stack_equals_one_run_per_field(names):
-    # each field's projector sum is the single-field arithmetic, so the
-    # stack must match it bit for bit
-    fields = [_ENGINE_FIELDS[n] for n in names]
-    stack, ident = _engine_on_rule(lambda *x: np.stack([f(*x) for f in fields]))
-    assert stack.shape[0] == len(fields)
-    for mat, f in zip(stack, fields):
-        single, single_ident = _engine_on_rule(f)
-        assert np.array_equal(mat, single)
-        assert np.array_equal(ident, single_ident)
 
 
 def test_identity_resolution_two_mode():
@@ -599,9 +575,10 @@ def test_identity_resolution_two_mode():
 
 
 def test_vacuum_precision_matches_fock_vacuum():
-    # hbar != 1 and complex tau so every block of the closed form is exercised
+    # the weight of the 4D definition in the test oracles; hbar != 1 and
+    # complex tau so every block of the closed form is exercised
     p = NonSepParams.from_tau(0.5 * np.exp(0.9j), 0.3j, 0.7, 1.3, 0.6, hbar=0.7)
-    prec = _vacuum_precision(p)
+    prec = twomode_vacuum_precision(p)
     rng = np.random.default_rng(17)
     x = rng.normal(scale=2.0, size=(50, 4))
     c00 = _fock_batch(p, x, 0)[:, 0, 0]
@@ -612,10 +589,13 @@ def test_vacuum_precision_matches_fock_vacuum():
 
 
 def test_table1_identity_row(ref_table1):
-    # the identity resolution on the fields' own nodes, over the full matrix
-    report = ref_table1["q1"].report
-    assert report.identity_deviation < 1e-10
-    assert ref_table1["q2"].report is report and ref_table1["q1q2"].report is report
+    # the identity resolution on each field's own rules, over the full
+    # matrix; it does not depend on the field, so the three runs, each with
+    # its own report, read the same identity on the same orders
+    reports = [ref_table1[f].report for f in ("q1", "q2", "q1q2")]
+    assert reports[0].identity_deviation < 1e-10
+    assert len({id(r) for r in reports}) == 3
+    assert len({(r.identity_deviation, r.nodes) for r in reports}) == 1
 
 
 def _interior_fit(op, nmax=6):
@@ -648,6 +628,33 @@ def test_table1_product_field_constant(ref_table1):
     off = resid - rows["q1q2"]["adopted"] * np.eye(49)[sel]
     assert np.max(np.abs(off)) < 1e-10
     assert abs(rows["q1q2"]["adopted"] - rows["q1q2"]["rival"]) > 0.05
+
+
+def _ladder_position(nmax, lam):
+    """lam (a + a^dag) / sqrt 2 on n <= nmax, from the ladder elements alone."""
+    off = lam * np.sqrt(np.arange(1.0, nmax + 1) / 2.0)
+    return np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("nmax", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize(
+    "params",
+    [REF, NonSepParams.from_tau(0.3 - 0.4j, -0.5 + 0.2j, 2.7, 0.7, 1.3, 0.8)],
+    ids=["table1", "complex"],
+)
+def test_table1_operators_match_the_closed_forms_on_the_full_matrix(params, nmax):
+    # the states are complete, so q1, q2 and q1 q2 quantise to the
+    # truncations X1 x 1, 1 x X2 and X1 x X2 + c 1 on every entry, the
+    # truncated boundary rows included; c is half the inverse kernel
+    # precision's off-diagonal entry
+    eye = np.eye(nmax + 1)
+    x1 = np.kron(_ladder_position(nmax, params.lam1), eye)
+    x2 = np.kron(eye, _ladder_position(nmax, params.lam2))
+    c = np.linalg.inv(_kernel_precision(params))[0, 1] / 2.0
+    closed = {"q1": x1, "q2": x2, "q1q2": x1 @ x2 + c * np.eye(len(x1))}
+    ops = table1_operators(params, nmax)
+    for f, want in closed.items():
+        assert np.max(np.abs(ops[f].entries - want)) <= 1e-14, f
 
 
 def test_table1_rejects_tiny_truncation():

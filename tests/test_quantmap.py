@@ -23,7 +23,6 @@ from sqzq.nonsepstates import (
     NonSepParams,
     _portrait_precision,
     _position_cost,
-    _quantise_field,
     _quantise_rotated,
     _two_mode_positions,
 )
@@ -39,7 +38,7 @@ from sqzq.quantmap import (
 )
 from sqzq.sepstates import TwoModeParams
 
-from .oracles import gaussian_multiplication, momentum
+from .oracles import gaussian_multiplication, momentum, quantise_4d
 
 TAUS = (0.0, 0.5, 0.7j, 0.6 * np.exp(1.1j))
 
@@ -405,7 +404,7 @@ def test_position_route_matches_the_phase_space_engine(monkeypatch, g, degree, g
     calls = _record_paths(monkeypatch)
     op = quantise(f, ROUTE_PARAMS, 2)
     assert calls == ["position"]
-    want, _, _ = _quantise_field(ROUTE_PARAMS, f, 2, degree)
+    want, _, _ = quantise_4d(ROUTE_PARAMS, f, 2, degree)
     assert np.max(np.abs(op.matrix.entries - want)) < bound
     rep = op.quadrature_report
     assert rep.identity_deviation < 1e-12
@@ -437,7 +436,7 @@ def test_momentum_fields_keep_the_phase_space_engine(monkeypatch, g, growth, deg
     # the same declaration as quantise passes: None for a bounded field.  The
     # two rules differ, so each result is taken within its own last change
     # of the limit they share
-    want, _, report = _quantise_field(ROUTE_PARAMS, f, nmax, degree if growth == "poly" else None)
+    want, _, report = quantise_4d(ROUTE_PARAMS, f, nmax, degree if growth == "poly" else None)
     rep = op.quadrature_report
     gap = np.max(np.abs(op.matrix.entries - want))
     assert gap <= rep.convergence_witness + report.convergence_witness
@@ -496,7 +495,7 @@ def test_rotated_engine_matches_the_4d_definition(r, arg, phi, scales, nmax):
                                    phi, *scales)
     for g in (lambda q1, q2, p1, p2: q1 * q1 * q2, lambda q1, q2, p1, p2: q1 * p2**2 + p1):
         got, _, _ = _quantise_rotated(params, g, nmax, 3)
-        want, _, _ = _quantise_field(params, g, nmax, 3)
+        want, _, _ = quantise_4d(params, g, nmax, 3)
         assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
