@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -810,6 +809,8 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
     and an empty window gives exactly 0.  Centres are processed in blocks so
     memory stays bounded on large grids.
     """
+    from scipy.special import ndtr  # at first use, as pdm imports erfc: quantise never needs it
+
     (a1, b1), (a2, b2) = box
     m = _portrait_precision(params)
     var1 = m[1, 1] / np.linalg.det(m)

@@ -24,7 +24,8 @@ Every smoothed wall quantity comes from one per-mode evaluator,
 derivatives), and the regularised inverse masses A_j, V_eff and their
 gradients are assembled from it in one place, ``_veff_pieces``: on float
 arrays for the portraits, energies and masks, on Python floats for the
-equations of motion.
+equations of motion.  Only the array evaluations need ``scipy.special``
+(erfc), and they import it at first use.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ConfigError, NonFiniteState, OutsideBox
 from .numerics import OdeProblem, solve_ode
@@ -378,13 +378,19 @@ def _mode_scale(w: float, s: float) -> _ModeScale:
     return _ModeScale(w, s, _SQRT2 * s, s * _SQRT2PI, s / _SQRT2PI, s * s, w * w + 2.0 * s * s)
 
 
-def _mode_pieces(q, m: _ModeScale, erfc=erfc, exp=np.exp):
+def _mode_pieces(q, m: _ModeScale, erfc=None, exp=np.exp):
     """c, g, c', g' for one mode.
 
     The one source of these formulas for both kinds of caller: q a float
-    array with the default scipy/numpy ``erfc`` and ``exp``, or q a Python
-    float with ``math.erfc`` and ``math.exp`` (the equations of motion).
+    array with the default ``erfc`` and ``exp``, or q a Python float with
+    ``math.erfc`` and ``math.exp`` (the equations of motion).  The default
+    ``erfc`` is ``scipy.special.erfc``, imported here at the first array
+    call, so that a process which never smooths a wall never loads
+    ``scipy.special``; the equations of motion pass theirs, and never run
+    the import.
     """
+    if erfc is None:
+        from scipy.special import erfc
     w, rt2s = m.w, m.rt2s
     za = (q + w) / rt2s
     zb = (q - w) / rt2s
@@ -412,9 +418,7 @@ def _both_scales(model: PdmModel, params: TwoModeParams):
     return tuple(_mode_scale(model.wall(j), float(_mode_sigma(params, j))) for j in (1, 2))
 
 
-def _veff_pieces(
-    model: PdmModel, scales, q1, q2, kin: tuple[float, float], erfc=erfc, exp=np.exp
-):
+def _veff_pieces(model: PdmModel, scales, q1, q2, kin=None, erfc=None, exp=np.exp):
     """Every smoothed wall quantity at (q1, q2), from one evaluation of the
     per-mode pieces: V_eff and its gradient (d1, d2) and the inverse masses
     with their gradients (A1, A2, d1A1, d2A1, d1A2, d2A2).  The windows alone
@@ -423,27 +427,32 @@ def _veff_pieces(
     The only place where these are assembled.  ``scales`` is ``_both_scales``
     of the smoothing family, which callers that evaluate many times compute
     once; ``kin`` the kinetic coefficients, which only V_eff and its gradient
-    read; ``erfc`` and ``exp`` go to ``_mode_pieces`` (float arrays by
-    default, Python floats with ``math``).  q1 and q2 broadcast against each
-    other.
+    read: without them (``kin=None``) only the masses are returned, and the
+    V_eff sums are skipped.  ``erfc`` and ``exp`` go to ``_mode_pieces``
+    (scipy's erfc and numpy's exp on float arrays by default, ``math``'s on
+    Python floats).  q1 and q2 broadcast against each other.
     """
     c1, g1, c1p, g1p = _mode_pieces(q1, scales[0], erfc, exp)
     c2, g2, c2p, g2p = _mode_pieces(q2, scales[1], erfc, exp)
-    l1, l2 = model.lambda1, model.lambda2
-    m1 = (c1 - l1 * l1 * g1) / model.m0
-    m2 = (c2 - l2 * l2 * g2) / model.m0
-    m1p = (c1p - l1 * l1 * g1p) / model.m0
-    m2p = (c2p - l2 * l2 * g2p) / model.m0
-    k1, k2 = kin
-    veff = k1 * m1 * c2 + k2 * c1 * m2 + model.vbar1 * g1 * c2 + model.vbar2 * c1 * g2
-    d1 = k1 * m1p * c2 + k2 * c1p * m2 + model.vbar1 * g1p * c2 + model.vbar2 * c1p * g2
-    d2 = k1 * m1 * c2p + k2 * c1 * m2p + model.vbar1 * g1 * c2p + model.vbar2 * c1 * g2p
+    l1, l2, m0 = model.lambda1, model.lambda2, model.m0
+    m1 = (c1 - l1 * l1 * g1) / m0
+    m2 = (c2 - l2 * l2 * g2) / m0
+    m1p = (c1p - l1 * l1 * g1p) / m0
+    m2p = (c2p - l2 * l2 * g2p) / m0
     masses = (m1 * c2, c1 * m2, m1p * c2, m1 * c2p, c1p * m2, c1 * m2p)
+    if kin is None:
+        return masses
+    k1, k2 = kin
+    v1, v2 = model.vbar1, model.vbar2
+    veff = k1 * m1 * c2 + k2 * c1 * m2 + v1 * g1 * c2 + v2 * c1 * g2
+    d1 = k1 * m1p * c2 + k2 * c1p * m2 + v1 * g1p * c2 + v2 * c1p * g2
+    d2 = k1 * m1 * c2p + k2 * c1 * m2p + v1 * g1 * c2p + v2 * c1 * g2p
     return veff, d1, d2, masses
 
 
-def _pieces(model: PdmModel, params: TwoModeParams, q, kin=(0.0, 0.0)):
-    """``_veff_pieces`` at the points q of shape (..., 2).
+def _pieces(model: PdmModel, params: TwoModeParams, q, kin=None):
+    """``_veff_pieces`` at the points q of shape (..., 2): the masses alone,
+    or with the kinetic coefficients ``kin`` V_eff and its gradient as well.
 
     Far outside a wall exp(-z^2) is the right 0 reached through an
     overflowing z^2; at points or scales so extreme that a piece itself
@@ -488,14 +497,14 @@ def regularised_mass(model: PdmModel, params: TwoModeParams, q, j: int):
     crossing zero, so the semiclassical flow has no mass singularity.
     """
     _require_mode(j)
-    a1, a2 = _pieces(model, params, q)[3][:2]
+    a1, a2 = _pieces(model, params, q)[:2]
     return _scalar_or_array(a1 if j == 1 else a2)
 
 
 def regularised_mass_gradient(model: PdmModel, params: TwoModeParams, q, j: int):
     """Closed-form (d/dq1, d/dq2) of regularised_mass, stacked along the last axis."""
     _require_mode(j)
-    _, _, d1a1, d2a1, d1a2, d2a2 = _pieces(model, params, q)[3]
+    _, _, d1a1, d2a1, d1a2, d2a2 = _pieces(model, params, q)
     return np.stack([d1a1, d2a1] if j == 1 else [d1a2, d2a2], axis=-1)
 
 
@@ -544,7 +553,7 @@ def semiclassical_energy(semi: SemiclassicalModel, q, p):
 
 def initial_momenta(semi: SemiclassicalModel, init: InitialState) -> np.ndarray:
     """Momenta conjugate to the initial velocities: p_j = v_j / A_j(q0)."""
-    a1, a2 = _pieces(semi.model, semi.modes, [init.q1, init.q2])[3][:2]
+    a1, a2 = _pieces(semi.model, semi.modes, [init.q1, init.q2])[:2]
     return np.array([init.v1 / a1, init.v2 / a2])
 
 
@@ -621,6 +630,8 @@ def semiclassical_integrate(
     ``_veff_pieces`` that the portraits and the sampled energies run on
     float arrays: about sixty operations on Python floats cost far less than
     the same numpy operations on 0-d values, and no array is built per stage.
+    The arrays take ``scipy.special.erfc``, which a process that has drawn
+    no portrait imports for the sampled energies, after the solve.
     The instantiations differ only by the rounding of the two erfc and exp
     implementations, so trajectories move in their last digits against an
     all-numpy right-hand side.  A run that the solver's minimum step or step

@@ -173,33 +173,65 @@ import json, sys
 from sqzq import cli
 
 def loaded():
-    return [m for m in ("scipy.integrate", "scipy.linalg") if m in sys.modules]
+    return {
+        "scipy": any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
+        "special": "scipy.special" in sys.modules,
+        "integrate": "scipy.integrate" in sys.modules,
+        "linalg": "scipy.linalg" in sys.modules,
+    }
 
-out, cfg = sys.argv[1:]
+out, argvs = sys.argv[1], json.loads(sys.argv[2])
 steps = [("import", 0, loaded())]
-for argv in (
-    ["simulate", "--preset", "fig3a"],
-    ["portrait", "chi", "--preset", "fig6a"],
-    ["quantise", "q1q2", "--config", cfg],
-    ["verify", "--fock-dim", "4"],
-):
+for argv in argvs:
     code = cli.main(argv + ["--out", out])
     steps.append((argv[0], code, loaded()))
 print(json.dumps(steps))
 """
 
+_NO_SCIPY = {"scipy": False, "special": False, "integrate": False, "linalg": False}
+_SPECIAL_ONLY = {"scipy": True, "special": True, "integrate": False, "linalg": False}
 
-def test_no_step_imports_scipy_integrate_or_linalg(tmp_path):
-    # a fresh interpreter: the test session itself has both loaded
-    cfg = _write_cfg(tmp_path, {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "phi": 0.5})
+
+def _cold_steps(tmp_path, argvs):
+    # a fresh interpreter: the test session itself has scipy loaded
     out = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(tmp_path), cfg], capture_output=True, text=True
+        [sys.executable, "-c", _COLD_START, str(tmp_path), json.dumps(argvs)],
+        capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
-    steps = json.loads(out.stdout.splitlines()[-1])
+    return [tuple(step) for step in json.loads(out.stdout.splitlines()[-1])]
+
+
+def test_quantise_and_classical_simulate_load_no_scipy(tmp_path):
+    # only the smoothed walls (erfc) and the coupled box portrait (ndtr) need
+    # scipy.special, and they load it at first use: the import, both
+    # quantisation families, the classical dynamics and a config error load
+    # no scipy module at all, and the first wall portrait loads scipy.special
+    two = _write_cfg(tmp_path, {"family": "two-mode", "tau1": 0.2, "tau2": 0.3, "phi": 0.5})
+    bad = _write_cfg(tmp_path, {"lam1": -1}, "bad.json")
+    steps = _cold_steps(tmp_path, [
+        ["quantise", "q1q2", "--config", two],
+        ["quantise", "q"],
+        ["simulate", "--preset", "fig3a"],
+        ["simulate", "--preset", "fig6a", "--config", bad],
+        ["portrait", "chi", "--preset", "fig6a"],
+    ])
     assert steps == [
-        [name, 0, []] for name in ("import", "simulate", "portrait", "quantise", "verify")
+        ("import", 0, _NO_SCIPY),
+        ("quantise", 0, _NO_SCIPY),
+        ("quantise", 0, _NO_SCIPY),
+        ("simulate", 0, _NO_SCIPY),
+        ("simulate", 2, _NO_SCIPY),
+        ("portrait", 0, _SPECIAL_ONLY),
     ]
+
+
+def test_no_step_imports_scipy_integrate_or_linalg(tmp_path):
+    # the semiclassical dynamics and verify each load scipy.special on their
+    # own, and no command loads scipy.integrate or scipy.linalg
+    for argv in (["simulate", "--preset", "fig6a"], ["verify", "--fock-dim", "4"]):
+        steps = _cold_steps(tmp_path, [argv])
+        assert steps == [("import", 0, _NO_SCIPY), (argv[0], 0, _SPECIAL_ONLY)]
 
 
 def test_every_public_name_resolves():

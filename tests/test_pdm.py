@@ -449,10 +449,16 @@ def test_float_and_array_formulas_agree(model, modes):
 
     def quantities(a, b, erfc_f, exp_f):
         veff, d1, d2, masses = _veff_pieces(model, scales, a, b, kin, erfc_f, exp_f)
+        # without kinetic coefficients only the masses are assembled, the
+        # same six, to the bit
+        alone = _veff_pieces(model, scales, a, b, None, erfc_f, exp_f)
         windows = [_mode_pieces(x, m, erfc_f, exp_f)[:2] for x, m in zip((a, b), scales)]
-        return [veff, d1, d2, *masses, *windows[0], *windows[1]]
+        return [veff, d1, d2, *masses, *windows[0], *windows[1], *alone]
 
     arrays = np.array(quantities(q1, q2, erfc, np.exp))
+    np.testing.assert_array_equal(arrays[13:], arrays[3:9])
+    # the arrays' default erfc (None), imported at first use, is scipy's
+    np.testing.assert_array_equal(np.array(quantities(q1, q2, None, np.exp)), arrays)
 
     def on_floats(erfc_f, exp_f):
         rows = [quantities(a, b, erfc_f, exp_f) for a, b in zip(q1.tolist(), q2.tolist())]
@@ -460,9 +466,12 @@ def test_float_and_array_formulas_agree(model, modes):
         return np.array(rows).T
 
     # with the same erfc and exp, float and array arithmetic agree to the bit
-    # in all thirteen quantities: one source of formulas, two instantiations
+    # in all thirteen quantities and in the masses alone: one source of
+    # formulas, two instantiations
     same = on_floats(lambda x: float(erfc(x)), lambda x: float(np.exp(x)))
     np.testing.assert_array_equal(same, arrays)
+    mathed = on_floats(math.erfc, math.exp)
+    np.testing.assert_array_equal(mathed[13:], mathed[3:9])
 
     # so math's instantiation moves them only as far as math's functions
     # differ from scipy's and numpy's on the arguments reached: exp by an ulp,
