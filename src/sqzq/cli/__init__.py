@@ -39,11 +39,12 @@ from ..nonsepstates import (
 from ..nonsepstates import (
     _fock_batch,
     _rotate,
+    _TABLE1_FIELDS,
     _rotated_frame,
     _table1_closed_forms,
     _two_mode_positions,
 )
-from ..quantmap import quantise
+from ..quantmap import _TWO_MODE_NMAX, quantise
 from .. import pdm
 
 __all__ = ["RunConfig", "main"]
@@ -51,8 +52,17 @@ __all__ = ["RunConfig", "main"]
 _REQUIRED = object()
 
 _PORTRAIT_FIELDS = ("chi", "mass1", "mass2", "q2chi1", "q2chi2", "veff", "nonsep_hq")
-_ONEMODE_FUNCTIONS = ("one", "q", "p", "q2", "p2", "qp")
-_TWOMODE_FUNCTIONS = ("one", "q1", "q2", "q1q2")
+# the functions ``sqzq quantise`` offers; the two-mode ones beside the
+# identity are the Table 1 fields
+_ONEMODE_CATALOGUE = {
+    "one": lambda q, p: np.ones_like(q),
+    "q": lambda q, p: q,
+    "p": lambda q, p: p,
+    "q2": lambda q, p: q * q,
+    "p2": lambda q, p: p * p,
+    "qp": lambda q, p: q * p,
+}
+_TWOMODE_CATALOGUE = {"one": lambda q1, q2, p1, p2: np.ones_like(q1), **_TABLE1_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -141,22 +151,28 @@ def _write_json(out_dir: str, name: str, payload) -> str:
 # model/state assembly from config
 
 
+def _preset_value(preset: pdm.Preset | None, path: str, fallback=_REQUIRED):
+    """The preset's value at the dotted attribute ``path``, or ``fallback``
+    where no preset, or no part of it (a classical preset's modes), supplies
+    one: a preset only supplies defaults, which the config overrides."""
+    value = preset
+    for attr in path.split("."):
+        if value is None:
+            return fallback
+        value = getattr(value, attr)
+    return value
+
+
 def _model_from(cfg: RunConfig, preset: pdm.Preset | None) -> pdm.PdmModel:
-    if preset is not None:
-        base = preset.model
-        return pdm.PdmModel(
-            m0=cfg.get("m0", base.m0),
-            lambda1=cfg.get("lambda1", base.lambda1),
-            lambda2=cfg.get("lambda2", base.lambda2),
-            vbar1=cfg.get("vbar1", base.vbar1),
-            vbar2=cfg.get("vbar2", base.vbar2),
-        )
+    def read(key, fallback=_REQUIRED):
+        return cfg.get(key, _preset_value(preset, f"model.{key}", fallback))
+
     return pdm.PdmModel(
-        m0=cfg.get("m0"),
-        lambda1=cfg.get("lambda1"),
-        lambda2=cfg.get("lambda2"),
-        vbar1=cfg.get("vbar1", 0.0),
-        vbar2=cfg.get("vbar2", 0.0),
+        m0=read("m0"),
+        lambda1=read("lambda1"),
+        lambda2=read("lambda2"),
+        vbar1=read("vbar1", 0.0),
+        vbar2=read("vbar2", 0.0),
     )
 
 
@@ -169,15 +185,13 @@ def _family_from(build, **values):
 
 
 def _modes_from(cfg: RunConfig, preset: pdm.Preset | None) -> TwoModeParams:
-    base = preset.modes if preset is not None else None
-
-    def default(j: int, attr: str, fallback):
-        return fallback if base is None else getattr(base.mode(j), attr)
+    def default(j: int, attr: str, fallback=_REQUIRED):
+        return _preset_value(preset, f"modes.mode{j}.{attr}", fallback)
 
     return _family_from(
         TwoModeParams.from_tau,
-        tau1=cfg.get_complex("tau1", default(1, "tau", _REQUIRED)),
-        tau2=cfg.get_complex("tau2", default(2, "tau", _REQUIRED)),
+        tau1=cfg.get_complex("tau1", default(1, "tau")),
+        tau2=cfg.get_complex("tau2", default(2, "tau")),
         lam1=cfg.get("lam1", default(1, "lam", 1.0)),
         lam2=cfg.get("lam2", default(2, "lam", 1.0)),
         hbar=cfg.get("hbar", default(1, "hbar", 1.0)),
@@ -300,26 +314,18 @@ def _recurrence_residual(model, init, t0: float, closure_time: float, tols) -> f
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
     preset = _preset_from(cfg, args)
-    if preset is not None:
-        kind = cfg.get("kind", preset.kind, cast=str)
-        init = pdm.InitialState(
-            q1=cfg.get("q0_1", preset.init.q1),
-            q2=cfg.get("q0_2", preset.init.q2),
-            v1=cfg.get("v0_1", preset.init.v1),
-            v2=cfg.get("v0_2", preset.init.v2),
-        )
-        t_span = (cfg.get("t0", preset.t_span[0]), cfg.get("t1", preset.t_span[1]))
-        name = preset.name
-    else:
-        kind = cfg.get("kind", cast=str)
-        init = pdm.InitialState(
-            q1=cfg.get("q0_1", 0.0),
-            q2=cfg.get("q0_2", 0.0),
-            v1=cfg.get("v0_1"),
-            v2=cfg.get("v0_2"),
-        )
-        t_span = (cfg.get("t0", 0.0), cfg.get("t1"))
-        name = cfg.get("name", "run", cast=str)
+    kind = cfg.get("kind", _preset_value(preset, "kind"), cast=str)
+    init = pdm.InitialState(
+        q1=cfg.get("q0_1", _preset_value(preset, "init.q1", 0.0)),
+        q2=cfg.get("q0_2", _preset_value(preset, "init.q2", 0.0)),
+        v1=cfg.get("v0_1", _preset_value(preset, "init.v1")),
+        v2=cfg.get("v0_2", _preset_value(preset, "init.v2")),
+    )
+    t0, t1 = _preset_value(preset, "t_span", (0.0, _REQUIRED))
+    t_span = (cfg.get("t0", t0), cfg.get("t1", t1))
+    # a preset's run is named after it, whatever the config says
+    preset_name = _preset_value(preset, "name", None)
+    name = preset_name or cfg.get("name", "run", cast=str)
     if kind not in ("classical", "semiclassical"):
         raise ConfigError("config field 'kind' must be 'classical' or 'semiclassical'")
     if not t_span[1] > t_span[0]:
@@ -351,14 +357,15 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         "escape_time": tr.escape_time,
         "initial_energy": float(tr.energy[0]),
         "kind": kind,
-        "preset": preset.name if preset is not None else None,
+        "preset": preset_name,
         "samples": int(tr.t.shape[0]),
         "t0": float(tr.t[0]),
         "t1": float(tr.t[-1]),
     }
-    if kind == "classical" and preset is not None and preset.closure_time is not None:
+    closure_time = _preset_value(preset, "closure_time", None)
+    if kind == "classical" and closure_time is not None:
         summary["recurrence_residual"] = _recurrence_residual(
-            model, init, t_span[0], preset.closure_time, tols
+            model, init, t_span[0], closure_time, tols
         )
 
     columns = (tr.t, tr.q[:, 0], tr.q[:, 1], tr.p[:, 0], tr.p[:, 1], tr.energy)
@@ -660,54 +667,38 @@ def _table1(fock_dim):
     closed = _table1_closed_forms(params, nmax)
     closed_dev = max(float(np.max(np.abs(op.entries - closed[f]))) for f, op in ops.items())
 
+    # each field's operator on the interior block is fitted on a pair of basis
+    # operators, and the fit is held against the adopted and the rival rows
+    linear = (
+        "quantised linear position fields reduce to the bare position operators; the "
+        "mode-mixing row printed for them does not fit the operator"
+    )
+    fits = [(f"table1-{f}-row", linear, f, (x1, x2), rows[f]["adopted"], rows[f]["rival"])
+            for f in ("q1", "q2")]
+    fits.append((
+        "table1-q1q2-constant",
+        "the product field quantises to x1 x2 plus half the inverse kernel's off-diagonal "
+        "entry times the identity; the printed constant does not fit",
+        "q1q2", (x1 @ x2, np.eye(len(x1))), (1.0, rows["q1q2"]["adopted"]), (1.0, rows["q1q2"]["rival"]),
+    ))
     errata = []
     worst = 0.0
-    for name in ("q1", "q2"):
-        op = ops[name]
-        basis = np.stack([x1[sel].ravel(), x2[sel].ravel()], axis=1)
-        fit, *_ = np.linalg.lstsq(basis, op.entries[sel].real.ravel(), rcond=None)
-        adopted = np.array(rows[name]["adopted"])
-        rival = np.array(rows[name]["rival"])
-        dev_adopted = float(np.max(np.abs(fit - adopted)))
+    for eid, description, name, pair, adopted, rival in fits:
+        basis = np.stack([b[sel].ravel() for b in pair], axis=1)
+        fit, *_ = np.linalg.lstsq(basis, ops[name].entries[sel].real.ravel(), rcond=None)
+        dev_adopted = float(np.max(np.abs(fit - np.array(adopted))))
         worst = max(worst, dev_adopted)
         errata.append(
             {
-                "id": f"table1-{name}-row",
-                "description": (
-                    "quantised linear position fields reduce to the bare "
-                    "position operators; the mode-mixing row printed for them "
-                    "does not fit the operator"
-                ),
+                "id": eid,
+                "description": description,
                 "oracle_fit": [float(v) for v in fit],
                 "adopted": [float(v) for v in adopted],
                 "rival": [float(v) for v in rival],
                 "adopted_deviation": dev_adopted,
-                "rival_deviation": float(np.max(np.abs(fit - rival))),
+                "rival_deviation": float(np.max(np.abs(fit - np.array(rival)))),
             }
         )
-    op = ops["q1q2"]
-    prod = x1 @ x2
-    basis = np.stack([prod[sel].ravel(), np.eye(len(prod))[sel].ravel()], axis=1)
-    fit, *_ = np.linalg.lstsq(basis, op.entries[sel].real.ravel(), rcond=None)
-    adopted_c = rows["q1q2"]["adopted"]
-    rival_c = rows["q1q2"]["rival"]
-    dev_adopted = float(max(abs(fit[0] - 1.0), abs(fit[1] - adopted_c)))
-    worst = max(worst, dev_adopted)
-    errata.append(
-        {
-            "id": "table1-q1q2-constant",
-            "description": (
-                "the product field quantises to x1 x2 plus half the inverse "
-                "kernel's off-diagonal entry times the identity; the printed "
-                "constant does not fit"
-            ),
-            "oracle_fit": [float(v) for v in fit],
-            "adopted": [1.0, float(adopted_c)],
-            "rival": [1.0, float(rival_c)],
-            "adopted_deviation": dev_adopted,
-            "rival_deviation": float(abs(fit[1] - rival_c)),
-        }
-    )
     detail = {"nmax": nmax, "nodes": report.nodes}
     return [
         ("identity-twomode", report.identity_deviation, detail),
@@ -874,48 +865,23 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     # by the node budget on the 4D points, (2 fock_dim)^2 (2 fock_dim + 1)^2 an
     # order (13 for the degree-2 q1q2).  The default stays small; an explicit
     # fock_dim always wins
-    nmax = _fock_dim(cfg, args, 8 if family_kind == "one-mode" else 4)
+    nmax = _fock_dim(cfg, args, 8 if family_kind == "one-mode" else _TWO_MODE_NMAX)
     if nmax < 1:
         raise ConfigError("quantise needs fock_dim >= 1")
+    if family_kind not in ("one-mode", "two-mode"):
+        raise ConfigError("config field 'family' must be 'one-mode' or 'two-mode'")
+    catalogue = _ONEMODE_CATALOGUE if family_kind == "one-mode" else _TWOMODE_CATALOGUE
+    if fn not in catalogue:
+        raise ConfigError(
+            f"unknown {family_kind} function {fn!r}; expected one of {', '.join(catalogue)}"
+        )
     if family_kind == "one-mode":
-        catalogue = {
-            "one": lambda q, p: np.ones_like(q),
-            "q": lambda q, p: q,
-            "p": lambda q, p: p,
-            "q2": lambda q, p: q * q,
-            "p2": lambda q, p: p * p,
-            "qp": lambda q, p: q * p,
-        }
-        if fn not in catalogue:
-            raise ConfigError(
-                f"unknown one-mode function {fn!r}; expected one of {', '.join(_ONEMODE_FUNCTIONS)}"
-            )
         family = _family_from(
             SqueezeParameter.from_tau,
             tau=cfg.get_complex("tau", 0.0), lam=cfg.get("lam", 1.0), hbar=cfg.get("hbar", 1.0),
         )
-    elif family_kind == "two-mode":
-        catalogue = {
-            "one": lambda q1, q2, p1, p2: np.ones_like(q1),
-            "q1": lambda q1, q2, p1, p2: q1,
-            "q2": lambda q1, q2, p1, p2: q2,
-            "q1q2": lambda q1, q2, p1, p2: q1 * q2,
-        }
-        if fn not in catalogue:
-            raise ConfigError(
-                f"unknown two-mode function {fn!r}; expected one of {', '.join(_TWOMODE_FUNCTIONS)}"
-            )
-        family = _family_from(
-            NonSepParams.from_tau,
-            tau1=cfg.get_complex("tau1"),
-            tau2=cfg.get_complex("tau2"),
-            phi=cfg.get("phi", 0.0),
-            lam1=cfg.get("lam1", 1.0),
-            lam2=cfg.get("lam2", 1.0),
-            hbar=cfg.get("hbar", 1.0),
-        )
     else:
-        raise ConfigError("config field 'family' must be 'one-mode' or 'two-mode'")
+        family = NonSepParams(_modes_from(cfg, None), cfg.get("phi", 0.0))
 
     op = quantise(catalogue[fn], family, nmax=nmax)
     mat = op.matrix.entries

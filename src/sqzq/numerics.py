@@ -60,6 +60,10 @@ _SMOOTH_BLOCK_NODES = 2**18
 # allowed to cost more nodes than it did
 _NODE_BUDGET = 38**2 * 32**2
 _ORDER_STEP = 4
+# the nodes ``_quantise_on_rule`` takes at a time: ``sqzq quantise q
+# --fock-dim 500`` builds a 251 001-node rule, whose (nodes x 501) complex
+# arrays would take 2 GB each at once
+_RULE_CHUNK = 20000
 # ``_refine``'s default stop and its polynomial check, relative to max(1, max|A|)
 _CONVERGED = 1e-6
 _EXACT = 1e-12
@@ -258,8 +262,8 @@ def _refine(modes: int, nmax: int, degree: int | None, cost, evaluate, stop: flo
     return mat, pts, QuadratureReport.of(mat, ident, witness, nodes)
 
 
-def _quantise_on_rule(coefficients, field, pts, weights, norm: float, chunk: int = 20000):
-    """Quantised field and identity on one rule, ``chunk`` nodes at a time:
+def _quantise_on_rule(coefficients, field, pts, weights, norm: float):
+    """Quantised field and identity on one rule, ``_RULE_CHUNK`` nodes at a time:
     A_nm = sum_k w_k f(x_k) c_n(x_k) conj(c_m(x_k)) / norm, with the Fock
     coefficients (P, dim) of the states at nodes x (P, d) from
     ``coefficients(x)`` and the measure's norm (2 pi hbar)^modes."""
@@ -273,11 +277,11 @@ def _quantise_on_rule(coefficients, field, pts, weights, norm: float, chunk: int
     weights, norm = weights * scale, norm * scale
     wf = weights * fv
     acc = ident = 0.0
-    for s in range(0, pts.shape[0], chunk):
-        cc = coefficients(pts[s : s + chunk])
+    for s in range(0, pts.shape[0], _RULE_CHUNK):
+        cc = coefficients(pts[s : s + _RULE_CHUNK])
         conj = cc.conj()
-        acc = acc + (cc * wf[s : s + chunk, None]).T @ conj
-        ident = ident + (cc * weights[s : s + chunk, None]).T @ conj
+        acc = acc + (cc * wf[s : s + _RULE_CHUNK, None]).T @ conj
+        ident = ident + (cc * weights[s : s + _RULE_CHUNK, None]).T @ conj
     return acc / norm, ident / norm
 
 

@@ -24,14 +24,16 @@ labels, so the operator is the beam splitter's rotation of a separable
 product, which sum-factorises into per-mode tables of the one-mode family's
 own projectors (``nonsepstates._quantise_rotated``).  It probes the function
 rather than trusting a declaration: a function that does not move with
-momentum on the product of the per-mode rules (``_position_values``) has
-each mode's momentum integrated exactly, and is evaluated on position pairs
-alone; every other function is evaluated on the product of the per-mode
-phase-plane rules.  Each rule's first order is exact for polynomial fields,
-and the change to the next order is the convergence witness.  The Table 1
-fields q1, q2 and q1 q2 (``nonsepstates.table1_operators``) run on the same
-engine, and ``sqzq verify`` holds their operators against the exact ones on
-the whole truncated basis.
+momentum on the product of the per-mode rules
+(``nonsepstates._is_position_field``) has each mode's momentum integrated
+exactly, and is evaluated on position pairs alone; every other function is
+evaluated on the product of the per-mode phase-plane rules.  Each rule's
+first order is exact for polynomial fields, and the change to the next order
+is the convergence witness.  ``kernel_eval`` asks the same position test, at
+the default two-mode basis, before it smooths a two-mode function.  The
+Table 1 fields q1, q2 and q1 q2 (``nonsepstates.table1_operators``) run on
+the same engine, and ``sqzq verify`` holds their operators against the exact
+ones on the whole truncated basis.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .onemode import SqueezeParameter
 from .onemode import _quantise_field as _quantise_onemode_field
 from .nonsepstates import (
     NonSepParams,
+    _is_position_field,
     _portrait_precision,
-    _position_values,
     _quantise_rotated,
 )
 from .sepstates import TwoModeParams
@@ -67,6 +69,11 @@ __all__ = [
     "dirac_correspondence_check",
     "symmetrisation_constant",
 ]
+
+# the two-mode basis n_j <= 4 that ``sqzq quantise`` takes by default:
+# ``kernel_eval`` asks the engine's position test at this basis, so it accepts
+# a field exactly when ``quantise`` there routes it to the position rules
+_TWO_MODE_NMAX = 4
 
 
 @dataclass(frozen=True)
@@ -91,6 +98,11 @@ class ClassicalFunction:
 
     def __call__(self, *coords):
         return self.evaluator(*coords)
+
+    @property
+    def poly_degree(self) -> int | None:
+        """The declared polynomial degree, None for bounded growth."""
+        return self.degree if self.growth == "poly" else None
 
 
 def _as_classical(f, arity: str) -> ClassicalFunction:
@@ -219,9 +231,8 @@ def quantise(f, family, nmax: int) -> QuantisedOperator:
         raise ValueError("nmax must be >= 1: a truncated operator has dimension >= 2")
     fam, arity, tag = _family(family)
     cf = _as_classical(f, arity)
-    degree = cf.degree if cf.growth == "poly" else None
     engine = _quantise_onemode_field if arity == "one-mode" else _quantise_rotated
-    mat, pts, report = engine(fam, cf, nmax, degree)
+    mat, pts, report = engine(fam, cf, nmax, cf.poly_degree)
     _spot_check_growth(cf, pts)
     return QuantisedOperator(
         basis=nmax, matrix=TruncatedOperator(mat.shape[0], mat), family_tag=tag,
@@ -262,9 +273,11 @@ def kernel_eval(f, family, x) -> KernelAction:
 
     The kernel of every admissible f is a distribution on x = x'; what is
     returned is its action on test functions (see KernelAction).  Momentum
-    dependence beyond quadratic is refused; two-mode families support
-    position-only functions, evaluated at x = (x1, x2), whose kernel is the
-    Gaussian smoothing of f at twice the portrait precision.  For one mode,
+    dependence beyond quadratic is refused.  Two-mode families support
+    position-only functions: those the engine's position test takes for one
+    at the basis n_j <= 4 (``_TWO_MODE_NMAX``), with the declared degree, as
+    ``quantise`` there would.  The kernel at x = (x1, x2) is the Gaussian
+    smoothing of f(q1, q2, 0, 0) at twice the portrait precision.  For one mode,
     f = f0 + f1 p + f2 p^2, and the coefficients take f0, f1, f1 d, f2, f2 d,
     f2 d^2 (d = q - x) from one stacked ``numerics.gaussian_smooth`` pass at
     precision 2 Re(Q1), Q1 = sigma_q^2 / lam^2.
@@ -276,13 +289,12 @@ def kernel_eval(f, family, x) -> KernelAction:
         if x.shape != (2,):
             raise ConfigError("two-mode kernel point must be a pair (x1, x2)")
 
+        if not _is_position_field(fam, cf, _TWO_MODE_NMAX, cf.poly_degree):
+            raise UnsupportedMomentumDependence("two-mode kernels support position-only functions")
+
         def position_part(q1, q2):
-            base = _position_values(cf, q1, q2, np.full_like(q1, 0.37), np.full_like(q1, -0.61))
-            if base is None:
-                raise UnsupportedMomentumDependence(
-                    "two-mode kernels support position-only functions"
-                )
-            return base
+            zero = np.zeros_like(q1)
+            return np.asarray(cf(q1, q2, zero, zero), dtype=float)
 
         a0 = gaussian_smooth(position_part, x, 2.0 * _portrait_precision(fam))
         return KernelAction(complex(a0), 0.0, 0.0)

@@ -410,6 +410,64 @@ def test_simulate_config_overrides_preset_state(tmp_path):
     assert_allclose(first[3], 0.5, rtol=1e-12)
 
 
+def _preset_config(preset):
+    """A config without a preset that holds every value the preset supplies."""
+    model, init = preset.model, preset.init
+    cfg = {"kind": preset.kind, "name": preset.name, "q0_1": init.q1, "q0_2": init.q2,
+           "v0_1": init.v1, "v0_2": init.v2, "t0": preset.t_span[0], "t1": preset.t_span[1]}
+    cfg.update({key: getattr(model, key) for key in ("m0", "lambda1", "lambda2", "vbar1", "vbar2")})
+    if preset.modes is not None:
+        for j in (1, 2):
+            mode = preset.modes.mode(j)
+            cfg.update({f"tau{j}": mode.tau.real, f"tau{j}_im": mode.tau.imag, f"lam{j}": mode.lam})
+        cfg["hbar"] = preset.modes.hbar
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "argv,written",
+    [(["simulate", "--preset", "fig4b"], "fig4b.csv"),
+     (["simulate", "--preset", "fig6a"], "fig6a.csv"),
+     (["portrait", "veff", "--preset", "fig6a"], "portrait_veff.csv")],
+    ids=["simulate-fig4b", "simulate-fig6a", "portrait-veff-fig6a"],
+)
+def test_a_preset_only_supplies_defaults(tmp_path, argv, written):
+    cfg = _write_cfg(tmp_path, _preset_config(pdm.PRESETS[argv[-1]]))
+    assert main(argv + ["--out", str(tmp_path / "preset")]) == 0
+    assert main(argv[:-2] + ["--config", cfg, "--out", str(tmp_path / "config")]) == 0
+    assert (tmp_path / "preset" / written).read_bytes() == (tmp_path / "config" / written).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [(["portrait", "chi", "--preset", "fig3a"], {}),
+     (["simulate", "--preset", "fig3a"], {"kind": "semiclassical"})],
+    ids=["portrait-chi", "simulate-semiclassical"],
+)
+def test_a_classical_preset_supplies_no_squeezing(tmp_path, capsys, argv, payload):
+    # a classical preset has no modes, so the squeezing labels must come from
+    # the config
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: config field 'tau1' is required" in capsys.readouterr().err
+
+
+def test_fig6a_outputs_keep_their_bytes(tmp_path):
+    # the semiclassical run and the V_eff portrait read through the preset;
+    # their bits pin the reader and everything below it
+    assert main(["simulate", "--preset", "fig6a", "--out", str(tmp_path)]) == 0
+    assert main(["portrait", "veff", "--preset", "fig6a", "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fig6a.csv", "fig6a_summary.json", "portrait_veff.csv")
+    }
+    assert digests == {
+        "fig6a.csv": "624e4e48b9ad9c303b603ed3ce7256dfbd145a868b8ff0b0bce23d58a17160f2",
+        "fig6a_summary.json": "d7d5af185696982eaf2b99cb8bf4478018bcc43c19c4b896d30431663c3a904e",
+        "portrait_veff.csv": "3a1058b1b8631b0b9be4f082434513b04d97de3868db62797fc5f0be1f298df2",
+    }
+
+
 def test_simulate_recurrence_residual_describes_the_run(tmp_path):
     # the plain preset closes after 2 pi; with a wider box and a slower
     # first mode the run does not, and its residual must say so
@@ -954,6 +1012,24 @@ def test_verify_holds_1e_12(tmp_path, fock_dim):
     assert closed["deviation"] <= 1e-14
     assert checks["identity-twomode"]["deviation"] <= 1e-14
     assert checks["bs-rotation"]["deviation"] <= 1e-13
+
+
+def test_verify_holds_table1_operators_off_their_closed_forms(tmp_path, monkeypatch):
+    # the table1-closed-form check, at the run's tolerance, is the one test of
+    # the Table 1 operators: an engine off by 1e-9 is reported, not raised,
+    # and the report is kept
+    engine = nonsepstates._quantise_rotated
+
+    def shifted(*args):
+        mat, pts, report = engine(*args)
+        return mat + 1e-9, pts, report
+
+    monkeypatch.setattr(nonsepstates, "_quantise_rotated", shifted)
+    assert main(["verify", "--tol", "1e-12", "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    closed = next(c for c in report["checks"] if c["id"] == "table1-closed-form")
+    assert not closed["within_tolerance"]
+    assert closed["deviation"] == pytest.approx(1e-9, rel=1e-4)
 
 
 def test_verify_outside_tolerance_exits_3(tmp_path):

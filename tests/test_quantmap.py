@@ -417,17 +417,21 @@ def test_position_route_matches_the_phase_space_engine(monkeypatch, g, degree, g
         assert rep.nodes in np.cumsum(np.arange(5, 400, 4) ** 2)
 
 
-@pytest.mark.parametrize(
-    "g,growth,degree,nmax",
-    [(lambda q1, q2, p1, p2: q1 + p1, "poly", 1, 2),
-     (lambda q1, q2, p1, p2: q1 * q2 + 1e-3 * p1**2, "poly", 2, 2),
-     # flat in momentum around p = 0: only a probe across the engine's
-     # momentum range sees them move
-     (lambda q1, q2, p1, p2: ((np.abs(q1) < 1.0) & (np.abs(p1) < 1.0)).astype(float),
-      "bounded", 0, 1),
-     (lambda q1, q2, p1, p2: np.maximum(np.abs(p1) - 1.0, 0.0), "poly", 1, 1)],
-    ids=["q1+p1", "q1q2+1e-3*p1**2", "phase-space-box", "p1-threshold"],
-)
+# fields that move with momentum, each with the basis its engine test takes
+MOMENTUM_FIELDS = [
+    pytest.param(lambda q1, q2, p1, p2: q1 + p1, "poly", 1, 2, id="q1+p1"),
+    pytest.param(lambda q1, q2, p1, p2: q1 * q2 + 1e-3 * p1**2, "poly", 2, 2,
+                 id="q1q2+1e-3*p1**2"),
+    # flat in momentum around p = 0: only a probe across the engine's
+    # momentum range sees them move
+    pytest.param(lambda q1, q2, p1, p2: ((np.abs(q1) < 1.0) & (np.abs(p1) < 1.0)).astype(float),
+                 "bounded", 0, 1, id="phase-space-box"),
+    pytest.param(lambda q1, q2, p1, p2: np.maximum(np.abs(p1) - 1.0, 0.0), "poly", 1, 1,
+                 id="p1-threshold"),
+]
+
+
+@pytest.mark.parametrize("g,growth,degree,nmax", MOMENTUM_FIELDS)
 def test_momentum_fields_keep_the_phase_space_engine(monkeypatch, g, growth, degree, nmax):
     f = ClassicalFunction(g, arity="two-mode", growth=growth, degree=degree)
     calls = _record_paths(monkeypatch)
@@ -619,6 +623,62 @@ def test_kernel_two_mode_position_product():
         np.array([0.3, 0.4]),
     )
     assert_allclose(ka.smoothing_factor, 0.3 * 0.4 + cov[0, 1], rtol=1e-10)
+
+
+class _Routed(Exception):
+    pass
+
+
+def _route(monkeypatch, f, params, nmax):
+    """The rules ``quantise`` takes for f at basis nmax ("phase-space" or
+    "position", as ``_record_paths`` names them), read before any order runs."""
+
+    def stop(modes, nmax, degree, cost, *args):
+        raise _Routed("phase-space" if cost(2) == 16 else "position")
+
+    monkeypatch.setattr(nonsepstates_module, "_refine", stop)
+    with pytest.raises(_Routed) as exc:
+        quantise(f, params, nmax)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [ROUTE_PARAMS, NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)],
+    ids=["route-family", "table1-family"],
+)
+@pytest.mark.parametrize(
+    "g,growth,degree,nmax",
+    MOMENTUM_FIELDS
+    + [pytest.param(lambda q1, q2, p1, p2: q1 + np.maximum(np.abs(p1) - 1.0, 0.0), "poly", 1, 1,
+                    id="q1+p1-threshold")],
+)
+def test_kernel_two_mode_refuses_what_quantise_takes_for_momentum(
+    monkeypatch, params, g, growth, degree, nmax
+):
+    # kernel_eval asks the engine's own position test, at the two-mode basis
+    # quantise takes by default, 4, whatever basis the field's phase-space
+    # test above takes (nmax): a probe at one momentum pair took the
+    # threshold fields for position fields (q1 plus the threshold smoothed
+    # to q1's 0.3 at x = (0.3, 0.4))
+    f = ClassicalFunction(g, arity="two-mode", growth=growth, degree=degree)
+    with pytest.raises(UnsupportedMomentumDependence):
+        kernel_eval(f, params, np.array([0.3, 0.4]))
+    assert _route(monkeypatch, f, params, 4) == "phase-space"
+
+
+def test_kernel_two_mode_accepts_what_quantise_takes_for_a_position_field(monkeypatch):
+    params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
+    f = ClassicalFunction(lambda q1, q2, p1, p2: np.exp(-(q1 * q1 + q2 * q2) / 2.0),
+                          arity="two-mode", growth="bounded")
+    a0 = kernel_eval(f, params, np.array([0.3, 0.4])).smoothing_factor
+    # the smoothing of exp(-|x|^2 / 2) at covariance S = (2 M)^-1 is
+    # exp(-x^T (1 + S)^-1 x / 2) / sqrt(det(1 + S))
+    s = np.eye(2) + np.linalg.inv(2.0 * _portrait_precision(params))
+    x = np.array([0.3, 0.4])
+    assert_allclose(a0, np.exp(-0.5 * x @ np.linalg.solve(s, x)) / np.sqrt(np.linalg.det(s)),
+                    rtol=1e-12)
+    assert _route(monkeypatch, f, params, 4) == "position"
 
 
 def test_kernel_two_mode_rejects_momentum():
