@@ -198,8 +198,8 @@ def _modes_from(cfg: RunConfig, preset: pdm.Preset | None) -> TwoModeParams:
     )
 
 
-def _preset_from(cfg: RunConfig, args) -> pdm.Preset | None:
-    name = args.preset if args.preset is not None else cfg.get("preset", None, cast=str)
+def _preset_from(cfg: RunConfig) -> pdm.Preset | None:
+    name = cfg.get("preset", None, cast=str)
     if name is None:
         return None
     if name not in pdm.PRESETS:
@@ -209,17 +209,16 @@ def _preset_from(cfg: RunConfig, args) -> pdm.Preset | None:
     return pdm.PRESETS[name]
 
 
-def _tolerance(cfg: RunConfig, flag, key: str, default=None):
-    """A tolerance from its flag, else from config ``key``; it must be positive
-    and finite."""
-    tol = flag if flag is not None else cfg.get(key, default)
+def _tolerance(cfg: RunConfig, key: str, default=None):
+    """The tolerance at config ``key``; it must be positive and finite."""
+    tol = cfg.get(key, default)
     if tol is not None and not 0.0 < tol < math.inf:
         raise ConfigError(f"tolerance {key!r} must be positive and finite, got {tol!r}")
     return tol
 
 
-def _fock_dim(cfg: RunConfig, args, default: int) -> int:
-    dim = args.fock_dim if args.fock_dim is not None else cfg.get("fock_dim", default, cast=int)
+def _fock_dim(cfg: RunConfig, default: int) -> int:
+    dim = cfg.get("fock_dim", default, cast=int)
     if dim < 0:
         raise ConfigError("fock_dim must be >= 0")
     return dim
@@ -262,14 +261,14 @@ def _nonsep_grid_values(model, modes, phi, pts):
 
 
 def cmd_portrait(cfg: RunConfig, args) -> int:
-    field = args.field if args.field is not None else cfg.get("field", None, cast=str)
+    field = cfg.get("field", None, cast=str)
     if field is None:
         raise ConfigError(f"choose a portrait field: one of {', '.join(_PORTRAIT_FIELDS)}")
     if field not in _PORTRAIT_FIELDS:
         raise ConfigError(
             f"unknown portrait field {field!r}; expected one of {', '.join(_PORTRAIT_FIELDS)}"
         )
-    preset = _preset_from(cfg, args)
+    preset = _preset_from(cfg)
     model = _model_from(cfg, preset)
     modes = _modes_from(cfg, preset)
     q1_axis, q2_axis = _grid_axes(cfg, model)
@@ -313,7 +312,7 @@ def _recurrence_residual(model, init, t0: float, closure_time: float, tols) -> f
 
 
 def cmd_simulate(cfg: RunConfig, args) -> int:
-    preset = _preset_from(cfg, args)
+    preset = _preset_from(cfg)
     kind = cfg.get("kind", _preset_value(preset, "kind"), cast=str)
     init = pdm.InitialState(
         q1=cfg.get("q0_1", _preset_value(preset, "init.q1", 0.0)),
@@ -338,8 +337,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         if kwargs["samples"] < 2:
             raise ConfigError("config field 'samples' must be >= 2")
     tols = {}
-    for key, flag in (("rel_tol", args.tol), ("abs_tol", None)):
-        tol = _tolerance(cfg, flag, key)
+    for key in ("rel_tol", "abs_tol"):
+        tol = _tolerance(cfg, key)
         if tol is not None:
             tols[key] = tol
     kwargs.update(tols)
@@ -814,8 +813,8 @@ CHECKS = (
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    tol = _tolerance(cfg, args.tol, "tol", 1e-6)
-    fock_dim = _fock_dim(cfg, args, 8)
+    tol = _tolerance(cfg, "tol", 1e-6)
+    fock_dim = _fock_dim(cfg, 8)
     checks: list = []
     errata: list = []
     for entry in CHECKS:
@@ -855,7 +854,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def cmd_quantise(cfg: RunConfig, args) -> int:
-    fn = args.function if args.function is not None else cfg.get("function", None, cast=str)
+    fn = cfg.get("function", None, cast=str)
     if fn is None:
         raise ConfigError("choose a function to quantise (positional argument or 'function')")
     family_kind = cfg.get("family", "one-mode", cast=str)
@@ -865,7 +864,7 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     # by the node budget on the 4D points, (2 fock_dim)^2 (2 fock_dim + 1)^2 an
     # order (13 for the degree-2 q1q2).  The default stays small; an explicit
     # fock_dim always wins
-    nmax = _fock_dim(cfg, args, 8 if family_kind == "one-mode" else _TWO_MODE_NMAX)
+    nmax = _fock_dim(cfg, 8 if family_kind == "one-mode" else _TWO_MODE_NMAX)
     if nmax < 1:
         raise ConfigError("quantise needs fock_dim >= 1")
     if family_kind not in ("one-mode", "two-mode"):
@@ -912,8 +911,8 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
 # the flags a subcommand may take beyond --config and --out
 _FLAGS = {
     "preset": (["--preset"], {"help": "named parameter set, e.g. fig3a..fig6c"}),
-    "tol": (["--tol"], {"type": float, "help": "tolerance / relative step control"}),
-    "fock_dim": (["--fock-dim"], {"dest": "fock_dim", "type": int, "help": "Fock-basis size"}),
+    "tol": (["--tol"], {"type": float, "metavar": "TOL", "help": "tolerance / relative step control"}),
+    "fock_dim": (["--fock-dim"], {"type": int, "help": "Fock-basis size"}),
 }
 
 
@@ -924,22 +923,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, func, flags):
+    def command(name, help, func, flags, **keys):
         """A subcommand that takes only the flags it reads, so argparse
-        refuses the others instead of ignoring them."""
+        refuses the others instead of ignoring them.  A flag's value lands
+        under the config key it overrides: its own name, or the one ``keys``
+        gives it."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file (flags override its values)")
         p.add_argument("--out", default=".", help="output directory")
-        for key in flags:
-            names, kwargs = _FLAGS[key]
-            p.add_argument(*names, **kwargs)
+        for flag in flags:
+            names, kwargs = _FLAGS[flag]
+            p.add_argument(*names, dest=keys.get(flag, flag), **kwargs)
         p.set_defaults(func=func)
         return p
 
     p = command("portrait", "write a smoothed-observable grid CSV", cmd_portrait, ["preset"])
     p.add_argument("field", nargs="?", choices=_PORTRAIT_FIELDS, default=None)
     command("simulate", "integrate a trajectory and write CSV + summary", cmd_simulate,
-            ["preset", "tol"])
+            ["preset", "tol"], tol="rel_tol")
     command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify,
             ["tol", "fock_dim"])
     p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise,
@@ -950,9 +951,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # every other parsed value is a flag or positional under its config key
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out", "func")}
     start = time.perf_counter()
     try:
-        cfg = RunConfig.load(args.config, {})
+        cfg = RunConfig.load(args.config, overrides)
         code = args.func(cfg, args)
     except (ConfigError, OutsideBox) as exc:
         print(f"config error: {exc}", file=sys.stderr)

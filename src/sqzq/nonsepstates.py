@@ -33,15 +33,15 @@ check, at the run's tolerance.  Its ``bs-rotation`` check holds the identity
 the engine rests on against the ladder recurrences.
 
 The mode-mixing (Bogoliubov) residual check holds the unitary G as one
-array g[r1, r2, n1, n2] on a grid of rows and columns, assembled from
-per-mode recurrences for the squeeze and displacement factors plus a beam
-splitter applied per photon-number sector.  On that grid a_j G is g shifted
-along row axis j and G F_j is g shifted along the column axes, so the
-residual is read off with slices.  The beam splitter conserves n1 + n2, so
-below the box edge each sector's generator is exact and its exponential is
-an exact spectral rotation; exponentials of truncated one-mode generators
-are avoided because their columns are contaminated at any truncation
-reachable in practice.
+array g[r1, r2, n1, n2] on a grid of rows and columns.  The displacement
+moves through the beam splitter onto the coherent labels it rotates, so G is
+U applied last to a product of per-mode squeeze and displacement columns from
+ladder recurrences, through the engine's own sector blocks; the sectors it
+reaches are all full, so its rotation is exact.  On that grid a_j G is g
+shifted along row axis j and G F_j is g shifted along the column axes, so the
+residual is read off with slices.  Exponentials of truncated one-mode
+generators are avoided because their columns are contaminated at any
+truncation reachable in practice.
 
 Coupled portraits of general fields are ``numerics.gaussian_smooth`` under
 ``_portrait_precision``; rectangle indicators keep the exact conditional-normal
@@ -483,8 +483,16 @@ def _rotated_frame(params: NonSepParams, nmax: int):
     (lam_j sqrt 2) + i lam_j p_j / (hbar sqrt 2) that is q = Lam R^T Lam^-1 q'
     and p = Lam^-1 R^T Lam p', a map of unit Jacobian that takes positions to
     positions.  U is the beam splitter on the box n_j <= 2 nmax, whose
-    sectors N <= 2 nmax are all full (``_sector_factors``); only its rows on
-    the basis n_j <= nmax are needed, and each reaches its own sector alone.
+    sectors N <= 2 nmax are all full; only its rows on the basis n_j <= nmax
+    are needed, and each reaches its own sector alone.  ``bogoliubov_check``
+    applies U through the same blocks.
+
+    U = exp(phi (a1^dag a2 - a1 a2^dag)) conserves N = n1 + n2.  On the
+    sector's states |k1, N - k1> its generator is -i phi D J D*: D =
+    diag(i^k1), and J = V diag(lam) V^T, twice J_x of spin N/2, has
+    off-diagonals sqrt((k1 + 1)(N - k1)) and the exact spectrum lam = -N,
+    2 - N, ..., N (Feng, Wang, Yang & Jin, Phys. Rev. E 92:043307, 2015).  So
+    the block is D V exp(-i phi lam) V^T D*, with eigh's V and the exact lam.
 
     Returns the matrices taking q' to q and p' to p, and per sector N <=
     2 nmax the basis indices of its rows, the box indices of its columns
@@ -496,7 +504,12 @@ def _rotated_frame(params: NonSepParams, nmax: int):
         k1 = np.arange(tot + 1)
         n1 = k1[max(0, tot - nmax) : min(tot, nmax) + 1]
         rows, cols = n1 * (nmax + 1) + tot - n1, k1 * box + tot - k1
-        d, vec, phase = _sector_factors(params.phi, tot, k1, True)
+        amp = np.sqrt((k1[:-1] + 1.0) * (tot - k1[:-1]))
+        vec = np.linalg.eigh(np.diag(amp, -1) + np.diag(amp, 1))[1]
+        # long double: phi * lam is exact for integer lam (float64: 6e-14 off at 730 rad)
+        lam = np.arange(-tot, tot + 1.0, 2.0)
+        phase = np.exp(-1j * np.longdouble(params.phi) * lam).astype(complex)
+        d = 1j ** (k1 % 4)  # exact, where 1j ** k1 drifts off the axes
         # the block's rows n1 alone; V is real, so each part of the phase
         # takes one real product
         left = vec[n1]
@@ -904,68 +917,22 @@ def _displacement_columns(alpha: complex, ncols: int, ambient: int) -> np.ndarra
     return cols.astype(complex)
 
 
-def _sector_factors(phi: float, tot: int, n1s: np.ndarray, full: bool):
-    """Factors D, V and exp(-i phi lam) of the beam splitter's block
-    D V exp(-i phi lam) V^T D* on the rows and columns |n1, tot - n1>, n1 in
-    ``n1s``, of one photon-number sector.
-
-    There the generator of exp(phi (a1^dag a2 - a1 a2^dag)) is -i phi D J D*:
-    D = diag(i^n1), and J = V diag(lam) V^T, twice J_x of spin tot/2, has
-    off-diagonals sqrt((n1 + 1)(tot - n1)) (Feng, Wang, Yang & Jin, Phys.
-    Rev. E 92:043307, 2015).  lam = -tot, 2 - tot, ..., tot exactly in a
-    ``full`` sector; one a box cuts keeps the exponential of its truncated
-    block, eigh's spectrum.  D and the phases are returned as vectors.
-    """
-    amp = np.sqrt((n1s[:-1] + 1.0) * (tot - n1s[:-1]))
-    lam, vec = np.linalg.eigh(np.diag(amp, -1) + np.diag(amp, 1))
-    if full:
-        lam = np.arange(-tot, tot + 1.0, 2.0)
-    d = 1j ** (n1s % 4)  # exact, where 1j ** n1 drifts off the axes
-    # long double: phi * lam is exact for integer lam (float64: 6e-14 off at 730 rad)
-    return d, vec, np.exp(-1j * np.longdouble(phi) * lam).astype(complex)
-
-
-def _beam_split(phi: float, cols: np.ndarray) -> np.ndarray:
-    """Beam splitter exp(phi (a1^dag a2 - a1 a2^dag)) on box columns, as complex.
-
-    ``cols[n1, n2, k]`` holds column k on the ambient box n1, n2 < ambient,
-    rotated sector by sector (``_sector_factors``); the sectors N < ambient
-    are full.  The factors are applied in turn, which is cheaper than
-    forming the block when the columns are few.
-    """
-    ambient = cols.shape[0]
-    out = np.empty(cols.shape, complex)
-    for tot in range(2 * ambient - 1):
-        n1s = np.arange(max(0, tot - ambient + 1), min(tot, ambient - 1) + 1)
-        d, vec, phase = _sector_factors(phi, tot, n1s, tot < ambient)
-        # V is real: multiply real and imaginary parts as one real matrix
-        x = (d.conj()[:, None] * cols[n1s, tot - n1s]).view(float)
-        rot = phase[:, None] * (vec.T @ x).view(complex)
-        out[n1s, tot - n1s] = d[:, None] * (vec @ rot.view(float)).view(complex)
-    return out
-
-
 def bogoliubov_check(params: NonSepParams, nmax: int, dim: int = 40) -> float:
     """Residual of the mixed-ladder relations at truncation ``dim`` per mode.
 
-    Builds the projection of the full unitary onto the dim^2 box as one array
-    g[r1, r2, n1, n2] of rows r1, r2 < dim and columns n1, n2 <= nmax + 1,
-    in an ambient box of dim + 60 per mode: per-mode ladder recurrences for
-    the squeeze and displacement factors, and between them the beam splitter
-    per photon-number sector (``_beam_split``).  Only the columns with
-    n1 + n2 <= nmax + 1 are built; the rest of the grid stays zero.  Then it
-    measures how far a_j G differs from G applied to the closed-form ladder
-    mixture F_j, over the columns with n1 + n2 <= nmax, whose images under
-    F_j are all built, and the rows r1, r2 < dim - 2, which the truncated
-    lowering leaves exact.
-
-    For dim <= 61 the rows of G (N <= 2 dim - 2) lie below the sectors the
-    ambient box cuts (N >= dim + 60), but the displacement, applied after the
-    beam splitter, carries those sectors into them: |<39|D(0.7 e^{0.4i})|b>|
-    reaches 2.2e-6 for b >= 60.  So the cut sectors keep the exponential of
-    their truncated block; zeroing them instead moves G by up to 2.3e-7 (at
-    rows (39, 39)) and the residual at tanh(0.7) squeezing, nmax 12, dim 40,
-    from 2.6e-10 to 1.3e-7.
+    Builds the projection of the full unitary G = D(alpha) U (S1 x S2) onto
+    the dim^2 box as one array g[r1, r2, n1, n2] of rows r1, r2 < dim and
+    columns n1, n2 <= nmax + 1.  The displacement moves in front of the beam
+    splitter, D(alpha) U = U D(beta) with beta = R(phi) alpha
+    (``_rotated_frame``), so G = U (D(beta1) S1 x D(beta2) S2): per-mode
+    ladder recurrences give each mode's D(beta_j) S_j on the rows < 2 dim - 1,
+    and U, applied last by the engine's own sector blocks (``_rotate``),
+    takes the sectors N <= 2 dim - 2 of their product to the rows, every one
+    of them full.  Only the columns with n1 + n2 <= nmax + 1 are built; the
+    rest of the grid stays zero.  Then it measures how far a_j G differs from
+    G applied to the closed-form ladder mixture F_j, over the columns with
+    n1 + n2 <= nmax, whose images under F_j are all built, and the rows r1,
+    r2 < dim - 2, which the truncated lowering leaves exact.
 
     Left-multiplied form throughout: sandwiching with the truncated adjoint
     would add squeezed-tail mass lost beyond the box (> 1e-6 even at the
@@ -983,23 +950,28 @@ def bogoliubov_check(params: NonSepParams, nmax: int, dim: int = 40) -> float:
     # unit phase-space cell; the relation is displacement covariant, so one
     # nonzero choice exercises the constant term
     a1, a2 = 0.7 * np.exp(0.4j), 0.7 * np.exp(-1.8j)
-    ambient = dim + 60
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    box = 2 * dim - 1
+    # D(beta) S on the rows < box reads S's rows < ambient, each column n
+    # exact on the rows < ambient - n: 60 rows beyond the box put what the
+    # displacement reaches from past them below rounding (40 already do here)
+    ambient = box + 60
     n = np.arange(nmax + 2)
     photons = n[:, None] + n[None, :]
     built = photons <= nmax + 1
     n1s, n2s = np.nonzero(built)
-    sq1 = _squeeze_columns(tau1, nmax + 2, ambient)
-    sq2 = _squeeze_columns(tau2, nmax + 2, ambient)
-    cols = _beam_split(phi, sq1[:, None, n1s] * sq2[None, :, n2s])
-    d1 = _displacement_columns(a1, ambient, ambient)[:dim]
-    d2 = _displacement_columns(a2, ambient, ambient)[:dim]
+    f1, f2 = (
+        _displacement_columns(beta, ambient, box) @ _squeeze_columns(tau, nmax + 2, ambient)
+        for beta, tau in ((cphi * a1 - sphi * a2, tau1), (sphi * a1 + cphi * a2, tau2))
+    )
+    _, _, sectors = _rotated_frame(params, dim - 1)
+    cols = _rotate(sectors, (f1[:, None, n1s] * f2[None, :, n2s]).reshape(box * box, -1))
     g = np.zeros((dim, dim, nmax + 2, nmax + 2), dtype=complex)
-    g[:, :, built] = np.einsum("ab,bck,dc->adk", d1, cols, d2, optimize=True)
+    g[:, :, built] = cols.reshape(dim, dim, -1)
 
     c1 = 1.0 / np.sqrt(1.0 - abs(tau1) ** 2)
     c2 = 1.0 / np.sqrt(1.0 - abs(tau2) ** 2)
     s1, s2 = tau1 * c1, tau2 * c2
-    cphi, sphi = np.cos(phi), np.sin(phi)
     rt = np.sqrt(n[1:])
     rows = np.sqrt(np.arange(1.0, dim - 1))[:, None, None]
     checked = photons <= nmax

@@ -213,8 +213,7 @@ def test_criterion_06_bogoliubov_residual():
         t * np.exp(0.4j), t * np.exp(-1.1j), 0.9, 0.8, 1.15
     )
     start = time.perf_counter()
-    # interior block n <= 8 inside the 40-level ambient space; the residual
-    # is pure truncation tail and grows ~30x per two extra interior levels
+    # interior block n <= 8 inside the 40-level box per mode
     residual = bogoliubov_check(params, nmax=8, dim=40)
     elapsed = time.perf_counter() - start
     assert residual < 1e-6

@@ -53,6 +53,35 @@ def test_run_config_flag_overrides_file(tmp_path):
     assert not cfg.has("c")
 
 
+@pytest.mark.parametrize(
+    "flags,keys,outputs",
+    [
+        (["portrait", "chi", "--preset", "fig6a"], {"field": "chi", "preset": "fig6a"},
+         ["portrait_chi.csv"]),
+        (["simulate", "--preset", "fig4b", "--tol", "1e-9"], {"preset": "fig4b", "rel_tol": 1e-9},
+         ["fig4b.csv", "fig4b_summary.json"]),
+        (["verify", "--tol", "1e-2", "--fock-dim", "3"], {"tol": 1e-2, "fock_dim": 3},
+         ["verify_report.json"]),
+        (["quantise", "qp", "--fock-dim", "4"], {"function": "qp", "fock_dim": 4},
+         ["quantise_qp.csv", "quantise_qp_report.json"]),
+    ],
+    ids=["portrait", "simulate", "verify", "quantise"],
+)
+def test_each_flag_overrides_its_config_key(tmp_path, flags, keys, outputs):
+    # flags over a file that sets every key otherwise write what a file of
+    # the flags' values writes: a flag or positional lands on the key of its
+    # name, simulate's --tol on rel_tol
+    grid = {"q1_points": 5, "q2_points": 5}
+    other = {"field": "veff", "preset": "fig4a", "rel_tol": 1e-6, "tol": 1e-3,
+             "fock_dim": 6, "function": "q2"}
+    argvs = (flags + ["--config", _write_cfg(tmp_path, {**grid, **other}, "other.json")],
+             [flags[0], "--config", _write_cfg(tmp_path, {**grid, **keys}, "keys.json")])
+    for sub, argv in zip("ab", argvs):
+        assert main(argv + ["--out", str(tmp_path / sub)]) == 0
+    for name in outputs:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_run_config_field_errors(tmp_path):
     cfg = RunConfig.load(None, {"n": "many"})
     with pytest.raises(ConfigError, match="'missing' is required"):

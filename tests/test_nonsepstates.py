@@ -26,8 +26,8 @@ from sqzq.cli import _kernel_precision
 from sqzq.errors import ConfigError, TruncationTooSmall
 from sqzq.nonsepstates import (
     NonSepParams,
-    _beam_split,
     _displacement_columns,
+    _rotated_frame,
     _squeeze_columns,
     bogoliubov_check,
     fock_coefficients,
@@ -474,10 +474,9 @@ def test_bogoliubov_strong_squeezing_within_budget():
     t0 = time.time()
     res = bogoliubov_check(p, 12)
     assert time.time() - t0 < 10.0
-    # the residual is 2.6e-10; 1e-8 also catches dropping the cut sectors of
-    # the beam splitter, which the displacement carries into the checked rows
-    # and which move it to 1.3e-7
-    assert res < 1e-8
+    # the residual is 6e-15; with 20 squeeze rows past the box instead of 60
+    # under the displacement it reads 2.9e-13
+    assert res < 1e-13
 
 
 def test_bogoliubov_no_mixing_single_mode_squeezing():
@@ -502,35 +501,37 @@ def test_bogoliubov_truncation_guard():
         bogoliubov_check(REF, 21, dim=40)
 
 
-@pytest.mark.parametrize("ambient", [6, 7, 8])
-@pytest.mark.parametrize("phi,bound", [(0.3, 1e-14), (1.15, 5e-14), (-2.0, 5e-14)])
-def test_beam_split_matches_the_dense_exponential_of_the_box_generator(ambient, phi, bound):
-    # exp of the whole truncated two-mode generator, edge sectors included.
-    # Against a 40-digit exponential, the dense expm is off by up to 5.6e-15
-    # and the per-sector rotations by up to 2.1e-14 (ambient 8, phi = -2),
-    # where the cut sectors' spectra are LAPACK's
-    a = TruncatedOperator.annihilation(ambient).entries
-    one = np.eye(ambient)
-    a1, a2 = np.kron(a, one), np.kron(one, a)
-    unitary = expm(phi * (a1.conj().T @ a2 - a1 @ a2.conj().T))
-    rng = np.random.default_rng(ambient)
-    cols = rng.normal(size=(ambient**2, 5)) + 1j * rng.normal(size=(ambient**2, 5))
-    got = _beam_split(phi, cols.reshape(ambient, ambient, 5)).reshape(ambient**2, 5)
-    assert np.max(np.abs(got - unitary @ cols)) < bound
+@pytest.mark.parametrize("phi", [0.9, 1.3, -2.0])
+def test_displacement_moves_through_the_beam_splitter(phi):
+    # D(alpha1) x D(alpha2) U = U D(beta), beta = R(phi) alpha, which lets
+    # bogoliubov_check apply U last.  Dense exponentials of the generators on
+    # a box of 24 quanta per mode, read on the rows and columns n_j < 6 that
+    # its edge does not reach (at n_j < 8 it is 1.7e-14 off at phi = 0.9)
+    a = TruncatedOperator.annihilation(24).entries
+    one = np.eye(24)
+    u = expm(phi * (np.kron(a.T, one) @ np.kron(one, a) - np.kron(a, one) @ np.kron(one, a.T)))
+
+    def displace(b1, b2):
+        return np.kron(*(expm(b * a.T - np.conj(b) * a) for b in (b1, b2)))
+
+    alpha = 0.7 * np.exp(0.4j), 0.7 * np.exp(-1.8j)
+    c, s = np.cos(phi), np.sin(phi)
+    beta = c * alpha[0] - s * alpha[1], s * alpha[0] + c * alpha[1]
+    inner = ((np.arange(24)[:, None] < 6) & (np.arange(24) < 6)).ravel()
+    dev = np.abs(displace(*alpha) @ u - u @ displace(*beta))[np.ix_(inner, inner)]
+    assert np.max(dev) < 1e-14
 
 
-@pytest.mark.parametrize("ambient,tot,phi", [(64, 60, 1.15), (32, 30, 4.0)])
-def test_beam_split_full_sector_against_40_digit_oracle(ambient, tot, phi):
-    # a sector below the box edge is the whole spin-tot/2 rotation; its
-    # columns are the unit vectors |n1, tot - n1>.  At phi = 4 a Pade
-    # exponential of the N = 30 block is 1.7e-13 off
+@pytest.mark.parametrize("nmax,tot,phi", [(64, 60, 1.15), (32, 30, 4.0)])
+def test_beam_split_full_sector_against_40_digit_oracle(nmax, tot, phi):
+    # the engine's block of U on a sector the basis n_j <= nmax holds whole
+    # is the spin-tot/2 rotation, rows and columns |n1, tot - n1>.  At phi = 4
+    # a Pade exponential of the N = 30 block is 1.7e-13 off
+    rows, cols, block = _rotated_frame(NonSepParams.from_tau(0.0, 0.0, phi), nmax)[2][tot]
     n1 = np.arange(tot + 1)
-    cols = np.zeros((ambient, ambient, tot + 1))
-    cols[n1, tot - n1, n1] = 1.0
-    got = _beam_split(phi, cols)
-    assert np.max(np.abs(got[n1, tot - n1] - beam_splitter_sector(phi, tot))) < 1e-14
-    got[n1, tot - n1] = 0.0
-    assert np.count_nonzero(got) == 0
+    assert np.array_equal(rows, n1 * (nmax + 1) + tot - n1)
+    assert np.array_equal(cols, n1 * (2 * nmax + 1) + tot - n1)
+    assert np.max(np.abs(block - beam_splitter_sector(phi, tot))) < 1e-14
 
 
 # the squeeze labels and coherent amplitudes of the verify report's check
@@ -540,9 +541,9 @@ _VERIFY_ALPHAS = (0.7 * np.exp(0.4j), 0.7 * np.exp(-1.8j))
 
 @pytest.mark.parametrize("tau", _VERIFY_TAUS)
 def test_squeeze_columns_against_40_digit_oracle(tau):
-    # verify's size: ambient 92, six columns.  Column n lowers column n - 1,
+    # verify's size: ambient 123, six columns.  Column n lowers column n - 1,
     # which the box cuts at its last row, so its last n rows are not exact
-    ambient, ncols = 92, 6
+    ambient, ncols = 123, 6
     got = _squeeze_columns(tau, ncols, ambient)
     want = squeeze_elements(tau, ncols, ambient)
     exact = np.arange(ambient)[:, None] < ambient - np.arange(ncols)[None, :]
@@ -551,9 +552,9 @@ def test_squeeze_columns_against_40_digit_oracle(tau):
 
 @pytest.mark.parametrize("alpha", _VERIFY_ALPHAS)
 def test_displacement_columns_against_40_digit_oracle(alpha):
-    # all 92 x 92 elements at verify's size; the recurrence only raises, so
-    # every row is exact.  Run in float64 instead of long double it is off by
-    # 4e-12 here
+    # all 92 x 92 elements (verify reads 63 rows of 123 columns, at the
+    # rotated amplitudes beta); the recurrence only raises, so every row is
+    # exact.  Run in float64 instead of long double it is off by 4e-12 here
     got = _displacement_columns(alpha, 92, 92)
     assert np.max(np.abs(got - displacement_elements(alpha, 92))) < 1e-14
 
