@@ -912,7 +912,6 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
 _FLAGS = {
     "preset": (["--preset"], {"help": "named parameter set, e.g. fig3a..fig6c"}),
     "tol": (["--tol"], {"type": float, "metavar": "TOL", "help": "tolerance / relative step control"}),
-    "fock_dim": (["--fock-dim"], {"type": int, "help": "Fock-basis size"}),
 }
 
 
@@ -941,10 +940,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("field", nargs="?", choices=_PORTRAIT_FIELDS, default=None)
     command("simulate", "integrate a trajectory and write CSV + summary", cmd_simulate,
             ["preset", "tol"], tol="rel_tol")
-    command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify,
-            ["tol", "fock_dim"])
-    p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise,
-                ["fock_dim"])
+    p = command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"])
+    # each command reads --fock-dim its own way
+    p.add_argument("--fock-dim", dest="fock_dim", type=int,
+                   help="read by the Table 1 check alone, which runs at nmax = "
+                   "min(6, max(3, FOCK_DIM // 2)) (default 8)")
+    p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise, [])
+    p.add_argument("--fock-dim", dest="fock_dim", type=int,
+                   help="nmax per mode: the matrix has dimension FOCK_DIM + 1 per mode "
+                   "(default 8 for one mode, 4 for two)")
     p.add_argument("function", nargs="?", default=None)
     return parser
 

@@ -76,7 +76,7 @@ from .numerics import (
     _clipped_window,
     _refine,
     _refuse_beyond_budget,
-    gauss_hermite_rule,
+    gaussian_rule,
     gaussian_smooth,
     integrate_gaussian_quadratic,
     whitened_rule,
@@ -567,12 +567,12 @@ def _quantise_rotated(params: NonSepParams, field, nmax: int, degree: int | None
     ``degree``, and the orders are refined as ``numerics._refine`` describes.
 
     ``_is_position_field`` decides the route, on the product of the per-mode
-    phase-plane rules of order k0 + 4.  A position field has
-    each mode's momentum integrated exactly into T_j, a fixed inner rule of
-    order 2 nmax + 1 on each of K position nodes, so f is evaluated on K^2
-    position pairs, and a bounded one refines to 1e-13.  Any other field is
-    evaluated on the K^4 points of the per-mode phase-plane rules, whitened
-    by each mode's vacuum Gaussian, and stops at 1e-6.  ``nodes`` counts
+    phase-plane rules of order k0 + 4.  A position field has each mode's
+    momentum integrated exactly into T_j, on ``gaussian_rule`` of orders (K,
+    2 nmax + 1): the mode's q-marginal times a fixed rule in p | q, so f is
+    evaluated on K^2 position pairs, and a bounded one refines to 1e-13.  Any
+    other field is evaluated on the K^4 points of the per-mode phase-plane
+    rules (``whitened_rule``), and stops at 1e-6.  ``nodes`` counts
     these field values, and the node budget caps them.  A basis is refused
     before any node is built when a position field's orders k0 and k0 + 4
     alone would pass the budget in 4D points (``_position_cost``).
@@ -615,25 +615,11 @@ def _quantise_rotated(params: NonSepParams, field, nmax: int, degree: int | None
 
         return _refine(2, nmax, degree, lambda order: order**4, evaluate)
 
-    # a mode's weight exp(-x^T P x), P = [[a, b], [b, d]], is the marginal of
-    # its position, of precision a - b^2 / d, times that of p | q, of
-    # precision d and mean -(b / d) q: the inner rule in p is fixed, and exact
-    # for the box coefficients' degree 2 nmax
-    slopes = [prec[0, 1] / prec[1, 1] for prec in precs]
-    inner = [whitened_rule(prec[1:, 1:], box) for prec in precs]
-
     def evaluate(order):
-        outer, tables = [], []
-        for mode, prec, slope, (p, wp) in zip(modes, precs, slopes, inner):
-            # the 1D form of whitened_rule, whose eigendecomposition and checks
-            # it skips: they would cost 0.05-0.1 ms a call, twice an order
-            rule, scale = gauss_hermite_rule(order), np.sqrt(prec[0, 0] - slope * prec[0, 1])
-            q = rule.nodes / scale
-            wq = rule.weights * np.exp(rule.nodes**2) / scale
-            pts = np.stack([np.repeat(q, box), (p[:, 0] - slope * q[:, None]).ravel()], axis=1)
-            tables.append(_mode_tables(mode, pts, np.outer(wq, wp).ravel(), box, box))
-            outer.append(q)
-        q = _joint(to_q, *outer)
+        # inner order 2 nmax + 1: exact for the box coefficients' degree in p
+        rules = [gaussian_rule(prec, (order, box)) for prec in precs]
+        tables = [_mode_tables(mode, *rule, box, box) for mode, rule in zip(modes, rules)]
+        q = _joint(to_q, *(pts[::box, 0] for pts, _ in rules))
         zero = np.zeros(q.shape[1])
         return (*product(*tables, field(*q, zero, zero)), q.T)
 

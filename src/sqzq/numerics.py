@@ -2,15 +2,16 @@
 
 Everything downstream (state construction, quantisation maps, portraits,
 dynamics) is built on the pieces collected here: physicists' Hermite
-polynomials, closed-form Gaussian integrals, Gauss-Hermite and
-Gauss-Legendre rules, the tensor Gauss-Hermite rule whitened by a Gaussian
-(``whitened_rule``) with the order-refinement loop (``_refine``) that
-quantises fields of one and of two modes, the one-mode chunked projector
-sum (``_quantise_on_rule``), the one Gaussian-smoothing routine behind every
-portrait and position kernel (``gaussian_smooth``: a stack of fields in one
-pass, on an order-120 Hermite rule or a supported field's clipped 3 x 60
-Legendre window), truncated boson-operator algebra, and the adaptive DOP853
-ODE driver (``solve_ode``), which runs its stages on Python floats.
+polynomials, closed-form Gaussian integrals, Gauss-Legendre rules, the one
+Gauss-Hermite rule builder for a Gaussian weight (``gaussian_rule``, which
+``whitened_rule`` lays on principal axes) with the order-refinement loop
+(``_refine``) that quantises fields of one and of two modes, the one-mode
+chunked projector sum (``_quantise_on_rule``), the one Gaussian-smoothing
+routine behind every portrait and position kernel (``gaussian_smooth``: a
+stack of fields in one pass, on an order-120 Hermite rule or a supported
+field's clipped 3 x 60 Legendre window), truncated boson-operator algebra,
+and the adaptive DOP853 ODE driver (``solve_ode``), which runs its stages on
+Python floats.
 
 All functions are pure and thread-safe.
 """
@@ -39,6 +40,7 @@ __all__ = [
     "hermite_phys",
     "gauss_hermite_rule",
     "legendre_box_rule",
+    "gaussian_rule",
     "whitened_rule",
     "gaussian_smooth",
     "integrate_gaussian_quadratic",
@@ -59,10 +61,14 @@ _SMOOTH_BLOCK_NODES = 2**18
 # the 38^2 x 32^2 Gauss-Legendre box the whitened rule replaced: no field is
 # allowed to cost more nodes than it did
 _NODE_BUDGET = 38**2 * 32**2
+# the highest Gauss-Hermite order whose weights numpy's ``hermgauss`` can give:
+# at 371 the sum it normalises by overflows, so every weight is 0, and from
+# 372 on they are NaN (both with a RuntimeWarning)
+_MAX_ORDER = 370
 _ORDER_STEP = 4
 # the nodes ``_quantise_on_rule`` takes at a time: ``sqzq quantise q
-# --fock-dim 500`` builds a 251 001-node rule, whose (nodes x 501) complex
-# arrays would take 2 GB each at once
+# --fock-dim 340`` ends on a 117 649-node rule, whose (nodes x 341) complex
+# arrays would take about 640 MB each at once
 _RULE_CHUNK = 20000
 # ``_refine``'s default stop and its polynomial check, relative to max(1, max|A|)
 _CONVERGED = 1e-6
@@ -177,52 +183,70 @@ def legendre_box_rule(a: float, b: float, order: int, panels: int = 1) -> Quadra
     return QuadratureRule(nodes, weights)
 
 
-def whitened_rule(prec, order: int):
-    """Tensor Gauss-Hermite nodes and weights for integrals over R^d.
-
-    The rule is laid out on the principal axes of the d x d matrix ``prec``,
-    scaled so that exp(-x^T prec x) is the Hermite weight (Jaeckel 2005); the
-    weights returned carry that Gaussian back out (w e^{t^2} per axis), so
-    that sum(w * g(x)) approximates the plain integral of g and is exact when
-    g is exp(-x^T prec x) times a polynomial of degree <= 2 order - 1 in each
-    principal coordinate.  Returns nodes (order^d, d), first axis slowest,
-    and weights (order^d,).  A ``prec`` that is not finite and positive
-    definite (its scales overflowed), or whose determinant leaves the normal
-    float range although each eigenvalue is finite, raises NonConvergent.
+def gaussian_rule(prec, orders):
+    """Gauss-Hermite rule for the weight exp(-x^T prec x) on R^d, d = len(orders)
+    = 1 or 2, laid out as x0's marginal, of precision s0 = a - (b / c) b, times
+    x1 | x0, of precision s1 = c and mean -(b / c) x0 (prec = [[a, b], [b, c]],
+    b read from prec[0, 1]; d = 1: s0 = a), each at its own order.  Returns
+    nodes (N, d), x0 slowest, and weights w0 e^{t0^2} w1 e^{t1^2} / sqrt(s0 s1),
+    so sum(w * g(x)) is the integral of g, exact for the weight times a
+    polynomial of total degree <= 2 orders[0] - 1 and degree <= 2 orders[1] - 1
+    in x1.  A factor precision that is not positive, or a product s0 s1
+    outside [tiny, inf), raises NonConvergent.
     """
     prec = np.asarray(prec, dtype=float)
-    d = prec.shape[0]
+    if len(orders) not in (1, 2) or prec.shape != (len(orders),) * 2:
+        raise ValueError("need one or two orders and a matching square precision")
+    # in Python floats, a weight with no rule fails the checks below, warning-free
+    (a, b), (_, c) = prec.tolist() if len(orders) == 2 else ([prec.item(), 0.0], [0.0, 1.0])
+    slope = b / c if c > 0.0 else math.nan
+    scales = [a - slope * b, c][: len(orders)]
+    det = math.prod(scales)
+    if not all(s > 0.0 for s in scales):
+        raise NonConvergent("the Gaussian weight's precision is not positive definite")
+    if not _TINY <= det < np.inf:
+        raise NonConvergent(f"the Gaussian weight's factor precisions multiply to {det:.3g}, "
+                            "outside the float range")
+    rules = [_hermgauss(n) for n in orders]
+    nodes = [t / np.sqrt(s) for (t, _), s in zip(rules, scales)]
+    weights = [w * np.exp(t**2) for t, w in rules]
+    if len(orders) == 1:
+        return nodes[0][:, None], weights[0] / np.sqrt(det)
+    x0 = np.repeat(nodes[0], orders[1])
+    x1 = np.tile(nodes[1], orders[0]) - slope * x0
+    return np.stack([x0, x1], axis=1), np.outer(*weights).ravel() / np.sqrt(det)
+
+
+def whitened_rule(prec, order: int):
+    """``gaussian_rule`` of ``order`` on each principal axis of the d x d matrix
+    ``prec``, d = 1 or 2 (Jaeckel 2005): exact for exp(-x^T prec x) times a
+    polynomial of degree <= 2 order - 1 in each principal coordinate.  Nodes
+    (order^d, d), first axis slowest; a ``prec`` that is not finite raises
+    NonConvergent, as ``gaussian_rule`` does one it cannot lay a rule for."""
+    prec = np.asarray(prec, dtype=float)
     if not np.all(np.isfinite(prec)):
         raise NonConvergent("the Gaussian weight's precision is not finite")
     evals, evecs = np.linalg.eigh(prec)
-    if not evals[0] > 0.0:
-        raise NonConvergent("the Gaussian weight's precision is not positive definite")
-    with np.errstate(over="ignore", under="ignore"):
-        det = np.prod(evals)
-    if not _TINY <= det < np.inf:
-        raise NonConvergent(
-            f"the Gaussian weight's precision has eigenvalues from {evals[0]:.3g} to "
-            f"{evals[-1]:.3g}; their product {det:.3g} is outside the float range"
-        )
-    rule = gauss_hermite_rule(order)
-    axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
-    t = np.stack([a.ravel() for a in axes], axis=1)
-    pts = (t / np.sqrt(evals)) @ evecs.T
-    w1 = rule.weights * np.exp(rule.nodes**2)
-    idx = "ijklmnop"[:d]
-    weights = np.einsum(",".join(idx) + "->" + idx, *([w1] * d)).ravel()
-    return pts, weights / np.sqrt(det)
+    pts, weights = gaussian_rule(np.diag(evals), (order,) * evals.size)
+    return pts @ evecs.T, weights
 
 
 def _refuse_beyond_budget(modes: int, nmax: int, degree: int | None, cost) -> int:
     """The lowest Gauss-Hermite order exact for degree 2 modes nmax + degree
-    (None: 0), unless it and the order 4 above alone exceed the node budget."""
-    degree = degree or 0
-    order = -(-(2 * modes * nmax + degree + 1) // 2)
+    (None: 0), unless it and the order 4 above alone exceed the node budget,
+    or the second order the loop needs (k0 + 1 for a polynomial, k0 + 4 for
+    a bounded field) is past ``_MAX_ORDER``."""
+    order = -(-(2 * modes * nmax + (degree or 0) + 1) // 2)
+    second = order + (_ORDER_STEP if degree is None else 1)
     if cost(order) + cost(order + _ORDER_STEP) > _NODE_BUDGET:
         raise ConfigError(
-            f"nmax = {nmax} with field degree {degree} needs Gauss-Hermite order "
+            f"nmax = {nmax} with field degree {degree or 0} needs Gauss-Hermite order "
             f"{order}, beyond the node budget of {_NODE_BUDGET}"
+        )
+    if second > _MAX_ORDER:
+        raise ConfigError(
+            f"nmax = {nmax} with field degree {degree or 0} needs Gauss-Hermite order "
+            f"{second}, beyond the highest order with usable weights, {_MAX_ORDER}"
         )
     return order
 
@@ -238,9 +262,10 @@ def _refine(modes: int, nmax: int, degree: int | None, cost, evaluate, stop: flo
     with k0 to rounding, ``_EXACT`` max(1, max|A|).  Otherwise the loop stops
     once the max-entry change between two successive orders, the convergence
     witness, is <= ``stop`` max(1, max|A|), or once the next order would take
-    the node count, summed over ``cost(order)``, past the budget.  A basis
-    whose orders k0 and k0 + 4 alone exceed the budget is refused up front; a
-    non-finite entry raises NonConvergent.
+    the node count, summed over ``cost(order)``, past the budget, or would
+    itself be past ``_MAX_ORDER``.  A basis whose orders k0 and k0 + 4 alone
+    exceed the budget, or whose second order is past ``_MAX_ORDER``, is
+    refused up front; a non-finite entry raises NonConvergent.
     """
     order = _refuse_beyond_budget(modes, nmax, degree, cost)
     step, tol = (_ORDER_STEP, stop) if degree is None else (1, _EXACT)
@@ -255,7 +280,7 @@ def _refine(modes: int, nmax: int, degree: int | None, cost, evaluate, stop: flo
             witness = float(np.max(np.abs(mat - prev)))
             converged = witness <= tol * max(1.0, float(np.max(np.abs(mat))))
             step, tol = _ORDER_STEP, stop
-            if converged or nodes + cost(order + step) > _NODE_BUDGET:
+            if converged or nodes + cost(order + step) > _NODE_BUDGET or order + step > _MAX_ORDER:
                 break
         prev = mat
         order += step

@@ -7,7 +7,8 @@ momentum matrix, scipy's DOP853 run of an ODE problem and the generic
 DOP853 loop that ``numerics.solve_ode`` replaced by generated code.  It also holds
 the two-mode multiplication matrix of a Gaussian field's smoothing by one
 Gauss-Hermite rule exact for it, and the direct 4D phase-space quadrature of
-a two-mode field (``quantise_4d``), the definition the package's rotated
+a two-mode field (``quantise_4d``) on its own tensor rule for any
+dimension (``whitened_rule_nd``), the definition the package's rotated
 engine is held against.  The
 second group is 40-digit ``mpmath`` matrix elements
 of the squeeze, displacement and beam-splitter operators, built from
@@ -29,7 +30,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.linalg import expm
 
-from sqzq.errors import NonFiniteState, QuadratureNotConverged
+from sqzq.errors import NonConvergent, NonFiniteState, QuadratureNotConverged
 from sqzq.numerics import (
     OdeSolution,
     QuadratureRule,
@@ -38,8 +39,8 @@ from sqzq.numerics import (
     _initial_step,
     _quantise_on_rule,
     _refine,
+    gauss_hermite_rule,
     legendre_box_rule,
-    whitened_rule,
 )
 from sqzq.nonsepstates import _fock_batch, _pair_matrix, _wavefunction_parts
 from sqzq.onemode import alpha_from_qp
@@ -459,6 +460,43 @@ def twomode_vacuum_precision(params) -> np.ndarray:
     )
 
 
+def whitened_rule_nd(prec, order: int):
+    """Tensor Gauss-Hermite nodes and weights for integrals over R^d, any d.
+
+    The rule is laid out on the principal axes of the d x d matrix ``prec``,
+    scaled so that exp(-x^T prec x) is the Hermite weight (Jaeckel 2005); the
+    weights returned carry that Gaussian back out (w e^{t^2} per axis), so
+    that sum(w * g(x)) approximates the plain integral of g and is exact when
+    g is exp(-x^T prec x) times a polynomial of degree <= 2 order - 1 in each
+    principal coordinate.  Returns nodes (order^d, d), first axis slowest,
+    and weights (order^d,).  A ``prec`` that is not finite and positive
+    definite (its scales overflowed), or whose determinant leaves the normal
+    float range although each eigenvalue is finite, raises NonConvergent.
+    """
+    prec = np.asarray(prec, dtype=float)
+    d = prec.shape[0]
+    if not np.all(np.isfinite(prec)):
+        raise NonConvergent("the Gaussian weight's precision is not finite")
+    evals, evecs = np.linalg.eigh(prec)
+    if not evals[0] > 0.0:
+        raise NonConvergent("the Gaussian weight's precision is not positive definite")
+    with np.errstate(over="ignore", under="ignore"):
+        det = np.prod(evals)
+    if not np.finfo(float).tiny <= det < np.inf:
+        raise NonConvergent(
+            f"the Gaussian weight's precision has eigenvalues from {evals[0]:.3g} to "
+            f"{evals[-1]:.3g}; their product {det:.3g} is outside the float range"
+        )
+    rule = gauss_hermite_rule(order)
+    axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
+    t = np.stack([a.ravel() for a in axes], axis=1)
+    pts = (t / np.sqrt(evals)) @ evecs.T
+    w1 = rule.weights * np.exp(rule.nodes**2)
+    idx = "ijklmnop"[:d]
+    weights = np.einsum(",".join(idx) + "->" + idx, *([w1] * d)).ravel()
+    return pts, weights / np.sqrt(det)
+
+
 def quantise_4d(params, field, nmax: int, degree):
     """4D phase-space quadrature of f(q1, q2, p1, p2) against the two-mode family.
 
@@ -466,8 +504,9 @@ def quantise_4d(params, field, nmax: int, degree):
     times a polynomial of degree n + m in the phase point, so each matrix
     entry of a field of polynomial degree ``degree`` integrates exp(-x^T P x)
     times a polynomial of degree <= 4 nmax + degree.  A tensor Gauss-Hermite
-    rule whitened by P of order k0 = ceil((4 nmax + degree + 1) / 2) is exact
-    for it up to rounding; the orders are refined as ``numerics._refine``
+    rule whitened by P (``whitened_rule_nd``) of order k0 = ceil((4 nmax +
+    degree + 1) / 2) is exact for it up to rounding; the orders are refined
+    as ``numerics._refine``
     describes (``degree`` None: bounded).  Returns the (nmax + 1)^2 matrix
     at the finest order (measure d2q d2p / (2 pi hbar)^2), its nodes, shape
     (N, 4) ordered (q1, q2, p1, p2), and the QuadratureReport.
@@ -478,7 +517,7 @@ def quantise_4d(params, field, nmax: int, degree):
     norm = (2.0 * np.pi * params.hbar) ** 2
 
     def evaluate(order):
-        pts, weights = whitened_rule(prec, order)
+        pts, weights = whitened_rule_nd(prec, order)
         return (*_quantise_on_rule(coefficients, field, pts, weights, norm), pts)
 
     return _refine(2, nmax, degree, lambda order: order**4, evaluate)

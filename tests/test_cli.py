@@ -826,26 +826,26 @@ def test_quantise_two_mode_fuzzed_config_exits_cleanly(tmp_path_factory, fn, val
 @pytest.fixture(scope="module")
 def verify_run(tmp_path_factory):
     """The default verify run: exit code, report, the two-mode engine runs
-    of table1_operators and the dimension of every whitened rule built."""
+    of table1_operators and the dimension of every Gauss-Hermite rule built."""
     out = tmp_path_factory.mktemp("verify")
     engine = nonsepstates._quantise_rotated
-    rule = numerics.whitened_rule
+    rule = numerics.gaussian_rule
     runs, dims = [], []
 
     def counted(*args, **kwargs):
         runs.append(args[2:])
         return engine(*args, **kwargs)
 
-    def recorded(prec, order):
-        dims.append(np.shape(prec)[0])
-        return rule(prec, order)
+    def recorded(prec, orders):
+        dims.append(len(orders))
+        return rule(prec, orders)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nonsepstates, "_quantise_rotated", counted)
         # every module's binding, so that a rule built anywhere is seen
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("sqzq") and getattr(module, "whitened_rule", None) is rule:
-                mp.setattr(module, "whitened_rule", recorded)
+            if module.__name__.startswith("sqzq") and getattr(module, "gaussian_rule", None) is rule:
+                mp.setattr(module, "gaussian_rule", recorded)
         code = main(["verify", "--out", str(out)])
     report = json.loads((out / "verify_report.json").read_text())
     return code, report, runs, dims
@@ -857,11 +857,12 @@ def verify_report(verify_run):
 
 
 def test_verify_runs_table1_on_the_rotated_engine(verify_run):
-    # no 4D rule is built: Table 1 is three runs of the two-mode engine, one
-    # per field at nmax 4 and degree 2, each on the position pairs of the
-    # orders k0 = ceil((4 * 4 + 2 + 1) / 2) = 10 and k0 + 1: 10^2 + 11^2
+    # no 4D rule is built, only per-mode ones: Table 1 is three runs of the
+    # two-mode engine, one per field at nmax 4 and degree 2, each on the
+    # position pairs of the orders k0 = ceil((4 * 4 + 2 + 1) / 2) = 10 and
+    # k0 + 1: 10^2 + 11^2
     _, report, runs, dims = verify_run
-    assert 4 not in dims and dims
+    assert set(dims) <= {1, 2} and 2 in dims
     assert runs == [(4, 2)] * 3
     two_mode = ("identity-twomode", "table1-rows", "table1-closed-form")
     nodes = {c["detail"]["nodes"] for c in report["checks"] if c["id"] in two_mode}
@@ -1023,13 +1024,36 @@ def test_polynomial_position_fields_keep_their_direct_sum(tmp_path):
                                 "phi": math.pi / 4, "lam1": 0.8, "lam2": 1.15})
     assert main(["quantise", "q1q2", "--config", cfg, "--fock-dim", "4", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "quantise_q1q2.csv").read_bytes()).hexdigest()
-    assert digest == "26aa208cf7a3c3d61a534cdbcf8883f1229ab8c489b04346dbd6379339f02121"
+    assert digest == "8e4c42974cfe0019dc3197ca72e45a701506365e65fdd7de3752b2c24e9081f6"
+
+
+def test_polynomial_one_mode_fields_keep_their_bits(tmp_path):
+    # the one-mode counterpart of the pin above, at the benchmark's family:
+    # the principal-axis rule's order of operations, k0 and k0 + 1
+    cfg = _write_cfg(tmp_path, {"family": "one-mode", "tau": 0.4, "tau_im": 0.3})
+    assert main(["quantise", "p2", "--config", cfg, "--fock-dim", "8", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "quantise_p2.csv").read_bytes()).hexdigest()
+    assert digest == "2d510b4ac30b3ddbb2fae595ccb92176a5824a9868b96399763bed8244e18274"
+
+
+def test_quantise_past_the_highest_hermite_order_exits_2(tmp_path, capsys):
+    # nmax 369 needs orders 371 and 372 for the degree-2 q; numpy gives no
+    # usable weights past 370, so the basis is refused before any rule
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        assert main(["quantise", "q", "--fock-dim", "369", "--out", str(tmp_path)]) == 2
+        assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert "config error" in err and "order 372" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("fock_dim", [4, 8, 12])
 def test_verify_holds_1e_12(tmp_path, fock_dim):
-    # the worst check is veff-gradient, about 1e-13; the portraits read
-    # 4.9e-12 on an order-90 smoothing rule
+    # the worst check is veff-gradient, about 1e-13; the portraits read at
+    # most 9.8e-15 on the order-120 smoothing rule
     assert main(["verify", "--tol", "1e-12", "--fock-dim", str(fock_dim), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify_report.json").read_text())
     checks = {c["id"]: c for c in report["checks"]}

@@ -17,12 +17,13 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sint
 
 from sqzq import numerics
-from sqzq.errors import NonConvergent, QuadratureNotConverged
+from sqzq.errors import ConfigError, NonConvergent, QuadratureNotConverged
 from sqzq.numerics import (
     OdeProblem,
     QuadratureReport,
     TruncatedOperator,
     gauss_hermite_rule,
+    gaussian_rule,
     gaussian_smooth,
     hermite_phys,
     integrate_gaussian_quadratic,
@@ -31,7 +32,7 @@ from sqzq.numerics import (
     whitened_rule,
 )
 
-from .oracles import dop853_generic, erfc_real, matrix_exp, momentum, quad_box
+from .oracles import dop853_generic, erfc_real, matrix_exp, momentum, quad_box, whitened_rule_nd
 
 # mpmath mp.dps=50 references
 ERFC_TABLE = [
@@ -280,11 +281,12 @@ def test_gaussian_smooth_support_keeps_the_mass_of_a_constant():
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_whitened_rule_integrates_gaussian_moments(d):
     # with Sigma = P^-1 / 2 the weight exp(-x^T P x) has mass pi^(d/2) / sqrt(det P),
-    # second moments Sigma and fourth moments E[x_0^4] = 3 Sigma_00^2
+    # second moments Sigma and fourth moments E[x_0^4] = 3 Sigma_00^2; the
+    # package's rule takes d <= 2, and the 4D one is the test oracle's
     rng = np.random.default_rng(40 + d)
     a = rng.normal(size=(d, d))
     prec = a @ a.T + 0.5 * np.eye(d)
-    pts, w = whitened_rule(prec, 3)
+    pts, w = (whitened_rule if d <= 2 else whitened_rule_nd)(prec, 3)
     assert pts.shape == (3**d, d) and w.shape == (3**d,)
     dens = w * np.exp(-np.einsum("ni,ij,nj->n", pts, prec, pts))
     mass = np.pi ** (d / 2) / np.sqrt(np.linalg.det(prec))
@@ -292,6 +294,99 @@ def test_whitened_rule_integrates_gaussian_moments(d):
     assert_allclose(dens.sum(), mass, rtol=1e-13)
     assert_allclose(np.einsum("n,ni,nj->ij", dens, pts, pts) / mass, sigma, rtol=0, atol=1e-13)
     assert_allclose(np.sum(dens * pts[:, 0] ** 4) / mass, 3.0 * sigma[0, 0] ** 2, rtol=1e-12)
+
+
+def _normal_moment(chol, i, j):
+    """E[x0^i x1^j] for x = chol z, z standard normal and chol lower
+    triangular: the binomial expansion of x1 = chol10 z0 + chol11 z1 with
+    E[z^n] = (n - 1)!! for even n, else 0."""
+    even = lambda n: 0 if n % 2 else math.prod(range(n - 1, 0, -2))
+    return sum(
+        math.comb(j, k) * chol[1, 0] ** k * chol[1, 1] ** (j - k) * chol[0, 0] ** i
+        * even(i + k) * even(j - k)
+        for k in range(j + 1)
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gaussian_rule_integrates_the_moments_its_orders_make_exact(d):
+    # orders (k, L): exact for exp(-x^T P x) times x0^i x1^j with i + j <= 2k - 1
+    # and j <= 2L - 1, on random SPD precisions P, Sigma = P^-1 / 2
+    rng = np.random.default_rng(60 + d)
+    for orders in [(5,), (2,)] if d == 1 else [(4, 2), (2, 5), (6, 3)]:
+        a = rng.normal(size=(d, d))
+        prec = a @ a.T + 0.3 * np.eye(d)
+        pts, w = gaussian_rule(prec, orders)
+        assert pts.shape == (math.prod(orders), d) and w.shape == pts.shape[:1]
+        dens = w * np.exp(-np.einsum("ni,ij,nj->n", pts, prec, pts))
+        mass = np.pi ** (d / 2) / np.sqrt(np.linalg.det(prec))
+        assert_allclose(dens.sum(), mass, rtol=1e-13)
+        chol = np.linalg.cholesky(np.linalg.inv(prec) / 2.0)
+        if d == 1:
+            chol = np.array([[chol[0, 0], 0.0], [0.0, 1.0]])
+        top, inner = 2 * orders[0] - 1, 2 * orders[-1] - 1 if d == 2 else 0
+        for i in range(top + 1):
+            for j in range(min(inner, top - i) + 1):
+                got = np.sum(dens * pts[:, 0] ** i * pts[:, -1] ** j) / mass
+                want = _normal_moment(chol, i, j)
+                scale = _normal_moment(chol, 2 * i, 0) ** 0.5 * _normal_moment(chol, 0, 2 * j) ** 0.5
+                assert abs(got - want) <= 1e-12 * scale, (orders, i, j)
+
+
+@pytest.mark.parametrize(
+    "prec",
+    [[[np.nan]], [[-1.0]], [[np.inf]], [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, -2.0]],
+     [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1e300, 0.0], [0.0, 1e300]]],
+    ids=["nan", "negative", "inf", "indefinite", "negative-conditional", "nan-2d", "inf-2d",
+         "product-overflows"],
+)
+def test_gaussian_rule_refuses_a_weight_it_cannot_lay(prec):
+    with pytest.raises(NonConvergent):
+        gaussian_rule(prec, (3,) * len(prec))
+
+
+def test_gaussian_rule_on_a_diagonal_precision_is_the_principal_axis_rule():
+    # slope exactly 0 and sqrt(s0 s1) = sqrt(det): whitened_rule keeps the
+    # bits of the per-axis tensor rule
+    prec = np.diag([0.7, 2.3])
+    pts, w = gaussian_rule(prec, (4, 4))
+    t, wt = np.polynomial.hermite.hermgauss(4)
+    grid = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    we = wt * np.exp(t**2)
+    assert np.array_equal(pts, grid / np.sqrt([0.7, 2.3]))
+    assert np.array_equal(w, np.outer(we, we).ravel() / np.sqrt(0.7 * 2.3))
+
+
+def test_hermgauss_weights_are_usable_up_to_the_max_order():
+    # at _MAX_ORDER the weights still sum to sqrt(pi); one order above,
+    # numpy's normalising sum overflows and every weight comes out 0
+    _, w = np.polynomial.hermite.hermgauss(numerics._MAX_ORDER)
+    assert w.sum() == pytest.approx(np.sqrt(np.pi), rel=1e-14)
+    with pytest.warns(RuntimeWarning):
+        _, w = np.polynomial.hermite.hermgauss(numerics._MAX_ORDER + 1)
+    assert not np.any(w)
+
+
+def test_refine_stops_before_the_max_order():
+    # a bounded field that never converges, at no node cost: orders 181,
+    # 185, ..., 369, and no step past the last order with usable weights
+    orders = []
+
+    def evaluate(order):
+        orders.append(order)
+        return np.full((2, 2), float(order)), np.eye(2), None
+
+    numerics._refine(1, 180, None, lambda order: 1, evaluate)
+    assert orders[0] == 181 and orders[-1] <= numerics._MAX_ORDER < orders[-1] + 4
+
+
+@pytest.mark.parametrize("nmax,degree,second", [(369, 2, 372), (368, 2, 371), (366, None, 371)])
+def test_refine_refuses_a_second_order_past_the_max_order(nmax, degree, second):
+    # the loop's second order is k0 + 1 for a polynomial and k0 + 4 for a
+    # bounded field; nmax 367 at degree 2 needs 369 and 370, which fit
+    assert numerics._refuse_beyond_budget(1, 367, 2, lambda order: 1) == 369
+    with pytest.raises(ConfigError, match=f"order {second}, beyond the highest order"):
+        numerics._refuse_beyond_budget(1, nmax, degree, lambda order: 1)
 
 
 def test_gaussian_smooth_rejects_mismatched_shapes():
