@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -915,6 +916,9 @@ _FLAGS = {
 }
 
 
+# built at the first ``main`` of a process and kept: building it takes about
+# 20 times as long as parsing one command line, and parsing leaves it as it was
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqzq",

@@ -738,13 +738,20 @@ def _dop853_kernels(n: int):
         + "".join(f"    d{i} = yn{i} - y{i}\n" for i in ix)
         + "    return [t, h,\n" + "".join(f"        {v},\n" for v in row) + "    ]\n"
     )
-    # linecache asks a module's loader for the source of a file it cannot read,
-    # also after clearcache(), but never for a "<...>" name
-    name = f"dop853 kernel n={n}"
-    scope = {"__name__": __name__, "__loader__": SimpleNamespace(get_source=lambda _: src)}
+    scope = _exec_generated(src, f"dop853 kernel n={n}")
+    return scope["attempt"], scope["dense"]
+
+
+def _exec_generated(src: str, name: str, **names) -> dict:
+    """Run generated source ``src`` as the file ``name`` in a fresh scope that
+    holds ``names``, and return the scope.  Tracebacks through the code show
+    its lines: linecache asks a module's loader for the source of a file it
+    cannot read, also after clearcache(), but never for a "<...>" name, and it
+    keeps the first source registered under a name."""
+    scope = {"__name__": __name__, "__loader__": SimpleNamespace(get_source=lambda _: src), **names}
     linecache.lazycache(name, scope)
     exec(compile(src, name, "exec"), scope)
-    return scope["attempt"], scope["dense"]
+    return scope
 
 
 def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:

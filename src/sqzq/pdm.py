@@ -22,22 +22,28 @@ makes the equivalent (q, p) system needlessly stiff during an escape.
 Every smoothed wall quantity comes from one per-mode evaluator,
 ``_mode_pieces`` (the windows chi_j and <q_j^2 chi_j> and their
 derivatives), and the regularised inverse masses A_j, V_eff and their
-gradients are assembled from it in one place, ``_veff_pieces``: on float
-arrays for the portraits, energies and masks, on Python floats for the
-equations of motion.  Only the array evaluations need ``scipy.special``
-(erfc), and they import it at first use.
+gradients are assembled from it in one place, ``_veff_pieces``, which runs
+on float arrays for the portraits, energies and masks.  The equations of
+motion are those formulas and the accelerations (``_accelerations``) traced
+once per model on a float-recording tape into straight-line Python code
+with the model's constants as literals (``_generated_rhs``): it computes the
+floats that ``_veff_pieces`` computes on Python floats with ``math.erfc``
+and ``math.exp``, bit for bit, without a call per piece.  Only the array
+evaluations need ``scipy.special`` (erfc), and they import it at first use.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteState, OutsideBox
-from .numerics import OdeProblem, solve_ode
+from .numerics import OdeProblem, _exec_generated, solve_ode
 from .sepstates import TwoModeParams, _mode_sigma
 
 __all__ = [
@@ -381,13 +387,13 @@ def _mode_scale(w: float, s: float) -> _ModeScale:
 def _mode_pieces(q, m: _ModeScale, erfc=None, exp=np.exp):
     """c, g, c', g' for one mode.
 
-    The one source of these formulas for both kinds of caller: q a float
-    array with the default ``erfc`` and ``exp``, or q a Python float with
-    ``math.erfc`` and ``math.exp`` (the equations of motion).  The default
+    The one source of these formulas for every caller: q a float array
+    with the default ``erfc`` and ``exp``, or q a Python float, or a traced
+    one, with ``math.erfc`` and ``math.exp`` or their recording forms (the
+    equations of motion are generated from that trace).  The default
     ``erfc`` is ``scipy.special.erfc``, imported here at the first array
     call, so that a process which never smooths a wall never loads
-    ``scipy.special``; the equations of motion pass theirs, and never run
-    the import.
+    ``scipy.special``; the trace passes its own, and never runs the import.
     """
     if erfc is None:
         from scipy.special import erfc
@@ -430,7 +436,9 @@ def _veff_pieces(model: PdmModel, scales, q1, q2, kin=None, erfc=None, exp=np.ex
     read: without them (``kin=None``) only the masses are returned, and the
     V_eff sums are skipped.  ``erfc`` and ``exp`` go to ``_mode_pieces``
     (scipy's erfc and numpy's exp on float arrays by default, ``math``'s on
-    Python floats).  q1 and q2 broadcast against each other.
+    Python floats, their recording forms on traced ones, from which the
+    equations of motion are generated).  q1 and q2 broadcast against each
+    other.
     """
     c1, g1, c1p, g1p = _mode_pieces(q1, scales[0], erfc, exp)
     c2, g2, c2p, g2p = _mode_pieces(q2, scales[1], erfc, exp)
@@ -571,39 +579,179 @@ def _classify_escape(semi: SemiclassicalModel, t, q, veff, e0):
     return float(t[int(np.argmax(hit))])
 
 
-def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
-    """The (q, v) right-hand side rhs(t, y) of ``semiclassical_integrate``.
+def _accelerations(v1, v2, d1v, d2v, masses):
+    """dv1/dt and dv2/dt of the (q, v) equations of motion, from the
+    velocities, the gradient (d1v, d2v) of V_eff and the inverse masses with
+    their gradients, as ``_veff_pieces`` returns them."""
+    a1, a2, d1a1, d2a1, d1a2, d2a2 = masses
+    acc1 = (
+        0.5 * v1 * v1 / a1 * d1a1
+        - 0.5 * a1 / (a2 * a2) * d1a2 * v2 * v2
+        + v1 * v2 / a1 * d2a1
+        - a1 * d1v
+    )
+    acc2 = (
+        0.5 * v2 * v2 / a2 * d2a2
+        - 0.5 * a2 / (a1 * a1) * d2a1 * v1 * v1
+        + v1 * v2 / a2 * d1a2
+        - a2 * d2v
+    )
+    return acc1, acc2
 
-    It runs ``_veff_pieces`` on Python floats with ``math.erfc`` and
-    ``math.exp``.  Where numpy would give inf or NaN, Python raises
-    ``ZeroDivisionError``: there the accelerations are NaN, so a start whose
-    portraits underflow fails the caller's finiteness check, and a step into
-    such a region fails the solver's error test, as with numpy values.
+
+class _Traced:
+    """A value of a formula being traced into straight-line code.
+
+    Each float operation on it appends one node, (template, operands, kept),
+    to its ``tape`` and returns the traced result; an operation between two
+    plain floats runs as a float, so every constant that a model folds is
+    the float the formula computes.  ``kept`` marks the nodes that may raise
+    (a division, a call), which the code keeps even when no result reads
+    them.  A traced value has no truth value, no float value and no
+    comparison, so a formula that branches on one raises TypeError when it
+    is traced instead of being specialised to one branch.
     """
 
-    def rhs(t, y):
-        q1, q2, v1, v2 = y
-        try:
-            _, d1v, d2v, (a1, a2, d1a1, d2a1, d1a2, d2a2) = _veff_pieces(
-                model, scales, q1, q2, kin, math.erfc, math.exp
-            )
-            acc1 = (
-                0.5 * v1 * v1 / a1 * d1a1
-                - 0.5 * a1 / (a2 * a2) * d1a2 * v2 * v2
-                + v1 * v2 / a1 * d2a1
-                - a1 * d1v
-            )
-            acc2 = (
-                0.5 * v2 * v2 / a2 * d2a2
-                - 0.5 * a2 / (a1 * a1) * d2a1 * v1 * v1
-                + v1 * v2 / a2 * d1a2
-                - a2 * d2v
-            )
-        except ZeroDivisionError:
-            acc1 = acc2 = math.nan
-        return v1, v2, acc1, acc2
+    __slots__ = ("tape", "index")
 
-    return rhs
+    def __init__(self, tape: list, template: str, operands=(), kept=False):
+        self.tape, self.index = tape, len(tape)
+        tape.append((template, operands, kept))
+
+    def _binary(template: str, kept=False, reflected=False):
+        def op(self, other):
+            if type(other) is not float and not isinstance(other, _Traced):
+                return NotImplemented
+            return _Traced(self.tape, template, (other, self) if reflected else (self, other), kept)
+
+        return op
+
+    __add__ = _binary("({} + {})")
+    __radd__ = _binary("({} + {})", reflected=True)
+    __sub__ = _binary("({} - {})")
+    __rsub__ = _binary("({} - {})", reflected=True)
+    __mul__ = _binary("({} * {})")
+    __rmul__ = _binary("({} * {})", reflected=True)
+    __truediv__ = _binary("({} / {})", kept=True)
+    __rtruediv__ = _binary("({} / {})", kept=True, reflected=True)
+    del _binary
+
+    def __neg__(self):
+        return _Traced(self.tape, "(-{})", (self,))
+
+    def __abs__(self):
+        return _Traced(self.tape, "abs({})", (self,))
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value: the formula branches on it")
+
+    def __eq__(self, other):
+        raise TypeError("a traced value cannot be compared: the formula branches on it")
+
+    __ne__ = __eq__
+
+
+def _recording(fn):
+    """``fn`` of one float, recorded as a call ``fn.__name__(x)`` on a traced x."""
+
+    def call(x):
+        if isinstance(x, _Traced):
+            return _Traced(x.tape, fn.__name__ + "({})", (x,), kept=True)
+        return fn(x)
+
+    return call
+
+
+def _trace(formula, names):
+    """Straight-line code of ``formula`` on float arguments called ``names``.
+
+    Returns the statements and the expressions of the results.  The values
+    that no result reads are dropped, unless they are divisions or calls,
+    which may raise; a value read once is inlined into its reader, and one
+    read more often is the local ``t<node>``.  Every operation keeps its
+    operands' order and its own parentheses, so the code computes the
+    formula's floats bit for bit; ``inf`` and ``nan`` in the constants'
+    literals are names that its scope must bind.
+    """
+    tape: list = []
+    results = formula(*(_Traced(tape, name) for name in names))
+    reads = [0] * len(tape)
+    for r in results:
+        if isinstance(r, _Traced):
+            reads[r.index] += 1
+    for i in reversed(range(len(tape))):
+        _, operands, kept = tape[i]
+        if reads[i] or kept:
+            for v in operands:
+                if isinstance(v, _Traced):
+                    reads[v.index] += 1
+    text = {}
+    lines = []
+    for i, (template, operands, kept) in enumerate(tape):
+        if not operands:  # an argument
+            text[i] = template
+            continue
+        if not (reads[i] or kept):
+            continue
+        expr = template.format(
+            *(text[v.index] if isinstance(v, _Traced) else repr(v) for v in operands)
+        )
+        if reads[i] == 1:
+            text[i] = expr
+        elif reads[i] == 0:
+            lines.append(expr)
+        else:
+            text[i] = f"t{i}"
+            lines.append(f"t{i} = {expr}")
+    return lines, [text[r.index] if isinstance(r, _Traced) else repr(r) for r in results]
+
+
+@lru_cache(maxsize=16)
+def _generated_rhs(literals: tuple[tuple[str, ...], ...]):
+    """The right-hand side rhs(t, y) of ``_equations_of_motion`` for the
+    constants written as ``literals``: those of the ``PdmModel``, of the two
+    ``_ModeScale`` and the kinetic coefficients.
+
+    ``_veff_pieces`` and ``_accelerations`` are traced once on q1, q2, v1,
+    v2 with recording ``math.erfc`` and ``math.exp``, and the trace runs as
+    code with the constants as literals; tracebacks show ``semiclassical rhs``
+    and a checksum of the source.
+    """
+    model, scale1, scale2, kin = ([float(v) for v in group] for group in literals)
+    model, scales = PdmModel(*model), (_ModeScale(*scale1), _ModeScale(*scale2))
+    erfc, exp = _recording(math.erfc), _recording(math.exp)
+
+    def formula(q1, q2, v1, v2):
+        _, d1v, d2v, masses = _veff_pieces(model, scales, q1, q2, kin, erfc, exp)
+        return _accelerations(v1, v2, d1v, d2v, masses)
+
+    lines, (acc1, acc2) = _trace(formula, ("q1", "q2", "v1", "v2"))
+    src = (
+        "def rhs(t, y):\n    q1, q2, v1, v2 = y\n    try:\n"
+        + "".join(f"        {line}\n" for line in lines)
+        + f"        return v1, v2, {acc1}, {acc2}\n"
+        + "    except ZeroDivisionError:\n        return v1, v2, nan, nan\n"
+    )
+    name = f"semiclassical rhs {zlib.crc32(src.encode()):08x}"
+    scope = _exec_generated(src, name, erfc=math.erfc, exp=math.exp, inf=math.inf, nan=math.nan)
+    return scope["rhs"]
+
+
+def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
+    """The (q, v) right-hand side rhs(t, y) of ``semiclassical_integrate``:
+    ``_veff_pieces`` and ``_accelerations`` on Python floats with
+    ``math.erfc`` and ``math.exp``, as straight-line code generated once per
+    model (``_generated_rhs``) that computes their floats bit for bit.
+
+    Where numpy would give inf or NaN, Python raises ``ZeroDivisionError``:
+    there the accelerations are NaN, so a start whose portraits underflow
+    fails the caller's finiteness check, and a step into such a region fails
+    the solver's error test, as with numpy values.
+    """
+    groups = ((model.m0, model.lambda1, model.lambda2, model.vbar1, model.vbar2), *scales, kin)
+    # the cache key is the literals: as floats, 0.0 and -0.0 would be one key
+    # and a NaN would match no key
+    return _generated_rhs(tuple(tuple(repr(float(v)) for v in group) for group in groups))
 
 
 def semiclassical_integrate(
@@ -625,17 +773,19 @@ def semiclassical_integrate(
 
     The right-hand side takes the state as four Python floats and returns
     the derivative as a tuple of four, the contract of ``solve_ode``, whose
-    DOP853 stages are Python-float combinations too.  It evaluates the
-    closed forms with ``math.erfc`` and ``math.exp`` passed to the same
-    ``_veff_pieces`` that the portraits and the sampled energies run on
-    float arrays: about sixty operations on Python floats cost far less than
-    the same numpy operations on 0-d values, and no array is built per stage.
-    The arrays take ``scipy.special.erfc``, which a process that has drawn
-    no portrait imports for the sampled energies, after the solve.
-    The instantiations differ only by the rounding of the two erfc and exp
-    implementations, so trajectories move in their last digits against an
-    all-numpy right-hand side.  A run that the solver's minimum step or step
-    budget stops is classified "singular-stop" and keeps its samples.
+    DOP853 stages are Python-float combinations too.  It is straight-line
+    code generated at the first solve of a model (``_equations_of_motion``)
+    from the same ``_veff_pieces`` that the portraits and the sampled
+    energies run on float arrays, traced with ``math.erfc`` and ``math.exp``:
+    about sixty operations on Python floats cost far less than the same
+    numpy operations on 0-d values, no array is built per stage, and no call
+    is made per piece.  The arrays take ``scipy.special.erfc``, which a
+    process that has drawn no portrait imports for the sampled energies,
+    after the solve.  The two differ only by the rounding of the two erfc
+    and exp implementations, so trajectories move in their last digits
+    against an all-numpy right-hand side.  A run that the solver's minimum
+    step or step budget stops is classified "singular-stop" and keeps its
+    samples.
 
     The initial point may lie anywhere; escape is detected by leaving the
     classical rectangle after the barrier has dropped below a hundredth of

@@ -185,6 +185,41 @@ def test_help_shows_subcommands():
     assert exc.value.code == 0
 
 
+def test_one_parser_serves_every_main_of_a_process(tmp_path, capsys):
+    # the parser is built at the first main and kept: runs through it write
+    # what runs through a fresh parser write, also after a usage error and
+    # --help, which leave it through SystemExit
+    argvs = [
+        ["simulate", "--preset", "fig6a"],
+        ["quantise", "p2", "--fock-dim", "6"],
+        ["simulate", "--preset", "fig4b", "--fock-dim", "3"],
+        ["quantise", "--help"],
+        ["simulate", "--preset", "fig6a"],
+    ]
+
+    def run(argv, out, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        try:
+            code = main(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("elapsed ")]
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        return code, captured.out.replace(str(out), "OUT"), err, files
+
+    cli._build_parser.cache_clear()
+    kept = [run(argv, tmp_path / f"kept{i}", False) for i, argv in enumerate(argvs)]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = [run(argv, tmp_path / f"fresh{i}", True) for i, argv in enumerate(argvs)]
+    assert [r[0] for r in kept] == [0, 0, 2, 0, 0]
+    assert "unrecognized arguments: --fock-dim 3" in kept[2][2][-1]
+    assert "--fock-dim FOCK_DIM" in kept[3][1]
+    assert kept[4] == kept[0]
+    assert kept == fresh
+
+
 def test_console_script_runs():
     out = subprocess.run(
         [sys.executable, "-m", "sqzq.cli", "--help"], capture_output=True, text=True

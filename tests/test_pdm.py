@@ -6,7 +6,9 @@ algebra under test.  Dynamics are checked against the exact free solution,
 analytic libration amplitudes, and conservation of the relevant energy.
 """
 
+import linecache
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -41,10 +43,13 @@ from sqzq.pdm import (
     semiclassical_integrate,
 )
 from sqzq.pdm import (
+    _accelerations,
     _both_scales,
     _equations_of_motion,
+    _generated_rhs,
     _kinetic_coeffs,
     _mode_pieces,
+    _trace,
     _veff_pieces,
 )
 from sqzq.sepstates import TwoModeParams
@@ -438,8 +443,10 @@ _PIN_MODELS = pytest.mark.parametrize(
 
 @_PIN_MODELS
 def test_float_and_array_formulas_agree(model, modes):
-    # the equations of motion run _veff_pieces on Python floats with math's
-    # erfc and exp; everything else runs it on arrays with scipy's and numpy's
+    # the equations of motion are _veff_pieces traced on Python floats with
+    # math's erfc and exp, and compute its floats to the bit
+    # (test_generated_rhs_computes_the_formulas_floats_to_the_bit); everything
+    # else runs it on arrays with scipy's and numpy's
     scales = _both_scales(model, modes)
     kin = _kinetic_coeffs(modes)
     axes = [_pinning_axis(m.w, m.s) for m in scales]
@@ -520,6 +527,150 @@ def test_float_equations_of_motion_turn_nan_where_the_portraits_underflow():
     far = rhs(0.0, [50.0, 50.0, 1.0, 1.0])
     assert list(far[:2]) == [1.0, 1.0]
     assert not np.any(np.isfinite(far[2:]))
+
+
+def _untraced_rhs(model, scales, kin):
+    # the formulas that the generated right-hand side is traced from, run on
+    # Python floats
+    def rhs(t, y):
+        q1, q2, v1, v2 = y
+        try:
+            _, d1v, d2v, masses = _veff_pieces(model, scales, q1, q2, kin, math.erfc, math.exp)
+            return (v1, v2, *_accelerations(v1, v2, d1v, d2v, masses))
+        except ZeroDivisionError:
+            return v1, v2, math.nan, math.nan
+
+    return rhs
+
+
+def _assert_rhs_bits(model, modes, states) -> int:
+    """The states at which the generated right-hand side and its formulas
+    agree to the bit, as they must at all; returns how many are finite."""
+    scales, kin = _both_scales(model, modes), _kinetic_coeffs(modes)
+    generated = _equations_of_motion(model, scales, kin)
+    untraced = _untraced_rhs(model, scales, kin)
+    finite = 0
+    for y in states:
+        got = generated(0.0, y)
+        # float.hex tells -0.0 from 0.0 and writes every NaN as nan
+        assert [v.hex() for v in got] == [v.hex() for v in untraced(0.0, y)], (model, y)
+        finite += all(map(math.isfinite, got))
+    return finite
+
+
+def _random_states(rng, scales, n):
+    # positions out to three walls or three units, a tenth of them a
+    # thousand times further, and velocities of either sign and any scale
+    unit = np.arange(n) % 2 == 0
+    q = [np.where(unit, 1.0, m.w) * rng.uniform(-3.0, 3.0, n) for m in scales]
+    far = rng.random(n) < 0.1
+    q = [np.where(far, 1e3 * x, x) for x in q]
+    v = [rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-4.0, 4.0, n) for _ in range(2)]
+    return np.stack([*q, *v], axis=1).tolist()
+
+
+@_PIN_MODELS
+def test_generated_rhs_computes_the_formulas_floats_to_the_bit(model, modes):
+    scales = _both_scales(model, modes)
+    axes = [_pinning_axis(m.w, m.s) for m in scales]
+    states = [[a, b, v1, v2] for a in axes[0].tolist() for b in axes[1].tolist()
+              for v1, v2 in ((0.7, -0.4), (-3.0, 1e-3))]
+    # every window underflows this far out, where the accelerations are NaN
+    states += [[50.0, 50.0, 1.0, 1.0], [-50.0, 0.1, 0.0, -0.0], [0.0, 0.0, 0.0, 0.0]]
+    states += _random_states(np.random.default_rng(27), scales, 4000)
+    assert 0 < _assert_rhs_bits(model, modes, states) < len(states)
+
+
+def test_generated_rhs_holds_its_bits_over_the_fuzzed_model_scales():
+    # the simulate fuzz test's model ranges, 1e-300 to 1e300, over fig6a's
+    # squeezing; each parameter is drawn from them or from [0.1, 10], so that
+    # some models have finite accelerations.  Folded constants such as
+    # Lambda^2 and w^2 + 2 s^2 overflow or underflow in some of them
+    _, modes = _fig6_pair()
+    rng = np.random.default_rng(2027)
+    wide = rng.random((60, 5)) < 0.5
+    draws = np.where(wide, 10.0 ** rng.uniform(-300.0, 300.0, wide.shape),
+                     10.0 ** rng.uniform(-1.0, 1.0, wide.shape))
+    models = [PdmModel(*row) for row in draws.tolist()]
+    models += [
+        PdmModel(m0=1e-300, lambda1=1e200, lambda2=1e-200, vbar1=0.0, vbar2=1e300),
+        PdmModel(m0=1e300, lambda1=1e-300, lambda2=1.0, vbar1=-0.0, vbar2=0.0),
+    ]
+    squares = {lam * lam for m in models for lam in (m.lambda1, m.lambda2)}
+    assert math.inf in squares and 0.0 in squares
+    finite = total = 0
+    for model in models:
+        states = _random_states(rng, _both_scales(model, modes), 150) + [[50.0, 50.0, 1.0, 1.0]]
+        finite += _assert_rhs_bits(model, modes, states)
+        total += len(states)
+    assert 0.05 * total < finite < 0.5 * total
+
+
+def test_generated_rhs_tracebacks_show_its_source():
+    # linecache keeps no copy of the source: clearing it must not lose the lines
+    model, modes = _fig6_pair()
+    rhs = _equations_of_motion(model, _both_scales(model, modes), _kinetic_coeffs(modes))
+    name = rhs.__code__.co_filename
+    assert name.startswith("semiclassical rhs ")
+    linecache.clearcache()
+    with pytest.raises(TypeError) as info:
+        rhs(0.0, ["not a float", 0.0, 0.0, 0.0])
+    text = "".join(traceback.format_exception(info.value))
+    assert f'File "{name}", line 4' in text
+    assert "((q1 + 0.6666666666666666) / " in text
+    assert linecache.getlines(name)[0] == "def rhs(t, y):\n"
+
+
+def test_a_model_generates_its_rhs_once():
+    _, modes = _fig6_pair()
+    kin = _kinetic_coeffs(modes)
+
+    def rhs(vbar1):
+        model = PdmModel(m0=4.75, lambda1=1.25, lambda2=0.75, vbar1=vbar1, vbar2=3.0)
+        return _equations_of_motion(model, _both_scales(model, modes), kin)
+
+    before = _generated_rhs.cache_info()
+    first = rhs(2.0)
+    assert rhs(2.0) is first
+    after = _generated_rhs.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    # 0.0 and -0.0 are equal as floats but not as literals
+    assert rhs(0.0) is not rhs(-0.0)
+
+
+def test_trace_folds_constants_drops_dead_values_and_keeps_what_may_raise():
+    def formula(x, y):
+        x * y  # read by nothing: dropped
+        x / y  # read by nothing, but may raise
+        twice = x + 2.0 * 3.0  # the constant runs as a float; read twice
+        return twice * twice, 1.0 - abs(-y), 0.25 + 2.0 / y, 3.0 * x, 0.5
+
+    lines, results = _trace(formula, ("x", "y"))
+    assert lines == ["(x / y)", "t4 = (x + 6.0)"]
+    assert results == ["(t4 * t4)", "(1.0 - abs((-y)))", "(0.25 + (2.0 / y))", "(3.0 * x)", "0.5"]
+    # the code computes the formula's floats, operands in their order
+    scope = {}
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def f(x, y):\n{body}    return {', '.join(results)}\n", scope)
+    for x, y in ((0.3, -1.7), (1e308, 3e-308), (-0.0, math.inf)):
+        assert scope["f"](x, y) == formula(x, y)
+    with pytest.raises(ZeroDivisionError):
+        scope["f"](1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        lambda x: (x if x > 0.0 else -x,),
+        lambda x: (1.0 if x else x,),
+        lambda x: (0.0 if x == 0.0 else 1.0 / x,),
+        lambda x: (math.exp(x),),
+    ],
+    ids=["order", "truth", "equality", "float"],
+)
+def test_a_formula_that_branches_on_a_traced_value_fails_to_trace(formula):
+    with pytest.raises(TypeError):
+        _trace(formula, ("x",))
 
 
 # ---------------------------------------------------------------- semiclassical
