@@ -11,7 +11,7 @@ routine behind every portrait and position kernel (``gaussian_smooth``: a
 stack of fields in one pass, on an order-120 Hermite rule or a supported
 field's clipped 3 x 60 Legendre window), truncated boson-operator algebra,
 and the adaptive DOP853 ODE driver (``solve_ode``), which runs its stages on
-Python floats.
+Python floats in straight-line code over the tableau's nonzero entries.
 
 All functions are pure and thread-safe.
 """
@@ -698,8 +698,16 @@ def _dense_values(steps, ends, times) -> np.ndarray:
 
 def _sum_code(coeffs, i: int) -> str:
     """The source of sum_s coeffs[s] K_s for component i: from 0.0, left to
-    right, zero coefficients kept (0 * inf is NaN)."""
-    return "(0.0" + "".join(f" + {a!r} * k{s}_{i}" for s, a in enumerate(coeffs)) + ")"
+    right, over the nonzero coeffs only.  With finite stages the skipped terms
+    are zeros, and adding a zero to a sum that starts at +0.0 changes no bit
+    (the sum is never -0.0), so ``y + h * sum`` keeps signed zeros."""
+    return "(0.0" + "".join(f" + {a!r} * k{s}_{i}" for s, a in enumerate(coeffs) if a) + ")"
+
+
+def _guard_code(i: int) -> str:
+    """The source of sum_s 0.0 * K_s for component i over the stages where E5
+    is zero: +-0.0 when they are finite, NaN when one is not."""
+    return "(" + " + ".join(f"0.0 * k{s}_{i}" for s, a in enumerate(_E5) if not a) + ")"
 
 
 @lru_cache(maxsize=16)
@@ -707,7 +715,19 @@ def _dop853_kernels(n: int):
     """One DOP853 step's float arithmetic on n-component states as straight-line
     code: tableau literals, every value a local (``k{s}_{i}``: component i of K_s).
     ``attempt`` evaluates K_1..K_11, y_new, f_new and the E5/E3 error sums, ``dense``
-    the dense stages and the step's row; tracebacks show ``dop853 kernel n=N``."""
+    the dense stages and the step's row; tracebacks show ``dop853 kernel n=N``.
+
+    The sums skip the tableau's zero entries (``_sum_code``), so where every
+    stage is finite each value is the zero-keeping loop's to the bit.  A zero
+    entry times a non-finite stage is NaN there, and that NaN is what rejects
+    a step with a non-finite stage, so each E5 sum adds ``_guard_code``: 0.0
+    times each stage whose E5 entry is zero.  The first non-finite stage of
+    an attempt comes from finite values only, so it is the same as in that
+    loop, and it reaches the E5 sum through a nonzero entry or the guard: the
+    error norm is NaN and the step is rejected with the smallest factor, as
+    there.  The stages after it may be called on different states, which
+    that loop would have made NaN.  The error scale max(|y|, |y_new|) is
+    written as max evaluates it, NaN included."""
     ix = range(n)
     names = lambda prefix: "".join(f"{prefix}{i}, " for i in ix)
     squares = lambda e: "0.0" + "".join(f" + {e}{i} * {e}{i}" for i in ix)
@@ -728,8 +748,9 @@ def _dop853_kernels(n: int):
         + "".join(f"    yn{i} = y{i} + h * {_sum_code(_B, i)}\n" for i in ix)
         + f"    y_new = [{names('yn')}]\n    f_new = rhs(t_new, y_new)\n" + unpack_new
         + "".join(
-            f"    s{i} = atol + max(abs(y{i}), abs(yn{i})) * rtol\n"
-            f"    e5_{i} = {_sum_code(_E5, i)} / s{i}\n"
+            f"    a{i} = abs(y{i})\n    b{i} = abs(yn{i})\n"
+            f"    s{i} = atol + (b{i} if b{i} > a{i} else a{i}) * rtol\n"
+            f"    e5_{i} = ({_sum_code(_E5, i)} + {_guard_code(i)}) / s{i}\n"
             f"    e3_{i} = {_sum_code(_E3, i)} / s{i}\n" for i in ix)
         + f"    return y_new, f_new, {squares('e5_')}, {squares('e3_')}, ({stages})\n\n"
         + "def dense(rhs, t, y, f, h, y_new, f_new, stages):\n" + unpack
@@ -773,8 +794,11 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
     coefficients are kept.  That arithmetic is code generated per state size
     (``_dop853_kernels``) that adds each tableau sum from 0.0 left to right,
     as CPython 3.11's ``sum`` did; 3.12's ``sum`` compensates, so a loop over
-    ``sum`` gives version-dependent bits, and this code does not.  The
-    samples at ``t_eval`` are evaluated from them in one pass at the end;
+    ``sum`` gives version-dependent bits, and this code does not.  The sums
+    skip the tableau's zero entries, which changes no returned bit: a guard
+    in the error sum still rejects every step with a non-finite stage, though
+    the stages after that one may see other states than with the zeros kept.
+    The samples at ``t_eval`` are evaluated from them in one pass at the end;
     without ``t_eval`` they are the step ends.
 
     Two limits bound every run:
@@ -810,7 +834,6 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
     n_evals = 2
     steps = []  # per accepted step: t_old, h, y_old, F_0..F_6
     ends = []
-    y_ends = []
     n_accepted = n_rejected = 0
     message = ""
     if not all(map(math.isfinite, f)):
@@ -851,14 +874,14 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
         steps.append(dense(rhs, t, y, f, h, y_new, f_new, stages))
         n_evals += 3
         ends.append(t_new)
-        y_ends.append(y_new)
         t, y, f = t_new, y_new, f_new
 
     table = np.array(steps, dtype=float).reshape(len(steps), 2 + 8 * n)
     ends = np.array(ends, dtype=float)
     if t_eval is None:
         ts = np.concatenate([[t0], ends])
-        ys = np.array([problem.y0.tolist(), *y_ends], dtype=float)
+        # each step's row starts at its y_old, the previous step's y_new
+        ys = np.vstack([table[:, 2 : 2 + n], [y]])
     else:
         t_eval = np.asarray(t_eval, dtype=float)
         ts = t_eval[: np.searchsorted(t_eval, t, side="right")] if steps else t_eval[:0]

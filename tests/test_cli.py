@@ -649,6 +649,33 @@ def test_simulate_fuzzed_config_exits_cleanly(tmp_path_factory, kind, scales, st
     assert "Traceback" not in err.getvalue()
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["classical", "semiclassical"]),
+    scales=st.fixed_dictionaries(
+        {k: st.floats(0.1, 10.0) for k in ("m0", "vbar1", "vbar2", "lambda1", "lambda2")}
+    ),
+    inside=st.tuples(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99)),
+    velocity=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    t1=st.floats(1e-3, 2.0),
+)
+def test_simulate_fuzzed_workable_config_runs(tmp_path_factory, kind, scales, inside, velocity, t1):
+    """At scales where the equations of motion are finite, with the start
+    inside the box: a finished run (0) with finite samples, or a numerical
+    failure (3), never an exception out of main."""
+    out = tmp_path_factory.mktemp("workable")
+    start = {f"q0_{j}": u / scales[f"lambda{j}"] for j, u in enumerate(inside, 1)}
+    start.update({f"v0_{j}": v for j, v in enumerate(velocity, 1)})
+    cfg = _write_cfg(out, {"kind": kind, **scales, **start, "t1": t1})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--preset", "fig6a", "--config", cfg, "--out", str(out)])
+    assert code in (0, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert np.all(np.isfinite(np.loadtxt(out / "fig6a.csv", delimiter=",", skiprows=1)))
+
+
 def _configs(ranges):
     """Configs drawn inside ``ranges``, then with any subset of their keys set
     to arbitrary floats (nan and inf included) or to floats of any decimal

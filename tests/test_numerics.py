@@ -7,7 +7,9 @@ expectations.
 
 import linecache
 import math
+import re
 import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sint
 
 from sqzq import numerics
-from sqzq.errors import ConfigError, NonConvergent, QuadratureNotConverged
+from sqzq.errors import ConfigError, NonConvergent, NonFiniteState, QuadratureNotConverged
 from sqzq.numerics import (
     OdeProblem,
     QuadratureReport,
@@ -555,15 +557,16 @@ def _lorenz96(t, y):
     return [(y[(i + 1) % n] - y[i - 2]) * y[i - 1] - y[i] + 8.0 for i in range(n)]
 
 
-def _spike():
-    # infinite at the first stage of the first step and nowhere else; tanh
-    # turns the infinite states that follow into finite slopes but keeps NaN,
-    # so a stage that dropped a 0.0 * inf = NaN term would accept that step
+def _spike(stage=0):
+    # infinite at one stage of the first step and nowhere else: K_1..K_11 at
+    # stage 0..10, f_new at 11 and the dense stages at 12..14; tanh turns the
+    # infinite states that follow into finite slopes but keeps NaN, so an
+    # error sum that dropped a 0.0 * inf = NaN term would accept that step
     calls = []
 
     def rhs(t, y):
         calls.append(t)
-        return (math.inf if len(calls) == 3 else -math.tanh(y[0]),)
+        return (math.inf if len(calls) == 3 + stage else -math.tanh(y[0]),)
 
     return OdeProblem(rhs, (0.0, 1.0), np.array([1.0]))
 
@@ -586,7 +589,8 @@ _KERNEL_CASES = {
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_solve_ode_matches_the_generic_loop_to_the_bit(case, with_t_eval):
     # the generated kernel does the generic loop's float operations in its
-    # order, zero tableau entries included
+    # order, except the products with zero tableau entries: with finite stages
+    # they add nothing, and its E5 guard rejects a step with a non-finite one
     prob = _KERNEL_CASES[case]()
     t_eval = np.linspace(*prob.t_span, 57) if with_t_eval else None
     sol, ref = solve_ode(prob, t_eval=t_eval), dop853_generic(_KERNEL_CASES[case](), t_eval=t_eval)
@@ -599,6 +603,52 @@ def test_solve_ode_matches_the_generic_loop_to_the_bit(case, with_t_eval):
         assert sol.n_rejected > 0
     if case == "blowup":
         assert sol.status == "failed"
+
+
+def _outcome(solve, problem, t_eval):
+    """A run's bits, or the exception it raised."""
+    try:
+        # a dense row with inf makes NaN samples, which raise below
+        with np.errstate(invalid="ignore"):
+            sol = solve(problem, t_eval=t_eval)
+    except NonFiniteState as exc:
+        return {"raised": repr(exc)}
+    out = {name: getattr(sol, name).tobytes() for name in ("t", "y")}
+    for name in ("n_rhs_evals", "n_accepted", "n_rejected", "status", "message", "h_min"):
+        out[name] = getattr(sol, name)
+    return out
+
+
+@pytest.mark.parametrize("with_t_eval", [False, True], ids=["step-ends", "t_eval"])
+@pytest.mark.parametrize("stage", range(15))
+def test_a_non_finite_stage_anywhere_in_a_step_runs_as_the_generic_loop(stage, with_t_eval):
+    # the kernel's sums skip the zero tableau entries that the generic loop
+    # multiplies: a non-finite stage of an attempt must still reject the step,
+    # and one of the dense stages must leave the same samples or raise the same
+    t_eval = np.linspace(0.0, 1.0, 57) if with_t_eval else None
+    got = _outcome(solve_ode, _spike(stage), t_eval)
+    assert got == _outcome(dop853_generic, _spike(stage), t_eval)
+    if stage < 12:
+        assert got["n_rejected"] > 0
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_kernels_multiply_by_the_nonzero_tableau_entries_and_the_guard_only(n):
+    # every product with a literal is a nonzero tableau entry, once per
+    # component, or 0.0 times a stage whose E5 entry is zero in the E5 sum's
+    # guard, so a zero entry that came back would show here
+    attempt, _ = numerics._dop853_kernels(n)
+    src = "".join(linecache.getlines(attempt.__code__.co_filename, attempt.__globals__))
+    got = Counter(re.findall(r"(-?\d+\.\d+(?:e-?\d+)?) \* k(\d+)_(\d+)\b", src))
+    rows = [*numerics._A[1:12], numerics._B, numerics._E5, numerics._E3, *numerics._A[13:], *numerics._D]
+    want = Counter((repr(a), str(s), str(i)) for row in rows for s, a in enumerate(row) if a for i in range(n))
+    guard = [s for s, a in enumerate(numerics._E5) if not a]
+    want.update(("0.0", str(s), str(i)) for s in guard for i in range(n))
+    assert got == want
+    # 146 of the 210 entries per component are nonzero
+    assert sum(got.values()) == (146 + 5) * n and src.count("0.0 *") == 5 * n
+    for i in range(n):
+        assert f" + (0.0 * k1_{i} + 0.0 * k2_{i} + 0.0 * k3_{i} + 0.0 * k4_{i} + 0.0 * k12_{i})) / s{i}\n" in src
 
 
 def test_solve_ode_records_the_smallest_accepted_step():
