@@ -683,17 +683,20 @@ def _dense_values(steps, ends, times) -> np.ndarray:
     ``steps`` holds one row per accepted step: t_old, h, y_old and the seven
     coefficients F_0..F_6 of its dense polynomial; ``ends`` the steps' end times.
     A time in (t_old, end] takes that step, as in scipy (the first step also
-    takes t_old itself), and the polynomial is summed in scipy's order.
+    takes t_old itself), and the polynomial is summed in scipy's order.  A
+    step whose dense stages are not finite gives non-finite samples without a
+    warning; the caller judges them.
     """
     k = np.minimum(np.searchsorted(ends, times, side="left"), len(steps) - 1)
     row = steps[k]
     n = (steps.shape[1] - 2) // 8
     x = ((times - row[:, 0]) / row[:, 1])[:, None]
     y = np.zeros((len(times), n))
-    for i in range(7):
-        y += row[:, 2 + n * (7 - i) : 2 + n * (8 - i)]
-        y *= x if i % 2 == 0 else 1.0 - x
-    return y + row[:, 2 : 2 + n]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(7):
+            y += row[:, 2 + n * (7 - i) : 2 + n * (8 - i)]
+            y *= x if i % 2 == 0 else 1.0 - x
+        return y + row[:, 2 : 2 + n]
 
 
 def _sum_code(coeffs, i: int) -> str:

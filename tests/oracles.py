@@ -3,8 +3,9 @@
 Nothing in the package calls these.  The first group is brute-force
 numerics the package itself no longer needs: iterated Gauss-Legendre box
 quadrature, dense matrix exponentials, the real erfc, the truncated
-momentum matrix, scipy's DOP853 run of an ODE problem and the generic
-DOP853 loop that ``numerics.solve_ode`` replaced by generated code.  It also holds
+momentum matrix, scipy's DOP853 run of an ODE problem, the generic
+DOP853 loop that ``numerics.solve_ode`` replaced by generated code, and the
+per-cell '%' CSV writer that ``cli._csv`` replaced by numpy text.  It also holds
 the two-mode multiplication matrix of a Gaussian field's smoothing by one
 Gauss-Hermite rule exact for it, and the direct 4D phase-space quadrature of
 a two-mode field (``quantise_4d``) on its own tensor rule for any
@@ -277,6 +278,26 @@ def dop853_generic(problem, t_eval=None, max_steps: int = 50_000) -> OdeSolution
     if not np.all(np.isfinite(ys)):
         raise NonFiniteState("non-finite values in the solution samples")
     return OdeSolution(ts, ys, "finished", **counts)
+
+
+# ---------------------------------------------------------------------------
+# CSV text
+
+
+def csv_row_template(header: str, blocks) -> str:
+    """CSV text by one '%' conversion per cell, the bytes reference of
+    ``cli._csv``: the header, then a line per row of each block of columns.
+    A list column holds ready-made cells; any other one is numbers, each
+    written with '%.17g'.  Each block is one %-format of a row template
+    repeated once per row."""
+    parts = [header + "\n"]
+    for columns in blocks:
+        row = ",".join("%s" if isinstance(c, list) else "%.17g" for c in columns) + "\n"
+        stacked = np.column_stack(
+            [np.array(c, dtype=object) if isinstance(c, list) else c for c in columns]
+        )
+        parts.append((row * len(stacked)) % tuple(stacked.ravel().tolist()))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

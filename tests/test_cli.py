@@ -14,11 +14,13 @@ import subprocess
 import sys
 import time
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
 from sqzq import cli, nonsepstates, numerics, pdm
@@ -27,7 +29,7 @@ from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
 from sqzq.sepstates import Field, PhasePoint
 
-from .oracles import mode_symbol_moment, nonsep_norm, overlap_integral
+from .oracles import csv_row_template, mode_symbol_moment, nonsep_norm, overlap_integral
 
 
 def _write_cfg(tmp_path, payload, name="cfg.json"):
@@ -290,6 +292,17 @@ def test_quantise_and_classical_simulate_load_no_scipy(tmp_path):
     ]
 
 
+def test_import_builds_no_digit_tables():
+    # the CSV digit tables are built at the first block written in numpy,
+    # inside a request, not at import
+    out = subprocess.run(
+        [sys.executable, "-c", "from sqzq import cli; print(cli._digit_tables.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["0"]
+
+
 def test_no_step_imports_scipy_integrate_or_linalg(tmp_path):
     # the semiclassical dynamics and verify each load scipy.special on their
     # own, and no command loads scipy.integrate or scipy.linalg
@@ -313,24 +326,105 @@ def test_every_public_name_resolves():
         assert not missing, (name, missing)
 
 
-def test_csv_row_template_writes_the_per_cell_bytes():
+def test_csv_row_template_writes_the_per_cell_bytes(monkeypatch):
     # every kind of float %.17g spells in its own way, an integer column as
-    # quantise writes its indices, and a block of ready-made cells as the
-    # portraits write their axes
+    # quantise writes its indices, and reused axis cells as the portraits
+    # write their axes, against the per-cell '%' writer; blocks this small
+    # go to '%' unless the numpy text is forced
     odd = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.5e-310, 3.0, -7.0,
                     1e300, 0.1, 2.0**53 + 2.0])
     ints = np.arange(odd.size)
-    ready = ["%.17g" % v for v in (odd[::-1] * 3.0).tolist()]
-    text = _csv("a,b,c", [(ints, odd, odd[::-1]), (ready, odd, -odd)])
+    axis = odd * 3.0
+    index = np.arange(odd.size)[::-1] % 5
+    ready = ["%.17g" % v for v in axis[index].tolist()]
+    for numpy_cells in (cli._NUMPY_CELLS, 0):
+        monkeypatch.setattr(cli, "_NUMPY_CELLS", numpy_cells)
+        text = _csv("a,b,c", [ints, odd, odd[::-1]])
+        assert text == csv_row_template("a,b,c", [(ints, odd, odd[::-1])])
+        assert "nan" in text and "-0," in text and "\n3," in text
 
-    def per_cell(*columns):
-        cells = [c if isinstance(c, list) else ["%.17g" % v for v in c.tolist()]
-                 for c in columns]
-        return [",".join(row) for row in zip(*cells)]
+        text = _csv("a,b,c", [(axis, index), odd, -odd])
+        assert text == csv_row_template("a,b,c", [(ready, odd, -odd)])
+        assert "inf,-inf" in text and "4.9406564584124654e-324," in text
 
-    lines = ["a,b,c"] + per_cell(ints, odd, odd[::-1]) + per_cell(ready, odd, -odd)
-    assert text == "\n".join(lines) + "\n"
-    assert "inf,-inf" in text and "nan" in text and "-0," in text and "\n3," in text
+
+def _spelt_as_percent(values, cols=1):
+    """Asserts that ``_csv`` writes each cell of ``values`` as '%.17g' does,
+    laid out in rows of ``cols`` cells."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, cols)
+    columns = [values[:, j] for j in range(cols)]
+    got, want = _csv("x", columns), csv_row_template("x", [columns])
+    if got != want:
+        got, want = got.split("\n"), want.split("\n")
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_csv_cells_match_percent_over_a_seeded_million_values():
+    rng = np.random.default_rng(20260429)
+    n = 1 << 18
+    bit_patterns = rng.integers(0, 2**64, size=n, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(n) * 10.0 ** rng.uniform(-12.0, 16.0, n)
+    rounded = np.round(rng.standard_normal(n) * 1000.0, 3) / 10.0 ** rng.integers(0, 6, n)
+    integers = rng.integers(-(2**53), 2**53, n).astype(np.float64) // 10.0 ** rng.integers(0, 16, n)
+    _spelt_as_percent(np.concatenate([bit_patterns, scaled, rounded, integers]), cols=4)
+
+
+def _ties_of_the_18th_digit(rng):
+    """Odd j times 2^-p with 18 significant digits, the last a 5: '%.17g'
+    rounds each one half to even."""
+    ties = []
+    for p in range(2, 26):
+        lo, hi = -(-10**17 // 5**p), min(2**53, 10**18 // 5**p)
+        for j in rng.integers(lo, hi, 40).tolist():
+            ties.append(math.ldexp(j | 1, -p))
+    return np.array(ties)
+
+
+def test_csv_cells_match_percent_on_the_boundaries():
+    decades = 10.0 ** np.arange(-12, 17)
+    near = [decades]
+    for direction in (0.0, np.inf):
+        step = decades
+        for _ in range(2):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    # the fast set is 10^-11 <= |x| < 10^15 and zero; 1e-11 is just below
+    # 10^-11, and the normals start at 2^-1022
+    edges = np.array([1e-11, 1e15, 2.0**-1022, 2.0**-1022 - 2.0**-1074, 5e-324, 0.0,
+                      2.0**53, 2.0**53 + 2.0, 999999999999999.9])
+    near += [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), [np.finfo(float).max]]
+    ties = _ties_of_the_18th_digit(np.random.default_rng(7))
+    exact = [Decimal(v) for v in ties[:50].tolist()]
+    assert all(len(d.as_tuple().digits) == 18 and d.as_tuple().digits[-1] == 5 for d in exact)
+    # written with 17 nines, each is the decade or the double below it
+    nines = np.array([float("9.9999999999999999e%d" % e) for e in range(-13, 16)])
+    nines = np.concatenate([nines, np.nextafter(nines, 0.0)])
+    values = np.concatenate(near + [ties, nines])
+    _spelt_as_percent(np.concatenate([values, -values, [np.nan, np.inf, -np.inf]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12), elements=st.floats()))
+def test_csv_cells_match_percent_on_any_float_block(block):
+    columns = [block[:, j] for j in range(block.shape[1])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_NUMPY_CELLS", 0)
+        assert _csv("h", columns) == csv_row_template("h", [columns])
+
+
+@pytest.mark.parametrize("rows", [1, cli._CHUNK_CELLS // 5 - 1, cli._CHUNK_CELLS // 5 + 1])
+def test_csv_blocks_of_one_row_and_across_a_chunk(monkeypatch, rows):
+    monkeypatch.setattr(cli, "_NUMPY_CELLS", 0)
+    rng = np.random.default_rng(rows)
+    block = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-14, 18, (rows, 5))
+    columns = [block[:, j] for j in range(5)]
+    assert _csv("h", columns) == csv_row_template("h", [columns])
+    axis = block[:, 0]
+    index = rng.integers(0, rows, 3 * rows)
+    ready = ["%.17g" % v for v in axis[index].tolist()]
+    text = _csv("h", [(axis, index), np.repeat(block[:, 1], 3)])
+    assert text == csv_row_template("h", [(ready, np.repeat(block[:, 1], 3))])
 
 
 # ----------------------------------------------------------------------
@@ -529,6 +623,22 @@ def test_fig6a_outputs_keep_their_bytes(tmp_path):
         "fig6a.csv": "624e4e48b9ad9c303b603ed3ce7256dfbd145a868b8ff0b0bce23d58a17160f2",
         "fig6a_summary.json": "d7d5af185696982eaf2b99cb8bf4478018bcc43c19c4b896d30431663c3a904e",
         "portrait_veff.csv": "3a1058b1b8631b0b9be4f082434513b04d97de3868db62797fc5f0be1f298df2",
+    }
+
+
+def test_fig4b_run_and_full_chi_portrait_keep_their_bytes(tmp_path):
+    # pinned under the per-cell '%' writer: a classical run's 2001 x 6 block
+    # and a 201 x 201 grid written from reused axis cells
+    assert main(["simulate", "--preset", "fig4b", "--out", str(tmp_path)]) == 0
+    assert main(["portrait", "chi", "--preset", "fig6a", "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fig4b.csv", "fig4b_summary.json", "portrait_chi.csv")
+    }
+    assert digests == {
+        "fig4b.csv": "24d3be8b799a31119e100b0279959bcd7afafd1fce3b7944d8bb32e7160c6267",
+        "fig4b_summary.json": "3b53e307ceab851958f4707f8585aa286a9600b08143ea2fa29c965a4651b196",
+        "portrait_chi.csv": "6c1e64df7434451646dfcd81ecb591dcce1cbdcd9c5fe7cf734f88f4f698dac4",
     }
 
 
