@@ -24,7 +24,7 @@ from ..numerics import legendre_box_rule
 from ..onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from ..onemode import _coefficients as _mode_coefficients
 from ..onemode import holomorphic_orthogonality_check
-from ..sepstates import Field, PhasePoint, TwoModeParams, portrait_p2_h, portrait_p_h
+from ..sepstates import PhasePoint, TwoModeParams, portrait_p2_h, portrait_p_h
 from ..nonsepstates import (
     NonSepParams,
     bogoliubov_check,
@@ -404,13 +404,6 @@ def _tolerance(cfg: RunConfig, key: str, default=None):
     return tol
 
 
-def _fock_dim(cfg: RunConfig, default: int) -> int:
-    dim = cfg.get("fock_dim", default, cast=int)
-    if dim < 0:
-        raise ConfigError("fock_dim must be >= 0")
-    return dim
-
-
 def _grid_axes(cfg: RunConfig, model: pdm.PdmModel):
     def axis(j: int):
         w = model.wall(j)
@@ -571,8 +564,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 # verify
 #
 # CHECKS is the one table of closed-form-vs-oracle checks.  Each entry is a
-# function of the run's fock_dim that returns its outcomes, as (id,
-# deviation, detail) triples, and its errata records; cmd_verify compares
+# function of no arguments that returns its outcomes, as (id, deviation,
+# detail) triples, and its errata records; cmd_verify compares
 # every deviation against the run's tolerance.  An entry may read several
 # outcomes off one computation: ``_table1`` takes the two-mode identity
 # resolution, the Table 1 rows and the closed-form check from the three
@@ -590,9 +583,8 @@ def _quad_moment_1d(q, w, s, power):
     lo, hi = max(-w, q - 12 * s), min(w, q + 12 * s)
     if not hi > lo:
         return 0.0
-    rule = legendre_box_rule(lo, hi, 40, 8)
-    x = rule.nodes
-    val = rule.weights @ (x**power * np.exp(-((x - q) ** 2) / (2 * s * s)))
+    x, wts = legendre_box_rule(lo, hi, 40, 8)
+    val = wts @ (x**power * np.exp(-((x - q) ** 2) / (2 * s * s)))
     return float(val) / (s * np.sqrt(2 * np.pi))
 
 
@@ -620,12 +612,10 @@ def _mode_symbol_oracle(par, q, p, hq, porder_weight):
     sq = lam / np.sqrt(w.delta_q_sq)
     sp = hbar / (lam * np.sqrt(w.delta_p_sq))
     tilt = 2.0 * abs(w.gamma) * sq / (lam**2 * w.delta_p_sq / hbar)
-    rq = legendre_box_rule(q - 10 * sq - 2.0, q + 10 * sq + 2.0, 64, 3)
-    rp = legendre_box_rule(
-        p - 12 * sp - 10 * tilt, p + 12 * sp + 10 * tilt, 64, 3
-    )
-    qn, pn = np.meshgrid(rq.nodes, rp.nodes, indexing="ij")
-    wts = rq.weights[:, None] * rp.weights[None, :]
+    qx, qw = legendre_box_rule(q - 10 * sq - 2.0, q + 10 * sq + 2.0, 64, 3)
+    px, pw = legendre_box_rule(p - 12 * sp - 10 * tilt, p + 12 * sp + 10 * tilt, 64, 3)
+    qn, pn = np.meshgrid(qx, px, indexing="ij")
+    wts = qw[:, None] * pw[None, :]
     dq, dp = qn - q, pn - p
     weight = np.exp(
         -w.delta_q_sq * dq**2 / (2 * lam**2)
@@ -654,15 +644,15 @@ def _norm_oracle(params: NonSepParams, pt: PhasePoint) -> float:
     """int |psi|^2 over the plane by a Legendre product rule on +-9 kernel
     standard deviations around the state's centre, sized as below."""
     sd = np.sqrt(np.diag(np.linalg.inv(_kernel_precision(params))))
-    r1 = legendre_box_rule(pt.q1 - 9 * sd[0], pt.q1 + 9 * sd[0], 64, 3)
-    r2 = legendre_box_rule(pt.q2 - 9 * sd[1], pt.q2 + 9 * sd[1], 64, 3)
-    x1, x2 = np.meshgrid(r1.nodes, r2.nodes, indexing="ij")
-    wts = r1.weights[:, None] * r2.weights[None, :]
+    n1, w1 = legendre_box_rule(pt.q1 - 9 * sd[0], pt.q1 + 9 * sd[0], 64, 3)
+    n2, w2 = legendre_box_rule(pt.q2 - 9 * sd[1], pt.q2 + 9 * sd[1], 64, 3)
+    x1, x2 = np.meshgrid(n1, n2, indexing="ij")
+    wts = w1[:, None] * w2[None, :]
     psi = nonsep_wavefunction(params, pt, np.stack([x1, x2], axis=-1))
     return float(np.sum(wts * abs(psi) ** 2))
 
 
-def _identity(fock_dim):
+def _identity():
     devs = []
     for tau in (0.0, 0.5, 0.7j):
         par = SqueezeParameter.from_tau(tau)
@@ -671,7 +661,7 @@ def _identity(fock_dim):
     return [("identity-onemode", max(devs), {"taus": ["0", "0.5", "0.7j"]})], []
 
 
-def _holoh(fock_dim):
+def _holoh():
     par = SqueezeParameter.from_tau(0.5)
     worst = 0.0
     for n in range(7):
@@ -685,7 +675,7 @@ def _holoh(fock_dim):
     return [("holoh", worst, {"n_range": 7})], []
 
 
-def _overlap_onemode(fock_dim):
+def _overlap_onemode():
     rng = np.random.default_rng(20260819)
     devs, ratios = [], []
     for _ in range(25):
@@ -701,7 +691,7 @@ def _overlap_onemode(fock_dim):
     return [("overlap-onemode", max(devs), detail)], []
 
 
-def _sep_portraits(fock_dim):
+def _sep_portraits():
     rng = np.random.default_rng(31)
     dev_p, dev_p2 = [], []
     for k in range(6):
@@ -714,7 +704,7 @@ def _sep_portraits(fock_dim):
         c1, c2 = rng.uniform(-0.8, 0.8, size=2)
         h1 = lambda x, c=c1, s=0.9: np.exp(-((x - c) ** 2) / s)
         h2 = lambda x, c=c2, s=1.3: np.exp(-((x - c) ** 2) / s)
-        h = Field(lambda q1, q2: h1(q1) * h2(q2), growth="bounded")
+        h = lambda q1, q2: h1(q1) * h2(q2)
         j = 1 + (k % 2)
         own, other = (1, 2) if j == 1 else (2, 1)
         hs = {1: h1, 2: h2}
@@ -731,7 +721,7 @@ def _sep_portraits(fock_dim):
     ], []
 
 
-def _nonsep_norm(fock_dim):
+def _nonsep_norm():
     rng = np.random.default_rng(47)
     devs = []
     for _ in range(4):
@@ -747,7 +737,7 @@ def _nonsep_norm(fock_dim):
     return [("nonsep-norm", max(devs), {"draws": 4})], []
 
 
-def _nonsep_overlap(fock_dim):
+def _nonsep_overlap():
     rng = np.random.default_rng(53)
     devs, printed_devs, ratios = [], [], []
     for _ in range(10):
@@ -781,7 +771,7 @@ def _nonsep_overlap(fock_dim):
     return [("nonsep-overlap", max(devs), detail)], [erratum]
 
 
-def _coupled_portrait(fock_dim):
+def _coupled_portrait():
     params = NonSepParams.from_tau(0.35, -0.2, 0.9, 1.1, 0.8)
     pt = PhasePoint(0.3, 0.4, 0.2, -0.1)
     cross = np.linalg.inv(_kernel_precision(params))[0, 1]
@@ -804,7 +794,7 @@ def _coupled_portrait(fock_dim):
     return [("coupled-portrait", dev, {"cross_covariance": float(cross)})], [erratum]
 
 
-def _delta_factored(fock_dim):
+def _delta_factored():
     recs = []
     for tau1, tau2, phi in ((0.0, 0.0, 0.7), (0.3, -0.45, 1.3)):
         params = NonSepParams.from_tau(tau1, tau2, phi)
@@ -838,13 +828,12 @@ def _delta_factored(fock_dim):
     return [("delta-factored", dev, {"cases": recs})], [erratum]
 
 
-def _table1(fock_dim):
+def _table1():
     params = NonSepParams.from_tau(0.2, 0.6, np.pi / 4, 0.8, 1.15)
     rows = table1_coefficient_rows(params)
     # one run of the two-mode engine per Table 1 field, each with the identity
-    # resolution on its own rules; below nmax 3 the interior block is the
-    # vacuum alone, where x1 = x2 = 0 and no fit is possible
-    nmax = min(6, max(3, fock_dim // 2))
+    # resolution on its own rules, at the two-mode default basis
+    nmax = _TWO_MODE_NMAX
     ops = table1_operators(params, nmax)
     report = max((op.report for op in ops.values()), key=lambda r: r.identity_deviation)
     x1, x2, sel = _two_mode_positions(params, nmax)
@@ -892,7 +881,7 @@ def _table1(fock_dim):
     ], errata
 
 
-def _bs_rotation(fock_dim):
+def _bs_rotation():
     # the identity the two-mode engine rests on: the state at x is, up to a
     # phase, U applied to the product of the phi = 0 one-mode states at the
     # rotated point x', so the two projectors c c^H agree.  Both families
@@ -915,7 +904,7 @@ def _bs_rotation(fock_dim):
     return [("bs-rotation", worst, {"nmax": nmax, "points": 2 * points})], []
 
 
-def _bogoliubov(fock_dim):
+def _bogoliubov():
     t = float(np.tanh(0.7))
     params = NonSepParams.from_tau(
         t * np.exp(0.4j), t * np.exp(-1.1j), 0.9, 0.8, 1.15
@@ -927,9 +916,8 @@ def _bogoliubov(fock_dim):
     return [("bogoliubov", res, {"nmax": 4, "dim": 32, "longdouble_eps": eps})], []
 
 
-def _wall_portraits(fock_dim):
-    model = pdm.PdmModel(m0=5.0, lambda1=1.5, lambda2=1.0, vbar1=50.0, vbar2=50.0)
-    modes = TwoModeParams.from_tau(0.9, 0.9, lam1=0.5, lam2=0.5)
+def _wall_portraits():
+    model, modes = pdm.PRESETS["fig6a"].model, pdm.PRESETS["fig6a"].modes
     smooth = [
         modes.mode(j).lam * np.sqrt(modes.mode(j).widths().delta_p_sq) for j in (1, 2)
     ]
@@ -958,9 +946,8 @@ def _wall_portraits(fock_dim):
     ], []
 
 
-def _veff_gradient(fock_dim):
-    model = pdm.PdmModel(m0=5.0, lambda1=1.5, lambda2=1.0, vbar1=50.0, vbar2=50.0)
-    modes = TwoModeParams.from_tau(0.9, 0.9, lam1=0.5, lam2=0.5)
+def _veff_gradient():
+    model, modes = pdm.PRESETS["fig6a"].model, pdm.PRESETS["fig6a"].modes
     rng = np.random.default_rng(71)
     pts = rng.uniform(-1.5, 1.5, size=(40, 2))
     grad = pdm.effective_potential_gradient(model, modes, pts)
@@ -1000,12 +987,11 @@ CHECKS = (
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     tol = _tolerance(cfg, "tol", 1e-6)
-    fock_dim = _fock_dim(cfg, 8)
     checks: list = []
     errata: list = []
     for entry in CHECKS:
         start = time.perf_counter()
-        outcomes, records = entry(fock_dim)
+        outcomes, records = entry()
         seconds = time.perf_counter() - start
         for cid, deviation, detail in outcomes:
             rec = {
@@ -1023,7 +1009,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     report = {
         "checks": checks,
         "errata": errata,
-        "fock_dim": fock_dim,
         "tolerance": tol,
         "all_within_tolerance": all(c["within_tolerance"] for c in checks),
         "version": 1,
@@ -1050,7 +1035,7 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     # by the node budget on the 4D points, (2 fock_dim)^2 (2 fock_dim + 1)^2 an
     # order (13 for the degree-2 q1q2).  The default stays small; an explicit
     # fock_dim always wins
-    nmax = _fock_dim(cfg, 8 if family_kind == "one-mode" else _TWO_MODE_NMAX)
+    nmax = cfg.get("fock_dim", 8 if family_kind == "one-mode" else _TWO_MODE_NMAX, cast=int)
     if nmax < 1:
         raise ConfigError("quantise needs fock_dim >= 1")
     if family_kind not in ("one-mode", "two-mode"):
@@ -1129,11 +1114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("field", nargs="?", choices=_PORTRAIT_FIELDS, default=None)
     command("simulate", "integrate a trajectory and write CSV + summary", cmd_simulate,
             ["preset", "tol"], tol="rel_tol")
-    p = command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"])
-    # each command reads --fock-dim its own way
-    p.add_argument("--fock-dim", dest="fock_dim", type=int,
-                   help="read by the Table 1 check alone, which runs at nmax = "
-                   "min(6, max(3, FOCK_DIM // 2)) (default 8)")
+    command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"])
     p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise, [])
     p.add_argument("--fock-dim", dest="fock_dim", type=int,
                    help="nmax per mode: the matrix has dimension FOCK_DIM + 1 per mode "

@@ -4,9 +4,10 @@ Everything downstream (state construction, quantisation maps, portraits,
 dynamics) is built on the pieces collected here: physicists' Hermite
 polynomials, closed-form Gaussian integrals, Gauss-Legendre rules, the one
 Gauss-Hermite rule builder for a Gaussian weight (``gaussian_rule``, which
-``whitened_rule`` lays on principal axes) with the order-refinement loop
-(``_refine``) that quantises fields of one and of two modes, the one-mode
-chunked projector sum (``_quantise_on_rule``), the one Gaussian-smoothing
+``whitened_rule`` lays on principal axes; every rule is a (nodes, weights)
+pair) with the order-refinement loop (``_refine``) that quantises fields of
+one and of two modes, the one-mode chunked projector sum
+(``_quantise_on_rule``), the one Gaussian-smoothing
 routine behind every portrait and position kernel (``gaussian_smooth``: a
 stack of fields in one pass, on an order-120 Hermite rule or a supported
 field's clipped 3 x 60 Legendre window), truncated boson-operator algebra,
@@ -32,13 +33,11 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigError, GrowthViolation, NonConvergent, NonFiniteState
 
 __all__ = [
-    "QuadratureRule",
     "QuadratureReport",
     "TruncatedOperator",
     "OdeProblem",
     "OdeSolution",
     "hermite_phys",
-    "gauss_hermite_rule",
     "legendre_box_rule",
     "gaussian_rule",
     "whitened_rule",
@@ -75,35 +74,6 @@ _CONVERGED = 1e-6
 _EXACT = 1e-12
 # a Gaussian normaliser below this (subnormal) or infinite has lost its digits
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """One-dimensional quadrature rule.
-
-    Attributes
-    ----------
-    nodes : ndarray
-        Abscissae.
-    weights : ndarray
-        Weights, same length as ``nodes``; a Gauss-Hermite rule's carry the
-        weight e^{-x^2} built in.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1D arrays of equal length")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> complex:
-        """Apply the rule to a vectorised integrand."""
-        return np.sum(self.weights * np.asarray(f(self.nodes)))
 
 
 @dataclass(frozen=True)
@@ -156,20 +126,9 @@ def _leggauss(order: int):
     return _read_only(*leggauss(order))
 
 
-def gauss_hermite_rule(n: int) -> QuadratureRule:
-    """Gauss-Hermite rule of order ``n`` (physicists' weight e^{-x^2}).
-
-    Exact for polynomials of degree <= 2n-1.  The nodes and weights are
-    shared between calls of the same order and are read-only.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    nodes, weights = _hermgauss(n)
-    return QuadratureRule(nodes, weights)
-
-
-def legendre_box_rule(a: float, b: float, order: int, panels: int = 1) -> QuadratureRule:
-    """Composite Gauss-Legendre rule on [a, b] with ``panels`` equal panels."""
+def legendre_box_rule(a: float, b: float, order: int, panels: int):
+    """Composite Gauss-Legendre rule on [a, b] with ``panels`` equal panels of
+    ``order`` nodes each, as (nodes, weights)."""
     if not b > a:
         raise ValueError("need b > a")
     if order < 1 or panels < 1:
@@ -180,7 +139,7 @@ def legendre_box_rule(a: float, b: float, order: int, panels: int = 1) -> Quadra
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     weights = (half[:, None] * w0[None, :]).ravel()
-    return QuadratureRule(nodes, weights)
+    return nodes, weights
 
 
 def gaussian_rule(prec, orders):
@@ -326,9 +285,9 @@ def _clipped_window(c, reach, a, b):
     window c +- reach clipped to [a, b] (the four broadcast together), and
     whether it is non-empty; an empty window gets zero weights."""
     lo, hi = np.maximum(a, c - reach), np.minimum(b, c + reach)
-    ref = legendre_box_rule(-1.0, 1.0, _WINDOW_ORDER, _WINDOW_PANELS)
+    x0, w0 = legendre_box_rule(-1.0, 1.0, _WINDOW_ORDER, _WINDOW_PANELS)
     half = np.maximum(hi - lo, 0.0)[..., None] / 2.0
-    return (lo + hi)[..., None] / 2.0 + half * ref.nodes, half * ref.weights, hi > lo
+    return (lo + hi)[..., None] / 2.0 + half * x0, half * w0, hi > lo
 
 
 def gaussian_smooth(f, centres, precision, support=None, pad: float = _NSIGMA) -> np.ndarray:

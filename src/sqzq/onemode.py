@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSqueezing
-from .numerics import _quantise_on_rule, _refine, gauss_hermite_rule, hermite_phys, whitened_rule
+from .numerics import _hermgauss, _quantise_on_rule, _refine, hermite_phys, whitened_rule
 
 __all__ = [
     "SqueezeParameter",
@@ -323,9 +323,7 @@ def overlap_sq(
     return float(np.exp(expo))
 
 
-def holomorphic_orthogonality_check(
-    param: SqueezeParameter, n: int, m: int, order: int | None = None
-):
+def holomorphic_orthogonality_check(param: SqueezeParameter, n: int, m: int):
     """Orthogonality integral of Hermite polynomials at conjugate complex args.
 
     Evaluates lhs = integral H_n(x+iy) H_m(x-iy) e^{-a x^2 - b y^2} dx dy with
@@ -335,7 +333,7 @@ def holomorphic_orthogonality_check(
 
     The substitution x = t/sqrt(a), y = s/sqrt(b) turns the integrand into a
     polynomial times the Gauss-Hermite weight, so the quadrature is exact once
-    the order exceeds (n+m)/2.
+    the order exceeds (n+m)/2; it runs at (n+m)//2 + 4.
     """
     t = abs(param.tau)
     if t < 1e-12:
@@ -344,11 +342,9 @@ def holomorphic_orthogonality_check(
     b = 2.0 * t / (1.0 - t)
     if abs(1.0 / a - 1.0 / b - 1.0) > 1e-12:
         raise AssertionError("weight constraint 1/a - 1/b = 1 violated")
-    if order is None:
-        order = (n + m) // 2 + 4
-    rule = gauss_hermite_rule(order)
-    tnod, snod = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    wts = rule.weights[:, None] * rule.weights[None, :]
+    nodes, weights = _hermgauss((n + m) // 2 + 4)
+    tnod, snod = np.meshgrid(nodes, nodes, indexing="ij")
+    wts = weights[:, None] * weights[None, :]
     z_plus = tnod / np.sqrt(a) + 1j * snod / np.sqrt(b)
     lhs = np.sum(wts * hermite_phys(n, z_plus) * hermite_phys(m, np.conj(z_plus))) / np.sqrt(a * b)
     if n == m:

@@ -5,8 +5,8 @@ the rank-one projectors of a state family with the flat measure that makes
 f = 1 come out as the identity.  Entries are independent integrals, so the
 matrix of the quantised operator is exact entry by entry up to quadrature
 error; no truncation leakage enters until operators are multiplied, which
-is why the commutator and dilation checks restrict themselves to interior
-blocks of matrices built at twice the requested size.
+is why the commutator check (``dirac_correspondence_check``) restricts
+itself to the interior block of matrices built at twice the requested size.
 
 The x-representation kernel of any admissible f here is supported on the
 diagonal: position-only functions quantise to multiplication operators

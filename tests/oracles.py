@@ -26,6 +26,7 @@ from typing import Sequence
 
 import mpmath as mp
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
@@ -34,21 +35,20 @@ from scipy.linalg import expm
 from sqzq.errors import NonConvergent, NonFiniteState, QuadratureNotConverged
 from sqzq.numerics import (
     OdeSolution,
-    QuadratureRule,
     TruncatedOperator,
     _dense_values,
     _initial_step,
     _quantise_on_rule,
     _refine,
-    gauss_hermite_rule,
     legendre_box_rule,
 )
 from sqzq.nonsepstates import _fock_batch, _pair_matrix, _wavefunction_parts
 from sqzq.onemode import alpha_from_qp
 
 
-def _tensor_eval(f, rules: Sequence[QuadratureRule]) -> complex:
-    """Tensor-product quadrature sum over len(rules) dimensions.
+def _tensor_eval(f, rules: Sequence[tuple[np.ndarray, np.ndarray]]) -> complex:
+    """Tensor-product quadrature sum over len(rules) dimensions, each rule a
+    (nodes, weights) pair.
 
     ``f`` must accept ``d`` equally shaped flat arrays and return an array of
     the same length.  The last two axes are evaluated vectorised; any leading
@@ -56,21 +56,22 @@ def _tensor_eval(f, rules: Sequence[QuadratureRule]) -> complex:
     """
     d = len(rules)
     if d == 1:
-        (r,) = rules
-        return np.sum(r.weights * np.asarray(f(r.nodes)))
+        ((x, w),) = rules
+        return np.sum(w * np.asarray(f(x)))
     if d == 2:
-        x1, x2 = np.meshgrid(rules[0].nodes, rules[1].nodes, indexing="ij")
-        w = rules[0].weights[:, None] * rules[1].weights[None, :]
+        (n1, w1), (n2, w2) = rules
+        x1, x2 = np.meshgrid(n1, n2, indexing="ij")
+        w = w1[:, None] * w2[None, :]
         vals = np.asarray(f(x1.ravel(), x2.ravel())).reshape(x1.shape)
         return np.sum(w * vals)
     # d >= 3: loop over the leading d-2 axes
-    inner = rules[-2:]
-    x1, x2 = np.meshgrid(inner[0].nodes, inner[1].nodes, indexing="ij")
-    w_in = (inner[0].weights[:, None] * inner[1].weights[None, :]).ravel()
+    (n1, w1), (n2, w2) = rules[-2:]
+    x1, x2 = np.meshgrid(n1, n2, indexing="ij")
+    w_in = (w1[:, None] * w2[None, :]).ravel()
     x1f, x2f = x1.ravel(), x2.ravel()
     npts = x1f.size
-    outer_nodes = [r.nodes for r in rules[:-2]]
-    outer_weights = [r.weights for r in rules[:-2]]
+    outer_nodes = [r[0] for r in rules[:-2]]
+    outer_weights = [r[1] for r in rules[:-2]]
     total = 0.0 + 0.0j
     for idx in np.ndindex(*[len(n) for n in outer_nodes]):
         w_out = 1.0
@@ -508,11 +509,11 @@ def whitened_rule_nd(prec, order: int):
             f"the Gaussian weight's precision has eigenvalues from {evals[0]:.3g} to "
             f"{evals[-1]:.3g}; their product {det:.3g} is outside the float range"
         )
-    rule = gauss_hermite_rule(order)
-    axes = np.meshgrid(*([rule.nodes] * d), indexing="ij")
+    nodes, weights = hermgauss(order)
+    axes = np.meshgrid(*([nodes] * d), indexing="ij")
     t = np.stack([a.ravel() for a in axes], axis=1)
     pts = (t / np.sqrt(evals)) @ evecs.T
-    w1 = rule.weights * np.exp(rule.nodes**2)
+    w1 = weights * np.exp(nodes**2)
     idx = "ijklmnop"[:d]
     weights = np.einsum(",".join(idx) + "->" + idx, *([w1] * d)).ravel()
     return pts, weights / np.sqrt(det)

@@ -62,8 +62,7 @@ def test_run_config_flag_overrides_file(tmp_path):
          ["portrait_chi.csv"]),
         (["simulate", "--preset", "fig4b", "--tol", "1e-9"], {"preset": "fig4b", "rel_tol": 1e-9},
          ["fig4b.csv", "fig4b_summary.json"]),
-        (["verify", "--tol", "1e-2", "--fock-dim", "3"], {"tol": 1e-2, "fock_dim": 3},
-         ["verify_report.json"]),
+        (["verify", "--tol", "1e-2"], {"tol": 1e-2}, ["verify_report.json"]),
         (["quantise", "qp", "--fock-dim", "4"], {"function": "qp", "fock_dim": 4},
          ["quantise_qp.csv", "quantise_qp_report.json"]),
     ],
@@ -110,7 +109,6 @@ def test_unknown_preset_exits_2(tmp_path):
         (["portrait", "chi", "--preset", "fig6a"], {"lam1": -1}),
         (["simulate", "--preset", "fig3a"], {"samples": 1}),
         (["quantise", "q", "--fock-dim", "-1"], {}),
-        (["verify", "--fock-dim", "-1"], {}),
         (["simulate", "--preset", "fig3a", "--tol", "0"], {}),
         (["simulate", "--preset", "fig3a", "--tol", "-1"], {}),
         (["simulate", "--preset", "fig3a", "--tol", "nan"], {}),
@@ -135,7 +133,7 @@ def test_unknown_preset_exits_2(tmp_path):
         (["quantise", "q"], {"lam": 1e150, "hbar": 1e-150}),
     ],
     ids=[
-        "simulate-lam1", "portrait-lam1", "samples", "fock-dim", "verify-fock-dim",
+        "simulate-lam1", "portrait-lam1", "samples", "fock-dim",
         "simulate-tol-0", "simulate-tol-negative", "simulate-tol-nan", "rel-tol",
         "abs-tol", "verify-tol-nan", "verify-tol-negative", "verify-tol-0",
         "tau-1.5", "tau-1", "tau-unit-circle", "two-mode-tau1-1.2", "two-mode-tau2-minus-1",
@@ -160,12 +158,13 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
         ["portrait", "chi", "--preset", "fig6a", "--tol", "1e-8"],
         ["simulate", "--preset", "fig3a", "--fock-dim", "-3"],
         ["verify", "--preset", "fig3a"],
+        ["verify", "--fock-dim", "4"],
         ["quantise", "q", "--tol", "1e-8"],
         ["quantise", "q", "--preset", "fig3a"],
     ],
     ids=[
         "portrait-unread-flags", "portrait-tol", "simulate-fock-dim", "verify-preset",
-        "quantise-tol", "quantise-preset",
+        "verify-fock-dim", "quantise-tol", "quantise-preset",
     ],
 )
 def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
@@ -306,7 +305,7 @@ def test_import_builds_no_digit_tables():
 def test_no_step_imports_scipy_integrate_or_linalg(tmp_path):
     # the semiclassical dynamics and verify each load scipy.special on their
     # own, and no command loads scipy.integrate or scipy.linalg
-    for argv in (["simulate", "--preset", "fig6a"], ["verify", "--fock-dim", "4"]):
+    for argv in (["simulate", "--preset", "fig6a"], ["verify"]):
         steps = _cold_steps(tmp_path, [argv])
         assert steps == [("import", 0, _NO_SCIPY), (argv[0], 0, _SPECIAL_ONLY)]
 
@@ -1113,7 +1112,7 @@ def _oracle_calls(monkeypatch, check, oracle):
     """The argument tuples of every call ``check`` makes to ``oracle``."""
     calls, inner = [], getattr(cli, oracle)
     monkeypatch.setattr(cli, oracle, lambda *args: calls.append(args) or inner(*args))
-    getattr(cli, check)(8)
+    getattr(cli, check)()
     monkeypatch.undo()
     return calls
 
@@ -1146,7 +1145,7 @@ def test_sep_portraits_match_40_digit_moments(monkeypatch):
     for name in ("portrait_p_h", "portrait_p2_h"):
         closed = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, f=closed: values.append(f(*a)) or values[-1])
-    cli._sep_portraits(8)
+    cli._sep_portraits()
     monkeypatch.undo()
     assert len(calls) == 18 and len(values) == 12
     exact = [mode_symbol_moment(par, q, p, *hq.__defaults__, k) for par, q, p, hq, k in calls]
@@ -1164,22 +1163,12 @@ def test_norm_oracle_matches_40_digit_gaussian_integrals(monkeypatch):
         assert abs(cli._norm_oracle(params, pt) - want) <= 1e-14 * want
 
 
-def test_verify_deterministic_report(tmp_path, verify_report):
+def test_verify_deterministic_report(tmp_path, verify_report, capsys):
     _, report = verify_report
     code = main(["verify", "--out", str(tmp_path)])
     assert code == 0
     again = json.loads((tmp_path / "verify_report.json").read_text())
     assert again == report
-
-
-def test_verify_small_fock_dim_is_within_tolerance(tmp_path, capsys):
-    # below nmax 3 the Table 1 interior block is the vacuum alone and the fit
-    # is empty; fock_dim 4 used to report table1-rows at deviation 1.0
-    assert main(["verify", "--fock-dim", "4", "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "verify_report.json").read_text())
-    assert report["all_within_tolerance"]
-    table1 = next(c for c in report["checks"] if c["id"] == "table1-rows")
-    assert table1["detail"]["nmax"] == 3
     # one timing line per table entry on stderr, naming its checks
     lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("check ")]
     assert len(lines) == len(CHECKS)
@@ -1222,11 +1211,10 @@ def test_quantise_past_the_highest_hermite_order_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("fock_dim", [4, 8, 12])
-def test_verify_holds_1e_12(tmp_path, fock_dim):
+def test_verify_holds_1e_12(tmp_path):
     # the worst check is veff-gradient, about 1e-13; the portraits read at
     # most 9.8e-15 on the order-120 smoothing rule
-    assert main(["verify", "--tol", "1e-12", "--fock-dim", str(fock_dim), "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--tol", "1e-12", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify_report.json").read_text())
     checks = {c["id"]: c for c in report["checks"]}
     # each degree-2 Table 1 field is evaluated on the outer position pairs of

@@ -178,10 +178,10 @@ def test_portrait_kernel_coefficients_match_quadratic_form():
 def test_wavefunction_is_normalised():
     p = NonSepParams.from_tau(0.4, 0.7j, np.pi / 6, 1.1, 0.9, hbar=0.8)
     pt = PhasePoint(0.5, -0.3, 0.4, -0.6)
-    r1 = legendre_box_rule(-10.0, 10.0, 120, 3)
-    x = np.stack(np.meshgrid(r1.nodes, r1.nodes, indexing="ij"), axis=-1)
+    n1, w1 = legendre_box_rule(-10.0, 10.0, 120, 3)
+    x = np.stack(np.meshgrid(n1, n1, indexing="ij"), axis=-1)
     psi = nonsep_wavefunction(p, pt, x)
-    w = r1.weights[:, None] * r1.weights[None, :]
+    w = w1[:, None] * w1[None, :]
     assert_allclose(np.sum(w * np.abs(psi) ** 2), 1.0, atol=1e-9)
 
 
@@ -345,9 +345,9 @@ def test_portrait_indicator_matches_brute_quadrature():
     m = _kernel_precision(REF)
     pt = PhasePoint(0.3, 0.4, 0.0, 0.0)
     got = nonsep_portrait_hq(chi, pt, REF)
-    r = legendre_box_rule(0.0, 1.0, 160, 4)
-    u1, u2 = np.meshgrid(r.nodes, r.nodes, indexing="ij")
-    w = r.weights[:, None] * r.weights[None, :]
+    u, wu = legendre_box_rule(0.0, 1.0, 160, 4)
+    u1, u2 = np.meshgrid(u, u, indexing="ij")
+    w = wu[:, None] * wu[None, :]
     d1, d2 = u1 - pt.q1, u2 - pt.q2
     kern = np.exp(
         -0.5 * (m[0, 0] * d1**2 + 2 * m[0, 1] * d1 * d2 + m[1, 1] * d2**2)
