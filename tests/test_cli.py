@@ -1163,12 +1163,24 @@ def test_norm_oracle_matches_40_digit_gaussian_integrals(monkeypatch):
         assert abs(cli._norm_oracle(params, pt) - want) <= 1e-14 * want
 
 
-def test_verify_deterministic_report(tmp_path, verify_report, capsys):
+def test_verify_deterministic_report(tmp_path, verify_report):
     _, report = verify_report
     code = main(["verify", "--out", str(tmp_path)])
     assert code == 0
     again = json.loads((tmp_path / "verify_report.json").read_text())
     assert again == report
+
+
+def test_verify_small_fock_dim_is_within_tolerance(tmp_path, capsys, monkeypatch):
+    # below nmax 3 the Table 1 interior block is the vacuum alone and the fit
+    # is empty; nmax 3, the smallest basis with a fit, used to report
+    # table1-rows at deviation 1.0
+    monkeypatch.setattr(cli, "_TWO_MODE_NMAX", 3)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    assert report["all_within_tolerance"]
+    table1 = next(c for c in report["checks"] if c["id"] == "table1-rows")
+    assert table1["detail"]["nmax"] == 3
     # one timing line per table entry on stderr, naming its checks
     lines = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("check ")]
     assert len(lines) == len(CHECKS)
