@@ -24,7 +24,7 @@ from ..numerics import legendre_box_rule
 from ..onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
 from ..onemode import _coefficients as _mode_coefficients
 from ..onemode import holomorphic_orthogonality_check
-from ..sepstates import PhasePoint, TwoModeParams, portrait_p2_h, portrait_p_h
+from ..sepstates import PhasePoint, TwoModeParams, _mode_sigma, portrait_p2_h, portrait_p_h
 from ..nonsepstates import (
     NonSepParams,
     bogoliubov_check,
@@ -39,6 +39,7 @@ from ..nonsepstates import (
 )
 from ..nonsepstates import (
     _fock_batch,
+    _portrait_precision,
     _rotate,
     _TABLE1_FIELDS,
     _rotated_frame,
@@ -626,24 +627,10 @@ def _mode_symbol_oracle(par, q, p, hq, porder_weight):
     return float(np.sum(wts * vals) / (2.0 * np.pi * hbar))
 
 
-def _kernel_precision(params: NonSepParams) -> np.ndarray:
-    """Portrait kernel precision from ``nonsep_coefficients``, built apart from
-    the portrait code so the checks stay independent of what they test."""
-    # the quadratic coefficients do not depend on the phase-space point
-    co = nonsep_coefficients(params, PhasePoint(0.0, 0.0, 0.0, 0.0))
-    l1, l2 = params.lam1, params.lam2
-    return np.array(
-        [
-            [2 * co.Delta1.real / l1**2, co.ell.real / (l1 * l2)],
-            [co.ell.real / (l1 * l2), 2 * co.Delta2.real / l2**2],
-        ]
-    )
-
-
 def _norm_oracle(params: NonSepParams, pt: PhasePoint) -> float:
     """int |psi|^2 over the plane by a Legendre product rule on +-9 kernel
     standard deviations around the state's centre, sized as below."""
-    sd = np.sqrt(np.diag(np.linalg.inv(_kernel_precision(params))))
+    sd = np.sqrt(np.diag(np.linalg.inv(_portrait_precision(params))))
     n1, w1 = legendre_box_rule(pt.q1 - 9 * sd[0], pt.q1 + 9 * sd[0], 64, 3)
     n2, w2 = legendre_box_rule(pt.q2 - 9 * sd[1], pt.q2 + 9 * sd[1], 64, 3)
     x1, x2 = np.meshgrid(n1, n2, indexing="ij")
@@ -774,7 +761,7 @@ def _nonsep_overlap():
 def _coupled_portrait():
     params = NonSepParams.from_tau(0.35, -0.2, 0.9, 1.1, 0.8)
     pt = PhasePoint(0.3, 0.4, 0.2, -0.1)
-    cross = np.linalg.inv(_kernel_precision(params))[0, 1]
+    cross = np.linalg.inv(_portrait_precision(params))[0, 1]
     one = nonsep_portrait_hq(lambda q1, q2: np.ones_like(q1), pt, params)
     aff = nonsep_portrait_hq(lambda q1, q2: 2.0 * q1 - 0.7 * q2 + 1.5, pt, params)
     prod = nonsep_portrait_hq(lambda q1, q2: q1 * q2, pt, params)
@@ -910,17 +897,16 @@ def _bogoliubov():
         t * np.exp(0.4j), t * np.exp(-1.1j), 0.9, 0.8, 1.15
     )
     res = bogoliubov_check(params, nmax=4, dim=32)
-    # the squeeze and displacement recurrences run in long double; where that
-    # is plain float64 the check loses digits, and the report shows it
+    # the columns are float64; long double enters only through the beam
+    # splitter's sector phases (``_rotated_frame``), whose precision the
+    # detail records
     eps = float(np.finfo(np.longdouble).eps)
     return [("bogoliubov", res, {"nmax": 4, "dim": 32, "longdouble_eps": eps})], []
 
 
 def _wall_portraits():
     model, modes = pdm.PRESETS["fig6a"].model, pdm.PRESETS["fig6a"].modes
-    smooth = [
-        modes.mode(j).lam * np.sqrt(modes.mode(j).widths().delta_p_sq) for j in (1, 2)
-    ]
+    smooth = [_mode_sigma(modes, j) for j in (1, 2)]
     rng = np.random.default_rng(61)
     dev_chi, dev_q2, dev_mass = [], [], []
     for k in range(8):
@@ -1079,6 +1065,11 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
 # entry point
 
 
+# the config keys of README's "Config keys" groups that several subcommands read
+_MODEL_KEYS = ("m0", "lambda1", "lambda2", "vbar1", "vbar2")
+_MODES_KEYS = ("tau1", "tau1_im", "tau2", "tau2_im", "lam1", "lam2", "hbar")
+_GRID_KEYS = tuple(f"q{j}_{end}" for j in (1, 2) for end in ("min", "max", "points"))
+
 # the flags a subcommand may take beyond --config and --out
 _FLAGS = {
     "preset": (["--preset"], {"help": "named parameter set, e.g. fig3a..fig6c"}),
@@ -1096,26 +1087,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, func, flags, **keys):
+    def command(name, help, func, flags, reads, **keys):
         """A subcommand that takes only the flags it reads, so argparse
-        refuses the others instead of ignoring them.  A flag's value lands
-        under the config key it overrides: its own name, or the one ``keys``
-        gives it."""
+        refuses the others instead of ignoring them, and only the config
+        keys ``reads`` names, so ``main`` refuses the others.  A flag's value
+        lands under the config key it overrides: its own name, or the one
+        ``keys`` gives it."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file (flags override its values)")
         p.add_argument("--out", default=".", help="output directory")
         for flag in flags:
             names, kwargs = _FLAGS[flag]
             p.add_argument(*names, dest=keys.get(flag, flag), **kwargs)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, reads=frozenset(reads))
         return p
 
-    p = command("portrait", "write a smoothed-observable grid CSV", cmd_portrait, ["preset"])
+    p = command("portrait", "write a smoothed-observable grid CSV", cmd_portrait, ["preset"],
+                ("field", "preset", "phi", *_MODEL_KEYS, *_MODES_KEYS, *_GRID_KEYS))
     p.add_argument("field", nargs="?", choices=_PORTRAIT_FIELDS, default=None)
     command("simulate", "integrate a trajectory and write CSV + summary", cmd_simulate,
-            ["preset", "tol"], tol="rel_tol")
-    command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"])
-    p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise, [])
+            ["preset", "tol"],
+            ("preset", "kind", "q0_1", "q0_2", "v0_1", "v0_2", "t0", "t1", "samples",
+             "rel_tol", "abs_tol", "name", *_MODEL_KEYS, *_MODES_KEYS),
+            tol="rel_tol")
+    command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"],
+            ("tol",))
+    p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise, [],
+                ("function", "family", "fock_dim", "tau", "tau_im", "lam", "phi", *_MODES_KEYS))
     p.add_argument("--fock-dim", dest="fock_dim", type=int,
                    help="nmax per mode: the matrix has dimension FOCK_DIM + 1 per mode "
                    "(default 8 for one mode, 4 for two)")
@@ -1126,10 +1124,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # every other parsed value is a flag or positional under its config key
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out", "func")}
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config", "out", "func", "reads")}
     start = time.perf_counter()
     try:
         cfg = RunConfig.load(args.config, overrides)
+        unread = sorted(set(cfg.values) - args.reads)
+        if unread:
+            raise ConfigError(
+                f"{args.command} does not read the config key(s) {', '.join(map(repr, unread))}; "
+                f"it reads {', '.join(sorted(args.reads))}"
+            )
         code = args.func(cfg, args)
     except (ConfigError, OutsideBox) as exc:
         print(f"config error: {exc}", file=sys.stderr)

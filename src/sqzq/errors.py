@@ -3,7 +3,6 @@
 __all__ = [
     "SqzqError",
     "NonConvergent",
-    "QuadratureNotConverged",
     "DegenerateSqueezing",
     "NonFiniteState",
     "TruncationTooSmall",
@@ -21,10 +20,6 @@ class SqzqError(Exception):
 class NonConvergent(SqzqError):
     """A closed-form or iterative evaluation has no convergent value
     (e.g. a Gaussian integral whose quadratic form is not positive definite)."""
-
-
-class QuadratureNotConverged(NonConvergent):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class DegenerateSqueezing(SqzqError):

@@ -35,9 +35,12 @@ the engine rests on against the ladder recurrences.
 The mode-mixing (Bogoliubov) residual check holds the unitary G as one
 array g[r1, r2, n1, n2] on a grid of rows and columns.  The displacement
 moves through the beam splitter onto the coherent labels it rotates, so G is
-U applied last to a product of per-mode squeeze and displacement columns from
-ladder recurrences, through the engine's own sector blocks; the sectors it
-reaches are all full, so its rotation is exact.  On that grid a_j G is g
+U applied last to a product of per-mode columns of D(beta) S, through the
+engine's own sector blocks; the sectors it reaches are all full, so its
+rotation is exact.  Each mode's columns climb the one-mode family's float64
+row recurrence (``onemode._number_columns``), column 0 being the family's
+own state, so the check builds its states with the recurrence the engine
+runs; long double enters it only through U's phases.  On that grid a_j G is g
 shifted along row axis j and G F_j is g shifted along the column axes, so the
 residual is read off with slices.  Exponentials of truncated one-mode
 generators are avoided because their columns are contaminated at any
@@ -82,6 +85,7 @@ from .numerics import (
     whitened_rule,
 )
 from .onemode import _coefficients as _mode_coefficients
+from .onemode import _number_columns
 from .onemode import _vacuum_precision as _mode_precision
 from .sepstates import PhasePoint, TwoModeParams, _pad, as_field
 
@@ -854,55 +858,6 @@ def nonsep_box_portrait(box, centres, params: NonSepParams) -> np.ndarray:
 # mode-mixing (Bogoliubov) residual
 
 
-def _squeeze_columns(tau: complex, ncols: int, ambient: int) -> np.ndarray:
-    """Squeeze-operator columns <m|S|n>, n < ncols, m < ambient.
-
-    Column n follows from column n-1 by one ladder application.  That
-    application lowers as well as raises, so the box edge cuts it: column n
-    is exact on the rows m < ambient - n only.  The forward recurrence
-    amplifies rounding by roughly (|c|+|s|) sqrt(m/n) per column, so it runs
-    in extended precision and is cast down once at the end.
-    """
-    cols = np.zeros((ambient, ncols), np.clongdouble)
-    v = np.zeros(ambient, np.clongdouble)
-    v[0] = (1.0 - abs(tau) ** 2) ** 0.25
-    tl = np.clongdouble(tau)
-    k = 0
-    while 2 * k + 2 < ambient:
-        v[2 * k + 2] = -tl * np.sqrt(np.longdouble(2 * k + 1) / (2 * k + 2)) * v[2 * k]
-        k += 1
-    cols[:, 0] = v
-    c = 1.0 / np.sqrt(1.0 - np.abs(tl) ** 2)
-    sbar = np.conj(tl) * c
-    rt = np.sqrt(np.arange(1, ambient, dtype=np.longdouble))
-    for n in range(1, ncols):
-        prev = cols[:, n - 1]
-        nxt = np.zeros(ambient, np.clongdouble)
-        nxt[1:] += c * rt * prev[:-1]
-        nxt[:-1] += sbar * rt * prev[1:]
-        cols[:, n] = nxt / np.sqrt(np.longdouble(n))
-    return cols.astype(complex)
-
-
-def _displacement_columns(alpha: complex, ncols: int, ambient: int) -> np.ndarray:
-    """Exact displacement-operator columns <m|D|n>, n < ncols, m < ambient."""
-    cols = np.zeros((ambient, ncols), np.clongdouble)
-    v = np.zeros(ambient, np.clongdouble)
-    al = np.clongdouble(alpha)
-    v[0] = np.exp(-0.5 * np.abs(al) ** 2)
-    for m in range(1, ambient):
-        v[m] = al / np.sqrt(np.longdouble(m)) * v[m - 1]
-    cols[:, 0] = v
-    ac = np.conj(al)
-    rt = np.sqrt(np.arange(1, ambient, dtype=np.longdouble))
-    for n in range(1, ncols):
-        prev = cols[:, n - 1]
-        nxt = -ac * prev
-        nxt[1:] += rt * prev[:-1]
-        cols[:, n] = nxt / np.sqrt(np.longdouble(n))
-    return cols.astype(complex)
-
-
 def bogoliubov_check(params: NonSepParams, nmax: int, dim: int = 40) -> float:
     """Residual of the mixed-ladder relations at truncation ``dim`` per mode.
 
@@ -910,15 +865,17 @@ def bogoliubov_check(params: NonSepParams, nmax: int, dim: int = 40) -> float:
     the dim^2 box as one array g[r1, r2, n1, n2] of rows r1, r2 < dim and
     columns n1, n2 <= nmax + 1.  The displacement moves in front of the beam
     splitter, D(alpha) U = U D(beta) with beta = R(phi) alpha
-    (``_rotated_frame``), so G = U (D(beta1) S1 x D(beta2) S2): per-mode
-    ladder recurrences give each mode's D(beta_j) S_j on the rows < 2 dim - 1,
-    and U, applied last by the engine's own sector blocks (``_rotate``),
-    takes the sectors N <= 2 dim - 2 of their product to the rows, every one
-    of them full.  Only the columns with n1 + n2 <= nmax + 1 are built; the
-    rest of the grid stays zero.  Then it measures how far a_j G differs from
-    G applied to the closed-form ladder mixture F_j, over the columns with
-    n1 + n2 <= nmax, whose images under F_j are all built, and the rows r1,
-    r2 < dim - 2, which the truncated lowering leaves exact.
+    (``_rotated_frame``), so G = U (D(beta1) S1 x D(beta2) S2).  Each mode's
+    D(beta_j) S_j on the rows < 2 dim - 1 comes from
+    ``onemode._number_columns``, the one-mode family's own float64 row
+    recurrence, which no box edge cuts.  U, applied last by the engine's own
+    sector blocks (``_rotate``), takes the sectors N <= 2 dim - 2 of their
+    product to the rows, every one of them full.  Only the columns with
+    n1 + n2 <= nmax + 1 are built; the rest of the grid stays zero.  Then it
+    measures how far a_j G differs from G applied to the closed-form ladder
+    mixture F_j, over the columns with n1 + n2 <= nmax, whose images under
+    F_j are all built, and the rows r1, r2 < dim - 2, which the truncated
+    lowering leaves exact: dim must be at least 3.
 
     Left-multiplied form throughout: sandwiching with the truncated adjoint
     would add squeezed-tail mass lost beyond the box (> 1e-6 even at the
@@ -927,9 +884,9 @@ def bogoliubov_check(params: NonSepParams, nmax: int, dim: int = 40) -> float:
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if 2 * nmax > dim:
+    if 2 * nmax > dim or dim < 3:
         raise TruncationTooSmall(
-            f"interior block nmax = {nmax} needs dim >= {2 * nmax}, got {dim}"
+            f"interior block nmax = {nmax} needs dim >= {max(2 * nmax, 3)}, got {dim}"
         )
     tau1, tau2, phi = params.tau1, params.tau2, params.phi
     # displacement amplitudes: one coherent label per mode, fixed here to the
@@ -937,27 +894,28 @@ def bogoliubov_check(params: NonSepParams, nmax: int, dim: int = 40) -> float:
     # nonzero choice exercises the constant term
     a1, a2 = 0.7 * np.exp(0.4j), 0.7 * np.exp(-1.8j)
     cphi, sphi = np.cos(phi), np.sin(phi)
+    c1 = 1.0 / np.sqrt(1.0 - abs(tau1) ** 2)
+    c2 = 1.0 / np.sqrt(1.0 - abs(tau2) ** 2)
+    s1, s2 = tau1 * c1, tau2 * c2
     box = 2 * dim - 1
-    # D(beta) S on the rows < box reads S's rows < ambient, each column n
-    # exact on the rows < ambient - n: 60 rows beyond the box put what the
-    # displacement reaches from past them below rounding (40 already do here)
-    ambient = box + 60
     n = np.arange(nmax + 2)
     photons = n[:, None] + n[None, :]
     built = photons <= nmax + 1
     n1s, n2s = np.nonzero(built)
+    # each mode's D(beta) S is the family's column ladder at the label
+    # alpha = c beta + s conj(beta) of its column 0
     f1, f2 = (
-        _displacement_columns(beta, ambient, box) @ _squeeze_columns(tau, nmax + 2, ambient)
-        for beta, tau in ((cphi * a1 - sphi * a2, tau1), (sphi * a1 + cphi * a2, tau2))
+        _number_columns(c * beta + s * np.conj(beta), tau, box, nmax + 2)
+        for beta, tau, c, s in (
+            (cphi * a1 - sphi * a2, tau1, c1, s1),
+            (sphi * a1 + cphi * a2, tau2, c2, s2),
+        )
     )
     _, _, sectors = _rotated_frame(params, dim - 1)
     cols = _rotate(sectors, (f1[:, None, n1s] * f2[None, :, n2s]).reshape(box * box, -1))
     g = np.zeros((dim, dim, nmax + 2, nmax + 2), dtype=complex)
     g[:, :, built] = cols.reshape(dim, dim, -1)
 
-    c1 = 1.0 / np.sqrt(1.0 - abs(tau1) ** 2)
-    c2 = 1.0 / np.sqrt(1.0 - abs(tau2) ** 2)
-    s1, s2 = tau1 * c1, tau2 * c2
     rt = np.sqrt(n[1:])
     rows = np.sqrt(np.arange(1.0, dim - 1))[:, None, None]
     checked = photons <= nmax

@@ -202,7 +202,7 @@ def wavefunction(point: OneModePhasePoint, param: SqueezeParameter, x) -> np.nda
     return pref * phase * np.exp(expo)
 
 
-def _fock_rows(alpha, tau: complex, nmax: int) -> np.ndarray:
+def _fock_rows(alpha, tau: complex, nmax: int, source=None) -> np.ndarray:
     """Normalised recurrence rows g_n(alpha), shape (nmax+1,) + alpha.shape.
 
     g_n = tau^{n/2} H_n(alpha sqrt((1-|tau|^2)/(2 tau))) / sqrt(2^n n!)
@@ -210,15 +210,26 @@ def _fock_rows(alpha, tau: complex, nmax: int) -> np.ndarray:
     g_{n+1} = sqrt(2/(n+1)) zw g_n - sqrt(n/(n+1)) tau g_{n-1},
     zw = alpha sqrt((1-|tau|^2)/2), reduces to alpha^n/sqrt(n!) exactly at
     tau = 0 and never overflows (each row stays O(1)).
+
+    With ``source`` (nmax + 1 rows) the same recurrence climbs from
+    g_0 = source[0] instead of 1, and row n + 1 gains source[n + 1]: the
+    inhomogeneous form that ``_number_columns`` climbs its columns by.
     """
     alpha = np.asarray(alpha, dtype=complex)
     zw = alpha * np.sqrt((1.0 - abs(tau) ** 2) / 2.0)
     g = np.zeros((nmax + 1,) + alpha.shape, dtype=complex)
-    g[0] = 1.0
-    if nmax >= 1:
-        g[1] = np.sqrt(2.0) * zw
+    if source is None:
+        g[0] = 1.0
+        if nmax >= 1:
+            g[1] = np.sqrt(2.0) * zw
+    else:
+        g[0] = source[0]
+        if nmax >= 1:
+            g[1] = np.sqrt(2.0) * zw * g[0] + source[1]
     for n in range(1, nmax):
         g[n + 1] = np.sqrt(2.0 / (n + 1)) * zw * g[n] - np.sqrt(n / (n + 1)) * tau * g[n - 1]
+        if source is not None:
+            g[n + 1] += source[n + 1]
     return g
 
 
@@ -247,6 +258,34 @@ def fock_coefficients(alpha: complex, param: SqueezeParameter, nmax: int) -> np.
     a = complex(alpha)
     g = _fock_rows(a, tau, nmax)
     return _prefactor(a, tau) * g
+
+
+def _number_columns(alpha: complex, tau: complex, rows: int, ncols: int) -> np.ndarray:
+    """Columns <m|D(beta) S(tau)|n>, m < rows (at least 2), n < ncols, of
+    the squeezer S(tau) followed by the displacement D(beta) that takes its
+    vacuum to the family's state at alpha = c beta + s conj(beta), with
+    c = 1/sqrt(1 - |tau|^2) and s = tau c.
+
+    Column 0 is that state, ``_fock_rows`` times ``_prefactor``.  The
+    columns psi_n = D S|n> obey A psi_n = sqrt(n) psi_{n-1}, with
+    A = D S a S^dag D^dag = c (a - beta) + s (a^dag - conj(beta)).  Row m of
+    that relation is the family's recurrence for psi_n[m + 1] plus the source
+    sqrt(n/(m+1)) psi_{n-1}[m] / c; row 0 of its adjoint gives
+    psi_n[0] = (conj(s) psi_{n-1}[1] - conj(alpha) psi_{n-1}[0]) / sqrt(n).
+    The rows only climb, so no box edge cuts any column: row m is the same
+    whatever ``rows`` is.
+    """
+    c = 1.0 / np.sqrt(1.0 - abs(tau) ** 2)
+    lift = np.sqrt(np.arange(1.0, rows))
+    g = np.empty((ncols, rows), dtype=complex)
+    g[0] = _fock_rows(alpha, tau, rows - 1)
+    for n in range(1, ncols):
+        prev = g[n - 1]
+        source = np.empty(rows, dtype=complex)
+        source[0] = (np.conj(tau) * c * prev[1] - np.conj(alpha) * prev[0]) / np.sqrt(n)
+        source[1:] = np.sqrt(n) / c * prev[:-1] / lift
+        g[n] = _fock_rows(alpha, tau, rows - 1, source)
+    return (_prefactor(alpha, tau) * g).T
 
 
 def _vacuum_precision(param: SqueezeParameter) -> np.ndarray:

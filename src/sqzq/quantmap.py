@@ -136,7 +136,6 @@ class KernelAction:
     a0: complex
     a1: complex
     a2: complex
-    diagonal: bool = True
 
     @property
     def delta_order(self) -> int:

@@ -32,7 +32,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.linalg import expm
 
-from sqzq.errors import NonConvergent, NonFiniteState, QuadratureNotConverged
+from sqzq.errors import NonConvergent, NonFiniteState
 from sqzq.numerics import (
     OdeSolution,
     TruncatedOperator,
@@ -102,7 +102,7 @@ def quad_box(
 
     Raises
     ------
-    QuadratureNotConverged
+    NonConvergent
         if doubling ``max_doublings`` times never reaches the tolerance.
     """
     bounds = [(float(a), float(b)) for a, b in bounds]
@@ -118,7 +118,7 @@ def quad_box(
         if abs(new - est) <= rtol * abs(new) + atol:
             return new
         est = new
-    raise QuadratureNotConverged(
+    raise NonConvergent(
         f"box quadrature did not converge (last delta {abs(new - est):.3e})"
     )
 
@@ -356,21 +356,27 @@ def displacement_elements(alpha, ambient: int) -> np.ndarray:
     """<m|D(alpha)|n>, m, n < ambient, from the associated Laguerre polynomials.
 
     <n+d|D|n> = sqrt(n!/(n+d)!) alpha^d e^{-|alpha|^2/2} L_n^(d)(|alpha|^2) and
-    <n|D|n+d> the same with (-conj(alpha))^d; L_n^(d)(x) summed term by term.
+    <n|D|n+d> the same with (-conj(alpha))^d.  For each d, L_n^(d)(x) climbs
+    its three-term recurrence in n, n L_n = (2n - 1 + d - x) L_{n-1} -
+    (n - 1 + d) L_{n-2} from L_0 = 1, at 40 digits: for |alpha| <= 1.45 and
+    n + d < 140 it agrees with the sum of the polynomial's terms to 3e-28
+    relative, the digits that sum loses to the cancellation of its terms.
     """
     with mp.workdps(40):
         a = mp.mpc(alpha)
         x = abs(a) ** 2
         pre = mp.exp(-x / 2)
         fac = [mp.factorial(k) for k in range(ambient)]
-        terms = [(-x) ** i / fac[i] for i in range(ambient)]
         out = np.zeros((ambient, ambient), complex)
-        for lo in range(ambient):
-            for d in range(ambient - lo):
-                lag = mp.fsum(math.comb(lo + d, lo - i) * terms[i] for i in range(lo + 1))
+        for d in range(ambient):
+            lower, upper = a**d, (-mp.conj(a)) ** d
+            prev, lag = mp.mpf(0), mp.mpf(1)
+            for lo in range(ambient - d):
+                if lo:
+                    prev, lag = lag, ((2 * lo - 1 + d - x) * lag - (lo - 1 + d) * prev) / lo
                 amp = pre * mp.sqrt(fac[lo] / fac[lo + d]) * lag
-                out[lo + d, lo] = complex(amp * a**d)
-                out[lo, lo + d] = complex(amp * (-mp.conj(a)) ** d)
+                out[lo + d, lo] = complex(amp * lower)
+                out[lo, lo + d] = complex(amp * upper)
     return out
 
 

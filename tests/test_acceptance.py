@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose
 
 from sqzq import pdm
 from sqzq.cli import (
-    _kernel_precision,
     _mode_symbol_oracle,
     _norm_oracle,
     _overlap_oracle_1d,
@@ -50,7 +49,7 @@ from sqzq.nonsepstates import (
     table1_coefficient_rows,
     table1_operators,
 )
-from sqzq.nonsepstates import _two_mode_positions
+from sqzq.nonsepstates import _portrait_precision, _two_mode_positions
 from sqzq.nonsepstates import fock_coefficients as nonsep_fock_coefficients
 from sqzq.quantmap import dirac_correspondence_check, quantise, symmetrisation_constant
 
@@ -185,7 +184,7 @@ def test_criterion_05_closed_forms_match_quadrature_oracles():
         pt = PhasePoint(*rng.uniform(-0.8, 0.8, size=4))
         a, b, c, d, e, f = rng.uniform(-1.0, 1.0, size=6)
         poly = lambda q1, q2: a * q1 * q1 + b * q2 * q2 + c * q1 * q2 + d * q1 + e * q2 + f
-        mi = np.linalg.inv(_kernel_precision(params))
+        mi = np.linalg.inv(_portrait_precision(params))
         want = poly(pt.q1, pt.q2) + a * mi[0, 0] + b * mi[1, 1] + c * mi[0, 1]
         got = nonsep_portrait_hq(poly, pt, params)
         assert abs(got - want) / max(abs(want), 1e-9) < 1e-6

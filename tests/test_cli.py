@@ -55,32 +55,52 @@ def test_run_config_flag_overrides_file(tmp_path):
     assert not cfg.has("c")
 
 
+_GRID = {"q1_points": 5, "q2_points": 5}
+
+
 @pytest.mark.parametrize(
-    "flags,keys,outputs",
+    "flags,keys,other,outputs",
     [
-        (["portrait", "chi", "--preset", "fig6a"], {"field": "chi", "preset": "fig6a"},
-         ["portrait_chi.csv"]),
+        (["portrait", "chi", "--preset", "fig6a"], {**_GRID, "field": "chi", "preset": "fig6a"},
+         {**_GRID, "field": "veff", "preset": "fig4a"}, ["portrait_chi.csv"]),
         (["simulate", "--preset", "fig4b", "--tol", "1e-9"], {"preset": "fig4b", "rel_tol": 1e-9},
-         ["fig4b.csv", "fig4b_summary.json"]),
-        (["verify", "--tol", "1e-2"], {"tol": 1e-2}, ["verify_report.json"]),
+         {"preset": "fig4a", "rel_tol": 1e-6}, ["fig4b.csv", "fig4b_summary.json"]),
+        (["verify", "--tol", "1e-2"], {"tol": 1e-2}, {"tol": 1e-3}, ["verify_report.json"]),
         (["quantise", "qp", "--fock-dim", "4"], {"function": "qp", "fock_dim": 4},
-         ["quantise_qp.csv", "quantise_qp_report.json"]),
+         {"function": "q2", "fock_dim": 6}, ["quantise_qp.csv", "quantise_qp_report.json"]),
     ],
     ids=["portrait", "simulate", "verify", "quantise"],
 )
-def test_each_flag_overrides_its_config_key(tmp_path, flags, keys, outputs):
-    # flags over a file that sets every key otherwise write what a file of
-    # the flags' values writes: a flag or positional lands on the key of its
-    # name, simulate's --tol on rel_tol
-    grid = {"q1_points": 5, "q2_points": 5}
-    other = {"field": "veff", "preset": "fig4a", "rel_tol": 1e-6, "tol": 1e-3,
-             "fock_dim": 6, "function": "q2"}
-    argvs = (flags + ["--config", _write_cfg(tmp_path, {**grid, **other}, "other.json")],
-             [flags[0], "--config", _write_cfg(tmp_path, {**grid, **keys}, "keys.json")])
+def test_each_flag_overrides_its_config_key(tmp_path, flags, keys, other, outputs):
+    # flags over a file that sets each of the command's flag keys otherwise
+    # write what a file of the flags' values writes: a flag or positional
+    # lands on the key of its name, simulate's --tol on rel_tol
+    argvs = (flags + ["--config", _write_cfg(tmp_path, other, "other.json")],
+             [flags[0], "--config", _write_cfg(tmp_path, keys, "keys.json")])
     for sub, argv in zip("ab", argvs):
         assert main(argv + ["--out", str(tmp_path / sub)]) == 0
     for name in outputs:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,payload,named",
+    [
+        (["portrait", "chi", "--preset", "fig6a"], {"q1_point": 5}, "'q1_point'"),
+        (["simulate", "--preset", "fig3a"], {"reltol": 1e-9}, "'reltol'"),
+        (["verify"], {"fock_dim": 4, "tolerance": 1e-20}, "'fock_dim', 'tolerance'"),
+        (["quantise", "q"], {"fockdim": 4}, "'fockdim'"),
+    ],
+    ids=["portrait", "simulate", "verify", "quantise"],
+)
+def test_a_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, argv, payload, named):
+    # a misspelt key, or one another command reads, is refused before the
+    # command runs, as argparse refuses a flag the command does not take
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {argv[0]} does not read the config key(s) {named}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_config_field_errors(tmp_path):
@@ -567,11 +587,14 @@ def test_simulate_config_overrides_preset_state(tmp_path):
     assert_allclose(first[3], 0.5, rtol=1e-12)
 
 
-def _preset_config(preset):
-    """A config without a preset that holds every value the preset supplies."""
+def _preset_config(preset, command):
+    """A config without a preset that holds every value the preset supplies
+    to ``command``: a portrait reads no initial state or time span."""
     model, init = preset.model, preset.init
-    cfg = {"kind": preset.kind, "name": preset.name, "q0_1": init.q1, "q0_2": init.q2,
-           "v0_1": init.v1, "v0_2": init.v2, "t0": preset.t_span[0], "t1": preset.t_span[1]}
+    cfg = {}
+    if command == "simulate":
+        cfg = {"kind": preset.kind, "name": preset.name, "q0_1": init.q1, "q0_2": init.q2,
+               "v0_1": init.v1, "v0_2": init.v2, "t0": preset.t_span[0], "t1": preset.t_span[1]}
     cfg.update({key: getattr(model, key) for key in ("m0", "lambda1", "lambda2", "vbar1", "vbar2")})
     if preset.modes is not None:
         for j in (1, 2):
@@ -589,7 +612,7 @@ def _preset_config(preset):
     ids=["simulate-fig4b", "simulate-fig6a", "portrait-veff-fig6a"],
 )
 def test_a_preset_only_supplies_defaults(tmp_path, argv, written):
-    cfg = _write_cfg(tmp_path, _preset_config(pdm.PRESETS[argv[-1]]))
+    cfg = _write_cfg(tmp_path, _preset_config(pdm.PRESETS[argv[-1]], argv[0]))
     assert main(argv + ["--out", str(tmp_path / "preset")]) == 0
     assert main(argv[:-2] + ["--config", cfg, "--out", str(tmp_path / "config")]) == 0
     assert (tmp_path / "preset" / written).read_bytes() == (tmp_path / "config" / written).read_bytes()

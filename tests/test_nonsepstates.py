@@ -22,13 +22,11 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import ndtr
 
-from sqzq.cli import _kernel_precision
 from sqzq.errors import ConfigError, TruncationTooSmall
 from sqzq.nonsepstates import (
     NonSepParams,
-    _displacement_columns,
+    _portrait_precision,
     _rotated_frame,
-    _squeeze_columns,
     bogoliubov_check,
     fock_coefficients,
     nonsep_box_portrait,
@@ -42,7 +40,8 @@ from sqzq.nonsepstates import (
 )
 from sqzq.nonsepstates import _fock_batch, _two_mode_positions
 from sqzq.numerics import TruncatedOperator, legendre_box_rule
-from sqzq.onemode import OneModePhasePoint, SqueezeParameter, overlap_sq, wavefunction
+from sqzq.onemode import OneModePhasePoint, SqueezeParameter, _number_columns, overlap_sq, wavefunction
+from sqzq.onemode import fock_coefficients as fock_coefficients_1m
 from sqzq.sepstates import Field, PhasePoint, TwoModeParams, portrait_hq, sep_wavefunction
 
 from .oracles import (
@@ -330,7 +329,7 @@ def test_portrait_affine_field_is_exact():
 
 
 def test_portrait_product_field_adds_cross_covariance():
-    minv = np.linalg.inv(_kernel_precision(REF))
+    minv = np.linalg.inv(_portrait_precision(REF))
     val = nonsep_portrait_hq(lambda q1, q2: q1 * q2, PhasePoint(0.3, 0.4, 0, 0), REF)
     assert_allclose(val, 0.3 * 0.4 + minv[0, 1], rtol=1e-10)
     assert abs(minv[0, 1]) > 1e-3  # the mixing angle makes this genuinely 2D
@@ -342,7 +341,7 @@ def test_portrait_indicator_matches_brute_quadrature():
         growth="bounded",
         support=((0.0, 1.0), (0.0, 1.0)),
     )
-    m = _kernel_precision(REF)
+    m = _portrait_precision(REF)
     pt = PhasePoint(0.3, 0.4, 0.0, 0.0)
     got = nonsep_portrait_hq(chi, pt, REF)
     u, wu = legendre_box_rule(0.0, 1.0, 160, 4)
@@ -432,7 +431,7 @@ def _fig6a_coupled():
 
 def test_box_portrait_matches_conditional_normal_oracle():
     params = _fig6a_coupled()
-    cov = np.linalg.inv(_kernel_precision(params))
+    cov = np.linalg.inv(_portrait_precision(params))
     assert cov[0, 1] / np.sqrt(cov[0, 0] * cov[1, 1]) > 0.7
     box = ((-2.0 / 3.0, 2.0 / 3.0), (-1.0, 1.0))
     centres = np.array([
@@ -474,9 +473,17 @@ def test_bogoliubov_strong_squeezing_within_budget():
     t0 = time.time()
     res = bogoliubov_check(p, 12)
     assert time.time() - t0 < 10.0
-    # the residual is 6e-15; with 20 squeeze rows past the box instead of 60
-    # under the displacement it reads 2.9e-13
+    # the residual is 6.9e-15: each mode's columns climb from row 0 to the
+    # rows the check reads, so no rows past the box enter them
     assert res < 1e-13
+
+
+@pytest.mark.parametrize("tau1", [0.85 * np.exp(2j), 0.95 * np.exp(-0.4j)])
+def test_bogoliubov_holds_at_strong_squeezing(tau1):
+    # nmax 12 at dim 40: columns read off a product D @ S truncated 60 rows
+    # past the box put 2.7e-9 and 2.5e-5 here; the climbed columns 5.7e-15
+    # and 1.7e-15
+    assert bogoliubov_check(NonSepParams.from_tau(tau1, 0.3, 1.3), 12) < 1e-13
 
 
 def test_bogoliubov_no_mixing_single_mode_squeezing():
@@ -499,6 +506,9 @@ def test_bogoliubov_random_draw():
 def test_bogoliubov_truncation_guard():
     with pytest.raises(TruncationTooSmall):
         bogoliubov_check(REF, 21, dim=40)
+    # the rows r_j < dim - 2 it reads need dim >= 3, whatever nmax
+    with pytest.raises(TruncationTooSmall):
+        bogoliubov_check(REF, 0, dim=2)
 
 
 @pytest.mark.parametrize("phi", [0.9, 1.3, -2.0])
@@ -534,29 +544,56 @@ def test_beam_split_full_sector_against_40_digit_oracle(nmax, tot, phi):
     assert np.max(np.abs(block - beam_splitter_sector(phi, tot))) < 1e-14
 
 
-# the squeeze labels and coherent amplitudes of the verify report's check
+def _check_amplitudes(phi):
+    """The amplitudes beta_1, beta_2 that ``bogoliubov_check`` displaces its
+    modes by: its coherent labels rotated by the mixing angle."""
+    a1, a2 = 0.7 * np.exp(0.4j), 0.7 * np.exp(-1.8j)
+    return np.cos(phi) * a1 - np.sin(phi) * a2, np.sin(phi) * a1 + np.cos(phi) * a2
+
+
+def _columns_at(beta, tau, rows, ncols):
+    """``_number_columns`` of D(beta) S(tau): its label alpha = c beta + s conj(beta)."""
+    c = 1.0 / np.sqrt(1.0 - abs(tau) ** 2)
+    return _number_columns(c * beta + tau * c * np.conj(beta), tau, rows, ncols)
+
+
 _VERIFY_TAUS = tuple(np.tanh(0.7) * np.exp(1j * ang) for ang in (0.4, -1.1))
-_VERIFY_ALPHAS = (0.7 * np.exp(0.4j), 0.7 * np.exp(-1.8j))
+_VERIFY_BETAS = _check_amplitudes(0.9)
+_STRONG_BETA = _check_amplitudes(1.3)[0]
 
 
-@pytest.mark.parametrize("tau", _VERIFY_TAUS)
-def test_squeeze_columns_against_40_digit_oracle(tau):
-    # verify's size: ambient 123, six columns.  Column n lowers column n - 1,
-    # which the box cuts at its last row, so its last n rows are not exact
-    ambient, ncols = 123, 6
-    got = _squeeze_columns(tau, ncols, ambient)
-    want = squeeze_elements(tau, ncols, ambient)
-    exact = np.arange(ambient)[:, None] < ambient - np.arange(ncols)[None, :]
-    assert np.max(np.abs(got - want)[exact]) < 1e-14
+@pytest.mark.parametrize(
+    "beta,tau,rows,ncols",
+    [
+        (_VERIFY_BETAS[0], _VERIFY_TAUS[0], 63, 6),
+        (_VERIFY_BETAS[1], _VERIFY_TAUS[1], 63, 6),
+        (_STRONG_BETA, 0.85 * np.exp(2j), 79, 14),
+        (_STRONG_BETA, 0.95 * np.exp(-0.4j), 79, 14),
+    ],
+    ids=["verify-mode1", "verify-mode2", "nmax12-tau0.85", "nmax12-tau0.95"],
+)
+def test_number_columns_against_40_digit_oracle(beta, tau, rows, ncols):
+    # the rows and columns of each mode's D(beta) S that bogoliubov_check
+    # builds: verify's (nmax 4, dim 32) and nmax 12 at dim 40 with mode 1
+    # strongly squeezed.  The oracle's product runs 60 rows past them; at 40
+    # what D reaches from beyond is still 1.7e-7 at |tau| 0.95
+    ambient = rows + 60
+    want = displacement_elements(beta, ambient) @ squeeze_elements(tau, ncols, ambient)
+    assert np.max(np.abs(_columns_at(beta, tau, rows, ncols) - want[:rows])) < 1e-14
 
 
-@pytest.mark.parametrize("alpha", _VERIFY_ALPHAS)
-def test_displacement_columns_against_40_digit_oracle(alpha):
-    # all 92 x 92 elements (verify reads 63 rows of 123 columns, at the
-    # rotated amplitudes beta); the recurrence only raises, so every row is
-    # exact.  Run in float64 instead of long double it is off by 4e-12 here
-    got = _displacement_columns(alpha, 92, 92)
-    assert np.max(np.abs(got - displacement_elements(alpha, 92))) < 1e-14
+@pytest.mark.parametrize("tau", [0.0, *_VERIFY_TAUS, 0.95 * np.exp(-0.4j)])
+def test_number_columns_column_0_is_the_family_state(tau):
+    alpha = 0.9 * np.exp(1.2j)
+    got = _number_columns(alpha, tau, 40, 3)[:, 0]
+    want = fock_coefficients_1m(alpha, SqueezeParameter.from_tau(tau), 39)
+    assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps
+
+
+def test_number_columns_rows_do_not_depend_on_the_row_count():
+    # the rows only climb: a shorter build is the head of a longer one
+    tau, alpha = 0.8 * np.exp(-2.1j), 1.1 * np.exp(0.3j)
+    assert np.array_equal(_number_columns(alpha, tau, 25, 7), _number_columns(alpha, tau, 79, 7)[:25])
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +659,7 @@ def test_table1_linear_fields_quantise_to_bare_positions(ref_table1):
 def test_table1_product_field_constant(ref_table1):
     op = ref_table1["q1q2"]
     rows = table1_coefficient_rows(REF)
-    minv = np.linalg.inv(_kernel_precision(REF))
+    minv = np.linalg.inv(_portrait_precision(REF))
     assert_allclose(rows["q1q2"]["adopted"], minv[0, 1] / 2.0, rtol=1e-12)
     x1, x2, sel = _two_mode_positions(REF, 6)
     resid = op.entries[sel].real - (x1 @ x2)[sel]
@@ -651,7 +688,7 @@ def test_table1_operators_match_the_closed_forms_on_the_full_matrix(params, nmax
     eye = np.eye(nmax + 1)
     x1 = np.kron(_ladder_position(nmax, params.lam1), eye)
     x2 = np.kron(eye, _ladder_position(nmax, params.lam2))
-    c = np.linalg.inv(_kernel_precision(params))[0, 1] / 2.0
+    c = np.linalg.inv(_portrait_precision(params))[0, 1] / 2.0
     closed = {"q1": x1, "q2": x2, "q1q2": x1 @ x2 + c * np.eye(len(x1))}
     ops = table1_operators(params, nmax)
     for f, want in closed.items():

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sint
 
 from sqzq import numerics
-from sqzq.errors import ConfigError, NonConvergent, NonFiniteState, QuadratureNotConverged
+from sqzq.errors import ConfigError, NonConvergent, NonFiniteState
 from sqzq.numerics import (
     OdeProblem,
     QuadratureReport,
@@ -124,7 +124,7 @@ def test_quad_box_gaussian_4d_chunked():
 
 
 def test_quad_box_flags_nonconvergence():
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(NonConvergent):
         quad_box(
             lambda x: (x > 0.3).astype(float),
             [(-1.0, 1.0)],

@@ -16,7 +16,6 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from sqzq.cli import _kernel_precision
 import sqzq.nonsepstates as nonsepstates_module
 from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
 from sqzq.nonsepstates import (
@@ -329,7 +328,7 @@ def test_two_mode_gaussian_field_matches_its_smoothing():
     )
     op = quantise(f, params, nmax)
     l1, l2 = params.lam1, params.lam2
-    s = np.eye(2) + np.linalg.inv(2.0 * _kernel_precision(params))
+    s = np.eye(2) + np.linalg.inv(2.0 * _portrait_precision(params))
     si = np.linalg.inv(s)
     u, w = hermgauss(60)
     x1, x2 = l1 * u, l2 * u
@@ -555,7 +554,7 @@ def test_position_route_refuses_the_bases_it_refused_before(degree, k0):
 
 def test_kernel_constant_is_pure_delta():
     ka = kernel_eval(lambda q, p: np.ones_like(q), SqueezeParameter.from_tau(0.3), 0.7)
-    assert ka.diagonal and ka.delta_order == 0
+    assert ka.delta_order == 0
     assert_allclose(ka.smoothing_factor, 1.0, rtol=1e-12)
 
 
