@@ -1087,33 +1087,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, func, flags, reads, **keys):
+    def command(name, help, func, flags, reads, by=None, **keys):
         """A subcommand that takes only the flags it reads, so argparse
         refuses the others instead of ignoring them, and only the config
-        keys ``reads`` names, so ``main`` refuses the others.  A flag's value
-        lands under the config key it overrides: its own name, or the one
-        ``keys`` gives it."""
+        keys ``reads`` names, so ``main`` refuses the others.  ``by`` =
+        (what, select, {value: keys}) splits the keys further: each value
+        of ``select(cfg)``, a portrait field, quantise family or simulate
+        kind, reads its own keys besides ``reads``.  A flag's value lands
+        under the config key it overrides: its own name, or the one ``keys``
+        gives it."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file (flags override its values)")
         p.add_argument("--out", default=".", help="output directory")
         for flag in flags:
             names, kwargs = _FLAGS[flag]
             p.add_argument(*names, dest=keys.get(flag, flag), **kwargs)
-        p.set_defaults(func=func, reads=frozenset(reads))
+        p.set_defaults(func=func, reads=frozenset(reads), by=by)
         return p
 
+    fields = {field: ("phi",) if field == "nonsep_hq" else () for field in _PORTRAIT_FIELDS}
     p = command("portrait", "write a smoothed-observable grid CSV", cmd_portrait, ["preset"],
-                ("field", "preset", "phi", *_MODEL_KEYS, *_MODES_KEYS, *_GRID_KEYS))
+                ("field", "preset", *_MODEL_KEYS, *_MODES_KEYS, *_GRID_KEYS),
+                by=("field", lambda cfg: cfg.get("field", None, cast=str), fields))
     p.add_argument("field", nargs="?", choices=_PORTRAIT_FIELDS, default=None)
     command("simulate", "integrate a trajectory and write CSV + summary", cmd_simulate,
             ["preset", "tol"],
             ("preset", "kind", "q0_1", "q0_2", "v0_1", "v0_2", "t0", "t1", "samples",
-             "rel_tol", "abs_tol", "name", *_MODEL_KEYS, *_MODES_KEYS),
+             "rel_tol", "abs_tol", "name", *_MODEL_KEYS),
+            by=("kind", lambda cfg: cfg.get("kind", _preset_value(_preset_from(cfg), "kind", None), cast=str),
+                {"classical": (), "semiclassical": _MODES_KEYS}),
             tol="rel_tol")
     command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"],
             ("tol",))
     p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise, [],
-                ("function", "family", "fock_dim", "tau", "tau_im", "lam", "phi", *_MODES_KEYS))
+                ("function", "family", "fock_dim"),
+                by=("family", lambda cfg: cfg.get("family", "one-mode", cast=str),
+                    {"one-mode": ("tau", "tau_im", "lam", "hbar"), "two-mode": ("phi", *_MODES_KEYS)}))
     p.add_argument("--fock-dim", dest="fock_dim", type=int,
                    help="nmax per mode: the matrix has dimension FOCK_DIM + 1 per mode "
                    "(default 8 for one mode, 4 for two)")
@@ -1121,20 +1130,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unread(cfg: RunConfig, args) -> None:
+    """Refuse a config key that the run will not read: one that the command
+    never reads, or one that only another portrait field, quantise family or
+    simulate kind reads.  A value that is none of those is left to the
+    command, which refuses it."""
+    what, select, split = args.by or (None, None, {})
+    name, reads = args.command, args.reads.union(*split.values())
+    if set(cfg.values) <= reads and select is not None:
+        value = select(cfg)
+        if value in split:
+            name, reads = f"{args.command} {what} {value!r}", args.reads.union(split[value])
+    unread = sorted(set(cfg.values) - reads)
+    if unread:
+        raise ConfigError(
+            f"{name} does not read the config key(s) {', '.join(map(repr, unread))}; "
+            f"it reads {', '.join(sorted(reads))}"
+        )
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # every other parsed value is a flag or positional under its config key
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "out", "func", "reads")}
+                 if k not in ("command", "config", "out", "func", "reads", "by")}
     start = time.perf_counter()
     try:
         cfg = RunConfig.load(args.config, overrides)
-        unread = sorted(set(cfg.values) - args.reads)
-        if unread:
-            raise ConfigError(
-                f"{args.command} does not read the config key(s) {', '.join(map(repr, unread))}; "
-                f"it reads {', '.join(sorted(args.reads))}"
-            )
+        _refuse_unread(cfg, args)
         code = args.func(cfg, args)
     except (ConfigError, OutsideBox) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,8 +11,10 @@ one and of two modes, the one-mode chunked projector sum
 routine behind every portrait and position kernel (``gaussian_smooth``: a
 stack of fields in one pass, on an order-120 Hermite rule or a supported
 field's clipped 3 x 60 Legendre window), truncated boson-operator algebra,
-and the adaptive DOP853 ODE driver (``solve_ode``), which runs its stages on
-Python floats in straight-line code over the tableau's nonzero entries.
+and the adaptive DOP853 ODE driver (``solve_ode``), which runs its stages in
+straight-line code over the tableau's nonzero entries: on Python floats, or,
+for a problem whose right-hand side also comes in C, as the same operations
+compiled (``native``), with the same bits.
 
 All functions are pure and thread-safe.
 """
@@ -35,6 +37,7 @@ from .errors import ConfigError, GrowthViolation, NonConvergent, NonFiniteState
 __all__ = [
     "QuadratureReport",
     "TruncatedOperator",
+    "CompiledRhs",
     "OdeProblem",
     "OdeSolution",
     "hermite_phys",
@@ -561,6 +564,21 @@ _MAX_STEPS = 50_000
 
 
 @dataclass(frozen=True)
+class CompiledRhs:
+    """A right-hand side in C as well: ``source`` defines
+    ``static void rhs(const double *c, double t, const double *y, double *f)``,
+    which writes dy/dt at y to f for the ``constants`` c, and may call the
+    functions of ``<math.h>``.  It must give the Python ``rhs``'s bits; that is
+    checked at the ``probes``, states of the problem's size, before a library
+    built from it runs (see ``native``).
+    """
+
+    source: str
+    constants: tuple[float, ...]
+    probes: tuple[tuple[float, ...], ...]
+
+
+@dataclass(frozen=True)
 class OdeProblem:
     """Initial-value problem passed to :func:`solve_ode`.
 
@@ -570,6 +588,8 @@ class OdeProblem:
     ValueError.  Their sums run in a fixed order, so a run's bits do not depend
     on the Python version.  ``y0`` must be a finite 1D array.  Default
     tolerances leave the energy-drift checks a decade of headroom below 1e-6.
+    ``compiled``, if given, is the same ``rhs`` in C, which :func:`solve_ode`
+    runs instead where it can.
     """
 
     rhs: Callable
@@ -577,6 +597,7 @@ class OdeProblem:
     y0: np.ndarray
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
+    compiled: CompiledRhs | None = None
 
     def __post_init__(self):
         y0 = np.asarray(self.y0, dtype=float)
@@ -614,7 +635,12 @@ class OdeSolution:
 
 
 def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values) / len(values))
+    """The root mean square, its sum from 0.0 left to right (CPython 3.11's
+    ``sum``; 3.12's compensates)."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total / len(values))
 
 
 def _initial_step(rhs, t0, y0, f0, span, rel_tol, abs_tol) -> float:
@@ -658,12 +684,13 @@ def _dense_values(steps, ends, times) -> np.ndarray:
         return y + row[:, 2 : 2 + n]
 
 
-def _sum_code(coeffs, i: int) -> str:
+def _sum_code(coeffs, i: int, literal=repr) -> str:
     """The source of sum_s coeffs[s] K_s for component i: from 0.0, left to
     right, over the nonzero coeffs only.  With finite stages the skipped terms
     are zeros, and adding a zero to a sum that starts at +0.0 changes no bit
-    (the sum is never -0.0), so ``y + h * sum`` keeps signed zeros."""
-    return "(0.0" + "".join(f" + {a!r} * k{s}_{i}" for s, a in enumerate(coeffs) if a) + ")"
+    (the sum is never -0.0), so ``y + h * sum`` keeps signed zeros.  The
+    expression is Python and C alike; ``literal`` spells the coefficients."""
+    return "(0.0" + "".join(f" + {literal(a)} * k{s}_{i}" for s, a in enumerate(coeffs) if a) + ")"
 
 
 def _guard_code(i: int) -> str:
@@ -737,55 +764,22 @@ def _exec_generated(src: str, name: str, **names) -> dict:
     return scope
 
 
-def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
-    """Integrate an OdeProblem with the embedded DOP853 pair.
+# why a run stopped before t1, by the stop code of the stepping loops
+_STOPS = {
+    1: "the right-hand side is not finite at t0 = {t!r}",
+    2: "step size fell below the minimum step {min_step:.3g} at t = {t!r}",
+    3: "step budget of {max_steps} steps exhausted at t = {t!r}",
+}
 
-    The 8th-order pair conserves quadratic invariants of smooth Hamiltonian
-    problems to ~1e-10 over hundreds of periods at the default tolerances,
-    where a 4/5 pair drifts close to the 1e-6 acceptance budget.  The loop
-    mirrors scipy's ``solve_ivp(method="DOP853")``: the same first step, the
-    same E5/E3 error norm and the same controller (safety 0.9, factors in
-    [0.2, 10], exponent -1/8, no growth right after a rejection), so it
-    takes scipy's steps up to rounding.  The error norm's E5 sums cancel to
-    about 1e-5 relative, and the step size follows the norm to the power
-    -1/8, so the summation order alone moves the step ends by up to 7e-8 on
-    the fig6a preset (and costs fig4a one more rejected step), while the
-    samples agree to 3e-12 or better.  Each step runs its twelve stages on
-    Python floats, one ``rhs(t, y)`` call per stage (see :class:`OdeProblem`),
-    and each accepted step three more for the 7th-order dense output, whose
-    coefficients are kept.  That arithmetic is code generated per state size
-    (``_dop853_kernels``) that adds each tableau sum from 0.0 left to right,
-    as CPython 3.11's ``sum`` did; 3.12's ``sum`` compensates, so a loop over
-    ``sum`` gives version-dependent bits, and this code does not.  The sums
-    skip the tableau's zero entries, which changes no returned bit: a guard
-    in the error sum still rejects every step with a non-finite stage, though
-    the stages after that one may see other states than with the zeros kept.
-    The samples at ``t_eval`` are evaluated from them in one pass at the end;
-    without ``t_eval`` they are the step ends.
 
-    Two limits bound every run:
-
-    * a minimum step of ten spacings of the float at the span's far end,
-      ``10 * np.spacing(max(|t0|, |t1|))``; a rejected step below it stops
-      the run;
-    * a budget of 50 000 steps, accepted and rejected together.
-
-    A run stopped by either, or by a right-hand side that is not finite at
-    t0, returns status "failed", a message naming the cause, and the samples
-    up to the last accepted step with non-finite rows dropped, so callers can
-    classify the truncated trajectory.
-
-    Raises
-    ------
-    NonFiniteState
-        if a run that reached t1 has non-finite samples.
-    """
+def _python_steps(problem: OdeProblem, t0: float, t1: float, min_step: float, max_steps: int):
+    """:func:`solve_ode`'s stepping on Python floats: the stop code (0 at
+    t1, else a key of ``_STOPS``), the last accepted t and y, the table of
+    accepted steps (t_old, h, y_old, F_0..F_6 per row), their end times and
+    the counts of RHS evaluations, accepted and rejected steps."""
     rhs = problem.rhs
     rtol, atol = problem.rel_tol, problem.abs_tol
-    t0, t1 = (float(v) for v in problem.t_span)
     n = problem.y0.size
-    min_step = 10.0 * float(np.spacing(max(abs(t0), abs(t1))))
-
     t = t0
     y = problem.y0.tolist()
     f = rhs(t, y)
@@ -794,22 +788,20 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
     attempt, dense = _dop853_kernels(n)
     h_abs = _initial_step(rhs, t, y, f, t1 - t, rtol, atol)
     n_evals = 2
-    steps = []  # per accepted step: t_old, h, y_old, F_0..F_6
+    steps = []
     ends = []
     n_accepted = n_rejected = 0
-    message = ""
-    if not all(map(math.isfinite, f)):
-        # no step size follows from a non-finite derivative
-        message = f"the right-hand side is not finite at t0 = {t!r}"
-    while t < t1 and not message:
+    # no step size follows from a non-finite derivative
+    stop = 0 if all(map(math.isfinite, f)) else 1
+    while t < t1 and not stop:
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                message = f"step size fell below the minimum step {min_step:.3g} at t = {t!r}"
+                stop = 2
                 break
-            if n_accepted + n_rejected >= _MAX_STEPS:
-                message = f"step budget of {_MAX_STEPS} steps exhausted at t = {t!r}"
+            if n_accepted + n_rejected >= max_steps:
+                stop = 3
                 break
             t_new = min(t + h_abs, t1)
             h = t_new - t
@@ -831,24 +823,91 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
             rejected = True
             n_rejected += 1
-        if message:
+        if stop:
             break
         steps.append(dense(rhs, t, y, f, h, y_new, f_new, stages))
         n_evals += 3
         ends.append(t_new)
         t, y, f = t_new, y_new, f_new
-
     table = np.array(steps, dtype=float).reshape(len(steps), 2 + 8 * n)
-    ends = np.array(ends, dtype=float)
+    return stop, t, y, table, np.array(ends, dtype=float), n_evals, n_accepted, n_rejected
+
+
+def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
+    """Integrate an OdeProblem with the embedded DOP853 pair.
+
+    The 8th-order pair conserves quadratic invariants of smooth Hamiltonian
+    problems to ~1e-10 over hundreds of periods at the default tolerances,
+    where a 4/5 pair drifts close to the 1e-6 acceptance budget.  The loop
+    mirrors scipy's ``solve_ivp(method="DOP853")``: the same first step, the
+    same E5/E3 error norm and the same controller (safety 0.9, factors in
+    [0.2, 10], exponent -1/8, no growth right after a rejection), so it
+    takes scipy's steps up to rounding.  The error norm's E5 sums cancel to
+    about 1e-5 relative, and the step size follows the norm to the power
+    -1/8, so the summation order alone moves the step ends by up to 7e-8 on
+    the fig6a preset (and costs fig4a one more rejected step), while the
+    samples agree to 3e-12 or better.  Each step runs its twelve stages, one
+    ``rhs(t, y)`` call per stage (see :class:`OdeProblem`), and each accepted
+    step three more for the 7th-order dense output, whose coefficients are
+    kept.  That arithmetic is code generated per state size
+    (``_dop853_kernels``) that adds each tableau sum from 0.0 left to right,
+    as CPython 3.11's ``sum`` did; 3.12's ``sum`` compensates, so a loop over
+    ``sum`` gives version-dependent bits, and this code does not.  The sums
+    skip the tableau's zero entries, which changes no returned bit: a guard
+    in the error sum still rejects every step with a non-finite stage, though
+    the stages after that one may see other states than with the zeros kept.
+    The samples at ``t_eval`` are evaluated from them in one pass at the end;
+    without ``t_eval`` they are the step ends.
+
+    The steps run on Python floats (``_python_steps``), unless the problem
+    carries a ``compiled`` right-hand side: then a shared library of the same
+    driver, kernels and right-hand side in C runs them (``native.steps``),
+    about twenty times faster, with the same samples, counts and messages.
+    It is built by the system C compiler at the first such problem, cached
+    across processes, and checked against the Python right-hand side once
+    per model; where it cannot be built, loaded or trusted, the Python
+    floats run.  Nothing else chooses between the two.
+
+    Two limits bound every run:
+
+    * a minimum step of ten spacings of the float at the span's far end,
+      ``10 * np.spacing(max(|t0|, |t1|))``; a rejected step below it stops
+      the run;
+    * a budget of 50 000 steps, accepted and rejected together.
+
+    A run stopped by either, or by a right-hand side that is not finite at
+    t0, returns status "failed", a message naming the cause, and the samples
+    up to the last accepted step with non-finite rows dropped, so callers can
+    classify the truncated trajectory.
+
+    Raises
+    ------
+    NonFiniteState
+        if a run that reached t1 has non-finite samples.
+    """
+    t0, t1 = (float(v) for v in problem.t_span)
+    n = problem.y0.size
+    min_step = 10.0 * float(np.spacing(max(abs(t0), abs(t1))))
+    run = None
+    if problem.compiled is not None:
+        # imported here: a process that solves no such problem loads no ctypes
+        from . import native
+
+        run = native.steps(problem, t0, t1, min_step, _MAX_STEPS)
+    if run is None:
+        run = _python_steps(problem, t0, t1, min_step, _MAX_STEPS)
+    stop, t, y, table, ends, n_evals, n_accepted, n_rejected = run
+    message = _STOPS[stop].format(t=t, min_step=min_step, max_steps=_MAX_STEPS) if stop else ""
+
     if t_eval is None:
         ts = np.concatenate([[t0], ends])
         # each step's row starts at its y_old, the previous step's y_new
         ys = np.vstack([table[:, 2 : 2 + n], [y]])
     else:
         t_eval = np.asarray(t_eval, dtype=float)
-        ts = t_eval[: np.searchsorted(t_eval, t, side="right")] if steps else t_eval[:0]
+        ts = t_eval[: np.searchsorted(t_eval, t, side="right")] if n_accepted else t_eval[:0]
         ys = _dense_values(table, ends, ts) if ts.size else np.empty((0, n))
-    h_min = float(table[:, 1].min()) if steps else math.inf
+    h_min = float(table[:, 1].min()) if n_accepted else math.inf
     counts = dict(n_rhs_evals=n_evals, n_accepted=n_accepted, n_rejected=n_rejected, h_min=h_min)
     if message:
         keep = np.all(np.isfinite(ys), axis=1)

@@ -1285,3 +1285,48 @@ def test_verify_outside_tolerance_exits_3(tmp_path):
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert not report["all_within_tolerance"]
     assert report["tolerance"] == 1e-30
+
+
+@pytest.mark.parametrize(
+    "argv,payload,named",
+    [
+        (["portrait", "chi", "--preset", "fig6a"], {"phi": 1.0}, "portrait field 'chi'"),
+        (["quantise", "q"], {"phi": 1.0}, "quantise family 'one-mode'"),
+        (["quantise", "q1q2"], {"family": "two-mode", "tau": 0.3}, "quantise family 'two-mode'"),
+        (["simulate", "--preset", "fig3a"], {"tau1": 0.5}, "simulate kind 'classical'"),
+        (["simulate", "--preset", "fig6a"], {"kind": "classical", "lam2": 2.0}, "simulate kind 'classical'"),
+    ],
+    ids=["portrait-field", "quantise-one-mode", "quantise-two-mode", "simulate-kind", "simulate-kind-override"],
+)
+def test_a_config_key_only_another_field_family_or_kind_reads_exits_2(tmp_path, capsys, argv, payload, named):
+    # the key is the command's, but the run at hand never reads it: phi only
+    # mixes the nonsep_hq portrait and the two-mode family, the squeezing only
+    # smooths semiclassical dynamics
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    key = next(k for k in payload if k not in ("family", "kind"))
+    assert f"config error: {named} does not read the config key(s) '{key}'; it reads " in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_benchmark_configs_stay_accepted(tmp_path):
+    # the key sets of the configs the benchmark writes, each with the command
+    # and the field, family or kind that reads them
+    cases = [
+        (["portrait", "nonsep_hq", "--preset", "fig6a"], {"phi": 0.5, "tau2": 0.3, "q1_points": 21, "q2_points": 21}),
+        (["portrait", "nonsep_hq", "--preset", "fig6a"], {"phi": 0.0, "q1_points": 5, "q2_points": 5}),
+        (["simulate", "--preset", "fig6a"], {"v0_1": 1.2, "v0_2": 0.9, "t1": 0.5}),
+        (["quantise", "q1q2"], {"family": "two-mode", "fock_dim": 2, "tau1": 0.2, "tau2": 0.6,
+                                "phi": math.pi / 4, "lam1": 0.8, "lam2": 1.15}),
+        (["quantise", "q"], {"family": "one-mode", "tau": 0.4, "tau_im": 0.3, "fock_dim": 4}),
+    ]
+    for k, (argv, payload) in enumerate(cases):
+        cfg = _write_cfg(tmp_path, payload, f"c{k}.json")
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / f"out{k}")]) == 0, argv
+
+
+def test_fig6a_outputs_keep_their_bytes_on_the_python_kernels(tmp_path, monkeypatch):
+    # the same pins with the compiled form removed: both paths write the bytes
+    monkeypatch.setattr(pdm, "_compiled_rhs", lambda *args: None)
+    test_fig6a_outputs_keep_their_bytes(tmp_path)

@@ -5,11 +5,19 @@ literals so the suite never trusts the code under test to generate its own
 expectations.
 """
 
+import ctypes
+import json
 import linecache
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
 import traceback
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +26,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate as sint
 
-from sqzq import numerics
+from sqzq import native, numerics
 from sqzq.errors import ConfigError, NonConvergent, NonFiniteState
 from sqzq.numerics import (
     OdeProblem,
@@ -32,6 +40,7 @@ from sqzq.numerics import (
     solve_ode,
     whitened_rule,
 )
+from sqzq.pdm import PRESETS, _both_scales, _compiled_rhs, _equations_of_motion, _kinetic_coeffs, _rhs_c_source
 
 from .oracles import dop853_generic, erfc_real, matrix_exp, momentum, quad_box, whitened_rule_nd
 
@@ -719,3 +728,220 @@ def test_report_hermiticity_defect_is_the_largest_over_a_stack():
     one = [QuadratureReport.of(m, np.eye(5), 0.0, 1).hermiticity_defect for m in mats]
     stacked = QuadratureReport.of(mats, np.eye(5), 0.0, 1)
     assert stacked.hermiticity_defect == max(one) == one[1]
+
+
+# ---------------------------------------------------------------- the compiled solver
+
+
+def _launch(v=(0.75, 0.75), q=(0.0, 0.0), **model):
+    """The ODE problem of a launch of the fig6 model (changed by ``model``),
+    as ``semiclassical_integrate`` builds it, with its compiled form."""
+    preset = PRESETS["fig6a"]
+    m = replace(preset.model, **model)
+    scales, kin = _both_scales(m, preset.modes), _kinetic_coeffs(preset.modes)
+    rhs = _equations_of_motion(m, scales, kin)
+    return OdeProblem(rhs, preset.t_span, np.array([*q, *v]), 1e-11, 1e-13, _compiled_rhs(m, scales, kin))
+
+
+def _refuse(*args):
+    raise AssertionError("the Python kernels ran")
+
+
+@pytest.fixture
+def library():
+    """The library of the semiclassical right-hand side, loaded afresh, and
+    forgotten afterwards so that what a test does to it stays in the test."""
+    native._library.cache_clear()
+    lib = native._library(_rhs_c_source(), 4)
+    if lib is None:
+        assert not (shutil.which("cc") or shutil.which("gcc")), "a C compiler is on PATH, but no library"
+        pytest.skip("no C compiler on PATH")
+    yield lib
+    native._library.cache_clear()
+
+
+def _on_both_paths(monkeypatch, problem, t_eval):
+    """A run's outcome on the Python kernels, and on the library alone."""
+    want = _outcome(solve_ode, replace(problem, compiled=None), t_eval)
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "_python_steps", _refuse)
+        got = _outcome(solve_ode, problem, t_eval)
+    return got, want
+
+
+_LAUNCHES = {
+    "fig6a": lambda: _launch((0.75, 0.75)),
+    "fig6b": lambda: _launch((1.0, 1.5)),
+    "fig6c": lambda: _launch((1.75, 1.25)),
+    # every window underflows: the accelerations are NaN at t0
+    "not-finite-at-t0": lambda: _launch(q=(50.0, 50.0)),
+    # accelerations near 1e300: the steps shrink without end
+    "minimum-step": lambda: _launch(vbar1=1e300),
+}
+
+
+@pytest.mark.parametrize("with_t_eval", [False, True], ids=["step-ends", "t_eval"])
+@pytest.mark.parametrize("case", list(_LAUNCHES))
+def test_compiled_solve_gives_the_python_kernels_bits(monkeypatch, library, case, with_t_eval):
+    problem = _LAUNCHES[case]()
+    t_eval = np.linspace(*problem.t_span, 3001) if with_t_eval else None
+    got, want = _on_both_paths(monkeypatch, problem, t_eval)
+    assert got == want
+    if case.startswith("fig6"):
+        assert want["status"] == "finished" and want["n_rejected"] > 0
+    else:
+        assert want["status"] == "failed" and case.replace("-", " ") in want["message"]
+
+
+def test_compiled_solve_gives_the_python_kernels_bits_on_escaping_launches(monkeypatch, library):
+    # seeded launches over the benchmark's velocity square [0.5, 2]^2
+    rng = np.random.default_rng(11)
+    escaped = 0
+    for v in rng.uniform(0.5, 2.0, (10, 2)).tolist():
+        problem = _launch(tuple(v))
+        got, want = _on_both_paths(monkeypatch, problem, np.linspace(0.0, 15.0, 3001))
+        assert got == want, v
+        last = np.frombuffer(want["y"])[-4:-2] * [PRESETS["fig6a"].model.lambda1, PRESETS["fig6a"].model.lambda2]
+        escaped += bool(np.max(np.abs(last)) > 1.0)
+    assert 2 <= escaped <= 8
+
+
+def test_compiled_solve_reads_the_step_budget_at_call_time(monkeypatch, library):
+    monkeypatch.setattr(numerics, "_MAX_STEPS", 20)
+    for t_eval in (None, np.linspace(0.0, 15.0, 3001)):
+        got, want = _on_both_paths(monkeypatch, _launch(), t_eval)
+        assert got == want
+        assert "step budget of 20 steps" in got["message"]
+        assert got["n_accepted"] + got["n_rejected"] == 20
+
+
+@pytest.fixture
+def no_library(monkeypatch, tmp_path):
+    """An empty cache at tmp_path/cache and no library loaded in the process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    native._library.cache_clear()
+    yield tmp_path / "cache"
+    native._library.cache_clear()
+
+
+@pytest.mark.parametrize("host", ["no-compiler", "failing-build", "unwritable-cache"])
+def test_without_a_library_the_python_kernels_run_with_the_same_bits(monkeypatch, no_library, host):
+    problem, t_eval = _launch((1.75, 1.25)), np.linspace(0.0, 15.0, 3001)
+    want = _outcome(solve_ode, replace(problem, compiled=None), t_eval)
+    if host == "no-compiler":
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    elif host == "failing-build":
+        monkeypatch.setattr(native, "_FLAGS", native._FLAGS + ("-fno-such-option-anywhere",))
+    else:
+        no_library.parent.mkdir(exist_ok=True)
+        no_library.write_text("a file where the cache directory would be")
+    assert _outcome(solve_ode, problem, t_eval) == want
+    assert native._library(_rhs_c_source(), 4) is None
+    if host != "unwritable-cache":
+        # a failed build leaves no temporary files behind
+        assert not no_library.exists() or not any(no_library.joinpath("sqzq").iterdir())
+
+
+def _cached_library() -> Path:
+    """The library file of the session's cache, built if need be."""
+    native._library(_rhs_c_source(), 4)
+    (path,) = Path(native._cache_dir()).glob("dop853-*.so")
+    return path
+
+
+def test_a_second_load_compiles_nothing(monkeypatch, library):
+    path = _cached_library()
+    runs = []
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: runs.append(args))
+    native._library.cache_clear()
+    assert native._library(_rhs_c_source(), 4) is not None
+    assert runs == []
+    assert native._intact(str(path))
+
+
+def test_a_truncated_library_is_never_loaded(monkeypatch, library, tmp_path):
+    source = _cached_library()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    tmp_path.joinpath("sqzq").mkdir()
+    target = tmp_path / "sqzq" / source.name
+    target.write_bytes(source.read_bytes()[:-1000])
+    # the file name alone would match; the builds fail, so the truncated file
+    # is the only library there is
+    loads = []
+
+    def failing_build(*args, **kwargs):
+        raise subprocess.CalledProcessError(1, args[0])
+
+    monkeypatch.setattr(subprocess, "run", failing_build)
+    monkeypatch.setattr(native.ctypes, "CDLL", lambda *args, **kwargs: loads.append(args))
+    native._library.cache_clear()
+    assert native._library(_rhs_c_source(), 4) is None
+    problem = _launch()
+    assert _outcome(solve_ode, problem, None) == _outcome(solve_ode, replace(problem, compiled=None), None)
+    assert loads == []
+
+
+def test_a_library_is_checked_once_per_model(monkeypatch, library):
+    checks = []
+    rhs = library.dll.sqzq_rhs
+
+    def counting(*args):
+        checks.append(args[1])
+        rhs(*args)
+
+    library.dll.sqzq_rhs = counting
+    for problem in (_launch((0.75, 0.75)), _launch((1.75, 1.25)), _launch(vbar1=3.0), _launch(vbar1=3.0)):
+        solve_ode(problem)
+    # fig6a and fig6c share a model; vbar1 = 3 is a second one
+    assert checks == [81, 81]
+    assert not library.differs
+
+
+def test_a_library_that_differs_in_one_bit_is_not_used(monkeypatch, library):
+    # a libm whose erfc or exp is not math's would differ like this: the last
+    # bit of one acceleration at one probe
+    rhs = library.dll.sqzq_rhs
+
+    def off_by_one_ulp(c, m, ys, out):
+        rhs(c, m, ys, out)
+        value = (ctypes.c_double * (4 * m)).from_address(out)
+        value[4 * (m // 2) + 2] = math.nextafter(value[4 * (m // 2) + 2], math.inf)
+
+    library.dll.sqzq_rhs = off_by_one_ulp
+    for problem in (_launch((1.75, 1.25)), _launch(vbar1=3.0)):
+        want = _outcome(solve_ode, replace(problem, compiled=None), None)
+        assert _outcome(solve_ode, problem, None) == want
+    assert library.differs
+
+
+_FRESH_PROCESS = """
+import json, sys
+import numpy
+loaded = {"ctypes-by-numpy": "ctypes" in sys.modules}
+import sqzq
+from sqzq import cli
+def modules():
+    return {name: name in sys.modules for name in ("ctypes", "subprocess", "sqzq.native")}
+steps = [modules()]
+for argv in json.loads(sys.argv[1]):
+    steps.append((cli.main(argv), modules()))
+print(json.dumps([loaded, steps]))
+"""
+
+
+def test_import_and_a_classical_run_load_no_library(tmp_path):
+    # numpy itself imports ctypes; sqzq adds no module of the loader, builds
+    # nothing and writes no cache until a semiclassical solve
+    cache = tmp_path / "cache"
+    argv = [["simulate", "--preset", "fig4b", "--out", str(tmp_path)]]
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_PROCESS, json.dumps(argv)], capture_output=True, text=True,
+        env={**os.environ, "XDG_CACHE_HOME": str(cache)},
+    )
+    assert out.returncode == 0, out.stderr
+    loaded, (after_import, (code, after_run)) = json.loads(out.stdout.splitlines()[-1])
+    numpy_ctypes = loaded["ctypes-by-numpy"]
+    assert after_import == {"ctypes": numpy_ctypes, "subprocess": False, "sqzq.native": False}
+    assert code == 0
+    assert after_run == after_import
+    assert not cache.exists()

@@ -6,8 +6,10 @@ algebra under test.  Dynamics are checked against the exact free solution,
 analytic libration amplitudes, and conservation of the relevant energy.
 """
 
+import itertools
 import linecache
 import math
+import shutil
 import traceback
 
 import numpy as np
@@ -19,6 +21,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import sqzq.pdm as pdm_module
+from sqzq import native
 from sqzq.cli import _quad_moment_1d
 from sqzq.errors import ConfigError, NonFiniteState, OutsideBox
 from sqzq.numerics import OdeSolution, solve_ode
@@ -49,6 +52,8 @@ from sqzq.pdm import (
     _generated_rhs,
     _kinetic_coeffs,
     _mode_pieces,
+    _motion_constants,
+    _rhs_c_source,
     _trace,
     _veff_pieces,
 )
@@ -606,6 +611,78 @@ def test_generated_rhs_holds_its_bits_over_the_fuzzed_model_scales():
     assert 0.05 * total < finite < 0.5 * total
 
 
+@pytest.fixture
+def compiled_library():
+    """The solver library of the semiclassical right-hand side; a host
+    without a C compiler skips, a host with one must build it."""
+    lib = native._library(_rhs_c_source(), 4)
+    if lib is None:
+        assert not (shutil.which("cc") or shutil.which("gcc")), "a C compiler is on PATH, but no library"
+        pytest.skip("no C compiler on PATH")
+    return lib
+
+
+def _assert_compiled_bits(lib, model, modes, states) -> int:
+    """The states at which the compiled right-hand side gives the generated
+    Python one's bits, as it must at all; returns how many are finite."""
+    scales, kin = _both_scales(model, modes), _kinetic_coeffs(modes)
+    constants = np.array(_motion_constants(model, scales, kin))
+    ys = np.array(states, dtype=float)
+    out = np.empty_like(ys)
+    lib.dll.sqzq_rhs(constants.ctypes.data, len(ys), ys.ctypes.data, out.ctypes.data)
+    generated = _equations_of_motion(model, scales, kin)
+    finite = 0
+    for y, got in zip(states, out.tolist()):
+        want = generated(0.0, y)
+        # float.hex tells -0.0 from 0.0 and writes every NaN as nan
+        assert [v.hex() for v in got] == [v.hex() for v in want], (model, y)
+        finite += all(map(math.isfinite, want))
+    return finite
+
+
+def test_compiled_rhs_gives_the_python_bits_over_random_models(compiled_library):
+    # one library for every model: its constants are arguments.  Each model
+    # parameter is drawn from 1e-300..1e300 or from [0.1, 10], the squeezing
+    # at random, and the states inside and far outside the box, where the
+    # windows underflow and a zero divisor makes the accelerations NaN
+    rng = np.random.default_rng(33)
+    finite = total = 0
+    for _ in range(40):
+        wide = rng.random(5) < 0.2
+        model = PdmModel(*np.where(wide, 10.0 ** rng.uniform(-300.0, 300.0, 5),
+                                   10.0 ** rng.uniform(-1.0, 1.0, 5)).tolist())
+        tau1, tau2 = rng.uniform(-0.95, 0.95, 2).tolist()
+        lam1, lam2, hbar = (10.0 ** rng.uniform(-0.5, 0.5, 3)).tolist()
+        modes = TwoModeParams.from_tau(tau1, tau2, lam1=lam1, lam2=lam2, hbar=hbar)
+        states = _random_states(rng, _both_scales(model, modes), 1500) + [[50.0, 50.0, 1.0, 1.0]]
+        finite += _assert_compiled_bits(compiled_library, model, modes, states)
+        total += len(states)
+    assert 0.2 * total < finite < 0.9 * total
+
+
+@pytest.mark.parametrize("model", [
+    PRESETS["fig6a"].model,
+    PdmModel(m0=1e-300, lambda1=1e200, lambda2=1e-200, vbar1=0.0, vbar2=1e300),
+], ids=["fig6", "extreme"])
+def test_compiled_rhs_gives_the_python_bits_at_special_floats(compiled_library, model):
+    # signed zeros, subnormals, huge values, infinities and NaN in every
+    # component, 1 800 of the 12^4 combinations
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, math.inf, -math.inf, math.nan,
+               0.3, -1.7]
+    states = [list(y) for y in itertools.product(special, repeat=4)]
+    picked = np.random.default_rng(1800).choice(len(states), 1800, replace=False)
+    _assert_compiled_bits(compiled_library, model, PRESETS["fig6a"].modes, [states[k] for k in picked])
+
+
+def test_compiled_rhs_is_one_source_for_every_model():
+    # the constants are the C function's arguments c[0..20], never literals
+    src = _rhs_c_source()
+    assert _rhs_c_source() is src
+    assert src.count("c[") > 21 and "c[20]" in src and "c[21]" not in src
+    assert "0x1.5555555555555p-1" not in src  # fig6a's wall 2/3
+    assert "fabs(" in src and "abs(" not in src.replace("fabs(", "")
+
+
 def test_generated_rhs_tracebacks_show_its_source():
     # linecache keeps no copy of the source: clearing it must not lose the lines
     model, modes = _fig6_pair()
@@ -886,3 +963,23 @@ def test_fig6a_steps_match_the_scipy_dop853_oracle(monkeypatch, run_preset):
     # other than numpy's moves every later step end
     assert steps.t.shape == ref.sol.ts.shape
     assert np.max(np.abs(steps.t - ref.sol.ts)) <= 1e-6
+
+
+class TestOnThePythonKernels:
+    """The semiclassical trajectory tests above with the compiled form
+    removed, so the Python kernels, which a host without a C compiler runs,
+    keep being held to the same checks."""
+
+    @pytest.fixture(autouse=True)
+    def _python_kernels(self, monkeypatch):
+        monkeypatch.setattr(pdm_module, "_compiled_rhs", lambda *args: None)
+
+    test_semiclassical_bounded_runs = staticmethod(test_semiclassical_bounded_runs)
+    test_semiclassical_escape = staticmethod(test_semiclassical_escape)
+    test_semiclassical_initial_momenta = staticmethod(test_semiclassical_initial_momenta)
+    test_semiclassical_reduces_to_classical = staticmethod(test_semiclassical_reduces_to_classical)
+    test_semiclassical_rejects_degenerate_start = staticmethod(test_semiclassical_rejects_degenerate_start)
+    test_bounded_trajectory_avoids_forbidden_region = staticmethod(test_bounded_trajectory_avoids_forbidden_region)
+    test_trajectory_reports_the_solver_rhs_count = staticmethod(test_trajectory_reports_the_solver_rhs_count)
+    test_trajectories_match_the_scipy_dop853_oracle = staticmethod(test_trajectories_match_the_scipy_dop853_oracle)
+    test_fig6a_steps_match_the_scipy_dop853_oracle = staticmethod(test_fig6a_steps_match_the_scipy_dop853_oracle)
