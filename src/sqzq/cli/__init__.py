@@ -120,219 +120,42 @@ class RunConfig:
 # ----------------------------------------------------------------------
 # CSV text
 #
-# Every number goes out as '%.17g' spells it, but the text is built in numpy,
-# a chunk of cells at a time, instead of by one '%' conversion per cell.  A
-# cell is laid out in a row of _CELL bytes -- a sign, a 22-byte mantissa
-# area, a 4-byte exponent area and a separator -- with NUL in every byte it
-# does not use, and one boolean gather of a chunk's nonzero bytes gives its
-# text.
+# Every number goes out as '%.17g' spells it.  A block of _LIBRARY_CELLS
+# numbers or more is written by the compiled CSV writer (``native.csv``); a
+# smaller block, or any block where no library loads, by one '%' row template.
 
-_CELL = 28
-# cells per chunk: the chunk's byte matrix (28 bytes a cell) stays below
-# glibc's 128 KB mmap threshold, so it is not mapped afresh for every chunk
-_CHUNK_CELLS = 4096
-# below this many numbers, a block's hundred-odd numpy calls take longer than
-# '%' on every one (0.3-1 us a number)
-_NUMPY_CELLS = 512
-_U64 = np.uint64
-_LOW32 = _U64(0xFFFFFFFF)
-_TEN16 = _U64(10**16)
-_TEN17 = _U64(10**17)
-_TEN8 = _U64(10**8)
-_TEN4 = _U64(10**4)
-_HALF = _U64(2**63)
-_ZERO_POINT = np.frombuffer(b"0.000", np.uint8)
+# a block below this many numbers goes to '%' (0.3-1 us a number), so a
+# process whose blocks are all as small, as one-mode quantise's 81 x 4, never
+# pays the library's load (5-8 ms warm, about 3 ms of it importing hashlib)
+_LIBRARY_CELLS = 512
 
 
-@lru_cache(maxsize=1)
-def _digit_tables():
-    """The ASCII of every four-digit quad '0000'..'9999' as one uint32, then
-    the same with its trailing '0's as NUL ('0000' all NUL), and 5^k for
-    k = 0..27, the powers below 2^63.  Built at the first numpy-written block
-    of a process, not at import."""
-    # small dtypes keep every temporary under the mmap threshold, so the
-    # build does not raise the process's peak memory
-    q = np.arange(10_000, dtype=np.int16)
-    quads = np.empty((2, 10_000, 4), np.uint8)
-    quads[0] = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1) + ord("0")
-    # a digit is a trailing zero when it and every digit after it are '0'
-    trailing = np.logical_and.accumulate(quads[0, :, ::-1] == ord("0"), axis=1)[:, ::-1]
-    quads[1] = np.where(trailing, 0, quads[0])
-    pow5 = np.array([5**k for k in range(28)], dtype=np.uint64)
-    return quads.view(np.uint32).reshape(-1), pow5
+def _csv(header: str, columns) -> bytes:
+    """CSV bytes: the header, then one line per row of ``columns``, every
+    number as '%.17g' writes it, integers as floats."""
+    values = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+    head = (header + "\n").encode("ascii")
+    if values.size >= _LIBRARY_CELLS:
+        # loaded at the first large block of a process, not at import
+        from .. import native
+
+        text = native.csv(head, values)
+        if text is not None:
+            return text
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return head + ((row * len(values)) % tuple(values.ravel().tolist())).encode("ascii")
 
 
-def _scaled(m, e2, X, pow5):
-    """floor(m 2^e2 10^(16 - X)) and whether it rounds up to nearest, ties to
-    even, for 53-bit m and shifts 2^-(e2 + 16 - X) between 2^-1 and 2^-63.
-
-    The product m 5^k (k = 16 - X <= 27, so 5^k < 2^63) is exact in 128
-    bits, built from 32-bit halves in uint64; the shift, its floor and the
-    remainder against one half are then exact too."""
-    k = 16 - X
-    f = pow5[k]
-    s = (-(e2 + k)).astype(np.uint64)
-    mh, ml = m >> _U64(32), m & _LOW32
-    fh, fl = f >> _U64(32), f & _LOW32
-    lo = ml * fl
-    mid = mh * fl + ml * fh
-    carry = (lo >> _U64(32)) + (mid & _LOW32)
-    low = (carry << _U64(32)) | (lo & _LOW32)
-    high = mh * fh + (mid >> _U64(32)) + (carry >> _U64(32))
-    t = _U64(64) - s
-    floor = (high << t) | (low >> s)
-    # the remainder's s bits on top of a word, against one half, 2^63; a tie
-    # rounds up only an odd floor, and the odd bit cannot carry out
-    up = (low << t) + (floor & _U64(1)) > _HALF
-    return floor, up
-
-
-def _cells(x) -> np.ndarray:
-    """Each float64 of ``x`` as '%.17g' writes it, as an (n, _CELL) byte
-    matrix with NUL in the bytes a cell does not use and the separator column
-    left to the caller.
-
-    Exactness.  A nonzero x with 10^-11 <= |x| < 10^15 is m 2^e2 with a 53-bit
-    m; for its decimal exponent X (10^X <= |x| < 10^(X + 1)), |x| 10^(16 - X)
-    lies in [10^16, 10^17), and ``_scaled`` gives its floor and the rounding
-    bit exactly, with 16 - X in [2, 27] as 5^(16 - X) < 2^63 needs.  X starts
-    from floor(log10|x|), which may be one off next to a power of ten; where
-    the floor leaves [10^16, 10^17) X moves by one and the cell is scaled
-    again.  The 17 digits N are then those of the correctly rounded decimal,
-    with ties to even as in David Gay's dtoa, which '%' runs.  N never rounds
-    up to 10^17: only the largest double below a decade could, and for the
-    decades 10^-10..10^15 each of those keeps 17 digits below it.  '%g'
-    writes the digits without their trailing zeros, fixed for -4 <= X < 17
-    and as d.ddde-XX below, as laid out here.  Zero and -0.0 are '0' and '-0'.
-
-    Fallback.  Every other cell -- non-finite, subnormal, |x| < 10^-11 or
-    |x| >= 10^15 -- is written by '%' itself, all of a call's such cells by
-    one left-justified template into the same matrix.
-    """
-    quads, pow5 = _digit_tables()
-    n = x.size
-    a = np.abs(x)
-    fast = (a >= 1e-11) & (a < 1e15)
-    y = np.where(fast, a, 1.0)
-    bits = y.view(np.uint64)
-    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
-    e2 = (bits >> _U64(52)).astype(np.intp) - 1075
-    X = np.clip(np.floor(np.log10(y)), -11, 14).astype(np.intp)
-    floor, up = _scaled(m, e2, X, pow5)
-    below, above = floor < _TEN16, floor >= _TEN17
-    moved = np.flatnonzero(below | above)
-    if moved.size:
-        X[moved] += above[moved].astype(np.intp) - below[moved]
-        # 1e-11 itself is below 10^-11, so its exponent is -12
-        inside = X[moved] >= -11
-        fast[moved[~inside]] = False
-        moved = moved[inside]
-        floor[moved], up[moved] = _scaled(m[moved], e2[moved], X[moved], pow5)
-    N = np.where(fast, floor + up, _U64(0))
-    X[~fast] = 0
-
-    # the 17 digits: a lead digit and four quads, each quad with its trailing
-    # '0's as NUL when every quad after it is '0000'
-    lead = N // _TEN16
-    rest = N - lead * _TEN16
-    hi8 = rest // _TEN8
-    lo8 = rest - hi8 * _TEN8
-    q0 = (hi8 // _TEN4).astype(np.intp)
-    q1 = hi8.astype(np.intp) - q0 * 10_000
-    q2 = (lo8 // _TEN4).astype(np.intp)
-    q3 = lo8.astype(np.intp) - q2 * 10_000
-    last3 = q3 == 0
-    last2 = last3 & (q2 == 0)
-    last1 = last2 & (q1 == 0)
-    words = np.empty((n, 5), np.uint32)
-    words[:, 1] = quads[q0 + 10_000 * last1]
-    words[:, 2] = quads[q1 + 10_000 * last2]
-    words[:, 3] = quads[q2 + 10_000 * last3]
-    words[:, 4] = quads[q3 + 10_000]
-    digits = words.view(np.uint8)
-    digits[:, 3] = lead.astype(np.uint8) + ord("0")
-
-    # lay each exponent group out by slice copies, in X order; a stripped
-    # digit is NUL, so '.' goes in only before a digit that is not
-    order = np.argsort(X.astype(np.int8), kind="stable")
-    ordered = np.take(digits.view("V20").reshape(n), order).view(np.uint8).reshape(n, 20)[:, 3:]
-    area = np.zeros((n, _CELL), np.uint8)
-    counts = np.bincount(X + 11)
-    stops = np.cumsum(counts)
-    for g in np.flatnonzero(counts).tolist():
-        i, j = stops[g] - counts[g], stops[g]
-        g -= 11
-        d, out = ordered[i:j], area[i:j, 1:-1]
-        if -4 <= g < 0:
-            out[:, : 1 - g] = _ZERO_POINT[: 1 - g]
-            out[:, 1 - g : 18 - g] = d
-            continue
-        p = max(g, 0)
-        # an integer's own trailing zeros are digits
-        np.maximum(d[:, : p + 1], ord("0"), out=out[:, : p + 1])
-        out[:, p + 1] = (d[:, p + 1] != 0) * ord(".")
-        out[:, p + 2 : 18] = d[:, p + 1 :]
-        if g < -4:
-            out[:, 22:] = np.frombuffer(b"e-%02d" % -g, np.uint8)
-    cells = np.empty((n, _CELL), np.uint8)
-    cells.view("V28").reshape(n)[order] = area.view("V28").reshape(n)
-    cells[:, 0] = np.signbit(x) * ord("-")
-
-    slow = np.flatnonzero(~fast & (a != 0.0))
-    if slow.size:
-        text = ("%-27.17g" * slow.size) % tuple(x[slow].tolist())
-        spelt = text.encode("ascii").replace(b" ", b"\0")
-        cells[slow, :-1] = np.frombuffer(spelt, np.uint8).reshape(slow.size, _CELL - 1)
-    return cells
-
-
-def _csv(header: str, columns) -> str:
-    """CSV text: the header, then one line per row of ``columns``.
-
-    A column is an array of numbers, or an (axis, index) pair whose row r
-    holds axis[index[r]]; each axis value is formatted once, and its bytes
-    are repeated.  At least one column is an array.  Every number is written
-    as '%.17g' writes it, integers as floats: zeros and 10^-11 <= |x| < 10^15
-    from exact integer arithmetic in numpy (``_cells`` gives the argument),
-    the rest -- non-finite, subnormal, |x| < 10^-11, |x| >= 10^15 -- by '%'.
-    A block of fewer than _NUMPY_CELLS numbers and no axis is one '%' row
-    template."""
-    width = len(columns)
-    shared = {j: (_cells(np.asarray(c[0], dtype=np.float64)), np.asarray(c[1]))
-              for j, c in enumerate(columns) if isinstance(c, tuple)}
-    own = [j for j in range(width) if j not in shared]
-    values = np.column_stack([np.asarray(columns[j], dtype=np.float64) for j in own])
-    if not shared and values.size < _NUMPY_CELLS:
-        row = ",".join(["%.17g"] * width) + "\n"
-        return header + "\n" + (row * len(values)) % tuple(values.ravel().tolist())
-    step = max(1, _CHUNK_CELLS // width)
-    parts = [header + "\n"]
-    for r0 in range(0, len(values), step):
-        r1 = min(len(values), r0 + step)
-        cells = _cells(values[r0:r1].ravel()).reshape(r1 - r0, len(own), _CELL)
-        if shared:
-            grid = np.empty((r1 - r0, width, _CELL), np.uint8)
-            grid[:, own] = cells
-            for j, (axis, index) in shared.items():
-                grid[:, j] = axis[index[r0:r1]]
-            cells = grid
-        cells[:, :, -1] = ord(",")
-        cells[:, -1, -1] = ord("\n")
-        flat = cells.reshape(-1)
-        parts.append(flat[flat != 0].tobytes().decode("ascii"))
-    return "".join(parts)
-
-
-def _write_text(out_dir: str, name: str, text: str) -> str:
+def _write(out_dir: str, name: str, data: bytes) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(path, "wb") as fh:
+        fh.write(data)
     return path
 
 
 def _write_json(out_dir: str, name: str, payload) -> str:
-    return _write_text(out_dir, name, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return _write(out_dir, name, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -469,11 +292,7 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     if not np.all(np.isfinite(values)):
         raise NonFiniteState(f"the {field} portrait is not finite on the grid")
 
-    # each axis value is formatted once, not once per grid point
-    n1, n2 = values.shape
-    q1 = (q1_axis, np.repeat(np.arange(n1), n2))
-    q2 = (q2_axis, np.tile(np.arange(n2), n1))
-    path = _write_text(args.out, f"portrait_{field}.csv", _csv("q1,q2,value", [q1, q2, values.ravel()]))
+    path = _write(args.out, f"portrait_{field}.csv", _csv("q1,q2,value", [g1.ravel(), g2.ravel(), values.ravel()]))
     print(path)
     return 0
 
@@ -548,7 +367,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         )
 
     columns = (tr.t, tr.q[:, 0], tr.q[:, 1], tr.p[:, 0], tr.p[:, 1], tr.energy)
-    csv_path = _write_text(args.out, f"{name}.csv", _csv("t,q1,q2,p1,p2,E", columns))
+    csv_path = _write(args.out, f"{name}.csv", _csv("t,q1,q2,p1,p2,E", columns))
     json_path = _write_json(args.out, f"{name}_summary.json", summary)
     print(csv_path)
     print(json_path)
@@ -1044,7 +863,7 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
     # integer indices print as integers under %.17g
     row, col = np.indices(mat.shape)
     columns = (row.ravel(), col.ravel(), mat.real.ravel(), mat.imag.ravel())
-    csv_path = _write_text(args.out, f"quantise_{fn}.csv", _csv("row,col,re,im", columns))
+    csv_path = _write(args.out, f"quantise_{fn}.csv", _csv("row,col,re,im", columns))
     report = {
         "basis": op.basis,
         "dimension": int(mat.shape[0]),

@@ -1,10 +1,11 @@
-"""``solve_ode`` in C: the DOP853 driver and its kernels around a problem's
-compiled right-hand side, built once into a shared library and loaded with
-ctypes.
+"""Compiled C for the two hot loops that have one: ``solve_ode``'s DOP853
+driver around a problem's right-hand side (the library ``dop853``), and the
+CSV writer (``csv``).  One loader, ``_library``, builds each into a cached
+shared library and loads it with ctypes.
 
-The C makes the Python kernels' float operations in their order.  The
-kernels are emitted from the same tableau sums (``numerics._sum_code`` and
-``numerics._guard_code``, with hexadecimal literals), and the driver
+The solver's C makes the Python kernels' float operations in their order.
+The kernels are emitted from the same tableau sums (``numerics._sum_code``
+and ``numerics._guard_code``, with hexadecimal literals), and the driver
 (``_DRIVER``) is ``numerics._python_steps`` and ``numerics._initial_step``
 statement for statement.  Python's ``min(a, b)`` is written
 ``b < a ? b : a`` and ``max(a, b)`` ``b > a ? b : a``, which pick what they
@@ -13,25 +14,35 @@ for NaN as in Python.  Compiled without contraction or fast math
 (``_FLAGS``), every operation rounds as Python's does, so a trajectory has
 the Python kernels' bits and the same step counts.
 
-The library is cached in ``${XDG_CACHE_HOME:-~/.cache}/sqzq/``, named by the
-sha256 of its C source and the compiler command: a new source or compiler
-gives a new file, and no file goes stale.  It is written under a temporary
-name and moved into place, and it ends with the sha256 of its other bytes,
-so a truncated or damaged file is rebuilt and never loaded.  Without a C
-compiler (``cc`` or ``gcc`` on PATH), with an unwritable cache or a failing
-build, ``steps`` returns None and the solver runs its Python kernels.
+The CSV writer (``_CSV_SOURCE``) spells each float64 as '%.17g' does, from
+exact integer arithmetic where 1e-11 <= |x| < 1e15 and from glibc's exact
+'%.16e' digits elsewhere; ``csv`` gives a block's bytes.
 
-Before a library runs a model for the first time in a process, its
-right-hand side must give the Python one's bits (NaN payloads aside) at the
-problem's probe states, and its ``pow`` Python's at fixed arguments.  A libm
-whose ``erfc``, ``exp`` or ``pow`` is not the one ``math`` calls would fail
-that, and a library that fails it once is not used again in the process.
+Both libraries share one cache, ``${XDG_CACHE_HOME:-~/.cache}/sqzq/``.  A
+library is ``<name>-<sha256>.so``, named by the sha256 of its C source and
+the compiler command: a new source or compiler gives a new file, and no file
+goes stale.  It is written under a temporary name and moved into place, and
+it ends with the sha256 of its other bytes, so a truncated or damaged file is
+rebuilt and never loaded.  A build that fails leaves
+``<name>-<sha256>.failed``, and no later process runs the compiler on that
+source and command again.  Without a C compiler (``cc`` or ``gcc`` on PATH),
+with an unwritable cache or a failing build, ``steps`` and ``csv`` return
+None and their callers run the Python code.
+
+Before a library is used, its output must be Python's.  The CSV writer must
+write a fixed probe block (``_probe``) byte for byte as '%' does, once per
+process.  The solver's ``pow`` must give Python's at fixed arguments, and,
+before it runs a model for the first time in a process, its right-hand side
+the Python one's bits (NaN payloads aside) at the problem's probe states.  A
+libm whose ``erfc``, ``exp`` or ``pow`` is not the one ``math`` calls would
+fail that, and a library that fails once is not used again in the process.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 from functools import lru_cache
@@ -248,9 +259,10 @@ void sqzq_free(double *rows)
 """
 
 
+@lru_cache(maxsize=None)
 def _library_source(rhs_source: str, n: int) -> str:
     """The whole C source: the right-hand side, the kernels and the driver on
-    n-component states."""
+    n-component states.  Emitted once: every solve asks for it."""
     defines = {
         "N": n, "W": "(2 + 8 * N + 1)", "CHUNK": _CHUNK,
         "SAFETY": float.hex(numerics._SAFETY), "MIN_FACTOR": float.hex(numerics._MIN_FACTOR),
@@ -261,6 +273,177 @@ def _library_source(rhs_source: str, n: int) -> str:
         + "".join(f"#define {name} {value}\n" for name, value in defines.items()) + "\n"
         + rhs_source + "\n" + _kernels_source(n) + _DRIVER
     )
+
+
+# the bytes a cell and its separator take at most (see ``cell``)
+_CELL_BYTES = 25
+
+# One row of the block is a line, its cells separated by ','.  A value
+# 1e-11 <= |x| < 1e15 is m 2^e2 (``digits``): its 17 digits are the scaled
+# m 5^k, shifted and rounded on the exact remainder in 128 bits, ties to even
+# as in David Gay's dtoa, which '%' runs.  'nan', 'inf', '-inf', '0' and '-0'
+# are spelt as Python spells them.
+_CSV_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
+
+/* the ASCII of 00, 01, ..., 99 */
+static const char PAIRS[201] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* 5^k for k = 0..27, the powers below 2^63 */
+static const uint64_t POW5[28] = {
+    1ull, 5ull, 25ull, 125ull, 625ull, 3125ull, 15625ull, 78125ull, 390625ull, 1953125ull,
+    9765625ull, 48828125ull, 244140625ull, 1220703125ull, 6103515625ull, 30517578125ull,
+    152587890625ull, 762939453125ull, 3814697265625ull, 19073486328125ull, 95367431640625ull,
+    476837158203125ull, 2384185791015625ull, 11920928955078125ull, 59604644775390625ull,
+    298023223876953125ull, 1490116119384765625ull, 7450580596923828125ull,
+};
+
+#define TEN16 10000000000000000ull
+#define TEN17 100000000000000000ull
+
+/* the eight decimal digits of v < 10^8 at d */
+static void eight(char *d, uint32_t v)
+{
+    const uint32_t a = v / 10000, b = v % 10000;
+    memcpy(d, PAIRS + 2 * (a / 100), 2);
+    memcpy(d + 2, PAIRS + 2 * (a % 100), 2);
+    memcpy(d + 4, PAIRS + 2 * (b / 100), 2);
+    memcpy(d + 6, PAIRS + 2 * (b % 100), 2);
+}
+
+/* The 17 significant digits of a > 0 (finite) as '%.17g' rounds them, at d;
+   returns their decimal exponent X, the first digit's place.
+
+   For 1e-11 <= a < 1e15, a = m 2^e2 with a 53-bit m, and the digits are
+   N = a 10^(16 - X) rounded to an integer, ties to even.  With k = 16 - X in
+   [2, 27], m 5^k < 2^116 is exact in 128 bits, and N is its shift by
+   s = -(e2 + k) bits, between 1 and 63, rounded on the exact remainder.  X
+   starts at floor(log10 2^E) for a's binary exponent E, one below the true
+   X at most, and moves up where N reaches 10^17.  Other values take their
+   digits from snprintf's '%.16e', which glibc rounds exactly too. */
+static int digits(double a, char *d)
+{
+    if (a >= 1e-11 && a < 1e15) {
+        uint64_t bits;
+        memcpy(&bits, &a, sizeof bits);
+        const uint64_t m = (bits & ((1ull << 52) - 1)) | (1ull << 52);
+        const int e2 = (int)(bits >> 52) - 1075;
+        int X = ((e2 + 52) * 78913) >> 18;
+        if (X < -11)
+            X = -11;
+        for (;;) {
+            const int k = 16 - X, s = -(e2 + k);
+            const unsigned __int128 p = (unsigned __int128)m * POW5[k];
+            const uint64_t floor = (uint64_t)(p >> s);
+            if (floor >= TEN17) {
+                X++;
+                continue;
+            }
+            if (floor >= TEN16) {
+                const unsigned __int128 half = (unsigned __int128)1 << (s - 1);
+                const unsigned __int128 rem = p & ((half << 1) - 1);
+                uint64_t n = floor + (rem > half || (rem == half && (floor & 1)));
+                if (n == TEN17) {
+                    n = TEN16;
+                    X++;
+                }
+                const uint64_t high = n / 100000000;
+                d[0] = (char)('0' + high / 100000000);
+                eight(d + 1, (uint32_t)(high % 100000000));
+                eight(d + 9, (uint32_t)(n % 100000000));
+                return X;
+            }
+            break; /* below 10^-11 after all */
+        }
+    }
+    char text[32];
+    snprintf(text, sizeof text, "%.16e", a);
+    d[0] = text[0];
+    memcpy(d + 1, text + 2, 16);
+    int X = 0;
+    for (const char *e = text + 20; *e; e++)
+        X = 10 * X + (*e - '0');
+    return text[19] == '-' ? -X : X;
+}
+
+/* x as '%.17g' writes it, at out; returns its length, at most 24 bytes: a
+   sign, then "0.000" and 17 digits, or d.dddddddddddddddde-308 */
+static int cell(double x, char *out)
+{
+    char *o = out;
+    if (isnan(x)) {
+        memcpy(o, "nan", 3);
+        return 3;
+    }
+    if (signbit(x)) {
+        *o++ = '-';
+        x = -x;
+    }
+    if (x == 0) {
+        *o++ = '0';
+        return (int)(o - out);
+    }
+    if (isinf(x)) {
+        memcpy(o, "inf", 3);
+        return (int)(o - out) + 3;
+    }
+    char d[17];
+    const int X = digits(x, d);
+    int nd = 17;
+    while (nd > 1 && d[nd - 1] == '0')
+        nd--;
+    if (X >= 0 && X < 17) {
+        memcpy(o, d, X + 1);
+        o += X + 1;
+        if (nd > X + 1) {
+            *o++ = '.';
+            memcpy(o, d + X + 1, nd - X - 1);
+            o += nd - X - 1;
+        }
+    } else if (X < 0 && X >= -4) {
+        memcpy(o, "0.000", 1 - X);
+        o += 1 - X;
+        memcpy(o, d, nd);
+        o += nd;
+    } else {
+        *o++ = d[0];
+        if (nd > 1) {
+            *o++ = '.';
+            memcpy(o, d + 1, nd - 1);
+            o += nd - 1;
+        }
+        *o++ = 'e';
+        *o++ = X < 0 ? '-' : '+';
+        const int e = X < 0 ? -X : X;
+        if (e >= 100)
+            *o++ = (char)('0' + e / 100);
+        memcpy(o, PAIRS + 2 * (e % 100), 2);
+        o += 2;
+    }
+    return (int)(o - out);
+}
+
+/* The rows x[r cols .. r cols + cols - 1] as CSV lines at out, which holds
+   25 bytes a cell; returns the bytes written. */
+int64_t sqzq_csv(const double *x, int64_t rows, int64_t cols, char *out)
+{
+    char *o = out;
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t j = 0; j < cols; j++) {
+            o += cell(*x++, o);
+            *o++ = j + 1 < cols ? ',' : '\n';
+        }
+    return o - out;
+}
+"""
 
 
 def _cache_dir() -> str:
@@ -292,7 +475,7 @@ def _build(command: list, source: str, path: str) -> bool:
     try:
         os.makedirs(folder, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=folder, prefix=".build-") as tmp:
-            c_file, so = os.path.join(tmp, "dop853.c"), os.path.join(tmp, "dop853.so")
+            c_file, so = os.path.join(tmp, "library.c"), os.path.join(tmp, "library.so")
             with open(c_file, "w", encoding="utf-8") as fh:
                 fh.write(source)
             subprocess.run([*command, "-o", so, c_file, "-lm"], check=True, capture_output=True, timeout=300)
@@ -306,25 +489,62 @@ def _build(command: list, source: str, path: str) -> bool:
     return True
 
 
-class _Library:
-    """A loaded library, and whether its bits were found to be Python's."""
+def _pow_differs(dll) -> bool:
+    return any(float.hex(dll.sqzq_pow(x, y)) != float.hex(x**y) for x, y in _POWERS)
 
-    def __init__(self, path: str):
+
+def _probe() -> list:
+    """The CSV writer's check block: every decade its exact path spans, a
+    few beyond it and the first with three exponent digits, each with its
+    neighbours; ties of the 18th digit (odd j 2^-p with 18 significant
+    digits, the last a 5), rounded up and down; subnormals and the float
+    range's ends; NaN, the infinities and both zeros; and the widest cells.
+    Each value also appears negated."""
+    values = []
+    for e in (-100, *range(-13, 18), 99, 100):
+        decade = float(f"1e{e}")
+        values += [decade, math.nextafter(decade, 0.0), math.nextafter(decade, math.inf)]
+    for p in (2, 7, 13, 19, 25):
+        j = -(-10**17 // 5**p) | 1
+        values += [math.ldexp(j, -p), math.ldexp(j + 2, -p)]
+    values += [5e-324, 2.5e-310, 2.0**-1022, math.nextafter(2.0**-1022, 0.0), 1.7976931348623157e308,
+               1.2345678901234567e-308, 0.00012345678901234567, 0.1, 1.0 / 3.0, 2.0**53 + 2.0]
+    values += [-v for v in values]
+    return values + [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+def _probe_differs(dll) -> bool:
+    values = np.array(_probe()).reshape(-1, 1)
+    want = ("%.17g\n" * len(values)) % tuple(values.ravel().tolist())
+    return _written(dll, b"", values) != want.encode("ascii")
+
+
+# what ``_library`` sets up in a library of each name: the argument and
+# result types of its functions, and the check that its output is Python's
+_DOUBLE, _PTR, _I64 = ctypes.c_double, ctypes.c_void_p, ctypes.c_int64
+_KINDS = {
+    "dop853": ({
+        "sqzq_solve": ([_PTR, _DOUBLE, _DOUBLE, _PTR, _DOUBLE, _DOUBLE, _DOUBLE, _I64, _PTR, _PTR,
+                        ctypes.POINTER(ctypes.POINTER(_DOUBLE))], ctypes.c_int),
+        "sqzq_rhs": ([_PTR, _I64, _PTR, _PTR], None),
+        "sqzq_pow": ([_DOUBLE, _DOUBLE], _DOUBLE),
+        "sqzq_free": ([_PTR], None),
+    }, _pow_differs),
+    "csv": ({"sqzq_csv": ([_PTR, _I64, _I64, _PTR], _I64)}, _probe_differs),
+}
+
+
+class _Library:
+    """A loaded library, and whether its output was found to be Python's."""
+
+    def __init__(self, path: str, name: str):
         dll = ctypes.CDLL(path)
-        double, ptr, i64 = ctypes.c_double, ctypes.c_void_p, ctypes.c_int64
-        dll.sqzq_solve.argtypes = [ptr, double, double, ptr, double, double, double, i64, ptr, ptr,
-                                   ctypes.POINTER(ctypes.POINTER(double))]
-        dll.sqzq_solve.restype = ctypes.c_int
-        dll.sqzq_rhs.argtypes = [ptr, i64, ptr, ptr]
-        dll.sqzq_rhs.restype = None
-        dll.sqzq_pow.argtypes = [double, double]
-        dll.sqzq_pow.restype = double
-        dll.sqzq_free.argtypes = [ptr]
-        dll.sqzq_free.restype = None
+        functions, differs = _KINDS[name]
+        for function, (argtypes, restype) in functions.items():
+            getattr(dll, function).argtypes = argtypes
+            getattr(dll, function).restype = restype
         self.dll = dll
-        self.differs = any(
-            float.hex(dll.sqzq_pow(x, y)) != float.hex(x**y) for x, y in _POWERS
-        )
+        self.differs = differs(dll)
         self.agreed: set = set()  # the constants of the models checked
 
     def agrees(self, problem) -> bool:
@@ -349,22 +569,59 @@ class _Library:
 
 
 @lru_cache(maxsize=None)
-def _library(rhs_source: str, n: int):
-    """The library of ``rhs_source`` on n-component states, loaded from the
-    cache or built into it once per process; None where neither can be."""
+def _library(name: str, source: str):
+    """The library ``name`` of C ``source``, loaded from the cache or built
+    into it once per process; None where neither can be.  A failed build is
+    remembered in the cache, so no process runs the compiler on the same
+    source and command twice."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         return None
-    source = _library_source(rhs_source, n)
     command = [cc, *_FLAGS]
     key = hashlib.sha256("\0".join([source, *command]).encode()).hexdigest()
-    path = os.path.join(_cache_dir(), f"dop853-{key}.so")
-    if not (_intact(path) or _build(command, source, path) and _intact(path)):
-        return None
+    stem = os.path.join(_cache_dir(), f"{name}-{key}")
+    path, failed = stem + ".so", stem + ".failed"
+    if not _intact(path):
+        if os.path.exists(failed):
+            return None
+        if not (_build(command, source, path) and _intact(path)):
+            try:
+                open(failed, "wb").close()
+            except OSError:  # an unwritable cache: the next process tries again
+                pass
+            return None
     try:
-        return _Library(path)
+        return _Library(path, name)
     except OSError:
         return None
+
+
+def _solver(rhs_source: str, n: int):
+    """The solver library of ``rhs_source`` on n-component states, or None."""
+    return _library("dop853", _library_source(rhs_source, n))
+
+
+def _written(dll, head: bytes, values) -> bytearray:
+    """``head``, then the rows of the C-contiguous float64 block ``values``
+    as CSV lines, written by the library ``dll``."""
+    rows, cols = values.shape
+    out = bytearray(len(head) + _CELL_BYTES * values.size)
+    out[: len(head)] = head
+    view = (ctypes.c_char * len(out)).from_buffer(out)
+    n = dll.sqzq_csv(values.ctypes.data, rows, cols, ctypes.byref(view, len(head)))
+    del view  # the buffer's export ends, so it can shrink
+    del out[len(head) + n :]
+    return out
+
+
+def csv(head: bytes, values) -> bytearray | None:
+    """``head``, then each row of the float64 block ``values`` as a CSV line,
+    every cell as '%.17g' writes it; None where no CSV library loads or its
+    probe block differs from '%'."""
+    lib = _library("csv", _CSV_SOURCE)
+    if lib is None or lib.differs:
+        return None
+    return _written(lib.dll, head, np.ascontiguousarray(values, dtype=np.float64))
 
 
 def steps(problem, t0: float, t1: float, min_step: float, max_steps: int):
@@ -372,7 +629,7 @@ def steps(problem, t0: float, t1: float, min_step: float, max_steps: int):
     side, run by the library, with the same return values and bits; None
     where no library can run it."""
     n = problem.y0.size
-    lib = _library(problem.compiled.source, n)
+    lib = _solver(problem.compiled.source, n)
     if lib is None or not lib.agrees(problem):
         return None
     constants = np.array(problem.compiled.constants, dtype=float)

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import time
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from numpy.testing import assert_allclose
 
-from sqzq import cli, nonsepstates, numerics, pdm
+from sqzq import cli, native, nonsepstates, numerics, pdm
 from sqzq.cli import CHECKS, RunConfig, _csv, main
 from sqzq.errors import ConfigError
 from sqzq.nonsepstates import NonSepParams, nonsep_portrait_hq
@@ -311,17 +312,6 @@ def test_quantise_and_classical_simulate_load_no_scipy(tmp_path):
     ]
 
 
-def test_import_builds_no_digit_tables():
-    # the CSV digit tables are built at the first block written in numpy,
-    # inside a request, not at import
-    out = subprocess.run(
-        [sys.executable, "-c", "from sqzq import cli; print(cli._digit_tables.cache_info().currsize)"],
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["0"]
-
-
 def test_no_step_imports_scipy_integrate_or_linalg(tmp_path):
     # the semiclassical dynamics and verify each load scipy.special on their
     # own, and no command loads scipy.integrate or scipy.linalg
@@ -345,38 +335,56 @@ def test_every_public_name_resolves():
         assert not missing, (name, missing)
 
 
-def test_csv_row_template_writes_the_per_cell_bytes(monkeypatch):
-    # every kind of float %.17g spells in its own way, an integer column as
-    # quantise writes its indices, and reused axis cells as the portraits
-    # write their axes, against the per-cell '%' writer; blocks this small
-    # go to '%' unless the numpy text is forced
+# the two ways a CSV block is written
+_CSV_WRITERS = ("compiled", "no-library")
+
+
+@contextlib.contextmanager
+def _csv_writer(kind):
+    """Every block, whatever its size, through the compiled CSV writer
+    ('compiled'), or through the '%' template where no library loads
+    ('no-library'); the library is forgotten afterwards."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_LIBRARY_CELLS", 0)
+        if kind == "no-library":
+            patch.setattr(native.shutil, "which", lambda name: None)
+        native._library.cache_clear()
+        try:
+            lib = native._library("csv", native._CSV_SOURCE)
+            used = lib is not None and not lib.differs
+            assert used == (kind == "compiled" and bool(shutil.which("cc") or shutil.which("gcc")))
+            yield
+        finally:
+            native._library.cache_clear()
+
+
+def test_csv_row_template_writes_the_per_cell_bytes():
+    # every kind of float %.17g spells in its own way, and an integer column
+    # as quantise writes its indices, against the per-cell '%' writer
     odd = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 2.5e-310, 3.0, -7.0,
                     1e300, 0.1, 2.0**53 + 2.0])
     ints = np.arange(odd.size)
-    axis = odd * 3.0
-    index = np.arange(odd.size)[::-1] % 5
-    ready = ["%.17g" % v for v in axis[index].tolist()]
-    for numpy_cells in (cli._NUMPY_CELLS, 0):
-        monkeypatch.setattr(cli, "_NUMPY_CELLS", numpy_cells)
-        text = _csv("a,b,c", [ints, odd, odd[::-1]])
-        assert text == csv_row_template("a,b,c", [(ints, odd, odd[::-1])])
-        assert "nan" in text and "-0," in text and "\n3," in text
-
-        text = _csv("a,b,c", [(axis, index), odd, -odd])
-        assert text == csv_row_template("a,b,c", [(ready, odd, -odd)])
-        assert "inf,-inf" in text and "4.9406564584124654e-324," in text
+    for kind in _CSV_WRITERS:
+        with _csv_writer(kind):
+            text = _csv("a,b,c", [ints, odd, odd[::-1]])
+        assert text == csv_row_template("a,b,c", [ints, odd, odd[::-1]]), kind
+        assert b"nan" in text and b"-0," in text and b"\n3," in text
+        assert b"\n1,-inf,0.1" in text and b",4.9406564584124654e-324\n" in text
 
 
 def _spelt_as_percent(values, cols=1):
     """Asserts that ``_csv`` writes each cell of ``values`` as '%.17g' does,
-    laid out in rows of ``cols`` cells."""
+    laid out in rows of ``cols`` cells, on both writers."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, cols)
     columns = [values[:, j] for j in range(cols)]
-    got, want = _csv("x", columns), csv_row_template("x", [columns])
-    if got != want:
-        got, want = got.split("\n"), want.split("\n")
-        bad = [(g, w) for g, w in zip(got, want) if g != w]
-        assert len(got) == len(want) and not bad, bad[:5]
+    want = csv_row_template("x", columns)
+    for kind in _CSV_WRITERS:
+        with _csv_writer(kind):
+            got = _csv("x", columns)
+        if got != want:
+            lines = list(zip(got.split(b"\n"), want.split(b"\n")))
+            bad = [(g, w) for g, w in lines if g != w]
+            assert len(got.split(b"\n")) == len(want.split(b"\n")) and not bad, (kind, bad[:5])
 
 
 def test_csv_cells_match_percent_over_a_seeded_million_values():
@@ -408,8 +416,8 @@ def test_csv_cells_match_percent_on_the_boundaries():
         for _ in range(2):
             step = np.nextafter(step, direction)
             near.append(step)
-    # the fast set is 10^-11 <= |x| < 10^15 and zero; 1e-11 is just below
-    # 10^-11, and the normals start at 2^-1022
+    # the exact set is 10^-11 <= |x| < 10^15; 1e-11 is just below 10^-11,
+    # and the normals start at 2^-1022
     edges = np.array([1e-11, 1e15, 2.0**-1022, 2.0**-1022 - 2.0**-1074, 5e-324, 0.0,
                       2.0**53, 2.0**53 + 2.0, 999999999999999.9])
     near += [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), [np.finfo(float).max]]
@@ -427,23 +435,51 @@ def test_csv_cells_match_percent_on_the_boundaries():
 @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=12), elements=st.floats()))
 def test_csv_cells_match_percent_on_any_float_block(block):
     columns = [block[:, j] for j in range(block.shape[1])]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_NUMPY_CELLS", 0)
-        assert _csv("h", columns) == csv_row_template("h", [columns])
+    want = csv_row_template("h", columns)
+    for kind in _CSV_WRITERS:
+        with _csv_writer(kind):
+            assert _csv("h", columns) == want, kind
 
 
-@pytest.mark.parametrize("rows", [1, cli._CHUNK_CELLS // 5 - 1, cli._CHUNK_CELLS // 5 + 1])
-def test_csv_blocks_of_one_row_and_across_a_chunk(monkeypatch, rows):
-    monkeypatch.setattr(cli, "_NUMPY_CELLS", 0)
+@pytest.mark.parametrize("rows", [1, 818, 820])
+def test_csv_blocks_of_one_row_and_across_a_chunk(rows):
+    # rows of five cells: one row, and two blocks of about 4 100 cells
     rng = np.random.default_rng(rows)
     block = rng.standard_normal((rows, 5)) * 10.0 ** rng.integers(-14, 18, (rows, 5))
-    columns = [block[:, j] for j in range(5)]
-    assert _csv("h", columns) == csv_row_template("h", [columns])
-    axis = block[:, 0]
-    index = rng.integers(0, rows, 3 * rows)
-    ready = ["%.17g" % v for v in axis[index].tolist()]
-    text = _csv("h", [(axis, index), np.repeat(block[:, 1], 3)])
-    assert text == csv_row_template("h", [(ready, np.repeat(block[:, 1], 3))])
+    _spelt_as_percent(block, cols=5)
+
+
+def test_csv_widest_cells_fill_the_writers_bound():
+    # each cell and its separator: 25 bytes, the most the compiled writer
+    # sets aside, and 24 bytes
+    widest = np.tile([-1.2345678901234567e-308, -0.00012345678901234567], (300, 2))
+    spelt = ["%.17g," % v for v in widest[0].tolist()]
+    assert [len(cell) for cell in spelt] == [25, 24, 25, 24]
+    assert native._CELL_BYTES == 25
+    _spelt_as_percent(widest, cols=4)
+    text = _csv("h", [widest[:, 0]] * 4)
+    assert len(text) == len("h\n") + native._CELL_BYTES * 4 * len(widest)
+
+
+def test_csv_library_whose_probe_block_differs_is_not_used(monkeypatch, tmp_path):
+    # a writer that rounds ties of the 18th digit away from zero, not to
+    # even, is built and loaded, and fails its probe block
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no C compiler on PATH")
+    rounding = "(rem > half || (rem == half && (floor & 1)))"
+    assert rounding in native._CSV_SOURCE
+    monkeypatch.setattr(native, "_CSV_SOURCE", native._CSV_SOURCE.replace(rounding, "(rem >= half)"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    native._library.cache_clear()
+    try:
+        lib = native._library("csv", native._CSV_SOURCE)
+        assert lib is not None and lib.differs
+        ties = _ties_of_the_18th_digit(np.random.default_rng(11))
+        columns = [ties[:480], -ties[480:960]]
+        assert native._written(lib.dll, b"h\n", np.column_stack(columns)) != csv_row_template("h", columns)
+        assert _csv("h", columns) == csv_row_template("h", columns)
+    finally:
+        native._library.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -650,7 +686,7 @@ def test_fig6a_outputs_keep_their_bytes(tmp_path):
 
 def test_fig4b_run_and_full_chi_portrait_keep_their_bytes(tmp_path):
     # pinned under the per-cell '%' writer: a classical run's 2001 x 6 block
-    # and a 201 x 201 grid written from reused axis cells
+    # and a 201 x 201 grid
     assert main(["simulate", "--preset", "fig4b", "--out", str(tmp_path)]) == 0
     assert main(["portrait", "chi", "--preset", "fig6a", "--out", str(tmp_path)]) == 0
     digests = {
@@ -662,6 +698,17 @@ def test_fig4b_run_and_full_chi_portrait_keep_their_bytes(tmp_path):
         "fig4b_summary.json": "3b53e307ceab851958f4707f8585aa286a9600b08143ea2fa29c965a4651b196",
         "portrait_chi.csv": "6c1e64df7434451646dfcd81ecb591dcce1cbdcd9c5fe7cf734f88f4f698dac4",
     }
+
+
+def test_fig4b_run_and_full_chi_portrait_keep_their_bytes_with_no_compiler(tmp_path, monkeypatch):
+    # the same pins where no CSV library loads: '%' writes every block
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    native._library.cache_clear()
+    try:
+        test_fig4b_run_and_full_chi_portrait_keep_their_bytes(tmp_path)
+        assert native._library("csv", native._CSV_SOURCE) is None
+    finally:
+        native._library.cache_clear()
 
 
 def test_simulate_recurrence_residual_describes_the_run(tmp_path):

@@ -6,6 +6,7 @@ expectations.
 """
 
 import ctypes
+import hashlib
 import json
 import linecache
 import math
@@ -752,7 +753,7 @@ def library():
     """The library of the semiclassical right-hand side, loaded afresh, and
     forgotten afterwards so that what a test does to it stays in the test."""
     native._library.cache_clear()
-    lib = native._library(_rhs_c_source(), 4)
+    lib = native._solver(_rhs_c_source(), 4)
     if lib is None:
         assert not (shutil.which("cc") or shutil.which("gcc")), "a C compiler is on PATH, but no library"
         pytest.skip("no C compiler on PATH")
@@ -836,15 +837,18 @@ def test_without_a_library_the_python_kernels_run_with_the_same_bits(monkeypatch
         no_library.parent.mkdir(exist_ok=True)
         no_library.write_text("a file where the cache directory would be")
     assert _outcome(solve_ode, problem, t_eval) == want
-    assert native._library(_rhs_c_source(), 4) is None
-    if host != "unwritable-cache":
-        # a failed build leaves no temporary files behind
-        assert not no_library.exists() or not any(no_library.joinpath("sqzq").iterdir())
+    assert native._solver(_rhs_c_source(), 4) is None
+    if host == "failing-build":
+        # a failed build leaves no temporary files behind, only its marker
+        (marker,) = no_library.joinpath("sqzq").iterdir()
+        assert marker.name.startswith("dop853-") and marker.suffix == ".failed"
+    elif host == "no-compiler":
+        assert not no_library.exists()
 
 
 def _cached_library() -> Path:
     """The library file of the session's cache, built if need be."""
-    native._library(_rhs_c_source(), 4)
+    native._solver(_rhs_c_source(), 4)
     (path,) = Path(native._cache_dir()).glob("dop853-*.so")
     return path
 
@@ -854,7 +858,7 @@ def test_a_second_load_compiles_nothing(monkeypatch, library):
     runs = []
     monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: runs.append(args))
     native._library.cache_clear()
-    assert native._library(_rhs_c_source(), 4) is not None
+    assert native._solver(_rhs_c_source(), 4) is not None
     assert runs == []
     assert native._intact(str(path))
 
@@ -875,7 +879,7 @@ def test_a_truncated_library_is_never_loaded(monkeypatch, library, tmp_path):
     monkeypatch.setattr(subprocess, "run", failing_build)
     monkeypatch.setattr(native.ctypes, "CDLL", lambda *args, **kwargs: loads.append(args))
     native._library.cache_clear()
-    assert native._library(_rhs_c_source(), 4) is None
+    assert native._solver(_rhs_c_source(), 4) is None
     problem = _launch()
     assert _outcome(solve_ode, problem, None) == _outcome(solve_ode, replace(problem, compiled=None), None)
     assert loads == []
@@ -930,8 +934,9 @@ print(json.dumps([loaded, steps]))
 
 
 def test_import_and_a_classical_run_load_no_library(tmp_path):
-    # numpy itself imports ctypes; sqzq adds no module of the loader, builds
-    # nothing and writes no cache until a semiclassical solve
+    # numpy itself imports ctypes; import sqzq adds no module of the loader,
+    # builds nothing and writes no cache.  The classical run's 2001 x 6 block
+    # loads the CSV library (cold: builds it), and never the solver's
     cache = tmp_path / "cache"
     argv = [["simulate", "--preset", "fig4b", "--out", str(tmp_path)]]
     out = subprocess.run(
@@ -943,5 +948,42 @@ def test_import_and_a_classical_run_load_no_library(tmp_path):
     numpy_ctypes = loaded["ctypes-by-numpy"]
     assert after_import == {"ctypes": numpy_ctypes, "subprocess": False, "sqzq.native": False}
     assert code == 0
-    assert after_run == after_import
-    assert not cache.exists()
+    if shutil.which("cc") or shutil.which("gcc"):
+        assert after_run == {"ctypes": True, "subprocess": True, "sqzq.native": True}
+        (library,) = cache.joinpath("sqzq").iterdir()
+        assert library.name.startswith("csv-") and library.suffix == ".so"
+    else:
+        assert after_run == {"ctypes": True, "subprocess": False, "sqzq.native": True}
+        assert not cache.exists()
+
+
+_FAILING_BUILD = """
+import json, sys
+from sqzq import cli, native
+native._FLAGS += ("-fno-such-option-anywhere",)
+code = cli.main(["simulate", "--preset", "fig4b", "--out", sys.argv[1]])
+print(json.dumps([code, "subprocess" in sys.modules]))
+"""
+
+
+def test_a_failed_build_is_not_run_again_by_the_next_process(tmp_path):
+    # the first process runs the compiler, which refuses the flag, and leaves
+    # a marker; the second starts no compiler.  Both write the run's pinned
+    # bytes with the '%' template
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    runs = []
+    for k in range(2):
+        out = subprocess.run([sys.executable, "-c", _FAILING_BUILD, str(tmp_path / str(k))],
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        runs.append(json.loads(out.stdout.splitlines()[-1]))
+    compiler = bool(shutil.which("cc") or shutil.which("gcc"))
+    assert runs == [[0, compiler], [0, False]]
+    if compiler:
+        (marker,) = tmp_path.joinpath("cache", "sqzq").iterdir()
+        assert marker.name.startswith("csv-") and marker.suffix == ".failed"
+    first, second = (tmp_path / str(k) / "fig4b.csv" for k in range(2))
+    assert first.read_bytes() == second.read_bytes()
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+        "24d3be8b799a31119e100b0279959bcd7afafd1fce3b7944d8bb32e7160c6267"
+    )

@@ -615,7 +615,7 @@ def test_generated_rhs_holds_its_bits_over_the_fuzzed_model_scales():
 def compiled_library():
     """The solver library of the semiclassical right-hand side; a host
     without a C compiler skips, a host with one must build it."""
-    lib = native._library(_rhs_c_source(), 4)
+    lib = native._solver(_rhs_c_source(), 4)
     if lib is None:
         assert not (shutil.which("cc") or shutil.which("gcc")), "a C compiler is on PATH, but no library"
         pytest.skip("no C compiler on PATH")
