@@ -102,8 +102,13 @@ class RunConfig:
             return default
         raw = self.values[key]
         try:
+            # Python counts a boolean as a number, and int() drops a fraction
+            if isinstance(raw, bool) and cast in (int, float):
+                raise TypeError
+            if cast is int and isinstance(raw, float) and not raw.is_integer():
+                raise ValueError
             val = cast(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
                 f"config field {key!r}: cannot interpret {raw!r} as {cast.__name__}"
             ) from None

@@ -1,7 +1,8 @@
 """Compiled C for the two hot loops that have one: ``solve_ode``'s DOP853
-driver around a problem's right-hand side (the library ``dop853``), and the
-CSV writer (``csv``).  One loader, ``_library``, builds each into a cached
-shared library and loads it with ctypes.
+driver around a problem's right-hand side (a library ``dop853`` per
+right-hand side source: ``pdm``'s smoothed flow and its pendulum have one
+each), and the CSV writer (``csv``).  One loader, ``_library``, builds each
+into a cached shared library and loads it with ctypes.
 
 The solver's C makes the Python kernels' float operations in their order.
 The kernels are emitted from the same tableau sums (``numerics._sum_code``
@@ -33,9 +34,10 @@ Before a library is used, its output must be Python's.  The CSV writer must
 write a fixed probe block (``_probe``) byte for byte as '%' does, once per
 process.  The solver's ``pow`` must give Python's at fixed arguments, and,
 before it runs a model for the first time in a process, its right-hand side
-the Python one's bits (NaN payloads aside) at the problem's probe states.  A
-libm whose ``erfc``, ``exp`` or ``pow`` is not the one ``math`` calls would
-fail that, and a library that fails once is not used again in the process.
+the Python one's bits (NaN payloads aside) at the problem's probe states.
+A libm whose ``erfc``, ``exp``, ``sin`` or ``pow`` is not the one ``math``
+calls would fail that, and a library that fails once is not used again in
+the process.
 """
 
 from __future__ import annotations
@@ -535,9 +537,10 @@ _KINDS = {
 
 
 class _Library:
-    """A loaded library, and whether its output was found to be Python's."""
+    """A loaded library, its file, and whether its output was found to be Python's."""
 
     def __init__(self, path: str, name: str):
+        self.path = path
         dll = ctypes.CDLL(path)
         functions, differs = _KINDS[name]
         for function, (argtypes, restype) in functions.items():

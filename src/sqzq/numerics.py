@@ -589,7 +589,8 @@ class OdeProblem:
     on the Python version.  ``y0`` must be a finite 1D array.  Default
     tolerances leave the energy-drift checks a decade of headroom below 1e-6.
     ``compiled``, if given, is the same ``rhs`` in C, which :func:`solve_ode`
-    runs instead where it can.
+    runs instead where it can; every problem of ``pdm``'s integrators carries
+    one, the trace of its formula.
     """
 
     rhs: Callable
@@ -752,13 +753,13 @@ def _dop853_kernels(n: int):
     return scope["attempt"], scope["dense"]
 
 
-def _exec_generated(src: str, name: str, **names) -> dict:
-    """Run generated source ``src`` as the file ``name`` in a fresh scope that
-    holds ``names``, and return the scope.  Tracebacks through the code show
-    its lines: linecache asks a module's loader for the source of a file it
-    cannot read, also after clearcache(), but never for a "<...>" name, and it
-    keeps the first source registered under a name."""
-    scope = {"__name__": __name__, "__loader__": SimpleNamespace(get_source=lambda _: src), **names}
+def _exec_generated(src: str, name: str) -> dict:
+    """Run generated source ``src`` as the file ``name`` in a fresh scope, and
+    return the scope.  Tracebacks through the code show its lines: linecache
+    asks a module's loader for the source of a file it cannot read, also
+    after clearcache(), but never for a "<...>" name, and it keeps the first
+    source registered under a name."""
+    scope = {"__name__": __name__, "__loader__": SimpleNamespace(get_source=lambda _: src)}
     linecache.lazycache(name, scope)
     exec(compile(src, name, "exec"), scope)
     return scope
@@ -860,12 +861,13 @@ def solve_ode(problem: OdeProblem, t_eval=None) -> OdeSolution:
     without ``t_eval`` they are the step ends.
 
     The steps run on Python floats (``_python_steps``), unless the problem
-    carries a ``compiled`` right-hand side: then a shared library of the same
-    driver, kernels and right-hand side in C runs them (``native.steps``),
-    about twenty times faster, with the same samples, counts and messages.
-    It is built by the system C compiler at the first such problem, cached
-    across processes, and checked against the Python right-hand side once
-    per model; where it cannot be built, loaded or trusted, the Python
+    carries a ``compiled`` right-hand side, as both of ``pdm``'s integrators
+    give theirs: then a shared library of the same driver, kernels and
+    right-hand side in C runs them (``native.steps``), about twenty times
+    faster, with the same samples, counts and messages.  One is built by the
+    system C compiler per right-hand side source at its first problem,
+    cached across processes, and checked against the Python right-hand side
+    once per model; where it cannot be built, loaded or trusted, the Python
     floats run.  Nothing else chooses between the two.
 
     Two limits bound every run:

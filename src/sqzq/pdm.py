@@ -23,32 +23,30 @@ Every smoothed wall quantity comes from one per-mode evaluator,
 ``_mode_pieces`` (the windows chi_j and <q_j^2 chi_j> and their
 derivatives), and the regularised inverse masses A_j, V_eff and their
 gradients are assembled from it in one place, ``_veff_pieces``, which runs
-on float arrays for the portraits, energies and masks.  The equations of
-motion are those formulas and the accelerations (``_accelerations``) traced
-once per model on a float-recording tape into straight-line Python code
-with the model's constants as literals (``_generated_rhs``): it computes the
-floats that ``_veff_pieces`` computes on Python floats with ``math.erfc``
-and ``math.exp``, bit for bit, without a call per piece.  The same trace
-with the constants as arguments is that code in C (``_rhs_c_source``), one
-function for every model, which the solver compiles where it can
-(``_compiled_rhs``).  Only the array evaluations need ``scipy.special``
-(erfc), and they import it at first use.
+on float arrays for the portraits, energies and masks.
+
+Each equation of motion is written once, as a formula on floats,
+``formula(q1, q2, v1, v2, *constants) -> (acc1, acc2)``: the smoothed flow
+``_motion`` (``_veff_pieces`` and ``_accelerations``, 21 constants) and the
+pendulum ``_pendulum`` (2 constants).  ``_solve`` hands the solver both of
+its forms: the formula called on Python floats with ``math``'s functions
+(``_python_rhs``), and its trace in C with the constants as arguments, one
+source per formula (``_c_source``), which the solver compiles where it can.
+The two give the same bits.  Only the array evaluations need
+``scipy.special`` (erfc), and they import it at first use.
 """
 
 from __future__ import annotations
 
 import math
-import re
-import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteState, OutsideBox
-from .numerics import CompiledRhs, OdeProblem, _exec_generated, solve_ode
+from .numerics import CompiledRhs, OdeProblem, solve_ode
 from .sepstates import TwoModeParams, _mode_sigma
 
 __all__ = [
@@ -217,15 +215,21 @@ class Trajectory:
         return float(np.max(np.abs(self.energy - e0)) / max(abs(e0), 1e-300))
 
 
-def _solve(rhs, y0, t_span, samples: int, rel_tol: float, abs_tol: float, compiled=None):
-    """The solver run of both integrators, sampled at linspace(t0, t1, samples);
-    ``compiled`` is the C form of ``rhs``, if it has one.
+def _solve(formula, constants: tuple, probe_axes, y0, t_span, samples: int, rel_tol: float, abs_tol: float):
+    """The solver run of both integrators: the (q, v) flow of
+    ``formula(q1, q2, v1, v2, *constants) -> (acc1, acc2)`` from y0, sampled
+    at linspace(t0, t1, samples).  The problem carries the flow in both
+    forms, ``_python_rhs`` and ``_compiled_rhs``, whose C the solver runs
+    where it can after checking it at the states ``probe_axes`` spans.
 
     A run that the solver's minimum step or step budget stops has status
     "failed" and keeps its samples; with fewer than two left it raises
     NonFiniteState with the solver's message.
     """
-    problem = OdeProblem(rhs, t_span, y0, rel_tol, abs_tol, compiled)
+    problem = OdeProblem(
+        _python_rhs(formula, constants), t_span, y0, rel_tol, abs_tol,
+        _compiled_rhs(formula, constants, probe_axes),
+    )
     sol = solve_ode(problem, t_eval=np.linspace(t_span[0], t_span[1], samples))
     if sol.status == "failed" and sol.t.size < 2:
         raise NonFiniteState(sol.message)
@@ -252,6 +256,177 @@ def _scalar_or_array(x):
     """x as an array, or as a numpy scalar when it has no axes."""
     out = np.asarray(x)
     return out[()] if out.ndim == 0 else out
+
+
+# ----------------------------------------------------------------------
+# equations of motion: one formula, two forms
+
+
+class _Traced:
+    """A value of a formula being traced into C.
+
+    Each float operation on it appends one node, (template, operands, kept),
+    to its ``tape`` and returns the traced result; an operation between two
+    plain floats runs as a float, so every constant that a formula folds is
+    the float it computes.  ``kept`` marks the nodes that may raise in
+    Python (a division, a call), which the code keeps even when no result
+    reads them.  A traced value has no truth value, no float value and no
+    comparison, so a formula that branches on one raises TypeError when it
+    is traced instead of being specialised to one branch.
+    """
+
+    __slots__ = ("tape", "index")
+
+    def __init__(self, tape: list, template: str, operands=(), kept=False):
+        self.tape, self.index = tape, len(tape)
+        tape.append((template, operands, kept))
+
+    def _binary(template: str, kept=False, reflected=False):
+        def op(self, other):
+            if type(other) is not float and not isinstance(other, _Traced):
+                return NotImplemented
+            return _Traced(self.tape, template, (other, self) if reflected else (self, other), kept)
+
+        return op
+
+    __add__ = _binary("({} + {})")
+    __radd__ = _binary("({} + {})", reflected=True)
+    __sub__ = _binary("({} - {})")
+    __rsub__ = _binary("({} - {})", reflected=True)
+    __mul__ = _binary("({} * {})")
+    __rmul__ = _binary("({} * {})", reflected=True)
+    # a zero divisor raises ZeroDivisionError in Python; in C ``quot`` flags it
+    __truediv__ = _binary("quot({}, {}, &raised)", kept=True)
+    __rtruediv__ = _binary("quot({}, {}, &raised)", kept=True, reflected=True)
+    del _binary
+
+    def __neg__(self):
+        return _Traced(self.tape, "(-{})", (self,))
+
+    def __abs__(self):
+        return _Traced(self.tape, "fabs({})", (self,))
+
+    def __bool__(self):
+        raise TypeError("a traced value has no truth value: the formula branches on it")
+
+    def __eq__(self, other):
+        raise TypeError("a traced value cannot be compared: the formula branches on it")
+
+    __ne__ = __eq__
+
+
+# the C call of each function a formula may take from ``math``: an infinite
+# argument of sin raises ValueError in Python, and ``sine`` flags it
+_C_CALLS = {math.erfc: "erfc({})", math.exp: "exp({})", math.sin: "sine({}, &raised)"}
+
+_C_HELPERS = (
+    "static double quot(double a, double b, int *raised)\n{\n"
+    "    if (b == 0.0)\n        *raised = 1;\n    return a / b;\n}\n\n"
+    "static double sine(double x, int *raised)\n{\n"
+    "    if (isinf(x))\n        *raised = 1;\n    return sin(x);\n}\n\n"
+)
+
+
+def _recording(fn, template: str):
+    """``fn`` of one float, recorded as ``template`` on a traced argument."""
+
+    def call(x):
+        if isinstance(x, _Traced):
+            return _Traced(x.tape, template, (x,), kept=True)
+        return fn(x)
+
+    return call
+
+
+def _trace(formula, names):
+    """Straight-line C of ``formula`` on double arguments called ``names``.
+
+    The formula takes the ``math`` functions it calls as keyword-only
+    defaults (``_C_CALLS``), and the trace passes their recording forms.
+    Returns the statements and the expressions of the results.  The values
+    that no result reads are dropped, unless they are divisions or calls,
+    which may raise in Python and flag ``raised`` in C; a value read once is
+    inlined into its reader, and one read more often is the local
+    ``t<node>``.  Every operation keeps its operands' order and its own
+    parentheses, and the formula's literals are written in hexadecimal, so
+    the code computes the formula's floats bit for bit.
+    """
+    tape: list = []
+    calls = {key: _recording(fn, _C_CALLS[fn]) for key, fn in (formula.__kwdefaults__ or {}).items()}
+    results = formula(*(_Traced(tape, name) for name in names), **calls)
+    reads = [0] * len(tape)
+    for r in results:
+        if isinstance(r, _Traced):
+            reads[r.index] += 1
+    for i in reversed(range(len(tape))):
+        _, operands, kept = tape[i]
+        if reads[i] or kept:
+            for v in operands:
+                if isinstance(v, _Traced):
+                    reads[v.index] += 1
+    text = {}
+    lines = []
+    for i, (template, operands, kept) in enumerate(tape):
+        if not operands:  # an argument
+            text[i] = template
+            continue
+        if not (reads[i] or kept):
+            continue
+        expr = template.format(*(text[v.index] if isinstance(v, _Traced) else float.hex(v) for v in operands))
+        if reads[i] == 1:
+            text[i] = expr
+        elif reads[i] == 0:
+            lines.append(expr)
+        else:
+            text[i] = f"t{i}"
+            lines.append(f"double t{i} = {expr}")
+    return lines, [text[r.index] if isinstance(r, _Traced) else float.hex(r) for r in results]
+
+
+@lru_cache(maxsize=None)
+def _c_source(formula, n_constants: int) -> str:
+    """``formula``'s right-hand side as the C function ``rhs(c, t, y, f)``:
+    its trace with the constants as the arguments ``c[0]``.. instead of
+    literals, so one compiled library serves every model.  A flag raised
+    anywhere makes both accelerations NaN, as ``_python_rhs`` does."""
+    names = ("q1", "q2", "v1", "v2", *(f"c[{k}]" for k in range(n_constants)))
+    lines, (acc1, acc2) = _trace(formula, names)
+    return (
+        _C_HELPERS + "static void rhs(const double *c, double t, const double *y, double *f)\n{\n"
+        "    const double q1 = y[0], q2 = y[1], v1 = y[2], v2 = y[3];\n    int raised = 0;\n"
+        + "".join(f"    {line};\n" for line in lines)
+        + f"    const double acc1 = {acc1};\n    const double acc2 = {acc2};\n"
+        "    f[0] = v1;\n    f[1] = v2;\n    f[2] = raised ? NAN : acc1;\n    f[3] = raised ? NAN : acc2;\n}\n"
+    )
+
+
+def _python_rhs(formula, constants: tuple):
+    """rhs(t, y) of ``formula`` on Python floats: (v1, v2, acc1, acc2).
+
+    Where numpy would give inf or NaN, Python raises: ``ZeroDivisionError``
+    on a zero divisor, ``ValueError`` on sin of an infinite angle.  There the
+    accelerations are NaN, so a start whose portraits underflow fails the
+    solver's finiteness check, and a step into such a region fails its error
+    test, as with numpy values.
+    """
+
+    def rhs(t, y):
+        q1, q2, v1, v2 = y
+        try:
+            acc1, acc2 = formula(q1, q2, v1, v2, *constants)
+        except (ZeroDivisionError, ValueError):
+            return v1, v2, math.nan, math.nan
+        return v1, v2, acc1, acc2
+
+    return rhs
+
+
+def _compiled_rhs(formula, constants: tuple, probe_axes) -> CompiledRhs:
+    """The C form of ``_python_rhs(formula, constants)``, which must give its
+    bits at the positions (or angles) a, b of ``probe_axes`` with the
+    velocities 0.7 and -1.3."""
+    probes = tuple((a, b, 0.7, -1.3) for a in probe_axes[0] for b in probe_axes[1])
+    return CompiledRhs(_c_source(formula, len(constants)), constants, probes)
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +460,17 @@ def classical_energy(model: PdmModel, q, v):
     return _scalar_or_array(total)
 
 
+def _pendulum(th1, th2, w1, w2, k1, k2, *, sin=math.sin):
+    """The angular accelerations of ``classical_integrate``:
+    theta_j'' = -k_j sin(2 theta_j), with k_j = vbar_j / m0."""
+    return -k1 * sin(2.0 * th1), -k2 * sin(2.0 * th2)
+
+
+# angles of the states at which a compiled pendulum must give the Python
+# one's bits: around the circle, far along it, and infinite, where sin raises
+_PROBE_ANGLES = (-math.inf, -1e6, -2.5, -0.3, 0.0, 0.6, math.pi / 2.0, 4.0, 1e17)
+
+
 def classical_integrate(
     model: PdmModel,
     init: InitialState,
@@ -296,11 +482,14 @@ def classical_integrate(
 ) -> Trajectory:
     """Integrate the confined classical motion of both modes.
 
-    Works in the angles theta_j = arcsin(Lambda_j q_j), where the motion is a
-    plain pendulum and wall touches are regular interior points; the exact
-    bound |q_j| <= 1/Lambda_j survives the round-trip.  The momenta in the
-    returned samples are recovered as m0 thetadot_j / (Lambda_j cos theta_j)
-    and overflow only if a sample lands exactly on a wall touch.
+    Works in the angles theta_j = arcsin(Lambda_j q_j), where the motion is
+    the pendulum ``_pendulum`` and wall touches are regular interior points;
+    the exact bound |q_j| <= 1/Lambda_j survives the round-trip.  The
+    pendulum runs through ``_solve`` as the semiclassical flow does, so the
+    solver compiles it where it can, with the bits of its Python floats.
+    The momenta in the returned samples are recovered as
+    m0 thetadot_j / (Lambda_j cos theta_j) and overflow only if a sample
+    lands exactly on a wall touch.
     """
     lam = np.array([model.lambda1, model.lambda2])
     vbar = np.array([model.vbar1, model.vbar2])
@@ -314,19 +503,11 @@ def classical_integrate(
         omega0 = lam * v0 / np.cos(theta0)
     if not np.all(np.isfinite(omega0)):
         raise NonFiniteState("the initial angular velocities Lambda_j v0_j / cos theta_j overflow")
-    # Python floats: numpy scalars would make every RHS call several times slower
-    k1 = float(model.vbar1) / float(model.m0)
-    k2 = float(model.vbar2) / float(model.m0)
-
-    def rhs(t, y):
-        th1, th2, w1, w2 = y
-        try:
-            return w1, w2, -k1 * math.sin(2.0 * th1), -k2 * math.sin(2.0 * th2)
-        except ValueError:  # an infinite angle, which fails the solver's error test
-            return w1, w2, math.nan, math.nan
-
+    # Python floats: numpy scalars would make every RHS call several times
+    # slower, and would not raise where Python does
+    k = (float(model.vbar1) / float(model.m0), float(model.vbar2) / float(model.m0))
     y0 = np.array([theta0[0], theta0[1], omega0[0], omega0[1]])
-    sol = _solve(rhs, y0, t_span, samples, rel_tol, abs_tol)
+    sol = _solve(_pendulum, k, (_PROBE_ANGLES, _PROBE_ANGLES), y0, t_span, samples, rel_tol, abs_tol)
     # the pendulum is smooth, but a coefficient vbar/m0 or a velocity so large
     # that the step falls below the solver's minimum or runs out of its budget
     # stops the run
@@ -390,29 +571,29 @@ def _mode_scale(w: float, s: float) -> _ModeScale:
     return _ModeScale(w, s, _SQRT2 * s, s * _SQRT2PI, s / _SQRT2PI, s * s, w * w + 2.0 * s * s)
 
 
-def _mode_pieces(q, m: _ModeScale, erfc=None, exp=np.exp):
-    """c, g, c', g' for one mode.
+def _mode_pieces(q, m, erfc=None, exp=np.exp):
+    """c, g, c', g' for one mode of scale ``m``, a ``_ModeScale`` or its floats.
 
     The one source of these formulas for every caller: q a float array
     with the default ``erfc`` and ``exp``, or q a Python float, or a traced
     one, with ``math.erfc`` and ``math.exp`` or their recording forms (the
-    equations of motion are generated from that trace).  The default
+    C of the equations of motion is traced from them).  The default
     ``erfc`` is ``scipy.special.erfc``, imported here at the first array
     call, so that a process which never smooths a wall never loads
-    ``scipy.special``; the trace passes its own, and never runs the import.
+    ``scipy.special``; the floats pass their own, and never run the import.
     """
     if erfc is None:
         from scipy.special import erfc
-    w, rt2s = m.w, m.rt2s
+    w, _, rt2s, s_rt2pi, s_over_rt2pi, ss, w2_2s2 = m
     za = (q + w) / rt2s
     zb = (q - w) / rt2s
     ea = exp(-za * za)
     eb = exp(-zb * zb)
     aq = abs(q)
     c = 0.5 * (erfc((aq - w) / rt2s) - erfc((aq + w) / rt2s))
-    cp = (ea - eb) / m.s_rt2pi
-    g = (q * q + m.ss) * c + m.s_over_rt2pi * ((q - w) * ea - (q + w) * eb)
-    gp = 2.0 * q * c + m.w2_2s2 * cp
+    cp = (ea - eb) / s_rt2pi
+    g = (q * q + ss) * c + s_over_rt2pi * ((q - w) * ea - (q + w) * eb)
+    gp = 2.0 * q * c + w2_2s2 * cp
     return c, g, cp, gp
 
 
@@ -425,48 +606,58 @@ def _as_points(q) -> np.ndarray:
 
 def _both_scales(model: PdmModel, params: TwoModeParams):
     """The ``_ModeScale`` of each mode, from its wall half-width and Gaussian
-    smoothing width as Python floats: an ``np.float64`` would turn every float
-    operation of the equations of motion into a slower numpy scalar one."""
+    smoothing width."""
     return tuple(_mode_scale(model.wall(j), float(_mode_sigma(params, j))) for j in (1, 2))
 
 
-def _veff_pieces(model: PdmModel, scales, q1, q2, kin=None, erfc=None, exp=np.exp):
+def _constants(model: PdmModel, params: TwoModeParams, kinetic: bool = False) -> tuple:
+    """The constants of the smoothed formulas (``_veff_pieces``, ``_motion``):
+    the model's m0, Lambda_1, Lambda_2, vbar_1, vbar_2, each mode's
+    ``_ModeScale`` and, with ``kinetic``, the kinetic coefficients; 21
+    Python floats, or 19.  An ``np.float64`` would turn every float operation
+    of the equations of motion into a slower numpy one that does not raise
+    where Python does."""
+    scales = _both_scales(model, params)
+    kin = _kinetic_coeffs(params) if kinetic else ()
+    values = (model.m0, model.lambda1, model.lambda2, model.vbar1, model.vbar2, *scales[0], *scales[1], *kin)
+    return tuple(float(v) for v in values)
+
+
+def _veff_pieces(constants: tuple, q1, q2, erfc=None, exp=np.exp):
     """Every smoothed wall quantity at (q1, q2), from one evaluation of the
     per-mode pieces: V_eff and its gradient (d1, d2) and the inverse masses
     with their gradients (A1, A2, d1A1, d2A1, d1A2, d2A2).  The windows alone
     come from ``_windows``.
 
-    The only place where these are assembled.  ``scales`` is ``_both_scales``
-    of the smoothing family, which callers that evaluate many times compute
-    once; ``kin`` the kinetic coefficients, which only V_eff and its gradient
-    read: without them (``kin=None``) only the masses are returned, and the
-    V_eff sums are skipped.  ``erfc`` and ``exp`` go to ``_mode_pieces``
-    (scipy's erfc and numpy's exp on float arrays by default, ``math``'s on
-    Python floats, their recording forms on traced ones, from which the
-    equations of motion are generated).  q1 and q2 broadcast against each
-    other.
+    The only place where these are assembled, for the ``_constants`` of a
+    model and smoothing family, which callers that evaluate many times
+    compute once.  Only V_eff and its gradient read the kinetic
+    coefficients: without them (19 constants) only the masses are
+    returned, and the V_eff sums are skipped.  ``erfc`` and ``exp`` go to
+    ``_mode_pieces`` (scipy's erfc and numpy's exp on float arrays by
+    default, ``math``'s on Python floats, their recording forms on traced
+    ones).  q1 and q2 broadcast against each other.
     """
-    c1, g1, c1p, g1p = _mode_pieces(q1, scales[0], erfc, exp)
-    c2, g2, c2p, g2p = _mode_pieces(q2, scales[1], erfc, exp)
-    l1, l2, m0 = model.lambda1, model.lambda2, model.m0
+    m0, l1, l2, v1, v2 = constants[:5]
+    c1, g1, c1p, g1p = _mode_pieces(q1, constants[5:12], erfc, exp)
+    c2, g2, c2p, g2p = _mode_pieces(q2, constants[12:19], erfc, exp)
     m1 = (c1 - l1 * l1 * g1) / m0
     m2 = (c2 - l2 * l2 * g2) / m0
     m1p = (c1p - l1 * l1 * g1p) / m0
     m2p = (c2p - l2 * l2 * g2p) / m0
     masses = (m1 * c2, c1 * m2, m1p * c2, m1 * c2p, c1p * m2, c1 * m2p)
-    if kin is None:
+    if len(constants) == 19:
         return masses
-    k1, k2 = kin
-    v1, v2 = model.vbar1, model.vbar2
+    k1, k2 = constants[19:]
     veff = k1 * m1 * c2 + k2 * c1 * m2 + v1 * g1 * c2 + v2 * c1 * g2
     d1 = k1 * m1p * c2 + k2 * c1p * m2 + v1 * g1p * c2 + v2 * c1p * g2
     d2 = k1 * m1 * c2p + k2 * c1 * m2p + v1 * g1 * c2p + v2 * c1 * g2p
     return veff, d1, d2, masses
 
 
-def _pieces(model: PdmModel, params: TwoModeParams, q, kin=None):
+def _pieces(model: PdmModel, params: TwoModeParams, q, kinetic: bool = False):
     """``_veff_pieces`` at the points q of shape (..., 2): the masses alone,
-    or with the kinetic coefficients ``kin`` V_eff and its gradient as well.
+    or with ``kinetic`` V_eff and its gradient as well.
 
     Far outside a wall exp(-z^2) is the right 0 reached through an
     overflowing z^2; at points or scales so extreme that a piece itself
@@ -476,7 +667,7 @@ def _pieces(model: PdmModel, params: TwoModeParams, q, kin=None):
     """
     q = _as_points(q)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _veff_pieces(model, _both_scales(model, params), q[..., 0], q[..., 1], kin)
+        return _veff_pieces(_constants(model, params, kinetic), q[..., 0], q[..., 1])
 
 
 def _windows(model: PdmModel, params: TwoModeParams, q):
@@ -544,13 +735,13 @@ def effective_potential(model: PdmModel, params: TwoModeParams, q):
     turns the classical hard walls into an escapable barrier.
     """
     _require_real_tau(params)
-    return _scalar_or_array(_pieces(model, params, q, _kinetic_coeffs(params))[0])
+    return _scalar_or_array(_pieces(model, params, q, kinetic=True)[0])
 
 
 def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
     """Closed-form gradient of effective_potential, stacked along the last axis."""
     _require_real_tau(params)
-    _, d1, d2, _ = _pieces(model, params, q, _kinetic_coeffs(params))
+    _, d1, d2, _ = _pieces(model, params, q, kinetic=True)
     return np.stack([d1, d2], axis=-1)
 
 
@@ -561,7 +752,7 @@ def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
 def semiclassical_energy(semi: SemiclassicalModel, q, p):
     """Conserved value p1^2 A_1/2 + p2^2 A_2/2 + V_eff at (q, p)."""
     p = _as_points(p)
-    veff, _, _, (a1, a2, *_) = _pieces(semi.model, semi.modes, q, _kinetic_coeffs(semi.modes))
+    veff, _, _, (a1, a2, *_) = _pieces(semi.model, semi.modes, q, kinetic=True)
     return _scalar_or_array(0.5 * (p[..., 0] ** 2 * a1 + p[..., 1] ** 2 * a2) + veff)
 
 
@@ -605,219 +796,18 @@ def _accelerations(v1, v2, d1v, d2v, masses):
     return acc1, acc2
 
 
-class _Traced:
-    """A value of a formula being traced into straight-line code.
-
-    Each float operation on it appends one node, (template, operands, kept),
-    to its ``tape`` and returns the traced result; an operation between two
-    plain floats runs as a float, so every constant that a model folds is
-    the float the formula computes.  ``kept`` marks the nodes that may raise
-    (a division, a call), which the code keeps even when no result reads
-    them.  A traced value has no truth value, no float value and no
-    comparison, so a formula that branches on one raises TypeError when it
-    is traced instead of being specialised to one branch.
-    """
-
-    __slots__ = ("tape", "index")
-
-    def __init__(self, tape: list, template: str, operands=(), kept=False):
-        self.tape, self.index = tape, len(tape)
-        tape.append((template, operands, kept))
-
-    def _binary(template: str, kept=False, reflected=False):
-        def op(self, other):
-            if type(other) is not float and not isinstance(other, _Traced):
-                return NotImplemented
-            return _Traced(self.tape, template, (other, self) if reflected else (self, other), kept)
-
-        return op
-
-    __add__ = _binary("({} + {})")
-    __radd__ = _binary("({} + {})", reflected=True)
-    __sub__ = _binary("({} - {})")
-    __rsub__ = _binary("({} - {})", reflected=True)
-    __mul__ = _binary("({} * {})")
-    __rmul__ = _binary("({} * {})", reflected=True)
-    __truediv__ = _binary("({} / {})", kept=True)
-    __rtruediv__ = _binary("({} / {})", kept=True, reflected=True)
-    del _binary
-
-    def __neg__(self):
-        return _Traced(self.tape, "(-{})", (self,))
-
-    def __abs__(self):
-        return _Traced(self.tape, "abs({})", (self,))
-
-    def __bool__(self):
-        raise TypeError("a traced value has no truth value: the formula branches on it")
-
-    def __eq__(self, other):
-        raise TypeError("a traced value cannot be compared: the formula branches on it")
-
-    __ne__ = __eq__
+def _motion(q1, q2, v1, v2, *constants, erfc=math.erfc, exp=math.exp):
+    """The accelerations of ``semiclassical_integrate``'s (q, v) flow for the
+    21 ``constants`` of ``_constants``: ``_veff_pieces`` and ``_accelerations``
+    on Python floats, or on traced ones."""
+    _, d1v, d2v, masses = _veff_pieces(constants, q1, q2, erfc, exp)
+    return _accelerations(v1, v2, d1v, d2v, masses)
 
 
-def _recording(fn):
-    """``fn`` of one float, recorded as a call ``fn.__name__(x)`` on a traced x."""
-
-    def call(x):
-        if isinstance(x, _Traced):
-            return _Traced(x.tape, fn.__name__ + "({})", (x,), kept=True)
-        return fn(x)
-
-    return call
-
-
-def _trace(formula, names, syntax=None, literal=repr):
-    """Straight-line code of ``formula`` on float arguments called ``names``.
-
-    Returns the statements and the expressions of the results.  The values
-    that no result reads are dropped, unless they are divisions or calls,
-    which may raise; a value read once is inlined into its reader, and one
-    read more often is the local ``t<node>``.  Every operation keeps its
-    operands' order and its own parentheses, so the code computes the
-    formula's floats bit for bit; ``inf`` and ``nan`` in the constants'
-    literals are names that its scope must bind.  The code is Python; with
-    ``syntax``, a map from an operation's template to another language's, and
-    ``literal``, a float's spelling there, it is that language's expressions.
-    """
-    tape: list = []
-    results = formula(*(_Traced(tape, name) for name in names))
-    reads = [0] * len(tape)
-    for r in results:
-        if isinstance(r, _Traced):
-            reads[r.index] += 1
-    for i in reversed(range(len(tape))):
-        _, operands, kept = tape[i]
-        if reads[i] or kept:
-            for v in operands:
-                if isinstance(v, _Traced):
-                    reads[v.index] += 1
-    text = {}
-    lines = []
-    for i, (template, operands, kept) in enumerate(tape):
-        if not operands:  # an argument
-            text[i] = template
-            continue
-        if not (reads[i] or kept):
-            continue
-        expr = (syntax or {}).get(template, template).format(
-            *(text[v.index] if isinstance(v, _Traced) else literal(v) for v in operands)
-        )
-        if reads[i] == 1:
-            text[i] = expr
-        elif reads[i] == 0:
-            lines.append(expr)
-        else:
-            text[i] = f"t{i}"
-            lines.append(f"t{i} = {expr}")
-    return lines, [text[r.index] if isinstance(r, _Traced) else literal(r) for r in results]
-
-
-def _motion(constants, erfc, exp):
-    """formula(q1, q2, v1, v2) of the accelerations for the 21 ``constants``
-    (``_motion_constants``), plain floats or traced ones."""
-    model = SimpleNamespace(**dict(zip(("m0", "lambda1", "lambda2", "vbar1", "vbar2"), constants)))
-    scales = (_ModeScale(*constants[5:12]), _ModeScale(*constants[12:19]))
-    kin = constants[19:21]
-
-    def formula(q1, q2, v1, v2):
-        _, d1v, d2v, masses = _veff_pieces(model, scales, q1, q2, kin, erfc, exp)
-        return _accelerations(v1, v2, d1v, d2v, masses)
-
-    return formula
-
-
-def _motion_constants(model: PdmModel, scales, kin) -> tuple:
-    """The constants of the equations of motion: the ``PdmModel``'s, the two
-    ``_ModeScale`` and the kinetic coefficients, 21 floats."""
-    return (model.m0, model.lambda1, model.lambda2, model.vbar1, model.vbar2, *scales[0], *scales[1], *kin)
-
-
-@lru_cache(maxsize=16)
-def _generated_rhs(literals: tuple[str, ...]):
-    """The right-hand side rhs(t, y) of ``_equations_of_motion`` for the
-    constants written as ``literals`` (``_motion_constants``).
-
-    ``_veff_pieces`` and ``_accelerations`` are traced once on q1, q2, v1,
-    v2 with recording ``math.erfc`` and ``math.exp``, and the trace runs as
-    code with the constants as literals; tracebacks show ``semiclassical rhs``
-    and a checksum of the source.
-    """
-    erfc, exp = _recording(math.erfc), _recording(math.exp)
-    lines, (acc1, acc2) = _trace(_motion([float(v) for v in literals], erfc, exp), ("q1", "q2", "v1", "v2"))
-    src = (
-        "def rhs(t, y):\n    q1, q2, v1, v2 = y\n    try:\n"
-        + "".join(f"        {line}\n" for line in lines)
-        + f"        return v1, v2, {acc1}, {acc2}\n"
-        + "    except ZeroDivisionError:\n        return v1, v2, nan, nan\n"
-    )
-    name = f"semiclassical rhs {zlib.crc32(src.encode()):08x}"
-    scope = _exec_generated(src, name, erfc=math.erfc, exp=math.exp, inf=math.inf, nan=math.nan)
-    return scope["rhs"]
-
-
-def _equations_of_motion(model: PdmModel, scales, kin: tuple[float, float]):
-    """The (q, v) right-hand side rhs(t, y) of ``semiclassical_integrate``:
-    ``_veff_pieces`` and ``_accelerations`` on Python floats with
-    ``math.erfc`` and ``math.exp``, as straight-line code generated once per
-    model (``_generated_rhs``) that computes their floats bit for bit.
-    ``_compiled_rhs`` is the same code in C, which the solver runs where it
-    can build it.
-
-    Where numpy would give inf or NaN, Python raises ``ZeroDivisionError``:
-    there the accelerations are NaN, so a start whose portraits underflow
-    fails the caller's finiteness check, and a step into such a region fails
-    the solver's error test, as with numpy values.
-    """
-    # the cache key is the literals: as floats, 0.0 and -0.0 would be one key
-    # and a NaN would match no key
-    return _generated_rhs(tuple(repr(float(v)) for v in _motion_constants(model, scales, kin)))
-
-
-# C for the operations whose Python spelling is not C: abs, and a division,
-# which flags a zero divisor where Python raises ZeroDivisionError.  The
-# literals are the formulas' own, finite, written in hexadecimal (float.hex):
-# the compiler reads the exact float
-_C_SYNTAX = {"abs({})": "fabs({})", "({} / {})": "quot({}, {}, &zero)"}
-
-
-@lru_cache(maxsize=1)
-def _rhs_c_source() -> str:
-    """The right-hand side of every model as a C function
-    ``rhs(c, t, y, f)``: the trace of ``_generated_rhs`` with the 21 constants
-    as the arguments ``c[0]``..``c[20]`` instead of literals, so one compiled
-    library serves all models.  Each operation is the Python code's, in its
-    order; a zero divisor anywhere makes both accelerations NaN, as the
-    ``except ZeroDivisionError`` does."""
-    erfc, exp = _recording(math.erfc), _recording(math.exp)
-
-    def formula(q1, q2, v1, v2, *constants):
-        return _motion(constants, erfc, exp)(q1, q2, v1, v2)
-
-    names = ("q1", "q2", "v1", "v2", *(f"c[{k}]" for k in range(21)))
-    lines, (acc1, acc2) = _trace(formula, names, _C_SYNTAX, float.hex)
-    body = "".join(f"    {'double ' * bool(re.match(r't[0-9]+ = ', line))}{line};\n" for line in lines)
-    return (
-        "static double quot(double a, double b, int *zero)\n{\n"
-        "    if (b == 0.0)\n        *zero = 1;\n    return a / b;\n}\n\n"
-        "static void rhs(const double *c, double t, const double *y, double *f)\n{\n"
-        "    const double q1 = y[0], q2 = y[1], v1 = y[2], v2 = y[3];\n    int zero = 0;\n"
-        + body + f"    const double acc1 = {acc1};\n    const double acc2 = {acc2};\n"
-        "    f[0] = v1;\n    f[1] = v2;\n    f[2] = zero ? NAN : acc1;\n    f[3] = zero ? NAN : acc2;\n}\n"
-    )
-
-
-# positions, in walls, of the states at which a compiled right-hand side must
-# give the Python one's bits: inside, at and beyond each wall, and so far out
-# that every window underflows and the accelerations are NaN
+# positions, in walls, of the states at which a compiled flow must give the
+# Python one's bits: inside, at and beyond each wall, and so far out that
+# every window underflows and the accelerations are NaN
 _PROBE_WALLS = (-40.0, -2.5, -1.0, -0.3, 0.0, 0.6, 0.999, 1.05, 4.0)
-
-
-def _compiled_rhs(model: PdmModel, scales, kin) -> CompiledRhs:
-    """The C form of ``_equations_of_motion(model, scales, kin)``."""
-    probes = tuple((a * scales[0].w, b * scales[1].w, 0.7, -1.3) for a in _PROBE_WALLS for b in _PROBE_WALLS)
-    return CompiledRhs(_rhs_c_source(), _motion_constants(model, scales, kin), probes)
 
 
 def semiclassical_integrate(
@@ -837,40 +827,30 @@ def semiclassical_integrate(
     of energy conservation crossing the wall region.  All coefficients use
     the closed-form erfc expressions and their analytic derivatives.
 
-    The right-hand side takes the state as four Python floats and returns
-    the derivative as a tuple of four, the contract of ``solve_ode``, whose
-    DOP853 stages are Python-float combinations too.  It is straight-line
-    code generated at the first solve of a model (``_equations_of_motion``)
-    from the same ``_veff_pieces`` that the portraits and the sampled
-    energies run on float arrays, traced with ``math.erfc`` and ``math.exp``:
-    about sixty operations on Python floats cost far less than the same
-    numpy operations on 0-d values, no array is built per stage, and no call
-    is made per piece.  The problem also carries that trace in C
-    (``_compiled_rhs``), and ``solve_ode`` runs it with its C driver where
-    the host has a compiler, about twenty times faster and with the same
-    bits; elsewhere the Python code runs.  The arrays take ``scipy.special.erfc``, which a
-    process that has drawn no portrait imports for the sampled energies,
-    after the solve.  The two differ only by the rounding of the two erfc
-    and exp implementations, so trajectories move in their last digits
-    against an all-numpy right-hand side.  A run that the solver's minimum
-    step or step budget stops is classified "singular-stop" and keeps its
-    samples.
+    The accelerations are ``_motion``, the same ``_veff_pieces`` that the
+    portraits and the sampled energies run on float arrays, here on Python
+    floats with ``math.erfc`` and ``math.exp``; ``_solve`` hands the solver
+    that and its trace in C, which runs where the host has a compiler, about
+    twenty times faster and with the same bits.  The arrays take
+    ``scipy.special.erfc``, which a process that has drawn no portrait
+    imports for the sampled energies, after the solve.  The two differ only
+    by the rounding of the two erfc and exp implementations, so trajectories
+    move in their last digits against an all-numpy right-hand side.  A run
+    that the solver's minimum step or step budget stops is classified
+    "singular-stop" and keeps its samples.
 
     The initial point may lie anywhere; escape is detected by leaving the
     classical rectangle after the barrier has dropped below a hundredth of
     the conserved energy, or by straying beyond twice the larger half-width.
     """
-    model = semi.model
-    kin = _kinetic_coeffs(semi.modes)
-    scales = _both_scales(model, semi.modes)
-
-    rhs = _equations_of_motion(model, scales, kin)
+    constants = _constants(semi.model, semi.modes, kinetic=True)
+    walls = [tuple(a * semi.model.wall(j) for a in _PROBE_WALLS) for j in (1, 2)]
     y0 = [float(v) for v in (init.q1, init.q2, init.v1, init.v2)]
-    sol = _solve(rhs, y0, t_span, samples, rel_tol, abs_tol, _compiled_rhs(model, scales, kin))
+    sol = _solve(_motion, constants, walls, y0, t_span, samples, rel_tol, abs_tol)
 
     q = sol.y[:, 0:2]
     v = sol.y[:, 2:4]
-    veff, _, _, (a1, a2, *_) = _veff_pieces(model, scales, q[:, 0], q[:, 1], kin)
+    veff, _, _, (a1, a2, *_) = _veff_pieces(constants, q[:, 0], q[:, 1])
     p = np.stack([v[:, 0] / a1, v[:, 1] / a2], axis=-1)
     energy = 0.5 * (v[:, 0] ** 2 / a1 + v[:, 1] ** 2 / a2) + veff
 
@@ -902,10 +882,7 @@ def forbidden_region(
         q2_axis = np.linspace(-1.5 * model.wall(2), 1.5 * model.wall(2), 201)
     q1_axis = np.asarray(q1_axis, dtype=float)
     q2_axis = np.asarray(q2_axis, dtype=float)
-    veff = _veff_pieces(
-        model, _both_scales(model, semi.modes), q1_axis[:, None], q2_axis[None, :],
-        _kinetic_coeffs(semi.modes),
-    )[0]
+    veff = _veff_pieces(_constants(model, semi.modes, kinetic=True), q1_axis[:, None], q2_axis[None, :])[0]
     e0 = semiclassical_energy(semi, [init.q1, init.q2], initial_momenta(semi, init))
     return veff >= e0
 

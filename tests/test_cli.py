@@ -173,6 +173,33 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
 
 
 @pytest.mark.parametrize(
+    "argv,payload,shown",
+    [
+        (["quantise", "q"], {"fock_dim": 2.7}, "'fock_dim': cannot interpret 2.7 as int"),
+        (["quantise", "q"], {"fock_dim": True}, "'fock_dim': cannot interpret True as int"),
+        (["simulate", "--preset", "fig3a"], {"samples": 2.9}, "'samples': cannot interpret 2.9 as int"),
+        (["portrait", "chi", "--preset", "fig6a"], {"q1_points": 7.5}, "'q1_points': cannot interpret 7.5 as int"),
+        (["simulate", "--preset", "fig4b"], {"m0": True}, "'m0': cannot interpret True as float"),
+        (["quantise", "q"], {"fock_dim": math.inf}, "'fock_dim': cannot interpret inf as int"),
+    ],
+    ids=["fock-dim-fraction", "fock-dim-boolean", "samples-fraction", "points-fraction", "m0-boolean",
+         "fock-dim-infinity"],
+)
+def test_a_fraction_or_a_boolean_for_a_number_exits_2(tmp_path, capsys, argv, payload, shown):
+    # int() would truncate the fraction and overflow on JSON's Infinity, and
+    # Python counts True as 1
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: config field {shown}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_integral_float_for_an_int_key_is_accepted(tmp_path):
+    cfg = _write_cfg(tmp_path, {"fock_dim": 3.0})
+    assert main(["quantise", "q", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["portrait", "chi", "--preset", "fig6a", "--tol", "-5", "--fock-dim", "-3"],

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate as sint
 
-from sqzq import native, numerics
+from sqzq import native, numerics, pdm
+from sqzq.cli import _recurrence_residual
 from sqzq.errors import ConfigError, NonConvergent, NonFiniteState
 from sqzq.numerics import (
     OdeProblem,
@@ -41,7 +42,15 @@ from sqzq.numerics import (
     solve_ode,
     whitened_rule,
 )
-from sqzq.pdm import PRESETS, _both_scales, _compiled_rhs, _equations_of_motion, _kinetic_coeffs, _rhs_c_source
+from sqzq.pdm import (
+    PRESETS,
+    InitialState,
+    SemiclassicalModel,
+    _c_source,
+    _motion,
+    classical_integrate,
+    semiclassical_integrate,
+)
 
 from .oracles import dop853_generic, erfc_real, matrix_exp, momentum, quad_box, whitened_rule_nd
 
@@ -734,14 +743,37 @@ def test_report_hermiticity_defect_is_the_largest_over_a_stack():
 # ---------------------------------------------------------------- the compiled solver
 
 
+class _Captured(Exception):
+    pass
+
+
+def _problem_of(run):
+    """The ODE problem that ``run()`` hands the solver, which never runs it."""
+
+    def capture(problem, **kwargs):
+        raise _Captured(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pdm, "solve_ode", capture)
+        with pytest.raises(_Captured) as info:
+            run()
+    return info.value.args[0]
+
+
 def _launch(v=(0.75, 0.75), q=(0.0, 0.0), **model):
     """The ODE problem of a launch of the fig6 model (changed by ``model``),
     as ``semiclassical_integrate`` builds it, with its compiled form."""
     preset = PRESETS["fig6a"]
-    m = replace(preset.model, **model)
-    scales, kin = _both_scales(m, preset.modes), _kinetic_coeffs(preset.modes)
-    rhs = _equations_of_motion(m, scales, kin)
-    return OdeProblem(rhs, preset.t_span, np.array([*q, *v]), 1e-11, 1e-13, _compiled_rhs(m, scales, kin))
+    semi = SemiclassicalModel(replace(preset.model, **model), preset.modes)
+    return _problem_of(lambda: semiclassical_integrate(semi, InitialState(*q, *v), preset.t_span))
+
+
+def _classical(name, v=None):
+    """The ODE problem of a classical preset's run (its velocities changed
+    by ``v``), as ``classical_integrate`` builds it."""
+    preset = PRESETS[name]
+    init = replace(preset.init, v1=v[0], v2=v[1]) if v else preset.init
+    return _problem_of(lambda: classical_integrate(preset.model, init, preset.t_span))
 
 
 def _refuse(*args):
@@ -753,7 +785,7 @@ def library():
     """The library of the semiclassical right-hand side, loaded afresh, and
     forgotten afterwards so that what a test does to it stays in the test."""
     native._library.cache_clear()
-    lib = native._solver(_rhs_c_source(), 4)
+    lib = native._solver(_c_source(_motion, 21), 4)
     if lib is None:
         assert not (shutil.which("cc") or shutil.which("gcc")), "a C compiler is on PATH, but no library"
         pytest.skip("no C compiler on PATH")
@@ -778,6 +810,9 @@ _LAUNCHES = {
     "not-finite-at-t0": lambda: _launch(q=(50.0, 50.0)),
     # accelerations near 1e300: the steps shrink without end
     "minimum-step": lambda: _launch(vbar1=1e300),
+    **{name: (lambda name=name: _classical(name)) for name in PRESETS if PRESETS[name].kind == "classical"},
+    # an angular velocity near 1e307: the steps shrink without end
+    "pendulum-minimum-step": lambda: _classical("fig4a", v=(1e307, 2.0)),
 }
 
 
@@ -790,8 +825,11 @@ def test_compiled_solve_gives_the_python_kernels_bits(monkeypatch, library, case
     assert got == want
     if case.startswith("fig6"):
         assert want["status"] == "finished" and want["n_rejected"] > 0
+    elif case in PRESETS:
+        assert want["status"] == "finished"
     else:
-        assert want["status"] == "failed" and case.replace("-", " ") in want["message"]
+        stop = "minimum step" if case.startswith("pendulum") else case.replace("-", " ")
+        assert want["status"] == "failed" and stop in want["message"]
 
 
 def test_compiled_solve_gives_the_python_kernels_bits_on_escaping_launches(monkeypatch, library):
@@ -805,6 +843,24 @@ def test_compiled_solve_gives_the_python_kernels_bits_on_escaping_launches(monke
         last = np.frombuffer(want["y"])[-4:-2] * [PRESETS["fig6a"].model.lambda1, PRESETS["fig6a"].model.lambda2]
         escaped += bool(np.max(np.abs(last)) > 1.0)
     assert 2 <= escaped <= 8
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig3c"])
+def test_the_recurrence_residual_is_the_same_on_both_paths(monkeypatch, library, name):
+    # simulate's re-solve over one closure time, which it reports
+    preset = PRESETS[name]
+
+    def residual():
+        return _recurrence_residual(preset.model, preset.init, 0.0, preset.closure_time, {})
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "_python_steps", _refuse)
+        got = residual()
+    with monkeypatch.context() as patch:
+        patch.setattr(pdm, "_compiled_rhs", lambda *args: None)
+        want = residual()
+    assert got.hex() == want.hex()
+    assert got <= 1e-10
 
 
 def test_compiled_solve_reads_the_step_budget_at_call_time(monkeypatch, library):
@@ -837,7 +893,7 @@ def test_without_a_library_the_python_kernels_run_with_the_same_bits(monkeypatch
         no_library.parent.mkdir(exist_ok=True)
         no_library.write_text("a file where the cache directory would be")
     assert _outcome(solve_ode, problem, t_eval) == want
-    assert native._solver(_rhs_c_source(), 4) is None
+    assert native._solver(_c_source(_motion, 21), 4) is None
     if host == "failing-build":
         # a failed build leaves no temporary files behind, only its marker
         (marker,) = no_library.joinpath("sqzq").iterdir()
@@ -847,10 +903,8 @@ def test_without_a_library_the_python_kernels_run_with_the_same_bits(monkeypatch
 
 
 def _cached_library() -> Path:
-    """The library file of the session's cache, built if need be."""
-    native._solver(_rhs_c_source(), 4)
-    (path,) = Path(native._cache_dir()).glob("dop853-*.so")
-    return path
+    """The semiclassical library's file in the session's cache, built if need be."""
+    return Path(native._solver(_c_source(_motion, 21), 4).path)
 
 
 def test_a_second_load_compiles_nothing(monkeypatch, library):
@@ -858,7 +912,7 @@ def test_a_second_load_compiles_nothing(monkeypatch, library):
     runs = []
     monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: runs.append(args))
     native._library.cache_clear()
-    assert native._solver(_rhs_c_source(), 4) is not None
+    assert native._solver(_c_source(_motion, 21), 4) is not None
     assert runs == []
     assert native._intact(str(path))
 
@@ -879,7 +933,7 @@ def test_a_truncated_library_is_never_loaded(monkeypatch, library, tmp_path):
     monkeypatch.setattr(subprocess, "run", failing_build)
     monkeypatch.setattr(native.ctypes, "CDLL", lambda *args, **kwargs: loads.append(args))
     native._library.cache_clear()
-    assert native._solver(_rhs_c_source(), 4) is None
+    assert native._solver(_c_source(_motion, 21), 4) is None
     problem = _launch()
     assert _outcome(solve_ode, problem, None) == _outcome(solve_ode, replace(problem, compiled=None), None)
     assert loads == []
@@ -935,8 +989,9 @@ print(json.dumps([loaded, steps]))
 
 def test_import_and_a_classical_run_load_no_library(tmp_path):
     # numpy itself imports ctypes; import sqzq adds no module of the loader,
-    # builds nothing and writes no cache.  The classical run's 2001 x 6 block
-    # loads the CSV library (cold: builds it), and never the solver's
+    # builds nothing and writes no cache.  The classical run loads (cold:
+    # builds) the solver library of the pendulum, and its 2001 x 6 block the
+    # CSV library
     cache = tmp_path / "cache"
     argv = [["simulate", "--preset", "fig4b", "--out", str(tmp_path)]]
     out = subprocess.run(
@@ -950,8 +1005,8 @@ def test_import_and_a_classical_run_load_no_library(tmp_path):
     assert code == 0
     if shutil.which("cc") or shutil.which("gcc"):
         assert after_run == {"ctypes": True, "subprocess": True, "sqzq.native": True}
-        (library,) = cache.joinpath("sqzq").iterdir()
-        assert library.name.startswith("csv-") and library.suffix == ".so"
+        libraries = sorted(cache.joinpath("sqzq").iterdir())
+        assert [(p.name.split("-")[0], p.suffix) for p in libraries] == [("csv", ".so"), ("dop853", ".so")]
     else:
         assert after_run == {"ctypes": True, "subprocess": False, "sqzq.native": True}
         assert not cache.exists()
@@ -968,8 +1023,8 @@ print(json.dumps([code, "subprocess" in sys.modules]))
 
 def test_a_failed_build_is_not_run_again_by_the_next_process(tmp_path):
     # the first process runs the compiler, which refuses the flag, and leaves
-    # a marker; the second starts no compiler.  Both write the run's pinned
-    # bytes with the '%' template
+    # a marker for each library; the second starts no compiler.  Both write
+    # the run's pinned bytes with the '%' template
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache")}
     runs = []
     for k in range(2):
@@ -980,8 +1035,9 @@ def test_a_failed_build_is_not_run_again_by_the_next_process(tmp_path):
     compiler = bool(shutil.which("cc") or shutil.which("gcc"))
     assert runs == [[0, compiler], [0, False]]
     if compiler:
-        (marker,) = tmp_path.joinpath("cache", "sqzq").iterdir()
-        assert marker.name.startswith("csv-") and marker.suffix == ".failed"
+        # one marker for the pendulum's solver, one for the CSV writer
+        markers = sorted(tmp_path.joinpath("cache", "sqzq").iterdir())
+        assert [(p.name.split("-")[0], p.suffix) for p in markers] == [("csv", ".failed"), ("dop853", ".failed")]
     first, second = (tmp_path / str(k) / "fig4b.csv" for k in range(2))
     assert first.read_bytes() == second.read_bytes()
     assert hashlib.sha256(first.read_bytes()).hexdigest() == (

@@ -7,10 +7,8 @@ analytic libration amplitudes, and conservation of the relevant energy.
 """
 
 import itertools
-import linecache
 import math
 import shutil
-import traceback
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from scipy.special import erfc
 
 import sqzq.pdm as pdm_module
 from sqzq import native
-from sqzq.cli import _quad_moment_1d
+from sqzq.cli import _quad_moment_1d, _recurrence_residual
 from sqzq.errors import ConfigError, NonFiniteState, OutsideBox
 from sqzq.numerics import OdeSolution, solve_ode
 from sqzq.pdm import (
@@ -46,14 +44,13 @@ from sqzq.pdm import (
     semiclassical_integrate,
 )
 from sqzq.pdm import (
-    _accelerations,
     _both_scales,
-    _equations_of_motion,
-    _generated_rhs,
-    _kinetic_coeffs,
+    _c_source,
+    _constants,
     _mode_pieces,
-    _motion_constants,
-    _rhs_c_source,
+    _motion,
+    _pendulum,
+    _python_rhs,
     _trace,
     _veff_pieces,
 )
@@ -237,9 +234,9 @@ def test_classical_energy_identity(run_preset):
 
 @pytest.mark.parametrize("v0, t1", [(1e300, 35.0), (1e306, 1e3), (1e307, 35.0)])
 def test_classical_integrate_with_an_unresolvable_velocity_raises(v0, t1):
-    # 1e300 runs to t1 in growing steps with an infinite energy, 1e306 drives
-    # a stage angle to inf (where math.sin raises), 1e307 stops at the
-    # minimum step; none may pass for a finite trajectory
+    # 1e300 runs to t1 in growing steps with an infinite energy, 1e306 stops
+    # at the minimum step at t = 45 with no finite sample, 1e307 stops there
+    # at once; none may pass for a finite trajectory
     model = PRESETS["fig4a"].model
     with pytest.raises(NonFiniteState):
         classical_integrate(model, InitialState(0.0, 0.0, v0, 2.0), (0.0, t1))
@@ -448,22 +445,22 @@ _PIN_MODELS = pytest.mark.parametrize(
 
 @_PIN_MODELS
 def test_float_and_array_formulas_agree(model, modes):
-    # the equations of motion are _veff_pieces traced on Python floats with
-    # math's erfc and exp, and compute its floats to the bit
-    # (test_generated_rhs_computes_the_formulas_floats_to_the_bit); everything
-    # else runs it on arrays with scipy's and numpy's
+    # the equations of motion run _veff_pieces on Python floats with math's
+    # erfc and exp, and their C computes the same floats to the bit
+    # (test_compiled_rhs_holds_its_bits_over_the_fuzzed_model_scales);
+    # everything else runs it on arrays with scipy's and numpy's
     scales = _both_scales(model, modes)
-    kin = _kinetic_coeffs(modes)
+    constants = _constants(model, modes, kinetic=True)
     axes = [_pinning_axis(m.w, m.s) for m in scales]
     g1, g2 = np.meshgrid(*axes, indexing="ij")
     q1, q2 = g1.ravel(), g2.ravel()
     assert q1.size >= 200
 
     def quantities(a, b, erfc_f, exp_f):
-        veff, d1, d2, masses = _veff_pieces(model, scales, a, b, kin, erfc_f, exp_f)
+        veff, d1, d2, masses = _veff_pieces(constants, a, b, erfc_f, exp_f)
         # without kinetic coefficients only the masses are assembled, the
         # same six, to the bit
-        alone = _veff_pieces(model, scales, a, b, None, erfc_f, exp_f)
+        alone = _veff_pieces(constants[:19], a, b, erfc_f, exp_f)
         windows = [_mode_pieces(x, m, erfc_f, exp_f)[:2] for x, m in zip((a, b), scales)]
         return [veff, d1, d2, *masses, *windows[0], *windows[1], *alone]
 
@@ -523,7 +520,7 @@ def test_mode_pieces_are_mirror_symmetric(model, modes, floats, j):
 
 def test_float_equations_of_motion_turn_nan_where_the_portraits_underflow():
     model, modes = _fig6_pair()
-    rhs = _equations_of_motion(model, _both_scales(model, modes), _kinetic_coeffs(modes))
+    rhs = _python_rhs(_motion, _constants(model, modes, kinetic=True))
     inside = rhs(0.0, [0.1, -0.2, 0.7, 0.4])
     assert all(type(v) is float for v in inside)
     assert np.all(np.isfinite(inside))
@@ -532,35 +529,6 @@ def test_float_equations_of_motion_turn_nan_where_the_portraits_underflow():
     far = rhs(0.0, [50.0, 50.0, 1.0, 1.0])
     assert list(far[:2]) == [1.0, 1.0]
     assert not np.any(np.isfinite(far[2:]))
-
-
-def _untraced_rhs(model, scales, kin):
-    # the formulas that the generated right-hand side is traced from, run on
-    # Python floats
-    def rhs(t, y):
-        q1, q2, v1, v2 = y
-        try:
-            _, d1v, d2v, masses = _veff_pieces(model, scales, q1, q2, kin, math.erfc, math.exp)
-            return (v1, v2, *_accelerations(v1, v2, d1v, d2v, masses))
-        except ZeroDivisionError:
-            return v1, v2, math.nan, math.nan
-
-    return rhs
-
-
-def _assert_rhs_bits(model, modes, states) -> int:
-    """The states at which the generated right-hand side and its formulas
-    agree to the bit, as they must at all; returns how many are finite."""
-    scales, kin = _both_scales(model, modes), _kinetic_coeffs(modes)
-    generated = _equations_of_motion(model, scales, kin)
-    untraced = _untraced_rhs(model, scales, kin)
-    finite = 0
-    for y in states:
-        got = generated(0.0, y)
-        # float.hex tells -0.0 from 0.0 and writes every NaN as nan
-        assert [v.hex() for v in got] == [v.hex() for v in untraced(0.0, y)], (model, y)
-        finite += all(map(math.isfinite, got))
-    return finite
 
 
 def _random_states(rng, scales, n):
@@ -574,19 +542,59 @@ def _random_states(rng, scales, n):
     return np.stack([*q, *v], axis=1).tolist()
 
 
-@_PIN_MODELS
-def test_generated_rhs_computes_the_formulas_floats_to_the_bit(model, modes):
-    scales = _both_scales(model, modes)
-    axes = [_pinning_axis(m.w, m.s) for m in scales]
-    states = [[a, b, v1, v2] for a in axes[0].tolist() for b in axes[1].tolist()
-              for v1, v2 in ((0.7, -0.4), (-3.0, 1e-3))]
-    # every window underflows this far out, where the accelerations are NaN
-    states += [[50.0, 50.0, 1.0, 1.0], [-50.0, 0.1, 0.0, -0.0], [0.0, 0.0, 0.0, 0.0]]
-    states += _random_states(np.random.default_rng(27), scales, 4000)
-    assert 0 < _assert_rhs_bits(model, modes, states) < len(states)
+@pytest.fixture
+def compiled_library():
+    """The solver library of each formula, ``_motion`` and ``_pendulum``; a
+    host without a C compiler skips, a host with one must build them."""
+    libs = {formula: native._solver(_c_source(formula, n), 4) for formula, n in ((_motion, 21), (_pendulum, 2))}
+    if None in libs.values():
+        assert not (shutil.which("cc") or shutil.which("gcc")), "a C compiler is on PATH, but no library"
+        pytest.skip("no C compiler on PATH")
+    return libs
 
 
-def test_generated_rhs_holds_its_bits_over_the_fuzzed_model_scales():
+def _assert_compiled_bits(libs, formula, constants, states) -> int:
+    """The states at which the compiled right-hand side gives the bits of
+    the formula on Python floats, as it must at all; returns how many are
+    finite."""
+    ys = np.array(states, dtype=float)
+    out = np.empty_like(ys)
+    libs[formula].dll.sqzq_rhs(np.array(constants).ctypes.data, len(ys), ys.ctypes.data, out.ctypes.data)
+    rhs = _python_rhs(formula, constants)
+    finite = 0
+    for y, got in zip(states, out.tolist()):
+        want = rhs(0.0, y)
+        # float.hex tells -0.0 from 0.0 and writes every NaN as nan
+        assert [v.hex() for v in got] == [v.hex() for v in want], (constants, y)
+        finite += all(map(math.isfinite, want))
+    return finite
+
+
+def _assert_motion_bits(libs, model, modes, states) -> int:
+    return _assert_compiled_bits(libs, _motion, _constants(model, modes, kinetic=True), states)
+
+
+def test_compiled_rhs_gives_the_python_bits_over_random_models(compiled_library):
+    # one library for every model: its constants are arguments.  Each model
+    # parameter is drawn from 1e-300..1e300 or from [0.1, 10], the squeezing
+    # at random, and the states inside and far outside the box, where the
+    # windows underflow and a zero divisor makes the accelerations NaN
+    rng = np.random.default_rng(33)
+    finite = total = 0
+    for _ in range(40):
+        wide = rng.random(5) < 0.2
+        model = PdmModel(*np.where(wide, 10.0 ** rng.uniform(-300.0, 300.0, 5),
+                                   10.0 ** rng.uniform(-1.0, 1.0, 5)).tolist())
+        tau1, tau2 = rng.uniform(-0.95, 0.95, 2).tolist()
+        lam1, lam2, hbar = (10.0 ** rng.uniform(-0.5, 0.5, 3)).tolist()
+        modes = TwoModeParams.from_tau(tau1, tau2, lam1=lam1, lam2=lam2, hbar=hbar)
+        states = _random_states(rng, _both_scales(model, modes), 1500) + [[50.0, 50.0, 1.0, 1.0]]
+        finite += _assert_motion_bits(compiled_library, model, modes, states)
+        total += len(states)
+    assert 0.2 * total < finite < 0.9 * total
+
+
+def test_compiled_rhs_holds_its_bits_over_the_fuzzed_model_scales(compiled_library):
     # the simulate fuzz test's model ranges, 1e-300 to 1e300, over fig6a's
     # squeezing; each parameter is drawn from them or from [0.1, 10], so that
     # some models have finite accelerations.  Folded constants such as
@@ -606,58 +614,23 @@ def test_generated_rhs_holds_its_bits_over_the_fuzzed_model_scales():
     finite = total = 0
     for model in models:
         states = _random_states(rng, _both_scales(model, modes), 150) + [[50.0, 50.0, 1.0, 1.0]]
-        finite += _assert_rhs_bits(model, modes, states)
+        finite += _assert_motion_bits(compiled_library, model, modes, states)
         total += len(states)
     assert 0.05 * total < finite < 0.5 * total
 
 
-@pytest.fixture
-def compiled_library():
-    """The solver library of the semiclassical right-hand side; a host
-    without a C compiler skips, a host with one must build it."""
-    lib = native._solver(_rhs_c_source(), 4)
-    if lib is None:
-        assert not (shutil.which("cc") or shutil.which("gcc")), "a C compiler is on PATH, but no library"
-        pytest.skip("no C compiler on PATH")
-    return lib
-
-
-def _assert_compiled_bits(lib, model, modes, states) -> int:
-    """The states at which the compiled right-hand side gives the generated
-    Python one's bits, as it must at all; returns how many are finite."""
-    scales, kin = _both_scales(model, modes), _kinetic_coeffs(modes)
-    constants = np.array(_motion_constants(model, scales, kin))
-    ys = np.array(states, dtype=float)
-    out = np.empty_like(ys)
-    lib.dll.sqzq_rhs(constants.ctypes.data, len(ys), ys.ctypes.data, out.ctypes.data)
-    generated = _equations_of_motion(model, scales, kin)
-    finite = 0
-    for y, got in zip(states, out.tolist()):
-        want = generated(0.0, y)
-        # float.hex tells -0.0 from 0.0 and writes every NaN as nan
-        assert [v.hex() for v in got] == [v.hex() for v in want], (model, y)
-        finite += all(map(math.isfinite, want))
-    return finite
-
-
-def test_compiled_rhs_gives_the_python_bits_over_random_models(compiled_library):
-    # one library for every model: its constants are arguments.  Each model
-    # parameter is drawn from 1e-300..1e300 or from [0.1, 10], the squeezing
-    # at random, and the states inside and far outside the box, where the
-    # windows underflow and a zero divisor makes the accelerations NaN
-    rng = np.random.default_rng(33)
-    finite = total = 0
-    for _ in range(40):
-        wide = rng.random(5) < 0.2
-        model = PdmModel(*np.where(wide, 10.0 ** rng.uniform(-300.0, 300.0, 5),
-                                   10.0 ** rng.uniform(-1.0, 1.0, 5)).tolist())
-        tau1, tau2 = rng.uniform(-0.95, 0.95, 2).tolist()
-        lam1, lam2, hbar = (10.0 ** rng.uniform(-0.5, 0.5, 3)).tolist()
-        modes = TwoModeParams.from_tau(tau1, tau2, lam1=lam1, lam2=lam2, hbar=hbar)
-        states = _random_states(rng, _both_scales(model, modes), 1500) + [[50.0, 50.0, 1.0, 1.0]]
-        finite += _assert_compiled_bits(compiled_library, model, modes, states)
-        total += len(states)
-    assert 0.2 * total < finite < 0.9 * total
+@_PIN_MODELS
+def test_compiled_rhs_gives_the_python_bits_on_the_pinning_grid(compiled_library, model, modes):
+    # inside, across both erfc shoulders and out to 2.5 walls, with random
+    # states around them and the zero state
+    scales = _both_scales(model, modes)
+    axes = [_pinning_axis(m.w, m.s) for m in scales]
+    states = [[a, b, v1, v2] for a in axes[0].tolist() for b in axes[1].tolist()
+              for v1, v2 in ((0.7, -0.4), (-3.0, 1e-3))]
+    # every window underflows this far out, where the accelerations are NaN
+    states += [[50.0, 50.0, 1.0, 1.0], [-50.0, 0.1, 0.0, -0.0], [0.0, 0.0, 0.0, 0.0]]
+    states += _random_states(np.random.default_rng(27), scales, 4000)
+    assert 0 < _assert_motion_bits(compiled_library, model, modes, states) < len(states)
 
 
 @pytest.mark.parametrize("model", [
@@ -671,68 +644,97 @@ def test_compiled_rhs_gives_the_python_bits_at_special_floats(compiled_library, 
                0.3, -1.7]
     states = [list(y) for y in itertools.product(special, repeat=4)]
     picked = np.random.default_rng(1800).choice(len(states), 1800, replace=False)
-    _assert_compiled_bits(compiled_library, model, PRESETS["fig6a"].modes, [states[k] for k in picked])
+    _assert_motion_bits(compiled_library, model, PRESETS["fig6a"].modes, [states[k] for k in picked])
+
+
+def test_compiled_pendulum_gives_the_python_bits_over_random_coefficients(compiled_library):
+    # k = vbar / m0 from 1e-300..1e300, [0.1, 10] or zero, angles within a
+    # few turns or out to 1e300, angular velocities of either sign and scale
+    rng = np.random.default_rng(35)
+    total = 0
+    for _ in range(40):
+        k = 10.0 ** np.where(rng.random(2) < 0.3, rng.uniform(-300.0, 300.0, 2), rng.uniform(-1.0, 1.0, 2))
+        k = tuple(np.where(rng.random(2) < 0.1, 0.0, k).tolist())
+        angles = rng.uniform(-10.0, 10.0, (500, 2)) * 10.0 ** np.where(
+            rng.random((500, 2)) < 0.2, rng.uniform(0.0, 300.0, (500, 2)), 0.0)
+        w = rng.choice([-1.0, 1.0], (500, 2)) * 10.0 ** rng.uniform(-4.0, 4.0, (500, 2))
+        states = np.concatenate([angles, w], axis=1).tolist()
+        # sin of a finite angle is finite, so every acceleration is
+        assert _assert_compiled_bits(compiled_library, _pendulum, k, states) == len(states)
+        total += len(states)
+    assert total == 20000
+
+
+@pytest.mark.parametrize("k", [(0.4, 3.0), (0.0, 1e300), (5e-324, -0.0)], ids=["fig4", "extreme", "tiny"])
+def test_compiled_pendulum_gives_the_python_bits_at_special_floats(compiled_library, k):
+    # every combination of signed zeros, subnormals, huge values, infinities
+    # and NaN: an infinite angle in either mode, where math.sin raises, makes
+    # both accelerations NaN, in C as in Python
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, math.inf, -math.inf, math.nan,
+               0.3, -1.7]
+    states = [list(y) for y in itertools.product(special, repeat=4)]
+    finite = _assert_compiled_bits(compiled_library, _pendulum, k, states)
+    # nine of the twelve values are finite
+    assert finite == 9**4
+    rhs = _python_rhs(_pendulum, k)
+    assert [v.hex() for v in rhs(0.0, [math.inf, 0.3, 1.0, 2.0])] == ["0x1.0000000000000p+0", "0x1.0000000000000p+1",
+                                                                    "nan", "nan"]
 
 
 def test_compiled_rhs_is_one_source_for_every_model():
     # the constants are the C function's arguments c[0..20], never literals
-    src = _rhs_c_source()
-    assert _rhs_c_source() is src
+    src = _c_source(_motion, 21)
+    assert _c_source(_motion, 21) is src
     assert src.count("c[") > 21 and "c[20]" in src and "c[21]" not in src
     assert "0x1.5555555555555p-1" not in src  # fig6a's wall 2/3
     assert "fabs(" in src and "abs(" not in src.replace("fabs(", "")
+    # the pendulum's two coefficients likewise, each angle through the
+    # flagging sine
+    pendulum = _c_source(_pendulum, 2)
+    assert "c[1]" in pendulum and "c[2]" not in pendulum
+    assert pendulum.count("sine((0x1.0000000000000p+1 * q") == 2
 
 
-def test_generated_rhs_tracebacks_show_its_source():
-    # linecache keeps no copy of the source: clearing it must not lose the lines
-    model, modes = _fig6_pair()
-    rhs = _equations_of_motion(model, _both_scales(model, modes), _kinetic_coeffs(modes))
-    name = rhs.__code__.co_filename
-    assert name.startswith("semiclassical rhs ")
-    linecache.clearcache()
-    with pytest.raises(TypeError) as info:
-        rhs(0.0, ["not a float", 0.0, 0.0, 0.0])
-    text = "".join(traceback.format_exception(info.value))
-    assert f'File "{name}", line 4' in text
-    assert "((q1 + 0.6666666666666666) / " in text
-    assert linecache.getlines(name)[0] == "def rhs(t, y):\n"
+def test_every_problem_pdm_builds_carries_a_c_form(monkeypatch, run_preset):
+    # both integrators on every preset and the recurrence re-solve of simulate
+    problems = []
 
+    def recording(problem, **kwargs):
+        problems.append(problem)
+        return solve_ode(problem, **kwargs)
 
-def test_a_model_generates_its_rhs_once():
-    _, modes = _fig6_pair()
-    kin = _kinetic_coeffs(modes)
-
-    def rhs(vbar1):
-        model = PdmModel(m0=4.75, lambda1=1.25, lambda2=0.75, vbar1=vbar1, vbar2=3.0)
-        return _equations_of_motion(model, _both_scales(model, modes), kin)
-
-    before = _generated_rhs.cache_info()
-    first = rhs(2.0)
-    assert rhs(2.0) is first
-    after = _generated_rhs.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
-    # 0.0 and -0.0 are equal as floats but not as literals
-    assert rhs(0.0) is not rhs(-0.0)
+    monkeypatch.setattr(pdm_module, "solve_ode", recording)
+    for name in PRESETS:
+        run_preset(name)
+    preset = PRESETS["fig3a"]
+    _recurrence_residual(preset.model, preset.init, 0.0, preset.closure_time, {})
+    sources = {"classical": _c_source(_pendulum, 2), "semiclassical": _c_source(_motion, 21)}
+    kinds = [PRESETS[name].kind for name in PRESETS] + ["classical"]
+    assert len(problems) == len(kinds) == 10
+    for problem, kind in zip(problems, kinds):
+        assert problem.compiled.source is sources[kind]
+        assert len(problem.compiled.probes) == 81
+        assert all(type(v) is float for v in problem.compiled.constants)
 
 
 def test_trace_folds_constants_drops_dead_values_and_keeps_what_may_raise():
-    def formula(x, y):
+    def formula(x, y, *, exp=math.exp):
         x * y  # read by nothing: dropped
         x / y  # read by nothing, but may raise
+        exp(x)  # read by nothing, but a call
         twice = x + 2.0 * 3.0  # the constant runs as a float; read twice
         return twice * twice, 1.0 - abs(-y), 0.25 + 2.0 / y, 3.0 * x, 0.5
 
     lines, results = _trace(formula, ("x", "y"))
-    assert lines == ["(x / y)", "t4 = (x + 6.0)"]
-    assert results == ["(t4 * t4)", "(1.0 - abs((-y)))", "(0.25 + (2.0 / y))", "(3.0 * x)", "0.5"]
-    # the code computes the formula's floats, operands in their order
-    scope = {}
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def f(x, y):\n{body}    return {', '.join(results)}\n", scope)
-    for x, y in ((0.3, -1.7), (1e308, 3e-308), (-0.0, math.inf)):
-        assert scope["f"](x, y) == formula(x, y)
-    with pytest.raises(ZeroDivisionError):
-        scope["f"](1.0, 0.0)
+    # C, with each operand in its order and each literal in hexadecimal
+    assert lines == ["quot(x, y, &raised)", "exp(x)", "double t5 = (x + 0x1.8000000000000p+2)"]
+    assert results == [
+        "(t5 * t5)",
+        "(0x1.0000000000000p+0 - fabs((-y)))",
+        "(0x1.0000000000000p-2 + quot(0x1.0000000000000p+1, y, &raised))",
+        "(0x1.8000000000000p+1 * x)",
+        "0x1.0000000000000p-1",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -966,14 +968,22 @@ def test_fig6a_steps_match_the_scipy_dop853_oracle(monkeypatch, run_preset):
 
 
 class TestOnThePythonKernels:
-    """The semiclassical trajectory tests above with the compiled form
-    removed, so the Python kernels, which a host without a C compiler runs,
-    keep being held to the same checks."""
+    """The trajectory tests above with the compiled form removed from both
+    integrators, so the Python kernels, which a host without a C compiler
+    runs, keep being held to the same checks."""
 
     @pytest.fixture(autouse=True)
     def _python_kernels(self, monkeypatch):
         monkeypatch.setattr(pdm_module, "_compiled_rhs", lambda *args: None)
 
+    test_classical_integrate_matches_exact = staticmethod(test_classical_integrate_matches_exact)
+    test_classical_closed_orbits = staticmethod(test_classical_closed_orbits)
+    test_classical_constant_mass_limit = staticmethod(test_classical_constant_mass_limit)
+    test_classical_presets_stay_inside = staticmethod(test_classical_presets_stay_inside)
+    test_classical_libration_amplitude = staticmethod(test_classical_libration_amplitude)
+    test_classical_integrate_with_an_unresolvable_velocity_raises = staticmethod(
+        test_classical_integrate_with_an_unresolvable_velocity_raises
+    )
     test_semiclassical_bounded_runs = staticmethod(test_semiclassical_bounded_runs)
     test_semiclassical_escape = staticmethod(test_semiclassical_escape)
     test_semiclassical_initial_momenta = staticmethod(test_semiclassical_initial_momenta)
