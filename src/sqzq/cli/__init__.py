@@ -152,10 +152,16 @@ def _csv(header: str, columns) -> bytes:
 
 
 def _write(out_dir: str, name: str, data: bytes) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    """Write ``data`` to ``out_dir/name``; an output path that cannot be
+    written (``--out`` naming a file, a directory without permission) is a
+    config error."""
     path = os.path.join(out_dir, name)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -326,9 +332,13 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     )
     t0, t1 = _preset_value(preset, "t_span", (0.0, _REQUIRED))
     t_span = (cfg.get("t0", t0), cfg.get("t1", t1))
-    # a preset's run is named after it, whatever the config says
+    # a preset's run is named after it, whatever the config says; a name
+    # that is no plain file stem is refused either way
+    given = cfg.get("name", "run", cast=str)
+    if given in ("", ".", "..") or any(c in given for c in ("/", os.sep, "\0")):
+        raise ConfigError(f"config field 'name' must be a plain file stem, got {given!r}")
     preset_name = _preset_value(preset, "name", None)
-    name = preset_name or cfg.get("name", "run", cast=str)
+    name = preset_name or given
     if kind not in ("classical", "semiclassical"):
         raise ConfigError("config field 'kind' must be 'classical' or 'semiclassical'")
     if not t_span[1] > t_span[0]:
@@ -396,9 +406,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 # resolution, the Table 1 rows and the closed-form check from the three
 # Table 1 operators of the two-mode engine.  The oracles below are the only
 # copies in the repository: the acceptance tests import them and run them on
-# their own, wider draws.  The table stays in this module because the
-# benchmark's trace wraps the engines it calls at their ``sqzq.cli``
-# bindings (``table1_operators``, ``quantise``).
+# their own, wider draws.  The table may live in any module that ``import
+# sqzq`` loads: the benchmark's trace wraps the engines it calls
+# (``table1_operators``, ``quantise``) at their bindings in every loaded
+# ``sqzq`` module.  A module first imported after the trace is installed
+# would bind the unwrapped engines, so only importing the checks lazily
+# needs the benchmark to change.
 
 
 def _quad_moment_1d(q, w, s, power):

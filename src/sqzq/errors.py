@@ -7,7 +7,6 @@ __all__ = [
     "NonFiniteState",
     "TruncationTooSmall",
     "GrowthViolation",
-    "UnsupportedMomentumDependence",
     "OutsideBox",
     "ConfigError",
 ]
@@ -36,10 +35,6 @@ class TruncationTooSmall(SqzqError):
 
 class GrowthViolation(SqzqError):
     """A classical function grew faster than its declared growth class."""
-
-
-class UnsupportedMomentumDependence(SqzqError):
-    """Kernel evaluation supports polynomial momentum dependence of degree <= 2 only."""
 
 
 class OutsideBox(SqzqError):

@@ -20,11 +20,10 @@ the family is a product of two one-mode families, and A_phi[f] = U A_0[f o x]
 U^H with U the beam splitter on a box of 2 nmax + 1 quanta per mode.  A_0
 sum-factorises mode by mode, so each order costs one pair of per-mode
 projector tables and two matrix products.  A field that does not move with
-momentum, by the one test of that (``_is_position_field``, which
-``quantmap.kernel_eval`` asks too), has each mode's momentum integrated
-exactly, and is evaluated on position pairs alone; a bounded one refines to
-rounding (1e-13), every other field to 1e-6, and the order one above a
-polynomial's first exact order confirms it.  The Table 1 fields q1, q2 and
+momentum, by the one test of that (``_is_position_field``), has each
+mode's momentum integrated exactly, and is evaluated on position pairs
+alone; a bounded one refines to rounding (1e-13), every other field to
+1e-6, and the order one above a polynomial's first exact order confirms it.  The Table 1 fields q1, q2 and
 q1 q2 (``table1_operators``) are three runs of this engine; each run's
 identity resolution certifies the measure (2 pi hbar)^2.  Only ``sqzq
 verify`` holds them against their exact operators on the whole truncated
@@ -95,7 +94,6 @@ __all__ = [
     "FieldOperator",
     "nonsep_coefficients",
     "nonsep_wavefunction",
-    "fock_coefficients",
     "bogoliubov_check",
     "nonsep_overlap_sq",
     "nonsep_overlap_closed",
@@ -432,13 +430,6 @@ def _fock_batch(params: NonSepParams, pts: np.ndarray, nmax: int) -> np.ndarray:
             if n == 0:
                 c[:, 0, m + 1] = (-b[0] * rtn * r1 + a[0] * rtn * r2) / det
     return c[:, : nmax + 1, : nmax + 1]
-
-
-def fock_coefficients(point: PhasePoint, params: NonSepParams, nmax: int) -> np.ndarray:
-    """Matrix of Fock coefficients <n m|state> for n, m <= nmax."""
-    if nmax < 0:
-        raise ValueError("nmax must be >= 0")
-    return _fock_batch(params, _point_row(point), nmax)[0]
 
 
 def _is_position_field(params: NonSepParams, field, nmax: int, degree: int | None) -> bool:

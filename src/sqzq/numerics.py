@@ -8,7 +8,7 @@ Gauss-Hermite rule builder for a Gaussian weight (``gaussian_rule``, which
 pair) with the order-refinement loop (``_refine``) that quantises fields of
 one and of two modes, the one-mode chunked projector sum
 (``_quantise_on_rule``), the one Gaussian-smoothing
-routine behind every portrait and position kernel (``gaussian_smooth``: a
+routine behind every portrait (``gaussian_smooth``: a
 stack of fields in one pass, on an order-120 Hermite rule or a supported
 field's clipped 3 x 60 Legendre window), truncated boson-operator algebra,
 and the adaptive DOP853 ODE driver (``solve_ode``), which runs its stages in
@@ -409,7 +409,7 @@ class TruncatedOperator:
     The annihilation matrix satisfies a[n, n+1] = sqrt(n+1); the commutator
     [a, a^dag] equals the identity on the upper-left (dim-1) block only, which
     is why every operator assertion downstream restricts itself to an interior
-    block (default dim/2) where truncation leakage is negligible.
+    block where truncation leakage is negligible.
     """
 
     dim: int
@@ -435,17 +435,6 @@ class TruncatedOperator:
         """x = lam (a + a^dag)/sqrt(2)."""
         a = TruncatedOperator.annihilation(dim).entries
         return TruncatedOperator(dim, lam * (a + a.conj().T) / np.sqrt(2.0))
-
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.dim, self.entries.conj().T)
-
-    def interior(self, k: int | None = None) -> np.ndarray:
-        """Upper-left k x k block (default dim // 2), where entries are converged."""
-        k = self.dim // 2 if k is None else k
-        return self.entries[:k, :k]
-
-    def __matmul__(self, other: "TruncatedOperator") -> "TruncatedOperator":
-        return TruncatedOperator(self.dim, self.entries @ other.entries)
 
 
 # ----------------------------------------------------------------------

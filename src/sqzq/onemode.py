@@ -24,9 +24,7 @@ __all__ = [
     "SqueezeParameter",
     "OneModeWidths",
     "OneModePhasePoint",
-    "tau_from_xi",
     "alpha_from_qp",
-    "qp_from_alpha",
     "wavefunction",
     "fock_coefficients",
     "overlap_sq",
@@ -40,18 +38,6 @@ _TAU_RIM = 1.0 - 1e-7
 # field, break the linearity of the map at 5e-7; one-mode rules cost order^2
 # nodes, so they can afford to agree to rounding
 _CONVERGED = 1e-12
-
-
-def tau_from_xi(xi: complex) -> complex:
-    """Map the squeeze label xi to the unit-disc parameter tau.
-
-    tau = (xi/|xi|) tanh|xi|, with the removable singularity at xi = 0 filled
-    by tau = 0.  |tau| = tanh|xi| < 1 and arg tau = arg xi.
-    """
-    r = abs(xi)
-    if r == 0.0:
-        return 0.0 + 0.0j
-    return complex(xi) / r * np.tanh(r)
 
 
 @dataclass(frozen=True)
@@ -72,14 +58,12 @@ class OneModeWidths:
 
 @dataclass(frozen=True)
 class SqueezeParameter:
-    """Squeezing label plus the length and action scales.
+    """Squeezing label tau plus the length and action scales.
 
-    ``lam`` is the oscillator length (lambda is reserved in Python).  Use the
-    factories: ``from_xi`` derives tau, ``from_tau`` back-fills a consistent
-    xi on the same ray.
+    ``lam`` is the oscillator length (lambda is reserved in Python).
+    ``from_tau`` casts tau to complex and the scales to float.
     """
 
-    xi: complex
     tau: complex
     lam: float = 1.0
     hbar: float = 1.0
@@ -109,17 +93,8 @@ class SqueezeParameter:
             raise DegenerateSqueezing(f"|tau| = {t:.9f} too close to 1; widths diverge")
 
     @classmethod
-    def from_xi(cls, xi: complex, lam: float = 1.0, hbar: float = 1.0) -> "SqueezeParameter":
-        return cls(complex(xi), tau_from_xi(xi), float(lam), float(hbar))
-
-    @classmethod
     def from_tau(cls, tau: complex, lam: float = 1.0, hbar: float = 1.0) -> "SqueezeParameter":
-        tau = complex(tau)
-        t = math.hypot(tau.real, tau.imag)
-        # |tau| >= 1 has no xi; the constructor refuses it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = 0.0 + 0.0j if t == 0.0 else tau / t * np.arctanh(t)
-        return cls(xi, tau, float(lam), float(hbar))
+        return cls(complex(tau), float(lam), float(hbar))
 
     def widths(self) -> OneModeWidths:
         tau = self.tau
@@ -164,19 +139,6 @@ def alpha_from_qp(point: OneModePhasePoint, param: SqueezeParameter) -> complex:
     m = _symplectic_matrix(param.tau)
     re, im = m @ (u, w)
     return re + 1j * im
-
-
-def qp_from_alpha(alpha: complex, param: SqueezeParameter) -> OneModePhasePoint:
-    """Inverse of :func:`alpha_from_qp` (exact 2x2 inverse, determinant 1)."""
-    tau = param.tau
-    s = np.sqrt(1.0 - abs(tau) ** 2)
-    minv = np.array(
-        [[1.0 - tau.real, -tau.imag], [-tau.imag, 1.0 + tau.real]]
-    ) / s
-    u, w = minv @ (alpha.real, alpha.imag)
-    return OneModePhasePoint(
-        u * param.lam * np.sqrt(2.0), w * param.hbar * np.sqrt(2.0) / param.lam
-    )
 
 
 def wavefunction(point: OneModePhasePoint, param: SqueezeParameter, x) -> np.ndarray:

@@ -55,18 +55,15 @@ __all__ = [
     "InitialState",
     "Trajectory",
     "classical_exact",
-    "classical_energy",
     "classical_integrate",
     "portrait_chi",
     "portrait_q2chi",
     "regularised_mass",
-    "regularised_mass_gradient",
     "effective_potential",
     "effective_potential_gradient",
     "semiclassical_energy",
     "initial_momenta",
     "semiclassical_integrate",
-    "forbidden_region",
     "Preset",
     "PRESETS",
 ]
@@ -111,10 +108,6 @@ class PdmModel:
         _require_mode(j)
         return self.lambda1 if j == 1 else self.lambda2
 
-    def strength(self, j: int) -> float:
-        _require_mode(j)
-        return self.vbar1 if j == 1 else self.vbar2
-
     def wall(self, j: int) -> float:
         """Half-width 1/Lambda_j of the confining box in mode j."""
         return 1.0 / self.inverse_length(j)
@@ -122,13 +115,6 @@ class PdmModel:
     @property
     def box(self) -> tuple[tuple[float, float], tuple[float, float]]:
         return ((-self.wall(1), self.wall(1)), (-self.wall(2), self.wall(2)))
-
-    def mass(self, j: int, q):
-        """m0/(1 - Lambda_j^2 q^2); diverges at |q| = 1/Lambda_j."""
-        lam = self.inverse_length(j)
-        q = np.asarray(q, dtype=float)
-        with np.errstate(divide="ignore"):
-            return _scalar_or_array(self.m0 / (1.0 - (lam * q) ** 2))
 
 
 @dataclass(frozen=True)
@@ -449,17 +435,6 @@ def classical_exact(model: PdmModel, j: int, q0: float, v0: float, t):
     return _scalar_or_array(np.sin(phase) / lam)
 
 
-def classical_energy(model: PdmModel, q, v):
-    """H = sum_j m_j(q_j) v_j^2 / 2 + vbar_j q_j^2 in velocity form."""
-    q = _as_points(q)
-    v = _as_points(v)
-    total = 0.0
-    for j, k in ((1, 0), (2, 1)):
-        total = total + 0.5 * model.mass(j, q[..., k]) * v[..., k] ** 2
-        total = total + model.strength(j) * q[..., k] ** 2
-    return _scalar_or_array(total)
-
-
 def _pendulum(th1, th2, w1, w2, k1, k2, *, sin=math.sin):
     """The angular accelerations of ``classical_integrate``:
     theta_j'' = -k_j sin(2 theta_j), with k_j = vbar_j / m0."""
@@ -706,13 +681,6 @@ def regularised_mass(model: PdmModel, params: TwoModeParams, q, j: int):
     return _scalar_or_array(a1 if j == 1 else a2)
 
 
-def regularised_mass_gradient(model: PdmModel, params: TwoModeParams, q, j: int):
-    """Closed-form (d/dq1, d/dq2) of regularised_mass, stacked along the last axis."""
-    _require_mode(j)
-    _, _, d1a1, d2a1, d1a2, d2a2 = _pieces(model, params, q)
-    return np.stack([d1a1, d2a1] if j == 1 else [d1a2, d2a2], axis=-1)
-
-
 def _kinetic_coeffs(params: TwoModeParams) -> tuple[float, float]:
     out = []
     for j in (1, 2):
@@ -861,30 +829,6 @@ def semiclassical_integrate(
     if escape_time is None:
         return Trajectory(sol.t, q, p, energy, "bounded", **fields)
     return Trajectory(sol.t, q, p, energy, "escaped", escape_time, **fields)
-
-
-def forbidden_region(
-    semi: SemiclassicalModel,
-    init: InitialState,
-    q1_axis=None,
-    q2_axis=None,
-) -> np.ndarray:
-    """Boolean grid marking V_eff(q) >= the conserved energy launched from init.
-
-    Element [i, k] corresponds to (q1_axis[i], q2_axis[k]).  Default axes
-    span 1.5 box half-widths with 201 points per side.  A trajectory
-    classified bounded stays off this mask up to grid resolution.
-    """
-    model = semi.model
-    if q1_axis is None:
-        q1_axis = np.linspace(-1.5 * model.wall(1), 1.5 * model.wall(1), 201)
-    if q2_axis is None:
-        q2_axis = np.linspace(-1.5 * model.wall(2), 1.5 * model.wall(2), 201)
-    q1_axis = np.asarray(q1_axis, dtype=float)
-    q2_axis = np.asarray(q2_axis, dtype=float)
-    veff = _veff_pieces(_constants(model, semi.modes, kinetic=True), q1_axis[:, None], q2_axis[None, :])[0]
-    e0 = semiclassical_energy(semi, [init.q1, init.q2], initial_momenta(semi, init))
-    return veff >= e0
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ diagonal: position-only functions quantise to multiplication operators
 (the multiplier being a Gaussian smoothing of f), and momentum dependence
 of polynomial degree <= 2 adds first and second derivative terms whose
 coefficients come from exact Gaussian moments, never from oscillatory
-numeric p-integrals.
+numeric p-integrals.  ``tests/oracles.py`` takes that route as the tests'
+independent reference for the operators built here.
 
 One mode integrates the projector integral on a tensor Gauss-Hermite rule
 over the phase plane, whitened by the family's vacuum Gaussian
@@ -29,11 +30,10 @@ momentum on the product of the per-mode rules
 exactly, and is evaluated on position pairs alone; every other function is
 evaluated on the product of the per-mode phase-plane rules.  Each rule's
 first order is exact for polynomial fields, and the change to the next order
-is the convergence witness.  ``kernel_eval`` asks the same position test, at
-the default two-mode basis, before it smooths a two-mode function.  The
-Table 1 fields q1, q2 and q1 q2 (``nonsepstates.table1_operators``) run on
-the same engine, and ``sqzq verify`` holds their operators against the exact
-ones on the whole truncated basis.
+is the convergence witness.  The Table 1 fields q1, q2 and q1 q2
+(``nonsepstates.table1_operators``) run on the same engine, and ``sqzq
+verify`` holds their operators against the exact ones on the whole truncated
+basis.
 """
 
 from __future__ import annotations
@@ -43,36 +43,24 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    GrowthViolation,
-    UnsupportedMomentumDependence,
-)
-from .numerics import QuadratureReport, TruncatedOperator, gaussian_smooth
+from .errors import ConfigError, GrowthViolation
+from .numerics import QuadratureReport, TruncatedOperator
 from .onemode import SqueezeParameter
 from .onemode import _quantise_field as _quantise_onemode_field
-from .nonsepstates import (
-    NonSepParams,
-    _is_position_field,
-    _portrait_precision,
-    _quantise_rotated,
-)
+from .nonsepstates import NonSepParams, _quantise_rotated
 from .sepstates import TwoModeParams
 
 __all__ = [
     "ClassicalFunction",
     "QuantisedOperator",
     "QuadratureReport",
-    "KernelAction",
     "quantise",
-    "kernel_eval",
     "dirac_correspondence_check",
     "symmetrisation_constant",
 ]
 
-# the two-mode basis n_j <= 4 that ``sqzq quantise`` takes by default:
-# ``kernel_eval`` asks the engine's position test at this basis, so it accepts
-# a field exactly when ``quantise`` there routes it to the position rules
+# the two-mode basis n_j <= 4 that ``sqzq quantise`` takes by default, and
+# that ``sqzq verify`` runs its Table 1 check at
 _TWO_MODE_NMAX = 4
 
 
@@ -121,35 +109,6 @@ class QuantisedOperator:
     matrix: TruncatedOperator
     family_tag: str
     quadrature_report: QuadratureReport
-
-
-@dataclass(frozen=True)
-class KernelAction:
-    """Diagonal-kernel action (A_f g)(x) = a0 g(x) + a1 g'(x) + a2 g''(x).
-
-    Every admissible f produces a kernel supported on x = x' (delta and its
-    first two derivatives); the coefficients are the entire content.  For
-    position-only f only a0 survives and equals the Gaussian smoothing of f
-    at x, exposed as ``smoothing_factor``.
-    """
-
-    a0: complex
-    a1: complex
-    a2: complex
-
-    @property
-    def delta_order(self) -> int:
-        if self.a2 != 0.0:
-            return 2
-        return 1 if self.a1 != 0.0 else 0
-
-    @property
-    def smoothing_factor(self) -> complex:
-        if self.delta_order > 0:
-            raise UnsupportedMomentumDependence(
-                "kernel carries delta-derivative terms; no pure smoothing factor"
-            )
-        return self.a0
 
 
 def _spot_check_growth(f: ClassicalFunction, pts: np.ndarray):
@@ -247,71 +206,6 @@ def symmetrisation_constant(param: SqueezeParameter) -> float:
     """
     s = param.widths().sigma_q_sq
     return float(-s.imag / (2.0 * s.real))
-
-
-def _p_components(f: ClassicalFunction, q: np.ndarray, pscale: float):
-    """Split f(q, p) = f0 + f1 p + f2 p^2 pointwise; refuse higher degrees."""
-    zero = np.zeros_like(q)
-    f0 = np.asarray(f(q, zero), dtype=float)
-    fp = np.asarray(f(q, zero + pscale), dtype=float)
-    fm = np.asarray(f(q, zero - pscale), dtype=float)
-    f1 = (fp - fm) / (2.0 * pscale)
-    f2 = (fp + fm - 2.0 * f0) / (2.0 * pscale**2)
-    probe = np.asarray(f(q, zero + 2.0 * pscale), dtype=float)
-    model = f0 + 2.0 * pscale * f1 + 4.0 * pscale**2 * f2
-    scale = np.max(np.abs([f0, fp, fm, probe])) + 1.0
-    if np.max(np.abs(probe - model)) > 1e-8 * scale:
-        raise UnsupportedMomentumDependence(
-            "momentum dependence is not polynomial of degree <= 2"
-        )
-    return f0, f1, f2
-
-
-def kernel_eval(f, family, x) -> KernelAction:
-    """Diagonal kernel of the quantised f at position x.
-
-    The kernel of every admissible f is a distribution on x = x'; what is
-    returned is its action on test functions (see KernelAction).  Momentum
-    dependence beyond quadratic is refused.  Two-mode families support
-    position-only functions: those the engine's position test takes for one
-    at the basis n_j <= 4 (``_TWO_MODE_NMAX``), with the declared degree, as
-    ``quantise`` there would.  The kernel at x = (x1, x2) is the Gaussian
-    smoothing of f(q1, q2, 0, 0) at twice the portrait precision.  For one mode,
-    f = f0 + f1 p + f2 p^2, and the coefficients take f0, f1, f1 d, f2, f2 d,
-    f2 d^2 (d = q - x) from one stacked ``numerics.gaussian_smooth`` pass at
-    precision 2 Re(Q1), Q1 = sigma_q^2 / lam^2.
-    """
-    fam, arity, _ = _family(family)
-    cf = _as_classical(f, arity)
-    if arity == "two-mode":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (2,):
-            raise ConfigError("two-mode kernel point must be a pair (x1, x2)")
-
-        if not _is_position_field(fam, cf, _TWO_MODE_NMAX, cf.poly_degree):
-            raise UnsupportedMomentumDependence("two-mode kernels support position-only functions")
-
-        def position_part(q1, q2):
-            zero = np.zeros_like(q1)
-            return np.asarray(cf(q1, q2, zero, zero), dtype=float)
-
-        a0 = gaussian_smooth(position_part, x, 2.0 * _portrait_precision(fam))
-        return KernelAction(complex(a0), 0.0, 0.0)
-
-    lam, hbar, x = fam.lam, fam.hbar, float(x)
-    q1 = fam.widths().sigma_q_sq / lam**2
-
-    def parts(q):
-        f0, f1, f2 = _p_components(cf, q, pscale=hbar / lam)
-        d = q - x
-        return np.stack(np.broadcast_arrays(f0, f1, f1 * d, f2, f2 * d, f2 * d * d))
-
-    e0, e1, e1d, e2, e2d, e2dd = gaussian_smooth(parts, [x], [[2.0 * q1.real]])
-    q1c = np.conj(q1)
-    a0 = e0 - 1j * hbar * q1c * e1d - hbar**2 * (q1c**2 * e2dd - q1c * e2)
-    a1 = -1j * hbar * e1 - 2.0 * hbar**2 * q1c * e2d
-    a2 = -(hbar**2) * e2
-    return KernelAction(complex(a0), complex(a1), complex(a2))
 
 
 def dirac_correspondence_check(family, nmax: int) -> float:

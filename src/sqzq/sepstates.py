@@ -10,8 +10,8 @@ momentum integrals are Gaussian and have been done once and for all, leaving
 position smoothings of h and its centred moments (q_j - q_j0) h, (q_j - q_j0)^2 h,
 those a portrait needs in one stacked ``numerics.gaussian_smooth`` pass at precision
 diag(1/s_j^2), s_j = lam_j Delta_p_j: the phi = 0 case of the coupled kernel
-in ``nonsepstates``.  The position kernel of a quantised field is
-``quantmap.kernel_eval``, which smooths at twice that precision.
+in ``nonsepstates``.  A quantised position field is multiplication by the
+smoothing of h at twice that precision.
 """
 
 from __future__ import annotations

@@ -10,16 +10,20 @@ the two-mode multiplication matrix of a Gaussian field's smoothing by one
 Gauss-Hermite rule exact for it, and the direct 4D phase-space quadrature of
 a two-mode field (``quantise_4d``) on its own tensor rule for any
 dimension (``whitened_rule_nd``), the definition the package's rotated
-engine is held against.  The
+engine is held against.  The x-kernel route to a quantised field
+(``kernel_eval``: the diagonal kernel a0 + a1 d/dx + a2 d^2/dx^2 from
+Gaussian moments) is a second route to the engines' operators, and the
+PDM model's energy in canonical variables (``classical_energy``) holds the
+pendulum invariant that ``pdm.classical_integrate`` reports.  The
 second group is 40-digit ``mpmath`` matrix elements
 of the squeeze, displacement and beam-splitter operators, built from
 expansions that share no step with the recurrences and exponentials they
 check, and 40-digit Gaussian moments on a box.
 """
-
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 from operator import add, mul
 from typing import Sequence
@@ -32,7 +36,7 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop853
 from scipy.linalg import expm
 
-from sqzq.errors import NonConvergent, NonFiniteState
+from sqzq.errors import ConfigError, NonConvergent, NonFiniteState, SqzqError
 from sqzq.numerics import (
     OdeSolution,
     TruncatedOperator,
@@ -40,10 +44,18 @@ from sqzq.numerics import (
     _initial_step,
     _quantise_on_rule,
     _refine,
+    gaussian_smooth,
     legendre_box_rule,
 )
-from sqzq.nonsepstates import _fock_batch, _pair_matrix, _wavefunction_parts
+from sqzq.nonsepstates import (
+    _fock_batch,
+    _is_position_field,
+    _pair_matrix,
+    _portrait_precision,
+    _wavefunction_parts,
+)
 from sqzq.onemode import alpha_from_qp
+from sqzq.quantmap import _TWO_MODE_NMAX, ClassicalFunction, _as_classical, _family
 
 
 def _tensor_eval(f, rules: Sequence[tuple[np.ndarray, np.ndarray]]) -> complex:
@@ -142,6 +154,119 @@ def momentum(dim: int, lam: float = 1.0, hbar: float = 1.0) -> TruncatedOperator
     """p = (hbar/lam) (a - a^dag)/(i sqrt(2)) on the truncated Fock space."""
     a = TruncatedOperator.annihilation(dim).entries
     return TruncatedOperator(dim, hbar / lam * (a - a.conj().T) / (1j * np.sqrt(2.0)))
+
+
+def classical_energy(model, q, p):
+    """H = sum_j p_j^2 (1 - Lambda_j^2 q_j^2) / (2 m0) + vbar_j q_j^2 of the
+    PDM model at positions and momenta of shape (..., 2)."""
+    lam = np.array([model.lambda1, model.lambda2])
+    vbar = np.array([model.vbar1, model.vbar2])
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    return np.sum(p * p * (1.0 - (lam * q) ** 2) / (2.0 * model.m0) + vbar * q * q, axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the x-kernel route to a quantised field
+
+
+class UnsupportedMomentumDependence(SqzqError):
+    """Kernel evaluation supports polynomial momentum dependence of degree <= 2 only."""
+
+
+@dataclass(frozen=True)
+class KernelAction:
+    """Diagonal-kernel action (A_f g)(x) = a0 g(x) + a1 g'(x) + a2 g''(x).
+
+    Every admissible f produces a kernel supported on x = x' (delta and its
+    first two derivatives); the coefficients are the entire content.  For
+    position-only f only a0 survives and equals the Gaussian smoothing of f
+    at x, exposed as ``smoothing_factor``.
+    """
+
+    a0: complex
+    a1: complex
+    a2: complex
+
+    @property
+    def delta_order(self) -> int:
+        if self.a2 != 0.0:
+            return 2
+        return 1 if self.a1 != 0.0 else 0
+
+    @property
+    def smoothing_factor(self) -> complex:
+        if self.delta_order > 0:
+            raise UnsupportedMomentumDependence(
+                "kernel carries delta-derivative terms; no pure smoothing factor"
+            )
+        return self.a0
+
+
+def _p_components(f: ClassicalFunction, q: np.ndarray, pscale: float):
+    """Split f(q, p) = f0 + f1 p + f2 p^2 pointwise; refuse higher degrees."""
+    zero = np.zeros_like(q)
+    f0 = np.asarray(f(q, zero), dtype=float)
+    fp = np.asarray(f(q, zero + pscale), dtype=float)
+    fm = np.asarray(f(q, zero - pscale), dtype=float)
+    f1 = (fp - fm) / (2.0 * pscale)
+    f2 = (fp + fm - 2.0 * f0) / (2.0 * pscale**2)
+    probe = np.asarray(f(q, zero + 2.0 * pscale), dtype=float)
+    model = f0 + 2.0 * pscale * f1 + 4.0 * pscale**2 * f2
+    scale = np.max(np.abs([f0, fp, fm, probe])) + 1.0
+    if np.max(np.abs(probe - model)) > 1e-8 * scale:
+        raise UnsupportedMomentumDependence(
+            "momentum dependence is not polynomial of degree <= 2"
+        )
+    return f0, f1, f2
+
+
+def kernel_eval(f, family, x) -> KernelAction:
+    """Diagonal kernel of the quantised f at position x.
+
+    The kernel of every admissible f is a distribution on x = x'; what is
+    returned is its action on test functions (see KernelAction).  Momentum
+    dependence beyond quadratic is refused.  Two-mode families support
+    position-only functions: those the engine's position test
+    (``nonsepstates._is_position_field``) takes for one at the basis
+    n_j <= 4 (``quantmap._TWO_MODE_NMAX``), with the declared degree, as
+    ``quantmap.quantise`` there would.  The kernel at x = (x1, x2) is the
+    Gaussian smoothing of f(q1, q2, 0, 0) at twice the portrait precision.
+    For one mode, f = f0 + f1 p + f2 p^2, and the coefficients take f0, f1,
+    f1 d, f2, f2 d, f2 d^2 (d = q - x) from one stacked
+    ``numerics.gaussian_smooth`` pass at precision 2 Re(Q1),
+    Q1 = sigma_q^2 / lam^2.
+    """
+    fam, arity, _ = _family(family)
+    cf = _as_classical(f, arity)
+    if arity == "two-mode":
+        x = np.asarray(x, dtype=float)
+        if x.shape != (2,):
+            raise ConfigError("two-mode kernel point must be a pair (x1, x2)")
+
+        if not _is_position_field(fam, cf, _TWO_MODE_NMAX, cf.poly_degree):
+            raise UnsupportedMomentumDependence("two-mode kernels support position-only functions")
+
+        def position_part(q1, q2):
+            zero = np.zeros_like(q1)
+            return np.asarray(cf(q1, q2, zero, zero), dtype=float)
+
+        a0 = gaussian_smooth(position_part, x, 2.0 * _portrait_precision(fam))
+        return KernelAction(complex(a0), 0.0, 0.0)
+
+    lam, hbar, x = fam.lam, fam.hbar, float(x)
+    q1 = fam.widths().sigma_q_sq / lam**2
+
+    def parts(q):
+        f0, f1, f2 = _p_components(cf, q, pscale=hbar / lam)
+        d = q - x
+        return np.stack(np.broadcast_arrays(f0, f1, f1 * d, f2, f2 * d, f2 * d * d))
+
+    e0, e1, e1d, e2, e2d, e2dd = gaussian_smooth(parts, [x], [[2.0 * q1.real]])
+    q1c = np.conj(q1)
+    a0 = e0 - 1j * hbar * q1c * e1d - hbar**2 * (q1c**2 * e2dd - q1c * e2)
+    a1 = -1j * hbar * e1 - 2.0 * hbar**2 * q1c * e2d
+    a2 = -(hbar**2) * e2
+    return KernelAction(complex(a0), complex(a1), complex(a2))
 
 
 # ---------------------------------------------------------------------------

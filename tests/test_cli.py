@@ -228,6 +228,44 @@ def test_missing_required_field_exits_2(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,written",
+    [
+        (["portrait", "chi", "--preset", "fig6a"], "portrait_chi.csv"),
+        (["simulate", "--preset", "fig4b"], "fig4b.csv"),
+        (["verify"], "verify_report.json"),
+        (["quantise", "q"], "quantise_q.csv"),
+    ],
+    ids=["portrait", "simulate", "verify", "quantise"],
+)
+def test_an_out_that_names_a_file_exits_2(tmp_path, capsys, argv, written):
+    # the output directory cannot be made where a file stands: a config
+    # error naming the path, not a FileExistsError traceback
+    out = tmp_path / "taken"
+    out.write_bytes(b"kept")
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {out / written}: " in err
+    assert "File exists" in err
+    assert out.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize(
+    "name,preset", [("", None), (".", None), ("..", None), ("a/b", None), ("a\0b", None), ("a/b", "fig3a")]
+)
+def test_simulate_name_that_is_no_plain_file_stem_exits_2(tmp_path, capsys, name, preset):
+    # "a/b" named a missing directory (FileNotFoundError) and "" wrote the
+    # hidden .csv and _summary.json; a preset's name replaces the config's,
+    # which is refused all the same
+    payload = {"name": name}
+    if preset is None:
+        payload.update(kind="classical", m0=1.0, lambda1=1.0, lambda2=1.0, v0_1=1.0, v0_2=2.0, t1=1.0)
+    argv = ["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(tmp_path / "out")]
+    assert main(argv + (["--preset", preset] if preset else [])) == 2
+    assert f"config error: config field 'name' must be a plain file stem, got {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_shows_subcommands():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

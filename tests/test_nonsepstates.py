@@ -28,7 +28,6 @@ from sqzq.nonsepstates import (
     _portrait_precision,
     _rotated_frame,
     bogoliubov_check,
-    fock_coefficients,
     nonsep_box_portrait,
     nonsep_coefficients,
     nonsep_overlap_closed,
@@ -244,7 +243,7 @@ def test_fock_coefficients_reconstruct_wavefunction():
     p = NonSepParams.from_tau(0.3 * np.exp(0.8j), 0.25, 0.7, 1.1, 0.85)
     pt = PhasePoint(0.6, -0.3, 0.4, 0.2)
     nmax = 40
-    c = fock_coefficients(pt, p, nmax)
+    c = _fock_batch(p, [[pt.q1, pt.q2, pt.p1, pt.p2]], nmax)[0]
     xs = np.array([-1.3, -0.4, 0.0, 0.7, 1.6])
     # harmonic eigenfunctions phi_n(x; lam) via the stable ladder recurrence
     def eigenbasis(lam, x):
@@ -264,7 +263,7 @@ def test_fock_coefficients_reconstruct_wavefunction():
 
 def test_fock_coefficients_parseval():
     p = NonSepParams.from_tau(0.35, 0.3j, 1.9, 1.0, 1.0)
-    c = fock_coefficients(PhasePoint(0.5, 0.2, -0.1, 0.4), p, 60)
+    c = _fock_batch(p, [[0.5, 0.2, -0.1, 0.4]], 60)[0]
     assert_allclose(np.sum(np.abs(c) ** 2), 1.0, atol=1e-10)
 
 

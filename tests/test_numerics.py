@@ -423,8 +423,8 @@ def test_gaussian_quadratic_rejects_indefinite():
 
 def test_truncated_operator_commutator():
     dim = 30
-    a = TruncatedOperator.annihilation(dim)
-    comm = a.entries @ a.adjoint().entries - a.adjoint().entries @ a.entries
+    a = TruncatedOperator.annihilation(dim).entries
+    comm = a @ a.conj().T - a.conj().T @ a
     # exact identity except the corner entry, an artefact of the cutoff
     assert_allclose(comm[: dim - 1, : dim - 1], np.eye(dim - 1), atol=1e-14)
     assert comm[-1, -1] == pytest.approx(1 - dim)
@@ -448,11 +448,11 @@ def test_matrix_exp_inverse_pair():
 
 def test_matrix_exp_displacement_unitary_interior():
     dim = 40
-    a = TruncatedOperator.annihilation(dim)
+    a = TruncatedOperator.annihilation(dim).entries
     alpha = 0.7 - 0.4j
-    gen = TruncatedOperator(dim, alpha * a.adjoint().entries - np.conj(alpha) * a.entries)
-    d = matrix_exp(gen)
-    block = (d.adjoint() @ d).interior(20)
+    gen = TruncatedOperator(dim, alpha * a.conj().T - np.conj(alpha) * a)
+    d = matrix_exp(gen).entries
+    block = (d.conj().T @ d)[:20, :20]
     assert_allclose(block, np.eye(20), atol=1e-9)
 
 

@@ -29,17 +29,14 @@ from sqzq.pdm import (
     PdmModel,
     SemiclassicalModel,
     Trajectory,
-    classical_energy,
     classical_exact,
     classical_integrate,
     effective_potential,
     effective_potential_gradient,
-    forbidden_region,
     initial_momenta,
     portrait_chi,
     portrait_q2chi,
     regularised_mass,
-    regularised_mass_gradient,
     semiclassical_energy,
     semiclassical_integrate,
 )
@@ -50,13 +47,14 @@ from sqzq.pdm import (
     _mode_pieces,
     _motion,
     _pendulum,
+    _pieces,
     _python_rhs,
     _trace,
     _veff_pieces,
 )
 from sqzq.sepstates import TwoModeParams
 
-from .oracles import box_moment, dop853_reference
+from .oracles import box_moment, classical_energy, dop853_reference
 
 
 def _fig6_pair():
@@ -99,14 +97,13 @@ def test_model_validation():
         PdmModel(m0=np.inf, lambda1=1.0, lambda2=1.0)
 
 
-def test_model_box_and_mass():
+def test_model_box_and_walls():
     model = PdmModel(m0=2.0, lambda1=2.0, lambda2=0.5)
     assert model.box == ((-0.5, 0.5), (-2.0, 2.0))
-    assert model.mass(1, 0.0) == 2.0
-    assert model.mass(2, 1.0) == pytest.approx(2.0 / (1 - 0.25))
-    q = np.linspace(-0.49, 0.49, 99)
-    assert np.all(model.mass(1, q) > 0)
-    assert model.mass(1, 0.4999) > 1e3
+    assert (model.wall(1), model.wall(2)) == (0.5, 2.0)
+    assert (model.inverse_length(1), model.inverse_length(2)) == (2.0, 0.5)
+    with pytest.raises(ValueError):
+        model.wall(3)
 
 
 def test_semiclassical_model_requires_real_tau():
@@ -225,11 +222,11 @@ def test_classical_libration_amplitude(run_preset):
 
 
 def test_classical_energy_identity(run_preset):
+    # the pendulum invariant the integrator reports is the model's energy
+    # p^2 / 2m(q) + vbar q^2 at the sampled positions and momenta
     tr = run_preset("fig4c")
     model = PRESETS["fig4c"].model
-    mass = np.stack([model.mass(1, tr.q[:, 0]), model.mass(2, tr.q[:, 1])], axis=-1)
-    v = tr.p / mass
-    assert_allclose(classical_energy(model, tr.q, v), tr.energy, rtol=1e-9)
+    assert_allclose(classical_energy(model, tr.q, tr.p), tr.energy, rtol=1e-9)
 
 
 @pytest.mark.parametrize("v0, t1", [(1e300, 35.0), (1e306, 1e3), (1e307, 35.0)])
@@ -400,8 +397,10 @@ def test_gradients_match_central_differences():
     pts = rng.uniform(-1.5, 1.5, size=(100, 2))
     h = 1e-6
     grad_v = effective_potential_gradient(model, modes, pts)
-    grad_m1 = regularised_mass_gradient(model, modes, pts, 1)
-    grad_m2 = regularised_mass_gradient(model, modes, pts, 2)
+    # the closed-form mass gradients, (d1A1, d2A1) and (d1A2, d2A2)
+    _, _, d1a1, d2a1, d1a2, d2a2 = _pieces(model, modes, pts)
+    grad_m1 = np.stack([d1a1, d2a1], axis=-1)
+    grad_m2 = np.stack([d1a2, d2a2], axis=-1)
     for k, base in enumerate(pts):
         for d in range(2):
             step = np.zeros(2)
@@ -818,6 +817,14 @@ def test_semiclassical_rejects_degenerate_start():
 # ---------------------------------------------------------------- forbidden region
 
 
+def _forbidden(semi, init, axis1, axis2):
+    """The classically forbidden grid of a launch, [i, k] at (axis1[i],
+    axis2[k]): where V_eff reaches the energy it conserves."""
+    grid = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1)
+    e0 = semiclassical_energy(semi, [init.q1, init.q2], initial_momenta(semi, init))
+    return effective_potential(semi.model, semi.modes, grid) >= e0
+
+
 def test_forbidden_region_energetics():
     model, modes = _fig6_pair()
     semi = SemiclassicalModel(model, modes)
@@ -825,12 +832,12 @@ def test_forbidden_region_energetics():
     axis2 = np.linspace(-0.9, 0.9, 121)
     # barely moving: inside the box, everything but a pocket around the
     # start is classically forbidden (outside, V_eff decays below any E > 0)
-    slow = forbidden_region(semi, InitialState(0.0, 0.0, 0.05, 0.05), axis1, axis2)
+    slow = _forbidden(semi, InitialState(0.0, 0.0, 0.05, 0.05), axis1, axis2)
     assert slow.shape == (121, 121)
     assert not slow[60, 60]
     assert np.mean(slow) > 0.99
     # far above every barrier: nothing is forbidden
-    fast = forbidden_region(semi, InitialState(0.0, 0.0, 6.0, 6.0), axis1, axis2)
+    fast = _forbidden(semi, InitialState(0.0, 0.0, 6.0, 6.0), axis1, axis2)
     assert not np.any(fast)
 
 
@@ -841,10 +848,10 @@ def test_forbidden_region_corridor_structure():
     axis2 = np.linspace(-1.8, 1.8, 141)
     centre = 70
     # below both barriers: blocked along both coordinate axes
-    low = forbidden_region(semi, PRESETS["fig6a"].init, axis1, axis2)
+    low = _forbidden(semi, PRESETS["fig6a"].init, axis1, axis2)
     assert np.any(low[:, centre]) and np.any(low[centre, :])
     # above the weaker barrier only: open corridor along q1, still blocked in q2
-    high = forbidden_region(semi, PRESETS["fig6c"].init, axis1, axis2)
+    high = _forbidden(semi, PRESETS["fig6c"].init, axis1, axis2)
     assert not np.any(high[:, centre])
     assert np.any(high[centre, :])
 
@@ -855,30 +862,6 @@ def test_bounded_trajectory_avoids_forbidden_region(run_preset):
     veff = effective_potential(model, modes, tr.q)
     # kinetic term is nonnegative, so V_eff along the path stays below E
     assert np.all(veff <= tr.energy[0] * (1.0 + 1e-9))
-
-
-def test_forbidden_region_default_grid():
-    model, modes = _fig6_pair()
-    semi = SemiclassicalModel(model, modes)
-    mask = forbidden_region(semi, PRESETS["fig6a"].init)
-    assert mask.shape == (201, 201)
-    assert mask.dtype == bool
-
-
-@pytest.mark.parametrize("launch", ["fig6a", "fig6c"])
-def test_forbidden_region_is_the_potential_above_the_energy(launch):
-    # the mask broadcasts its axes through the same evaluator as the
-    # potential on a full grid, so the two agree exactly, boundary included
-    model, modes = _fig6_pair()
-    semi = SemiclassicalModel(model, modes)
-    init = PRESETS[launch].init
-    e0 = semiclassical_energy(semi, [init.q1, init.q2], initial_momenta(semi, init))
-    axes = [np.linspace(-1.5 * model.wall(j), 1.5 * model.wall(j), 201) for j in (1, 2)]
-    for given_axes in (axes, [None, None]):
-        mask = forbidden_region(semi, init, *given_axes)
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        np.testing.assert_array_equal(mask, effective_potential(model, modes, grid) >= e0)
-        assert 0 < mask.sum() < mask.size
 
 
 # ---------------------------------------------------------------- presets

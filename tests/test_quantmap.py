@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 import sqzq.nonsepstates as nonsepstates_module
-from sqzq.errors import ConfigError, GrowthViolation, UnsupportedMomentumDependence
+from sqzq.errors import ConfigError, GrowthViolation
 from sqzq.nonsepstates import (
     NonSepParams,
     _portrait_precision,
@@ -29,15 +29,19 @@ from sqzq.numerics import TruncatedOperator, _refuse_beyond_budget
 from sqzq.onemode import SqueezeParameter
 from sqzq.quantmap import (
     ClassicalFunction,
-    KernelAction,
     dirac_correspondence_check,
-    kernel_eval,
     quantise,
     symmetrisation_constant,
 )
 from sqzq.sepstates import TwoModeParams
 
-from .oracles import gaussian_multiplication, momentum, quantise_4d
+from .oracles import (
+    UnsupportedMomentumDependence,
+    gaussian_multiplication,
+    kernel_eval,
+    momentum,
+    quantise_4d,
+)
 
 TAUS = (0.0, 0.5, 0.7j, 0.6 * np.exp(1.1j))
 

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from sqzq.numerics import legendre_box_rule
 from sqzq.onemode import OneModePhasePoint, SqueezeParameter, wavefunction
-from sqzq.quantmap import kernel_eval
 from sqzq.sepstates import (
     Field,
     PhasePoint,
@@ -24,7 +23,7 @@ from sqzq.sepstates import (
     sep_wavefunction,
 )
 
-from .oracles import erfc_real
+from .oracles import erfc_real, kernel_eval
 
 
 def _ov_sq(mode, q, p, qp, pp):
