@@ -128,6 +128,9 @@ class RunConfig:
 # Every number goes out as '%.17g' spells it.  A block of _LIBRARY_CELLS
 # numbers or more is written by the compiled CSV writer (``native.csv``); a
 # smaller block, or any block where no library loads, by one '%' row template.
+# A portrait grid of as many numbers goes to the writer's grid loop
+# (``native.grid_csv``), which spells each axis value once instead of once
+# per point; where no library loads, ``_csv`` writes the meshgrid's columns.
 
 # a block below this many numbers goes to '%' (0.3-1 us a number), so a
 # process whose blocks are all as small, as one-mode quantise's 81 x 4, never
@@ -151,22 +154,49 @@ def _csv(header: str, columns) -> bytes:
     return head + ((row * len(values)) % tuple(values.ravel().tolist())).encode("ascii")
 
 
-def _write(out_dir: str, name: str, data: bytes) -> str:
-    """Write ``data`` to ``out_dir/name``; an output path that cannot be
-    written (``--out`` naming a file, a directory without permission) is a
-    config error."""
-    path = os.path.join(out_dir, name)
+def _grid_csv(q1, q2, values) -> bytes:
+    """``_csv`` of the grid ``values[i, k]`` at (q1[i], q2[k]): the columns
+    q1, q2 and value, one line per point, q2 running fastest.  The compiled
+    grid writer spells each axis value once and copies the spelling to its
+    lines; where no library loads, ``_csv`` writes the meshgrid's columns,
+    with the same bytes."""
+    head = b"q1,q2,value\n"
+    if 3 * values.size >= _LIBRARY_CELLS:
+        from .. import native
+
+        text = native.grid_csv(head, q1, q2, values)
+        if text is not None:
+            return text
+    g1, g2 = np.meshgrid(q1, q2, indexing="ij")
+    return _csv("q1,q2,value", [g1.ravel(), g2.ravel(), values.ravel()])
+
+
+def _outputs(out_dir: str, *names: str) -> list:
+    """The paths of a command's output files ``names`` in ``out_dir``, which
+    is made here.  Each command asks once it has read its config and before
+    it computes, so an output directory that cannot be made (``--out``
+    naming a file) is a config error before any work, and a config the
+    command refuses makes no directory."""
+    paths = [os.path.join(out_dir, name) for name in names]
     try:
         os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {paths[0]}: {exc}") from None
+    return paths
+
+
+def _write(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path``, one of ``_outputs``; a file that cannot be
+    written (a directory without permission) is a config error."""
+    try:
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
-    return path
 
 
-def _write_json(out_dir: str, name: str, payload) -> str:
-    return _write(out_dir, name, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+def _write_json(path: str, payload) -> None:
+    _write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +269,20 @@ def _tolerance(cfg: RunConfig, key: str, default=None):
     return tol
 
 
+def _require_allocatable(shape: tuple, fields: str) -> None:
+    """Refuse, before any work, counts whose array cannot be allocated: a
+    config error naming their config ``fields``, not a MemoryError out of
+    the computation.  numpy refuses a size beyond the host's memory at once,
+    and this allocation is never touched."""
+    try:
+        np.empty(shape)
+    except (MemoryError, ValueError):  # ValueError: beyond any array's size
+        raise ConfigError(f"{fields}: {' x '.join(map(str, shape))} values cannot be allocated") from None
+
+
 def _grid_axes(cfg: RunConfig, model: pdm.PdmModel):
-    def axis(j: int):
+    spans = []
+    for j in (1, 2):
         w = model.wall(j)
         lo = cfg.get(f"q{j}_min", -1.5 * w)
         hi = cfg.get(f"q{j}_max", 1.5 * w)
@@ -249,30 +291,45 @@ def _grid_axes(cfg: RunConfig, model: pdm.PdmModel):
             raise ConfigError(f"config field 'q{j}_max' must exceed 'q{j}_min'")
         if n < 2:
             raise ConfigError(f"config field 'q{j}_points' must be >= 2")
+        spans.append((lo, hi, n))
+    # the grid of values is the largest array the counts size
+    _require_allocatable((spans[0][2], spans[1][2]), "config fields 'q1_points' and 'q2_points'")
+    axes = []
+    for j, (lo, hi, n) in enumerate(spans, 1):
         # a span near the float range overflows inside linspace
         with np.errstate(over="ignore", invalid="ignore"):
             points = np.linspace(lo, hi, n)
         if not np.all(np.isfinite(points)):
             raise ConfigError(f"the grid span q{j}_max - q{j}_min must be finite")
-        return points
-
-    return axis(1), axis(2)
+        axes.append(points)
+    return axes
 
 
 # ----------------------------------------------------------------------
 # portrait
 
 
-def _nonsep_grid_values(model, modes, phi, pts):
-    """Coupled-state smoothing of the box indicator at the grid points ``pts``.
+def _portrait_values(field: str, model, modes, phi: float, q1, q2):
+    """The portrait ``field`` at (q1, q2), which broadcast against each other.
 
-    At zero mixing the kernel factorises exactly, whatever the squeezing
-    phases, and the values are the separable closed form; any other angle
-    takes the conditional-normal form of the coupled kernel.
+    Every field but the coupled one is a product or sum of one-coordinate
+    pieces, so on a grid's axes, ``q1[:, None]`` and ``q2[None, :]``, each
+    piece is evaluated once per axis value.  The coupled field
+    (``nonsep_hq``) factorises exactly at zero mixing, whatever the
+    squeezing phases, where its values are chi's; at any other angle it
+    takes the conditional-normal form of the coupled kernel, which does not
+    factorise, at every point of the grid.
     """
-    if phi == 0.0:
-        return pdm.portrait_chi(model, modes, pts)
-    return nonsep_box_portrait(model.box, pts, NonSepParams(modes, phi))
+    if field == "chi" or (field == "nonsep_hq" and phi == 0.0):
+        return pdm.portrait_chi(model, modes, q1, q2)
+    if field in ("mass1", "mass2"):
+        return pdm.regularised_mass(model, modes, q1, q2, int(field[-1]))
+    if field in ("q2chi1", "q2chi2"):
+        return pdm.portrait_q2chi(model, modes, int(field[-1]), q1, q2)
+    if field == "veff":
+        return pdm.effective_potential(model, modes, q1, q2)
+    points = np.stack(np.broadcast_arrays(q1, q2), axis=-1)
+    return nonsep_box_portrait(model.box, points, NonSepParams(modes, phi))
 
 
 def cmd_portrait(cfg: RunConfig, args) -> int:
@@ -287,23 +344,14 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     model = _model_from(cfg, preset)
     modes = _modes_from(cfg, preset)
     q1_axis, q2_axis = _grid_axes(cfg, model)
+    phi = cfg.get("phi", 0.0)
+    (path,) = _outputs(args.out, f"portrait_{field}.csv")
 
-    g1, g2 = np.meshgrid(q1_axis, q2_axis, indexing="ij")
-    pts = np.stack([g1, g2], axis=-1)
-    if field == "chi":
-        values = pdm.portrait_chi(model, modes, pts)
-    elif field in ("mass1", "mass2"):
-        values = pdm.regularised_mass(model, modes, pts, int(field[-1]))
-    elif field in ("q2chi1", "q2chi2"):
-        values = pdm.portrait_q2chi(model, modes, int(field[-1]), pts)
-    elif field == "veff":
-        values = pdm.effective_potential(model, modes, pts)
-    else:
-        values = _nonsep_grid_values(model, modes, cfg.get("phi", 0.0), pts)
+    values = _portrait_values(field, model, modes, phi, q1_axis[:, None], q2_axis[None, :])
     if not np.all(np.isfinite(values)):
         raise NonFiniteState(f"the {field} portrait is not finite on the grid")
 
-    path = _write(args.out, f"portrait_{field}.csv", _csv("q1,q2,value", [g1.ravel(), g2.ravel(), values.ravel()]))
+    _write(path, _grid_csv(q1_axis, q2_axis, values))
     print(path)
     return 0
 
@@ -350,18 +398,19 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         kwargs["samples"] = cfg.get("samples", cast=int)
         if kwargs["samples"] < 2:
             raise ConfigError("config field 'samples' must be >= 2")
+        _require_allocatable((kwargs["samples"],), "config field 'samples'")
     tols = {}
     for key in ("rel_tol", "abs_tol"):
         tol = _tolerance(cfg, key)
         if tol is not None:
             tols[key] = tol
     kwargs.update(tols)
+    semi = pdm.SemiclassicalModel(model, _modes_from(cfg, preset)) if kind == "semiclassical" else None
+    csv_path, json_path = _outputs(args.out, f"{name}.csv", f"{name}_summary.json")
 
-    if kind == "classical":
+    if semi is None:
         tr = pdm.classical_integrate(model, init, t_span, **kwargs)
     else:
-        modes = _modes_from(cfg, preset)
-        semi = pdm.SemiclassicalModel(model, modes)
         tr = pdm.semiclassical_integrate(semi, init, t_span, **kwargs)
 
     summary = {
@@ -382,8 +431,8 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         )
 
     columns = (tr.t, tr.q[:, 0], tr.q[:, 1], tr.p[:, 0], tr.p[:, 1], tr.energy)
-    csv_path = _write(args.out, f"{name}.csv", _csv("t,q1,q2,p1,p2,E", columns))
-    json_path = _write_json(args.out, f"{name}_summary.json", summary)
+    _write(csv_path, _csv("t,q1,q2,p1,p2,E", columns))
+    _write_json(json_path, summary)
     print(csv_path)
     print(json_path)
     print(f"classification: {tr.classification}")
@@ -749,17 +798,17 @@ def _wall_portraits():
     for k in range(8):
         q = rng.uniform(-1.3, 1.3, size=2)
         wins = {j: _quad_moment_1d(q[j - 1], model.wall(j), smooth[j - 1], 0) for j in (1, 2)}
-        dev_chi.append(abs(pdm.portrait_chi(model, modes, q) - wins[1] * wins[2]))
+        dev_chi.append(abs(pdm.portrait_chi(model, modes, *q) - wins[1] * wins[2]))
         j = 1 + (k % 2)
         sq = _quad_moment_1d(q[j - 1], model.wall(j), smooth[j - 1], 2)
         dev_q2.append(
-            abs(pdm.portrait_q2chi(model, modes, j, q) - sq * wins[3 - j])
+            abs(pdm.portrait_q2chi(model, modes, j, *q) - sq * wins[3 - j])
             / max(sq * wins[3 - j], 1e-12)
         )
         lam_j = model.inverse_length(j)
         mass_oracle = (wins[j] - lam_j**2 * sq) / model.m0 * wins[3 - j]
         dev_mass.append(
-            abs(pdm.regularised_mass(model, modes, q, j) - mass_oracle)
+            abs(pdm.regularised_mass(model, modes, *q, j) - mass_oracle)
             / max(abs(mass_oracle), 1e-12)
         )
     return [
@@ -773,7 +822,7 @@ def _veff_gradient():
     model, modes = pdm.PRESETS["fig6a"].model, pdm.PRESETS["fig6a"].modes
     rng = np.random.default_rng(71)
     pts = rng.uniform(-1.5, 1.5, size=(40, 2))
-    grad = pdm.effective_potential_gradient(model, modes, pts)
+    grad = pdm.effective_potential_gradient(model, modes, pts[:, 0], pts[:, 1])
     # the 8th-order central stencil on offsets 1..4 h; h = 2e-3 balances its
     # h^8 truncation against the eps / h rounding of the differences (1e-2
     # leaves 7e-9 of truncation on this V_eff's walls)
@@ -783,8 +832,8 @@ def _veff_gradient():
     fd = np.empty_like(grad)
     for d in range(2):
         step = offsets * np.eye(2)[d]
-        plus = pdm.effective_potential(model, modes, pts + step)
-        minus = pdm.effective_potential(model, modes, pts - step)
+        plus, minus = (pdm.effective_potential(model, modes, q[..., 0], q[..., 1])
+                       for q in (pts + step, pts - step))
         fd[:, d] = weights @ (plus - minus) / h
     scale = np.maximum(np.max(np.abs(grad), axis=1, keepdims=True), 1.0)
     worst = float(np.max(np.abs(grad - fd) / scale))
@@ -810,6 +859,7 @@ CHECKS = (
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     tol = _tolerance(cfg, "tol", 1e-6)
+    (path,) = _outputs(args.out, "verify_report.json")
     checks: list = []
     errata: list = []
     for entry in CHECKS:
@@ -836,7 +886,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
         "all_within_tolerance": all(c["within_tolerance"] for c in checks),
         "version": 1,
     }
-    path = _write_json(args.out, "verify_report.json", report)
+    _write_json(path, report)
     print(json.dumps(report, indent=2, sort_keys=True))
     print(path, file=sys.stderr)
     # a check outside the tolerance is a numerical failure; the report is kept
@@ -875,13 +925,14 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
         )
     else:
         family = NonSepParams(_modes_from(cfg, None), cfg.get("phi", 0.0))
+    csv_path, json_path = _outputs(args.out, f"quantise_{fn}.csv", f"quantise_{fn}_report.json")
 
     op = quantise(catalogue[fn], family, nmax=nmax)
     mat = op.matrix.entries
     # integer indices print as integers under %.17g
     row, col = np.indices(mat.shape)
     columns = (row.ravel(), col.ravel(), mat.real.ravel(), mat.imag.ravel())
-    csv_path = _write(args.out, f"quantise_{fn}.csv", _csv("row,col,re,im", columns))
+    _write(csv_path, _csv("row,col,re,im", columns))
     report = {
         "basis": op.basis,
         "dimension": int(mat.shape[0]),
@@ -892,7 +943,7 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
         "convergence_witness": op.quadrature_report.convergence_witness,
         "nodes": op.quadrature_report.nodes,
     }
-    json_path = _write_json(args.out, f"quantise_{fn}_report.json", report)
+    _write_json(json_path, report)
     print(csv_path)
     print(json_path)
     return 0

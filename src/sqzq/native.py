@@ -17,7 +17,11 @@ the Python kernels' bits and the same step counts.
 
 The CSV writer (``_CSV_SOURCE``) spells each float64 as '%.17g' does, from
 exact integer arithmetic where 1e-11 <= |x| < 1e15 and from glibc's exact
-'%.16e' digits elsewhere; ``csv`` gives a block's bytes.
+'%.16e' digits elsewhere.  It has two loops, and both spell their cells with
+one function, ``cell``: ``csv`` gives a block's bytes, one line a row, and
+``grid_csv`` a grid's, one line "q1,q2,value" a point, the bytes ``csv``
+gives for the meshgrid's columns.  The grid loop spells each axis value once
+and copies the spelling to every line that carries it.
 
 Both libraries share one cache, ``${XDG_CACHE_HOME:-~/.cache}/sqzq/``.  A
 library is ``<name>-<sha256>.so``, named by the sha256 of its C source and
@@ -31,8 +35,9 @@ with an unwritable cache or a failing build, ``steps`` and ``csv`` return
 None and their callers run the Python code.
 
 Before a library is used, its output must be Python's.  The CSV writer must
-write a fixed probe block (``_probe``) byte for byte as '%' does, once per
-process.  The solver's ``pow`` must give Python's at fixed arguments, and,
+write a fixed probe block (``_probe``) byte for byte as '%' does, and its grid
+loop must write the flat loop's bytes on grids of the probe's values, once
+per process.  The solver's ``pow`` must give Python's at fixed arguments, and,
 before it runs a model for the first time in a process, its right-hand side
 the Python one's bits (NaN payloads aside) at the problem's probe states.
 A libm whose ``erfc``, ``exp``, ``sin`` or ``pow`` is not the one ``math``
@@ -280,15 +285,18 @@ def _library_source(rhs_source: str, n: int) -> str:
 # the bytes a cell and its separator take at most (see ``cell``)
 _CELL_BYTES = 25
 
-# One row of the block is a line, its cells separated by ','.  A value
+# Two loops write lines of cells separated by ',', and both spell every cell
+# with ``cell``: ``sqzq_csv`` a block, one line a row, and ``sqzq_grid_csv`` a
+# grid, one line "q1,q2,value" a point, each axis value spelt once.  A value
 # 1e-11 <= |x| < 1e15 is m 2^e2 (``digits``): its 17 digits are the scaled
 # m 5^k, shifted and rounded on the exact remainder in 128 bits, ties to even
 # as in David Gay's dtoa, which '%' runs.  'nan', 'inf', '-inf', '0' and '-0'
 # are spelt as Python spells them.
-_CSV_SOURCE = r"""
+_CSV_SOURCE = f"#define CELL {_CELL_BYTES}\n" + r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* the ASCII of 00, 01, ..., 99 */
@@ -377,8 +385,10 @@ static int digits(double a, char *d)
 }
 
 /* x as '%.17g' writes it, at out; returns its length, at most 24 bytes: a
-   sign, then "0.000" and 17 digits, or d.dddddddddddddddde-308 */
-static int cell(double x, char *out)
+   sign, then "0.000" and 17 digits, or d.dddddddddddddddde-308.  Inlined
+   into each loop: called from two, the compiler would otherwise call it
+   once a cell. */
+static inline __attribute__((always_inline)) int cell(double x, char *out)
 {
     char *o = out;
     if (isnan(x)) {
@@ -434,7 +444,7 @@ static int cell(double x, char *out)
 }
 
 /* The rows x[r cols .. r cols + cols - 1] as CSV lines at out, which holds
-   25 bytes a cell; returns the bytes written. */
+   CELL bytes a cell; returns the bytes written. */
 int64_t sqzq_csv(const double *x, int64_t rows, int64_t cols, char *out)
 {
     char *o = out;
@@ -443,6 +453,45 @@ int64_t sqzq_csv(const double *x, int64_t rows, int64_t cols, char *out)
             o += cell(*x++, o);
             *o++ = j + 1 < cols ? ',' : '\n';
         }
+    return o - out;
+}
+
+/* The grid values[i n2 + k] at (q1[i], q2[k]) as the CSV lines
+   "q1,q2,value" at out, which holds CELL bytes a cell for 3 n1 n2 cells;
+   returns the bytes written, or -1 where there is no memory for the table.
+   Each q2 value is spelt once, with its ',', into a table of CELL bytes a
+   value, and each q1 value once for its n2 lines, which copy the two
+   spellings before the cell of their value. */
+int64_t sqzq_grid_csv(const double *q1, int64_t n1, const double *q2, int64_t n2,
+                      const double *values, char *out)
+{
+    char *table = malloc((size_t)n2 * CELL);
+    int *size = malloc((size_t)n2 * sizeof *size);
+    if (!table || !size) {
+        free(table);
+        free(size);
+        return -1;
+    }
+    for (int64_t k = 0; k < n2; k++) {
+        size[k] = cell(q2[k], table + k * CELL);
+        table[k * CELL + size[k]++] = ',';
+    }
+    char *o = out;
+    for (int64_t i = 0; i < n1; i++) {
+        char head[CELL];
+        int h = cell(q1[i], head);
+        head[h++] = ',';
+        for (int64_t k = 0; k < n2; k++) {
+            memcpy(o, head, h);
+            o += h;
+            memcpy(o, table + k * CELL, size[k]);
+            o += size[k];
+            o += cell(*values++, o);
+            *o++ = '\n';
+        }
+    }
+    free(table);
+    free(size);
     return o - out;
 }
 """
@@ -516,9 +565,20 @@ def _probe() -> list:
 
 
 def _probe_differs(dll) -> bool:
-    values = np.array(_probe()).reshape(-1, 1)
-    want = ("%.17g\n" * len(values)) % tuple(values.ravel().tolist())
-    return _written(dll, b"", values) != want.encode("ascii")
+    values = np.array(_probe())
+    want = ("%.17g\n" * len(values)) % tuple(values.tolist())
+    if _written(dll, b"", values.reshape(-1, 1)) != want.encode("ascii"):
+        return True
+    # the grid loop must write the flat loop's bytes: on the probe's values
+    # as one axis and as the grid's values, with a few of them as the other
+    few = values[::50]
+    for q1, q2 in ((values, few), (few, values)):
+        grid = np.resize(values[::-1], (len(q1), len(q2)))
+        g1, g2 = np.meshgrid(q1, q2, indexing="ij")
+        flat = _written(dll, b"", np.column_stack([g1.ravel(), g2.ravel(), grid.ravel()]))
+        if _grid_written(dll, b"", q1, q2, grid) != flat:
+            return True
+    return False
 
 
 # what ``_library`` sets up in a library of each name: the argument and
@@ -532,7 +592,10 @@ _KINDS = {
         "sqzq_pow": ([_DOUBLE, _DOUBLE], _DOUBLE),
         "sqzq_free": ([_PTR], None),
     }, _pow_differs),
-    "csv": ({"sqzq_csv": ([_PTR, _I64, _I64, _PTR], _I64)}, _probe_differs),
+    "csv": ({
+        "sqzq_csv": ([_PTR, _I64, _I64, _PTR], _I64),
+        "sqzq_grid_csv": ([_PTR, _I64, _PTR, _I64, _PTR, _PTR], _I64),
+    }, _probe_differs),
 }
 
 
@@ -604,27 +667,61 @@ def _solver(rhs_source: str, n: int):
     return _library("dop853", _library_source(rhs_source, n))
 
 
+def _text(head: bytes, cells: int, write) -> bytearray:
+    """``head``, then what ``write(at)`` writes at ``at``, the address after
+    it, into room for ``cells`` cells; ``write`` returns the bytes written,
+    or -1 where it found no memory."""
+    out = bytearray(len(head) + _CELL_BYTES * cells)
+    out[: len(head)] = head
+    view = (ctypes.c_char * len(out)).from_buffer(out)
+    n = write(ctypes.byref(view, len(head)))
+    del view  # the buffer's export ends, so it can shrink
+    if n < 0:
+        raise MemoryError("no memory for the CSV writer's table of axis values")
+    del out[len(head) + n :]
+    return out
+
+
 def _written(dll, head: bytes, values) -> bytearray:
     """``head``, then the rows of the C-contiguous float64 block ``values``
     as CSV lines, written by the library ``dll``."""
     rows, cols = values.shape
-    out = bytearray(len(head) + _CELL_BYTES * values.size)
-    out[: len(head)] = head
-    view = (ctypes.c_char * len(out)).from_buffer(out)
-    n = dll.sqzq_csv(values.ctypes.data, rows, cols, ctypes.byref(view, len(head)))
-    del view  # the buffer's export ends, so it can shrink
-    del out[len(head) + n :]
-    return out
+    return _text(head, values.size, lambda at: dll.sqzq_csv(values.ctypes.data, rows, cols, at))
+
+
+def _grid_written(dll, head: bytes, q1, q2, values) -> bytearray:
+    """``head``, then the grid ``values[i, k]`` at (q1[i], q2[k]) as the CSV
+    lines q1,q2,value, q2 running fastest, written by the library ``dll``."""
+    q1, q2, values = (np.ascontiguousarray(a, dtype=np.float64) for a in (q1, q2, values))
+    if values.shape != (q1.size, q2.size):
+        raise ValueError(f"grid values of shape {values.shape} on axes of {q1.size} and {q2.size} points")
+    return _text(head, 3 * values.size, lambda at: dll.sqzq_grid_csv(
+        q1.ctypes.data, q1.size, q2.ctypes.data, q2.size, values.ctypes.data, at))
+
+
+def _loaded_csv():
+    """The CSV library, or None where none loads or its probe differs from '%'."""
+    lib = _library("csv", _CSV_SOURCE)
+    return None if lib is None or lib.differs else lib
 
 
 def csv(head: bytes, values) -> bytearray | None:
     """``head``, then each row of the float64 block ``values`` as a CSV line,
     every cell as '%.17g' writes it; None where no CSV library loads or its
-    probe block differs from '%'."""
-    lib = _library("csv", _CSV_SOURCE)
-    if lib is None or lib.differs:
+    probe differs from '%'."""
+    lib = _loaded_csv()
+    if lib is None:
         return None
     return _written(lib.dll, head, np.ascontiguousarray(values, dtype=np.float64))
+
+
+def grid_csv(head: bytes, q1, q2, values) -> bytearray | None:
+    """``head``, then the grid ``values[i, k]`` at (q1[i], q2[k]) as the CSV
+    lines q1,q2,value, q2 running fastest: the bytes ``csv`` writes for the
+    meshgrid's three columns, with each axis value spelt once.  None where
+    ``csv`` gives None."""
+    lib = _loaded_csv()
+    return None if lib is None else _grid_written(lib.dll, head, q1, q2, values)
 
 
 def steps(problem, t0: float, t1: float, min_step: float, max_steps: int):

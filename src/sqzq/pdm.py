@@ -23,7 +23,10 @@ Every smoothed wall quantity comes from one per-mode evaluator,
 ``_mode_pieces`` (the windows chi_j and <q_j^2 chi_j> and their
 derivatives), and the regularised inverse masses A_j, V_eff and their
 gradients are assembled from it in one place, ``_veff_pieces``, which runs
-on float arrays for the portraits, energies and masks.
+on float arrays for the portraits, energies and masks.  The portraits take
+the two coordinates as arrays that broadcast against each other, (q1, q2):
+on a grid's axes each mode's pieces are evaluated once per axis value, and
+only the final products and sums fill the grid.
 
 Each equation of motion is written once, as a formula on floats,
 ``formula(q1, q2, v1, v2, *constants) -> (acc1, acc2)``: the smoothed flow
@@ -630,9 +633,13 @@ def _veff_pieces(constants: tuple, q1, q2, erfc=None, exp=np.exp):
     return veff, d1, d2, masses
 
 
-def _pieces(model: PdmModel, params: TwoModeParams, q, kinetic: bool = False):
-    """``_veff_pieces`` at the points q of shape (..., 2): the masses alone,
-    or with ``kinetic`` V_eff and its gradient as well.
+def _pieces(model: PdmModel, params: TwoModeParams, q1, q2, kinetic: bool = False):
+    """``_veff_pieces`` at (q1, q2), two float arrays that broadcast against
+    each other: the masses alone, or with ``kinetic`` V_eff and its gradient
+    as well.  On a grid's axes, ``q1[:, None]`` and ``q2[None, :]``, each
+    mode's pieces are evaluated once per axis value and only the final sums
+    and products fill the grid, with the bits of the same formulas at the
+    grid's points.
 
     Far outside a wall exp(-z^2) is the right 0 reached through an
     overflowing z^2; at points or scales so extreme that a piece itself
@@ -640,44 +647,50 @@ def _pieces(model: PdmModel, params: TwoModeParams, q, kinetic: bool = False):
     turns inf or NaN, which the portrait command refuses to write.  Neither
     is reported as a floating-point warning.
     """
-    q = _as_points(q)
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _veff_pieces(_constants(model, params, kinetic), q[..., 0], q[..., 1])
+        return _veff_pieces(_constants(model, params, kinetic), q1, q2)
 
 
-def _windows(model: PdmModel, params: TwoModeParams, q):
-    """``_mode_pieces`` of each mode at the points q, as quiet as ``_pieces``."""
-    q, scales = _as_points(q), _both_scales(model, params)
+def _windows(model: PdmModel, params: TwoModeParams, q1, q2):
+    """``_mode_pieces`` of each mode at q1 and at q2, as quiet as ``_pieces``."""
+    scales = _both_scales(model, params)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return [_mode_pieces(q[..., j], scales[j]) for j in (0, 1)]
+        return [_mode_pieces(np.asarray(q, dtype=float), m) for q, m in zip((q1, q2), scales)]
 
 
-def portrait_chi(model: PdmModel, params: TwoModeParams, q):
-    """Smoothed box indicator, a product of per-mode erfc windows in (0, 1)."""
-    (c1, *_), (c2, *_) = _windows(model, params, q)
+def portrait_chi(model: PdmModel, params: TwoModeParams, q1, q2):
+    """Smoothed box indicator, a product of per-mode erfc windows in (0, 1),
+    at (q1, q2), which broadcast against each other."""
+    (c1, *_), (c2, *_) = _windows(model, params, q1, q2)
     return _scalar_or_array(c1 * c2)
 
 
-def portrait_q2chi(model: PdmModel, params: TwoModeParams, j: int, q):
-    """Smoothed q_j^2 restricted to the box.
+def portrait_q2chi(model: PdmModel, params: TwoModeParams, j: int, q1, q2):
+    """Smoothed q_j^2 restricted to the box, at (q1, q2), which broadcast
+    against each other.
 
     In the infinite-box limit this reduces to q_j^2 + lambda_j^2 Delta_p_j^2,
     the familiar smearing shift of the square.
     """
     _require_mode(j)
-    (c1, g1, *_), (c2, g2, *_) = _windows(model, params, q)
-    return _scalar_or_array(g1 * c2 if j == 1 else g2 * c1)
+    (c1, g1, *_), (c2, g2, *_) = _windows(model, params, q1, q2)
+    # an overflowing g_j times a window that underflowed to 0 is NaN, which
+    # is as quiet here as in ``_pieces``
+    with np.errstate(invalid="ignore"):
+        return _scalar_or_array(g1 * c2 if j == 1 else g2 * c1)
 
 
-def regularised_mass(model: PdmModel, params: TwoModeParams, q, j: int):
-    """Smoothed inverse-mass factor A_j = (c_j - Lambda_j^2 g_j) c_other / m0.
+def regularised_mass(model: PdmModel, params: TwoModeParams, q1, q2, j: int):
+    """Smoothed inverse-mass factor A_j = (c_j - Lambda_j^2 g_j) c_other / m0
+    at (q1, q2), which broadcast against each other.
 
     Strictly positive everywhere: inside the box it tends to
     (1 - Lambda_j^2 q_j^2)/m0, outside it decays like a Gaussian tail without
     crossing zero, so the semiclassical flow has no mass singularity.
     """
     _require_mode(j)
-    a1, a2 = _pieces(model, params, q)[:2]
+    a1, a2 = _pieces(model, params, q1, q2)[:2]
     return _scalar_or_array(a1 if j == 1 else a2)
 
 
@@ -695,21 +708,23 @@ def _require_real_tau(params: TwoModeParams) -> None:
         raise ConfigError("the effective potential is derived for real tau (gamma = 0)")
 
 
-def effective_potential(model: PdmModel, params: TwoModeParams, q):
-    """Smoothed potential: kinetic wall terms plus the external oscillators.
+def effective_potential(model: PdmModel, params: TwoModeParams, q1, q2):
+    """Smoothed potential: kinetic wall terms plus the external oscillators,
+    at (q1, q2), which broadcast against each other.
 
     V_eff = sum_j hbar^2/(2 lambda_j^2 Delta_p_j^2) A_j + vbar_j <q_j^2 chi>.
     Finite everywhere and decaying to zero far outside the box, which is what
     turns the classical hard walls into an escapable barrier.
     """
     _require_real_tau(params)
-    return _scalar_or_array(_pieces(model, params, q, kinetic=True)[0])
+    return _scalar_or_array(_pieces(model, params, q1, q2, kinetic=True)[0])
 
 
-def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
-    """Closed-form gradient of effective_potential, stacked along the last axis."""
+def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q1, q2):
+    """Closed-form gradient of effective_potential at (q1, q2), which
+    broadcast against each other, stacked along a last axis of two."""
     _require_real_tau(params)
-    _, d1, d2, _ = _pieces(model, params, q, kinetic=True)
+    _, d1, d2, _ = _pieces(model, params, q1, q2, kinetic=True)
     return np.stack([d1, d2], axis=-1)
 
 
@@ -719,14 +734,14 @@ def effective_potential_gradient(model: PdmModel, params: TwoModeParams, q):
 
 def semiclassical_energy(semi: SemiclassicalModel, q, p):
     """Conserved value p1^2 A_1/2 + p2^2 A_2/2 + V_eff at (q, p)."""
-    p = _as_points(p)
-    veff, _, _, (a1, a2, *_) = _pieces(semi.model, semi.modes, q, kinetic=True)
+    q, p = _as_points(q), _as_points(p)
+    veff, _, _, (a1, a2, *_) = _pieces(semi.model, semi.modes, q[..., 0], q[..., 1], kinetic=True)
     return _scalar_or_array(0.5 * (p[..., 0] ** 2 * a1 + p[..., 1] ** 2 * a2) + veff)
 
 
 def initial_momenta(semi: SemiclassicalModel, init: InitialState) -> np.ndarray:
     """Momenta conjugate to the initial velocities: p_j = v_j / A_j(q0)."""
-    a1, a2 = _pieces(semi.model, semi.modes, [init.q1, init.q2])[:2]
+    a1, a2 = _pieces(semi.model, semi.modes, init.q1, init.q2)[:2]
     return np.array([init.v1 / a1, init.v2 / a2])
 
 

@@ -261,17 +261,17 @@ def test_criterion_09_gradients_match_central_differences():
     rng = np.random.default_rng(9001)
     pts = rng.uniform(-1.5, 1.5, size=(100, 2))
     h = 1e-6
-    vgrad = pdm.effective_potential_gradient(model, modes, pts)
+    vgrad = pdm.effective_potential_gradient(model, modes, pts[:, 0], pts[:, 1])
     # the closed-form gradients of the inverse masses A1 and A2
-    _, _, d1a1, d2a1, d1a2, d2a2 = pdm._pieces(model, modes, pts)
+    _, _, d1a1, d2a1, d1a2, d2a2 = pdm._pieces(model, modes, pts[:, 0], pts[:, 1])
     mgrads = {1: np.stack([d1a1, d2a1], axis=-1), 2: np.stack([d1a2, d2a2], axis=-1)}
     for k, base in enumerate(pts):
         for d in range(2):
             step = np.zeros(2)
             step[d] = h
             fd = (
-                pdm.effective_potential(model, modes, base + step)
-                - pdm.effective_potential(model, modes, base - step)
+                pdm.effective_potential(model, modes, *(base + step))
+                - pdm.effective_potential(model, modes, *(base - step))
             ) / (2 * h)
             scale = max(np.max(np.abs(vgrad[k])), 1.0)
             assert abs(vgrad[k, d] - fd) / scale < 1e-6
@@ -281,8 +281,8 @@ def test_criterion_09_gradients_match_central_differences():
                 step = np.zeros(2)
                 step[d] = h
                 fd = (
-                    pdm.regularised_mass(model, modes, base + step, j)
-                    - pdm.regularised_mass(model, modes, base - step, j)
+                    pdm.regularised_mass(model, modes, *(base + step), j)
+                    - pdm.regularised_mass(model, modes, *(base - step), j)
                 ) / (2 * h)
                 scale = max(np.max(np.abs(mgrad)), 1e-3)
                 assert abs(mgrad[d] - fd) / scale < 1e-6

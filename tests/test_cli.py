@@ -152,6 +152,10 @@ def test_unknown_preset_exits_2(tmp_path):
         (["quantise", "q", "--fock-dim", "0"], {}),
         (["quantise", "q"], {"lam": 1e-155}),
         (["quantise", "q"], {"lam": 1e150, "hbar": 1e-150}),
+        # arrays beyond any 64-bit address space (728 TiB): numpy refuses
+        # them at once, before anything is computed or touched
+        (["portrait", "chi", "--preset", "fig6a"], {"q1_points": 10**7, "q2_points": 10**7}),
+        (["simulate", "--preset", "fig4b"], {"samples": 10**14}),
     ],
     ids=[
         "simulate-lam1", "portrait-lam1", "samples", "fock-dim",
@@ -161,6 +165,7 @@ def test_unknown_preset_exits_2(tmp_path):
         "lam-1e-300", "lam-1e200", "hbar-1e-300", "hbar-1e200",
         "two-mode-lam1-1e-300", "two-mode-lam2-1e200", "quantise-fock-dim-0",
         "lam-precision-overflow", "lam-over-hbar-precision-overflow",
+        "grid-too-large", "samples-too-large",
     ],
 )
 def test_invalid_input_exits_2(tmp_path, capsys, argv, payload):
@@ -240,13 +245,15 @@ def test_missing_required_field_exits_2(tmp_path):
 )
 def test_an_out_that_names_a_file_exits_2(tmp_path, capsys, argv, written):
     # the output directory cannot be made where a file stands: a config
-    # error naming the path, not a FileExistsError traceback
+    # error naming the path, not a FileExistsError traceback, found before
+    # the command computes, so verify runs none of its checks
     out = tmp_path / "taken"
     out.write_bytes(b"kept")
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"config error: cannot write {out / written}: " in err
     assert "File exists" in err
+    assert not [line for line in err.splitlines() if line.startswith("check ")]
     assert out.read_bytes() == b"kept"
 
 
@@ -547,6 +554,52 @@ def test_csv_library_whose_probe_block_differs_is_not_used(monkeypatch, tmp_path
         native._library.cache_clear()
 
 
+@pytest.mark.parametrize("kind", _CSV_WRITERS)
+def test_grid_csv_writes_the_meshgrid_columns_bytes(kind):
+    # the writer's probe values on both axes (subnormals, ties of the 18th
+    # digit, both zeros, the float range's ends, NaN and the infinities),
+    # and as the grid's values, shuffled: the grid writer, or '%' where no
+    # library loads, writes what '%' writes for the meshgrid's columns
+    probe = np.array(native._probe())
+    rng = np.random.default_rng(37)
+    q1, q2 = probe, rng.permutation(probe)
+    values = rng.permutation(np.resize(probe, (q1.size, q2.size)).ravel()).reshape(q1.size, q2.size)
+    g1, g2 = np.meshgrid(q1, q2, indexing="ij")
+    want = csv_row_template("q1,q2,value", [g1.ravel(), g2.ravel(), values.ravel()])
+    with _csv_writer(kind):
+        assert cli._grid_csv(q1, q2, values) == want
+        # one point, one row and one column
+        for a, b in ((q1[:1], q2[:1]), (q1[:1], q2), (q1, q2[:1])):
+            block = values[: a.size, : b.size]
+            h1, h2 = np.meshgrid(a, b, indexing="ij")
+            columns = [h1.ravel(), h2.ravel(), block.ravel()]
+            assert cli._grid_csv(a, b, block) == csv_row_template("q1,q2,value", columns)
+
+
+def test_csv_library_whose_grid_loop_differs_is_not_used(monkeypatch, tmp_path):
+    # a grid loop that copies the first q2 spelling to every line is built
+    # and loaded, and fails the probe, whose flat loop is right
+    if not (shutil.which("cc") or shutil.which("gcc")):
+        pytest.skip("no C compiler on PATH")
+    copy = "memcpy(o, table + k * CELL, size[k]);\n            o += size[k];"
+    assert copy in native._CSV_SOURCE
+    wrong = native._CSV_SOURCE.replace(copy, "memcpy(o, table, size[0]);\n            o += size[0];")
+    monkeypatch.setattr(native, "_CSV_SOURCE", wrong)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    native._library.cache_clear()
+    try:
+        lib = native._library("csv", native._CSV_SOURCE)
+        assert lib is not None and lib.differs
+        q1, q2 = np.linspace(-1.0, 1.0, 30), np.linspace(-2.0, 2.0, 20)
+        values = np.add.outer(q1, q2)
+        g1, g2 = np.meshgrid(q1, q2, indexing="ij")
+        want = csv_row_template("q1,q2,value", [g1.ravel(), g2.ravel(), values.ravel()])
+        assert native._grid_written(lib.dll, b"q1,q2,value\n", q1, q2, values) != want
+        assert cli._grid_csv(q1, q2, values) == want
+    finally:
+        native._library.cache_clear()
+
+
 # ----------------------------------------------------------------------
 # portrait
 
@@ -558,9 +611,59 @@ def test_portrait_grid_matches_library(tmp_path):
     q1, q2, val = _grid_csv(tmp_path / "portrait_chi.csv")
     assert q1.size == 11 * 9
     preset = pdm.PRESETS["fig6a"]
-    direct = pdm.portrait_chi(preset.model, preset.modes,
-                              np.stack([q1, q2], axis=-1))
+    direct = pdm.portrait_chi(preset.model, preset.modes, q1, q2)
     assert_allclose(val, direct, rtol=1e-15)
+
+
+def _portrait_models():
+    """fig6a's and fig4b's models, and models of the simulate fuzz test's
+    scales, each parameter from 1e-300..1e300 or [0.1, 10]: Lambda^2 and
+    w^2 + 2 s^2 overflow or underflow in some, and with them the pieces."""
+    rng = np.random.default_rng(2027)
+    wide = rng.random((12, 5)) < 0.5
+    draws = np.where(wide, 10.0 ** rng.uniform(-300.0, 300.0, wide.shape),
+                     10.0 ** rng.uniform(-1.0, 1.0, wide.shape))
+    return [pdm.PRESETS["fig6a"].model, pdm.PRESETS["fig4b"].model,
+            pdm.PdmModel(m0=1e-300, lambda1=1e200, lambda2=1e-200, vbar1=0.0, vbar2=1e300),
+            pdm.PdmModel(m0=2.2e-313, lambda1=1.0, lambda2=2e-259),
+            *(pdm.PdmModel(*row) for row in draws.tolist())]
+
+
+@pytest.mark.parametrize("field", ["chi", "mass1", "mass2", "q2chi1", "q2chi2", "veff", "nonsep_hq"])
+def test_portrait_axes_give_the_bits_of_the_grid_points(field):
+    # the portrait evaluates each mode's pieces on the grid's axes; the same
+    # formulas at the grid's points, stacked, give the same bits, in the
+    # NaN and inf cells that make portrait exit 3 as well (a NaN may differ
+    # in payload, which no output shows).  nonsep_hq is at zero mixing
+    modes = pdm.PRESETS["fig6a"].modes
+    edges = [-1.7976931348623157e308, -1e300, -0.0, 0.0, 5e-324, 1e300, 1.7976931348623157e308]
+    finite = nonfinite = 0
+    for model in _portrait_models():
+        q1, q2 = (np.concatenate([np.linspace(-1.5 * model.wall(j), 1.5 * model.wall(j), 19), edges])
+                  for j in (1, 2))
+        on_axes = cli._portrait_values(field, model, modes, 0.0, q1[:, None], q2[None, :])
+        points = np.stack(np.meshgrid(q1, q2, indexing="ij"), axis=-1)
+        at_points = cli._portrait_values(field, model, modes, 0.0, points[..., 0], points[..., 1])
+        assert on_axes.shape == at_points.shape == (q1.size, q2.size)
+        same = (on_axes.view(np.uint64) == at_points.view(np.uint64)) | (np.isnan(on_axes) & np.isnan(at_points))
+        assert same.all(), (model, np.argwhere(~same)[:3])
+        finite += np.count_nonzero(np.isfinite(on_axes))
+        nonfinite += np.count_nonzero(~np.isfinite(on_axes))
+    # chi's windows stay in [0, 1] at every scale
+    assert finite > 0 and (nonfinite > 0) == (field not in ("chi", "nonsep_hq"))
+
+
+@pytest.mark.parametrize("field", ["chi", "mass2", "q2chi2", "veff"])
+def test_portrait_files_are_the_same_on_both_writers(tmp_path, field):
+    # the compiled grid writer and the '%' fallback on the meshgrid's columns
+    cfg = _write_cfg(tmp_path, {"q1_points": 41, "q2_points": 23})
+    files = []
+    for kind in _CSV_WRITERS:
+        with _csv_writer(kind):
+            assert main(["portrait", field, "--preset", "fig6b", "--config", cfg,
+                         "--out", str(tmp_path / kind)]) == 0
+        files.append((tmp_path / kind / f"portrait_{field}.csv").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_portrait_deterministic_bytes(tmp_path):
@@ -580,8 +683,7 @@ def test_portrait_field_from_config(tmp_path):
                  "--out", str(tmp_path)]) == 0
     q1, q2, val = _grid_csv(tmp_path / "portrait_mass1.csv")
     preset = pdm.PRESETS["fig6a"]
-    direct = pdm.regularised_mass(preset.model, preset.modes,
-                                  np.stack([q1, q2], axis=-1), 1)
+    direct = pdm.regularised_mass(preset.model, preset.modes, q1, q2, 1)
     assert_allclose(val, direct, rtol=1e-15, atol=1e-300)
 
 
@@ -613,8 +715,7 @@ def test_nonsep_portrait_near_zero_mixing_matches_windows(tmp_path):
                  "--out", str(tmp_path)]) == 0
     q1, q2, val = _grid_csv(tmp_path / "portrait_nonsep_hq.csv")
     preset = pdm.PRESETS["fig6a"]
-    direct = pdm.portrait_chi(preset.model, preset.modes,
-                              np.stack([q1, q2], axis=-1))
+    direct = pdm.portrait_chi(preset.model, preset.modes, q1, q2)
     assert_allclose(val, direct, atol=1e-6)
 
 
@@ -965,6 +1066,10 @@ _PORTRAIT_RANGES = {
 # reaches its 0 through an overflowing z^2 (exit 0)
 @example("mass1", {"m0": 2.2e-313}, (2, 2), True)
 @example("chi", {"lambda2": 2e-259}, (3, 3), True)
+# an overflowing <q1^2 chi> window times an underflowed chi window: NaN,
+# with no RuntimeWarning
+@example("q2chi1", {"m0": 8.034083425274516e-212, "lambda1": 1.0078502665381714e-171,
+                    "lambda2": 2.674309987195025e-76}, (5, 5), True)
 @example("nonsep_hq", {"phi": 0.5, "q1_min": -1e308}, (3, 3), True)
 @example("nonsep_hq", {"phi": 0.28, "q2_max": 1.7976931348623157e308}, (5, 3), True)
 def test_portrait_fuzzed_config_exits_cleanly(tmp_path_factory, field, values, points, preset):

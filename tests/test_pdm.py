@@ -253,11 +253,9 @@ def test_classical_integrate_outside_box_raises():
 
 def test_portrait_chi_limits():
     model, modes = _fig6_pair()
-    assert portrait_chi(model, modes, np.zeros(2)) == pytest.approx(1.0, abs=1e-6)
-    at_wall = np.array([1.0 / model.lambda1, 0.0])
-    assert portrait_chi(model, modes, at_wall) == pytest.approx(0.5, abs=1e-6)
-    far = np.array([5.0, 0.0])
-    assert portrait_chi(model, modes, far) == pytest.approx(0.0, abs=1e-12)
+    assert portrait_chi(model, modes, 0.0, 0.0) == pytest.approx(1.0, abs=1e-6)
+    assert portrait_chi(model, modes, 1.0 / model.lambda1, 0.0) == pytest.approx(0.5, abs=1e-6)
+    assert portrait_chi(model, modes, 5.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_portrait_chi_against_quadrature():
@@ -265,7 +263,7 @@ def test_portrait_chi_against_quadrature():
     rng = np.random.default_rng(11)
     for q in rng.uniform(-1.2, 1.2, size=(6, 2)):
         want = _smoothed(q[0], model, modes, 1) * _smoothed(q[1], model, modes, 2)
-        assert_allclose(portrait_chi(model, modes, q), want, rtol=1e-8)
+        assert_allclose(portrait_chi(model, modes, *q), want, rtol=1e-8)
 
 
 def test_portrait_q2chi_against_quadrature():
@@ -273,9 +271,9 @@ def test_portrait_q2chi_against_quadrature():
     rng = np.random.default_rng(12)
     for q in rng.uniform(-1.2, 1.2, size=(6, 2)):
         want1 = _smoothed(q[0], model, modes, 1, 2) * _smoothed(q[1], model, modes, 2)
-        assert_allclose(portrait_q2chi(model, modes, 1, q), want1, rtol=1e-8)
+        assert_allclose(portrait_q2chi(model, modes, 1, *q), want1, rtol=1e-8)
         want2 = _smoothed(q[1], model, modes, 2, 2) * _smoothed(q[0], model, modes, 1)
-        assert_allclose(portrait_q2chi(model, modes, 2, q), want2, rtol=1e-8)
+        assert_allclose(portrait_q2chi(model, modes, 2, *q), want2, rtol=1e-8)
 
 
 def test_wall_moment_oracle_matches_40_digit_moments():
@@ -299,8 +297,7 @@ def test_portrait_q2chi_infinite_box_limit():
     modes = TwoModeParams.from_tau(0.3, 0.3, lam1=0.7, lam2=0.7)
     s2 = _smoothing(modes, 1) ** 2
     for qv in (0.0, 0.8, -2.5):
-        q = np.array([qv, 0.3])
-        assert_allclose(portrait_q2chi(model, modes, 1, q), qv * qv + s2, rtol=1e-10, atol=1e-12)
+        assert_allclose(portrait_q2chi(model, modes, 1, qv, 0.3), qv * qv + s2, rtol=1e-10, atol=1e-12)
 
 
 def test_portrait_q2chi_centre_symmetry():
@@ -311,7 +308,7 @@ def test_portrait_q2chi_centre_symmetry():
 
     c0 = 0.5 * (_erfc(-w / (np.sqrt(2) * s)) - _erfc(w / (np.sqrt(2) * s)))
     expected1 = s * s * c0 - 2.0 * w * s / np.sqrt(2 * np.pi) * np.exp(-w * w / (2 * s * s))
-    got = portrait_q2chi(model, modes, 1, np.array([0.0, 0.4]))
+    got = portrait_q2chi(model, modes, 1, 0.0, 0.4)
     other = _smoothed(0.4, model, modes, 2)
     assert_allclose(got, expected1 * other, rtol=1e-8)
 
@@ -322,9 +319,9 @@ def test_portraits_accept_complex_tau():
     rng = np.random.default_rng(13)
     for q in rng.uniform(-1.0, 1.0, size=(4, 2)):
         want = _smoothed(q[0], model, modes, 1) * _smoothed(q[1], model, modes, 2)
-        assert_allclose(portrait_chi(model, modes, q), want, rtol=1e-8)
+        assert_allclose(portrait_chi(model, modes, *q), want, rtol=1e-8)
         want2 = _smoothed(q[0], model, modes, 1, 2) * _smoothed(q[1], model, modes, 2)
-        assert_allclose(portrait_q2chi(model, modes, 1, q), want2, rtol=1e-8)
+        assert_allclose(portrait_q2chi(model, modes, 1, *q), want2, rtol=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -338,7 +335,7 @@ def test_portraits_accept_complex_tau():
 def test_portrait_chi_in_unit_interval(q1, q2, tau, lam, il):
     model = PdmModel(m0=1.0, lambda1=il, lambda2=il)
     modes = TwoModeParams.from_tau(tau, tau, lam1=lam, lam2=lam)
-    val = portrait_chi(model, modes, np.array([q1, q2]))
+    val = portrait_chi(model, modes, q1, q2)
     assert 0.0 <= val <= 1.0
 
 
@@ -350,45 +347,44 @@ def test_regularised_mass_against_quadrature():
         / model.m0
         * _smoothed(q[1], model, modes, 2)
     )
-    assert_allclose(regularised_mass(model, modes, q, 1), want, rtol=1e-8)
+    assert_allclose(regularised_mass(model, modes, *q, 1), want, rtol=1e-8)
     want2 = (
         _quad_massnum(q[1], model.wall(2), _smoothing(modes, 2), model.lambda2)
         / model.m0
         * _smoothed(q[0], model, modes, 1)
     )
-    assert_allclose(regularised_mass(model, modes, q, 2), want2, rtol=1e-8)
+    assert_allclose(regularised_mass(model, modes, *q, 2), want2, rtol=1e-8)
 
 
 def test_regularised_mass_limits_and_positivity():
     model, modes = _fig6_pair()
     # deep interior recovers the classical inverse-mass profile
-    got = regularised_mass(model, modes, np.zeros(2), 1)
+    got = regularised_mass(model, modes, 0.0, 0.0, 1)
     s1 = _smoothing(modes, 1)
     assert got == pytest.approx((1.0 - model.lambda1**2 * s1**2) / model.m0, rel=1e-6)
-    far = regularised_mass(model, modes, np.array([6.0, 0.0]), 1)
+    far = regularised_mass(model, modes, 6.0, 0.0, 1)
     assert 0.0 <= far < 1e-15
     # no zero crossing anywhere along the escape path
-    line = np.stack([np.linspace(0.0, 3.0, 400), np.zeros(400)], axis=-1)
-    assert np.all(regularised_mass(model, modes, line, 1) > 0.0)
+    assert np.all(regularised_mass(model, modes, np.linspace(0.0, 3.0, 400), 0.0, 1) > 0.0)
 
 
 def test_effective_potential_barrier_anisotropy():
     model, modes = _fig6_pair()
     q1 = np.linspace(0.0, 1.4, 701)
-    along1 = effective_potential(model, modes, np.stack([q1, np.zeros_like(q1)], axis=-1))
+    along1 = effective_potential(model, modes, q1, 0.0)
     q2 = np.linspace(0.0, 1.8, 901)
-    along2 = effective_potential(model, modes, np.stack([np.zeros_like(q2), q2], axis=-1))
+    along2 = effective_potential(model, modes, 0.0, q2)
     b1, b2 = np.max(along1), np.max(along2)
     assert b2 > 1.5 * b1
     # the walls have become finite barriers that decay to nothing outside
-    assert effective_potential(model, modes, np.array([4.0, 4.0])) < 1e-10
+    assert effective_potential(model, modes, 4.0, 4.0) < 1e-10
 
 
 def test_effective_potential_requires_real_tau():
     model, _ = _fig6_pair()
     modes = TwoModeParams.from_tau(0.1j, 0.0, lam1=0.5, lam2=0.5)
     with pytest.raises(ConfigError):
-        effective_potential(model, modes, np.zeros(2))
+        effective_potential(model, modes, 0.0, 0.0)
 
 
 def test_gradients_match_central_differences():
@@ -396,9 +392,9 @@ def test_gradients_match_central_differences():
     rng = np.random.default_rng(21)
     pts = rng.uniform(-1.5, 1.5, size=(100, 2))
     h = 1e-6
-    grad_v = effective_potential_gradient(model, modes, pts)
+    grad_v = effective_potential_gradient(model, modes, pts[:, 0], pts[:, 1])
     # the closed-form mass gradients, (d1A1, d2A1) and (d1A2, d2A2)
-    _, _, d1a1, d2a1, d1a2, d2a2 = _pieces(model, modes, pts)
+    _, _, d1a1, d2a1, d1a2, d2a2 = _pieces(model, modes, pts[:, 0], pts[:, 1])
     grad_m1 = np.stack([d1a1, d2a1], axis=-1)
     grad_m2 = np.stack([d1a2, d2a2], axis=-1)
     for k, base in enumerate(pts):
@@ -406,15 +402,15 @@ def test_gradients_match_central_differences():
             step = np.zeros(2)
             step[d] = h
             fd_v = (
-                effective_potential(model, modes, base + step)
-                - effective_potential(model, modes, base - step)
+                effective_potential(model, modes, *(base + step))
+                - effective_potential(model, modes, *(base - step))
             ) / (2 * h)
             den = max(np.max(np.abs(grad_v[k])), 1.0)
             assert abs(grad_v[k, d] - fd_v) / den < 1e-6
             for j, grad_m in ((1, grad_m1), (2, grad_m2)):
                 fd_m = (
-                    regularised_mass(model, modes, base + step, j)
-                    - regularised_mass(model, modes, base - step, j)
+                    regularised_mass(model, modes, *(base + step), j)
+                    - regularised_mass(model, modes, *(base - step), j)
                 ) / (2 * h)
                 den = max(np.max(np.abs(grad_m[k])), 1e-3)
                 assert abs(grad_m[k, d] - fd_m) / den < 1e-6
@@ -782,8 +778,8 @@ def test_semiclassical_initial_momenta():
     semi = SemiclassicalModel(model, modes)
     init = PRESETS["fig6b"].init
     p0 = initial_momenta(semi, init)
-    a1 = regularised_mass(model, modes, np.zeros(2), 1)
-    a2 = regularised_mass(model, modes, np.zeros(2), 2)
+    a1 = regularised_mass(model, modes, 0.0, 0.0, 1)
+    a2 = regularised_mass(model, modes, 0.0, 0.0, 2)
     assert_allclose(p0, [init.v1 / a1, init.v2 / a2], rtol=1e-14)
     tr = semiclassical_integrate(semi, init, (0.0, 0.5), samples=11)
     assert_allclose(tr.p[0], p0, rtol=1e-12)
@@ -820,9 +816,8 @@ def test_semiclassical_rejects_degenerate_start():
 def _forbidden(semi, init, axis1, axis2):
     """The classically forbidden grid of a launch, [i, k] at (axis1[i],
     axis2[k]): where V_eff reaches the energy it conserves."""
-    grid = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1)
     e0 = semiclassical_energy(semi, [init.q1, init.q2], initial_momenta(semi, init))
-    return effective_potential(semi.model, semi.modes, grid) >= e0
+    return effective_potential(semi.model, semi.modes, axis1[:, None], axis2[None, :]) >= e0
 
 
 def test_forbidden_region_energetics():
@@ -859,7 +854,7 @@ def test_forbidden_region_corridor_structure():
 def test_bounded_trajectory_avoids_forbidden_region(run_preset):
     model, modes = _fig6_pair()
     tr = run_preset("fig6a")
-    veff = effective_potential(model, modes, tr.q)
+    veff = effective_potential(model, modes, tr.q[:, 0], tr.q[:, 1])
     # kinetic term is nonnegative, so V_eff along the path stays below E
     assert np.all(veff <= tr.energy[0] * (1.0 + 1e-9))
 
