@@ -9,12 +9,12 @@ written with 17 significant digits, and wall-clock timings go to stderr only.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -67,11 +67,16 @@ _ONEMODE_CATALOGUE = {
 _TWOMODE_CATALOGUE = {"one": lambda q1, q2, p1, p2: np.ones_like(q1), **_TABLE1_FIELDS}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Flat key-value parameters merged from file and flags."""
+    """Flat key-value parameters merged from file and flags.
+
+    ``read`` records every key that ``get``, ``get_complex`` or ``has`` asks
+    for, present or not: the keys the run reads, which ``_outputs`` holds the
+    config's keys against."""
 
     values: dict
+    read: set = dataclasses.field(default_factory=set, compare=False)
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
@@ -93,20 +98,24 @@ class RunConfig:
         return cls(values)
 
     def has(self, key: str) -> bool:
+        self.read.add(key)
         return key in self.values
 
     def get(self, key: str, default=_REQUIRED, cast=float):
-        if key not in self.values:
+        if not self.has(key):
             if default is _REQUIRED:
                 raise ConfigError(f"config field {key!r} is required")
             return default
         raw = self.values[key]
         try:
-            # Python counts a boolean as a number, and int() drops a fraction
+            # Python counts a boolean as a number, int() drops a fraction, and
+            # str() spells any value, so only a JSON string is a str
             if isinstance(raw, bool) and cast in (int, float):
                 raise TypeError
             if cast is int and isinstance(raw, float) and not raw.is_integer():
                 raise ValueError
+            if cast is str and not isinstance(raw, str):
+                raise TypeError
             val = cast(raw)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(
@@ -171,15 +180,24 @@ def _grid_csv(q1, q2, values) -> bytes:
     return _csv("q1,q2,value", [g1.ravel(), g2.ravel(), values.ravel()])
 
 
-def _outputs(out_dir: str, *names: str) -> list:
-    """The paths of a command's output files ``names`` in ``out_dir``, which
-    is made here.  Each command asks once it has read its config and before
-    it computes, so an output directory that cannot be made (``--out``
-    naming a file) is a config error before any work, and a config the
-    command refuses makes no directory."""
-    paths = [os.path.join(out_dir, name) for name in names]
+def _outputs(cfg: RunConfig, args, *names: str) -> list:
+    """The paths of the command's output files ``names`` in ``args.out``,
+    which is made here.  Each command asks once, after it has read its
+    config and before it computes, and reads no config key afterwards.  So
+    a key of ``cfg`` the run has not read by now is one it never reads, and
+    is refused, as argparse refuses a flag the command does not take; and an
+    output directory that cannot be made (``--out`` naming a file) is a
+    config error before any work.  A config the command refuses makes no
+    directory."""
+    unread = sorted(set(cfg.values) - cfg.read)
+    if unread:
+        raise ConfigError(
+            f"{args.command} does not read the config key(s) {', '.join(map(repr, unread))}; "
+            f"it reads {', '.join(sorted(cfg.read))}"
+        )
+    paths = [os.path.join(args.out, name) for name in names]
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {paths[0]}: {exc}") from None
     return paths
@@ -344,8 +362,9 @@ def cmd_portrait(cfg: RunConfig, args) -> int:
     model = _model_from(cfg, preset)
     modes = _modes_from(cfg, preset)
     q1_axis, q2_axis = _grid_axes(cfg, model)
-    phi = cfg.get("phi", 0.0)
-    (path,) = _outputs(args.out, f"portrait_{field}.csv")
+    # only the coupled field mixes the modes
+    phi = cfg.get("phi", 0.0) if field == "nonsep_hq" else 0.0
+    (path,) = _outputs(cfg, args, f"portrait_{field}.csv")
 
     values = _portrait_values(field, model, modes, phi, q1_axis[:, None], q2_axis[None, :])
     if not np.all(np.isfinite(values)):
@@ -406,7 +425,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             tols[key] = tol
     kwargs.update(tols)
     semi = pdm.SemiclassicalModel(model, _modes_from(cfg, preset)) if kind == "semiclassical" else None
-    csv_path, json_path = _outputs(args.out, f"{name}.csv", f"{name}_summary.json")
+    csv_path, json_path = _outputs(cfg, args, f"{name}.csv", f"{name}_summary.json")
 
     if semi is None:
         tr = pdm.classical_integrate(model, init, t_span, **kwargs)
@@ -859,7 +878,7 @@ CHECKS = (
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     tol = _tolerance(cfg, "tol", 1e-6)
-    (path,) = _outputs(args.out, "verify_report.json")
+    (path,) = _outputs(cfg, args, "verify_report.json")
     checks: list = []
     errata: list = []
     for entry in CHECKS:
@@ -925,7 +944,7 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
         )
     else:
         family = NonSepParams(_modes_from(cfg, None), cfg.get("phi", 0.0))
-    csv_path, json_path = _outputs(args.out, f"quantise_{fn}.csv", f"quantise_{fn}_report.json")
+    csv_path, json_path = _outputs(cfg, args, f"quantise_{fn}.csv", f"quantise_{fn}_report.json")
 
     op = quantise(catalogue[fn], family, nmax=nmax)
     mat = op.matrix.entries
@@ -953,11 +972,6 @@ def cmd_quantise(cfg: RunConfig, args) -> int:
 # entry point
 
 
-# the config keys of README's "Config keys" groups that several subcommands read
-_MODEL_KEYS = ("m0", "lambda1", "lambda2", "vbar1", "vbar2")
-_MODES_KEYS = ("tau1", "tau1_im", "tau2", "tau2_im", "lam1", "lam2", "hbar")
-_GRID_KEYS = tuple(f"q{j}_{end}" for j in (1, 2) for end in ("min", "max", "points"))
-
 # the flags a subcommand may take beyond --config and --out
 _FLAGS = {
     "preset": (["--preset"], {"help": "named parameter set, e.g. fig3a..fig6c"}),
@@ -975,13 +989,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, func, flags, reads, by=None, **keys):
+    def command(name, help, func, flags, **keys):
         """A subcommand that takes only the flags it reads, so argparse
-        refuses the others instead of ignoring them, and only the config
-        keys ``reads`` names, so ``main`` refuses the others.  ``by`` =
-        (what, select, {value: keys}) splits the keys further: each value
-        of ``select(cfg)``, a portrait field, quantise family or simulate
-        kind, reads its own keys besides ``reads``.  A flag's value lands
+        refuses the others instead of ignoring them.  A flag's value lands
         under the config key it overrides: its own name, or the one ``keys``
         gives it."""
         p = sub.add_parser(name, help=help)
@@ -990,27 +1000,15 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             names, kwargs = _FLAGS[flag]
             p.add_argument(*names, dest=keys.get(flag, flag), **kwargs)
-        p.set_defaults(func=func, reads=frozenset(reads), by=by)
+        p.set_defaults(func=func)
         return p
 
-    fields = {field: ("phi",) if field == "nonsep_hq" else () for field in _PORTRAIT_FIELDS}
-    p = command("portrait", "write a smoothed-observable grid CSV", cmd_portrait, ["preset"],
-                ("field", "preset", *_MODEL_KEYS, *_MODES_KEYS, *_GRID_KEYS),
-                by=("field", lambda cfg: cfg.get("field", None, cast=str), fields))
+    p = command("portrait", "write a smoothed-observable grid CSV", cmd_portrait, ["preset"])
     p.add_argument("field", nargs="?", choices=_PORTRAIT_FIELDS, default=None)
     command("simulate", "integrate a trajectory and write CSV + summary", cmd_simulate,
-            ["preset", "tol"],
-            ("preset", "kind", "q0_1", "q0_2", "v0_1", "v0_2", "t0", "t1", "samples",
-             "rel_tol", "abs_tol", "name", *_MODEL_KEYS),
-            by=("kind", lambda cfg: cfg.get("kind", _preset_value(_preset_from(cfg), "kind", None), cast=str),
-                {"classical": (), "semiclassical": _MODES_KEYS}),
-            tol="rel_tol")
-    command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"],
-            ("tol",))
-    p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise, [],
-                ("function", "family", "fock_dim"),
-                by=("family", lambda cfg: cfg.get("family", "one-mode", cast=str),
-                    {"one-mode": ("tau", "tau_im", "lam", "hbar"), "two-mode": ("phi", *_MODES_KEYS)}))
+            ["preset", "tol"], tol="rel_tol")
+    command("verify", "run closed-form vs oracle checks, write JSON report", cmd_verify, ["tol"])
+    p = command("quantise", "write a quantised operator matrix as CSV", cmd_quantise, [])
     p.add_argument("--fock-dim", dest="fock_dim", type=int,
                    help="nmax per mode: the matrix has dimension FOCK_DIM + 1 per mode "
                    "(default 8 for one mode, 4 for two)")
@@ -1018,34 +1016,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_unread(cfg: RunConfig, args) -> None:
-    """Refuse a config key that the run will not read: one that the command
-    never reads, or one that only another portrait field, quantise family or
-    simulate kind reads.  A value that is none of those is left to the
-    command, which refuses it."""
-    what, select, split = args.by or (None, None, {})
-    name, reads = args.command, args.reads.union(*split.values())
-    if set(cfg.values) <= reads and select is not None:
-        value = select(cfg)
-        if value in split:
-            name, reads = f"{args.command} {what} {value!r}", args.reads.union(split[value])
-    unread = sorted(set(cfg.values) - reads)
-    if unread:
-        raise ConfigError(
-            f"{name} does not read the config key(s) {', '.join(map(repr, unread))}; "
-            f"it reads {', '.join(sorted(reads))}"
-        )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     # every other parsed value is a flag or positional under its config key
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config", "out", "func", "reads", "by")}
+                 if k not in ("command", "config", "out", "func")}
     start = time.perf_counter()
     try:
         cfg = RunConfig.load(args.config, overrides)
-        _refuse_unread(cfg, args)
         code = args.func(cfg, args)
     except (ConfigError, OutsideBox) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -161,30 +161,15 @@ class NonSepCoefficients:
     """Coefficient groups of one non-separable state at one phase point.
 
     ``Delta1``, ``Delta2``, ``ell`` are the quadratic-form coefficients of
-    the wavefunction; ``ell1``, ``ell2`` the linear ones (point dependent).
-    ``Delta`` through ``L22`` parametrise the overlap exponent, and the C
-    group the position-portrait kernel; those depend on the parameters only.
+    the wavefunction, and ``Delta`` = 16 Re Delta1 Re Delta2 - 4 (Re ell)^2
+    the determinant of the overlap exponent's normal form; all four depend
+    on the parameters only.
     """
 
     Delta1: complex
     Delta2: complex
     ell: complex
-    ell1: complex
-    ell2: complex
     Delta: float
-    theta1: float
-    theta2: float
-    theta12: float
-    Xi1: float
-    Xi2: float
-    Xi12: float
-    L11: float
-    L12: float
-    L21: float
-    L22: float
-    C1: float
-    C2: float
-    C12: float
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +308,16 @@ def _wavefunction_parts(params: NonSepParams, point: PhasePoint):
 
 
 def nonsep_coefficients(params: NonSepParams, point: PhasePoint) -> NonSepCoefficients:
-    """All coefficient groups of the state labelled by ``point``.
+    """The coefficient groups of the state labelled by ``point``.
 
-    The linear coefficients come from the phase-space form v = Q q + i p/hbar
-    and are cross-checked against the ladder eigenvalue relations through the
-    coherent labels; disagreement beyond 1e-12 would mean the two coefficient
-    routes have diverged and is raised, never papered over.
+    The state's linear coefficients l_j v_j, from the phase-space form
+    v = Q q + i p/hbar, are cross-checked against the ladder eigenvalue
+    relations through the coherent labels; disagreement beyond 1e-12 would
+    mean the two coefficient routes have diverged and is raised, never
+    papered over.
     """
-    tau1, tau2, phi = params.tau1, params.tau2, params.phi
-    d1, d2, ell = _quad_coefficients(tau1, tau2, phi)
-    q, v, _, _ = _wavefunction_parts(params, point)
+    d1, d2, ell = _quad_coefficients(params.tau1, params.tau2, params.phi)
+    _, v, _, _ = _wavefunction_parts(params, point)
     ell1 = params.lam1 * v[0]
     ell2 = params.lam2 * v[1]
 
@@ -349,29 +334,7 @@ def nonsep_coefficients(params: NonSepParams, point: PhasePoint) -> NonSepCoeffi
         )
 
     delta = 16.0 * d1.real * d2.real - 4.0 * ell.real**2
-    k = _k_matrix(tau1, tau2, phi)
-    mt = delta * k
-    return NonSepCoefficients(
-        Delta1=d1,
-        Delta2=d2,
-        ell=ell,
-        ell1=ell1,
-        ell2=ell2,
-        Delta=delta,
-        theta1=mt[0, 0],
-        theta2=mt[2, 2],
-        theta12=2.0 * mt[0, 2],
-        Xi1=mt[1, 1],
-        Xi2=mt[3, 3],
-        Xi12=2.0 * mt[1, 3],
-        L11=2.0 * mt[0, 1],
-        L12=2.0 * mt[0, 3],
-        L21=2.0 * mt[1, 2],
-        L22=2.0 * mt[2, 3],
-        C1=-delta * d1.real,
-        C2=-delta * d2.real,
-        C12=-delta * ell.real,
-    )
+    return NonSepCoefficients(Delta1=d1, Delta2=d2, ell=ell, Delta=delta)
 
 
 def nonsep_wavefunction(params: NonSepParams, point: PhasePoint, x) -> np.ndarray:

@@ -104,6 +104,23 @@ def test_a_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, argv, 
     assert not (tmp_path / "out").exists()
 
 
+def test_run_config_records_each_key_it_is_asked_for():
+    cfg = RunConfig.load(None, {"a": 1.0, "z": 0.5, "z_im": 0.25, "h": "x", "spare": 2.0})
+    assert cfg.read == set()
+    assert cfg.get("a") == 1.0
+    assert cfg.read == {"a"}
+    assert cfg.get("b", 3.0) == 3.0
+    with pytest.raises(ConfigError, match="'c' is required"):
+        cfg.get("c")
+    assert cfg.read == {"a", "b", "c"}
+    assert cfg.get_complex("z") == 0.5 + 0.25j
+    assert cfg.get_complex("w", 1.0) == 1.0
+    assert cfg.read == {"a", "b", "c", "z", "z_im", "w", "w_im"}
+    assert cfg.has("h") and not cfg.has("g")
+    assert cfg.read == {"a", "b", "c", "z", "z_im", "w", "w_im", "h", "g"}
+    assert set(cfg.values) - cfg.read == {"spare"}
+
+
 def test_run_config_field_errors(tmp_path):
     cfg = RunConfig.load(None, {"n": "many"})
     with pytest.raises(ConfigError, match="'missing' is required"):
@@ -270,6 +287,17 @@ def test_simulate_name_that_is_no_plain_file_stem_exits_2(tmp_path, capsys, name
     argv = ["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(tmp_path / "out")]
     assert main(argv + (["--preset", preset] if preset else [])) == 2
     assert f"config error: config field 'name' must be a plain file stem, got {name!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [None, True, 5, [1, 2], {"a": 1}], ids=["null", "true", "number", "list", "object"])
+def test_simulate_name_that_is_no_json_string_exits_2(tmp_path, capsys, name):
+    # str() spelt any value, so null wrote None.csv and [1, 2] wrote "[1, 2].csv"
+    payload = {"name": name, "kind": "classical", "m0": 1.0, "lambda1": 1.0, "lambda2": 1.0,
+               "v0_1": 1.0, "v0_2": 2.0, "t1": 1.0}
+    argv = ["simulate", "--config", _write_cfg(tmp_path, payload), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"config error: config field 'name': cannot interpret {name!r} as str" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -1504,26 +1532,56 @@ def test_verify_outside_tolerance_exits_3(tmp_path):
     assert report["tolerance"] == 1e-30
 
 
+# the keys each run reads: the command's, and those of its portrait field,
+# quantise family or simulate kind
+_PORTRAIT_READS = ("field, hbar, lam1, lam2, lambda1, lambda2, m0, preset, q1_max, q1_min, q1_points, "
+                   "q2_max, q2_min, q2_points, tau1, tau1_im, tau2, tau2_im, vbar1, vbar2")
+_ONE_MODE_READS = "family, fock_dim, function, hbar, lam, tau, tau_im"
+_TWO_MODE_READS = "family, fock_dim, function, hbar, lam1, lam2, phi, tau1, tau1_im, tau2, tau2_im"
+_CLASSICAL_READS = ("abs_tol, kind, lambda1, lambda2, m0, name, preset, q0_1, q0_2, rel_tol, samples, "
+                    "t0, t1, v0_1, v0_2, vbar1, vbar2")
+
+
 @pytest.mark.parametrize(
-    "argv,payload,named",
+    "argv,payload,key,reads",
     [
-        (["portrait", "chi", "--preset", "fig6a"], {"phi": 1.0}, "portrait field 'chi'"),
-        (["quantise", "q"], {"phi": 1.0}, "quantise family 'one-mode'"),
-        (["quantise", "q1q2"], {"family": "two-mode", "tau": 0.3}, "quantise family 'two-mode'"),
-        (["simulate", "--preset", "fig3a"], {"tau1": 0.5}, "simulate kind 'classical'"),
-        (["simulate", "--preset", "fig6a"], {"kind": "classical", "lam2": 2.0}, "simulate kind 'classical'"),
+        (["portrait", "chi", "--preset", "fig6a"], {"phi": 1.0}, "phi", _PORTRAIT_READS),
+        (["quantise", "q"], {"phi": 1.0}, "phi", _ONE_MODE_READS),
+        (["quantise", "q1q2"], {"family": "two-mode", "tau1": 0.2, "tau2": 0.6, "tau": 0.3}, "tau",
+         _TWO_MODE_READS),
+        (["simulate", "--preset", "fig3a"], {"tau1": 0.5}, "tau1", _CLASSICAL_READS),
+        (["simulate", "--preset", "fig6a"], {"kind": "classical", "lam2": 2.0}, "lam2", _CLASSICAL_READS),
     ],
     ids=["portrait-field", "quantise-one-mode", "quantise-two-mode", "simulate-kind", "simulate-kind-override"],
 )
-def test_a_config_key_only_another_field_family_or_kind_reads_exits_2(tmp_path, capsys, argv, payload, named):
+def test_a_config_key_only_another_field_family_or_kind_reads_exits_2(tmp_path, capsys, argv, payload, key, reads):
     # the key is the command's, but the run at hand never reads it: phi only
     # mixes the nonsep_hq portrait and the two-mode family, the squeezing only
-    # smooths semiclassical dynamics
+    # smooths semiclassical dynamics.  The keys the run reads are named in full
     cfg = _write_cfg(tmp_path, payload)
     assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    key = next(k for k in payload if k not in ("family", "kind"))
-    assert f"config error: {named} does not read the config key(s) '{key}'; it reads " in err
+    assert f"config error: {argv[0]} does not read the config key(s) '{key}'; it reads {reads}\n" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,payload,error",
+    [
+        (["portrait", "chi", "--preset", "fig6a"], {"phi": 1.0, "q1_points": 1},
+         "config field 'q1_points' must be >= 2"),
+        (["quantise", "q1q2"], {"family": "two-mode", "tau": 0.3}, "config field 'tau1' is required"),
+    ],
+    ids=["invalid-value", "missing-key"],
+)
+def test_a_value_the_run_reads_is_refused_before_a_key_it_does_not(tmp_path, capsys, argv, payload, error):
+    # unread keys are known only once the command has read its config, so an
+    # invalid or missing value of a key it reads is the error it reports
+    cfg = _write_cfg(tmp_path, payload)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {error}" in err
+    assert "does not read" not in err
     assert not (tmp_path / "out").exists()
 
 

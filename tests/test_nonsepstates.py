@@ -25,8 +25,10 @@ from scipy.special import ndtr
 from sqzq.errors import ConfigError, TruncationTooSmall
 from sqzq.nonsepstates import (
     NonSepParams,
+    _k_matrix,
     _portrait_precision,
     _rotated_frame,
+    _wavefunction_parts,
     bogoliubov_check,
     nonsep_box_portrait,
     nonsep_coefficients,
@@ -113,11 +115,19 @@ def test_quadratic_coefficients_vanishing_squeezing():
     assert_allclose(co.Delta, 4.0, rtol=1e-14)
 
 
+def _overlap_form(p, co):
+    """Delta times the overlap exponent's quadratic form, in
+    (dq1/l1, l1 dp1/h, dq2/l2, l2 dp2/h)."""
+    return co.Delta * _k_matrix(p.tau1, p.tau2, p.phi)
+
+
 def test_equal_squeezing_kills_cross_terms():
     p = NonSepParams.from_tau(0.4j, 0.4j, 0.9)
     co = nonsep_coefficients(p, PhasePoint(0.5, -0.2, 0.1, 0.3))
     assert abs(co.ell) < 1e-15
-    for val in (co.theta12, co.Xi12, co.L12, co.L21):
+    mt = _overlap_form(p, co)
+    # the mode-crossing entries: q1 q2, p1 p2, q1 p2 and p1 q2
+    for val in (mt[0, 2], mt[1, 3], mt[0, 3], mt[1, 2]):
         assert abs(val) < 1e-12
 
 
@@ -137,11 +147,13 @@ def test_real_squeezing_gives_real_coefficients():
     phi=st.floats(0.0, 6.28),
 )
 def test_overlap_form_determinant_identity(r1, r2, ph1, ph2, phi):
-    # Xi1 Xi2 - Xi12^2/4 collapses to Delta itself, and Delta stays positive
+    # the momentum block of Delta times the overlap form has determinant
+    # Delta itself, and Delta stays positive
     p = NonSepParams.from_tau(r1 * np.exp(1j * ph1), r2 * np.exp(1j * ph2), phi)
     co = nonsep_coefficients(p, PhasePoint(0.0, 0.0, 0.0, 0.0))
     assert co.Delta > 0.0
-    assert_allclose(co.Xi1 * co.Xi2 - co.Xi12**2 / 4.0, co.Delta, rtol=1e-9)
+    mt = _overlap_form(p, co)
+    assert_allclose(mt[1, 1] * mt[3, 3] - mt[1, 3] ** 2, co.Delta, rtol=1e-9)
 
 
 def test_linear_coefficients_follow_phase_point():
@@ -150,23 +162,14 @@ def test_linear_coefficients_follow_phase_point():
         p = _draw_params(rng)
         pt = _draw_point(rng)
         co = nonsep_coefficients(p, pt)
+        ell1, ell2 = np.array([p.lam1, p.lam2]) * _wavefunction_parts(p, pt)[1]
         q11 = 2.0 * co.Delta1 / p.lam1**2
         q22 = 2.0 * co.Delta2 / p.lam2**2
         q12 = co.ell / (p.lam1 * p.lam2)
         v1 = q11 * pt.q1 + q12 * pt.q2 + 1j * pt.p1 / p.hbar
         v2 = q12 * pt.q1 + q22 * pt.q2 + 1j * pt.p2 / p.hbar
-        assert_allclose(co.ell1, p.lam1 * v1, rtol=1e-12, atol=1e-12)
-        assert_allclose(co.ell2, p.lam2 * v2, rtol=1e-12, atol=1e-12)
-
-
-def test_portrait_kernel_coefficients_match_quadratic_form():
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        p = _draw_params(rng)
-        co = nonsep_coefficients(p, PhasePoint(0.0, 0.0, 0.0, 0.0))
-        assert_allclose(co.C1, -co.Delta * co.Delta1.real, rtol=1e-12)
-        assert_allclose(co.C2, -co.Delta * co.Delta2.real, rtol=1e-12)
-        assert_allclose(co.C12, -co.Delta * co.ell.real, rtol=1e-12, atol=1e-12)
+        assert_allclose(ell1, p.lam1 * v1, rtol=1e-12, atol=1e-12)
+        assert_allclose(ell2, p.lam2 * v2, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +187,7 @@ def test_wavefunction_is_normalised():
 
 
 def test_wavefunction_gradient_pde():
-    # grad psi = (v - Q x) psi with Q, v rebuilt from the public coefficients;
+    # grad psi = (v - Q x) psi with Q rebuilt from the public coefficients;
     # 8th-order central differences, interior points only
     rng = np.random.default_rng(5)
     stencil = np.array([4 / 5, -1 / 5, 4 / 105, -1 / 280])
@@ -199,7 +202,7 @@ def test_wavefunction_gradient_pde():
                 [co.ell / (p.lam1 * p.lam2), 2.0 * co.Delta2 / p.lam2**2],
             ]
         )
-        v = np.array([co.ell1 / p.lam1, co.ell2 / p.lam2])
+        v = _wavefunction_parts(p, pt)[1]
         x0 = np.array([pt.q1, pt.q2]) + rng.uniform(-0.5, 0.5, size=2)
         for axis in range(2):
             steps = np.arange(1, 5)
